@@ -3,6 +3,7 @@
 //! `Project::diagnose`.
 
 use banger_calc::Pos;
+use banger_taskgraph::json::escape_into;
 use std::fmt;
 
 /// How bad a finding is.
@@ -305,28 +306,8 @@ pub fn render_report(diags: &[Diagnostic]) -> String {
     out
 }
 
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-fn json_string(s: &str, out: &mut String) {
-    out.push('"');
-    json_escape(s, out);
-    out.push('"');
-}
-
-/// Renders the diagnostics as a JSON array (one object per finding) —
-/// hand-rolled, since the workspace carries no serde.
+/// Renders the diagnostics as a JSON array (one object per finding),
+/// strings escaped by the workspace's shared JSON module.
 pub fn render_json(diags: &[Diagnostic]) -> String {
     let mut out = String::from("[");
     for (i, d) in diags.iter().enumerate() {
@@ -334,40 +315,40 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
             out.push(',');
         }
         out.push_str("\n  {\"code\":");
-        json_string(d.code.as_str(), &mut out);
+        escape_into(d.code.as_str(), &mut out);
         out.push_str(",\"severity\":");
-        json_string(&d.severity.to_string(), &mut out);
+        escape_into(&d.severity.to_string(), &mut out);
         out.push_str(",\"message\":");
-        json_string(&d.message, &mut out);
+        escape_into(&d.message, &mut out);
         if !d.location.nodes.is_empty() {
             out.push_str(",\"nodes\":[");
             for (j, n) in d.location.nodes.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                json_string(n, &mut out);
+                escape_into(n, &mut out);
             }
             out.push(']');
         }
         if let Some((src, dst, label)) = &d.location.arc {
             out.push_str(",\"arc\":{\"src\":");
-            json_string(src, &mut out);
+            escape_into(src, &mut out);
             out.push_str(",\"dst\":");
-            json_string(dst, &mut out);
+            escape_into(dst, &mut out);
             out.push_str(",\"label\":");
-            json_string(label, &mut out);
+            escape_into(label, &mut out);
             out.push('}');
         }
         if let Some(p) = &d.location.program {
             out.push_str(",\"program\":");
-            json_string(p, &mut out);
+            escape_into(p, &mut out);
         }
         if let Some(pos) = d.location.span {
             out.push_str(&format!(",\"line\":{},\"col\":{}", pos.line, pos.col));
         }
         if let Some(h) = &d.help {
             out.push_str(",\"help\":");
-            json_string(h, &mut out);
+            escape_into(h, &mut out);
         }
         out.push('}');
     }

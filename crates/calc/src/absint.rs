@@ -14,7 +14,7 @@
 //!   above, using the *exact* tick model of the interpreter. Loops with
 //!   inferable trip counts are either unrolled (point bounds within
 //!   budget) or summarized with `trips × body` arithmetic; only genuinely
-//!   unbounded loops fall back to [`crate::cost::LOOP_FACTOR`]. When
+//!   unbounded loops fall back to [`LOOP_FACTOR`]. When
 //!   `ops_lo == ops_hi` the estimate is `exact` and matches a clean trial
 //!   run tick for tick.
 //!
@@ -29,7 +29,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{BinOp, Expr, Program, Stmt, UnOp};
 use crate::builtins;
-use crate::cost::LOOP_FACTOR;
 use crate::error::Pos;
 use crate::value::Value;
 
@@ -37,6 +36,11 @@ use crate::value::Value;
 /// walk has spent this many statement visits, falling back to the sound
 /// summarized fixpoint.
 pub const DEFAULT_BUDGET: u64 = 200_000;
+
+/// Assumed trip count of loops whose bounds cannot be inferred
+/// statically (`while` loops without a concrete model, `for` loops over
+/// genuinely unknown ranges).
+pub const LOOP_FACTOR: f64 = 10.0;
 
 // ---------------------------------------------------------------------------
 // Interval domain
@@ -505,7 +509,7 @@ pub struct StaticCost {
     pub ops_hi: f64,
     /// Point estimate (the scheduler weight; equals the bounds when
     /// `exact`, otherwise a heuristic blend using
-    /// [`crate::cost::LOOP_FACTOR`] for unbounded loops).
+    /// [`LOOP_FACTOR`] for unbounded loops).
     pub est: f64,
     /// True when `ops_lo == ops_hi` and finite: every clean run costs
     /// exactly this many operations.
@@ -1932,5 +1936,122 @@ end";
             AbsVal::of_value(&Value::array(vec![1.0, 2.0])),
             AbsVal::array(Interval::point(2.0))
         );
+    }
+
+    // ---- static cost: the scheduler-facing weight estimate ----
+
+    #[test]
+    fn straight_line_cost() {
+        let p = parse_program("task T in a out x begin x := a + 1 end").unwrap();
+        // 1 stmt tick + 1 op
+        assert_eq!(analyze(&p).cost.est, 2.0);
+        assert!(analyze(&p).cost.exact);
+    }
+
+    #[test]
+    fn builtin_costs_counted() {
+        let p = parse_program("task T in a out x begin x := sqrt(a) end").unwrap();
+        // stmt 1 + sqrt 6
+        assert_eq!(analyze(&p).cost.est, 7.0);
+        assert!(analyze(&p).cost.exact);
+    }
+
+    #[test]
+    fn for_with_literal_bounds_is_exact() {
+        let p = parse_program(
+            "task T out s local i begin s := 0 for i := 1 to 100 do s := s + i end end",
+        )
+        .unwrap();
+        // s := 0 -> 1; for stmt tick 1; 100 * (body 2 + iter tick 1) = 300
+        let c = analyze(&p).cost;
+        assert_eq!(c.est, 302.0);
+        assert!(c.exact, "literal bounds must give exact cost: {c:?}");
+        // ... and "exact" means it: matches a real trial run.
+        let out = interp::run(&p, &Default::default()).unwrap();
+        assert_eq!(out.ops as f64, c.est);
+    }
+
+    #[test]
+    fn for_with_dynamic_bounds_uses_loop_factor() {
+        let p = parse_program(
+            "task T in n out s local i begin s := 0 for i := 1 to n do s := s + i end end",
+        )
+        .unwrap();
+        // s := 0 -> 1; for stmt 1; LOOP_FACTOR * (body 2 + 1) = 30
+        let c = analyze(&p).cost;
+        assert_eq!(c.est, 2.0 + LOOP_FACTOR * 3.0);
+        assert!(!c.exact);
+        assert!(c.ops_hi.is_infinite());
+    }
+
+    #[test]
+    fn for_with_affine_constant_bounds_is_exact() {
+        // Non-literal bounds that are affine in enclosing constants used
+        // to collapse to LOOP_FACTOR; trip-count inference handles them.
+        let p = parse_program(
+            "task T out s local i, n begin \
+             n := 50 s := 0 for i := 1 to 2 * n + 1 do s := s + i end end",
+        )
+        .unwrap();
+        let c = analyze(&p).cost;
+        assert!(c.exact, "affine constant bounds must be exact: {c:?}");
+        let out = interp::run(&p, &Default::default()).unwrap();
+        assert_eq!(out.ops as f64, c.est);
+    }
+
+    #[test]
+    fn while_uses_loop_factor() {
+        let p = parse_program("task T in a out x begin x := a while x > 1 do x := x / 2 end end")
+            .unwrap();
+        // x := a -> 1; while stmt 1; (LF+1) cond evals (1 each) + LF * (body 2 + 1)
+        let c = analyze(&p).cost;
+        assert_eq!(c.est, 1.0 + 1.0 + (LOOP_FACTOR + 1.0) + LOOP_FACTOR * 3.0);
+        assert!(!c.exact);
+    }
+
+    #[test]
+    fn while_with_concrete_inputs_is_data_dependent() {
+        // With no free inputs the Newton loop runs concretely in the
+        // abstract domain and the count is exact.
+        let p = parse_program(
+            "task T out x local g begin \
+             g := 32 while g > 1 do g := g / 2 end x := g end",
+        )
+        .unwrap();
+        let c = analyze(&p).cost;
+        assert!(c.exact, "concrete while must be exact: {c:?}");
+        let out = interp::run(&p, &Default::default()).unwrap();
+        assert_eq!(out.ops as f64, c.est);
+    }
+
+    #[test]
+    fn if_averages_branches() {
+        let p = parse_program("task T in a out x begin if a > 0 then x := 1 else x := 2 end end")
+            .unwrap();
+        // stmt 1 + cond 1 + join(1, 1) = 3 — and since both arms cost the
+        // same, the bounds collapse and the estimate is exact.
+        let c = analyze(&p).cost;
+        assert_eq!(c.est, 3.0);
+        assert!(c.exact);
+    }
+
+    #[test]
+    fn bigger_programs_cost_more() {
+        let small = parse_program("task T in a out x begin x := a end").unwrap();
+        let large = parse_program(
+            "task T in a out x local i begin x := a for i := 1 to 1000 do x := sqrt(x + i) end end",
+        )
+        .unwrap();
+        assert!(analyze(&large).cost.est > 100.0 * analyze(&small).cost.est);
+    }
+
+    #[test]
+    fn bounds_bracket_the_estimate() {
+        let p = parse_program(
+            "task T in n out s local i begin s := 0 for i := 1 to n do s := s + i end end",
+        )
+        .unwrap();
+        let c = analyze(&p).cost;
+        assert!(c.ops_lo <= c.est && c.est <= c.ops_hi);
     }
 }

@@ -14,9 +14,8 @@
 //!   and an operation count (a measured task weight for the scheduler);
 //! * [`builtins`] — the scientific function and constant buttons;
 //! * [`absint`] — interval-domain abstract interpretation: value-range
-//!   safety findings and static operation-count bounds;
-//! * [`cost`] — static weight estimation for unexercised tasks (backed
-//!   by [`absint`]'s trip-count inference);
+//!   safety findings and static operation-count bounds (the weight
+//!   estimate of a task nobody has trial-run yet);
 //! * [`pretty`] — canonical program text (round-trips with the parser);
 //! * [`panel`] — the calculator panel itself: button presses, immediate
 //!   `=` evaluation, `STO` registers, and task recording;
@@ -57,7 +56,6 @@ pub mod absint;
 pub mod ast;
 pub mod builtins;
 pub mod compile;
-pub mod cost;
 pub mod error;
 pub mod interp;
 pub mod library;

@@ -8,9 +8,9 @@
 //! runner's worker threads, trial runs, and benchmarks, so no caller
 //! ever recompiles (or re-walks the AST of) a task body per invocation.
 
+use crate::absint::{self, StaticCost};
 use crate::ast::Program;
 use crate::compile::{compile, CompiledProgram};
-use crate::cost;
 use crate::error::ParseError;
 use crate::parser::parse_program;
 use std::collections::BTreeMap;
@@ -93,17 +93,18 @@ impl ProgramLibrary {
         self.programs.iter().map(|(n, e)| (n, e.source.as_ref()))
     }
 
-    /// Static weight estimate for a named program (see [`crate::cost`]).
-    /// `None` when the name is unknown.
+    /// Static weight estimate for a named program: the point estimate
+    /// of [`static_cost`](Self::static_cost). `None` when the name is
+    /// unknown.
     pub fn estimate_weight(&self, name: &str) -> Option<f64> {
-        self.get(name).map(cost::estimate_program)
+        self.static_cost(name).map(|c| c.est)
     }
 
     /// Full static cost bounds for a named program: lower/upper bounds on
     /// a clean trial run's operation count plus the point estimate (see
-    /// [`crate::cost::static_cost`]). `None` when the name is unknown.
-    pub fn static_cost(&self, name: &str) -> Option<crate::absint::StaticCost> {
-        self.get(name).map(cost::static_cost)
+    /// [`crate::absint`]). `None` when the name is unknown.
+    pub fn static_cost(&self, name: &str) -> Option<StaticCost> {
+        self.get(name).map(|p| absint::analyze(p).cost)
     }
 }
 

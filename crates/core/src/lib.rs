@@ -49,7 +49,6 @@ pub mod figures;
 pub mod gantt;
 pub mod lu;
 pub mod project;
-#[cfg(unix)]
 pub mod serve;
 pub mod svg;
 

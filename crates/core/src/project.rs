@@ -80,6 +80,14 @@ impl fmt::Display for ProjectError {
 
 impl std::error::Error for ProjectError {}
 
+/// The message a front end shows: lets the request handlers, whose
+/// failures are messages, use `?` on project operations.
+impl From<ProjectError> for String {
+    fn from(e: ProjectError) -> String {
+        e.to_string()
+    }
+}
+
 impl From<GraphError> for ProjectError {
     fn from(e: GraphError) -> Self {
         ProjectError::Graph(e)
@@ -177,9 +185,7 @@ pub fn render_weight_table(rows: &[WeightRow]) -> String {
 /// `task`, `program`, `drawn`, `static` (`est`/`ops_lo`/`ops_hi`/`exact`,
 /// `ops_hi` null when unbounded) and `measured`; absent pieces are null.
 pub fn weight_rows_json(rows: &[WeightRow]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
+    use banger_taskgraph::json::quote;
     fn num(x: f64) -> String {
         if x.is_finite() {
             format!("{x}")
@@ -193,9 +199,9 @@ pub fn weight_rows_json(rows: &[WeightRow]) -> String {
             out.push(',');
         }
         out.push_str("\n  {");
-        out.push_str(&format!("\"task\": \"{}\", ", esc(&r.task)));
+        out.push_str(&format!("\"task\": {}, ", quote(&r.task)));
         match &r.program {
-            Some(p) => out.push_str(&format!("\"program\": \"{}\", ", esc(p))),
+            Some(p) => out.push_str(&format!("\"program\": {}, ", quote(p))),
             None => out.push_str("\"program\": null, "),
         }
         out.push_str(&format!("\"drawn\": {}, ", num(r.drawn)));
@@ -228,7 +234,6 @@ pub struct Project {
     machine: Option<Machine>,
     flattened: Option<Flattened>,
     diagnostics: Option<Vec<Diagnostic>>,
-    warned: bool,
 }
 
 impl Project {
@@ -241,7 +246,6 @@ impl Project {
             machine: None,
             flattened: None,
             diagnostics: None,
-            warned: false,
         }
     }
 
@@ -306,7 +310,6 @@ impl Project {
 
     fn invalidate_diagnostics(&mut self) {
         self.diagnostics = None;
-        self.warned = false;
     }
 
     /// Runs static analysis over the design and library (see
@@ -321,20 +324,16 @@ impl Project {
         self.diagnostics.as_deref().unwrap_or_default()
     }
 
-    /// Refuses to proceed on error-severity diagnostics; prints warnings
-    /// to stderr (once per fresh analysis) and continues otherwise.
+    /// Refuses to proceed on error-severity diagnostics. Warnings do not
+    /// stop anything and are not printed here: whoever talks to the user
+    /// reads them from [`diagnose`](Self::diagnose) (the request handler
+    /// puts them in its response's notes).
     /// Called by [`schedule`](Self::schedule), [`run`](Self::run),
     /// [`run_scheduled`](Self::run_scheduled) and the code generators.
     fn gate(&mut self) -> Result<(), ProjectError> {
         let diags = self.diagnose();
         if banger_analyze::has_errors(diags) {
             return Err(ProjectError::Invalid(diags.to_vec()));
-        }
-        if !self.warned {
-            self.warned = true;
-            for d in self.diagnostics.as_deref().unwrap_or_default() {
-                eprintln!("{}", banger_analyze::render_text(d));
-            }
         }
         Ok(())
     }

@@ -1,14 +1,22 @@
-//! `banger serve` — a persistent project daemon with content-hashed
-//! caches.
+//! One request model for every front end, and `banger serve` — a
+//! persistent project daemon with content-hashed caches — on top of it.
+//!
+//! Every `banger` invocation is a [`Request`] answered by
+//! [`ops::handle`] with a [`Response`]. The `banger` binary parses its
+//! arguments into the request and prints the response; *where* the
+//! handler runs is the only thing `--connect` changes: in the binary's
+//! own process on a [`ProjectStore`] it just created, or in a daemon
+//! that keeps its store — and with it every parse, analysis, compiled
+//! program, schedule and worker pool — resident between requests. There
+//! is one renderer per verb, so the two modes cannot answer differently.
 //!
 //! The paper's non-programmer iterates: edit a design, check it,
-//! reschedule, run. Until now every `banger` invocation re-parsed,
-//! re-linted, re-compiled and re-scheduled from scratch. This module
-//! keeps all of that *resident*, SDFG-style: a long-lived process holds
-//! a concurrent [`ProjectStore`] keyed by canonical `.bang` path, with a
-//! cache at every pipeline level, and serves check / schedule / run /
-//! trace / optimize requests from many simultaneous clients over a
-//! Unix-domain socket.
+//! reschedule, run. The daemon makes that loop cheap, SDFG-style: a
+//! long-lived process holds a concurrent [`ProjectStore`] keyed by
+//! canonical `.bang` path, with a cache at every pipeline level, and
+//! serves many simultaneous clients over a Unix-domain socket. The
+//! handler, the protocol and the store build everywhere; the socket
+//! server and client are Unix-only.
 //!
 //! ## Cache levels
 //!
@@ -22,26 +30,32 @@
 //! |---|---|---|---|
 //! | source bytes | content hash | canonical path | file rewrite |
 //! | parse | [`Project`](crate::Project) (design + library + machine) | source hash | hash change |
-//! | diagnose | `Project::diagnose` memo | source hash | hash change |
+//! | diagnose | `Project::diagnose` memo, rendered warnings, `check` output per format | source hash | hash change |
 //! | compile | `Arc<CompiledProgram>` in the `ProgramLibrary` | program name | hash change |
 //! | router + workers | [`Session`](banger_exec::Session) (parked pool, slab store) | source hash | hash change, worker loss |
 //! | schedule | rendered schedule + Gantt | (design hash, machine spec, heuristic) | hash change |
 //!
+//! Verbs outside `check`, `gantt`/`schedule` and `run` are recomputed on
+//! the resident project each time; verbs that rewrite the design work on
+//! a copy of it.
+//!
 //! ## Protocol
 //!
-//! Length-prefixed JSON (serde-free, same hand-rolled style as the CLI's
-//! JSON output): each frame is a big-endian `u32` byte length followed
-//! by one UTF-8 JSON object. See [`protocol`] for the request and
-//! response schemas. A connection carries any number of request frames;
-//! the server answers each with exactly one response frame.
+//! Length-prefixed JSON, read and written by the workspace's one JSON
+//! module (`banger_taskgraph::json`): each frame is a big-endian `u32`
+//! byte length followed by one UTF-8 JSON object. See [`protocol`] for
+//! the request and response schemas. A connection carries any number of
+//! request frames; the server answers each with exactly one response
+//! frame.
 //!
 //! ## Fault containment
 //!
-//! Each request is handled under [`std::panic::catch_unwind`]: a panic
-//! anywhere in the pipeline produces a structured error response, the
-//! affected project entry is poisoned-and-rebuilt (evicted, so the next
-//! request reconstructs it from source), and the daemon keeps serving —
-//! mirroring the per-task panic attribution inside the executor.
+//! The daemon handles each request under [`std::panic::catch_unwind`]: a
+//! panic anywhere in the pipeline produces a structured error response,
+//! the affected project entry is poisoned-and-rebuilt (evicted, so the
+//! next request reconstructs it from source), and the daemon keeps
+//! serving — mirroring the per-task panic attribution inside the
+//! executor.
 //!
 //! ## Quick start
 //!
@@ -50,21 +64,28 @@
 //! banger --connect /tmp/banger.sock check  examples/projects/lu3.bang
 //! banger --connect /tmp/banger.sock gantt  examples/projects/lu3.bang -H ETF
 //! banger --connect /tmp/banger.sock run    examples/projects/lu3.bang -i A=[..] -i b=[..]
+//! banger --connect /tmp/banger.sock svg    examples/projects/lu3.bang -o charts
 //! banger --connect /tmp/banger.sock shutdown
 //! ```
 //!
-//! Client mode falls back to plain local execution when no daemon
-//! answers on the socket, so `--connect` is always safe to add.
+//! Every verb is served. Paths are the client's: it sends the project
+//! path absolute, reads `-s` files and writes `-o`/`--emit`/`--trace`
+//! files itself, in its own working directory. When no daemon answers
+//! on the socket the client says so and runs the handler itself — the
+//! one fallback — so `--connect` is always safe to add.
 
+#[cfg(unix)]
 pub mod client;
-pub mod json;
 pub mod ops;
 pub mod protocol;
+#[cfg(unix)]
 pub mod server;
 pub mod store;
 
+#[cfg(unix)]
 pub use client::Client;
 pub use protocol::{Request, Response};
+#[cfg(unix)]
 pub use server::Server;
 pub use store::{content_hash, CacheStats, ProjectStore};
 

@@ -1,18 +1,38 @@
-//! Request handlers: each verb reproduces the matching CLI command's
-//! stdout byte-for-byte, so a client can transparently swap between
-//! daemon and local execution.
+//! The request handler: every `banger` verb is rendered here, once.
 //!
-//! Deterministic stdout goes in [`Response::output`]; things the CLI
-//! sends to stderr (wall-clock timings, optimizer stats, the `die`
-//! line for error-severity diagnostics) go in [`Response::notes`] or
-//! [`Response::error`]. [`Response::cached`] reports whether the answer
-//! came from a warm cache without recomputation.
+//! [`handle`] takes a [`Request`] and a [`ProjectStore`] and returns a
+//! [`Response`]; it is the same call whether a daemon made it for a
+//! client on its socket or the `banger` binary made it in its own
+//! process on a store it just created, so the two answer alike because
+//! there is nothing else to answer with.
+//!
+//! The handler reads one file — the project, through
+//! [`ProjectStore::lookup`] — and writes none. What a verb would put in
+//! a file (`svg -o`, `save-schedule -o`, `run --trace`, `optimize
+//! --emit`) it returns in [`Response::files`] for the front end to
+//! write; what it would read from one (`verify -s`) arrives in the
+//! request. A verb that rewrites the design (`parallelize`, `--expand`,
+//! `--optimize`, `--optimized`) works on a copy, so the cached project —
+//! and with it every other response — is untouched.
+//!
+//! Deterministic text goes in [`Response::output`]; what varies from run
+//! to run (timings, optimizer statistics) and the design's warnings go
+//! in [`Response::notes`]; a failure is [`Response::error`].
+//! [`Response::cached`] reports whether the answer came from a warm
+//! cache without recomputation.
 
 use super::protocol::{Request, Response};
 use super::store::{EntryState, ProjectStore, SchedKey};
 use crate::analyze;
-use crate::project::ProjectError;
+use crate::project::{short_name, OptimizeStats, Project, ProjectError};
+use banger_exec::{ExecMode, ExecOptions, ExecReport};
+use banger_machine::Topology;
+use banger_taskgraph::hierarchy::Flattened;
 use std::sync::atomic::Ordering;
+use std::time::Duration;
+
+/// What a verb answers: a response, or the message of a failure.
+type Answer = Result<Response, String>;
 
 /// Dispatches one request against the store. Panics are *not* caught
 /// here — the server wraps this call in `catch_unwind` and poisons the
@@ -22,43 +42,58 @@ pub fn handle(store: &ProjectStore, req: &Request) -> Response {
     if req.inject_handler_panic {
         panic!("injected fault: inject_handler_panic requested");
     }
-    match req.cmd.as_str() {
-        "ping" => Response::success("pong\n"),
-        "stats" => Response::success(store.stats().render()),
+    let op = match req.cmd.as_str() {
+        "ping" => return Response::success("pong\n"),
+        "stats" => return Response::success(store.stats().render()),
         "evict" => {
             let Some(path) = &req.path else {
                 return Response::failure("evict needs a \"path\"");
             };
             let dropped = store.evict(path);
-            Response::success(if dropped {
+            return Response::success(if dropped {
                 "evicted\n"
             } else {
                 "not cached\n"
-            })
+            });
         }
-        "check" => with_entry(store, req, op_check),
-        "schedule" | "gantt" => with_entry(store, req, op_schedule),
-        "run" => with_entry(store, req, op_run),
-        "trace" => with_entry(store, req, op_trace),
-        "optimize" => with_entry(store, req, op_optimize),
         // `shutdown` is intercepted by the server before dispatch; seeing
         // it here means a non-server caller (e.g. a unit test).
-        "shutdown" => Response::success("shutting down\n"),
-        other => Response::failure(format!(
-            "unknown command {other:?} (want check, schedule, run, trace, optimize, ping, stats, evict, shutdown)"
-        )),
-    }
+        "shutdown" => return Response::success("shutting down\n"),
+        "check" => op_check,
+        "show" => op_show,
+        "gantt" | "schedule" => op_schedule,
+        "compare" => op_compare,
+        "simulate" => op_simulate,
+        "animate" => op_animate,
+        "advise" => op_advise,
+        "recommend" => op_recommend,
+        "svg" => op_svg,
+        "save-schedule" => op_save_schedule,
+        "verify" => op_verify,
+        "run" => op_run,
+        "trial" => op_trial,
+        "speedup" => op_speedup,
+        "codegen" => op_codegen,
+        "parallelize" => op_parallelize,
+        "optimize" => op_optimize,
+        "graph" => op_graph,
+        other => {
+            return Response::failure(format!(
+                "unknown command {other:?} (want a `banger help` subcommand, or ping, stats, evict, shutdown)"
+            ))
+        }
+    };
+    with_entry(store, req, op)
 }
 
 /// Resolves the request path, syncs the entry with the current source
-/// bytes, and runs `op` under the per-entry lock. `warm` tells the op
-/// whether the entry survived from an earlier request (individual ops
-/// may still report `cached: false` for work not memoized at their
-/// level).
+/// bytes, and runs `op` under the per-entry lock. The design's warnings
+/// go in front of the notes of every verb but `check`, which lists them
+/// on stdout.
 fn with_entry(
     store: &ProjectStore,
     req: &Request,
-    op: fn(&mut EntryState, &Request, bool) -> Response,
+    op: fn(&mut EntryState, &Request) -> Answer,
 ) -> Response {
     let Some(path) = &req.path else {
         return Response::failure(format!("{} needs a \"path\"", req.cmd));
@@ -68,217 +103,31 @@ fn with_entry(
         Err(e) => return Response::failure(e),
     };
     let mut entry = slot.lock();
-    match entry.ensure(&source, hash, &store.counters) {
-        Ok((state, warm)) => op(state, req, warm),
-        Err(e) => Response::failure(e),
-    }
-}
-
-/// `check [--format text|json]` — mirrors `cmd_check` without
-/// `--weights` (weight reports need a run and are served locally).
-fn op_check(state: &mut EntryState, req: &Request, _warm: bool) -> Response {
-    let cached = state.checks.contains_key(&req.format);
-    if !cached {
-        let diags = state.project.diagnose().to_vec();
-        let output = match req.format.as_str() {
-            "text" => format!("{}\n", analyze::render_report(&diags)),
-            "json" => format!("{}\n", analyze::render_json(&diags)),
-            other => {
-                return Response::failure(format!(
-                    "unknown check format {other:?} (want text or json)"
-                ))
-            }
-        };
-        let exit = i32::from(analyze::has_errors(&diags));
-        state.checks.insert(req.format.clone(), (output, exit));
-    }
-    let Some((output, exit)) = state.checks.get(&req.format) else {
-        return Response::failure("check cache lost its own entry");
+    let state = match entry.ensure(&source, hash, &store.counters) {
+        Ok((state, _warm)) => state,
+        Err(e) => return Response::failure(e),
     };
-    let mut resp = Response::success(output.clone())
-        .cached(cached)
-        .with_exit(*exit);
-    if *exit != 0 {
-        // The CLI prints this through `die` on stderr.
-        let diags = state.project.diagnose();
-        let n = diags
-            .iter()
-            .filter(|d| d.severity == analyze::Severity::Error)
-            .count();
-        resp = resp.with_notes(format!(
-            "banger: design has {n} error-severity diagnostic{}",
-            if n == 1 { "" } else { "s" }
-        ));
+    let mut resp = op(state, req).unwrap_or_else(Response::failure);
+    if req.cmd != "check" && !state.warnings.is_empty() {
+        let own = std::mem::replace(&mut resp.notes, state.warnings.clone());
+        resp = resp.with_notes(own);
     }
     resp
 }
 
-/// `schedule` / `gantt [-H h]` — mirrors `cmd_gantt`; the rendered
-/// chart and summary line are memoized per (design hash, machine spec,
-/// heuristic).
-fn op_schedule(state: &mut EntryState, req: &Request, _warm: bool) -> Response {
-    let key: SchedKey = (
-        state.source_hash,
-        state.machine_spec.clone(),
-        req.heuristic.clone(),
-    );
-    if let Some(c) = state.schedules.get(&key) {
-        return Response::success(c.output.clone()).cached(true);
+/// With `wanted` (`--optimize`, `--optimized`), a copy of `project` after
+/// dead-arc elimination and fusion for the verb to work on, and the
+/// optimizer's statistics as a note.
+fn optimized(project: &Project, wanted: bool) -> Result<(Option<Project>, String), String> {
+    if !wanted {
+        return Ok((None, String::new()));
     }
-    let s = match state.project.schedule(&req.heuristic) {
-        Ok(s) => s,
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let gantt = match state.project.gantt(&s) {
-        Ok(g) => g,
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let (graph, machine) = match state.project.flatten() {
-        Ok(f) => {
-            let g = f.graph.clone();
-            match state.project.machine() {
-                Some(m) => (g, m.clone()),
-                None => return Response::failure("project has no machine"),
-            }
-        }
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let output = format!(
-        "{gantt}\nmakespan {:.3}, speedup {:.2}x, efficiency {:.0}%, {} of {} processors used\n",
-        s.makespan(),
-        s.speedup(&graph, &machine),
-        100.0 * s.efficiency(&graph, &machine),
-        s.processors_used(),
-        machine.processors()
-    );
-    state.schedules.insert(
-        key,
-        super::store::CachedSchedule {
-            schedule: s,
-            output: output.clone(),
-        },
-    );
-    Response::success(output).cached(false)
+    let mut scratch = project.clone();
+    let stats = scratch.optimize(true)?;
+    Ok((Some(scratch), render_opt_stats(&stats)))
 }
 
-/// `run [-i var=value]...` — mirrors plain `cmd_run` (no `--trace`, no
-/// `--repeat`). Fires through the entry's warm [`Session`]; `cached`
-/// reports pool reuse. A worker-level failure drops the session so the
-/// next request rebuilds the pool.
-fn op_run(state: &mut EntryState, req: &Request, _warm: bool) -> Response {
-    if let Some(task) = &req.inject_panic {
-        // Executor fault injection takes a one-off session: options are
-        // fixed at pool construction and must not contaminate the warm
-        // pool.
-        let opts = banger_exec::ExecOptions {
-            inject_panic: Some(task.clone()),
-            ..Default::default()
-        };
-        return match state.project.run_with(&req.inputs, &opts) {
-            Ok(report) => render_run(&report),
-            Err(e) => Response::failure(e.to_string()),
-        };
-    }
-    let warm_pool = state.session.is_some();
-    if state.session.is_none() {
-        match state.project.session(&banger_exec::ExecOptions::default()) {
-            Ok(s) => state.session = Some(s),
-            Err(e) => return Response::failure(e.to_string()),
-        }
-    }
-    let Some(session) = state.session.as_mut() else {
-        return Response::failure("session vanished after construction");
-    };
-    match session.run(&req.inputs) {
-        Ok(report) => render_run(&report).cached(warm_pool),
-        Err(e) => {
-            // The pool may have lost workers; rebuild it next time.
-            state.session = None;
-            Response::failure(ProjectError::from(e).to_string())
-        }
-    }
-}
-
-/// Renders an [`ExecReport`](banger_exec::ExecReport) exactly as the
-/// CLI's `print_run_output` does: prints + outputs on stdout, the
-/// wall-clock line on stderr (here: notes).
-fn render_run(report: &banger_exec::ExecReport) -> Response {
-    let mut out = String::new();
-    for (task, line) in &report.prints {
-        out.push_str(&format!("[{task}] {line}\n"));
-    }
-    for (var, value) in &report.outputs {
-        out.push_str(&format!("{var} = {value}\n"));
-    }
-    Response::success(out).with_notes(format!(
-        "({} task runs, wall {:?})",
-        report.runs.len(),
-        report.wall
-    ))
-}
-
-/// `trace [-H h] [-i ...]` — a pinned, traced run plus the drift
-/// report. Daemon-native (the CLI's `run --trace` also writes a file,
-/// so it stays local); output is wall-clock-dependent and therefore
-/// never byte-compared or cached.
-fn op_trace(state: &mut EntryState, req: &Request, _warm: bool) -> Response {
-    let schedule = match state.project.schedule(&req.heuristic) {
-        Ok(s) => s,
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let options = banger_exec::ExecOptions {
-        mode: banger_exec::ExecMode::pinned(schedule.clone()),
-        trace: true,
-        ..Default::default()
-    };
-    let report = match state.project.run_with(&req.inputs, &options) {
-        Ok(r) => r,
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let Some(trace) = report.trace.as_ref() else {
-        return Response::failure("traced run recorded no trace");
-    };
-    let drift = match state.project.drift_report(&schedule, trace) {
-        Ok(d) => d,
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let graph = match state.project.flatten() {
-        Ok(f) => f.graph.clone(),
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let base = render_run(&report);
-    let name_of = move |t| crate::project::short_name(&graph.task(t).name);
-    let output = format!("{}{}\n", base.output, drift.render(&name_of));
-    let notes = format!("{}\n{}", base.notes, trace.summary().render());
-    Response::success(output).with_notes(notes)
-}
-
-/// `optimize [--fuse]` — mirrors `cmd_optimize` without `--expand` /
-/// `--emit`: empty stdout, the optimizer stats on stderr (notes). Runs
-/// on a clone so the cached project — and with it every byte of every
-/// other response — stays untouched.
-fn op_optimize(state: &mut EntryState, req: &Request, _warm: bool) -> Response {
-    let mut scratch = state.project.clone();
-    let stats = match scratch.optimize(req.fuse) {
-        Ok(s) => s,
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let f = match scratch.flatten() {
-        Ok(f) => f,
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let mut notes = render_opt_stats(&stats);
-    notes.push_str(&format!(
-        "\noptimized design: {} tasks, {} arcs",
-        f.graph.task_count(),
-        f.graph.edge_count()
-    ));
-    Response::success("").with_notes(notes)
-}
-
-/// Mirror of the CLI's `render_opt_stats` (kept in lockstep so notes
-/// match local stderr byte-for-byte).
-fn render_opt_stats(stats: &crate::project::OptimizeStats) -> String {
+fn render_opt_stats(stats: &OptimizeStats) -> String {
     let mut out = format!(
         "dce: removed {} arcs, {} input decls, {} locals, {} ports; dropped {} programs",
         stats.dce.arcs_removed,
@@ -299,6 +148,546 @@ fn render_opt_stats(stats: &crate::project::OptimizeStats) -> String {
         ));
     }
     out
+}
+
+/// The two lines `show` and `graph` print about the flattened design.
+fn flat_summary(f: &Flattened) -> String {
+    let stats = banger_taskgraph::analysis::stats(&f.graph);
+    format!(
+        "flattened: {} tasks, {} arcs, width {}, depth {}, cp {:.2}, avg parallelism {:.2}\n\
+         inputs: {:?}  outputs: {:?}\n",
+        stats.tasks,
+        stats.edges,
+        stats.width,
+        stats.depth,
+        stats.cp_length,
+        stats.average_parallelism,
+        f.inputs.iter().map(|p| p.var.as_str()).collect::<Vec<_>>(),
+        f.outputs.iter().map(|p| p.var.as_str()).collect::<Vec<_>>()
+    )
+}
+
+/// `check [--format text|json] [--weights [-i var=value]...]`. Plain
+/// check prints the diagnostics (JSON: a bare array) and is memoized per
+/// format. `--weights` appends the per-task weight report; with inputs
+/// and an error-free design the design also runs once, so the report
+/// shows measured ops next to the static bounds (JSON: one object with
+/// `diagnostics` and `weights` keys).
+fn op_check(state: &mut EntryState, req: &Request) -> Answer {
+    let json = match req.format.as_str() {
+        "text" => false,
+        "json" => true,
+        other => {
+            return Err(format!(
+                "unknown check format {other:?} (want text or json)"
+            ))
+        }
+    };
+    if !req.weights {
+        if let Some((output, errors)) = state.checks.get(&req.format).cloned() {
+            return Ok(check_response(output, errors).cached(true));
+        }
+    }
+    let diags = state.project.diagnose().to_vec();
+    let errors = diags
+        .iter()
+        .filter(|d| d.severity == analyze::Severity::Error)
+        .count();
+    let report = if json {
+        analyze::render_json(&diags)
+    } else {
+        analyze::render_report(&diags)
+    };
+    if !req.weights {
+        let output = format!("{report}\n");
+        state
+            .checks
+            .insert(req.format.clone(), (output.clone(), errors));
+        return Ok(check_response(output, errors));
+    }
+    let measured = if !req.inputs.is_empty() && errors == 0 {
+        Some(state.project.run(&req.inputs)?)
+    } else {
+        None
+    };
+    let rows = state.project.weight_report(measured.as_ref())?;
+    let output = if json {
+        let rows = crate::weight_rows_json(&rows);
+        format!("{{\"diagnostics\": {report},\n\"weights\": {rows}}}\n")
+    } else {
+        format!("{report}\n{}\n", crate::render_weight_table(&rows))
+    };
+    Ok(check_response(output, errors))
+}
+
+/// `check` on a design with error-severity findings still *ran*: `ok`
+/// with exit code 1, and their count on stderr.
+fn check_response(output: String, errors: usize) -> Response {
+    let resp = Response::success(output);
+    if errors == 0 {
+        return resp;
+    }
+    resp.with_exit(1).with_notes(format!(
+        "banger: design has {errors} error-severity diagnostic{}",
+        if errors == 1 { "" } else { "s" }
+    ))
+}
+
+/// `show` — design statistics and the hierarchy as DOT.
+fn op_show(state: &mut EntryState, _req: &Request) -> Answer {
+    let p = &mut state.project;
+    let mut out = format!(
+        "project {} — design depth {}, {} leaf tasks, {} programs\nmachine: {}\n",
+        p.name(),
+        p.design().depth(),
+        p.design().leaf_task_count(),
+        p.library().len(),
+        p.machine()
+            .map_or("(none defined)".to_string(), |m| m.describe())
+    );
+    out.push_str(&flat_summary(p.flatten()?));
+    out.push_str(&format!(
+        "\n{}\n",
+        banger_taskgraph::dot::hiergraph_to_dot(p.design())
+    ));
+    Ok(Response::success(out))
+}
+
+/// Schedules with `heuristic` and renders the Gantt chart plus the
+/// summary line: the stdout of `gantt`.
+fn render_schedule(project: &mut Project, heuristic: &str) -> Result<String, String> {
+    let s = project.schedule(heuristic)?;
+    let gantt = project.gantt(&s)?;
+    let m = project.machine().ok_or("project has no machine")?.clone();
+    let g = &project.flatten()?.graph;
+    Ok(format!(
+        "{gantt}\nmakespan {:.3}, speedup {:.2}x, efficiency {:.0}%, {} of {} processors used\n",
+        s.makespan(),
+        s.speedup(g, &m),
+        100.0 * s.efficiency(g, &m),
+        s.processors_used(),
+        m.processors()
+    ))
+}
+
+/// `gantt` / `schedule [-H h] [--optimize]`; the rendered chart is
+/// memoized per (design hash, machine spec, heuristic).
+fn op_schedule(state: &mut EntryState, req: &Request) -> Answer {
+    let (mut scratch, notes) = optimized(&state.project, req.optimize)?;
+    if let Some(scratch) = &mut scratch {
+        let output = render_schedule(scratch, &req.heuristic)?;
+        return Ok(Response::success(output).with_notes(notes));
+    }
+    let key: SchedKey = (
+        state.source_hash,
+        state.machine_spec.clone(),
+        req.heuristic.clone(),
+    );
+    if let Some(output) = state.schedules.get(&key) {
+        return Ok(Response::success(output.clone()).cached(true));
+    }
+    let output = render_schedule(&mut state.project, &req.heuristic)?;
+    state.schedules.insert(key, output.clone());
+    Ok(Response::success(output))
+}
+
+/// `compare` — every heuristic, sorted by makespan.
+fn op_compare(state: &mut EntryState, _req: &Request) -> Answer {
+    let mut out = format!(
+        "{:<14} {:>10} {:>9} {:>11} {:>7}\n",
+        "heuristic", "makespan", "speedup", "efficiency", "procs"
+    );
+    for r in state.project.compare_heuristics()? {
+        out.push_str(&format!(
+            "{:<14} {:>10.3} {:>8.2}x {:>10.0}% {:>7}\n",
+            r.heuristic,
+            r.makespan,
+            r.speedup,
+            100.0 * r.efficiency,
+            r.processors_used
+        ));
+    }
+    Ok(Response::success(out))
+}
+
+/// `simulate [-H h]` — predicted vs achieved on the message-accurate
+/// simulator.
+fn op_simulate(state: &mut EntryState, req: &Request) -> Answer {
+    let s = state.project.schedule(&req.heuristic)?;
+    let r = state.project.simulate(&s)?;
+    Ok(Response::success(format!(
+        "{}: predicted {:.3}, achieved {:.3} (ratio {:.3})\n\
+         traffic: {} messages, {} link hops, {:.3} time units queueing\n",
+        req.heuristic,
+        r.predicted_makespan,
+        r.achieved_makespan(),
+        r.compare(),
+        r.stats.messages,
+        r.stats.hops,
+        r.stats.queue_delay
+    )))
+}
+
+/// `animate [-H h]` — frame-by-frame replay of the simulated schedule.
+fn op_animate(state: &mut EntryState, req: &Request) -> Answer {
+    let p = &mut state.project;
+    let s = p.schedule(&req.heuristic)?;
+    let r = p.simulate(&s)?;
+    let procs = p.machine().ok_or("project has no machine")?.processors();
+    let frames = crate::animate::animate(
+        &p.flatten()?.graph,
+        procs,
+        &r,
+        crate::animate::AnimateOptions::default(),
+    );
+    Ok(Response::success(format!("{frames}\n")))
+}
+
+/// `advise [-H h]` — bottleneck analysis and suggestions.
+fn op_advise(state: &mut EntryState, req: &Request) -> Answer {
+    let p = &mut state.project;
+    let s = p.schedule(&req.heuristic)?;
+    let m = p.machine().ok_or("project has no machine")?.clone();
+    let g = &p.flatten()?.graph;
+    let advice = crate::advisor::advise(g, &m, &s);
+    Ok(Response::success(format!(
+        "{}\n",
+        crate::advisor::render(g, &advice)
+    )))
+}
+
+/// `recommend [-p procs]` — the standard machine candidates (MH on
+/// each), ranked by makespan.
+fn op_recommend(state: &mut EntryState, req: &Request) -> Answer {
+    let max_procs = req.procs.unwrap_or(16) as usize;
+    if max_procs == 0 {
+        return Err("processor budget must be at least 1".to_string());
+    }
+    let p = &mut state.project;
+    let params = p.machine().map(|m| *m.params()).unwrap_or_default();
+    let choices = p.recommend_machine(max_procs, params)?;
+    Ok(Response::success(format!(
+        "machine search — {} (budget {max_procs})\n{}",
+        p.name(),
+        crate::advisor::render_machine_search(&choices)
+    )))
+}
+
+/// `svg [-H h] [-o dir]` — `gantt.svg`, `speedup.svg` and
+/// `utilization.svg`, returned as files under `dir` (default: the front
+/// end's current directory).
+fn op_svg(state: &mut EntryState, req: &Request) -> Answer {
+    let p = &mut state.project;
+    let s = p.schedule(&req.heuristic)?;
+    let m = p.machine().ok_or("project has no machine")?.clone();
+    let topologies = [
+        Topology::single(),
+        Topology::hypercube(1),
+        Topology::hypercube(2),
+        Topology::hypercube(3),
+    ];
+    let points = p.predict_speedup(&topologies, *m.params())?;
+    let title = format!("{} — predicted speedup", p.name());
+    let dir = req.out.as_deref().unwrap_or(".");
+    Ok(Response::success("")
+        .with_file(
+            format!("{dir}/gantt.svg"),
+            crate::svg::gantt_svg(&s, m.processors(), &p.flatten()?.graph),
+        )
+        .with_file(
+            format!("{dir}/utilization.svg"),
+            crate::svg::utilization_svg(&s, m.processors()),
+        )
+        .with_file(
+            format!("{dir}/speedup.svg"),
+            crate::svg::speedup_svg(&title, &points),
+        ))
+}
+
+/// `save-schedule [-H h] [-o path]` — the schedule in its text format,
+/// on stdout or as a file.
+fn op_save_schedule(state: &mut EntryState, req: &Request) -> Answer {
+    let s = state.project.schedule(&req.heuristic)?;
+    let text = banger_sched::textfmt::to_text(&s);
+    Ok(match &req.out {
+        Some(path) => Response::success("")
+            .with_file(path, text)
+            .with_notes(format!("{} placements", s.placements().len())),
+        None => Response::success(text),
+    })
+}
+
+/// `verify -s schedule` — validates a saved schedule against the design
+/// and machine, then replays it on the simulator.
+fn op_verify(state: &mut EntryState, req: &Request) -> Answer {
+    let text = req
+        .schedule
+        .as_deref()
+        .ok_or("verify needs -s <schedule file>")?;
+    let s = banger_sched::textfmt::from_text(text)?;
+    let p = &mut state.project;
+    let m = p.machine().ok_or("project has no machine")?.clone();
+    s.validate(&p.flatten()?.graph, &m)
+        .map_err(|e| format!("INVALID: {e}"))?;
+    let r = p.simulate(&s)?;
+    Ok(Response::success(format!(
+        "VALID: {} placements, makespan {:.3}; simulation achieves {:.3} (ratio {:.3})\n",
+        s.placements().len(),
+        s.makespan(),
+        r.achieved_makespan(),
+        r.compare()
+    )))
+}
+
+/// The stdout of a run — prints, then outputs — and after `notes` the
+/// wall-clock line.
+fn render_run(report: &ExecReport, notes: String) -> Response {
+    let mut out = String::new();
+    for (task, line) in &report.prints {
+        out.push_str(&format!("[{task}] {line}\n"));
+    }
+    for (var, value) in &report.outputs {
+        out.push_str(&format!("{var} = {value}\n"));
+    }
+    Response::success(out).with_notes(notes).with_notes(format!(
+        "({} task runs, wall {:?})",
+        report.runs.len(),
+        report.wall
+    ))
+}
+
+/// `run [-i var=value]... [--optimize] [--repeat n | --trace out [-H h]]`.
+/// A run fires through a [`Session`](banger_exec::Session): the entry's
+/// warm one (`cached` reports its reuse), or a private one for an
+/// optimized copy. `--repeat` fires it n times and prints the last
+/// firing's outputs with per-firing latency notes. A worker-level
+/// failure drops the entry's session so the next request rebuilds the
+/// pool.
+fn op_run(state: &mut EntryState, req: &Request) -> Answer {
+    let (mut scratch, notes) = optimized(&state.project, req.optimize)?;
+    let project = scratch.as_mut().unwrap_or(&mut state.project);
+    if let Some(task) = &req.inject_panic {
+        // Executor fault injection takes a one-off pool: options are
+        // fixed at pool construction and must not contaminate the warm
+        // one.
+        let opts = ExecOptions {
+            inject_panic: Some(task.clone()),
+            ..Default::default()
+        };
+        return Ok(render_run(&project.run_with(&req.inputs, &opts)?, notes));
+    }
+    if let Some(out) = &req.out {
+        if req.repeat.is_some() {
+            return Err("--repeat and --trace are mutually exclusive".to_string());
+        }
+        return traced_run(project, req, out, notes);
+    }
+    let firings = req.repeat.unwrap_or(1);
+    if firings == 0 {
+        return Err("--repeat needs a count of at least 1".to_string());
+    }
+    let warm = !req.optimize && state.session.is_some();
+    let mut private;
+    let session = if req.optimize {
+        private = project.session(&ExecOptions::default())?;
+        &mut private
+    } else {
+        match state.session.as_mut() {
+            Some(s) => s,
+            None => state
+                .session
+                .insert(project.session(&ExecOptions::default())?),
+        }
+    };
+    let (mut total, mut best, mut last) = (Duration::ZERO, Duration::MAX, None);
+    for _ in 0..firings {
+        match session.run(&req.inputs) {
+            Ok(r) => {
+                total += r.wall;
+                best = best.min(r.wall);
+                last = Some(r);
+            }
+            Err(e) => {
+                // The pool may have lost workers; rebuild it next time.
+                state.session = None;
+                return Err(ProjectError::from(e).into());
+            }
+        }
+    }
+    let report = last.ok_or("the run produced no firing report")?;
+    let mut resp = render_run(&report, notes).cached(warm);
+    if req.repeat.is_some() {
+        resp = resp.with_notes(format!(
+            "({firings} firings on {} warm workers: total {total:?}, mean {:?}, best {best:?})",
+            session.workers(),
+            total / firings,
+        ));
+    }
+    Ok(resp)
+}
+
+/// `run --trace out [-H h]` — runs pinned to the `-H` schedule with
+/// event tracing on: the Chrome trace JSON is returned as the file
+/// `out`; the predicted and observed Gantt charts and the per-task drift
+/// report follow the outputs, and the trace counters join the notes.
+fn traced_run(project: &mut Project, req: &Request, out: &str, notes: String) -> Answer {
+    let h = &req.heuristic;
+    let schedule = project.schedule(h)?;
+    let options = ExecOptions {
+        mode: ExecMode::pinned(schedule.clone()),
+        trace: true,
+        ..Default::default()
+    };
+    let report = project.run_with(&req.inputs, &options)?;
+    let trace = report
+        .trace
+        .as_ref()
+        .ok_or("traced run recorded no trace")?;
+    let graph = project.flatten()?.graph.clone();
+    let name_of = |t| short_name(&graph.task(t).name);
+    let mut resp = render_run(&report, notes).with_file(out, trace.chrome_json(name_of));
+    resp.output.push_str(&format!(
+        "\npredicted ({h}):\n{}\nobserved:\n{}\n{}\n",
+        project.gantt(&schedule)?,
+        project.observed_gantt(trace)?,
+        project.drift_report(&schedule, trace)?.render(name_of)
+    ));
+    Ok(resp.with_notes(trace.summary().render()))
+}
+
+/// `trial <program> [-i var=value]... [--reference]` — runs one PITS
+/// program through the compiled VM, or the tree-walking reference
+/// interpreter; both produce identical outcomes.
+fn op_trial(state: &mut EntryState, req: &Request) -> Answer {
+    let program = req
+        .args
+        .first()
+        .filter(|a| !a.starts_with('-'))
+        .ok_or("trial needs a <program> name")?;
+    let config = banger_calc::InterpConfig {
+        reference: req.reference,
+        ..Default::default()
+    };
+    let outcome = state.project.trial_run_with(program, &req.inputs, config)?;
+    let mut out = String::new();
+    for line in &outcome.prints {
+        out.push_str(&format!("{line}\n"));
+    }
+    for (var, value) in &outcome.outputs {
+        out.push_str(&format!("{var} = {value}\n"));
+    }
+    Ok(Response::success(out).with_notes(format!(
+        "({} ops, {} engine)",
+        outcome.ops,
+        if req.reference { "reference" } else { "vm" }
+    )))
+}
+
+/// `speedup [-t spec,spec,...]` — speedup prediction chart.
+fn op_speedup(state: &mut EntryState, req: &Request) -> Answer {
+    let specs = req
+        .topologies
+        .as_deref()
+        .unwrap_or("single,hypercube:1,hypercube:2,hypercube:3");
+    let mut topos = Vec::new();
+    for spec in specs.split(',') {
+        topos.push(Topology::parse(spec.trim()).map_err(|e| e.to_string())?);
+    }
+    let p = &mut state.project;
+    let params = p.machine().map(|m| *m.params()).unwrap_or_default();
+    let points = p.predict_speedup(&topos, params)?;
+    let title = format!("predicted speedup — {}", p.name());
+    Ok(Response::success(format!(
+        "{}\n",
+        crate::speedup_chart(&title, &points, 40)
+    )))
+}
+
+/// `codegen [rust|c] [-H h] [-i var=value]...` — generated code on
+/// stdout.
+fn op_codegen(state: &mut EntryState, req: &Request) -> Answer {
+    let s = state.project.schedule(&req.heuristic)?;
+    let code = match req.args.first().map_or("rust", String::as_str) {
+        "rust" => state.project.generate_rust(&s, &req.inputs)?,
+        "c" => state.project.generate_c(&s, &req.inputs)?,
+        other => return Err(format!("unknown language {other:?} (rust|c)")),
+    };
+    Ok(Response::success(code))
+}
+
+/// `parallelize <task> <chunks>` — splits a reduction task and prints
+/// the rewritten document.
+fn op_parallelize(state: &mut EntryState, req: &Request) -> Answer {
+    let task = req.args.first().ok_or("parallelize needs a task name")?;
+    let chunks: usize = req
+        .args
+        .get(1)
+        .ok_or("parallelize needs a chunk count")?
+        .parse()
+        .map_err(|_| "bad chunk count")?;
+    let mut scratch = state.project.clone();
+    let names = scratch.parallelize_task(task, chunks)?;
+    Ok(
+        Response::success(crate::document::print_project(&scratch)).with_notes(format!(
+            "expanded {task:?} into {} chunks: {names:?}",
+            names.len()
+        )),
+    )
+}
+
+/// `optimize [--expand task:tiles] [--fuse] [--emit out]`. Map expansion
+/// runs first (it creates the task-parallel structure), then dead-arc
+/// elimination and — with `--fuse` — task fusion. The statistics are
+/// notes; the rewritten document is returned as the file `out`, or on
+/// stdout when `out` is `-`.
+fn op_optimize(state: &mut EntryState, req: &Request) -> Answer {
+    let mut scratch = state.project.clone();
+    let mut resp = Response::success("");
+    if let Some(spec) = &req.expand {
+        let (task, tiles) = spec
+            .split_once(':')
+            .ok_or_else(|| format!("bad --expand {spec:?} (want task:tiles)"))?;
+        let tiles: usize = tiles
+            .parse()
+            .map_err(|_| format!("bad tile count {tiles:?}"))?;
+        let st = scratch.expand_task(task, tiles)?;
+        resp = resp.with_notes(format!(
+            "expanded {task:?} into {0}x{0} tiles of {1}x{1} ({2} tasks, {3} programs added)",
+            st.tiles, st.block, st.tasks_added, st.programs_added
+        ));
+    }
+    let stats = scratch.optimize(req.fuse)?;
+    let graph = &scratch.flatten()?.graph;
+    resp = resp
+        .with_notes(render_opt_stats(&stats))
+        .with_notes(format!(
+            "optimized design: {} tasks, {} arcs",
+            graph.task_count(),
+            graph.edge_count()
+        ));
+    Ok(match req.out.as_deref() {
+        None => resp,
+        Some("-") => Response {
+            output: crate::document::print_project(&scratch),
+            ..resp
+        },
+        Some(path) => resp.with_file(path, crate::document::print_project(&scratch)),
+    })
+}
+
+/// `graph [--optimized] [--dot]` — the *flattened* task graph (what the
+/// scheduler and router see), unlike `show`, which renders the
+/// hierarchy.
+fn op_graph(state: &mut EntryState, req: &Request) -> Answer {
+    let (mut scratch, notes) = optimized(&state.project, req.optimize)?;
+    let project = scratch.as_mut().unwrap_or(&mut state.project);
+    let f = project.flatten()?;
+    let out = if req.dot {
+        format!("{}\n", banger_taskgraph::dot::taskgraph_to_dot(&f.graph))
+    } else {
+        flat_summary(f)
+    };
+    Ok(Response::success(out).with_notes(notes))
 }
 
 #[cfg(test)]
@@ -392,6 +781,48 @@ mod tests {
         // The entry survives: a clean run on the same store succeeds.
         let resp = handle(&store, &req);
         assert!(resp.ok, "{}", resp.error);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Verbs with a file product return it; a verb that rewrites the
+    /// design leaves the cached project, and so later answers, alone.
+    #[test]
+    fn file_products_come_back_and_rewrites_stay_private() {
+        let path = temp_bang("files", &lu3_source());
+        let store = ProjectStore::new();
+        let plain = Request::for_path("graph", path.to_str().unwrap());
+        let before = handle(&store, &plain);
+        assert!(before.ok, "{}", before.error);
+
+        let mut svg = Request::for_path("svg", path.to_str().unwrap());
+        svg.out = Some("charts".into());
+        let resp = handle(&store, &svg);
+        let names: Vec<&str> = resp.files.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "charts/gantt.svg",
+                "charts/utilization.svg",
+                "charts/speedup.svg"
+            ]
+        );
+        assert!(resp.files.iter().all(|(_, body)| body.starts_with("<svg")));
+        assert!(!std::path::Path::new("charts").exists());
+
+        let mut emit = Request::for_path("optimize", path.to_str().unwrap());
+        emit.fuse = true;
+        emit.out = Some("o.bang".into());
+        let resp = handle(&store, &emit);
+        assert!(resp.ok, "{}", resp.error);
+        assert_eq!(resp.output, "");
+        assert_eq!(resp.files[0].0, "o.bang");
+        assert!(crate::parse_project(&resp.files[0].1).is_ok());
+        emit.out = Some("-".into());
+        let to_stdout = handle(&store, &emit);
+        assert_eq!(to_stdout.output, resp.files[0].1);
+        assert!(to_stdout.files.is_empty());
+
+        assert_eq!(handle(&store, &plain).output, before.output);
         std::fs::remove_file(&path).ok();
     }
 

@@ -10,14 +10,30 @@
 //!
 //! ## Requests
 //!
+//! A [`Request`] is one `banger` invocation with its arguments parsed:
+//! the verb, the project path, and one typed field per option. It is
+//! the only thing that crosses from a front end into
+//! [`ops::handle`](super::ops::handle), whether the front end calls the
+//! handler in its own process or sends the request to a daemon. `cmd`,
+//! `heuristic` and `format` are always written; every other field only
+//! when set.
+//!
 //! ```json
-//! {"cmd": "schedule", "path": "/abs/proj.bang", "heuristic": "ETF"}
-//! {"cmd": "run", "path": "/abs/proj.bang", "inputs": {"a": 2.5, "v": [1, 2, 3]}}
-//! {"cmd": "check", "path": "/abs/proj.bang", "format": "json"}
-//! {"cmd": "trace", "path": "/abs/proj.bang", "heuristic": "MH", "inputs": {...}}
-//! {"cmd": "optimize", "path": "/abs/proj.bang", "fuse": true}
+//! {"cmd": "schedule", "path": "/abs/proj.bang", "heuristic": "ETF", "format": "text"}
+//! {"cmd": "run", "path": "/abs/proj.bang", ..., "inputs": {"a": 2.5, "v": [1, 2, 3]}}
+//! {"cmd": "run", "path": "/abs/proj.bang", ..., "repeat": 200}
+//! {"cmd": "run", "path": "/abs/proj.bang", ..., "out": "t.json"}
+//! {"cmd": "check", "path": "/abs/proj.bang", ..., "format": "json", "weights": true}
+//! {"cmd": "optimize", "path": "/abs/proj.bang", ..., "fuse": true, "expand": "fact:8", "out": "-"}
+//! {"cmd": "verify", "path": "/abs/proj.bang", ..., "schedule": "<schedule text>"}
+//! {"cmd": "trial", "path": "/abs/proj.bang", ..., "args": ["Init"], "reference": true}
 //! {"cmd": "ping"}   {"cmd": "stats"}   {"cmd": "evict", "path": "..."}   {"cmd": "shutdown"}
 //! ```
+//!
+//! The handler opens exactly one file, the project at `path`; a front
+//! end therefore sends an absolute `path`, reads what else the verb
+//! takes from disk itself (`verify -s` travels as `schedule` text), and
+//! names in `out` where the verb's file product is to go.
 //!
 //! Fault-injection hooks (testing only): `"inject_panic": "<task>"` on a
 //! `run` forwards to [`ExecOptions::inject_panic`](banger_exec::ExecOptions)
@@ -28,18 +44,21 @@
 //! ## Responses
 //!
 //! ```json
-//! {"ok": true, "cached": true, "exit": 0, "output": "...", "notes": "..."}
-//! {"ok": false, "error": "..."}
+//! {"ok": true, "cached": true, "exit": 0, "output": "...", "notes": "...", "error": ""}
+//! {"ok": true, ..., "files": {"out/gantt.svg": "<svg ...", "out/speedup.svg": "..."}}
+//! {"ok": false, "exit": 1, "error": "...", ...}
 //! ```
 //!
-//! `output` is byte-identical to what the matching local CLI command
-//! prints on stdout (that is what the differential stress test pins);
-//! `notes` carries non-deterministic extras (wall-clock timings, drift
-//! tables) that a client prints to stderr. `cached` reports whether the
+//! A front end prints `output` on stdout, `notes` and then `error` on
+//! stderr, writes each entry of `files` (written only when there are
+//! any) under its name, and exits with `exit`. `output` is the
+//! deterministic part; `notes` carries the design's warning diagnostics
+//! and the extras that vary from run to run (wall-clock timings,
+//! optimizer statistics, drift tables). `cached` reports whether the
 //! request was served from a warm cache entry without recomputation.
 
-use super::json::{self, Json};
 use banger_calc::Value;
+use banger_taskgraph::json::{self, Json};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
@@ -80,24 +99,51 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(buf))
 }
 
-/// One request to the daemon. Unknown JSON fields are ignored so old
+/// One request to the handler. Unknown JSON fields are ignored so old
 /// daemons tolerate newer clients.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
-    /// The verb: `check`, `schedule`, `run`, `trace`, `optimize`,
+    /// The verb: any `banger` subcommand that takes a project, or one of
     /// `ping`, `stats`, `evict`, `shutdown`.
     pub cmd: String,
-    /// Project file path (server-side canonicalized); absent for
-    /// verbs that address the daemon itself.
+    /// Project file path (canonicalized by the store); absent for verbs
+    /// that address the daemon itself.
     pub path: Option<String>,
-    /// Scheduling heuristic for `schedule` / `trace` (default `MH`).
+    /// `-H`: scheduling heuristic (default `MH`).
     pub heuristic: String,
-    /// `check` output format: `text` (default) or `json`.
+    /// `check --format`: `text` (default) or `json`.
     pub format: String,
-    /// External input values for `run` / `trace`.
+    /// `-i var=value`: external input values.
     pub inputs: BTreeMap<String, Value>,
-    /// `optimize`: also fuse grain-packed clusters.
+    /// `optimize --fuse`: also fuse grain-packed clusters.
     pub fuse: bool,
+    /// Positional operands after the path: `trial <program>`,
+    /// `codegen <lang>`, `parallelize <task> <chunks>`.
+    pub args: Vec<String>,
+    /// `check --weights`: append the per-task weight report.
+    pub weights: bool,
+    /// `run`/`gantt --optimize`, `graph --optimized`: rewrite the design
+    /// (dead arcs + fusion) before the verb's own work.
+    pub optimize: bool,
+    /// `trial --reference`: use the tree-walking interpreter.
+    pub reference: bool,
+    /// `graph --dot`: print Graphviz DOT instead of statistics.
+    pub dot: bool,
+    /// `run --repeat`: fire this many times through one warm session.
+    pub repeat: Option<u32>,
+    /// `recommend -p`: processor budget.
+    pub procs: Option<u32>,
+    /// `speedup -t`: comma-separated topology specs.
+    pub topologies: Option<String>,
+    /// `optimize --expand`: `task:tiles`.
+    pub expand: Option<String>,
+    /// `verify -s`: the saved schedule's text (the front end read it).
+    pub schedule: Option<String>,
+    /// Where the front end will put the verb's file product: `svg -o`
+    /// (a directory), `save-schedule -o`, `optimize --emit` (`-` means
+    /// stdout) and `run --trace`, which it also selects. The handler
+    /// only names the returned [`Response::files`] after it.
+    pub out: Option<String>,
     /// Testing: forward to the executor's per-task panic injection.
     pub inject_panic: Option<String>,
     /// Testing: panic inside the request handler itself.
@@ -114,6 +160,17 @@ impl Request {
             format: "text".to_string(),
             inputs: BTreeMap::new(),
             fuse: false,
+            args: Vec::new(),
+            weights: false,
+            optimize: false,
+            reference: false,
+            dot: false,
+            repeat: None,
+            procs: None,
+            topologies: None,
+            expand: None,
+            schedule: None,
+            out: None,
             inject_panic: None,
             inject_handler_panic: false,
         }
@@ -129,27 +186,38 @@ impl Request {
     /// Renders the request as one JSON object.
     pub fn to_json(&self) -> String {
         let mut pairs = vec![("cmd".to_string(), Json::Str(self.cmd.clone()))];
-        if let Some(p) = &self.path {
-            pairs.push(("path".to_string(), Json::Str(p.clone())));
-        }
-        pairs.push(("heuristic".to_string(), Json::Str(self.heuristic.clone())));
-        pairs.push(("format".to_string(), Json::Str(self.format.clone())));
-        if !self.inputs.is_empty() {
-            let fields = self
-                .inputs
-                .iter()
-                .map(|(k, v)| (k.clone(), value_to_json(v)))
-                .collect();
-            pairs.push(("inputs".to_string(), Json::Obj(fields)));
-        }
-        if self.fuse {
-            pairs.push(("fuse".to_string(), Json::Bool(true)));
-        }
-        if let Some(t) = &self.inject_panic {
-            pairs.push(("inject_panic".to_string(), Json::Str(t.clone())));
-        }
-        if self.inject_handler_panic {
-            pairs.push(("inject_handler_panic".to_string(), Json::Bool(true)));
+        let text = |v: &Option<String>| v.clone().map(Json::Str);
+        let flag = |v: bool| v.then_some(Json::Bool(true));
+        let count = |v: Option<u32>| v.map(|n| Json::Num(f64::from(n)));
+        let inputs = self
+            .inputs
+            .iter()
+            .map(|(k, v)| (k.clone(), value_to_json(v)))
+            .collect::<Vec<_>>();
+        let args = self.args.iter().cloned().map(Json::Str).collect::<Vec<_>>();
+        for (key, value) in [
+            ("path", text(&self.path)),
+            ("heuristic", Some(Json::Str(self.heuristic.clone()))),
+            ("format", Some(Json::Str(self.format.clone()))),
+            ("inputs", (!inputs.is_empty()).then_some(Json::Obj(inputs))),
+            ("fuse", flag(self.fuse)),
+            ("inject_panic", text(&self.inject_panic)),
+            ("inject_handler_panic", flag(self.inject_handler_panic)),
+            ("args", (!args.is_empty()).then_some(Json::Arr(args))),
+            ("weights", flag(self.weights)),
+            ("optimize", flag(self.optimize)),
+            ("reference", flag(self.reference)),
+            ("dot", flag(self.dot)),
+            ("repeat", count(self.repeat)),
+            ("procs", count(self.procs)),
+            ("topologies", text(&self.topologies)),
+            ("expand", text(&self.expand)),
+            ("schedule", text(&self.schedule)),
+            ("out", text(&self.out)),
+        ] {
+            if let Some(value) = value {
+                pairs.push((key.to_string(), value));
+            }
         }
         Json::Obj(pairs).render()
     }
@@ -157,18 +225,23 @@ impl Request {
     /// Parses a request from JSON text.
     pub fn from_json(text: &str) -> Result<Request, String> {
         let v = json::parse(text)?;
-        let cmd = v
-            .get("cmd")
-            .and_then(Json::as_str)
-            .ok_or("request needs a \"cmd\" string")?
-            .to_string();
-        let mut req = Request::new(cmd);
-        req.path = v.get("path").and_then(Json::as_str).map(str::to_string);
-        if let Some(h) = v.get("heuristic").and_then(Json::as_str) {
-            req.heuristic = h.to_string();
+        let text = |key: &str| v.get(key).and_then(Json::as_str).map(str::to_string);
+        let flag = |key: &str| v.get(key).and_then(Json::as_bool).unwrap_or(false);
+        let count = |key: &str| match v.get(key) {
+            None => Ok(None),
+            Some(n) => n
+                .as_num()
+                .filter(|n| n.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(n))
+                .map(|n| Some(n as u32))
+                .ok_or(format!("{key:?} must be a whole number")),
+        };
+        let mut req = Request::new(text("cmd").ok_or("request needs a \"cmd\" string")?);
+        req.path = text("path");
+        if let Some(h) = text("heuristic") {
+            req.heuristic = h;
         }
-        if let Some(f) = v.get("format").and_then(Json::as_str) {
-            req.format = f.to_string();
+        if let Some(f) = text("format") {
+            req.format = f;
         }
         if let Some(Json::Obj(fields)) = v.get("inputs") {
             for (name, val) in fields {
@@ -178,15 +251,23 @@ impl Request {
                 );
             }
         }
-        req.fuse = v.get("fuse").and_then(Json::as_bool).unwrap_or(false);
-        req.inject_panic = v
-            .get("inject_panic")
-            .and_then(Json::as_str)
-            .map(str::to_string);
-        req.inject_handler_panic = v
-            .get("inject_handler_panic")
-            .and_then(Json::as_bool)
-            .unwrap_or(false);
+        for arg in v.get("args").and_then(Json::as_arr).unwrap_or_default() {
+            req.args
+                .push(arg.as_str().ok_or("\"args\" must be strings")?.to_string());
+        }
+        req.fuse = flag("fuse");
+        req.weights = flag("weights");
+        req.optimize = flag("optimize");
+        req.reference = flag("reference");
+        req.dot = flag("dot");
+        req.repeat = count("repeat")?;
+        req.procs = count("procs")?;
+        req.topologies = text("topologies");
+        req.expand = text("expand");
+        req.schedule = text("schedule");
+        req.out = text("out");
+        req.inject_panic = text("inject_panic");
+        req.inject_handler_panic = flag("inject_handler_panic");
         Ok(req)
     }
 }
@@ -212,7 +293,7 @@ fn json_to_value(v: &Json) -> Result<Value, String> {
     }
 }
 
-/// One response from the daemon.
+/// One response from the handler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// Whether the request succeeded operationally. `check` on a design
@@ -221,14 +302,18 @@ pub struct Response {
     pub ok: bool,
     /// Served from a warm cache entry without recomputation.
     pub cached: bool,
-    /// Suggested client exit code (0 success, 1 diagnostics errors).
+    /// The front end's exit code (0 success, 1 failure or diagnostics
+    /// errors).
     pub exit: i32,
-    /// Deterministic stdout payload (byte-identical to local mode).
+    /// Deterministic stdout payload.
     pub output: String,
-    /// Non-deterministic extras for stderr (timings, drift tables).
+    /// Stderr extras: the design's warnings, timings, optimizer stats.
     pub notes: String,
     /// Failure description when `ok` is false.
     pub error: String,
+    /// File products as `(name, content)`, for the front end to write:
+    /// the handler itself writes nothing.
+    pub files: Vec<(String, String)>,
 }
 
 impl Response {
@@ -241,6 +326,7 @@ impl Response {
             output: output.into(),
             notes: String::new(),
             error: String::new(),
+            files: Vec::new(),
         }
     }
 
@@ -248,11 +334,9 @@ impl Response {
     pub fn failure(error: impl Into<String>) -> Self {
         Response {
             ok: false,
-            cached: false,
             exit: 1,
-            output: String::new(),
-            notes: String::new(),
             error: error.into(),
+            ..Response::success("")
         }
     }
 
@@ -262,34 +346,64 @@ impl Response {
         self
     }
 
-    /// Sets the suggested client exit code.
+    /// Sets the front end's exit code.
     pub fn with_exit(mut self, exit: i32) -> Self {
         self.exit = exit;
         self
     }
 
-    /// Attaches stderr notes.
-    pub fn with_notes(mut self, notes: impl Into<String>) -> Self {
-        self.notes = notes.into();
+    /// Appends a line (or block) of stderr notes.
+    pub fn with_notes(mut self, notes: impl AsRef<str>) -> Self {
+        if !self.notes.is_empty() && !notes.as_ref().is_empty() {
+            self.notes.push('\n');
+        }
+        self.notes.push_str(notes.as_ref());
+        self
+    }
+
+    /// Adds a file product for the front end to write.
+    pub fn with_file(mut self, name: impl Into<String>, content: impl Into<String>) -> Self {
+        self.files.push((name.into(), content.into()));
         self
     }
 
     /// Renders the response as one JSON object.
     pub fn to_json(&self) -> String {
-        Json::Obj(vec![
+        let mut pairs = vec![
             ("ok".to_string(), Json::Bool(self.ok)),
             ("cached".to_string(), Json::Bool(self.cached)),
             ("exit".to_string(), Json::Num(f64::from(self.exit))),
             ("output".to_string(), Json::Str(self.output.clone())),
             ("notes".to_string(), Json::Str(self.notes.clone())),
             ("error".to_string(), Json::Str(self.error.clone())),
-        ])
-        .render()
+        ];
+        if !self.files.is_empty() {
+            let files = self
+                .files
+                .iter()
+                .map(|(name, content)| (name.clone(), Json::Str(content.clone())))
+                .collect();
+            pairs.push(("files".to_string(), Json::Obj(files)));
+        }
+        Json::Obj(pairs).render()
     }
 
     /// Parses a response from JSON text.
     pub fn from_json(text: &str) -> Result<Response, String> {
         let v = json::parse(text)?;
+        let text = |key: &str| {
+            v.get(key)
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string()
+        };
+        let mut files = Vec::new();
+        if let Some(Json::Obj(pairs)) = v.get("files") {
+            for (name, content) in pairs {
+                let content = content.as_str().ok_or("\"files\" must hold strings")?;
+                files.push((name.clone(), content.to_string()));
+            }
+        }
         Ok(Response {
             ok: v
                 .get("ok")
@@ -297,21 +411,10 @@ impl Response {
                 .ok_or("response needs an \"ok\" bool")?,
             cached: v.get("cached").and_then(Json::as_bool).unwrap_or(false),
             exit: v.get("exit").and_then(Json::as_num).unwrap_or(0.0) as i32,
-            output: v
-                .get("output")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            notes: v
-                .get("notes")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            error: v
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
+            output: text("output"),
+            notes: text("notes"),
+            error: text("error"),
+            files,
         })
     }
 }
@@ -328,8 +431,20 @@ mod tests {
         req.inputs
             .insert("v".into(), Value::array(vec![1.0, 2.0, 3.0]));
         req.inject_panic = Some("w3".into());
+        req.args = vec!["Init".into(), "4".into()];
+        req.weights = true;
+        req.repeat = Some(3);
+        req.procs = Some(8);
+        req.schedule = Some("schedule MH\n".into());
+        req.out = Some("out dir/t.json".into());
         let back = Request::from_json(&req.to_json()).unwrap();
         assert_eq!(req, back);
+        // Unset fields are not written: the frame of a plain request is
+        // what it was before those fields existed.
+        assert_eq!(
+            Request::for_path("check", "/p.bang").to_json(),
+            "{\"cmd\":\"check\",\"path\":\"/p.bang\",\"heuristic\":\"MH\",\"format\":\"text\"}"
+        );
     }
 
     #[test]
@@ -340,6 +455,9 @@ mod tests {
             .with_notes("(3 task runs)");
         let back = Response::from_json(&resp.to_json()).unwrap();
         assert_eq!(resp, back);
+        assert!(!resp.to_json().contains("files"));
+        let filed = resp.with_file("d/gantt.svg", "<svg/>\n");
+        assert_eq!(filed, Response::from_json(&filed.to_json()).unwrap());
         let fail = Response::failure("boom: \\path\\");
         assert_eq!(fail, Response::from_json(&fail.to_json()).unwrap());
     }
@@ -350,6 +468,9 @@ mod tests {
         assert!(Request::from_json("not json").is_err());
         assert!(Request::from_json("{\"cmd\": 7}").is_err());
         assert!(Request::from_json("{\"cmd\": \"run\", \"inputs\": {\"a\": \"str\"}}").is_err());
+        assert!(Request::from_json("{\"cmd\": \"run\", \"repeat\": -1}").is_err());
+        assert!(Request::from_json("{\"cmd\": \"run\", \"repeat\": 1.5}").is_err());
+        assert!(Request::from_json("{\"cmd\": \"trial\", \"args\": [7]}").is_err());
     }
 
     #[test]

@@ -18,7 +18,6 @@
 use crate::document::parse_project;
 use crate::project::Project;
 use banger_exec::Session;
-use banger_sched::Schedule;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -46,15 +45,6 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
 /// [`Machine::describe`]: banger_machine::Machine::describe
 pub type SchedKey = (u64, String, String);
 
-/// A schedule computed once and replayed from cache.
-#[derive(Clone)]
-pub struct CachedSchedule {
-    /// The schedule itself (reused by pinned/traced runs).
-    pub schedule: Schedule,
-    /// The exact stdout the CLI's `gantt` command would print.
-    pub output: String,
-}
-
 /// Everything derived from one source snapshot. Dropped wholesale on
 /// hash change or eviction — there is no partial invalidation.
 pub struct EntryState {
@@ -66,11 +56,16 @@ pub struct EntryState {
     pub project: Project,
     /// Machine spec line for schedule keys; empty if no machine.
     pub machine_spec: String,
+    /// The design's warning diagnostics as text, one per line; empty
+    /// when it has none, or has errors (a verb that needs a clean design
+    /// then fails with the whole report). Every verb but `check`, whose
+    /// stdout lists them, carries these in its response's notes.
+    pub warnings: String,
     /// Rendered `check` output per format (`text` / `json`), plus the
-    /// exit code the CLI would use.
-    pub checks: HashMap<String, (String, i32)>,
-    /// Cached schedules + rendered Gantt output.
-    pub schedules: HashMap<SchedKey, CachedSchedule>,
+    /// number of error-severity findings.
+    pub checks: HashMap<String, (String, usize)>,
+    /// Rendered `gantt` output (chart + summary line) per schedule key.
+    pub schedules: HashMap<SchedKey, String>,
     /// Warm executor session (parked worker pool, routing tables, slab
     /// store); opened lazily by the first `run` request.
     pub session: Option<Session>,
@@ -110,12 +105,19 @@ impl Entry {
         // Warm the parse-adjacent caches up front: flatten feeds every
         // downstream consumer and diagnose memoizes inside the Project.
         let machine_spec = project.machine().map(|m| m.describe()).unwrap_or_default();
-        project.diagnose();
+        let diags = project.diagnose();
+        let warnings = if banger_analyze::has_errors(diags) {
+            String::new()
+        } else {
+            let lines: Vec<String> = diags.iter().map(banger_analyze::render_text).collect();
+            lines.join("\n")
+        };
         self.source_hash = hash;
         self.state = Some(EntryState {
             source_hash: hash,
             project,
             machine_spec,
+            warnings,
             checks: HashMap::new(),
             schedules: HashMap::new(),
             session: None,

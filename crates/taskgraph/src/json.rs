@@ -1,10 +1,11 @@
-//! A minimal JSON value, parser and writer for the serve protocol.
+//! The workspace's one JSON value, parser and writer.
 //!
-//! The workspace is deliberately serde-free; every JSON producer writes
-//! by hand (CLI `--format json`, the bench records). The daemon needs to
-//! *read* JSON too, so this module carries the small recursive-descent
-//! parser plus an escaping writer. Only what the protocol needs: no
-//! comments, no trailing commas, numbers as `f64`.
+//! The workspace is deliberately serde-free. Everything that writes JSON
+//! (`check --format json`, the weight report, Chrome trace files, the
+//! serve protocol) escapes strings through [`escape_into`] / [`quote`],
+//! and everything that reads it (the protocol, the tests) goes through
+//! [`parse`]. Only what those need: no comments, no trailing commas,
+//! numbers as `f64`.
 
 use std::fmt::Write as _;
 
@@ -113,8 +114,9 @@ impl Json {
     }
 }
 
-/// JSON string escaping (quotes, backslash, control characters).
-fn escape_into(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a JSON string literal: surrounding quotes,
+/// with quotes, backslashes and control characters escaped.
+pub fn escape_into(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -130,6 +132,13 @@ fn escape_into(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+/// `s` as a JSON string literal (see [`escape_into`]).
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    escape_into(s, &mut out);
+    out
 }
 
 /// Parses one JSON value; trailing non-whitespace is an error.
@@ -296,6 +305,7 @@ mod tests {
         let text = v.render();
         assert_eq!(parse(&text).unwrap(), v);
         assert!(text.contains("\\u0001"), "{text}");
+        assert_eq!(quote("a\"b"), "\"a\\\"b\"");
     }
 
     #[test]

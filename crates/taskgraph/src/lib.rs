@@ -20,8 +20,9 @@
 //! The crate also contains graph [`analysis`] (topological order, critical
 //! path, t-/b-levels, parallelism profile), workload [`generators`] used by
 //! the benchmark harness (the paper's LU decomposition design of Figure 1
-//! and a family of classic scheduling workloads), and [`dot`] rendering for
-//! instant visual feedback.
+//! and a family of classic scheduling workloads), and the format modules every crate above shares: [`dot`] rendering for
+//! instant visual feedback, the [`textfmt`] graph format, and the
+//! workspace's one [`json`] reader/writer.
 //!
 //! ## Example
 //!
@@ -44,6 +45,7 @@ pub mod error;
 pub mod generators;
 pub mod graph;
 pub mod hierarchy;
+pub mod json;
 pub mod textfmt;
 
 pub use error::GraphError;

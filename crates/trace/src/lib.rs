@@ -34,6 +34,7 @@
 
 use banger_machine::ProcId;
 use banger_sched::Schedule;
+use banger_taskgraph::json::quote;
 use banger_taskgraph::TaskId;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -315,13 +316,13 @@ impl Trace {
                         "\"ops\":{ops},\"cow_copies\":{cow_copies},\"cow_bytes\":{cow_bytes}"
                     );
                     for (var, bytes) in bytes_in {
-                        let _ = write!(args, ",\"in {}\":{bytes}", json_escape(var));
+                        let _ = write!(args, ",{}:{bytes}", quote(&format!("in {var}")));
                     }
                     let _ = write!(
                         out,
-                        ",\n{{\"name\":\"{}\",\"cat\":\"task\",\"ph\":\"X\",\"pid\":0,\
+                        ",\n{{\"name\":{},\"cat\":\"task\",\"ph\":\"X\",\"pid\":0,\
                          \"tid\":{worker},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{{args}}}}}",
-                        json_escape(&name_of(*task)),
+                        quote(&name_of(*task)),
                         us(start),
                         us(&finish.saturating_sub(*start)),
                     );
@@ -341,9 +342,9 @@ impl Trace {
                 } => {
                     let _ = write!(
                         out,
-                        ",\n{{\"name\":\"wait {}\",\"cat\":\"wait\",\"ph\":\"X\",\"pid\":0,\
+                        ",\n{{\"name\":{},\"cat\":\"wait\",\"ph\":\"X\",\"pid\":0,\
                          \"tid\":{worker},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{}}}}",
-                        json_escape(&name_of(*task)),
+                        quote(&format!("wait {}", name_of(*task))),
                         us(since),
                         us(&until.saturating_sub(*since)),
                     );
@@ -356,21 +357,21 @@ impl Trace {
                 } => {
                     let _ = write!(
                         out,
-                        ",\n{{\"name\":\"error {}\",\"cat\":\"error\",\"ph\":\"i\",\"s\":\"g\",\
+                        ",\n{{\"name\":{},\"cat\":\"error\",\"ph\":\"i\",\"s\":\"g\",\
                          \"pid\":0,\"tid\":{worker},\"ts\":{:.3},\
-                         \"args\":{{\"message\":\"{}\"}}}}",
-                        json_escape(task),
+                         \"args\":{{\"message\":{}}}}}",
+                        quote(&format!("error {task}")),
                         us(at),
-                        json_escape(message),
+                        quote(message),
                     );
                 }
                 TraceEvent::WorkerLost { at, detail } => {
                     let _ = write!(
                         out,
                         ",\n{{\"name\":\"workers lost\",\"cat\":\"error\",\"ph\":\"i\",\"s\":\"g\",\
-                         \"pid\":0,\"tid\":0,\"ts\":{:.3},\"args\":{{\"detail\":\"{}\"}}}}",
+                         \"pid\":0,\"tid\":0,\"ts\":{:.3},\"args\":{{\"detail\":{}}}}}",
                         us(at),
-                        json_escape(detail),
+                        quote(detail),
                     );
                 }
                 TraceEvent::WorkerStats {
@@ -627,25 +628,6 @@ impl DriftReport {
         );
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Integration tests for the `banger` CLI on the bundled `.bang` project.
 
-use std::path::PathBuf;
+use banger_taskgraph::json::{parse as parse_json, Json};
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn banger() -> Command {
@@ -486,158 +487,6 @@ fn check_reports_race_and_exits_nonzero() {
     );
 }
 
-// ---- A minimal JSON reader (no serde in the workspace) -----------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let chars: Vec<char> = text.chars().collect();
-    let mut i = 0usize;
-    let v = parse_value_at(&chars, &mut i)?;
-    skip_ws(&chars, &mut i);
-    if i != chars.len() {
-        return Err(format!("trailing garbage at {i}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(c: &[char], i: &mut usize) {
-    while *i < c.len() && c[*i].is_whitespace() {
-        *i += 1;
-    }
-}
-
-fn parse_value_at(c: &[char], i: &mut usize) -> Result<Json, String> {
-    skip_ws(c, i);
-    match c.get(*i) {
-        Some('[') => {
-            *i += 1;
-            let mut items = Vec::new();
-            loop {
-                skip_ws(c, i);
-                if c.get(*i) == Some(&']') {
-                    *i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                if !items.is_empty() {
-                    if c.get(*i) != Some(&',') {
-                        return Err(format!("expected , at {i}"));
-                    }
-                    *i += 1;
-                }
-                items.push(parse_value_at(c, i)?);
-            }
-        }
-        Some('{') => {
-            *i += 1;
-            let mut pairs = Vec::new();
-            loop {
-                skip_ws(c, i);
-                if c.get(*i) == Some(&'}') {
-                    *i += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                if !pairs.is_empty() {
-                    if c.get(*i) != Some(&',') {
-                        return Err(format!("expected , at {i}"));
-                    }
-                    *i += 1;
-                    skip_ws(c, i);
-                }
-                let Json::Str(key) = parse_value_at(c, i)? else {
-                    return Err(format!("expected string key at {i}"));
-                };
-                skip_ws(c, i);
-                if c.get(*i) != Some(&':') {
-                    return Err(format!("expected : at {i}"));
-                }
-                *i += 1;
-                pairs.push((key, parse_value_at(c, i)?));
-            }
-        }
-        Some('"') => {
-            *i += 1;
-            let mut s = String::new();
-            loop {
-                match c.get(*i) {
-                    None => return Err("unterminated string".into()),
-                    Some('"') => {
-                        *i += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    Some('\\') => {
-                        *i += 1;
-                        match c.get(*i) {
-                            Some('"') => s.push('"'),
-                            Some('\\') => s.push('\\'),
-                            Some('n') => s.push('\n'),
-                            Some('r') => s.push('\r'),
-                            Some('t') => s.push('\t'),
-                            Some('u') => {
-                                let hex: String = c[*i + 1..*i + 5].iter().collect();
-                                let n = u32::from_str_radix(&hex, 16).map_err(|e| e.to_string())?;
-                                s.push(char::from_u32(n).ok_or("bad codepoint")?);
-                                *i += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        *i += 1;
-                    }
-                    Some(&ch) => {
-                        s.push(ch);
-                        *i += 1;
-                    }
-                }
-            }
-        }
-        Some('t') if c[*i..].starts_with(&['t', 'r', 'u', 'e']) => {
-            *i += 4;
-            Ok(Json::Bool(true))
-        }
-        Some('f') if c[*i..].starts_with(&['f', 'a', 'l', 's', 'e']) => {
-            *i += 5;
-            Ok(Json::Bool(false))
-        }
-        Some('n') if c[*i..].starts_with(&['n', 'u', 'l', 'l']) => {
-            *i += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *i;
-            while *i < c.len() && (c[*i].is_ascii_digit() || "+-.eE".contains(c[*i])) {
-                *i += 1;
-            }
-            let s: String = c[start..*i].iter().collect();
-            s.parse::<f64>().map(Json::Num).map_err(|e| e.to_string())
-        }
-        None => Err("empty input".into()),
-    }
-}
-
 #[test]
 fn check_json_round_trips_without_serde() {
     let out = banger()
@@ -753,6 +602,29 @@ fn check_weights_json_with_measured_run() {
     }
 }
 
+/// A task name with a control character must come out of every JSON
+/// writer escaped: `--weights --format json` used to emit the raw byte.
+#[test]
+fn check_weights_json_escapes_control_characters() {
+    let text = std::fs::read_to_string(project_path()).unwrap();
+    let path = std::env::temp_dir().join("banger_cli_test_ctrl.bang");
+    std::fs::write(&path, text.replace("report", "rep\u{1}rt")).unwrap();
+    let out = run_ok(&[
+        "check",
+        path.to_str().unwrap(),
+        "--weights",
+        "--format",
+        "json",
+    ]);
+    assert!(out.contains("\"rep\\u0001rt\""), "{out}");
+    let json = parse_json(out.trim()).expect("valid JSON");
+    let rows = json.get("weights").and_then(Json::as_arr).expect("weights");
+    assert!(rows
+        .iter()
+        .any(|r| r.get("task").and_then(Json::as_str) == Some("rep\u{1}rt")));
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn check_reports_body_safety_errors_and_exits_nonzero() {
     // A design whose only defect is a PITS body bug: a definite read of
@@ -834,88 +706,362 @@ impl Drop for DaemonGuard {
     }
 }
 
-/// Full child-process round trip: `banger serve` in the background,
-/// `banger --connect` clients against it, byte-identical stdout vs
-/// local mode, clean shutdown over the protocol.
+/// `banger serve` in the background with `cwd` as its working directory
+/// and its stderr in `<socket>.log`; returns once the socket answers.
 #[cfg(unix)]
-#[test]
-fn serve_daemon_round_trip() {
-    let sock = std::env::temp_dir().join(format!("banger-cli-serve-{}.sock", std::process::id()));
+fn start_daemon(name: &str, cwd: &Path) -> (PathBuf, DaemonGuard) {
+    let sock = std::env::temp_dir().join(format!("banger-cli-{name}-{}.sock", std::process::id()));
     std::fs::remove_file(&sock).ok();
+    let log = std::fs::File::create(sock.with_extension("log")).unwrap();
     let child = banger()
         .args(["serve", "--socket", sock.to_str().unwrap()])
-        .stderr(std::process::Stdio::null())
+        .current_dir(cwd)
+        .stderr(log)
         .spawn()
         .expect("daemon starts");
-    let mut guard = DaemonGuard(child);
-    // The daemon is up once the socket answers.
-    let mut up = false;
+    let guard = DaemonGuard(child);
     for _ in 0..200 {
         if std::os::unix::net::UnixStream::connect(&sock).is_ok() {
-            up = true;
-            break;
+            return (sock, guard);
         }
         std::thread::sleep(std::time::Duration::from_millis(25));
     }
-    assert!(up, "daemon never opened {}", sock.display());
-    let connect: &[&str] = &["--connect", sock.to_str().unwrap()];
+    panic!("daemon never opened {}", sock.display());
+}
+
+/// Asks the daemon to shut down and checks that it exits cleanly;
+/// returns what it wrote to stderr over its life.
+#[cfg(unix)]
+fn stop_daemon(sock: &Path, mut guard: DaemonGuard) -> String {
+    let bye = banger()
+        .args(["--connect", sock.to_str().unwrap(), "shutdown"])
+        .output()
+        .unwrap();
+    assert!(bye.status.success());
+    let status = guard.0.wait().expect("daemon exits");
+    assert!(status.success(), "daemon exit status {status:?}");
+    assert!(!sock.exists(), "socket file removed on shutdown");
+    let log = sock.with_extension("log");
+    let text = std::fs::read_to_string(&log).unwrap();
+    std::fs::remove_file(&log).ok();
+    text
+}
+
+/// Every file under `dir`, by path relative to it.
+#[cfg(unix)]
+fn files_under(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    let mut found = std::collections::BTreeMap::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(d) = pending.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let name = path
+                    .strip_prefix(dir)
+                    .unwrap()
+                    .to_str()
+                    .unwrap()
+                    .to_string();
+                found.insert(name, std::fs::read(&path).unwrap());
+            }
+        }
+    }
+    found
+}
+
+/// One representative invocation per subcommand and flag. `{out}` is a
+/// directory the run may write into, `{sched}` a schedule saved from the
+/// project beforehand (absent when the project cannot be scheduled).
+#[cfg(unix)]
+fn every_verb(project: &str, inputs: &[String]) -> Vec<Vec<String>> {
+    let plain = |words: &[&str]| -> Vec<String> { words.iter().map(|w| w.to_string()).collect() };
+    let with_inputs = |words: &[&str]| -> Vec<String> {
+        plain(words)
+            .into_iter()
+            .chain(inputs.iter().cloned())
+            .collect()
+    };
+    let mut table = vec![
+        plain(&["check", project]),
+        plain(&["check", project, "--format", "json"]),
+        plain(&["check", project, "--weights", "--format", "json"]),
+        with_inputs(&["check", project, "--weights"]),
+        plain(&["show", project]),
+        plain(&["gantt", project, "-H", "ETF"]),
+        plain(&["gantt", project, "--optimize"]),
+        plain(&["schedule", project]),
+        plain(&["compare", project]),
+        plain(&["simulate", project, "-H", "ETF"]),
+        plain(&["animate", project]),
+        plain(&["advise", project, "-H", "MCP"]),
+        plain(&["recommend", project, "-p", "4"]),
+        plain(&["svg", project, "-o", "{out}/charts"]),
+        plain(&["save-schedule", project, "-H", "DSH"]),
+        plain(&["save-schedule", project, "-o", "{out}/s.sched"]),
+        plain(&["verify", project, "-s", "{sched}"]),
+        with_inputs(&["run", project]),
+        with_inputs(&["run", project, "--repeat", "3"]),
+        with_inputs(&["run", project, "--optimize"]),
+        with_inputs(&["run", project, "-H", "ETF", "--trace", "{out}/t.json"]),
+        plain(&["speedup", project, "-t", "single,hypercube:1,hypercube:2"]),
+        with_inputs(&["codegen", project, "rust"]),
+        with_inputs(&["codegen", project, "c", "-H", "ETF"]),
+        plain(&["optimize", project, "--fuse"]),
+        plain(&["optimize", project, "--fuse", "--emit", "{out}/o.bang"]),
+        plain(&["optimize", project, "--emit", "-"]),
+        plain(&["graph", project]),
+        plain(&["graph", project, "--optimized"]),
+        plain(&["graph", project, "--dot"]),
+    ];
+    if project.ends_with("heat_probe.bang") {
+        table.push(with_inputs(&["trial", project, "Init"]));
+        table.push(with_inputs(&["trial", project, "Init", "--reference"]));
+        table.push(plain(&["trial", project, "NoSuch"]));
+        table.push(plain(&["parallelize", project, "init", "4"]));
+    }
+    if project.ends_with("dense_lu.bang") {
+        let expand = [
+            "optimize",
+            project,
+            "--expand",
+            "fact:4",
+            "--emit",
+            "{out}/t.bang",
+        ];
+        table.push(plain(&expand));
+    }
+    table
+}
+
+/// The all-verb differential: every subcommand and flag, on every
+/// bundled project, answered in-process and by a daemon (cold, then
+/// warm) that runs in another directory. Stdout, exit code and written
+/// files must be the same; a traced run's wall-clock parts are checked
+/// for shape instead.
+#[cfg(unix)]
+#[test]
+fn serve_daemon_round_trip() {
+    let scratch = std::env::temp_dir().join(format!("banger-cli-verbs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    std::fs::create_dir_all(&scratch).unwrap();
+    let (sock, guard) = start_daemon("serve", &scratch);
+    let connect = ["--connect", sock.to_str().unwrap()];
 
     let ping = banger().args(connect).arg("ping").output().unwrap();
     assert!(ping.status.success());
     assert_eq!(String::from_utf8_lossy(&ping.stdout), "pong\n");
 
-    // check / gantt / run through the daemon == local mode, twice each
-    // (second pass exercises the warm caches).
-    for args in [
-        vec!["check", project_path()],
-        vec!["gantt", project_path(), "-H", "ETF"],
-        vec!["run", project_path(), "-i", "left=100", "-i", "right=0"],
-    ] {
-        let local = banger().args(&args).output().unwrap();
-        for pass in ["cold", "warm"] {
-            let daemon = banger().args(connect).args(&args).output().unwrap();
-            assert_eq!(
-                daemon.status.code(),
-                local.status.code(),
-                "{args:?} ({pass}) exit codes differ"
-            );
-            assert_eq!(
-                String::from_utf8_lossy(&daemon.stdout),
-                String::from_utf8_lossy(&local.stdout),
-                "{args:?} ({pass}) stdout differs"
-            );
+    let dense: Vec<String> = (0..64 * 64)
+        .map(|k| {
+            if k / 64 == k % 64 {
+                "66".into()
+            } else {
+                format!("{}", 1.0 + (k % 5) as f64 / 4.0)
+            }
+        })
+        .collect();
+    let matmul_a: Vec<&str> = (0..36)
+        .map(|k| if k / 6 == k % 6 { "1" } else { "0" })
+        .collect();
+    let matmul_b: Vec<String> = (1..=36).map(|k| k.to_string()).collect();
+    let projects = [
+        ("heat_probe", vec!["left=100".to_string(), "right=0".into()]),
+        (
+            "lu3",
+            vec![
+                "A=[5,1.5,2,1.75,5,1.5,1.25,1.75,5]".into(),
+                "b=[1,2,3]".into(),
+            ],
+        ),
+        (
+            "matmul",
+            vec![
+                format!("A=[{}]", matmul_a.join(",")),
+                format!("B=[{}]", matmul_b.join(",")),
+            ],
+        ),
+        ("dense_lu", vec![format!("a=[{}]", dense.join(","))]),
+        ("racy_pipeline", vec!["raw=[3,4]".into()]),
+    ];
+    for (name, values) in &projects {
+        let project = format!("examples/projects/{name}.bang");
+        let inputs: Vec<String> = values
+            .iter()
+            .flat_map(|v| ["-i".to_string(), v.clone()])
+            .collect();
+        let sched = scratch.join(format!("{name}.sched"));
+        let saved = banger()
+            .args(["save-schedule", &project, "-o", sched.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(saved.status.success(), *name != "racy_pipeline");
+
+        for (n, args) in every_verb(&project, &inputs).iter().enumerate() {
+            let run = |mode: &str| {
+                let out = scratch.join(format!("{name}-{n}-{mode}"));
+                std::fs::create_dir_all(&out).unwrap();
+                let args: Vec<String> = args
+                    .iter()
+                    .map(|a| {
+                        a.replace("{out}", out.to_str().unwrap())
+                            .replace("{sched}", sched.to_str().unwrap())
+                    })
+                    .collect();
+                let mut cmd = banger();
+                if mode != "local" {
+                    cmd.args(connect);
+                }
+                let done = cmd.args(&args).output().unwrap();
+                let stderr = String::from_utf8_lossy(&done.stderr);
+                assert!(
+                    !stderr.contains("running locally"),
+                    "{args:?} ({mode}) fell back: {stderr}"
+                );
+                (
+                    done.status.code(),
+                    String::from_utf8_lossy(&done.stdout).into_owned(),
+                    files_under(&out),
+                )
+            };
+            let traced = args.iter().any(|a| a == "--trace");
+            let settled = |stdout: &str| match stdout.split_once("observed:") {
+                Some((before, _)) if traced => before.to_string(),
+                _ => stdout.to_string(),
+            };
+            let (code, stdout, files) = run("local");
+            if *name == "racy_pipeline"
+                && !matches!(
+                    args[0].as_str(),
+                    "show" | "graph" | "compare" | "recommend" | "speedup" | "verify"
+                )
+            {
+                assert_eq!(
+                    code,
+                    Some(1),
+                    "{args:?}: a design with a race must be refused"
+                );
+            }
+            for mode in ["cold", "warm"] {
+                let (d_code, d_stdout, d_files) = run(mode);
+                assert_eq!(d_code, code, "{args:?} ({mode}) exit codes differ");
+                assert_eq!(
+                    settled(&d_stdout),
+                    settled(&stdout),
+                    "{args:?} ({mode}) stdout differs"
+                );
+                assert_eq!(
+                    d_files.keys().collect::<Vec<_>>(),
+                    files.keys().collect::<Vec<_>>(),
+                    "{args:?} ({mode}) wrote other files"
+                );
+                for (file, bytes) in &d_files {
+                    if file.ends_with("t.json") {
+                        let trace = parse_json(std::str::from_utf8(bytes).unwrap().trim())
+                            .expect("trace parses");
+                        let events = trace
+                            .get("traceEvents")
+                            .and_then(Json::as_arr)
+                            .expect("traceEvents");
+                        assert!(!events.is_empty(), "{args:?} ({mode}) empty trace");
+                    } else {
+                        assert_eq!(bytes, &files[file], "{args:?} ({mode}) {file} differs");
+                    }
+                }
+            }
         }
     }
-
-    // A design with error-severity diagnostics keeps its exit-1 contract.
-    let racy = "examples/projects/racy_pipeline.bang";
-    let local = banger().args(["check", racy]).output().unwrap();
-    let daemon = banger()
-        .args(connect)
-        .args(["check", racy])
-        .output()
-        .unwrap();
-    assert_eq!(local.status.code(), Some(1));
-    assert_eq!(daemon.status.code(), Some(1));
-    assert_eq!(
-        String::from_utf8_lossy(&daemon.stdout),
-        String::from_utf8_lossy(&local.stdout)
-    );
 
     let stats = banger().args(connect).arg("stats").output().unwrap();
     let text = String::from_utf8_lossy(&stats.stdout).into_owned();
     assert!(text.starts_with("requests "), "{text}");
     assert!(text.contains("panics 0"), "{text}");
+    stop_daemon(&sock, guard);
+    std::fs::remove_dir_all(&scratch).ok();
+}
 
-    let bye = banger().args(connect).arg("shutdown").output().unwrap();
-    assert!(bye.status.success());
-    let status = guard.0.wait().expect("daemon exits");
-    assert!(status.success(), "daemon exit status {status:?}");
-    assert!(!sock.exists(), "socket file removed on shutdown");
+/// A daemon resolves nothing against its own working directory: the
+/// client sends the project path absolute and reads and writes the
+/// other files itself.
+#[cfg(unix)]
+#[test]
+fn connect_resolves_paths_in_the_clients_directory() {
+    let elsewhere = std::env::temp_dir().join(format!("banger-cli-cwd-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&elsewhere);
+    std::fs::create_dir_all(&elsewhere).unwrap();
+    let (sock, guard) = start_daemon("cwd", &elsewhere);
+    let examples = std::fs::canonicalize("examples/projects").unwrap();
+    let client = |args: &[&str]| {
+        let out = banger().current_dir(&examples).args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let sock_arg = sock.to_str().unwrap();
+    assert_eq!(
+        client(&["--connect", sock_arg, "check", "heat_probe.bang"]),
+        client(&["check", "heat_probe.bang"])
+    );
+    // Relative -o and -s are the client's too.
+    let sched = format!("../../target/banger-cli-cwd-{}.sched", std::process::id());
+    client(&[
+        "--connect",
+        sock_arg,
+        "save-schedule",
+        "heat_probe.bang",
+        "-o",
+        &sched,
+    ]);
+    assert!(examples.join(&sched).exists(), "the client wrote {sched}");
+    let verified = client(&[
+        "--connect",
+        sock_arg,
+        "verify",
+        "heat_probe.bang",
+        "-s",
+        &sched,
+    ]);
+    assert!(verified.contains("VALID"), "{verified}");
+    assert_eq!(files_under(&elsewhere).len(), 0, "the daemon wrote nothing");
+    std::fs::remove_file(examples.join(&sched)).ok();
+    stop_daemon(&sock, guard);
+    std::fs::remove_dir_all(&elsewhere).ok();
+}
+
+/// Design warnings reach the user's stderr whichever process answered,
+/// and stay out of the daemon's own log.
+#[cfg(unix)]
+#[test]
+fn warnings_reach_the_clients_stderr_in_both_modes() {
+    let (sock, guard) = start_daemon("warn", Path::new("."));
+    for connect in [vec![], vec!["--connect", sock.to_str().unwrap()]] {
+        let out = banger()
+            .args(&connect)
+            .args(["gantt", project_path(), "-H", "ETF"])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr.matches("warning[B041]").count(),
+            2,
+            "{connect:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains("RelaxLower") && stderr.contains("RelaxUpper"),
+            "{stderr}"
+        );
+    }
+    let log = stop_daemon(&sock, guard);
+    assert!(!log.contains("B041"), "daemon log: {log}");
 }
 
 /// Without a daemon, `--connect` falls back to local execution instead
-/// of failing.
+/// of failing — the one reason it ever does.
 #[cfg(unix)]
 #[test]
 fn connect_falls_back_to_local_without_a_daemon() {

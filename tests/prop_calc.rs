@@ -203,7 +203,7 @@ proptest! {
 
     #[test]
     fn static_cost_is_finite_and_positive(p in arb_program()) {
-        let cost = banger_calc::cost::estimate_program(&p);
+        let cost = banger_calc::absint::analyze(&p).cost.est;
         prop_assert!(cost.is_finite());
         prop_assert!(cost > 0.0);
     }

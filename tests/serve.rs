@@ -84,78 +84,43 @@ fn concurrent_clients_get_fresh_local_answers() {
     let small_path = temp_path("stress-small", "bang");
     std::fs::write(&small_path, SMALL).unwrap();
 
-    // Expected answers, computed through the library directly (no
-    // daemon, no serve-side cache) — the ground truth a fresh local
-    // `banger` invocation would print.
-    let expected_check = {
-        let mut p = banger::parse_project(&lu3_src).unwrap();
-        format!("{}\n", banger::analyze::render_report(p.diagnose()))
+    // Expected answers: what a fresh local `banger` prints — the same
+    // handler on a store of its own, which has seen no other request.
+    let fresh = |req: &Request| {
+        let resp = banger::serve::ops::handle(&banger::serve::ProjectStore::new(), req);
+        assert!(resp.ok && !resp.cached, "{}", resp.error);
+        resp.output
     };
-    let expected_sched = {
-        let mut p = banger::parse_project(&lu3_src).unwrap();
-        let s = p.schedule("ETF").unwrap();
-        let gantt = p.gantt(&s).unwrap();
-        let f = p.flatten().unwrap();
-        let g = f.graph.clone();
-        let m = p.machine().unwrap();
-        format!(
-            "{gantt}\nmakespan {:.3}, speedup {:.2}x, efficiency {:.0}%, {} of {} processors used\n",
-            s.makespan(),
-            s.speedup(&g, m),
-            100.0 * s.efficiency(&g, m),
-            s.processors_used(),
-            m.processors()
-        )
-    };
-    let expected_run = {
-        let mut p = banger::parse_project(SMALL).unwrap();
-        let mut inputs = std::collections::BTreeMap::new();
-        inputs.insert("a".to_string(), banger_calc::Value::Num(7.5));
-        let report = p.run(&inputs).unwrap();
-        let mut out = String::new();
-        for (task, line) in &report.prints {
-            out.push_str(&format!("[{task}] {line}\n"));
-        }
-        for (var, value) in &report.outputs {
-            out.push_str(&format!("{var} = {value}\n"));
-        }
-        out
-    };
+    let check_req = Request::for_path("check", lu3_path.to_str().unwrap());
+    let mut sched_req = Request::for_path("schedule", lu3_path.to_str().unwrap());
+    sched_req.heuristic = "ETF".into();
+    let mut run_req = Request::for_path("run", small_path.to_str().unwrap());
+    run_req
+        .inputs
+        .insert("a".into(), banger_calc::Value::Num(7.5));
+    let expected = [fresh(&check_req), fresh(&sched_req), fresh(&run_req)];
+    assert!(
+        expected[0].ends_with("0 errors, 1 warning\n"),
+        "{}",
+        expected[0]
+    );
+    assert!(expected[1].contains("Gantt chart — ETF"), "{}", expected[1]);
+    assert_eq!(expected[2], "r = 7.5\n");
+    let requests = [check_req, sched_req, run_req];
 
     let (sock, server, handle) = start_server("stress");
     let threads: Vec<_> = (0..8)
         .map(|t| {
             let sock = sock.clone();
-            let lu3_path = lu3_path.clone();
-            let small_path = small_path.clone();
-            let expected_check = expected_check.clone();
-            let expected_sched = expected_sched.clone();
-            let expected_run = expected_run.clone();
+            let requests = requests.clone();
+            let expected = expected.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(&sock).expect("connect");
                 for i in 0..6 {
-                    match (t + i) % 3 {
-                        0 => {
-                            let req = Request::for_path("check", lu3_path.to_str().unwrap());
-                            let resp = client.request(&req).unwrap();
-                            assert!(resp.ok, "{}", resp.error);
-                            assert_eq!(resp.output, expected_check);
-                        }
-                        1 => {
-                            let mut req = Request::for_path("schedule", lu3_path.to_str().unwrap());
-                            req.heuristic = "ETF".into();
-                            let resp = client.request(&req).unwrap();
-                            assert!(resp.ok, "{}", resp.error);
-                            assert_eq!(resp.output, expected_sched);
-                        }
-                        _ => {
-                            let mut req = Request::for_path("run", small_path.to_str().unwrap());
-                            req.inputs.insert("a".into(), banger_calc::Value::Num(7.5));
-                            let resp = client.request(&req).unwrap();
-                            assert!(resp.ok, "{}", resp.error);
-                            assert_eq!(resp.output, expected_run);
-                        }
-                    }
+                    let which = (t + i) % 3;
+                    let resp = client.request(&requests[which]).unwrap();
+                    assert!(resp.ok, "{}", resp.error);
+                    assert_eq!(resp.output, expected[which]);
                 }
             })
         })
