@@ -42,6 +42,21 @@ pub fn program_diagnostics(prog: &Program) -> Vec<Diagnostic> {
 /// task in the flattened view, seeding array lengths from storage
 /// declarations where the design pins them down.
 pub fn body_safety(view: &FlatView, library: &ProgramLibrary, diags: &mut Vec<Diagnostic>) {
+    for (pname, prog, opts) in seeded_analyses(view, library) {
+        let analysis = analyze_with(prog, &opts);
+        diags.extend(analysis.findings.iter().map(|f| to_diagnostic(pname, f)));
+    }
+}
+
+/// The analyses [`body_safety`] runs on a design: one `(program name,
+/// program, options)` triple per distinct `(program, seed signature)`
+/// pair, in task order. Storage classes with a finite integral declared
+/// size seed the array length of the reader's input of the same name;
+/// every other input stays unknown.
+pub fn seeded_analyses<'a>(
+    view: &'a FlatView,
+    library: &'a ProgramLibrary,
+) -> Vec<(&'a str, &'a Program, AnalysisOptions)> {
     // Storage base name -> declared size, for classes whose size is a
     // meaningful array length (finite, integral, >= 1).
     let mut declared: BTreeMap<&str, f64> = BTreeMap::new();
@@ -51,42 +66,46 @@ pub fn body_safety(view: &FlatView, library: &ProgramLibrary, diags: &mut Vec<Di
         }
     }
     // Which tasks read which storage classes (to seed their inputs).
-    let mut feeds: BTreeMap<usize, Vec<&str>> = BTreeMap::new();
+    let mut feeds: Vec<Vec<&str>> = vec![Vec::new(); view.tasks.len()];
     for sc in &view.storages {
         for &r in &sc.readers {
-            feeds.entry(r).or_default().push(sc.base.as_str());
+            feeds[r].push(sc.base.as_str());
         }
     }
 
-    // One analysis per distinct (program, seed signature).
-    let mut done: BTreeSet<(String, Vec<(String, u64)>)> = BTreeSet::new();
+    // One analysis per distinct (program, seed signature). The keys
+    // borrow from the view: the 586-task tiled LU asks for 209 analyses,
+    // and the other tasks cost one set lookup, not a handful of Strings.
+    let mut done: BTreeSet<(&str, Vec<(&str, u64)>)> = BTreeSet::new();
+    let mut out = Vec::new();
     for (t, task) in view.tasks.iter().enumerate() {
-        let Some(pname) = &task.program else { continue };
+        let Some(pname) = task.program.as_deref() else {
+            continue;
+        };
         let Some(prog) = library.get(pname) else {
             continue; // B010 already reported by the interface pass
         };
-        let mut opts = AnalysisOptions::default();
-        let mut signature: Vec<(String, u64)> = Vec::new();
-        if let Some(bases) = feeds.get(&t) {
-            for base in bases {
-                if !prog.inputs.iter().any(|v| v == base) {
-                    continue;
-                }
-                if let Some(&size) = declared.get(base) {
-                    let mut v = AbsVal::array(Interval::point(size));
-                    v.len_declared = true;
-                    opts.inputs.insert((*base).to_string(), v);
-                    signature.push(((*base).to_string(), size as u64));
-                }
-            }
-        }
+        // Sizes are keyed by bit pattern: exact, and `Ord`.
+        let mut signature: Vec<(&str, u64)> = feeds[t]
+            .iter()
+            .filter(|base| prog.inputs.iter().any(|v| v == *base))
+            .filter_map(|base| declared.get(base).map(|size| (*base, size.to_bits())))
+            .collect();
         signature.sort();
-        if !done.insert((pname.clone(), signature)) {
+        let key = (pname, signature);
+        if done.contains(&key) {
             continue;
         }
-        let analysis = analyze_with(prog, &opts);
-        diags.extend(analysis.findings.iter().map(|f| to_diagnostic(pname, f)));
+        let mut opts = AnalysisOptions::default();
+        for &(base, size) in &key.1 {
+            let mut v = AbsVal::array(Interval::point(f64::from_bits(size)));
+            v.len_declared = true;
+            opts.inputs.insert(base.to_string(), v);
+        }
+        done.insert(key);
+        out.push((pname, prog, opts));
     }
+    out
 }
 
 fn to_diagnostic(pname: &str, f: &Finding) -> Diagnostic {

@@ -6,7 +6,8 @@ use crate::diag::{sort_diagnostics, Code, Diagnostic, Location};
 use banger_calc::ast::{Expr, Stmt};
 use banger_calc::{Program, ProgramLibrary};
 use banger_taskgraph::HierGraph;
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Runs every pass over `design` (checked against `library`) and returns
 /// the findings in stable presentation order.
@@ -21,13 +22,22 @@ pub fn diagnose(design: &HierGraph, library: &ProgramLibrary) -> Vec<Diagnostic>
     diags
 }
 
-/// All tasks reachable from each task, as one boolean matrix row per task.
-/// DFS per node: correct on cyclic graphs too.
-fn reachability(adj: &[Vec<usize>]) -> Vec<Vec<bool>> {
-    let n = adj.len();
-    let mut reach = vec![vec![false; n]; n];
+/// Reachability rows for the tasks in `sources` only: `rows[&a][b]` is
+/// true when a precedence path leads from `a` to `b`. One DFS per
+/// source, correct on cyclic graphs too. The race passes ask about
+/// writers and readers of multi-writer storage, a handful of tasks; a
+/// row per *task* is n^2 bytes, 10 GB at 100k tasks.
+fn reachability(
+    adj: &[Vec<usize>],
+    sources: impl IntoIterator<Item = usize>,
+) -> BTreeMap<usize, Vec<bool>> {
+    let mut rows = BTreeMap::new();
     let mut stack = Vec::new();
-    for (start, row) in reach.iter_mut().enumerate() {
+    for start in sources {
+        let Entry::Vacant(slot) = rows.entry(start) else {
+            continue; // a task that both reads and writes, or writes twice
+        };
+        let mut row = vec![false; adj.len()];
         stack.push(start);
         while let Some(v) = stack.pop() {
             for &w in &adj[v] {
@@ -37,14 +47,24 @@ fn reachability(adj: &[Vec<usize>]) -> Vec<Vec<bool>> {
                 }
             }
         }
+        slot.insert(row);
     }
-    reach
+    rows
 }
 
 /// B001 (write/write race) and B002 (racy read).
 fn races(view: &FlatView, diags: &mut Vec<Diagnostic>) {
-    let full = reachability(&view.adjacency(None));
-    let ordered = |r: &[Vec<bool>], a: usize, b: usize| r[a][b] || r[b][a];
+    // Only storage with two writers or more can race; most designs have
+    // none, and then no reachability is computed at all.
+    let contested = || view.storages.iter().filter(|sc| sc.writers.len() >= 2);
+    if contested().next().is_none() {
+        return;
+    }
+    let full = reachability(
+        &view.adjacency(None),
+        contested().flat_map(|sc| sc.writers.iter().copied()),
+    );
+    let ordered = |r: &BTreeMap<usize, Vec<bool>>, a: usize, b: usize| r[&a][b] || r[&b][a];
 
     for (si, sc) in view.storages.iter().enumerate() {
         if sc.writers.len() < 2 {
@@ -79,7 +99,10 @@ fn races(view: &FlatView, diags: &mut Vec<Diagnostic>) {
         // every read still ordered against every write by the rest of the
         // graph? A single-writer storage is an ordinary dataflow token, so
         // this only applies to multi-writer items.
-        let rest = reachability(&view.adjacency(Some(si)));
+        let rest = reachability(
+            &view.adjacency(Some(si)),
+            sc.readers.iter().chain(&sc.writers).copied(),
+        );
         for &r in &sc.readers {
             for &w in &sc.writers {
                 if r != w && !ordered(&rest, r, w) {
@@ -590,6 +613,39 @@ mod tests {
         assert!(b001[0].message.contains("`s`"), "{}", b001[0].message);
         // The unordered reads are also flagged.
         assert!(diags.iter().any(|d| d.code == Code::B002), "{diags:?}");
+    }
+
+    #[test]
+    fn fifty_thousand_task_chain_diagnoses_clean() {
+        // t0 -> t1 -> ... -> t49999. (One graph for both halves of the
+        // test: `HierGraph::add_arc` scans every arc for duplicates, so
+        // building it is the slow part.)
+        const N: usize = 50_000;
+        let mut g = HierGraph::new("chain");
+        let ids: Vec<_> = (0..N).map(|i| g.add_task(format!("t{i}"), 1.0)).collect();
+        for w in ids.windows(2) {
+            g.add_arc(w[0], w[1], "x", 1.0).unwrap();
+        }
+        // With no multi-writer storage the race pass computes no
+        // reachability at all (a row per task would be 2.5 GB here).
+        let diags = diagnose(&g, &ProgramLibrary::new());
+        assert!(diags.is_empty(), "{:?}", &diags[..diags.len().min(5)]);
+
+        // Both ends of the chain write `s` and the middle reads it: the
+        // writers are ordered by the chain (no B001), and so is the read
+        // against each of them (no B002). Three DFS rows, not 50,000.
+        let s = g.add_storage("s", 1.0);
+        g.add_flow(ids[0], s).unwrap();
+        g.add_flow(ids[N - 1], s).unwrap();
+        g.add_flow(s, ids[N / 2]).unwrap();
+        let diags = diagnose(&g, &ProgramLibrary::new());
+        assert!(
+            !diags
+                .iter()
+                .any(|d| matches!(d.code, Code::B001 | Code::B002)),
+            "{:?}",
+            &diags[..diags.len().min(5)]
+        );
     }
 
     #[test]

@@ -24,12 +24,26 @@
 //! degenerate to concrete execution (same f64 operations in the same
 //! order as the tree-walker), which is what makes constant-bound kernels
 //! analyze exactly.
+//!
+//! # Representation
+//!
+//! The walk never sees a name. [`analyze_with`] first resolves the
+//! program against its [`SymbolTable`] — the numbering the bytecode
+//! compiler uses — into a tree over slots with an expression arena, and
+//! prices every expression's fixed ticks while it does. An environment is
+//! then a flat vector of `Copy` states indexed by slot, an unassigned
+//! name being the bottom state; a join is a linear scan, a snapshot (one
+//! per loop entry, indeterminate branch and fixpoint) a `memcpy` into a
+//! recycled buffer; liveness is a bitset over the same slots. Findings
+//! are recorded as slots and turn into names once, after deduplication.
+//! DESIGN.md §13 says why none of this can change a result.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::ast::{BinOp, Expr, Program, Stmt, UnOp};
 use crate::builtins;
 use crate::error::Pos;
+use crate::symbols::{Slot, SymbolTable};
 use crate::value::Value;
 
 /// Statement-visit budget for the analyzer: loop unrolling stops once the
@@ -237,7 +251,7 @@ fn cmp_interval(definitely: bool, definitely_not: bool) -> Interval {
 /// array), `len` the range of possible *array lengths* (`None` =
 /// definitely a scalar). Both `Some` means "could be either" — the
 /// seeding for unknown inputs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbsVal {
     /// Possible scalar value range; `None` when definitely an array.
     pub num: Option<Interval>,
@@ -278,7 +292,7 @@ impl AbsVal {
     }
 
     /// The bottom element (join identity; value of an unassigned name).
-    pub fn bottom() -> AbsVal {
+    pub const fn bottom() -> AbsVal {
         AbsVal {
             num: None,
             len: None,
@@ -331,7 +345,7 @@ fn opt_join(
 
 /// Definite-initialization lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Init {
+enum Init {
     /// Unassigned on every path.
     No,
     /// Assigned on some paths only.
@@ -350,64 +364,76 @@ impl Init {
     }
 }
 
-/// Per-variable analysis state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VarState {
+/// Per-variable analysis state. `Copy`: an environment is a flat vector
+/// of these, snapshotted with `copy_from_slice`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct VarState {
     /// What we know about the value.
-    pub val: AbsVal,
+    val: AbsVal,
     /// Whether the variable is definitely assigned.
-    pub init: Init,
+    init: Init,
 }
 
 impl VarState {
+    /// The state of a name nothing has assigned: the bottom of both
+    /// lattices, so it is the identity of [`VarState::join`]. `init` is
+    /// `No` exactly when the state is this one.
+    const UNSET: VarState = VarState {
+        val: AbsVal::bottom(),
+        init: Init::No,
+    };
+
     fn assigned(val: AbsVal) -> VarState {
         VarState {
             val,
             init: Init::Yes,
         }
     }
-}
 
-/// The abstract environment: variable name → state. Absent names are
-/// unassigned (`Init::No`, bottom value).
-pub type Env = BTreeMap<String, VarState>;
-
-fn env_get<'e>(env: &'e Env, name: &str) -> Option<&'e VarState> {
-    env.get(name)
-}
-
-fn join_env(a: &Env, b: &Env) -> Env {
-    merge_env(a, b, false)
-}
-
-fn widen_env(older: &Env, newer: &Env) -> Env {
-    merge_env(older, newer, true)
-}
-
-fn merge_env(a: &Env, b: &Env, widen: bool) -> Env {
-    let mut out = Env::new();
-    let keys: BTreeSet<&String> = a.keys().chain(b.keys()).collect();
-    let bottom = VarState {
-        val: AbsVal::bottom(),
-        init: Init::No,
-    };
-    for k in keys {
-        let va = a.get(k).unwrap_or(&bottom);
-        let vb = b.get(k).unwrap_or(&bottom);
-        let val = if widen {
-            va.val.widen(&vb.val)
-        } else {
-            va.val.join(&vb.val)
-        };
-        out.insert(
-            k.clone(),
-            VarState {
-                val,
-                init: va.init.join(vb.init),
-            },
-        );
+    /// Least upper bound, `self` as the left operand (the order decides
+    /// the sign of a joined zero bound, so every call site keeps it).
+    fn join(self, other: VarState) -> VarState {
+        VarState {
+            val: self.val.join(&other.val),
+            init: self.init.join(other.init),
+        }
     }
-    out
+
+    fn widen(self, newer: VarState) -> VarState {
+        VarState {
+            val: self.val.widen(&newer.val),
+            init: self.init.join(newer.init),
+        }
+    }
+}
+
+/// The abstract environment: one [`VarState`] per [`Slot`] of the
+/// program's symbol table. Its length never changes during a walk.
+type Env = [VarState];
+
+/// Spare buffers for the walker's snapshots. A loop nest takes a
+/// snapshot per loop entry; handing the buffers back keeps the whole
+/// analysis at a handful of allocations however many entries there are.
+struct Pool<T> {
+    free: Vec<Vec<T>>,
+}
+
+impl<T: Copy> Pool<T> {
+    fn new() -> Self {
+        Pool { free: Vec::new() }
+    }
+
+    /// A buffer holding a copy of `src`.
+    fn copy_of(&mut self, src: &[T]) -> Vec<T> {
+        let mut buf = self.free.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(src);
+        buf
+    }
+
+    fn recycle(&mut self, buf: Vec<T>) {
+        self.free.push(buf);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -469,17 +495,6 @@ impl FindingKind {
             FindingKind::NoVariant { .. } => "no-variant",
             FindingKind::DeadAssign { .. } => "dead-assign",
             FindingKind::OutputUnset { .. } => "output-unset",
-        }
-    }
-
-    fn subject(&self) -> &str {
-        match self {
-            FindingKind::UninitRead { var }
-            | FindingKind::IndexOut { var, .. }
-            | FindingKind::DeadAssign { var }
-            | FindingKind::OutputUnset { var } => var,
-            FindingKind::Domain { func } => func,
-            FindingKind::DivByZero | FindingKind::NoVariant { .. } => "",
         }
     }
 }
@@ -557,6 +572,411 @@ impl Cost {
 }
 
 // ---------------------------------------------------------------------------
+// Resolved program
+// ---------------------------------------------------------------------------
+
+/// Index into [`Resolved::exprs`].
+type ExprId = u32;
+
+/// An expression with every name resolved to its slot and every call to
+/// its builtin. Children are arena indices, so the node is `Copy`.
+#[derive(Debug, Clone, Copy)]
+enum RExpr {
+    Num(f64),
+    Var(Slot),
+    Index(Slot, ExprId),
+    /// `func` indexes [`builtins::BUILTINS`]; `None` for an unknown name
+    /// or a wrong argument count (the interpreter aborts before touching
+    /// an argument). The arguments are `args[first..first + argc]`.
+    Call {
+        func: Option<u16>,
+        first: u32,
+        argc: u32,
+    },
+    Bin(BinOp, ExprId, ExprId),
+    Un(UnOp, ExprId),
+}
+
+/// A statement over slots. Loops carry what the walker asks about their
+/// bodies' syntax — assigned sets, visit counts — computed once.
+#[derive(Debug)]
+enum RStmt {
+    Assign {
+        var: Slot,
+        expr: ExprId,
+        pos: Pos,
+    },
+    AssignIndex {
+        var: Slot,
+        index: ExprId,
+        expr: ExprId,
+        pos: Pos,
+    },
+    If {
+        cond: ExprId,
+        then_body: Vec<RStmt>,
+        else_body: Vec<RStmt>,
+        pos: Pos,
+    },
+    While(WhileLoop),
+    For(ForLoop),
+    Print {
+        expr: ExprId,
+        pos: Pos,
+    },
+}
+
+#[derive(Debug)]
+struct WhileLoop {
+    cond: ExprId,
+    body: Vec<RStmt>,
+    pos: Pos,
+    /// Slots assigned anywhere in the body, sorted.
+    assigned: Vec<Slot>,
+    /// The condition's variables, in name order, when the body assigns
+    /// none of them: the loop has no decreasing variant.
+    stuck_on: Option<Vec<Slot>>,
+}
+
+#[derive(Debug)]
+struct ForLoop {
+    var: Slot,
+    from: ExprId,
+    to: ExprId,
+    body: Vec<RStmt>,
+    pos: Pos,
+    /// Statement visits of one iteration (body statements + 1).
+    visits: u64,
+    /// Slots assigned anywhere in the body, sorted.
+    assigned: Vec<Slot>,
+    /// `var` plus the slots assigned on *every* path through one
+    /// iteration (branches intersect; loops may run zero times and
+    /// element stores need the array to exist, so neither counts).
+    must: Vec<Slot>,
+}
+
+/// A program lowered for analysis: names are resolved once per
+/// [`analyze_with`] call, here, and never looked up again.
+struct Resolved<'a> {
+    syms: SymbolTable<'a>,
+    exprs: Vec<RExpr>,
+    /// Per expression, parallel to `exprs`: the operations the
+    /// interpreter ticks evaluating it, as far as they are fixed by its
+    /// shape — everything except the right operands of `and`/`or`, which
+    /// may be skipped (see [`Walker::eval_logic`]).
+    ticks: Vec<f64>,
+    args: Vec<ExprId>,
+    body: Vec<RStmt>,
+    /// Slots the body assigns anywhere, sorted.
+    assigned: Vec<Slot>,
+    inputs: Vec<Slot>,
+    outputs: Vec<Slot>,
+}
+
+impl<'a> Resolved<'a> {
+    fn of(prog: &'a Program) -> Self {
+        let mut r = Resolver {
+            syms: SymbolTable::for_program(prog),
+            exprs: Vec::new(),
+            ticks: Vec::new(),
+            args: Vec::new(),
+        };
+        let mut assigned = Vec::new();
+        let body = r.block(&prog.body, &mut assigned);
+        sort_dedup(&mut assigned);
+        let inputs = prog.inputs.iter().map(|n| r.syms.intern(n)).collect();
+        let outputs = prog.outputs.iter().map(|n| r.syms.intern(n)).collect();
+        Resolved {
+            syms: r.syms,
+            exprs: r.exprs,
+            ticks: r.ticks,
+            args: r.args,
+            body,
+            assigned,
+            inputs,
+            outputs,
+        }
+    }
+
+    fn name(&self, slot: Slot) -> String {
+        self.syms.name(slot).to_string()
+    }
+
+    /// Sets the bit of every variable `e` mentions.
+    fn mark_vars(&self, e: ExprId, bits: &mut [u64]) {
+        for_each_var(&self.exprs, &self.args, e, &mut |v| set_bit(bits, v));
+    }
+}
+
+/// Calls `f` with every variable the expression mentions, first mention
+/// first — the arguments of calls that cannot be resolved included.
+fn for_each_var(exprs: &[RExpr], args: &[ExprId], e: ExprId, f: &mut impl FnMut(Slot)) {
+    match exprs[e as usize] {
+        RExpr::Num(_) => {}
+        RExpr::Var(v) => f(v),
+        RExpr::Index(v, idx) => {
+            f(v);
+            for_each_var(exprs, args, idx, f);
+        }
+        RExpr::Call { first, argc, .. } => {
+            for &a in &args[first as usize..(first + argc) as usize] {
+                for_each_var(exprs, args, a, f);
+            }
+        }
+        RExpr::Bin(_, l, r) => {
+            for_each_var(exprs, args, l, f);
+            for_each_var(exprs, args, r, f);
+        }
+        RExpr::Un(_, inner) => for_each_var(exprs, args, inner, f),
+    }
+}
+
+fn sort_dedup(slots: &mut Vec<Slot>) {
+    slots.sort_unstable();
+    slots.dedup();
+}
+
+/// The lowering pass. Names are interned in the bytecode compiler's
+/// order (target before operands, left before right), so a program
+/// numbers its variables the same way in both.
+struct Resolver<'a> {
+    syms: SymbolTable<'a>,
+    exprs: Vec<RExpr>,
+    ticks: Vec<f64>,
+    args: Vec<ExprId>,
+}
+
+impl<'a> Resolver<'a> {
+    /// Appends a node whose children are already in the arena, pricing
+    /// it with the interpreter's tick model: an element read, an
+    /// operator and a call tick once (a call, its builtin's cost) on top
+    /// of their operands; a call that cannot be resolved aborts before
+    /// evaluating anything.
+    fn push(&mut self, e: RExpr) -> ExprId {
+        let of = |id: ExprId| self.ticks[id as usize];
+        let ticks = match e {
+            RExpr::Num(_) | RExpr::Var(_) | RExpr::Call { func: None, .. } => 0.0,
+            RExpr::Index(_, idx) => of(idx) + 1.0,
+            RExpr::Call {
+                func: Some(f),
+                first,
+                argc,
+            } => {
+                let args = &self.args[first as usize..(first + argc) as usize];
+                args.iter().map(|&a| of(a)).sum::<f64>()
+                    + builtins::BUILTINS[f as usize].cost as f64
+            }
+            RExpr::Bin(BinOp::And | BinOp::Or, lhs, _) => of(lhs) + 1.0,
+            RExpr::Bin(_, lhs, rhs) => of(lhs) + of(rhs) + 1.0,
+            RExpr::Un(_, inner) => of(inner) + 1.0,
+        };
+        self.exprs.push(e);
+        self.ticks.push(ticks);
+        (self.exprs.len() - 1) as ExprId
+    }
+
+    fn expr(&mut self, e: &'a Expr) -> ExprId {
+        let node = match e {
+            Expr::Num(v) => RExpr::Num(*v),
+            Expr::Var(name) => RExpr::Var(self.syms.intern(name)),
+            Expr::Index(name, idx) => {
+                let var = self.syms.intern(name);
+                RExpr::Index(var, self.expr(idx))
+            }
+            Expr::Call(name, args) => {
+                let func = builtins::index_of(name)
+                    .filter(|&i| builtins::BUILTINS[i].arity == args.len())
+                    .map(|i| i as u16);
+                let ids: Vec<ExprId> = args.iter().map(|a| self.expr(a)).collect();
+                let first = self.args.len() as u32;
+                self.args.extend_from_slice(&ids);
+                RExpr::Call {
+                    func,
+                    first,
+                    argc: ids.len() as u32,
+                }
+            }
+            Expr::Bin(op, lhs, rhs) => {
+                let l = self.expr(lhs);
+                RExpr::Bin(*op, l, self.expr(rhs))
+            }
+            Expr::Un(op, inner) => RExpr::Un(*op, self.expr(inner)),
+        };
+        self.push(node)
+    }
+
+    /// Lowers a statement list, appending every slot it assigns
+    /// (syntactically, anywhere) to `assigned`.
+    fn block(&mut self, stmts: &'a [Stmt], assigned: &mut Vec<Slot>) -> Vec<RStmt> {
+        stmts.iter().map(|s| self.stmt(s, assigned)).collect()
+    }
+
+    fn stmt(&mut self, s: &'a Stmt, assigned: &mut Vec<Slot>) -> RStmt {
+        match s {
+            Stmt::Assign { var, expr, pos } => {
+                let var = self.syms.intern(var);
+                assigned.push(var);
+                RStmt::Assign {
+                    var,
+                    expr: self.expr(expr),
+                    pos: *pos,
+                }
+            }
+            Stmt::AssignIndex {
+                var,
+                index,
+                expr,
+                pos,
+            } => {
+                let var = self.syms.intern(var);
+                assigned.push(var);
+                let index = self.expr(index);
+                RStmt::AssignIndex {
+                    var,
+                    index,
+                    expr: self.expr(expr),
+                    pos: *pos,
+                }
+            }
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+                pos,
+            } => {
+                let cond = self.expr(cond);
+                let then_body = self.block(then_body, assigned);
+                RStmt::If {
+                    cond,
+                    then_body,
+                    else_body: self.block(else_body, assigned),
+                    pos: *pos,
+                }
+            }
+            Stmt::While { cond, body, pos } => {
+                let cond = self.expr(cond);
+                let mut inner = Vec::new();
+                let body = self.block(body, &mut inner);
+                sort_dedup(&mut inner);
+                let mut cond_vars = Vec::new();
+                for_each_var(&self.exprs, &self.args, cond, &mut |v| cond_vars.push(v));
+                let stuck_on = cond_vars
+                    .iter()
+                    .all(|v| inner.binary_search(v).is_err())
+                    .then(|| {
+                        cond_vars.sort_unstable_by_key(|&v| self.syms.name(v));
+                        cond_vars.dedup();
+                        cond_vars
+                    });
+                assigned.extend_from_slice(&inner);
+                RStmt::While(WhileLoop {
+                    cond,
+                    body,
+                    pos: *pos,
+                    assigned: inner,
+                    stuck_on,
+                })
+            }
+            Stmt::For {
+                var,
+                from,
+                to,
+                body,
+                pos,
+            } => {
+                let var = self.syms.intern(var);
+                let from = self.expr(from);
+                let to = self.expr(to);
+                let mut inner = Vec::new();
+                let body = self.block(body, &mut inner);
+                sort_dedup(&mut inner);
+                let mut must = must_assigned(&body);
+                must.push(var);
+                sort_dedup(&mut must);
+                assigned.push(var);
+                assigned.extend_from_slice(&inner);
+                RStmt::For(ForLoop {
+                    var,
+                    from,
+                    to,
+                    visits: count_stmts(&body) + 1,
+                    body,
+                    pos: *pos,
+                    assigned: inner,
+                    must,
+                })
+            }
+            Stmt::Print { expr, pos } => RStmt::Print {
+                expr: self.expr(expr),
+                pos: *pos,
+            },
+        }
+    }
+}
+
+fn count_stmts(stmts: &[RStmt]) -> u64 {
+    stmts
+        .iter()
+        .map(|s| {
+            1 + match s {
+                RStmt::If {
+                    then_body,
+                    else_body,
+                    ..
+                } => count_stmts(then_body) + count_stmts(else_body),
+                RStmt::While(WhileLoop { body, .. }) | RStmt::For(ForLoop { body, .. }) => {
+                    count_stmts(body)
+                }
+                _ => 0,
+            }
+        })
+        .sum()
+}
+
+/// Slots assigned on every path through one execution of `stmts`,
+/// sorted (see [`ForLoop::must`]).
+fn must_assigned(stmts: &[RStmt]) -> Vec<Slot> {
+    let mut out = Vec::new();
+    for s in stmts {
+        match s {
+            RStmt::Assign { var, .. } => out.push(*var),
+            RStmt::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                let t = must_assigned(then_body);
+                let e = must_assigned(else_body);
+                out.extend(t.iter().filter(|v| e.binary_search(v).is_ok()));
+            }
+            RStmt::AssignIndex { .. } | RStmt::While(_) | RStmt::For(_) | RStmt::Print { .. } => {}
+        }
+    }
+    sort_dedup(&mut out);
+    out
+}
+
+// -- bitsets over slots (the liveness pass) ----------------------------------
+
+fn set_bit(bits: &mut [u64], slot: Slot) {
+    bits[slot as usize / 64] |= 1 << (slot % 64);
+}
+
+fn clear_bit(bits: &mut [u64], slot: Slot) {
+    bits[slot as usize / 64] &= !(1 << (slot % 64));
+}
+
+fn has_bit(bits: &[u64], slot: Slot) -> bool {
+    bits[slot as usize / 64] & (1 << (slot % 64)) != 0
+}
+
+fn union_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Analysis driver
 // ---------------------------------------------------------------------------
 
@@ -598,60 +1018,65 @@ pub fn analyze(prog: &Program) -> Analysis {
 
 /// Analyzes `prog` under explicit options.
 pub fn analyze_with(prog: &Program, opts: &AnalysisOptions) -> Analysis {
-    let mut env = Env::new();
-    for (name, v) in builtins::CONSTANTS {
-        env.insert(
-            name.to_string(),
-            VarState::assigned(AbsVal::scalar(Interval::point(v))),
-        );
+    let code = Resolved::of(prog);
+    let mut env = vec![VarState::UNSET; code.syms.len()];
+    // Constants first (`SymbolTable::for_program` numbers them from 0),
+    // then inputs: an input named `pi` shadows it.
+    for (slot, (_, v)) in builtins::CONSTANTS.iter().enumerate() {
+        env[slot] = VarState::assigned(AbsVal::scalar(Interval::point(*v)));
     }
-    for name in &prog.inputs {
-        let val = opts.inputs.get(name).cloned().unwrap_or_else(AbsVal::any);
-        env.insert(name.clone(), VarState::assigned(val));
+    for (name, &slot) in prog.inputs.iter().zip(&code.inputs) {
+        let val = opts.inputs.get(name).copied().unwrap_or_else(AbsVal::any);
+        env[slot as usize] = VarState::assigned(val);
     }
     let mut w = Walker {
+        code: &code,
         findings: Vec::new(),
         steps: 0,
         budget: opts.budget.max(1),
+        envs: Pool::new(),
+        sets: Pool::new(),
+        rhs_cost: Cost::ZERO,
+        vals: Vec::new(),
+        points: Vec::new(),
     };
     let mut ctx = Ctx {
         reached: true,
         report: true,
         pos: None,
     };
-    let cost = w.exec_block(&prog.body, &mut env, &mut ctx);
+    let cost = w.exec_block(&code.body, &mut env, &mut ctx);
 
     // `out` variables must be assigned on every path (B044 family).
-    for out in &prog.outputs {
-        let init = env_get(&env, out).map(|v| v.init).unwrap_or(Init::No);
+    for (out, &slot) in prog.outputs.iter().zip(&code.outputs) {
         let pos = prog.decl_pos.get(out).copied();
-        match init {
-            Init::Yes => {}
-            Init::Maybe => w.findings.push(Finding {
-                kind: FindingKind::OutputUnset { var: out.clone() },
-                pos,
-                definite: false,
-            }),
+        let definite = match env[slot as usize].init {
+            Init::Yes => continue,
+            Init::Maybe => false,
             // Never assigned at all is already an interface error (B013);
             // only flag it here when the body *does* mention the variable
             // but every mention sits on a dead or partial path.
-            Init::No => {
-                if syntactically_assigns(&prog.body, out) {
-                    w.findings.push(Finding {
-                        kind: FindingKind::OutputUnset { var: out.clone() },
-                        pos,
-                        definite: ctx.reached,
-                    });
-                }
-            }
-        }
+            Init::No if code.assigned.binary_search(&slot).is_ok() => ctx.reached,
+            Init::No => continue,
+        };
+        w.findings.push(RawFinding {
+            kind: RawKind::OutputUnset(slot),
+            pos,
+            definite,
+        });
     }
 
     // Dead-assignment pass (backward liveness; B044 family).
-    let mut live: BTreeSet<String> = prog.outputs.iter().cloned().collect();
-    w.live_block(&prog.body, &mut live, true);
+    let mut live = vec![0u64; code.syms.len().div_ceil(64)];
+    for &slot in &code.outputs {
+        set_bit(&mut live, slot);
+    }
+    w.live_block(&code.body, &mut live, true);
 
-    let findings = normalize(w.findings);
+    let findings = normalize(&w.findings)
+        .into_iter()
+        .map(|f| f.publish(&code))
+        .collect();
     let exact = cost.lo == cost.hi && cost.lo.is_finite();
     Analysis {
         cost: StaticCost {
@@ -664,32 +1089,104 @@ pub fn analyze_with(prog: &Program, opts: &AnalysisOptions) -> Analysis {
     }
 }
 
+/// A finding as the walker records it: slots and builtin indices, no
+/// allocation. Only the findings that survive [`normalize`] are turned
+/// into public [`Finding`]s with names.
+#[derive(Debug, Clone, Copy)]
+struct RawFinding<'p> {
+    kind: RawKind<'p>,
+    pos: Option<Pos>,
+    definite: bool,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum RawKind<'p> {
+    UninitRead(Slot),
+    IndexOut {
+        var: Slot,
+        index: Interval,
+        len: Interval,
+        declared: bool,
+    },
+    DivByZero,
+    /// Index into [`builtins::BUILTINS`].
+    Domain(u16),
+    /// The loop's [`WhileLoop::stuck_on`].
+    NoVariant(&'p [Slot]),
+    DeadAssign(Slot),
+    OutputUnset(Slot),
+}
+
+impl RawFinding<'_> {
+    /// (kind, subject): with the position, the dedup site. Slots and
+    /// builtin indices map one-to-one onto names, so the pair identifies
+    /// what (kind tag, subject name) would, without the strings.
+    fn site(&self) -> (u8, u32) {
+        match self.kind {
+            RawKind::UninitRead(v) => (0, v),
+            RawKind::IndexOut { var, .. } => (1, var),
+            RawKind::DivByZero => (2, 0),
+            RawKind::Domain(f) => (3, f as u32),
+            RawKind::NoVariant(_) => (4, 0),
+            RawKind::DeadAssign(v) => (5, v),
+            RawKind::OutputUnset(v) => (6, v),
+        }
+    }
+
+    fn publish(self, code: &Resolved) -> Finding {
+        let kind = match self.kind {
+            RawKind::UninitRead(v) => FindingKind::UninitRead { var: code.name(v) },
+            RawKind::IndexOut {
+                var,
+                index,
+                len,
+                declared,
+            } => FindingKind::IndexOut {
+                var: code.name(var),
+                index,
+                len,
+                declared,
+            },
+            RawKind::DivByZero => FindingKind::DivByZero,
+            RawKind::Domain(f) => FindingKind::Domain {
+                func: builtins::BUILTINS[f as usize].name.to_string(),
+            },
+            RawKind::NoVariant(vars) => FindingKind::NoVariant {
+                vars: vars.iter().map(|&v| code.name(v)).collect(),
+            },
+            RawKind::DeadAssign(v) => FindingKind::DeadAssign { var: code.name(v) },
+            RawKind::OutputUnset(v) => FindingKind::OutputUnset { var: code.name(v) },
+        };
+        Finding {
+            kind,
+            pos: self.pos,
+            definite: self.definite,
+        }
+    }
+}
+
 /// Deduplicates findings by (kind, subject, position), merging "possible"
 /// repeats of one site into a single entry (definite wins; index/length
 /// intervals join).
-fn normalize(findings: Vec<Finding>) -> Vec<Finding> {
-    // Site key: (kind tag, subject, source position).
-    type SiteKey = (String, String, Option<(u32, u32)>);
-    let mut out: Vec<Finding> = Vec::new();
+fn normalize<'p>(findings: &[RawFinding<'p>]) -> Vec<RawFinding<'p>> {
+    type SiteKey = (u8, u32, Option<(u32, u32)>);
+    let mut out: Vec<RawFinding> = Vec::new();
     let mut index: BTreeMap<SiteKey, usize> = BTreeMap::new();
     for f in findings {
-        let key = (
-            f.kind.tag().to_string(),
-            f.kind.subject().to_string(),
-            f.pos.map(|p| (p.line, p.col)),
-        );
+        let (tag, subject) = f.site();
+        let key = (tag, subject, f.pos.map(|p| (p.line, p.col)));
         match index.get(&key) {
             Some(&i) => {
                 let prev = &mut out[i];
                 prev.definite |= f.definite;
                 if let (
-                    FindingKind::IndexOut {
+                    RawKind::IndexOut {
                         index: pi,
                         len: pl,
                         declared: pd,
                         ..
                     },
-                    FindingKind::IndexOut {
+                    RawKind::IndexOut {
                         index: ni,
                         len: nl,
                         declared: nd,
@@ -704,7 +1201,7 @@ fn normalize(findings: Vec<Finding>) -> Vec<Finding> {
             }
             None => {
                 index.insert(key, out.len());
-                out.push(f);
+                out.push(*f);
             }
         }
     }
@@ -729,16 +1226,36 @@ struct Ctx {
     pos: Option<Pos>,
 }
 
-struct Walker {
-    findings: Vec<Finding>,
-    steps: u64,
-    budget: u64,
+/// The state an abandoned trial goes back to (see
+/// [`Walker::begin_trial`]).
+struct Trial {
+    env: Vec<VarState>,
+    ctx: Ctx,
+    findings: usize,
 }
 
-impl Walker {
-    fn finding(&mut self, kind: FindingKind, ctx: &Ctx, definite_here: bool) {
+struct Walker<'p> {
+    code: &'p Resolved<'p>,
+    findings: Vec<RawFinding<'p>>,
+    steps: u64,
+    budget: u64,
+    /// Environment snapshots (one per loop entry, indeterminate branch
+    /// and fixpoint) and live sets, recycled.
+    envs: Pool<VarState>,
+    sets: Pool<u64>,
+    /// What the right operands of `and`/`or` have cost so far in the
+    /// statement expression being evaluated; zero between statements.
+    rhs_cost: Cost,
+    /// Argument values of the calls being evaluated, innermost on top.
+    vals: Vec<AbsVal>,
+    /// Scratch for the concrete arguments of an all-points call.
+    points: Vec<Value>,
+}
+
+impl<'p> Walker<'p> {
+    fn finding(&mut self, kind: RawKind<'p>, ctx: &Ctx, definite_here: bool) {
         if ctx.report {
-            self.findings.push(Finding {
+            self.findings.push(RawFinding {
                 kind,
                 pos: ctx.pos,
                 definite: definite_here && ctx.reached,
@@ -746,7 +1263,29 @@ impl Walker {
         }
     }
 
-    fn exec_block(&mut self, stmts: &[Stmt], env: &mut Env, ctx: &mut Ctx) -> Cost {
+    /// Starts a trial — a concrete run of a loop, in place, that may have
+    /// to be abandoned for the summarized path.
+    fn begin_trial(&mut self, env: &Env, ctx: &Ctx) -> Trial {
+        Trial {
+            env: self.envs.copy_of(env),
+            ctx: *ctx,
+            findings: self.findings.len(),
+        }
+    }
+
+    /// Ends a trial: kept as it stands, or abandoned — environment and
+    /// context put back, the findings it recorded dropped (the summary
+    /// re-derives them). `steps` is never put back: budget spent is spent.
+    fn end_trial(&mut self, trial: Trial, keep: bool, env: &mut Env, ctx: &mut Ctx) {
+        if !keep {
+            env.copy_from_slice(&trial.env);
+            *ctx = trial.ctx;
+            self.findings.truncate(trial.findings);
+        }
+        self.envs.recycle(trial.env);
+    }
+
+    fn exec_block(&mut self, stmts: &'p [RStmt], env: &mut Env, ctx: &mut Ctx) -> Cost {
         let mut cost = Cost::ZERO;
         for s in stmts {
             cost = cost.add(self.exec_stmt(s, env, ctx));
@@ -754,46 +1293,46 @@ impl Walker {
         cost
     }
 
-    fn exec_stmt(&mut self, s: &Stmt, env: &mut Env, ctx: &mut Ctx) -> Cost {
+    fn exec_stmt(&mut self, s: &'p RStmt, env: &mut Env, ctx: &mut Ctx) -> Cost {
         self.steps += 1;
         // Every statement entry ticks once in the interpreter.
         let mut cost = Cost::point(1.0);
         match s {
-            Stmt::Assign { var, expr, pos } => {
+            RStmt::Assign { var, expr, pos } => {
                 ctx.pos = Some(*pos);
-                let (v, c) = self.eval(expr, env, ctx);
+                let (v, c) = self.eval_root(*expr, env, ctx);
                 cost = cost.add(c);
-                env.insert(var.clone(), VarState::assigned(v));
+                env[*var as usize] = VarState::assigned(v);
             }
-            Stmt::AssignIndex {
+            RStmt::AssignIndex {
                 var,
                 index,
                 expr,
                 pos,
             } => {
                 ctx.pos = Some(*pos);
-                let (iv, ic) = self.eval(index, env, ctx);
-                let (_, vc) = self.eval(expr, env, ctx);
+                let (iv, ic) = self.eval_root(*index, env, ctx);
+                let (_, vc) = self.eval_root(*expr, env, ctx);
                 cost = cost.add(ic).add(vc);
                 // The store itself never ticks; the interpreter then
                 // requires the array to exist and the index in range.
-                let arr = self.check_read(var, env, ctx);
-                self.check_bounds(var, &iv, &arr, ctx);
+                let arr = self.check_read(*var, env, ctx);
+                self.check_bounds(*var, iv.num_or_top(), &arr, ctx);
             }
-            Stmt::If {
+            RStmt::If {
                 cond,
                 then_body,
                 else_body,
                 pos,
             } => {
                 ctx.pos = Some(*pos);
-                let (cv, cc) = self.eval(cond, env, ctx);
+                let (cv, cc) = self.eval_root(*cond, env, ctx);
                 cost = cost.add(cc);
                 match cv.num_or_top().truth() {
                     Some(true) => cost = cost.add(self.exec_block(then_body, env, ctx)),
                     Some(false) => cost = cost.add(self.exec_block(else_body, env, ctx)),
                     None => {
-                        let mut then_env = env.clone();
+                        let mut then_env = self.envs.copy_of(env);
                         let mut tctx = Ctx {
                             reached: false,
                             ..*ctx
@@ -804,44 +1343,34 @@ impl Walker {
                             ..*ctx
                         };
                         let ec = self.exec_block(else_body, env, &mut ectx);
-                        *env = join_env(&then_env, env);
+                        for (e, t) in env.iter_mut().zip(&then_env) {
+                            *e = t.join(*e);
+                        }
+                        self.envs.recycle(then_env);
                         cost = cost.add(tc.join(ec));
                     }
                 }
             }
-            Stmt::While { cond, body, pos } => {
-                ctx.pos = Some(*pos);
-                let mut trial_env = env.clone();
-                let mut trial_ctx = *ctx;
-                let fsnap = self.findings.len();
-                match self.concrete_while(cond, body, &mut trial_env, &mut trial_ctx) {
-                    Some(c) => {
-                        *env = trial_env;
-                        *ctx = trial_ctx;
-                        cost = cost.add(c);
-                    }
-                    None => {
-                        self.findings.truncate(fsnap);
-                        cost = cost.add(self.summarized_while(cond, body, env, ctx));
-                    }
-                }
+            RStmt::While(l) => {
+                ctx.pos = Some(l.pos);
+                let trial = self.begin_trial(env, ctx);
+                let concrete = self.concrete_while(l.cond, &l.body, env, ctx);
+                self.end_trial(trial, concrete.is_some(), env, ctx);
+                cost = cost.add(match concrete {
+                    Some(c) => c,
+                    None => self.summarized_while(l, env, ctx),
+                });
             }
-            Stmt::For {
-                var,
-                from,
-                to,
-                body,
-                pos,
-            } => {
-                ctx.pos = Some(*pos);
-                let (fv, fc) = self.eval(from, env, ctx);
-                let (tv, tc) = self.eval(to, env, ctx);
+            RStmt::For(l) => {
+                ctx.pos = Some(l.pos);
+                let (fv, fc) = self.eval_root(l.from, env, ctx);
+                let (tv, tc) = self.eval_root(l.to, env, ctx);
                 cost = cost.add(fc).add(tc);
-                cost = cost.add(self.exec_for(var, &fv, &tv, body, env, ctx));
+                cost = cost.add(self.exec_for(l, &fv, &tv, env, ctx));
             }
-            Stmt::Print { expr: e, pos } => {
+            RStmt::Print { expr: e, pos } => {
                 ctx.pos = Some(*pos);
-                let (_, c) = self.eval(e, env, ctx);
+                let (_, c) = self.eval_root(*e, env, ctx);
                 cost = cost.add(c);
             }
         }
@@ -852,10 +1381,9 @@ impl Walker {
     /// budget, otherwise summarize with inferred trip-count arithmetic.
     fn exec_for(
         &mut self,
-        var: &str,
+        l: &'p ForLoop,
         fv: &AbsVal,
         tv: &AbsVal,
-        body: &[Stmt],
         env: &mut Env,
         ctx: &mut Ctx,
     ) -> Cost {
@@ -869,15 +1397,13 @@ impl Walker {
 
         if f.is_point() && t.is_point() {
             let trips = max_trips;
-            let per_iter = (count_stmts(body) + 1) as f64;
+            let per_iter = l.visits as f64;
             if trips * per_iter <= (self.budget.saturating_sub(self.steps)) as f64 {
                 // UNROLL: concrete iteration, exact cost, per-iteration
                 // singleton loop variable (triangular nests stay exact).
                 // Discarded like `concrete_while`'s trial when it cannot
                 // finish: the summarized path re-derives findings.
-                let pre_env = env.clone();
-                let pre_ctx = *ctx;
-                let fsnap = self.findings.len();
+                let trial = self.begin_trial(env, ctx);
                 let mut cost = Cost::ZERO;
                 let mut i = f.lo;
                 let mut finished = true;
@@ -889,12 +1415,9 @@ impl Walker {
                         finished = false;
                         break;
                     }
-                    env.insert(
-                        var.to_string(),
-                        VarState::assigned(AbsVal::scalar(Interval::point(i))),
-                    );
+                    env[l.var as usize] = VarState::assigned(AbsVal::scalar(Interval::point(i)));
                     cost = cost
-                        .add(self.exec_block(body, env, ctx))
+                        .add(self.exec_block(&l.body, env, ctx))
                         .add(Cost::point(1.0));
                     let next = i + 1.0;
                     if next == i {
@@ -907,12 +1430,10 @@ impl Walker {
                     }
                     i = next;
                 }
+                self.end_trial(trial, finished, env, ctx);
                 if finished {
                     return cost;
                 }
-                *env = pre_env;
-                *ctx = pre_ctx;
-                self.findings.truncate(fsnap);
             }
         }
         if max_trips == 0.0 {
@@ -922,24 +1443,26 @@ impl Walker {
         // SUMMARIZE: fixpoint over the body with the loop variable pinned
         // to its full range, then trip-count arithmetic. Point trip
         // counts with point body costs stay exact without unrolling.
-        let pre = env.clone();
+        let pre = self.envs.copy_of(env);
         let range = Interval::new(f.lo, t.hi);
-        let body_cost = self.fix(body, env, ctx, Some((var, range)));
+        let body_cost = self.fix(&l.body, &l.assigned, env, ctx, Some((l.var, range)));
         if min_trips == 0.0 {
-            *env = join_env(env, &pre);
+            for (e, p) in env.iter_mut().zip(&pre) {
+                *e = e.join(*p);
+            }
         } else {
             // The loop definitely executes, so the loop variable and every
             // name assigned on all paths through the body are initialized
             // afterwards; `fix` joined with the pre-loop state and demoted
             // them to `Maybe`.
-            let mut definite = must_assigned_vars(body);
-            definite.insert(var.to_string());
-            for v in definite {
-                if let Some(vs) = env.get_mut(&v) {
+            for &v in &l.must {
+                let vs = &mut env[v as usize];
+                if vs.init != Init::No {
                     vs.init = Init::Yes;
                 }
             }
         }
+        self.envs.recycle(pre);
         let trips_est = if max_trips.is_finite() {
             0.5 * (min_trips + max_trips)
         } else {
@@ -961,12 +1484,12 @@ impl Walker {
 
     /// Runs a `while` loop concretely while the condition stays
     /// determinate and the budget holds. Returns `None` (with `env`,
-    /// `ctx` and findings to be discarded by the caller) when the loop
+    /// `ctx` and findings to be put back by the caller) when the loop
     /// must be summarized instead.
     fn concrete_while(
         &mut self,
-        cond: &Expr,
-        body: &[Stmt],
+        cond: ExprId,
+        body: &'p [RStmt],
         env: &mut Env,
         ctx: &mut Ctx,
     ) -> Option<Cost> {
@@ -976,7 +1499,7 @@ impl Walker {
             if self.steps > self.budget {
                 return None;
             }
-            let (cv, cc) = self.eval(cond, env, ctx);
+            let (cv, cc) = self.eval_root(cond, env, ctx);
             cost = cost.add(cc);
             match cv.num_or_top().truth() {
                 Some(false) => return Some(cost),
@@ -997,35 +1520,24 @@ impl Walker {
     /// Sound summary of a `while` loop: one reported condition
     /// evaluation, a widening fixpoint over the body, unbounded upper
     /// cost, `LOOP_FACTOR` point estimate.
-    fn summarized_while(
-        &mut self,
-        cond: &Expr,
-        body: &[Stmt],
-        env: &mut Env,
-        ctx: &mut Ctx,
-    ) -> Cost {
-        let cond_vars = expr_vars(cond);
-        let body_assigns = assigned_vars(body);
-        if cond_vars.iter().all(|v| !body_assigns.contains(v)) {
+    fn summarized_while(&mut self, l: &'p WhileLoop, env: &mut Env, ctx: &mut Ctx) -> Cost {
+        if let Some(vars) = &l.stuck_on {
             // No condition variable is ever assigned in the body (this
             // includes constant guards like `while 1`): the interval
             // model has no decreasing variant at all.
-            self.finding(
-                FindingKind::NoVariant {
-                    vars: cond_vars.into_iter().collect(),
-                },
-                ctx,
-                false,
-            );
+            self.finding(RawKind::NoVariant(vars), ctx, false);
         }
 
-        let (cv, cc) = self.eval(cond, env, ctx);
+        let (cv, cc) = self.eval_root(l.cond, env, ctx);
         if cv.num_or_top().truth() == Some(false) {
             return cc; // loop never entered
         }
-        let pre = env.clone();
-        let body_cost = self.fix(body, env, ctx, None);
-        *env = join_env(env, &pre);
+        let pre = self.envs.copy_of(env);
+        let body_cost = self.fix(&l.body, &l.assigned, env, ctx, None);
+        for (e, p) in env.iter_mut().zip(&pre) {
+            *e = e.join(*p);
+        }
+        self.envs.recycle(pre);
         ctx.reached = false;
         Cost {
             lo: cc.lo,
@@ -1037,22 +1549,25 @@ impl Walker {
     /// Widening fixpoint over a loop body. Mutates `env` into a
     /// post-fixpoint (the loop invariant joined with the final reporting
     /// pass) and returns the body cost measured on the stabilized state.
+    /// `assigned` is the body's syntactic assignment set.
     fn fix(
         &mut self,
-        body: &[Stmt],
+        body: &'p [RStmt],
+        assigned: &[Slot],
         env: &mut Env,
         ctx: &Ctx,
-        loop_var: Option<(&str, Interval)>,
+        loop_var: Option<(Slot, Interval)>,
     ) -> Cost {
         let seed = |e: &mut Env| {
             if let Some((v, iv)) = loop_var {
-                e.insert(v.to_string(), VarState::assigned(AbsVal::scalar(iv)));
+                e[v as usize] = VarState::assigned(AbsVal::scalar(iv));
             }
         };
-        let mut cur = env.clone();
+        let mut cur = self.envs.copy_of(env);
+        let mut trial = self.envs.copy_of(env);
         let mut stable = false;
         for round in 0..12 {
-            let mut trial = cur.clone();
+            trial.copy_from_slice(&cur);
             seed(&mut trial);
             let mut c = Ctx {
                 reached: false,
@@ -1060,62 +1575,61 @@ impl Walker {
                 pos: ctx.pos,
             };
             let _ = self.exec_block(body, &mut trial, &mut c);
-            let joined = join_env(&cur, &trial);
-            if joined == cur {
+            // `trial` becomes `cur ⊔ trial`.
+            for (t, c) in trial.iter_mut().zip(&cur) {
+                *t = c.join(*t);
+            }
+            if trial == cur {
                 stable = true;
                 break;
             }
-            cur = if round == 0 {
-                joined
+            if round == 0 {
+                std::mem::swap(&mut cur, &mut trial);
             } else {
-                widen_env(&cur, &joined)
-            };
+                for (c, j) in cur.iter_mut().zip(&trial) {
+                    *c = c.widen(*j);
+                }
+            }
         }
         if !stable {
             // Provably post-fixpoint fallback: every body-assigned
             // variable goes fully unknown.
-            for v in assigned_vars(body) {
-                cur.insert(
-                    v,
-                    VarState {
-                        val: AbsVal::any(),
-                        init: Init::Maybe,
-                    },
-                );
+            for &v in assigned {
+                cur[v as usize] = VarState {
+                    val: AbsVal::any(),
+                    init: Init::Maybe,
+                };
             }
         }
         // One reporting pass over the stabilized state.
-        let mut report_env = cur.clone();
-        seed(&mut report_env);
+        trial.copy_from_slice(&cur);
+        seed(&mut trial);
         let mut c = Ctx {
             reached: false,
             report: ctx.report,
             pos: ctx.pos,
         };
-        let body_cost = self.exec_block(body, &mut report_env, &mut c);
-        *env = join_env(&cur, &report_env);
+        let body_cost = self.exec_block(body, &mut trial, &mut c);
+        for ((e, c), r) in env.iter_mut().zip(&cur).zip(&trial) {
+            *e = c.join(*r);
+        }
+        self.envs.recycle(cur);
+        self.envs.recycle(trial);
         body_cost
     }
 
     /// Checks a variable read for definite initialization, recording a
     /// finding when it may be unset. Returns the abstract value.
-    fn check_read(&mut self, var: &str, env: &Env, ctx: &mut Ctx) -> AbsVal {
-        match env_get(env, var) {
-            Some(vs) => {
-                match vs.init {
-                    Init::Yes => {}
-                    Init::Maybe => {
-                        self.finding(FindingKind::UninitRead { var: var.into() }, ctx, false);
-                    }
-                    Init::No => {
-                        self.finding(FindingKind::UninitRead { var: var.into() }, ctx, true);
-                        ctx.reached = false;
-                    }
-                }
-                vs.val.clone()
+    fn check_read(&mut self, var: Slot, env: &Env, ctx: &mut Ctx) -> AbsVal {
+        let vs = env[var as usize];
+        match vs.init {
+            Init::Yes => vs.val,
+            Init::Maybe => {
+                self.finding(RawKind::UninitRead(var), ctx, false);
+                vs.val
             }
-            None => {
-                self.finding(FindingKind::UninitRead { var: var.into() }, ctx, true);
+            Init::No => {
+                self.finding(RawKind::UninitRead(var), ctx, true);
                 ctx.reached = false;
                 AbsVal::any()
             }
@@ -1123,12 +1637,12 @@ impl Walker {
     }
 
     /// Bounds-checks an index against the array's known length range.
-    fn check_bounds(&mut self, var: &str, index: &AbsVal, arr: &AbsVal, ctx: &mut Ctx) {
+    fn check_bounds(&mut self, var: Slot, index: Interval, arr: &AbsVal, ctx: &mut Ctx) {
         let len = match arr.len {
             Some(l) => l,
             None => return, // definitely a scalar: NotAnArray, not B041
         };
-        let idx = index.num_or_top().round();
+        let idx = index.round();
         let definite = idx.hi < 1.0 || idx.lo > len.hi;
         // "Possibly out" measures against the *minimum* feasible length
         // (an index of 4 into len ∈ [3,5] can fail at runtime) — but only
@@ -1142,8 +1656,8 @@ impl Walker {
         }
         let declared = arr.len_declared;
         self.finding(
-            FindingKind::IndexOut {
-                var: var.into(),
+            RawKind::IndexOut {
+                var,
                 index: idx,
                 len,
                 declared,
@@ -1156,428 +1670,311 @@ impl Walker {
         }
     }
 
-    fn eval(&mut self, expr: &Expr, env: &mut Env, ctx: &mut Ctx) -> (AbsVal, Cost) {
-        match expr {
-            Expr::Num(v) => (AbsVal::scalar(Interval::point(*v)), Cost::ZERO),
-            Expr::Var(name) => (self.check_read(name, env, ctx), Cost::ZERO),
-            Expr::Index(name, idx) => {
-                let (iv, ic) = self.eval(idx, env, ctx);
-                let arr = self.check_read(name, env, ctx);
-                self.check_bounds(name, &iv, &arr, ctx);
-                // Element values are not tracked; the read ticks once.
-                (AbsVal::scalar(Interval::TOP), ic.add(Cost::point(1.0)))
+    /// Evaluates a statement's expression: its abstract value and what
+    /// the interpreter ticks for it. The static part of the ticks was
+    /// summed when the program was resolved ([`Resolved::ticks`]); only
+    /// the right operands of `and`/`or` are priced during the walk.
+    fn eval_root(&mut self, expr: ExprId, env: &Env, ctx: &mut Ctx) -> (AbsVal, Cost) {
+        let v = self.eval(expr, env, ctx);
+        let rhs = std::mem::replace(&mut self.rhs_cost, Cost::ZERO);
+        (v, Cost::point(self.code.ticks[expr as usize]).add(rhs))
+    }
+
+    fn eval(&mut self, expr: ExprId, env: &Env, ctx: &mut Ctx) -> AbsVal {
+        match self.code.exprs[expr as usize] {
+            RExpr::Var(var) => self.check_read(var, env, ctx),
+            RExpr::Call { func, first, argc } => self.eval_call(func, first, argc, env, ctx),
+            _ => AbsVal::scalar(self.eval_num(expr, env, ctx)),
+        }
+    }
+
+    /// [`eval`](Self::eval) where only the scalar range is wanted (an
+    /// operand, an index, a bound): top when the value is not a scalar.
+    fn eval_num(&mut self, expr: ExprId, env: &Env, ctx: &mut Ctx) -> Interval {
+        match self.code.exprs[expr as usize] {
+            RExpr::Num(v) => Interval::point(v),
+            RExpr::Var(var) => self.check_read(var, env, ctx).num_or_top(),
+            RExpr::Index(var, idx) => {
+                let iv = self.eval_num(idx, env, ctx);
+                let arr = self.check_read(var, env, ctx);
+                self.check_bounds(var, iv, &arr, ctx);
+                // Element values are not tracked.
+                Interval::TOP
             }
-            Expr::Call(name, args) => self.eval_call(name, args, env, ctx),
-            Expr::Bin(op, lhs, rhs) => match op {
-                BinOp::And | BinOp::Or => self.eval_logic(*op, lhs, rhs, env, ctx),
-                _ => {
-                    let (lv, lc) = self.eval(lhs, env, ctx);
-                    let (rv, rc) = self.eval(rhs, env, ctx);
-                    let l = lv.num_or_top();
-                    let r = rv.num_or_top();
-                    if *op == BinOp::Div && r.lo == 0.0 && r.hi == 0.0 {
-                        self.finding(FindingKind::DivByZero, ctx, true);
-                    }
-                    (
-                        AbsVal::scalar(abs_bin(*op, l, r)),
-                        lc.add(rc).add(Cost::point(1.0)),
-                    )
+            RExpr::Call { func, first, argc } => {
+                self.eval_call(func, first, argc, env, ctx).num_or_top()
+            }
+            RExpr::Bin(op @ (BinOp::And | BinOp::Or), lhs, rhs) => {
+                self.eval_logic(op, lhs, rhs, env, ctx)
+            }
+            RExpr::Bin(op, lhs, rhs) => {
+                let l = self.eval_num(lhs, env, ctx);
+                let r = self.eval_num(rhs, env, ctx);
+                if op == BinOp::Div && r.lo == 0.0 && r.hi == 0.0 {
+                    self.finding(RawKind::DivByZero, ctx, true);
                 }
-            },
-            Expr::Un(op, inner) => {
-                let (v, c) = self.eval(inner, env, ctx);
-                let i = v.num_or_top();
-                let out = match op {
+                abs_bin(op, l, r)
+            }
+            RExpr::Un(op, inner) => {
+                let i = self.eval_num(inner, env, ctx);
+                match op {
                     UnOp::Neg => Interval::new(-i.hi, -i.lo),
                     UnOp::Not => match i.truth() {
                         Some(t) => Interval::point(if t { 0.0 } else { 1.0 }),
                         None => Interval::new(0.0, 1.0),
                     },
-                };
-                (AbsVal::scalar(out), c.add(Cost::point(1.0)))
+                }
             }
         }
     }
 
     /// `and` / `or` with the interpreter's short-circuit tick placement:
-    /// left operand, one tick, then the right operand only when needed.
+    /// left operand, one tick (both static), then the right operand only
+    /// when needed — priced here, into `rhs_cost`.
     fn eval_logic(
         &mut self,
         op: BinOp,
-        lhs: &Expr,
-        rhs: &Expr,
-        env: &mut Env,
+        lhs: ExprId,
+        rhs: ExprId,
+        env: &Env,
         ctx: &mut Ctx,
-    ) -> (AbsVal, Cost) {
-        let (lv, lc) = self.eval(lhs, env, ctx);
-        let mut cost = lc.add(Cost::point(1.0));
-        let lt = lv.num_or_top().truth();
-        let short = match (op, lt) {
-            (BinOp::And, Some(false)) => Some(0.0),
-            (BinOp::Or, Some(true)) => Some(1.0),
-            _ => None,
-        };
-        if let Some(v) = short {
-            return (AbsVal::scalar(Interval::point(v)), cost);
+    ) -> Interval {
+        let lt = self.eval_num(lhs, env, ctx).truth();
+        match (op, lt) {
+            (BinOp::And, Some(false)) => return Interval::point(0.0),
+            (BinOp::Or, Some(true)) => return Interval::point(1.0),
+            _ => {}
         }
-        if lt.is_some() {
-            // Right side definitely evaluated.
-            let (rv, rc) = self.eval(rhs, env, ctx);
-            cost = cost.add(rc);
-            let out = match rv.num_or_top().truth() {
-                Some(t) => Interval::point(if t { 1.0 } else { 0.0 }),
-                None => Interval::new(0.0, 1.0),
-            };
-            return (AbsVal::scalar(out), cost);
-        }
-        // May or may not evaluate the right side: its findings are only
-        // "possible", its cost only contributes to the upper bound.
+        // The right operand's own cost: its static ticks plus whatever
+        // nested right operands add while it is evaluated.
+        let outer = std::mem::replace(&mut self.rhs_cost, Cost::ZERO);
         let saved = ctx.reached;
-        ctx.reached = false;
-        let (_, rc) = self.eval(rhs, env, ctx);
-        ctx.reached = saved;
-        cost.hi += rc.hi;
-        cost.est += 0.5 * rc.est;
-        (AbsVal::scalar(Interval::new(0.0, 1.0)), cost)
+        if lt.is_none() {
+            // May or may not be evaluated: its findings are only
+            // "possible", its cost only contributes to the upper bound.
+            ctx.reached = false;
+        }
+        let rt = self.eval_num(rhs, env, ctx).truth();
+        let rc = Cost::point(self.code.ticks[rhs as usize]).add(self.rhs_cost);
+        self.rhs_cost = outer;
+        if lt.is_none() {
+            ctx.reached = saved;
+            self.rhs_cost.hi += rc.hi;
+            self.rhs_cost.est += 0.5 * rc.est;
+            return Interval::new(0.0, 1.0);
+        }
+        // Right side definitely evaluated.
+        self.rhs_cost = self.rhs_cost.add(rc);
+        match rt {
+            Some(t) => Interval::point(if t { 1.0 } else { 0.0 }),
+            None => Interval::new(0.0, 1.0),
+        }
     }
 
     fn eval_call(
         &mut self,
-        name: &str,
-        args: &[Expr],
-        env: &mut Env,
+        func: Option<u16>,
+        first: u32,
+        argc: u32,
+        env: &Env,
         ctx: &mut Ctx,
-    ) -> (AbsVal, Cost) {
-        let b = match builtins::lookup(name) {
-            Some(b) if args.len() == b.arity => b,
+    ) -> AbsVal {
+        let Some(func) = func else {
             // Unknown function / wrong arity: the interpreter aborts
             // before evaluating any argument.
-            _ => {
-                ctx.reached = false;
-                return (AbsVal::any(), Cost::ZERO);
-            }
+            ctx.reached = false;
+            return AbsVal::any();
         };
-        let mut cost = Cost::ZERO;
-        let mut vals = Vec::with_capacity(args.len());
-        for a in args {
-            let (v, c) = self.eval(a, env, ctx);
-            cost = cost.add(c);
-            vals.push(v);
+        let b = &builtins::BUILTINS[func as usize];
+        let mark = self.vals.len();
+        for i in first..first + argc {
+            let v = self.eval(self.code.args[i as usize], env, ctx);
+            self.vals.push(v);
         }
-        cost = cost.add(Cost::point(b.cost as f64));
 
         // Definite IEEE domain escapes (still warnings: the calculator
         // completes with NaN/-inf, it does not abort).
-        match name {
-            "sqrt" => {
-                if let Some(i) = vals[0].num {
-                    if i.hi < 0.0 {
-                        self.finding(FindingKind::Domain { func: name.into() }, ctx, true);
-                    }
-                }
-            }
-            "ln" | "log10" => {
-                if let Some(i) = vals[0].num {
-                    if i.hi <= 0.0 {
-                        self.finding(FindingKind::Domain { func: name.into() }, ctx, true);
-                    }
-                }
-            }
-            _ => {}
+        let outside = match (b.name, self.vals[mark..].first().and_then(|v| v.num)) {
+            ("sqrt", Some(i)) => i.hi < 0.0,
+            ("ln" | "log10", Some(i)) => i.hi <= 0.0,
+            _ => false,
+        };
+        if outside {
+            self.finding(RawKind::Domain(func), ctx, true);
         }
 
-        (self.apply_builtin(name, &vals, ctx), cost)
-    }
-
-    /// Abstract builtin application. All-point scalar arguments take the
-    /// concrete path through the real builtin implementation, so results
-    /// are bit-identical to a trial run.
-    fn apply_builtin(&mut self, name: &str, vals: &[AbsVal], ctx: &mut Ctx) -> AbsVal {
-        let points: Option<Vec<Value>> = vals
-            .iter()
-            .map(|v| match (v.num, v.len) {
-                (Some(i), None) if i.is_point() => Some(Value::Num(i.lo)),
-                _ => None,
-            })
-            .collect();
-        if let Some(args) = points {
-            return match builtins::apply(name, &args) {
-                Ok(v) => AbsVal::of_value(&v),
-                Err(_) => {
-                    // zeros(-1) and friends: a genuine runtime abort.
-                    ctx.reached = false;
-                    AbsVal::any()
-                }
-            };
-        }
-        let arg = |i: usize| vals.get(i).map(|v| v.num_or_top()).unwrap_or(Interval::TOP);
-        let mono = |f: fn(f64) -> f64, i: Interval| AbsVal::scalar(Interval::new(f(i.lo), f(i.hi)));
-        match name {
-            "abs" => {
-                let i = arg(0);
-                AbsVal::scalar(if i.lo >= 0.0 {
-                    i
-                } else if i.hi <= 0.0 {
-                    Interval::new(-i.hi, -i.lo)
-                } else {
-                    Interval::new(0.0, i.lo.abs().max(i.hi.abs()))
-                })
-            }
-            "floor" => mono(f64::floor, arg(0)),
-            "ceil" => mono(f64::ceil, arg(0)),
-            "round" => mono(f64::round, arg(0)),
-            "exp" => mono(f64::exp, arg(0)),
-            "atan" => mono(f64::atan, arg(0)),
-            "sqrt" => {
-                let i = arg(0);
-                if i.lo >= 0.0 {
-                    mono(f64::sqrt, i)
-                } else {
-                    AbsVal::scalar(Interval::TOP)
-                }
-            }
-            "ln" => {
-                let i = arg(0);
-                if i.lo > 0.0 {
-                    mono(f64::ln, i)
-                } else {
-                    AbsVal::scalar(Interval::TOP)
-                }
-            }
-            "log10" => {
-                let i = arg(0);
-                if i.lo > 0.0 {
-                    mono(f64::log10, i)
-                } else {
-                    AbsVal::scalar(Interval::TOP)
-                }
-            }
-            "sin" | "cos" => AbsVal::scalar(Interval::new(-1.0, 1.0)),
-            "atan2" => AbsVal::scalar(Interval::new(-std::f64::consts::PI, std::f64::consts::PI)),
-            "min" => {
-                let (a, b) = (arg(0), arg(1));
-                AbsVal::scalar(Interval::new(a.lo.min(b.lo), a.hi.min(b.hi)))
-            }
-            "max" => {
-                let (a, b) = (arg(0), arg(1));
-                AbsVal::scalar(Interval::new(a.lo.max(b.lo), a.hi.max(b.hi)))
-            }
-            "len" => {
-                let l = vals
-                    .first()
-                    .and_then(|v| v.len)
-                    .unwrap_or_else(|| Interval::new(0.0, f64::INFINITY));
-                AbsVal::scalar(l)
-            }
-            "zeros" => AbsVal::array(arg(0).round()),
-            "fill" => AbsVal::array(arg(0).round()),
-            _ => AbsVal::scalar(Interval::TOP),
-        }
+        let out = apply_builtin(b, &self.vals[mark..], &mut self.points, ctx);
+        self.vals.truncate(mark);
+        out
     }
 
     // -- backward liveness (dead-assignment detection) ---------------------
 
-    fn live_block(&mut self, stmts: &[Stmt], live: &mut BTreeSet<String>, report: bool) {
+    fn live_block(&mut self, stmts: &'p [RStmt], live: &mut [u64], report: bool) {
         for s in stmts.iter().rev() {
             self.live_stmt(s, live, report);
         }
     }
 
-    fn live_stmt(&mut self, s: &Stmt, live: &mut BTreeSet<String>, report: bool) {
+    fn live_stmt(&mut self, s: &'p RStmt, live: &mut [u64], report: bool) {
+        let code = self.code;
         match s {
-            Stmt::Assign { var, expr, pos } => {
-                if report && !live.contains(var) {
-                    self.findings.push(Finding {
-                        kind: FindingKind::DeadAssign { var: var.clone() },
+            RStmt::Assign { var, expr, pos } => {
+                if report && !has_bit(live, *var) {
+                    self.findings.push(RawFinding {
+                        kind: RawKind::DeadAssign(*var),
                         pos: Some(*pos),
                         definite: false,
                     });
                 }
-                live.remove(var);
-                collect_expr_vars(expr, live);
+                clear_bit(live, *var);
+                code.mark_vars(*expr, live);
             }
-            Stmt::AssignIndex {
+            RStmt::AssignIndex {
                 var, index, expr, ..
             } => {
                 // Element stores are use + def: the rest of the array
                 // survives, so the target is never considered dead.
-                live.insert(var.clone());
-                collect_expr_vars(index, live);
-                collect_expr_vars(expr, live);
+                set_bit(live, *var);
+                code.mark_vars(*index, live);
+                code.mark_vars(*expr, live);
             }
-            Stmt::If {
+            RStmt::If {
                 cond,
                 then_body,
                 else_body,
                 ..
             } => {
-                let mut then_live = live.clone();
+                let mut then_live = self.sets.copy_of(live);
                 self.live_block(then_body, &mut then_live, report);
                 self.live_block(else_body, live, report);
-                live.extend(then_live);
-                collect_expr_vars(cond, live);
+                union_into(live, &then_live);
+                self.sets.recycle(then_live);
+                code.mark_vars(*cond, live);
             }
-            Stmt::While { cond, body, .. } => {
-                self.live_loop(body, live, report, cond, None);
+            RStmt::While(l) => {
+                self.live_loop(&l.body, live, report, &[l.cond]);
             }
-            Stmt::For {
-                var,
-                from,
-                to,
-                body,
-                ..
-            } => {
-                self.live_loop(body, live, report, from, Some(to));
+            RStmt::For(l) => {
+                self.live_loop(&l.body, live, report, &[l.from, l.to]);
                 // The loop variable is written by the loop itself and
                 // stays readable after it; treat it as live-in so prior
                 // assignments to it are (conservatively) kept.
-                live.insert(var.clone());
+                set_bit(live, l.var);
             }
-            Stmt::Print { expr: e, .. } => collect_expr_vars(e, live),
+            RStmt::Print { expr: e, .. } => code.mark_vars(*e, live),
         }
     }
 
     /// Live-variable fixpoint for a loop body plus its guard expressions.
-    fn live_loop(
-        &mut self,
-        body: &[Stmt],
-        live: &mut BTreeSet<String>,
-        report: bool,
-        guard: &Expr,
-        extra_guard: Option<&Expr>,
-    ) {
-        let mut cur = live.clone();
-        collect_expr_vars(guard, &mut cur);
-        if let Some(g) = extra_guard {
-            collect_expr_vars(g, &mut cur);
+    fn live_loop(&mut self, body: &'p [RStmt], live: &mut [u64], report: bool, guards: &[ExprId]) {
+        for &g in guards {
+            self.code.mark_vars(g, live);
         }
+        // `live` is the fixpoint candidate; `trial` one more body pass.
+        let mut trial = self.sets.copy_of(live);
         loop {
-            let mut trial = cur.clone();
             self.live_block(body, &mut trial, false);
-            trial.extend(cur.iter().cloned());
-            if trial == cur {
+            union_into(&mut trial, live);
+            if trial == *live {
                 break;
             }
-            cur = trial;
+            live.copy_from_slice(&trial);
         }
-        let mut r = cur.clone();
-        self.live_block(body, &mut r, report);
-        *live = cur;
+        if report {
+            self.live_block(body, &mut trial, true);
+        }
+        self.sets.recycle(trial);
     }
 }
 
-// ---------------------------------------------------------------------------
-// Syntactic helpers
-// ---------------------------------------------------------------------------
-
-fn count_stmts(stmts: &[Stmt]) -> u64 {
-    stmts
-        .iter()
-        .map(|s| {
-            1 + match s {
-                Stmt::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => count_stmts(then_body) + count_stmts(else_body),
-                Stmt::While { body, .. } | Stmt::For { body, .. } => count_stmts(body),
-                _ => 0,
+/// Abstract builtin application. All-point scalar arguments take the
+/// concrete path through the real builtin implementation, so results
+/// are bit-identical to a trial run. `points` is scratch for that call.
+fn apply_builtin(
+    b: &builtins::Builtin,
+    vals: &[AbsVal],
+    points: &mut Vec<Value>,
+    ctx: &mut Ctx,
+) -> AbsVal {
+    points.clear();
+    points.extend(vals.iter().map_while(|v| match (v.num, v.len) {
+        (Some(i), None) if i.is_point() => Some(Value::Num(i.lo)),
+        _ => None,
+    }));
+    if points.len() == vals.len() {
+        return match (b.func)(points.as_slice()) {
+            Ok(v) => AbsVal::of_value(&v),
+            Err(_) => {
+                // zeros(-1) and friends: a genuine runtime abort.
+                ctx.reached = false;
+                AbsVal::any()
             }
-        })
-        .sum()
-}
-
-fn collect_expr_vars(e: &Expr, out: &mut BTreeSet<String>) {
-    match e {
-        Expr::Num(_) => {}
-        Expr::Var(v) => {
-            out.insert(v.clone());
-        }
-        Expr::Index(v, idx) => {
-            out.insert(v.clone());
-            collect_expr_vars(idx, out);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                collect_expr_vars(a, out);
-            }
-        }
-        Expr::Bin(_, l, r) => {
-            collect_expr_vars(l, out);
-            collect_expr_vars(r, out);
-        }
-        Expr::Un(_, inner) => collect_expr_vars(inner, out),
+        };
     }
-}
-
-fn expr_vars(e: &Expr) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    collect_expr_vars(e, &mut out);
-    out
-}
-
-/// Variables assigned anywhere (syntactically) in a statement list.
-fn assigned_vars(stmts: &[Stmt]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    collect_assigned(stmts, &mut out);
-    out
-}
-
-fn collect_assigned(stmts: &[Stmt], out: &mut BTreeSet<String>) {
-    for s in stmts {
-        match s {
-            Stmt::Assign { var, .. } | Stmt::AssignIndex { var, .. } => {
-                out.insert(var.clone());
-            }
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_assigned(then_body, out);
-                collect_assigned(else_body, out);
-            }
-            Stmt::While { body, .. } => collect_assigned(body, out),
-            Stmt::For { var, body, .. } => {
-                out.insert(var.clone());
-                collect_assigned(body, out);
-            }
-            Stmt::Print { .. } => {}
+    let arg = |i: usize| vals.get(i).map(|v| v.num_or_top()).unwrap_or(Interval::TOP);
+    let mono = |f: fn(f64) -> f64, i: Interval| AbsVal::scalar(Interval::new(f(i.lo), f(i.hi)));
+    match b.name {
+        "abs" => {
+            let i = arg(0);
+            AbsVal::scalar(if i.lo >= 0.0 {
+                i
+            } else if i.hi <= 0.0 {
+                Interval::new(-i.hi, -i.lo)
+            } else {
+                Interval::new(0.0, i.lo.abs().max(i.hi.abs()))
+            })
         }
-    }
-}
-
-fn syntactically_assigns(stmts: &[Stmt], var: &str) -> bool {
-    assigned_vars(stmts).contains(var)
-}
-
-/// Variables assigned on *every* path through one execution of `stmts`
-/// (branches intersect; loops may run zero times and element stores
-/// require the array to already exist, so neither contributes). Used to
-/// promote `Init` through loops that definitely execute.
-fn must_assigned_vars(stmts: &[Stmt]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for s in stmts {
-        match s {
-            Stmt::Assign { var, .. } => {
-                out.insert(var.clone());
+        "floor" => mono(f64::floor, arg(0)),
+        "ceil" => mono(f64::ceil, arg(0)),
+        "round" => mono(f64::round, arg(0)),
+        "exp" => mono(f64::exp, arg(0)),
+        "atan" => mono(f64::atan, arg(0)),
+        "sqrt" => {
+            let i = arg(0);
+            if i.lo >= 0.0 {
+                mono(f64::sqrt, i)
+            } else {
+                AbsVal::scalar(Interval::TOP)
             }
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                let t = must_assigned_vars(then_body);
-                let e = must_assigned_vars(else_body);
-                out.extend(t.intersection(&e).cloned());
-            }
-            Stmt::AssignIndex { .. }
-            | Stmt::While { .. }
-            | Stmt::For { .. }
-            | Stmt::Print { .. } => {}
         }
+        "ln" => {
+            let i = arg(0);
+            if i.lo > 0.0 {
+                mono(f64::ln, i)
+            } else {
+                AbsVal::scalar(Interval::TOP)
+            }
+        }
+        "log10" => {
+            let i = arg(0);
+            if i.lo > 0.0 {
+                mono(f64::log10, i)
+            } else {
+                AbsVal::scalar(Interval::TOP)
+            }
+        }
+        "sin" | "cos" => AbsVal::scalar(Interval::new(-1.0, 1.0)),
+        "atan2" => AbsVal::scalar(Interval::new(-std::f64::consts::PI, std::f64::consts::PI)),
+        "min" => {
+            let (a, b) = (arg(0), arg(1));
+            AbsVal::scalar(Interval::new(a.lo.min(b.lo), a.hi.min(b.hi)))
+        }
+        "max" => {
+            let (a, b) = (arg(0), arg(1));
+            AbsVal::scalar(Interval::new(a.lo.max(b.lo), a.hi.max(b.hi)))
+        }
+        "len" => {
+            let l = vals
+                .first()
+                .and_then(|v| v.len)
+                .unwrap_or_else(|| Interval::new(0.0, f64::INFINITY));
+            AbsVal::scalar(l)
+        }
+        "zeros" => AbsVal::array(arg(0).round()),
+        "fill" => AbsVal::array(arg(0).round()),
+        _ => AbsVal::scalar(Interval::TOP),
     }
-    out
 }
 
 #[cfg(test)]
@@ -1858,6 +2255,138 @@ end";
         let a = analyze(&p);
         assert!(!a.cost.exact, "{:?}", a.cost);
         assert!(a.cost.ops_hi.is_infinite(), "{:?}", a.cost);
+    }
+
+    #[test]
+    fn slots_are_the_bytecode_compilers() {
+        // One numbering for the VM's frame and the analyzer's
+        // environment: constants, declarations, then first sight.
+        for src in [
+            "task T in a out x local g begin g := a / 2 x := g * pi + undeclared end",
+            "task T in pi, v out s local i begin s := 0 \
+             for i := 1 to len(v) do s := s + v[i] * k end while s > m do s := s - 1 end end",
+        ] {
+            let p = parse_program(src).unwrap();
+            let names: Vec<String> = Resolved::of(&p)
+                .syms
+                .names()
+                .iter()
+                .map(|n| n.to_string())
+                .collect();
+            assert_eq!(names, crate::compile(&p).var_names, "{src}");
+        }
+    }
+
+    // ---- snapshot / restore paths ----
+    //
+    // Each abandoned trial below runs a few concrete iterations first,
+    // counting them in a variable and reading the never-assigned `q`
+    // (a *definite* finding while the trial lasts). The summary that
+    // replaces the trial must start from the pre-loop state: the counter
+    // restarts at its pre-loop point, so the index `w[counter + 1]`
+    // after the loop ranges from exactly 1; and the trial's findings are
+    // gone, so `q` is reported once, as merely possible.
+
+    fn budgeted(src: &str, budget: u64) -> Analysis {
+        let opts = AnalysisOptions {
+            budget,
+            ..AnalysisOptions::default()
+        };
+        analyze_with(&parse_program(src).unwrap(), &opts)
+    }
+
+    /// The one `index-out` finding's index range.
+    fn index_range(a: &Analysis) -> Interval {
+        let hits: Vec<_> = a
+            .findings
+            .iter()
+            .filter_map(|f| match &f.kind {
+                FindingKind::IndexOut { index, .. } => Some(*index),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(hits.len(), 1, "{:?}", a.findings);
+        hits[0]
+    }
+
+    fn assert_trial_was_discarded(a: &Analysis) {
+        assert_eq!(index_range(a), Interval::new(1.0, f64::INFINITY));
+        let q: Vec<_> = a
+            .findings
+            .iter()
+            .filter(|f| f.kind == FindingKind::UninitRead { var: "q".into() })
+            .collect();
+        assert_eq!(q.len(), 1, "{:?}", a.findings);
+        assert!(!q[0].definite, "{:?}", a.findings);
+        assert!(!a.cost.exact, "{:?}", a.cost);
+    }
+
+    #[test]
+    fn unroll_abandoned_on_budget_restores_the_pre_loop_state() {
+        // The outer pre-check passes (40 trips x 3 visits), the inner
+        // trip counts grow with i * i, and the budget runs out mid-way.
+        let src = "task T out x, y local s, t, i, j, w, q begin w := zeros(3) s := 0 \
+                   for i := 1 to 40 do for j := 1 to i * i do s := s + 1 t := q end end \
+                   x := w[s + 1] y := 1 / 0 end";
+        let full = budgeted(src, DEFAULT_BUDGET);
+        assert!(full.cost.exact, "{:?}", full.cost);
+        assert_eq!(index_range(&full), Interval::point(22141.0));
+        assert!(
+            has(&full.findings, "uninit-read", true),
+            "{:?}",
+            full.findings
+        );
+
+        let cut = budgeted(src, 300);
+        assert_trial_was_discarded(&cut);
+        // ... and the walk context with it: the trial stopped being
+        // "reached" at its first read of `q`, the summary is not, so the
+        // division after the loop is definite again.
+        assert!(
+            has(&cut.findings, "div-by-zero", true),
+            "{:?}",
+            cut.findings
+        );
+        // The summary still brackets the exact count.
+        assert!(cut.cost.ops_lo <= full.cost.est && full.cost.est <= cut.cost.ops_hi);
+    }
+
+    #[test]
+    fn diverging_for_restores_the_pre_loop_state() {
+        // Two exact steps up to 2^53, then `i + 1 == i`: the unroll is
+        // abandoned and the loop summarized as never terminating.
+        let src = "task T out x local s, t, i, w, q begin w := zeros(3) s := 0 \
+                   for i := 9007199254740991 to 9007199254740995 do s := s + 1 t := q end \
+                   x := w[s + 1] end";
+        let a = budgeted(src, DEFAULT_BUDGET);
+        assert_trial_was_discarded(&a);
+        assert!(a.cost.ops_hi.is_infinite(), "{:?}", a.cost);
+    }
+
+    #[test]
+    fn concrete_while_falls_back_to_the_summary_from_the_pre_loop_state() {
+        // Indeterminate condition: four concrete rounds, then `g := a`.
+        let turns_unknown = "task T in a out x local g, n, t, w, q begin w := zeros(3) \
+             g := 64 n := 0 while g > 1 do g := g / 2 n := n + 1 \
+             if n > 3 then g := a else t := q end end x := w[n + 1] end";
+        assert_trial_was_discarded(&budgeted(turns_unknown, DEFAULT_BUDGET));
+
+        // Budget: a countdown is concrete (and exact) with room,
+        // summarized without. Only the summary can see `n > 1000`.
+        let countdown = "task T out x local g, n, t, w, q begin w := zeros(3) \
+             g := 64 n := 0 while g > 0 do g := g - 1 n := n + 1 \
+             if n > 1000 then t := q end end x := w[n + 1] end";
+        let full = budgeted(countdown, DEFAULT_BUDGET);
+        assert!(full.cost.exact, "{:?}", full.cost);
+        assert_eq!(index_range(&full), Interval::point(65.0));
+        assert_trial_was_discarded(&budgeted(countdown, 100));
+
+        // A definite abort inside the body (`t := q` on the first round)
+        // ends the trial at the next condition check.
+        let aborts = "task T out x local g, n, t, w, q begin w := zeros(3) \
+             g := 4 n := 0 while g > 0 do g := g - 1 n := n + 1 t := q end \
+             x := w[n + 1] end";
+        assert_trial_was_discarded(&budgeted(aborts, DEFAULT_BUDGET));
     }
 
     #[test]

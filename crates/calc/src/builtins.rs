@@ -132,24 +132,26 @@ fn b_dot(args: &[Value]) -> Result<Value, RunError> {
     Ok(Value::Num(a.iter().zip(b).map(|(x, y)| x * y).sum()))
 }
 
-fn b_zeros(args: &[Value]) -> Result<Value, RunError> {
-    let n = num_arg(args, 0, "zeros")?.round();
+/// The element count `zeros`/`fill` were asked for, rounded like every
+/// index; `BadSize` outside `0..=1e9` (NaN included).
+fn size_arg(args: &[Value], name: &str) -> Result<usize, RunError> {
+    let n = num_arg(args, 0, name)?.round();
     if !(0.0..=1e9).contains(&n) {
-        return Err(RunError::NotAScalar(format!(
-            "zeros() size must be in 0..=1e9, got {n}"
-        )));
+        return Err(RunError::BadSize {
+            name: name.to_string(),
+            size: n,
+        });
     }
-    Ok(Value::array(vec![0.0; n as usize]))
+    Ok(n as usize)
+}
+
+fn b_zeros(args: &[Value]) -> Result<Value, RunError> {
+    Ok(Value::array(vec![0.0; size_arg(args, "zeros")?]))
 }
 
 fn b_fill(args: &[Value]) -> Result<Value, RunError> {
-    let n = num_arg(args, 0, "fill")?.round();
-    if !(0.0..=1e9).contains(&n) {
-        return Err(RunError::NotAScalar(format!(
-            "fill() size must be in 0..=1e9, got {n}"
-        )));
-    }
-    Ok(Value::array(vec![num_arg(args, 1, "fill")?; n as usize]))
+    let n = size_arg(args, "fill")?;
+    Ok(Value::array(vec![num_arg(args, 1, "fill")?; n]))
 }
 
 /// The builtin table (kept sorted by name for binary search).
@@ -422,6 +424,24 @@ mod tests {
             err2,
             RunError::NotAnArray("argument 1 of len()".to_string())
         );
+    }
+
+    #[test]
+    fn bad_sizes_say_what_is_wrong() {
+        // Its own variant: `NotAScalar` would render a message about a
+        // range with "must be a scalar" on the end.
+        let err = apply("zeros", &[Value::Num(1e11)]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "zeros() size must be in 0..=1e9, got 100000000000"
+        );
+        let err = apply("fill", &[Value::Num(-2.4), Value::Num(7.0)]).unwrap_err();
+        assert_eq!(err.to_string(), "fill() size must be in 0..=1e9, got -2");
+        let err = apply("zeros", &[Value::Num(f64::NAN)]).unwrap_err();
+        assert_eq!(err.to_string(), "zeros() size must be in 0..=1e9, got NaN");
+        // An array where the size goes is still a type error.
+        let err = apply("zeros", &[Value::array(vec![1.0])]).unwrap_err();
+        assert_eq!(err.to_string(), "argument 1 of zeros() must be a scalar");
     }
 
     #[test]

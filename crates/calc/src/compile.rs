@@ -37,6 +37,7 @@
 use crate::ast::{BinOp, Expr, Program, Stmt, UnOp};
 use crate::builtins;
 use crate::error::RunError;
+use crate::symbols::SymbolTable;
 use std::collections::BTreeMap;
 
 /// A frame-slot / register index.
@@ -244,25 +245,19 @@ pub struct CompiledProgram {
 /// Compiles a program. Never fails: names that cannot be resolved become
 /// run-time errors at the same execution points as the tree-walker's.
 pub fn compile(prog: &Program) -> CompiledProgram {
-    let mut c = Compiler::new();
     // Constants first, then declared variables, mirroring the
     // interpreter's environment construction order.
-    for (name, v) in builtins::CONSTANTS {
-        let slot = c.slot(name);
-        c.const_slots.push((slot, v));
-    }
+    let mut c = Compiler::new(SymbolTable::for_program(prog));
+    let const_slots: Vec<(Reg, f64)> = builtins::CONSTANTS
+        .iter()
+        .map(|&(name, v)| (c.slot(name), v))
+        .collect();
     let input_slots: Vec<Reg> = prog.inputs.iter().map(|n| c.slot(n)).collect();
-    for n in &prog.outputs {
-        c.slot(n);
-    }
-    for n in &prog.locals {
-        c.slot(n);
-    }
     c.block(&prog.body);
     c.ops = fuse(drop_dead_checks(std::mem::take(&mut c.ops)));
     let output_slots: Vec<Reg> = prog.outputs.iter().map(|n| c.slot(n)).collect();
 
-    let n_vars = c.names.len();
+    let n_vars = c.syms.len();
     // Literal-pool slots live right above the named variables; their
     // final indices are known now that interning is done.
     let lit_slots: Vec<(Reg, f64)> = c
@@ -276,10 +271,10 @@ pub fn compile(prog: &Program) -> CompiledProgram {
         ops: c.ops,
         frame_size: n_vars + lit_slots.len() + c.max_temps,
         n_vars,
-        var_names: c.names,
+        var_names: c.syms.names().iter().map(|n| n.to_string()).collect(),
         input_slots,
         output_slots,
-        const_slots: c.const_slots,
+        const_slots,
         lit_slots,
         fails: c.fails,
     }
@@ -299,11 +294,11 @@ fn is_simple(e: &Expr) -> bool {
 const LIT_BASE: Reg = 0x8000_0000;
 const TEMP_SPLIT: Reg = 0xC000_0000;
 
-struct Compiler {
+struct Compiler<'a> {
     ops: Vec<Op>,
-    names: Vec<String>,
-    slots: BTreeMap<String, Reg>,
-    const_slots: Vec<(Reg, f64)>,
+    /// The program's names; shared numbering with the abstract
+    /// interpreter (see [`crate::symbols`]).
+    syms: SymbolTable<'a>,
     lits: Vec<f64>,
     lit_map: BTreeMap<u64, Reg>,
     fails: Vec<RunError>,
@@ -312,13 +307,11 @@ struct Compiler {
     max_temps: usize,
 }
 
-impl Compiler {
-    fn new() -> Self {
+impl<'a> Compiler<'a> {
+    fn new(syms: SymbolTable<'a>) -> Self {
         Compiler {
             ops: Vec::new(),
-            names: Vec::new(),
-            slots: BTreeMap::new(),
-            const_slots: Vec::new(),
+            syms,
             lits: Vec::new(),
             lit_map: BTreeMap::new(),
             fails: Vec::new(),
@@ -328,14 +321,8 @@ impl Compiler {
     }
 
     /// Slot of a named variable, interning on first sight.
-    fn slot(&mut self, name: &str) -> Reg {
-        if let Some(&s) = self.slots.get(name) {
-            return s;
-        }
-        let s = self.names.len() as Reg;
-        self.names.push(name.to_string());
-        self.slots.insert(name.to_string(), s);
-        s
+    fn slot(&mut self, name: &'a str) -> Reg {
+        self.syms.intern(name)
     }
 
     /// Allocates a scratch register above every named variable and every
@@ -377,7 +364,7 @@ impl Compiler {
     /// the slot directly is observationally identical to a `LoadVar`
     /// into scratch — minus one dispatch. `None` means the expression
     /// needs code; compile it into a scratch register instead.
-    fn operand(&mut self, e: &Expr) -> Option<Reg> {
+    fn operand(&mut self, e: &'a Expr) -> Option<Reg> {
         match e {
             Expr::Num(v) => Some(self.lit(*v)),
             Expr::Var(name) => Some(self.slot(name)),
@@ -386,7 +373,7 @@ impl Compiler {
     }
 
     /// `operand` or compile-into-fresh-scratch, whichever applies.
-    fn operand_or_temp(&mut self, e: &Expr) -> Reg {
+    fn operand_or_temp(&mut self, e: &'a Expr) -> Reg {
         match self.operand(e) {
             Some(r) => r,
             None => {
@@ -422,13 +409,13 @@ impl Compiler {
         self.emit(Op::Fail(i));
     }
 
-    fn block(&mut self, stmts: &[Stmt]) {
+    fn block(&mut self, stmts: &'a [Stmt]) {
         for s in stmts {
             self.stmt(s);
         }
     }
 
-    fn stmt(&mut self, stmt: &Stmt) {
+    fn stmt(&mut self, stmt: &'a Stmt) {
         self.emit(Op::Tick(1));
         match stmt {
             Stmt::Assign { var, expr, .. } => {
@@ -550,7 +537,7 @@ impl Compiler {
 
     /// Compiles `expr` so that its value lands in `dst` as the single,
     /// final write; all intermediates go to fresh scratch registers.
-    fn expr(&mut self, expr: &Expr, dst: Reg) {
+    fn expr(&mut self, expr: &'a Expr, dst: Reg) {
         match expr {
             Expr::Num(v) => {
                 self.emit(Op::Const { dst, val: *v });

@@ -69,6 +69,14 @@ pub enum RunError {
     StepLimit(u64),
     /// An array was used where a scalar is required (e.g. `while` guard).
     NotAScalar(String),
+    /// `zeros(n)` / `fill(n, v)` asked for an array of a size outside
+    /// `0..=1e9` (negative, NaN, or more elements than one task may hold).
+    BadSize {
+        /// Builtin name.
+        name: String,
+        /// The (rounded) size requested.
+        size: f64,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -88,6 +96,9 @@ impl fmt::Display for RunError {
             RunError::UnknownFunction(n) => write!(f, "unknown function {n:?}"),
             RunError::StepLimit(n) => write!(f, "step limit of {n} exceeded (runaway loop?)"),
             RunError::NotAScalar(what) => write!(f, "{what} must be a scalar"),
+            RunError::BadSize { name, size } => {
+                write!(f, "{name}() size must be in 0..=1e9, got {size}")
+            }
         }
     }
 }

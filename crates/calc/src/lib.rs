@@ -17,6 +17,8 @@
 //!   safety findings and static operation-count bounds (the weight
 //!   estimate of a task nobody has trial-run yet);
 //! * [`pretty`] — canonical program text (round-trips with the parser);
+//! * [`symbols`] — the name → dense-slot table the bytecode compiler and
+//!   the abstract interpreter share;
 //! * [`panel`] — the calculator panel itself: button presses, immediate
 //!   `=` evaluation, `STO` registers, and task recording;
 //! * [`library`] — a named collection of programs attached to a design's
@@ -62,6 +64,7 @@ pub mod library;
 pub mod panel;
 pub mod parser;
 pub mod pretty;
+pub mod symbols;
 pub mod token;
 pub mod transform;
 pub mod value;

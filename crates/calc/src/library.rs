@@ -14,7 +14,7 @@ use crate::compile::{compile, CompiledProgram};
 use crate::error::ParseError;
 use crate::parser::parse_program;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A library of PITS programs keyed by name.
 #[derive(Debug, Clone, Default)]
@@ -26,6 +26,9 @@ pub struct ProgramLibrary {
 struct Entry {
     source: Arc<Program>,
     compiled: Arc<CompiledProgram>,
+    /// The program's static cost, analyzed on first request. The entry
+    /// is replaced as a whole when the program is, so it cannot go stale.
+    cost: OnceLock<StaticCost>,
 }
 
 impl ProgramLibrary {
@@ -53,6 +56,7 @@ impl ProgramLibrary {
             Entry {
                 source: Arc::new(prog),
                 compiled,
+                cost: OnceLock::new(),
             },
         );
         name
@@ -103,8 +107,14 @@ impl ProgramLibrary {
     /// Full static cost bounds for a named program: lower/upper bounds on
     /// a clean trial run's operation count plus the point estimate (see
     /// [`crate::absint`]). `None` when the name is unknown.
+    ///
+    /// The analysis runs once per registered program, however many tasks
+    /// share it: a tiled expansion weighs hundreds of tasks with a
+    /// handful of kernels.
     pub fn static_cost(&self, name: &str) -> Option<StaticCost> {
-        self.get(name).map(|p| absint::analyze(p).cost)
+        self.programs
+            .get(name)
+            .map(|e| *e.cost.get_or_init(|| absint::analyze(&e.source).cost))
     }
 }
 
@@ -141,6 +151,22 @@ mod tests {
         assert_eq!(lib.len(), 1);
         let p = lib.get("T").unwrap();
         assert_eq!(p.body.len(), 1);
+    }
+
+    #[test]
+    fn static_cost_follows_a_replaced_program() {
+        let mut lib = ProgramLibrary::new();
+        lib.add_source("task T in a out b begin b := a end")
+            .unwrap();
+        assert_eq!(lib.estimate_weight("T"), Some(1.0));
+        assert_eq!(lib.estimate_weight("T"), Some(1.0), "memoized");
+        // A clone taken now carries the memo; the edit below must not
+        // reach it, nor the memo survive the edit.
+        let before = lib.clone();
+        lib.add_source("task T in a out b begin b := a * 3 + 1 end")
+            .unwrap();
+        assert_eq!(lib.estimate_weight("T"), Some(3.0));
+        assert_eq!(before.estimate_weight("T"), Some(1.0));
     }
 
     #[test]

@@ -407,7 +407,6 @@ impl Project {
     /// body to a refreshed schedule prediction. Returns the number of
     /// tasks re-weighted.
     pub fn calibrate_from_programs(&mut self) -> Result<usize, ProjectError> {
-        let lib = self.library.clone();
         let mut updated = 0usize;
         fn walk(design: &mut HierGraph, lib: &ProgramLibrary, updated: &mut usize) {
             let ids: Vec<_> = design.nodes().map(|(id, _)| id).collect();
@@ -428,7 +427,7 @@ impl Project {
                 design.with_expansion_mut(id, |sub| walk(sub, lib, updated));
             }
         }
-        walk(&mut self.design, &lib, &mut updated);
+        walk(&mut self.design, &self.library, &mut updated);
         self.flattened = None;
         self.invalidate_diagnostics();
         Ok(updated)
