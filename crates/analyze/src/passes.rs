@@ -617,9 +617,7 @@ mod tests {
 
     #[test]
     fn fifty_thousand_task_chain_diagnoses_clean() {
-        // t0 -> t1 -> ... -> t49999. (One graph for both halves of the
-        // test: `HierGraph::add_arc` scans every arc for duplicates, so
-        // building it is the slow part.)
+        // t0 -> t1 -> ... -> t49999.
         const N: usize = 50_000;
         let mut g = HierGraph::new("chain");
         let ids: Vec<_> = (0..N).map(|i| g.add_task(format!("t{i}"), 1.0)).collect();

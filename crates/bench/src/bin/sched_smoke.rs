@@ -5,7 +5,8 @@
 //! Default: a 10k-task bounded-degree layered-random graph through HLFET
 //! and MH on the Figure 3 hypercube-3 machine, each schedule validated,
 //! under a total budget (default 30s — generous on CI hardware; the
-//! pre-rework quadratic selection alone blows it).
+//! pre-rework quadratic selection alone blows it). CI runs all six
+//! heuristics (`--heuristics HLFET,MCP,ETF,DLS,MH,DSH --budget-ms 5000`).
 //!
 //! ```text
 //! cargo run --release -p banger-bench --bin sched_smoke [-- --tasks N]

@@ -1280,16 +1280,18 @@ fn run_pinned(ctx: &Ctx<'_>, schedule: &Schedule) -> Result<ModeOutput, ExecErro
     let g = ctx.g;
     // Per-worker ordered copy lists.
     let mut max_proc = 0usize;
+    let mut placed = vec![false; g.task_count()];
     for p in schedule.placements() {
         max_proc = max_proc.max(p.proc.index() + 1);
-    }
-    for t in g.task_ids() {
-        if schedule.placements_of(t).is_empty() {
-            return Err(ExecError::BadSchedule(format!(
-                "task {} is not placed",
-                g.task(t).name
-            )));
+        if let Some(seen) = placed.get_mut(p.task.index()) {
+            *seen = true;
         }
+    }
+    if let Some(t) = g.task_ids().find(|t| !placed[t.index()]) {
+        return Err(ExecError::BadSchedule(format!(
+            "task {} is not placed",
+            g.task(t).name
+        )));
     }
     let mut queues: Vec<Vec<(f64, TaskId)>> = vec![Vec::new(); max_proc];
     for p in schedule.placements() {
@@ -1536,6 +1538,34 @@ mod tests {
                 .collect::<Vec<_>>();
             assert!(placed.contains(&run.worker), "task {}", run.task);
         }
+    }
+
+    #[test]
+    fn pinned_mode_names_the_first_unplaced_task() {
+        let (f, lib) = fan(4);
+        // Only the last task is placed; of the five missing, the error
+        // names the one with the lowest id.
+        let mut s = banger_sched::Schedule::new("partial", f.graph.task_count());
+        let last = f.graph.task_ids().last().unwrap();
+        s.place(last, banger_machine::ProcId(0), 0.0, 1.0, true);
+        let err = execute(
+            &f,
+            &lib,
+            &ext(&[("a", Value::Num(2.0))]),
+            &ExecOptions {
+                mode: ExecMode::pinned(s),
+                ..ExecOptions::default()
+            },
+        )
+        .unwrap_err();
+        let first = f.graph.task_ids().next().unwrap();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "bad schedule for pinned execution: task {} is not placed",
+                f.graph.task(first).name
+            )
+        );
     }
 
     #[test]

@@ -1,65 +1,123 @@
-//! Shared list-scheduling machinery: processor timelines with
-//! insertion-based slot search, data-arrival computation (analytic and
-//! link-contention models), and the mutable engine state every heuristic
-//! drives.
+//! Shared list-scheduling machinery: one run-coalesced timeline with
+//! insertion-based slot search for processors and links alike,
+//! data-arrival computation (analytic and link-contention models), and
+//! the mutable engine state every heuristic drives.
 
-use crate::schedule::{SchedStats, Schedule};
+use crate::schedule::{SchedStats, Schedule, TIME_EPS};
 use banger_machine::{LinkId, Machine, ProcId, SwitchingMode};
 use banger_taskgraph::{TaskGraph, TaskId};
 
-/// Busy intervals of one processor, kept sorted by start time.
+/// Busy intervals of one resource — a processor or a directed link —
+/// with insertion-based slot search.
+///
+/// Both lists hold `(start, reach)` pairs sorted by start, where `reach`
+/// is the latest finish of any interval starting at or before that
+/// entry. `busy` has one entry per interval. `runs` keeps only the entry
+/// that opens each maximal *run* — an interval starts a run when its
+/// start lies beyond every earlier finish — and gives it the reach of the
+/// run's last interval, so a saturated timeline of ten thousand abutting
+/// intervals is one run. Link reservations may overlap freely (the
+/// messages of one commit are costed independently), which is why the
+/// lists carry the running maximum and not each interval's own finish:
+/// it makes both columns sorted, whatever the overlaps.
 #[derive(Debug, Clone, Default)]
-pub struct ProcTimeline {
-    /// `(start, finish)` of committed placements, sorted by start.
+pub struct Timeline {
     busy: Vec<(f64, f64)>,
+    runs: Vec<(f64, f64)>,
 }
 
-impl ProcTimeline {
+/// The front-to-back slot scan over a `(start, reach)` list: the earliest
+/// `candidate >= ready` with `candidate + dur <= start + TIME_EPS` at
+/// some entry, pushed to the reach of every entry passed on the way; when
+/// nothing fits, the later of `ready` and the last reach.
+///
+/// A binary search skips the prefix of entries that can neither host the
+/// job (they end at or before `ready` and leave no usable gap) nor push
+/// the candidate forward. Both conjuncts of the skip predicate are
+/// monotone over a list sorted in both columns, and skipped entries leave
+/// the scan state unchanged, so the result is that of the scan from the
+/// front.
+fn scan(list: &[(f64, f64)], ready: f64, dur: f64) -> f64 {
+    let skip =
+        list.partition_point(|&(start, reach)| reach <= ready && start + TIME_EPS < ready + dur);
+    let mut candidate = ready;
+    for &(start, reach) in &list[skip..] {
+        if candidate + dur <= start + TIME_EPS {
+            return candidate;
+        }
+        if reach > candidate {
+            candidate = reach;
+        }
+    }
+    candidate
+}
+
+impl Timeline {
     /// Earliest start `>= ready` of a free slot of length `dur`, using
-    /// insertion between existing placements (the classic insertion-based
+    /// insertion between existing intervals (the classic insertion-based
     /// variant; an append-only policy falls out when gaps never fit).
     ///
-    /// A binary search skips the prefix of intervals that can neither host
-    /// the job (they end at or before `ready` and leave no usable gap) nor
-    /// push the candidate start forward, so repeated probes on long
-    /// timelines stop rescanning from the front. The skip predicate is the
-    /// conjunction of two monotone conditions over the sorted, disjoint
-    /// intervals, and skipped intervals provably leave the scan state
-    /// unchanged — results are bit-identical to the full scan.
+    /// Inside a run every interval starts at or before the candidate the
+    /// scan carries there, so it can host the job only if `candidate + dur
+    /// <= start + TIME_EPS` with `candidate >= start`: `dur` within
+    /// `TIME_EPS` plus the rounding of the two sums. A longer job can
+    /// start only where a run starts, and scanning the runs gives the
+    /// scan of the intervals bit for bit at a cost of `O(log runs + gaps
+    /// that do not fit)`. The rest — zero-weight tasks, and times so large
+    /// that an ulp exceeds `TIME_EPS` — scan the intervals.
     pub fn earliest_slot(&self, ready: f64, dur: f64) -> f64 {
-        let skip = self
-            .busy
-            .partition_point(|&(s, f)| f <= ready && s + crate::schedule::TIME_EPS < ready + dur);
-        let mut candidate = ready;
-        for &(s, f) in &self.busy[skip..] {
-            if candidate + dur <= s + crate::schedule::TIME_EPS {
-                return candidate;
-            }
-            if f > candidate {
-                candidate = f;
-            }
-        }
-        candidate
+        // Both sums round by at most half an ulp of a value below
+        // `horizon + dur + TIME_EPS`; twice `f64::EPSILON` of that is four
+        // times the bound the proof needs (DESIGN.md §14).
+        let horizon = self.last_finish().max(ready);
+        let only_run_starts_fit = dur - TIME_EPS > 2.0 * f64::EPSILON * (horizon + dur + TIME_EPS);
+        let list = if only_run_starts_fit {
+            &self.runs
+        } else {
+            &self.busy
+        };
+        scan(list, ready, dur)
     }
 
-    /// Commits an interval. Panics in debug builds if it overlaps.
-    pub fn reserve(&mut self, start: f64, dur: f64) {
-        let finish = start + dur;
+    /// True when `[start, finish]` overlaps neither neighbour by more than
+    /// `TIME_EPS` — what a processor's timeline must hold for every
+    /// reservation; a link's need not.
+    fn is_free(&self, start: f64, finish: f64) -> bool {
         let idx = self.busy.partition_point(|&(s, _)| s < start);
-        debug_assert!(
-            idx == 0 || self.busy[idx - 1].1 <= start + crate::schedule::TIME_EPS,
-            "overlapping reservation"
-        );
-        debug_assert!(
-            idx == self.busy.len() || finish <= self.busy[idx].0 + crate::schedule::TIME_EPS,
-            "overlapping reservation"
-        );
-        self.busy.insert(idx, (start, finish));
+        (idx == 0 || self.busy[idx - 1].1 <= start + TIME_EPS)
+            && (idx == self.busy.len() || finish <= self.busy[idx].0 + TIME_EPS)
     }
 
-    /// Finish time of the last committed interval (0 when idle forever).
+    /// Commits the interval `[start, finish]`; overlaps are allowed.
+    pub fn reserve(&mut self, start: f64, finish: f64) {
+        let idx = self.busy.partition_point(|&(s, _)| s < start);
+        let reach = match idx {
+            0 => finish,
+            _ => self.busy[idx - 1].1.max(finish),
+        };
+        self.busy.insert(idx, (start, reach));
+        for later in &mut self.busy[idx + 1..] {
+            if later.1 >= finish {
+                break;
+            }
+            later.1 = finish;
+        }
+
+        // The runs the interval touches (a shared endpoint counts, as in
+        // the scan) merge with it into one; with none, it is a run.
+        let lo = self.runs.partition_point(|&(_, reach)| reach < start);
+        let hi = self.runs.partition_point(|&(s, _)| s <= finish);
+        if lo == hi {
+            self.runs.insert(lo, (start, finish));
+        } else {
+            self.runs[lo] = (self.runs[lo].0.min(start), self.runs[hi - 1].1.max(finish));
+            self.runs.drain(lo + 1..hi);
+        }
+    }
+
+    /// Latest finish of any committed interval (0 when idle forever).
     pub fn last_finish(&self) -> f64 {
-        self.busy.last().map(|&(_, f)| f).unwrap_or(0.0)
+        self.runs.last().map_or(0.0, |&(_, reach)| reach)
     }
 }
 
@@ -68,7 +126,7 @@ impl ProcTimeline {
 /// machine by [`LinkState::for_machine`].
 #[derive(Debug, Clone)]
 pub struct LinkState {
-    links: Vec<Vec<(f64, f64)>>,
+    links: Vec<Timeline>,
 }
 
 /// A tentative link reservation produced while costing a message route.
@@ -86,29 +144,13 @@ impl LinkState {
     /// An empty occupancy table covering every directed link of `m`.
     pub fn for_machine(m: &Machine) -> Self {
         LinkState {
-            links: vec![Vec::new(); m.routing().directed_links()],
+            links: vec![Timeline::default(); m.routing().directed_links()],
         }
-    }
-
-    /// Earliest start `>= ready` at which the link is free for `dur`.
-    fn earliest(&self, link: LinkId, ready: f64, dur: f64) -> f64 {
-        let mut candidate = ready;
-        for &(s, f) in &self.links[link.index()] {
-            if candidate + dur <= s + crate::schedule::TIME_EPS {
-                return candidate;
-            }
-            if f > candidate {
-                candidate = f;
-            }
-        }
-        candidate
     }
 
     /// Commits a reservation.
     pub fn reserve(&mut self, r: LinkReservation) {
-        let busy = &mut self.links[r.link.index()];
-        let idx = busy.partition_point(|&(s, _)| s < r.start);
-        busy.insert(idx, (r.start, r.end));
+        self.links[r.link.index()].reserve(r.start, r.end);
     }
 
     /// Arrival time of a message of `volume` units departing at `depart`
@@ -133,7 +175,7 @@ impl LinkState {
         };
         let mut t = depart + m.params().msg_startup;
         for &link in route {
-            let start = self.earliest(link, t, transfer);
+            let start = self.links[link.index()].earliest_slot(t, transfer);
             t = start + transfer + hop_extra;
         }
         t
@@ -160,7 +202,7 @@ impl LinkState {
         };
         let mut t = depart + m.params().msg_startup;
         for &link in route {
-            let start = self.earliest(link, t, transfer);
+            let start = self.links[link.index()].earliest_slot(t, transfer);
             let end = start + transfer;
             out.push(LinkReservation { link, start, end });
             t = end + hop_extra;
@@ -196,7 +238,7 @@ pub struct Engine<'a> {
     /// The target machine.
     pub m: &'a Machine,
     /// One timeline per processor.
-    pub timelines: Vec<ProcTimeline>,
+    pub timelines: Vec<Timeline>,
     /// Committed copies per task (first = primary).
     pub copies: Vec<Vec<Copy>>,
     /// Link occupancy (only consulted under [`CommModel::Contention`]).
@@ -221,7 +263,7 @@ impl<'a> Engine<'a> {
         Engine {
             g,
             m,
-            timelines: vec![ProcTimeline::default(); m.processors()],
+            timelines: vec![Timeline::default(); m.processors()],
             copies: vec![Vec::new(); g.task_count()],
             links: LinkState::for_machine(m),
             comm,
@@ -366,7 +408,9 @@ impl<'a> Engine<'a> {
         let dur = self.m.exec_time(self.g.task(t).weight, p);
         let start = self.slot(p, ready, dur);
         let finish = start + dur;
-        self.timelines[p.index()].reserve(start, dur);
+        let timeline = &mut self.timelines[p.index()];
+        debug_assert!(timeline.is_free(start, finish), "overlapping reservation");
+        timeline.reserve(start, finish);
         for &r in &scratch {
             self.links.reserve(r);
         }
@@ -402,7 +446,7 @@ impl<'a> Engine<'a> {
         let mut best_start = f64::INFINITY;
         for p in self.m.proc_ids() {
             let s = self.earliest_start(t, p);
-            if s < best_start - crate::schedule::TIME_EPS {
+            if s < best_start - TIME_EPS {
                 best_start = s;
                 best = p;
             }
@@ -415,14 +459,15 @@ impl<'a> Engine<'a> {
 mod tests {
     use super::*;
     use banger_machine::{MachineParams, Topology};
+    use proptest::prelude::*;
 
     #[test]
     fn timeline_appends_and_inserts() {
-        let mut tl = ProcTimeline::default();
+        let mut tl = Timeline::default();
         assert_eq!(tl.earliest_slot(0.0, 5.0), 0.0);
         tl.reserve(0.0, 5.0);
         assert_eq!(tl.earliest_slot(0.0, 5.0), 5.0);
-        tl.reserve(10.0, 5.0);
+        tl.reserve(10.0, 15.0);
         // gap [5, 10) fits a 4-unit job
         assert_eq!(tl.earliest_slot(0.0, 4.0), 5.0);
         // but not a 6-unit job
@@ -433,14 +478,68 @@ mod tests {
     }
 
     #[test]
-    fn earliest_slot_matches_full_scan() {
-        // The partition_point prefix skip must be bit-identical to the
-        // original front-to-back scan, including degenerate probes whose
-        // duration is below TIME_EPS.
-        fn reference(busy: &[(f64, f64)], ready: f64, dur: f64) -> f64 {
+    fn reserve_keeps_order_and_merges_the_runs_it_touches() {
+        let mut tl = Timeline::default();
+        tl.reserve(10.0, 12.0);
+        tl.reserve(0.0, 2.0);
+        tl.reserve(5.0, 7.0);
+        assert_eq!(tl.busy, vec![(0.0, 2.0), (5.0, 7.0), (10.0, 12.0)]);
+        assert_eq!(tl.runs, tl.busy);
+        // Abutting on the left only: the middle run grows.
+        tl.reserve(7.0, 9.0);
+        assert_eq!(tl.runs, vec![(0.0, 2.0), (5.0, 9.0), (10.0, 12.0)]);
+        // Abutting on both sides: three runs become one.
+        tl.reserve(2.0, 5.0);
+        assert_eq!(tl.runs, vec![(0.0, 9.0), (10.0, 12.0)]);
+        // A link's reservation may overlap anything; every later entry
+        // learns its finish.
+        tl.reserve(1.0, 11.0);
+        assert_eq!(tl.runs, vec![(0.0, 12.0)]);
+        assert_eq!(
+            tl.busy,
+            vec![
+                (0.0, 2.0),
+                (1.0, 11.0),
+                (2.0, 11.0),
+                (5.0, 11.0),
+                (7.0, 11.0),
+                (10.0, 12.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_job_within_time_eps_starts_inside_a_run() {
+        // Two abutting intervals are one run, and a zero-length job fits
+        // at their shared boundary: the run list alone would answer 10.
+        let mut tl = Timeline::default();
+        tl.reserve(0.0, 5.0);
+        tl.reserve(5.0, 10.0);
+        assert_eq!(tl.runs, vec![(0.0, 10.0)]);
+        assert_eq!(tl.earliest_slot(3.0, 0.0), 5.0);
+        assert_eq!(tl.earliest_slot(3.0, TIME_EPS), 5.0);
+        assert_eq!(tl.earliest_slot(3.0, 1.0), 10.0);
+        // At 1e12 an ulp is 1.2e-4: a job of two TIME_EPS vanishes in the
+        // rounding of `candidate + dur` and fits at the boundary as well.
+        let far = 1e12;
+        let mut tl = Timeline::default();
+        tl.reserve(far, far + 1.0);
+        tl.reserve(far + 1.0, far + 2.0);
+        assert_eq!(tl.earliest_slot(far + 0.5, 2.0 * TIME_EPS), far + 1.0);
+        assert_eq!(tl.earliest_slot(far + 0.5, 1.0), far + 2.0);
+    }
+
+    /// The scan a [`Timeline`] must reproduce: front to back over every
+    /// `(start, finish)` interval, no skip and no index — the slot search
+    /// as it stood before either, verbatim.
+    #[derive(Default)]
+    struct FullScan(Vec<(f64, f64)>);
+
+    impl FullScan {
+        fn earliest_slot(&self, ready: f64, dur: f64) -> f64 {
             let mut candidate = ready;
-            for &(s, f) in busy {
-                if candidate + dur <= s + crate::schedule::TIME_EPS {
+            for &(s, f) in &self.0 {
+                if candidate + dur <= s + TIME_EPS {
                     return candidate;
                 }
                 if f > candidate {
@@ -449,29 +548,118 @@ mod tests {
             }
             candidate
         }
-        let mut tl = ProcTimeline::default();
-        for (s, d) in [(0.0, 2.0), (3.0, 1.0), (6.0, 0.5), (10.0, 4.0), (20.0, 1.0)] {
-            tl.reserve(s, d);
-        }
-        for ready in [0.0, 1.0, 2.0, 2.5, 4.0, 6.4, 9.9, 10.0, 14.0, 30.0] {
-            for dur in [0.0, 1e-9, 0.5, 1.0, 2.0, 3.0, 7.0] {
-                let got = tl.earliest_slot(ready, dur);
-                let want = reference(&tl.busy, ready, dur);
-                assert!(
-                    got == want,
-                    "ready={ready} dur={dur}: got {got}, want {want}"
-                );
-            }
+
+        fn reserve(&mut self, start: f64, finish: f64) {
+            let idx = self.0.partition_point(|&(s, _)| s < start);
+            self.0.insert(idx, (start, finish));
         }
     }
 
-    #[test]
-    fn timeline_insertion_keeps_order() {
-        let mut tl = ProcTimeline::default();
-        tl.reserve(10.0, 2.0);
-        tl.reserve(0.0, 2.0);
-        tl.reserve(5.0, 2.0);
-        assert_eq!(tl.busy, vec![(0.0, 2.0), (5.0, 7.0), (10.0, 12.0)]);
+    const DURS: [f64; 5] = [0.0, 1e-9, TIME_EPS, 2.0 * TIME_EPS, 1.0];
+    /// How far a probe aimed at a boundary is pushed past the exact fit.
+    const NUDGES: [f64; 4] = [0.0, 0.5 * TIME_EPS, TIME_EPS, 1.5 * TIME_EPS];
+
+    /// One step of a random timeline history: where the probe is aimed,
+    /// a position in `[0, 1)`, indices into `DURS` and `NUDGES`, and
+    /// whether the probed slot is then reserved.
+    type Step = (u8, f64, usize, usize, bool);
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        prop::collection::vec(
+            (
+                0u8..6,
+                0.0f64..1.0,
+                0..DURS.len(),
+                0..NUDGES.len(),
+                prop::bool::ANY,
+            ),
+            1..120,
+        )
+    }
+
+    /// Times start at one of these: at 1e9 an ulp is 1.2e-7, a tenth of
+    /// `TIME_EPS`; at 1e12 it is a hundred times `TIME_EPS`.
+    fn origin() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), Just(1e3), Just(1e9), Just(1e12)]
+    }
+
+    /// Drives `steps` through a [`Timeline`] and the [`FullScan`] side by
+    /// side and compares every probe with `==`. As a processor, what is
+    /// reserved is the slot the probe returned, so intervals abut exactly
+    /// and overlap by at most `TIME_EPS`. As a link, several messages are
+    /// costed against one state and all reserved afterwards, as
+    /// `Engine::commit` does, so intervals overlap freely.
+    fn drive(origin: f64, sparse: bool, link: bool, steps: &[Step]) -> Result<(), TestCaseError> {
+        let mut tl = Timeline::default();
+        let mut full = FullScan::default();
+        if sparse {
+            // Insertion-heavy: gaps of every width up to 4, filled out of
+            // order, for later probes to land in.
+            for i in [7, 2, 9, 0, 4, 11, 5, 1, 8, 3, 10, 6] {
+                let start = origin + 6.0 * f64::from(i);
+                let finish = start + 2.0 + f64::from(i % 5);
+                tl.reserve(start, finish);
+                full.reserve(start, finish);
+            }
+        }
+        let mut pending: Vec<(f64, f64)> = Vec::new();
+        for &(aim, x, d, n, reserve) in steps {
+            let dur = DURS[d];
+            let pick = |list: &[(f64, f64)]| list.get((x * list.len() as f64) as usize).copied();
+            let ready = match (aim, pick(&full.0)) {
+                (0, _) | (_, None) => origin,
+                (1, _) => origin + 80.0 * x,
+                // Just fitting, or just not, before an interval's start.
+                (2, Some((s, _))) => s - dur + NUDGES[n],
+                // Exactly at, or a nudge before, an interval's finish.
+                (3, Some((_, f))) => f - NUDGES[n],
+                (4, Some((s, _))) => s + NUDGES[n],
+                _ => tl.last_finish(),
+            };
+            let got = tl.earliest_slot(ready, dur);
+            let want = full.earliest_slot(ready, dur);
+            prop_assert!(
+                got == want,
+                "ready={ready:e} dur={dur:e}: got {got:e}, want {want:e}\n intervals {:?}\n {tl:?}",
+                full.0
+            );
+            if link {
+                // Longer than any probe, so reservations bury each other.
+                pending.push((got, got + dur + 3.0 * x));
+                if reserve {
+                    for (start, finish) in pending.drain(..) {
+                        tl.reserve(start, finish);
+                        full.reserve(start, finish);
+                    }
+                }
+            } else if reserve {
+                tl.reserve(got, got + dur);
+                full.reserve(got, got + dur);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn processor_timeline_matches_the_full_scan(
+            origin in origin(),
+            sparse in prop::bool::ANY,
+            steps in steps(),
+        ) {
+            drive(origin, sparse, false, &steps)?;
+        }
+
+        #[test]
+        fn link_timeline_matches_the_full_scan(
+            origin in origin(),
+            sparse in prop::bool::ANY,
+            steps in steps(),
+        ) {
+            drive(origin, sparse, true, &steps)?;
+        }
     }
 
     #[test]
