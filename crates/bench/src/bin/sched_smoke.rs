@@ -20,55 +20,68 @@ use banger_taskgraph::analysis::GraphAnalysis;
 use banger_taskgraph::generators;
 use std::time::Instant;
 
+const USAGE: &str =
+    "usage: sched_smoke [--tasks N] [--budget-ms MS] [--heuristics A,B] [--hypercube DIM]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("sched_smoke: {msg}; {USAGE}");
+    std::process::exit(2);
+}
+
+/// The value following `flag`, parsed; a missing or malformed one is a
+/// usage error.
+fn value<T: std::str::FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> T {
+    let Some(raw) = args.next() else {
+        usage_error(&format!("{flag} needs a value"));
+    };
+    raw.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag}: bad value {raw:?}")))
+}
+
 fn main() {
     let mut tasks: usize = 10_000;
     let mut budget_ms: u128 = 30_000;
     let mut heuristics = vec!["HLFET".to_string(), "MH".to_string()];
-    let mut hypercube: Option<u32> = None;
+    // The Figure 3 hypercube-3 machine unless the caller picks another
+    // dimension (the EXPERIMENTS.md scaling table's machine axis).
+    let mut hypercube: u32 = 3;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tasks" => {
-                i += 1;
-                tasks = args[i].parse().expect("--tasks N");
-            }
-            "--budget-ms" => {
-                i += 1;
-                budget_ms = args[i].parse().expect("--budget-ms MS");
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--tasks" => tasks = value(&flag, &mut args),
+            "--budget-ms" => budget_ms = value(&flag, &mut args),
             "--heuristics" => {
-                i += 1;
-                heuristics = args[i].split(',').map(str::to_string).collect();
+                heuristics = value::<String>(&flag, &mut args)
+                    .split(',')
+                    .map(str::to_string)
+                    .collect();
             }
-            "--hypercube" => {
-                i += 1;
-                hypercube = Some(args[i].parse().expect("--hypercube DIM"));
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--hypercube" => hypercube = value(&flag, &mut args),
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
-        i += 1;
+    }
+    if tasks == 0 {
+        usage_error("--tasks must be at least 1");
+    }
+    // The bound `Topology::parse` puts on `hypercube:DIM`.
+    if hypercube > 20 {
+        usage_error("--hypercube must be at most 20");
+    }
+    let known = |h: &String| h == "DSH" || banger_sched::HEURISTIC_NAMES.contains(&h.as_str());
+    if let Some(h) = heuristics.iter().find(|h| !known(h)) {
+        usage_error(&format!("unknown heuristic {h:?}"));
     }
 
     // Layer the graph ~200 wide: deep enough to have real dependence
     // structure, wide enough that the ready set stresses selection.
     let width = 200usize.min(tasks);
-    let layers = tasks.div_ceil(width).max(1);
+    let layers = tasks.div_ceil(width);
     let g = generators::layered_random(2026, layers, width, 3, (1.0, 20.0), (0.5, 10.0));
-    let m = match hypercube {
-        // Same Figure 3 machine parameters as `bench_machine`, on a
-        // caller-chosen hypercube dimension (the EXPERIMENTS.md scaling
-        // table's machine axis).
-        Some(dim) => banger_machine::Machine::new(
-            banger_machine::Topology::hypercube(dim),
-            banger::figures::figure3_params(),
-        ),
-        None => banger_bench::bench_machine(),
-    };
+    let m = banger_machine::Machine::new(
+        banger_machine::Topology::hypercube(hypercube),
+        banger::figures::figure3_params(),
+    );
     println!(
         "sched_smoke: {} tasks, {} edges on {} (budget {budget_ms} ms)",
         g.task_count(),
@@ -81,7 +94,7 @@ fn main() {
     for h in &heuristics {
         let t0 = Instant::now();
         let s = banger_sched::run_heuristic_with(h, &g, &m, &a)
-            .unwrap_or_else(|| panic!("unknown heuristic {h}"));
+            .expect("heuristic names were checked against the registry");
         let sched_ms = t0.elapsed().as_millis();
         s.validate(&g, &m)
             .unwrap_or_else(|e| panic!("{h}: invalid schedule: {e}"));

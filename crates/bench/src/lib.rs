@@ -2,17 +2,14 @@
 
 //! # banger-bench — workloads and experiment drivers
 //!
-//! Shared between the Criterion benches and the `repro` binary: the
-//! experiment definitions for every figure and results paragraph of the
-//! paper (see DESIGN.md's experiment index: F1–F4, R1–R4, ablations
-//! A1–A3).
-
-pub mod dataflow;
+//! The library behind the `repro` binary: the experiment definitions for
+//! every figure and results paragraph of the paper (see DESIGN.md's
+//! experiment index: F1–F4, R1–R4, ablations A1–A3).
 
 use banger::chart::SpeedupPoint;
 use banger::figures;
 use banger_machine::{Machine, MachineParams, Topology};
-use banger_sched::{bounds, Schedule};
+use banger_sched::bounds;
 use banger_sim::{simulate, SimOptions};
 use banger_taskgraph::{generators, TaskGraph};
 use rand::rngs::StdRng;
@@ -326,58 +323,6 @@ pub fn codegen_report() -> String {
         c.lines().count(),
         c.len()
     )
-}
-
-/// Machines for the sweep benches: hypercubes from 1 to 64 processors
-/// (dims 0..=6) with the Figure 3 cost set.
-pub fn hypercube_suite() -> Vec<Machine> {
-    (0..=6u32)
-        .map(|dim| Machine::new(Topology::hypercube(dim), figures::figure3_params()))
-        .collect()
-}
-
-/// Sequential reference for the sweep benches: MH on every machine, one at
-/// a time — the pre-sweep code path, kept so the benches (and
-/// `BENCH_sched.json`) can report the parallel layer's gain.
-pub fn speedup_points_sequential(g: &TaskGraph, machines: &[Machine]) -> Vec<SpeedupPoint> {
-    machines
-        .iter()
-        .map(|m| {
-            let s = banger_sched::mh::mh(g, m);
-            SpeedupPoint {
-                processors: m.processors(),
-                speedup: s.speedup(g, m),
-            }
-        })
-        .collect()
-}
-
-/// The parallel sweep equivalent of [`speedup_points_sequential`]; the
-/// results are bit-identical.
-pub fn speedup_points_parallel(g: &TaskGraph, machines: &[Machine]) -> Vec<SpeedupPoint> {
-    machines
-        .iter()
-        .zip(banger_sched::sweep::sweep_machines("MH", g, machines).expect("MH is known"))
-        .map(|(m, s)| SpeedupPoint {
-            processors: m.processors(),
-            speedup: s.speedup(g, m),
-        })
-        .collect()
-}
-
-/// Convenience used by benches: one mid-size schedule input.
-pub fn bench_graph() -> TaskGraph {
-    generators::gauss_elimination(10, 2.0, 1.0)
-}
-
-/// Convenience used by benches: the Figure 3 hypercube-3 machine.
-pub fn bench_machine() -> Machine {
-    Machine::new(Topology::hypercube(3), figures::figure3_params())
-}
-
-/// Validates one schedule (debug aid shared by benches).
-pub fn check(g: &TaskGraph, m: &Machine, s: &Schedule) {
-    s.validate(g, m).expect("bench schedules must be valid");
 }
 
 #[cfg(test)]

@@ -18,9 +18,10 @@
 //! * [`schedule`] — the validated [`Schedule`] representation shared by
 //!   all of the above;
 //! * [`bounds`] — lower bounds for reporting heuristic quality;
-//! * [`reference`] — the retained naive implementations pinning the
-//!   optimised selection/caching paths to bit-identical output
-//!   (see DESIGN.md §14 for the complexity contract).
+//! * [`reference`] — a test oracle only: the retained naive
+//!   implementations that `tests/prop_sched_scale.rs` compares the
+//!   optimised selection/caching paths with, bit for bit. Nothing outside
+//!   tests calls it (see DESIGN.md §14 for the complexity contract).
 //!
 //! ## Example
 //!
@@ -54,8 +55,8 @@ use banger_machine::Machine;
 use banger_taskgraph::analysis::GraphAnalysis;
 use banger_taskgraph::TaskGraph;
 
-/// Every heuristic in the crate, by name — the comparison tables and
-/// benches iterate over this list.
+/// Every heuristic in the crate, by name — the comparison tables iterate
+/// over this list.
 pub const HEURISTIC_NAMES: [&str; 7] = ["serial", "naive", "HLFET", "MCP", "ETF", "DLS", "MH"];
 
 /// Runs a heuristic by name (see [`HEURISTIC_NAMES`]; `"DSH"` is also

@@ -27,7 +27,8 @@ use banger_taskgraph::{TaskGraph, TaskId};
 /// highest `priority` (greater = earlier; ties toward lower task id) via
 /// the [`ReadyQueue`] heap, then commit it to the processor giving the
 /// earliest start. Selection is `O(log n)` per step; the legacy linear
-/// scan lives on in [`crate::reference`] as the differential oracle.
+/// scan lives on in [`crate::reference`], which only the differential
+/// tests call.
 fn task_first(name: &str, g: &TaskGraph, m: &Machine, priority: &[f64]) -> Schedule {
     let mut eng = Engine::new(name, g, m, CommModel::Analytic);
     let mut queue = ReadyQueue::new(g, priority);

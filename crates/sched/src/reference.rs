@@ -1,6 +1,7 @@
 //! Retained naive reference implementations of every heuristic, kept
 //! verbatim from before the scale rework so the differential suites can
-//! pin the optimised schedulers to **bit-identical** output.
+//! pin the optimised schedulers to **bit-identical** output. A test
+//! oracle only: `tests/prop_sched_scale.rs` is the one caller.
 //!
 //! These are the original `O(n^2)`-selection / full-rescan pair-scan
 //! implementations: a `Vec`-backed ready set with a linear `max_by` scan

@@ -23,7 +23,7 @@
 //!    directly (`banger run <file> --trace out.json`).
 //! 3. **Aggregate counters.** [`Trace::summary`] reduces the stream to
 //!    tasks/s, worker utilization, total queue wait, CoW copies and
-//!    bytes moved — printed by the CLI and recorded by `bench_exec`.
+//!    bytes moved — printed by the CLI and recorded by `bench_all`.
 //!
 //! The overhead contract: with tracing off the executor does no trace
 //! work at all (no timestamps beyond the ones it always took, no
