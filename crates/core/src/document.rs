@@ -93,7 +93,7 @@ pub fn parse_project(text: &str) -> Result<Project, DocError> {
                     return Err(err(no, "duplicate design section"));
                 }
                 let mut g = HierGraph::new(name.clone());
-                parse_design_body(&mut lines, &mut g)?;
+                parse_design_body(&mut lines, &mut g, 0)?;
                 design = Some(g);
             }
             "begin-program" => {
@@ -211,7 +211,20 @@ fn parse_machine_body(lines: &mut Numbered<'_>, topo: Topology) -> Result<Machin
     Ok(m)
 }
 
-fn parse_design_body(lines: &mut Numbered<'_>, g: &mut HierGraph) -> Result<(), DocError> {
+/// Deepest `compound` nesting a document may have — the cap PITS
+/// nesting already has (`calc::parser`). The parser below, the printer,
+/// `HierGraph`'s walks and its drop glue all recurse once per level, so a
+/// deeper file must be a positioned error here, not a stack overflow
+/// that takes `banger check` — or the daemon, for every client — down.
+const MAX_COMPOUND_DEPTH: usize = 200;
+
+/// Parses one design/compound section up to its `end`; `depth` is the
+/// number of compounds enclosing it.
+fn parse_design_body(
+    lines: &mut Numbered<'_>,
+    g: &mut HierGraph,
+    depth: usize,
+) -> Result<(), DocError> {
     let mut names: BTreeMap<String, HierNodeId> = BTreeMap::new();
     loop {
         let (no, line) = lines
@@ -251,8 +264,14 @@ fn parse_design_body(lines: &mut Numbered<'_>, g: &mut HierGraph) -> Result<(), 
                 let n = parts
                     .next()
                     .ok_or_else(|| err(no, "compound needs a name"))?;
+                if depth == MAX_COMPOUND_DEPTH {
+                    return Err(err(
+                        no,
+                        &format!("compounds nested deeper than {MAX_COMPOUND_DEPTH} levels"),
+                    ));
+                }
                 let mut inner = HierGraph::new(n.to_string());
-                parse_design_body(lines, &mut inner)?;
+                parse_design_body(lines, &mut inner, depth + 1)?;
                 insert_node(&mut names, no, n, g.add_compound(n, inner))?;
             }
             "bind" => {
@@ -595,6 +614,35 @@ end
                 e.to_string().contains(needle),
                 "{doc:?}: got {e}, wanted {needle:?}"
             );
+        }
+    }
+
+    /// `project deep` whose design is `depth` compounds, one inside the
+    /// other, around a single task.
+    fn nested_compounds(depth: usize) -> String {
+        let mut doc = String::from("project deep\ndesign\n");
+        for i in 0..depth {
+            doc.push_str(&format!("compound c{i}\n"));
+        }
+        doc.push_str("task t 1\n");
+        doc.push_str(&"end\n".repeat(depth + 1));
+        doc
+    }
+
+    #[test]
+    fn compound_nesting_is_capped_with_a_positioned_error() {
+        // At the cap the document parses, and survives the recursive
+        // walks behind it (printer, flatten, drop).
+        let mut p = parse_project(&nested_compounds(MAX_COMPOUND_DEPTH)).unwrap();
+        assert_eq!(parse_project(&print_project(&p)).unwrap().name(), "deep");
+        assert_eq!(p.flatten().unwrap().graph.task_count(), 1);
+        // One level more names the line of the offending `compound` (two
+        // header lines, then one compound per line); 10,000 levels — the
+        // stack overflow of ROADMAP item 1 — stop at the same place.
+        for depth in [MAX_COMPOUND_DEPTH + 1, 10_000] {
+            let e = parse_project(&nested_compounds(depth)).unwrap_err();
+            assert_eq!(e.line, 2 + MAX_COMPOUND_DEPTH + 1, "depth {depth}");
+            assert!(e.message.contains("nested deeper than 200"), "{e}");
         }
     }
 

@@ -1,144 +1,11 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! The build container has no crates.io access, so this crate provides the
-//! two pieces the executor uses:
-//!
-//! * `crossbeam::channel::unbounded` — a multi-producer **multi-consumer**
-//!   unbounded channel (std's `mpsc::Receiver` is single-consumer, hence the
-//!   hand-rolled queue). Disconnect semantics match crossbeam: `recv` errors
-//!   once the queue is empty and every sender is gone; `send` errors once
-//!   every receiver is gone.
-//! * `crossbeam::deque` — a Chase–Lev work-stealing deque
-//!   ([`deque::Worker`] / [`deque::Stealer`]), the lock-free structure the
-//!   work-stealing executor schedules ready tasks through. One owner pushes
-//!   and pops LIFO at the bottom; any number of thieves steal FIFO from the
-//!   top.
-
-pub mod channel {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
-
-    struct Shared<T> {
-        queue: Mutex<State<T>>,
-        ready: Condvar,
-    }
-
-    struct State<T> {
-        items: VecDeque<T>,
-        senders: usize,
-        receivers: usize,
-    }
-
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct RecvError;
-
-    pub struct Sender<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    pub struct Receiver<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(State {
-                items: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
-            }),
-            ready: Condvar::new(),
-        });
-        (
-            Sender {
-                shared: Arc::clone(&shared),
-            },
-            Receiver { shared },
-        )
-    }
-
-    impl<T> Sender<T> {
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut st = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if st.receivers == 0 {
-                return Err(SendError(value));
-            }
-            st.items.push_back(value);
-            drop(st);
-            self.shared.ready.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Receiver<T> {
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut st = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(v) = st.items.pop_front() {
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvError);
-                }
-                st = self
-                    .shared
-                    .ready
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        }
-
-        pub fn try_recv(&self) -> Result<T, RecvError> {
-            let mut st = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            st.items.pop_front().ok_or(RecvError)
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            let mut st = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            st.senders += 1;
-            drop(st);
-            Sender {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            let mut st = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            st.receivers += 1;
-            drop(st);
-            Receiver {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut st = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            st.senders -= 1;
-            let last = st.senders == 0;
-            drop(st);
-            if last {
-                // Wake blocked receivers so they observe disconnection.
-                self.shared.ready.notify_all();
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            let mut st = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            st.receivers -= 1;
-        }
-    }
-}
+//! one piece the executor uses: `crossbeam::deque`, a Chase–Lev
+//! work-stealing deque ([`deque::Worker`] / [`deque::Stealer`]), the
+//! lock-free structure the work-stealing executor schedules ready tasks
+//! through. One owner pushes and pops LIFO at the bottom; any number of
+//! thieves steal FIFO from the top.
 
 pub mod deque {
     //! A Chase–Lev work-stealing deque (Chase & Lev, *Dynamic Circular
@@ -544,44 +411,5 @@ mod deque_tests {
             assert_eq!(Arc::strong_count(&probe), 39);
         }
         assert_eq!(Arc::strong_count(&probe), 1, "no leaks, no double drops");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::channel;
-
-    #[test]
-    fn fan_out_fan_in() {
-        let (tx, rx) = channel::unbounded::<u32>();
-        let (out_tx, out_rx) = channel::unbounded::<u32>();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let rx = rx.clone();
-                let out_tx = out_tx.clone();
-                scope.spawn(move || {
-                    while let Ok(v) = rx.recv() {
-                        out_tx.send(v * 2).unwrap();
-                    }
-                });
-            }
-            drop(rx);
-            drop(out_tx);
-            for i in 0..100 {
-                tx.send(i).unwrap();
-            }
-            drop(tx);
-            let mut got: Vec<u32> = (0..100).map(|_| out_rx.recv().unwrap()).collect();
-            got.sort_unstable();
-            assert_eq!(got, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-            assert!(out_rx.recv().is_err());
-        });
-    }
-
-    #[test]
-    fn send_fails_with_no_receivers() {
-        let (tx, rx) = channel::unbounded::<u8>();
-        drop(rx);
-        assert!(tx.send(1).is_err());
     }
 }

@@ -24,15 +24,17 @@
 //! successors straight into the completing worker's own deque, idle
 //! workers steal, and tasks below [`ExecOptions::inline_below`] run on
 //! the publishing thread's private stack with no queueing at all.
-//! Blocking uses a `parking_lot` mutex/condvar pair behind a Dekker
-//! flag; workers never busy-wait and publishers pay no syscall while
-//! nobody sleeps.
+//! Pinned mode replaces only that policy; readiness counters, result
+//! buffers and error handling are shared. All blocking, in both modes,
+//! is one `parking_lot` mutex/condvar pair behind a Dekker flag;
+//! workers never busy-wait and publishers pay no syscall while nobody
+//! sleeps.
 //!
-//! For repeated firings of one design — parameter sweeps, convergence
-//! loops — a persistent [`Session`] keeps the worker threads parked and
-//! the routing tables, compiled programs, Vm frames, and slab store
-//! allocated across runs, so a warm firing pays none of the per-
-//! `execute` setup.
+//! There is one executor lifecycle: a [`Session`] keeps the worker
+//! threads parked and the routing tables, compiled programs, Vm frames,
+//! and slab store allocated across firings — parameter sweeps,
+//! convergence loops — and a greedy [`execute`] is a session opened,
+//! fired once and dropped, so the two cannot disagree.
 //!
 //! Setting [`ExecOptions::trace`] makes either mode record a
 //! [`Trace`](banger_trace::Trace) of what actually happened — task

@@ -18,7 +18,13 @@
 //! compute. DESIGN.md §10 documents the routing tables and the CoW
 //! contract.
 //!
-//! ## Work stealing
+//! ## One lifecycle
+//!
+//! There is one way a firing runs: a [`Session`] binds the external
+//! inputs, seeds the roots, joins its own pool as worker 0, waits at the
+//! end-of-firing barrier and assembles the report. [`execute`] in greedy
+//! mode is exactly that, fired once — `Greedy { workers: 1 }` is a pool of
+//! zero threads on the same loop, not a separate sequential path.
 //!
 //! Greedy mode has no coordinator thread and no channels. Each worker
 //! owns a Chase–Lev deque ([`crossbeam::deque`]); completing a task
@@ -30,10 +36,16 @@
 //! publication and no wakeup — the small-grain regime the paper's
 //! large-grain model degrades into pays no coordination at all. Workers
 //! with nothing to run or steal park on a condvar behind a Dekker-style
-//! `waiting` flag, so publishers pay a fence plus one relaxed load (no
-//! syscall) when nobody sleeps. The same machinery is reused across
-//! firings by [`crate::session::Session`], which keeps the threads
-//! parked between runs. DESIGN.md §12 documents the protocol.
+//! `waiting` flag (`ws_park`), so publishers pay a fence plus one
+//! relaxed load (no syscall) when nobody sleeps.
+//!
+//! Pinned mode keeps its own *policy* — worker *i* walks processor *i*'s
+//! placements in start order, duplicated copies included — as the small
+//! `pinned_run` loop, on the same plumbing: readiness is the shared
+//! in-degree counters (the first copy of a task to publish decrements its
+//! successors), waiting is `ws_park`, results and errors go through the
+//! same per-worker buffers, sink and first-error slot. DESIGN.md §12
+//! documents the protocol.
 //!
 //! ## Tracing and error paths
 //!
@@ -45,11 +57,12 @@
 //! does no trace work at all. Task bodies run under `catch_unwind` in
 //! every mode, so a panicking body surfaces as
 //! [`ExecError::WorkerPanic`] naming the task instead of killing the
-//! worker silently; a worker thread lost with work in flight poisons
+//! worker silently; a worker lost with work in flight poisons
 //! the run and surfaces as [`ExecError::WorkerLost`] rather than
 //! hanging the barrier. DESIGN.md §11 documents the event model and
 //! the overhead contract.
 
+use crate::session::Session;
 use banger_calc::compile::CompiledProgram;
 use banger_calc::value::cow;
 use banger_calc::vm::Vm;
@@ -59,7 +72,7 @@ use banger_taskgraph::hierarchy::Flattened;
 use banger_taskgraph::{TaskGraph, TaskId};
 use banger_trace::{Trace, TraceEvent};
 use crossbeam::deque::{self, Steal};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
@@ -268,18 +281,13 @@ impl std::error::Error for ExecError {}
 /// `output_slots` (declaration) order, shared between workers by `Arc`.
 type TaskOutputs = Arc<Vec<Value>>;
 
-/// Shared results store: an indexed slab of task outputs plus a condvar
-/// for pinned-mode waiting. No string keys anywhere — consumers address
-/// values as `outputs[task][output index]` via the [`Router`].
+/// Shared results store: an indexed slab of task outputs plus the
+/// firing's poison flag. No string keys anywhere — consumers address
+/// values as `outputs[task][output index]` via the [`Router`]. Nobody
+/// waits on the store: readiness is [`WsState::indeg`].
 pub(crate) struct Store {
     /// `outputs[t]` is `Some` once any copy of `t` completed.
-    pub(crate) outputs: Mutex<Vec<Option<TaskOutputs>>>,
-    ready: Condvar,
-    /// Threads currently blocked in [`Store::wait_for`]. Publishing only
-    /// notifies the condvar when this is non-zero: only pinned mode ever
-    /// waits, and `std`'s futex condvar pays a `FUTEX_WAKE` syscall per
-    /// notify even with no waiters — a measurable per-task tax otherwise.
-    waiters: AtomicUsize,
+    outputs: Mutex<Vec<Option<TaskOutputs>>>,
     pub(crate) poisoned: AtomicBool,
 }
 
@@ -287,26 +295,20 @@ impl Store {
     pub(crate) fn new(n: usize) -> Self {
         Store {
             outputs: Mutex::new(vec![None; n]),
-            ready: Condvar::new(),
-            waiters: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
         }
     }
 
-    fn publish(&self, t: TaskId, vals: Vec<Value>) {
+    /// Publishes one copy's outputs; true iff it was the first copy of
+    /// `t` to do so (pinned schedules may duplicate a task, and only the
+    /// first publication may release its successors).
+    fn publish(&self, t: TaskId, vals: Vec<Value>) -> bool {
         let mut lock = self.outputs.lock();
-        if lock[t.index()].is_none() {
+        let first = lock[t.index()].is_none();
+        if first {
             lock[t.index()] = Some(Arc::new(vals));
         }
-        // `waiters` is only ever incremented under the lock we hold, so a
-        // zero read here cannot race with a waiter about to block.
-        if self.waiters.load(Ordering::Relaxed) > 0 {
-            self.ready.notify_all();
-        }
-    }
-
-    pub(crate) fn get(&self, t: TaskId) -> Option<TaskOutputs> {
-        self.outputs.lock()[t.index()].clone()
+        first
     }
 
     /// Rearms the slab for another firing of the same graph (session
@@ -318,30 +320,6 @@ impl Store {
             *slot = None;
         }
         self.poisoned.store(false, Ordering::SeqCst);
-    }
-
-    /// Blocks until every task in `tasks` has published (pinned mode).
-    /// Returns false if execution was poisoned meanwhile.
-    fn wait_for(&self, tasks: &[TaskId]) -> bool {
-        let mut lock = self.outputs.lock();
-        loop {
-            if self.poisoned.load(Ordering::SeqCst) {
-                return false;
-            }
-            if tasks.iter().all(|t| lock[t.index()].is_some()) {
-                return true;
-            }
-            // Incremented under the lock (see `publish`), decremented after
-            // waking so a publisher that saw us cannot be missed.
-            self.waiters.fetch_add(1, Ordering::Relaxed);
-            self.ready.wait(&mut lock);
-            self.waiters.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    fn poison(&self) {
-        self.poisoned.store(true, Ordering::SeqCst);
-        self.ready.notify_all();
     }
 }
 
@@ -373,10 +351,10 @@ struct TaskRoute {
 
 /// Dense routing tables for a design: built once, read by every worker
 /// across any number of firings. Resolving `(task, var)` string pairs
-/// happens here and only here; structural failures (`NoProgram`,
-/// `MissingArcValue`) surface at build time, and per-firing value
-/// failures (`UnboundInput`) at [`Router::bind`] time — both before
-/// any task runs.
+/// happens here and only here; structural failures (`Cyclic`,
+/// `NoProgram`, `MissingArcValue`) surface at build time, and per-firing
+/// value failures (`UnboundInput`) at [`Router::bind`] time — both
+/// before any task runs.
 pub(crate) struct Router {
     routes: Vec<TaskRoute>,
     /// External-input slots in first-reference order: `(variable, name
@@ -393,6 +371,9 @@ pub(crate) struct Router {
 impl Router {
     pub(crate) fn build(design: &Flattened, lib: &ProgramLibrary) -> Result<Self, ExecError> {
         let g = &design.graph;
+        if !g.is_dag() {
+            return Err(ExecError::Cyclic);
+        }
         // Pass 1: every task resolves to a program (fail fast, not
         // mid-run).
         let mut compiled: Vec<Arc<CompiledProgram>> = Vec::with_capacity(g.task_count());
@@ -529,100 +510,18 @@ impl Router {
 
 /// Executes the flattened design. `external` supplies values for the
 /// design's input ports (by variable name); the report's `outputs` carries
-/// the output-port values.
+/// the output-port values. A greedy run is a [`Session`] fired once — the
+/// same seed, worker loop, barrier and report every later firing would
+/// get — so one-shot and persistent execution cannot disagree.
 pub fn execute(
     design: &Flattened,
     lib: &ProgramLibrary,
     external: &BTreeMap<String, Value>,
     options: &ExecOptions,
 ) -> Result<ExecReport, ExecError> {
-    let g = &design.graph;
-    if !g.is_dag() {
-        return Err(ExecError::Cyclic);
-    }
-    // All name resolution happens here; workers only see indices.
-    let router = Router::build(design, lib)?;
-    let externals = router.bind(external)?;
-
-    let store = Store::new(g.task_count());
-    let epoch = Instant::now();
-    let ctx = Ctx {
-        g,
-        router: &router,
-        options,
-        store: &store,
-        externals: &externals,
-        epoch,
-    };
-
-    let out = match &options.mode {
-        ExecMode::Greedy { workers } => {
-            let n = if *workers == 0 {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            } else {
-                *workers
-            };
-            if n == 1 {
-                // A one-worker pool is a sequential loop: run it on the
-                // caller's thread and skip the spawn/channel machinery.
-                run_inline(&ctx)?
-            } else {
-                run_greedy(&ctx, n)?
-            }
-        }
-        ExecMode::Pinned(schedule) => run_pinned(&ctx, schedule)?,
-    };
-
-    Ok(assemble_report(&router, &store, out, epoch, options.trace))
-}
-
-/// Collects a finished mode's output into the caller-facing report:
-/// output-port values out of the slab, wall clock, optional trace.
-/// Shared by `execute` and the persistent session.
-pub(crate) fn assemble_report(
-    router: &Router,
-    store: &Store,
-    out: ModeOutput,
-    epoch: Instant,
-    tracing: bool,
-) -> ExecReport {
-    let mut outputs = BTreeMap::new();
-    for (var, t, out) in &router.out_ports {
-        let vals = store.get(*t).expect("all tasks completed");
-        outputs.insert(var.clone(), vals[*out].clone());
-    }
-    let wall = epoch.elapsed();
-    let trace = tracing.then(|| Trace::from_events(out.events, out.workers, wall));
-    ExecReport {
-        outputs,
-        runs: out.runs,
-        wall,
-        prints: out.prints,
-        trace,
-    }
-}
-
-/// What each dispatch mode hands back to `execute`.
-pub(crate) struct ModeOutput {
-    runs: Vec<TaskRun>,
-    prints: Vec<(TaskId, String)>,
-    /// Trace events (empty unless `ExecOptions::trace`).
-    events: Vec<TraceEvent>,
-    /// Worker threads that actually executed or recorded something —
-    /// work-stealing runs where inlining collapsed the firing onto one
-    /// thread report 1 regardless of pool size.
-    workers: usize,
-}
-
-impl ModeOutput {
-    /// Stable orders for reproducible reports.
-    fn sorted(mut self) -> Self {
-        self.runs
-            .sort_by(|a, b| a.finish.cmp(&b.finish).then(a.task.cmp(&b.task)));
-        self.prints.sort_by_key(|a| a.0);
-        self
+    match &options.mode {
+        ExecMode::Greedy { .. } => Session::new(design, lib, options)?.run(external),
+        ExecMode::Pinned(schedule) => run_pinned(design, lib, external, options, schedule),
     }
 }
 
@@ -653,32 +552,23 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Runs one task copy with the panic boundary every mode shares: a
 /// panicking task body (or a broken internal invariant inside
 /// [`run_one`]) becomes [`ExecError::WorkerPanic`] naming the task,
-/// instead of unwinding through the worker thread — which the scoped
-/// join would either swallow (pinned) or turn into a coordinator
-/// deadlock-then-panic (greedy). When tracing, failures also record a
-/// [`TraceEvent::TaskError`].
-fn run_one_caught(
-    ctx: &Ctx<'_>,
-    worker: usize,
-    t: TaskId,
-    vm: &mut Vm,
-    frame: &mut Vec<Value>,
-    events: Option<&mut Vec<TraceEvent>>,
-) -> Result<(TaskRun, Vec<(TaskId, String)>), ExecError> {
-    let mut events = events;
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        run_one(ctx, worker, t, vm, frame, events.as_deref_mut())
-    }))
-    .unwrap_or_else(|payload| {
-        Err(ExecError::WorkerPanic {
+/// instead of unwinding through the worker thread and taking it out of
+/// the pool. When tracing, failures also record a
+/// [`TraceEvent::TaskError`]. `Ok` carries [`Store::publish`]'s verdict:
+/// whether this copy was the first of `t` to publish.
+fn run_one_caught(ctx: &Ctx<'_>, w: &mut WsWorker, t: TaskId) -> Result<bool, ExecError> {
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| run_one(ctx, w, t))).unwrap_or_else(
+        |payload| {
+            Err(ExecError::WorkerPanic {
+                task: ctx.g.task(t).name.clone(),
+                message: panic_message(payload),
+            })
+        },
+    );
+    if let (Err(e), true) = (&result, ctx.options.trace) {
+        w.events.push(TraceEvent::TaskError {
             task: ctx.g.task(t).name.clone(),
-            message: panic_message(payload),
-        })
-    });
-    if let (Err(e), Some(events)) = (&result, events) {
-        events.push(TraceEvent::TaskError {
-            task: ctx.g.task(t).name.clone(),
-            worker,
+            worker: w.me,
             at: ctx.epoch.elapsed(),
             message: e.to_string(),
         });
@@ -686,29 +576,24 @@ fn run_one_caught(
     result
 }
 
-/// One worker executing one task copy; shared by both modes. `vm` is the
-/// worker's own bytecode frame and `frame` its input staging vector, both
-/// reused across every task copy it executes — programs come pre-compiled
-/// via the router, inputs arrive as `Arc` bumps from the slab store, so
-/// the steady state performs no compilation, no string handling, and no
-/// per-task allocation. `events` is `Some` iff tracing; only then are
-/// input volumes and CoW counter deltas computed.
-fn run_one(
-    ctx: &Ctx<'_>,
-    worker: usize,
-    t: TaskId,
-    vm: &mut Vm,
-    frame: &mut Vec<Value>,
-    events: Option<&mut Vec<TraceEvent>>,
-) -> Result<(TaskRun, Vec<(TaskId, String)>), ExecError> {
+/// One worker executing one task copy; shared by both modes. `w.vm` is
+/// the worker's own bytecode frame and `w.frame` its input staging vector,
+/// both reused across every task copy it executes — programs come
+/// pre-compiled via the router, inputs arrive as `Arc` bumps from the slab
+/// store, so the steady state performs no compilation, no string handling,
+/// and no per-task allocation. The run record and prints land in `w`'s
+/// buffers; only when tracing are input volumes and CoW counter deltas
+/// computed.
+fn run_one(ctx: &Ctx<'_>, w: &mut WsWorker, t: TaskId) -> Result<bool, ExecError> {
     let route = &ctx.router.routes[t.index()];
+    let tracing = ctx.options.trace;
 
     // Gather: one lock hold, one Arc bump per input.
-    frame.clear();
+    w.frame.clear();
     {
         let lock = ctx.store.outputs.lock();
         for feed in &route.feeds {
-            frame.push(match *feed {
+            w.frame.push(match *feed {
                 Feed::Arc { src, out } => {
                     let produced = lock[src.index()]
                         .as_ref()
@@ -729,20 +614,20 @@ fn run_one(
     // Trace preamble: per-input byte volumes (an f64 element is 8 bytes)
     // and the worker thread's cumulative CoW counters, read again after
     // the body so the delta attributes copies to this task.
-    let trace_pre = events.as_ref().map(|_| {
+    let trace_pre = tracing.then(|| {
         let bytes_in: Vec<(String, u64)> = route
             .compiled
             .input_names()
-            .zip(frame.iter())
+            .zip(w.frame.iter())
             .map(|(n, v)| (n.to_string(), (v.volume() * 8.0) as u64))
             .collect();
         (bytes_in, cow::counters())
     });
 
-    let mut events = events;
+    let worker = w.me;
     let start = ctx.epoch.elapsed();
-    if let Some(events) = events.as_deref_mut() {
-        events.push(TraceEvent::TaskStart {
+    if tracing {
+        w.events.push(TraceEvent::TaskStart {
             task: t,
             worker,
             at: start,
@@ -755,7 +640,7 @@ fn run_one(
             .compiled
             .input_names()
             .map(str::to_string)
-            .zip(frame.iter().cloned())
+            .zip(w.frame.iter().cloned())
             .collect();
         let mut outcome =
             interp::run_with(&route.prog, &inputs, ctx.options.interp).map_err(|error| {
@@ -776,20 +661,19 @@ fn run_one(
             .collect();
         (dense, outcome.prints, outcome.ops)
     } else {
-        let outcome = vm
-            .run_dense(&route.compiled, frame, ctx.options.interp)
-            .map_err(|error| ExecError::Run {
-                task: ctx.g.task(t).name.clone(),
-                error,
-            })?;
+        let outcome =
+            w.vm.run_dense(&route.compiled, &w.frame, ctx.options.interp)
+                .map_err(|error| ExecError::Run {
+                    task: ctx.g.task(t).name.clone(),
+                    error,
+                })?;
         (outcome.outputs, outcome.prints, outcome.ops)
     };
     let finish = ctx.epoch.elapsed();
-    let prints = prints.into_iter().map(|s| (t, s)).collect::<Vec<_>>();
-    ctx.store.publish(t, dense_outputs);
-    if let (Some(events), Some((bytes_in, (copies0, elems0)))) = (events, trace_pre) {
+    let first = ctx.store.publish(t, dense_outputs);
+    if let Some((bytes_in, (copies0, elems0))) = trace_pre {
         let (copies1, elems1) = cow::counters();
-        events.push(TraceEvent::TaskFinish {
+        w.events.push(TraceEvent::TaskFinish {
             task: t,
             worker,
             start,
@@ -800,50 +684,15 @@ fn run_one(
             bytes_in,
         });
     }
-    Ok((
-        TaskRun {
-            task: t,
-            worker,
-            start,
-            finish,
-            ops,
-        },
-        prints,
-    ))
-}
-
-/// Sequential execution on the caller's thread — what `Greedy {
-/// workers: 1 }` means, without paying for a thread spawn and a channel
-/// pair per `execute` call.
-fn run_inline(ctx: &Ctx<'_>) -> Result<ModeOutput, ExecError> {
-    let g = ctx.g;
-    let mut indeg: Vec<usize> = g.task_ids().map(|t| g.in_degree(t)).collect();
-    let mut ready: Vec<TaskId> = g.task_ids().filter(|t| indeg[t.index()] == 0).collect();
-    let mut vm = Vm::new();
-    let mut frame = Vec::new();
-    let mut runs = Vec::with_capacity(g.task_count());
-    let mut prints = Vec::new();
-    let mut events = Vec::new();
-    while let Some(t) = ready.pop() {
-        let tracer = ctx.options.trace.then_some(&mut events);
-        let (run, p) = run_one_caught(ctx, 0, t, &mut vm, &mut frame, tracer)?;
-        runs.push(run);
-        prints.extend(p);
-        for s in g.successors(t) {
-            let d = &mut indeg[s.index()];
-            *d -= 1;
-            if *d == 0 {
-                ready.push(s);
-            }
-        }
-    }
-    Ok(ModeOutput {
-        runs,
-        prints,
-        events,
-        workers: 1,
-    }
-    .sorted())
+    w.prints.extend(prints.into_iter().map(|s| (t, s)));
+    w.runs.push(TaskRun {
+        task: t,
+        worker,
+        start,
+        finish,
+        ops,
+    });
+    Ok(first)
 }
 
 /// A ready task travelling through the work-stealing deques, stamped
@@ -853,8 +702,7 @@ pub(crate) type WsItem = (TaskId, Option<Duration>);
 
 /// Barrier state guarded by [`WsState::coord`].
 pub(crate) struct WsCoord {
-    /// Pool workers (indices ≥ 1) parked between firings (session) or
-    /// after their final firing.
+    /// Pool workers (indices ≥ 1) parked between firings.
     pub(crate) parked: usize,
     /// Pool workers whose threads died (injected faults); the session
     /// barrier counts them as permanently "parked".
@@ -863,30 +711,33 @@ pub(crate) struct WsCoord {
 
 /// Per-worker completed-work buffers, merged at flush points.
 #[derive(Default)]
-pub(crate) struct WsSink {
+struct WsSink {
     runs: Vec<TaskRun>,
     prints: Vec<(TaskId, String)>,
     events: Vec<TraceEvent>,
 }
 
-/// Work-stealing shared state for one pool (one `execute` call, or the
-/// whole lifetime of a session).
+/// The executor's shared per-pool state, in both modes: readiness
+/// counters, the one wait/wake protocol, the result sink and the first
+/// error. A session keeps one for its whole lifetime; a pinned run for
+/// one `execute` call.
 pub(crate) struct WsState {
-    /// One stealer handle per worker deque, visible to every worker.
-    pub(crate) stealers: Vec<deque::Stealer<WsItem>>,
+    /// One stealer handle per worker deque, visible to every worker
+    /// (none in pinned mode, where nothing is stealable).
+    stealers: Vec<deque::Stealer<WsItem>>,
     /// Remaining-predecessor count per task; the `fetch_sub` that hits
     /// zero owns publication of that task.
     indeg: Vec<AtomicU32>,
-    /// Tasks not yet completed this firing; zero ends the firing.
+    /// Tasks not yet completed this firing; zero ends a greedy firing.
     remaining: AtomicUsize,
-    /// Workers inside the park path — the Dekker flag publishers check
+    /// Workers inside `ws_park` — the Dekker flag publishers check
     /// (fence + relaxed load, no syscall) before touching the condvar.
-    pub(crate) waiting: AtomicUsize,
+    waiting: AtomicUsize,
     pub(crate) coord: Mutex<WsCoord>,
     pub(crate) cv: Condvar,
     first_error: Mutex<Option<ExecError>>,
     sink: Mutex<WsSink>,
-    /// Session teardown flag; one-shot executions never set it.
+    /// Session teardown flag; one-shot pinned runs never set it.
     pub(crate) shutdown: AtomicBool,
 }
 
@@ -909,7 +760,7 @@ impl WsState {
     }
 
     /// Rearms per-firing state for session reuse. Callers must ensure
-    /// every pool worker is parked and every deque drained first.
+    /// every pool worker is parked first.
     pub(crate) fn reset(&self, g: &TaskGraph) {
         for t in g.task_ids() {
             self.indeg[t.index()].store(g.in_degree(t) as u32, Ordering::Relaxed);
@@ -922,51 +773,58 @@ impl WsState {
         sink.events.clear();
     }
 
-    pub(crate) fn take_error(&self) -> Option<ExecError> {
-        self.first_error.lock().take()
+    /// True while any deque holds a stealable task.
+    pub(crate) fn has_work(&self) -> bool {
+        self.stealers.iter().any(|s| !s.is_empty())
     }
 
-    /// Drains every deque via the stealer side (used by session reset
-    /// after a poisoned firing left items behind; all workers parked).
-    pub(crate) fn drain_deques(&self) {
-        for s in &self.stealers {
-            while let Steal::Success(_) | Steal::Retry = s.steal() {}
+    /// Ends a firing once every worker has flushed: the first recorded
+    /// error, or the caller-facing report — runs and prints in stable
+    /// orders, output-port values out of the slab, wall clock, optional
+    /// trace. The trace's worker count is 1 + the highest worker index
+    /// that actually ran or recorded anything, so utilization reflects
+    /// threads that participated, not pool size.
+    pub(crate) fn finish(&self, ctx: &Ctx<'_>) -> Result<ExecReport, ExecError> {
+        if let Some(e) = self.first_error.lock().take() {
+            return Err(e);
         }
-    }
-
-    /// Collects the merged sink into a [`ModeOutput`] with
-    /// engaged-worker accounting: `workers` is 1 + the highest worker
-    /// index that actually ran or recorded anything, so utilization
-    /// reflects threads that participated, not pool size.
-    pub(crate) fn collect(&self) -> ModeOutput {
-        let sink = std::mem::take(&mut *self.sink.lock());
-        let mut hi = 0usize;
-        for r in &sink.runs {
-            hi = hi.max(r.worker);
+        let mut sink = std::mem::take(&mut *self.sink.lock());
+        sink.runs
+            .sort_by(|a, b| a.finish.cmp(&b.finish).then(a.task.cmp(&b.task)));
+        sink.prints.sort_by_key(|a| a.0);
+        let mut outputs = BTreeMap::new();
+        {
+            let slab = ctx.store.outputs.lock();
+            for (var, t, out) in &ctx.router.out_ports {
+                let vals = slab[t.index()].as_ref().expect("all tasks completed");
+                outputs.insert(var.clone(), vals[*out].clone());
+            }
         }
-        for e in &sink.events {
-            hi = hi.max(e.worker());
-        }
-        ModeOutput {
+        let wall = ctx.epoch.elapsed();
+        let trace = ctx.options.trace.then(|| {
+            let ran = sink.runs.iter().map(|r| r.worker);
+            let hi = ran.chain(sink.events.iter().map(|e| e.worker())).max();
+            Trace::from_events(sink.events, hi.unwrap_or(0) + 1, wall)
+        });
+        Ok(ExecReport {
+            outputs,
             runs: sink.runs,
+            wall,
             prints: sink.prints,
-            events: sink.events,
-            workers: hi + 1,
-        }
-        .sorted()
+            trace,
+        })
     }
 }
 
-/// One worker's private half of the work-stealing runtime: its deque,
-/// its unstealable small-task stack, and its reusable Vm frame and
-/// buffers. A session keeps these alive across firings so the warm
-/// path allocates nothing.
+/// One worker's private half of the runtime: its deque, its unstealable
+/// small-task stack, and its reusable Vm frame and buffers. A session
+/// keeps these alive across firings so the warm path allocates nothing.
 pub(crate) struct WsWorker {
     me: usize,
     dq: deque::Worker<WsItem>,
     /// Ready tasks below the inline threshold: run by this worker,
     /// LIFO, never published, never woken for.
-    pub(crate) local: Vec<TaskId>,
+    local: Vec<TaskId>,
     vm: Vm,
     frame: Vec<Value>,
     runs: Vec<TaskRun>,
@@ -994,7 +852,7 @@ impl WsWorker {
 }
 
 /// Marker payload for an injected worker-thread death: unwinds through
-/// `ws_run` into the spawn wrapper, which does the dead-worker
+/// `ws_run` into [`ws_fire`], which reports it for the dead-worker
 /// accounting. Distinguishable from a task-body panic (those are caught
 /// by `run_one_caught` and never unwind this far).
 struct WsDeath;
@@ -1029,11 +887,12 @@ fn ws_next(ws: &WsState, w: &mut WsWorker) -> Option<WsItem> {
     }
 }
 
-/// Wakes parked workers if any might be sleeping. Pairs with the park
-/// path in `ws_run`: the publisher orders its deque push before the
-/// `waiting` read, the parker orders its `waiting` raise before the
-/// deque re-check — one of the two must see the other.
-fn ws_signal_work(ws: &WsState) {
+/// Wakes parked workers if any might be sleeping. Pairs with
+/// `ws_park`: the publisher orders its write (a deque push, an
+/// in-degree or `remaining` decrement) before the `waiting` read, the
+/// parker orders its `waiting` raise before re-checking — one of the two
+/// must see the other.
+fn ws_signal(ws: &WsState) {
     fence(Ordering::SeqCst);
     if ws.waiting.load(Ordering::Relaxed) > 0 {
         let _coord = ws.coord.lock();
@@ -1041,68 +900,75 @@ fn ws_signal_work(ws: &WsState) {
     }
 }
 
-/// Decrements successor in-degrees and publishes the newly ready ones:
-/// small tasks onto `w`'s private stack, the rest into `w`'s own deque
-/// for thieves — one wakeup check per batch, no coordinator round trip.
-fn ws_publish_ready(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker, t: TaskId) {
-    let mut pushed = false;
-    for s in ctx.g.successors(t) {
-        if ws.indeg[s.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-            if ctx.g.task(s).weight < ctx.options.inline_below {
-                w.local.push(s);
-            } else {
-                let stamp = ctx.options.trace.then(|| ctx.epoch.elapsed());
-                w.dq.push((s, stamp));
-                pushed = true;
-            }
+/// The executor's one wait: parks the calling worker on the pool condvar
+/// until `check` decides — `Some(true)` there is something to do,
+/// `Some(false)` the firing (or the session) is over. `waiting` is raised
+/// under the coord lock and before the first check; see [`ws_signal`] for
+/// the pairing.
+pub(crate) fn ws_park(
+    ws: &WsState,
+    coord: &mut MutexGuard<'_, WsCoord>,
+    check: impl Fn() -> Option<bool>,
+) -> bool {
+    ws.waiting.fetch_add(1, Ordering::SeqCst);
+    let go = loop {
+        if let Some(go) = check() {
+            break go;
         }
-    }
-    if pushed {
-        ws_signal_work(ws);
-    }
+        ws.cv.wait(coord);
+    };
+    ws.waiting.fetch_sub(1, Ordering::SeqCst);
+    go
 }
 
-/// Completion accounting, after publication so a zero here means the
-/// firing is fully drained. Returns true when this call ended it.
-fn ws_task_done(ws: &WsState) -> bool {
-    if ws.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        // Same Dekker pairing as `ws_signal_work`: sleepers raise
-        // `waiting` before re-reading `remaining`, so either we see them
-        // here or they see the zero.
-        fence(Ordering::SeqCst);
-        if ws.waiting.load(Ordering::Relaxed) > 0 {
-            let _coord = ws.coord.lock();
-            ws.cv.notify_all();
-        }
-        true
+/// Hands the ready task `t` to `w`: onto its private stack when small,
+/// else into its own deque for thieves. True iff it became stealable
+/// (the caller owes a [`ws_signal`] per batch).
+fn ws_push(ctx: &Ctx<'_>, w: &mut WsWorker, t: TaskId) -> bool {
+    let small = ctx.g.task(t).weight < ctx.options.inline_below;
+    if small {
+        w.local.push(t);
     } else {
-        false
+        let stamp = ctx.options.trace.then(|| ctx.epoch.elapsed());
+        w.dq.push((t, stamp));
     }
+    !small
 }
 
 /// Records the first error, poisons the store, and wakes everyone so
 /// the firing unwinds instead of hanging.
-pub(crate) fn ws_fail(ctx: &Ctx<'_>, ws: &WsState, e: ExecError) {
-    {
-        let mut lock = ws.first_error.lock();
-        if lock.is_none() {
-            *lock = Some(e);
-        }
-    }
-    ctx.store.poison();
+fn ws_fail(ctx: &Ctx<'_>, ws: &WsState, e: ExecError) {
+    ws.first_error.lock().get_or_insert(e);
+    ctx.store.poisoned.store(true, Ordering::SeqCst);
     let _coord = ws.coord.lock();
     ws.cv.notify_all();
+}
+
+/// Fault injection: true iff `t` is the task whose dequeuing worker is to
+/// be lost. The run is then already poisoned as `WorkerLost`, and the
+/// worker must stop participating with `t` unfinished.
+fn ws_dies_on(ctx: &Ctx<'_>, ws: &WsState, me: usize, t: TaskId) -> bool {
+    let name = &ctx.g.task(t).name;
+    let dies = ctx.options.inject_worker_death.as_ref() == Some(name);
+    if dies {
+        ws_fail(
+            ctx,
+            ws,
+            ExecError::WorkerLost(format!("worker {me} died with task {name:?} in flight")),
+        );
+    }
+    dies
 }
 
 /// Merges `w`'s buffered results into the shared sink and emits the
 /// per-worker steal/inline counters as a [`TraceEvent::WorkerStats`]
 /// when tracing. Called whenever the worker goes idle or exits, so
 /// partially completed firings still surface their records.
-pub(crate) fn ws_flush(ws: &WsState, w: &mut WsWorker, tracing: bool, epoch: Instant) {
-    if tracing && (w.steals > 0 || w.inlined > 0) {
+fn ws_flush(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
+    if ctx.options.trace && (w.steals > 0 || w.inlined > 0) {
         w.events.push(TraceEvent::WorkerStats {
             worker: w.me,
-            at: epoch.elapsed(),
+            at: ctx.epoch.elapsed(),
             steals: w.steals,
             inline_tasks: w.inlined,
         });
@@ -1118,12 +984,10 @@ pub(crate) fn ws_flush(ws: &WsState, w: &mut WsWorker, tracing: bool, epoch: Ins
     sink.events.append(&mut w.events);
 }
 
-/// One worker's firing loop: run, publish, steal, park. Returns when
-/// the firing completes, poisons, or the session shuts down. Leftover
-/// private state (an uncleared `local` after poison) is the caller's
-/// to clean up via `w.local.clear()` / session reset.
-pub(crate) fn ws_run(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
-    let tracing = ctx.options.trace;
+/// One greedy worker's firing loop: run, publish, steal, park. Returns
+/// when the firing completes, poisons, or the session shuts down;
+/// [`ws_fire`] cleans up whatever private state is left behind.
+fn ws_run(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
     loop {
         if ctx.store.poisoned.load(Ordering::SeqCst) {
             return;
@@ -1131,26 +995,19 @@ pub(crate) fn ws_run(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
         let Some((t, enqueued)) = ws_next(ws, w) else {
             // Idle: flush (so stalled firings still show partial
             // traces), then park until work appears, the firing ends,
-            // or the run poisons. The `waiting` raise happens under the
-            // coord lock and before the deque re-check — see
-            // `ws_signal_work` for the pairing.
-            ws_flush(ws, w, tracing, ctx.epoch);
-            let mut coord = ws.coord.lock();
-            ws.waiting.fetch_add(1, Ordering::SeqCst);
-            let run_over = loop {
-                if ws.shutdown.load(Ordering::SeqCst)
+            // or the run poisons.
+            ws_flush(ctx, ws, w);
+            let more = ws_park(ws, &mut ws.coord.lock(), || {
+                let over = ws.shutdown.load(Ordering::SeqCst)
                     || ctx.store.poisoned.load(Ordering::SeqCst)
-                    || ws.remaining.load(Ordering::SeqCst) == 0
-                {
-                    break true;
+                    || ws.remaining.load(Ordering::SeqCst) == 0;
+                if over {
+                    Some(false)
+                } else {
+                    ws.has_work().then_some(true)
                 }
-                if ws.stealers.iter().any(|s| !s.is_empty()) {
-                    break false;
-                }
-                ws.cv.wait(&mut coord);
-            };
-            ws.waiting.fetch_sub(1, Ordering::SeqCst);
-            if run_over {
+            });
+            if !more {
                 return;
             }
             continue;
@@ -1163,34 +1020,34 @@ pub(crate) fn ws_run(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
                 until: ctx.epoch.elapsed(),
             });
         }
-        if let Some(pat) = &ctx.options.inject_worker_death {
-            if ctx.g.task(t).name == *pat {
-                ws_fail(
-                    ctx,
-                    ws,
-                    ExecError::WorkerLost(format!(
-                        "worker {} died with task {:?} in flight",
-                        w.me,
-                        ctx.g.task(t).name
-                    )),
-                );
-                if w.me > 0 {
-                    // Pool threads die for real: unwind into the spawn
-                    // wrapper, which records the death. The caller's
-                    // thread (worker 0) can't be killed, so it just
-                    // stops participating.
-                    std::panic::panic_any(WsDeath);
-                }
-                return;
+        if ws_dies_on(ctx, ws, w.me, t) {
+            if w.me > 0 {
+                // Pool threads die for real: unwind into `ws_fire`,
+                // whose caller records the death. The caller's thread
+                // (worker 0) can't be killed, so it just stops
+                // participating.
+                std::panic::panic_any(WsDeath);
             }
+            return;
         }
-        let tracer = tracing.then_some(&mut w.events);
-        match run_one_caught(ctx, w.me, t, &mut w.vm, &mut w.frame, tracer) {
-            Ok((run, p)) => {
-                w.runs.push(run);
-                w.prints.extend(p);
-                ws_publish_ready(ctx, ws, w, t);
-                if ws_task_done(ws) {
+        match run_one_caught(ctx, w, t) {
+            Ok(_) => {
+                // Release successors: the decrement that hits zero owns
+                // the task — one wakeup check per batch, no coordinator
+                // round trip.
+                let mut pushed = false;
+                for s in ctx.g.successors(t) {
+                    if ws.indeg[s.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
+                        pushed |= ws_push(ctx, w, s);
+                    }
+                }
+                if pushed {
+                    ws_signal(ws);
+                }
+                // Completion accounting, after publication so a zero
+                // here means the firing is fully drained.
+                if ws.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    ws_signal(ws);
                     return;
                 }
             }
@@ -1208,77 +1065,57 @@ pub(crate) fn ws_seed(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
     let mut pushed = false;
     for t in ctx.g.task_ids() {
         if ctx.g.in_degree(t) == 0 {
-            if ctx.g.task(t).weight < ctx.options.inline_below {
-                w.local.push(t);
-            } else {
-                let stamp = ctx.options.trace.then(|| ctx.epoch.elapsed());
-                w.dq.push((t, stamp));
-                pushed = true;
-            }
+            pushed |= ws_push(ctx, w, t);
         }
     }
     if pushed {
-        ws_signal_work(ws);
+        ws_signal(ws);
     }
 }
 
-/// Thread body for pool workers (indices ≥ 1), shared by one-shot
-/// greedy mode and sessions for a single firing: runs the worker loop
-/// under a panic boundary, flushes, and accounts an injected death.
-pub(crate) fn ws_pool_fire(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) -> bool {
+/// One worker's part in one greedy firing, caller and pool threads
+/// alike: the worker loop under a panic boundary, then flush and clean
+/// up. True iff the worker died (an injected death, or — defence in
+/// depth — any other unwind, which poisons the run here).
+///
+/// The clean-up is what keeps a poisoned firing from wedging the next
+/// barrier: a task in flight when the run poisons finishes *late* and
+/// pushes its successors into this worker's own deque after everyone
+/// else has given up. Every worker therefore empties its own deque on
+/// the way out — nobody else can be relied on to — so all deques are
+/// empty once every worker has left the firing.
+pub(crate) fn ws_fire(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) -> bool {
     let died = std::panic::catch_unwind(AssertUnwindSafe(|| ws_run(ctx, ws, w))).is_err();
-    ws_flush(ws, w, ctx.options.trace, ctx.epoch);
+    ws_flush(ctx, ws, w);
     w.local.clear();
+    while w.dq.pop().is_some() {}
     if died {
-        // Defence in depth: an unwind that wasn't the injected death
-        // marker still poisons the run before the accounting below.
         ws_fail(
             ctx,
             ws,
             ExecError::WorkerLost(format!("worker {} thread died mid-run", w.me)),
         );
-        let _coord = ws.coord.lock();
-        ws.cv.notify_all();
     }
     died
 }
 
-/// Work-stealing greedy execution (`workers >= 2`): the caller's thread
-/// is worker 0 and seeds/runs alongside the spawned pool.
-fn run_greedy(ctx: &Ctx<'_>, workers: usize) -> Result<ModeOutput, ExecError> {
-    let mut deques: Vec<deque::Worker<WsItem>> =
-        (0..workers).map(|_| deque::Worker::new()).collect();
-    let stealers = deques.iter().map(|d| d.stealer()).collect();
-    let ws = WsState::new(ctx.g, stealers);
-    let mut caller = WsWorker::new(0, deques.remove(0));
-    ws_seed(ctx, &ws, &mut caller);
+/// Pinned execution: one scoped thread per processor of the schedule,
+/// each running `pinned_run` over that processor's placements, on the
+/// plumbing greedy mode uses ([`WsState`], [`WsWorker`]). One-shot by
+/// nature — its callers are `run --trace` and `Project::run_scheduled` —
+/// so it owns its store and state for the one call.
+fn run_pinned(
+    design: &Flattened,
+    lib: &ProgramLibrary,
+    external: &BTreeMap<String, Value>,
+    options: &ExecOptions,
+    schedule: &Schedule,
+) -> Result<ExecReport, ExecError> {
+    let g = &design.graph;
+    let router = Router::build(design, lib)?;
+    let externals = router.bind(external)?;
 
-    std::thread::scope(|scope| {
-        for (i, dq) in deques.into_iter().enumerate() {
-            let ws = &ws;
-            scope.spawn(move || {
-                let mut w = WsWorker::new(i + 1, dq);
-                if ws_pool_fire(ctx, ws, &mut w) {
-                    let mut coord = ws.coord.lock();
-                    coord.dead += 1;
-                    ws.cv.notify_all();
-                }
-            });
-        }
-        ws_run(ctx, &ws, &mut caller);
-        ws_flush(&ws, &mut caller, ctx.options.trace, ctx.epoch);
-        caller.local.clear();
-    });
-
-    if let Some(e) = ws.take_error() {
-        return Err(e);
-    }
-    Ok(ws.collect())
-}
-
-fn run_pinned(ctx: &Ctx<'_>, schedule: &Schedule) -> Result<ModeOutput, ExecError> {
-    let g = ctx.g;
-    // Per-worker ordered copy lists.
+    // Per-worker copy lists in predicted start order.
     let mut max_proc = 0usize;
     let mut placed = vec![false; g.task_count()];
     for p in schedule.placements() {
@@ -1301,80 +1138,73 @@ fn run_pinned(ctx: &Ctx<'_>, schedule: &Schedule) -> Result<ModeOutput, ExecErro
         q.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     }
 
-    let tracing = ctx.options.trace;
-    type Runs = (Vec<TaskRun>, Vec<(TaskId, String)>);
-    let results: Mutex<Runs> = Mutex::new((Vec::new(), Vec::new()));
-    let first_error: Mutex<Option<ExecError>> = Mutex::new(None);
-    let event_sink: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
-
+    let store = Store::new(g.task_count());
+    let ws = WsState::new(g, Vec::new());
+    let ctx = Ctx {
+        g,
+        router: &router,
+        options,
+        store: &store,
+        externals: &externals,
+        epoch: Instant::now(),
+    };
     std::thread::scope(|scope| {
-        for (w, queue) in queues.iter().enumerate() {
-            let results = &results;
-            let first_error = &first_error;
-            let event_sink = &event_sink;
+        for (me, queue) in queues.iter().enumerate() {
+            let (ctx, ws) = (&ctx, &ws);
             scope.spawn(move || {
-                let mut vm = Vm::new();
-                let mut frame = Vec::new();
-                let mut events: Vec<TraceEvent> = Vec::new();
-                let flush = |events: &mut Vec<TraceEvent>| {
-                    if !events.is_empty() {
-                        event_sink.lock().append(events);
-                    }
-                };
-                for &(_, t) in queue {
-                    // Wait for every predecessor to publish; when tracing,
-                    // the blocked interval is the task's dependency wait.
-                    let preds: Vec<TaskId> = g.predecessors(t).collect();
-                    let since = tracing.then(|| ctx.epoch.elapsed());
-                    if !ctx.store.wait_for(&preds) {
-                        flush(&mut events);
-                        return; // poisoned
-                    }
-                    if let Some(since) = since {
-                        let until = ctx.epoch.elapsed();
-                        if until > since {
-                            events.push(TraceEvent::QueueWait {
-                                task: t,
-                                worker: w,
-                                since,
-                                until,
-                            });
-                        }
-                    }
-                    let tracer = tracing.then_some(&mut events);
-                    match run_one_caught(ctx, w, t, &mut vm, &mut frame, tracer) {
-                        Ok((run, p)) => {
-                            let mut lock = results.lock();
-                            lock.0.push(run);
-                            lock.1.extend(p);
-                        }
-                        Err(e) => {
-                            let mut lock = first_error.lock();
-                            if lock.is_none() {
-                                *lock = Some(e);
-                            }
-                            ctx.store.poison();
-                            flush(&mut events);
-                            return;
-                        }
-                    }
-                }
-                flush(&mut events);
+                let mut w = WsWorker::new(me, deque::Worker::new());
+                pinned_run(ctx, ws, &mut w, queue);
+                ws_flush(ctx, ws, &mut w);
             });
         }
     });
+    ws.finish(&ctx)
+}
 
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
+/// The pinned policy: `w` plays one processor and runs `queue`, its
+/// placements, front to back. Each copy waits until every predecessor
+/// task has published (`indeg` at zero — when tracing, the blocked
+/// interval is the copy's dependency wait), and only the first copy of a
+/// task to publish releases the successors. Stops at the first failure
+/// anywhere in the run; an injected worker death makes the worker stop
+/// participating, as for greedy worker 0.
+fn pinned_run(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker, queue: &[(f64, TaskId)]) {
+    for &(_, t) in queue {
+        let since = ctx.options.trace.then(|| ctx.epoch.elapsed());
+        let check = || {
+            if ctx.store.poisoned.load(Ordering::SeqCst) {
+                Some(false)
+            } else {
+                (ws.indeg[t.index()].load(Ordering::SeqCst) == 0).then_some(true)
+            }
+        };
+        if !check().unwrap_or_else(|| ws_park(ws, &mut ws.coord.lock(), check)) {
+            return;
+        }
+        if let Some(since) = since {
+            let until = ctx.epoch.elapsed();
+            if until > since {
+                w.events.push(TraceEvent::QueueWait {
+                    task: t,
+                    worker: w.me,
+                    since,
+                    until,
+                });
+            }
+        }
+        if ws_dies_on(ctx, ws, w.me, t) {
+            return;
+        }
+        match run_one_caught(ctx, w, t) {
+            Ok(first) => {
+                let released = |s: &TaskId| ws.indeg[s.index()].fetch_sub(1, Ordering::AcqRel) == 1;
+                if first && ctx.g.successors(t).filter(released).count() > 0 {
+                    ws_signal(ws);
+                }
+            }
+            Err(e) => return ws_fail(ctx, ws, e),
+        }
     }
-    let (runs, prints) = results.into_inner();
-    Ok(ModeOutput {
-        runs,
-        prints,
-        events: event_sink.into_inner(),
-        workers: queues.len(),
-    }
-    .sorted())
 }
 
 #[cfg(test)]

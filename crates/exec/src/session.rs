@@ -1,13 +1,8 @@
 //! Persistent executions: one design, many firings, zero warm-up.
 //!
-//! [`execute`](crate::execute) is the one-shot entry point: every call
-//! re-resolves the routing tables, allocates a fresh slab store, spawns
-//! worker threads, and tears it all down again. For a parameter sweep
-//! or a convergence loop that fires the same design thousands of times,
-//! that setup dwarfs the work — exactly the overhead SDFG-style systems
-//! avoid by keeping the compiled dataflow "hot" between invocations.
-//!
-//! A [`Session`] hoists everything firing-invariant out of the loop:
+//! A [`Session`] is the executor's one lifecycle. It hoists everything
+//! firing-invariant out of the loop — the model SDFG-style systems use,
+//! keeping the compiled dataflow "hot" and *invoking* it:
 //!
 //! * the [`Router`] (name resolution, `Arc<CompiledProgram>` handles,
 //!   output-port bindings) is built once;
@@ -21,27 +16,31 @@
 //!   vector, and deque survive across firings.
 //!
 //! Per firing, only the external-input values are re-bound
-//! ([`Router::bind`]) and the per-firing counters re-armed. The firing
-//! itself runs the same `ws_run` loop as one-shot greedy mode, so
-//! results, traces, and error attribution are identical to
-//! [`execute`](crate::execute) — the differential suites assert this.
+//! ([`Router::bind`]) and the per-firing counters re-armed.
+//! [`execute`](crate::execute) in greedy mode is a session opened, fired
+//! once and dropped, so a one-shot run and a warm firing cannot differ in
+//! results, traces or error attribution — there is no second path.
 //!
 //! ```text
-//! run(ext):  bind → reset(store, counters, deques) → publish firing
-//!            → seed roots → caller joins the pool → barrier (every
-//!            pool worker parked again) → report
+//! run(ext):  bind → reset(store, counters) → publish firing → seed
+//!            roots → caller joins the pool → barrier (every pool worker
+//!            parked again) → report
 //! ```
 //!
 //! The end-of-firing barrier waits until `parked + dead == pool`:
 //! workers park between firings under the coord lock (notifying the
 //! barrier), and a worker thread killed by fault injection counts as
 //! permanently parked, so worker loss surfaces as
-//! [`ExecError::WorkerLost`] instead of a hang. Dropping the session
-//! sets the shutdown flag, wakes everyone, and joins the threads.
+//! [`ExecError::WorkerLost`] instead of a hang. Every worker empties its
+//! own deque on leaving a firing (see `ws_fire`), and a parked worker
+//! ignores work published by a poisoned firing, so a failed firing can
+//! neither leak tasks into the next one nor keep the pool from parking.
+//! Dropping the session sets the shutdown flag, wakes everyone, and joins
+//! the threads.
 
 use crate::runner::{
-    assemble_report, ws_flush, ws_pool_fire, ws_run, ws_seed, Ctx, ExecError, ExecMode,
-    ExecOptions, ExecReport, Router, Store, WsItem, WsState, WsWorker,
+    ws_fire, ws_park, ws_seed, Ctx, ExecError, ExecMode, ExecOptions, ExecReport, Router, Store,
+    WsItem, WsState, WsWorker,
 };
 use banger_calc::{ProgramLibrary, Value};
 use banger_taskgraph::hierarchy::Flattened;
@@ -73,6 +72,20 @@ struct SessionCore {
     firing: Mutex<Arc<FiringShared>>,
 }
 
+impl SessionCore {
+    /// The worker-facing view of one firing over the long-lived state.
+    fn ctx<'a>(&'a self, firing: &'a FiringShared) -> Ctx<'a> {
+        Ctx {
+            g: &self.graph,
+            router: &self.router,
+            options: &self.options,
+            store: &self.store,
+            externals: &firing.externals,
+            epoch: firing.epoch,
+        }
+    }
+}
+
 /// A persistent executor for one flattened design: worker threads stay
 /// parked, routing tables and slab storage stay allocated, and each
 /// [`Session::run`] is one firing. See the module docs for the
@@ -88,36 +101,27 @@ pub struct Session {
 
 impl Session {
     /// Builds the routing tables, allocates the store, and spawns the
-    /// parked worker pool. Fails on the same structural errors as
-    /// [`execute`](crate::execute) (`Cyclic`, `NoProgram`,
-    /// `UnknownProgram`, `MissingArcValue`); per-firing value errors
-    /// (`UnboundInput`) surface from [`Session::run`] instead. Only
+    /// parked worker pool. Fails on the structural errors (`Cyclic`,
+    /// `NoProgram`, `UnknownProgram`, `MissingArcValue`); per-firing value
+    /// errors (`UnboundInput`) surface from [`Session::run`] instead. Only
     /// greedy mode persists — a pinned schedule is rejected as
-    /// `BadSchedule`.
+    /// `BadSchedule`. This is the one place `workers: 0` becomes a count.
     pub fn new(
         design: &Flattened,
         lib: &ProgramLibrary,
         options: &ExecOptions,
     ) -> Result<Self, ExecError> {
-        let workers = match &options.mode {
-            ExecMode::Greedy { workers } => {
-                if *workers == 0 {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                } else {
-                    *workers
-                }
+        let workers = match options.mode {
+            ExecMode::Greedy { workers: 0 } => {
+                std::thread::available_parallelism().map_or(1, |n| n.get())
             }
+            ExecMode::Greedy { workers } => workers,
             ExecMode::Pinned(_) => {
                 return Err(ExecError::BadSchedule(
                     "persistent sessions support greedy mode only".into(),
                 ))
             }
         };
-        if !design.graph.is_dag() {
-            return Err(ExecError::Cyclic);
-        }
         let router = Router::build(design, lib)?;
         let mut deques: Vec<deque::Worker<WsItem>> =
             (0..workers).map(|_| deque::Worker::new()).collect();
@@ -160,43 +164,27 @@ impl Session {
 
     /// One firing: binds `external`, re-arms the per-firing state, runs
     /// the design on the warm pool, and waits for every pool worker to
-    /// park again. Reports are identical to what
-    /// [`execute`](crate::execute) returns for the same options, firing
-    /// after firing — errors (including injected panics) poison only
-    /// their own firing, and the next `run` starts clean.
+    /// park again. Errors (including injected panics) poison only their
+    /// own firing, and the next `run` starts clean.
     pub fn run(&mut self, external: &BTreeMap<String, Value>) -> Result<ExecReport, ExecError> {
         let core = &self.core;
         let externals = core.router.bind(external)?;
 
         // All pool workers are parked here (barrier of the previous
-        // firing / fresh construction), so the reset can't race a
-        // running worker. Deques are non-empty only after a poisoned
-        // firing; drained before any worker can see stale items.
+        // firing / fresh construction) and left their deques empty, so
+        // the reset can't race a running worker or a stale task.
         core.store.reset();
-        core.ws.drain_deques();
-        self.caller.local.clear();
         core.ws.reset(&core.graph);
 
-        let epoch = Instant::now();
-        let firing = Arc::new(FiringShared { epoch, externals });
+        let firing = Arc::new(FiringShared {
+            epoch: Instant::now(),
+            externals,
+        });
         *core.firing.lock() = Arc::clone(&firing);
-        let ctx = Ctx {
-            g: &core.graph,
-            router: &core.router,
-            options: &core.options,
-            store: &core.store,
-            externals: &firing.externals,
-            epoch,
-        };
+        let ctx = core.ctx(&firing);
 
         ws_seed(&ctx, &core.ws, &mut self.caller);
-        ws_run(&ctx, &core.ws, &mut self.caller);
-        ws_flush(&core.ws, &mut self.caller, core.options.trace, epoch);
-        self.caller.local.clear();
-        // A poisoned firing can leave published items behind; clear
-        // them *before* the barrier so a worker that re-checks its wake
-        // condition after parking finds nothing and stays asleep.
-        core.ws.drain_deques();
+        ws_fire(&ctx, &core.ws, &mut self.caller);
 
         // End-of-firing barrier: every pool worker parked (or dead —
         // fault injection kills threads for real; they count as
@@ -207,17 +195,7 @@ impl Session {
                 core.ws.cv.wait(&mut coord);
             }
         }
-
-        if let Some(e) = core.ws.take_error() {
-            return Err(e);
-        }
-        Ok(assemble_report(
-            &core.router,
-            &core.store,
-            core.ws.collect(),
-            epoch,
-            core.options.trace,
-        ))
+        core.ws.finish(&ctx)
     }
 }
 
@@ -235,10 +213,11 @@ impl Drop for Session {
 }
 
 /// Pool thread body: park between firings, join each firing's
-/// work-stealing loop, repeat until shutdown. Parking raises the
-/// Dekker `waiting` flag so the caller's seed publication wakes us, and
-/// bumps `parked` under the coord lock so the end-of-firing barrier
-/// sees us.
+/// work-stealing loop, repeat until shutdown. `parked` is bumped under
+/// the coord lock so the end-of-firing barrier sees us. Work left visible
+/// by a poisoned firing is not a reason to wake: that firing is over, its
+/// owner is about to discard the work, and joining it would only bounce
+/// between parking and un-parking while the barrier starves.
 fn session_thread(core: Arc<SessionCore>, me: usize, dq: deque::Worker<WsItem>) {
     let mut w = WsWorker::new(me, dq);
     loop {
@@ -246,31 +225,22 @@ fn session_thread(core: Arc<SessionCore>, me: usize, dq: deque::Worker<WsItem>) 
             let mut coord = core.ws.coord.lock();
             coord.parked += 1;
             core.ws.cv.notify_all(); // the barrier may be waiting on us
-            core.ws.waiting.fetch_add(1, Ordering::SeqCst);
-            loop {
+            let fire = ws_park(&core.ws, &mut coord, || {
                 if core.ws.shutdown.load(Ordering::SeqCst) {
-                    core.ws.waiting.fetch_sub(1, Ordering::SeqCst);
-                    return;
+                    Some(false)
+                } else {
+                    let live = !core.store.poisoned.load(Ordering::SeqCst);
+                    (live && core.ws.has_work()).then_some(true)
                 }
-                if core.ws.stealers.iter().any(|s| !s.is_empty()) {
-                    break;
-                }
-                core.ws.cv.wait(&mut coord);
+            });
+            if !fire {
+                return;
             }
-            core.ws.waiting.fetch_sub(1, Ordering::SeqCst);
             coord.parked -= 1;
         }
         // Work is visible: snapshot the current firing and join it.
         let firing = core.firing.lock().clone();
-        let ctx = Ctx {
-            g: &core.graph,
-            router: &core.router,
-            options: &core.options,
-            store: &core.store,
-            externals: &firing.externals,
-            epoch: firing.epoch,
-        };
-        if ws_pool_fire(&ctx, &core.ws, &mut w) {
+        if ws_fire(&core.ctx(&firing), &core.ws, &mut w) {
             // Injected death: stay dead. The accounting below is what
             // lets the barrier (and future firings) proceed without us.
             let mut coord = core.ws.coord.lock();
@@ -325,10 +295,12 @@ mod tests {
 
     #[test]
     fn repeated_firings_match_execute() {
+        // `workers: 1` — a pool of zero threads — is the configuration
+        // the benchmark's `exec_heavy` measures.
         let (f, lib) = fan(8);
-        for inline_below in [0.0, DEFAULT_INLINE_BELOW] {
+        for (workers, inline_below) in [(4, 0.0), (4, DEFAULT_INLINE_BELOW), (1, 0.0)] {
             let opts = ExecOptions {
-                mode: ExecMode::Greedy { workers: 4 },
+                mode: ExecMode::Greedy { workers },
                 inline_below,
                 ..ExecOptions::default()
             };
@@ -474,5 +446,65 @@ mod tests {
         .err()
         .expect("pinned session must be rejected");
         assert!(matches!(err, ExecError::BadSchedule(_)), "{err}");
+    }
+
+    /// `layers` x `width` independent chains of stealable (weight 5000)
+    /// tasks `t{layer}_{chain}`, each a short loop.
+    fn chains(layers: usize, width: usize) -> (Flattened, ProgramLibrary) {
+        let mut h = HierGraph::new("chains");
+        let mut lib = ProgramLibrary::new();
+        let mut prev = vec![None; width];
+        for l in 0..layers {
+            for (c, prev) in prev.iter_mut().enumerate() {
+                let node =
+                    h.add_task_with_program(format!("t{l}_{c}"), 5000.0, format!("P{l}_{c}"));
+                let input = match *prev {
+                    Some(p) => {
+                        h.add_arc(p, node, format!("o{}_{c}", l - 1), 1.0).unwrap();
+                        format!("in o{}_{c}", l - 1)
+                    }
+                    None => String::new(),
+                };
+                lib.add_source(&format!(
+                    "task P{l}_{c} {input} out o{l}_{c} local i begin o{l}_{c} := 0 \
+                     for i := 1 to 50 do o{l}_{c} := o{l}_{c} + i end end"
+                ))
+                .unwrap();
+                *prev = Some(node);
+            }
+        }
+        (h.flatten().unwrap(), lib)
+    }
+
+    #[test]
+    fn poisoned_firings_with_tasks_in_flight_never_wedge_the_barrier() {
+        // A firing that poisons while a pool worker still has a task in
+        // flight: that task finishes late and pushes its successors into
+        // the worker's own deque. If nobody discards them, the parked
+        // workers bounce between parking and un-parking forever and the
+        // end-of-firing barrier never passes. The firing loop runs on its
+        // own thread under a watchdog so a regression fails, not hangs.
+        let (f, lib) = chains(8, 12);
+        let opts = ExecOptions {
+            mode: ExecMode::Greedy { workers: 4 },
+            inline_below: 0.0,
+            inject_panic: Some("t2_3".into()),
+            ..ExecOptions::default()
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for round in 0..400 {
+                let mut session = Session::new(&f, &lib, &opts).unwrap();
+                for _ in 0..3 {
+                    let err = session.run(&BTreeMap::new()).unwrap_err();
+                    assert!(matches!(err, ExecError::WorkerPanic { .. }), "{err}");
+                }
+                tx.send(round).unwrap();
+            }
+        });
+        for done in 0..400 {
+            rx.recv_timeout(std::time::Duration::from_secs(20))
+                .unwrap_or_else(|e| panic!("firing loop stalled after {done} sessions: {e:?}"));
+        }
     }
 }

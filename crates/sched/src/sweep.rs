@@ -39,45 +39,12 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    parallel_map_stats(items, f).0
-}
-
-/// Worker accounting for one [`parallel_map_stats`] sweep, so benchmark
-/// entries can report the parallelism that was actually *engaged*, not
-/// just planned. `engaged_workers` counts threads that claimed at least
-/// one item — with more workers than items (or a very fast `f`) some
-/// threads can lose every claim race and contribute nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepStats {
-    /// Workers the sweep planned to use ([`planned_workers`]).
-    pub planned_workers: usize,
-    /// Workers that processed at least one item (1 for the sequential
-    /// short-circuit path).
-    pub engaged_workers: usize,
-}
-
-/// [`parallel_map`] plus per-sweep [`SweepStats`]. The result `Vec` is
-/// identical to [`parallel_map`]'s — stats are observational only.
-pub fn parallel_map_stats<T, R, F>(items: &[T], f: F) -> (Vec<R>, SweepStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
     let workers = planned_workers(items.len());
     if workers <= 1 {
-        let out = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        return (
-            out,
-            SweepStats {
-                planned_workers: workers.max(usize::from(!items.is_empty())),
-                engaged_workers: usize::from(!items.is_empty()),
-            },
-        );
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
     let cursor = AtomicUsize::new(0);
-    let engaged = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
     out.resize_with(items.len(), || None);
@@ -86,24 +53,16 @@ where
         for _ in 0..workers {
             let tx = tx.clone();
             let cursor = &cursor;
-            let engaged = &engaged;
             let f = &f;
-            s.spawn(move || {
-                let mut claimed_any = false;
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    if !claimed_any {
-                        claimed_any = true;
-                        engaged.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // The receiver outlives the scope; send only fails if
-                    // the caller's thread already panicked, in which case
-                    // the result is moot.
-                    let _ = tx.send((i, f(i, &items[i])));
+            s.spawn(move || loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= items.len() {
+                    break;
                 }
+                // The receiver outlives the scope; send only fails if
+                // the caller's thread already panicked, in which case
+                // the result is moot.
+                let _ = tx.send((i, f(i, &items[i])));
             });
         }
         drop(tx);
@@ -112,24 +71,14 @@ where
         }
     });
 
-    let out = out
-        .into_iter()
+    out.into_iter()
         .map(|r| r.expect("worker claimed every index"))
-        .collect();
-    (
-        out,
-        SweepStats {
-            planned_workers: workers,
-            engaged_workers: engaged.load(Ordering::Relaxed),
-        },
-    )
+        .collect()
 }
 
 /// The worker-thread count [`parallel_map`] will use for a sweep of
 /// `items` items: `available_parallelism` capped by the item count,
 /// where `<= 1` means the sweep runs as a plain sequential loop.
-/// Benchmarks use this to report the parallelism they actually measured
-/// instead of assuming the machine's core count was engaged.
 ///
 /// The `BANGER_SWEEP_WORKERS` environment variable overrides the
 /// detected parallelism (still capped by the item count): containers
@@ -153,22 +102,12 @@ pub fn planned_workers(items: usize) -> usize {
 /// in parallel, sharing one [`GraphAnalysis`] across all runs. Results are
 /// in `machines` order. Returns `None` if `name` is unknown.
 pub fn sweep_machines(name: &str, g: &TaskGraph, machines: &[Machine]) -> Option<Vec<Schedule>> {
-    sweep_machines_stats(name, g, machines).map(|(out, _)| out)
-}
-
-/// [`sweep_machines`] plus the sweep's [`SweepStats`] (planned and engaged
-/// worker counts), for benchmark honesty reporting.
-pub fn sweep_machines_stats(
-    name: &str,
-    g: &TaskGraph,
-    machines: &[Machine],
-) -> Option<(Vec<Schedule>, SweepStats)> {
     // Validate the name once, up front, so the fan-out can unwrap.
     if name != "serial" && name != "DSH" && !crate::HEURISTIC_NAMES.contains(&name) {
         return None;
     }
     let a = GraphAnalysis::analyze(g);
-    Some(parallel_map_stats(machines, |_, m| {
+    Some(parallel_map(machines, |_, m| {
         crate::run_heuristic_with(name, g, m, &a).expect("name pre-validated")
     }))
 }
@@ -218,37 +157,12 @@ mod tests {
         assert!(planned_workers(100) >= 1, "garbage is ignored");
         std::env::remove_var("BANGER_SWEEP_WORKERS");
 
-        // And the parallel path still matches sequential under override,
-        // with honest worker accounting.
+        // And the parallel path still matches sequential under override.
         std::env::set_var("BANGER_SWEEP_WORKERS", "4");
         let items: Vec<usize> = (0..64).collect();
-        let (out, stats) = parallel_map_stats(&items, |_, &x| x * 2);
+        let out = parallel_map(&items, |_, &x| x * 2);
         std::env::remove_var("BANGER_SWEEP_WORKERS");
         assert_eq!(out, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
-        assert_eq!(stats.planned_workers, 4);
-        assert!(
-            (1..=4).contains(&stats.engaged_workers),
-            "engaged {} of 4 planned",
-            stats.engaged_workers
-        );
-    }
-
-    #[test]
-    fn sweep_stats_sequential_path() {
-        // A single item short-circuits to the caller's thread: one worker
-        // planned, one engaged. An empty sweep engages nobody.
-        let (out, s1) = parallel_map_stats(&[7u32], |_, &x| x + 1);
-        assert_eq!(out, vec![8]);
-        assert_eq!(
-            s1,
-            SweepStats {
-                planned_workers: 1,
-                engaged_workers: 1
-            }
-        );
-        let none: Vec<u32> = vec![];
-        let (_, s0) = parallel_map_stats(&none, |_, &x| x);
-        assert_eq!(s0.engaged_workers, 0);
     }
 
     #[test]

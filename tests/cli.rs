@@ -626,6 +626,30 @@ fn check_weights_json_escapes_control_characters() {
 }
 
 #[test]
+fn check_rejects_runaway_compound_nesting_with_a_positioned_error() {
+    // 10,000 nested compounds used to abort with a stack overflow
+    // (exit 134); the parser's depth cap makes it an ordinary error.
+    let depth = 10_000;
+    let mut doc = String::from("project deep\ndesign\n");
+    doc.push_str(&"compound c\n".repeat(depth));
+    doc.push_str("task t 1\n");
+    doc.push_str(&"end\n".repeat(depth + 1));
+    let path = std::env::temp_dir().join("banger_cli_test_deep.bang");
+    std::fs::write(&path, doc).unwrap();
+    let out = banger()
+        .args(["check", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("line 203: compounds nested deeper than 200 levels"),
+        "{err}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn check_reports_body_safety_errors_and_exits_nonzero() {
     // A design whose only defect is a PITS body bug: a definite read of
     // an unassigned variable. B040 must gate exactly like graph errors.

@@ -3,7 +3,8 @@
 //! A worker panic must surface as an attributed [`ExecError::WorkerPanic`]
 //! naming the offending task — never crash the test process, never hang
 //! the coordinator, and never leave the run deadlocked with work
-//! outstanding — in every dispatch mode (inline, greedy pool, pinned).
+//! outstanding — in both dispatch modes (greedy pools of one to eight
+//! workers, pinned).
 //! The panics are injected with the `ExecOptions::inject_panic` test hook
 //! so the fault fires inside a worker thread's task body, exactly where a
 //! buggy PITS builtin or a poisoned lock would.
@@ -83,7 +84,7 @@ fn all_modes(design: &Flattened) -> Vec<(&'static str, ExecMode)> {
     let m = Machine::new(Topology::fully_connected(4), MachineParams::default());
     let pinned = banger_sched::list::etf(&design.graph, &m);
     vec![
-        ("inline", ExecMode::Greedy { workers: 1 }),
+        ("greedy-1", ExecMode::Greedy { workers: 1 }),
         ("greedy-4", ExecMode::Greedy { workers: 4 }),
         ("greedy-8", ExecMode::Greedy { workers: 8 }),
         ("pinned", ExecMode::pinned(pinned)),
@@ -280,6 +281,35 @@ fn worker_death_with_stolen_work_in_flight_is_worker_lost_never_a_hang() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn worker_death_is_worker_lost_even_when_the_worker_cannot_die() {
+    // A one-worker greedy pool has no thread to kill, and pinned workers
+    // are scoped threads whose unwind would take the caller with it: in
+    // both, the worker that dequeues the victim stops participating and
+    // the run is WorkerLost naming it — the injection is never ignored.
+    let (design, lib, _) = build(5, 4, 6);
+    for (label, mode) in all_modes(&design) {
+        if matches!(mode, ExecMode::Greedy { workers } if workers > 1) {
+            continue; // covered, with real thread deaths, above
+        }
+        let err = execute(
+            &design,
+            &lib,
+            &BTreeMap::new(),
+            &ExecOptions {
+                mode,
+                inject_worker_death: Some("t1_1".to_string()),
+                ..ExecOptions::default()
+            },
+        )
+        .expect_err("lost worker must fail the run");
+        assert!(
+            matches!(err, ExecError::WorkerLost(ref m) if m.contains("t1_1")),
+            "mode {label}: expected WorkerLost, got {err}"
+        );
     }
 }
 

@@ -120,20 +120,41 @@ fn hundreds_of_tasks_all_worker_counts() {
 
 #[test]
 fn pinned_stress_matches_greedy() {
+    // ETF places every task once; DSH (with message start-up making
+    // communication dear) duplicates predecessors onto their consumers'
+    // processors. Either way pinned mode runs one copy per placement, on
+    // the placement's processor, and computes what greedy computes.
     let (design, lib, expected) = build(11, 8, 12);
-    let m = Machine::new(Topology::fully_connected(6), MachineParams::default());
-    let s = banger_sched::list::etf(&design.graph, &m);
-    let report = execute(
-        &design,
-        &lib,
-        &BTreeMap::new(),
-        &ExecOptions {
-            mode: ExecMode::pinned(s),
-            ..ExecOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(report.outputs["result"], Value::Num(expected));
+    let params = MachineParams {
+        msg_startup: 5.0,
+        ..MachineParams::default()
+    };
+    let m = Machine::new(Topology::fully_connected(6), params);
+    let etf = banger_sched::list::etf(&design.graph, &m);
+    let dsh = banger_sched::dsh::dsh(&design.graph, &m);
+    assert!(dsh.placements().len() > design.graph.task_count());
+    for s in [etf, dsh] {
+        let report = execute(
+            &design,
+            &lib,
+            &BTreeMap::new(),
+            &ExecOptions {
+                mode: ExecMode::pinned(s.clone()),
+                ..ExecOptions::default()
+            },
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", s.heuristic()));
+        assert_eq!(report.outputs["result"], Value::Num(expected));
+        let mut ran: Vec<_> = report.runs.iter().map(|r| (r.task, r.worker)).collect();
+        let mut placed: Vec<_> = s
+            .placements()
+            .iter()
+            .map(|p| (p.task, p.proc.index()))
+            .collect();
+        ran.sort();
+        placed.sort();
+        assert_eq!(ran, placed, "{}", s.heuristic());
+    }
 }
 
 #[test]

@@ -161,9 +161,9 @@ proptest! {
             // inlining disabled every task is deque-dispatched; with the
             // default threshold these weight-1.0 tasks never leave the
             // private inline stacks, so nothing is there to steal.
-            // (`workers: 1` takes the sequential fast path, which has no
-            // deques and records no dispatch counters at all.)
-            if matches!(mode, ExecMode::Greedy { .. }) && workers >= 2 {
+            // That holds for every worker count: `workers: 1` is a pool
+            // of zero threads on the same loop, not a separate path.
+            if matches!(mode, ExecMode::Greedy { .. }) {
                 if inline_below == 0.0 {
                     prop_assert_eq!(summary.inline_tasks, 0);
                 } else {
@@ -183,7 +183,7 @@ proptest! {
         seed in 0u64..200,
         layers in 2usize..4,
         width in 1usize..4,
-        workers in 2usize..5,
+        workers in 1usize..5,
     ) {
         // Tracing must stay observationally free under the persistent
         // executor too, where worker threads, deques, and the slab store

@@ -236,6 +236,39 @@ fn executor_faults_are_attributed_not_fatal() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A document nested deeper than the parser's cap — 10,000 `compound`
+/// blocks used to overflow the handler's stack, which no `catch_unwind`
+/// contains, and take the daemon away from every client — is answered
+/// with a positioned parse error, and the daemon keeps serving.
+#[test]
+fn deeply_nested_document_is_an_error_not_a_dead_daemon() {
+    let depth = 10_000;
+    let mut doc = String::from("project deep\ndesign\n");
+    doc.push_str(&"compound c\n".repeat(depth));
+    doc.push_str("task t 1\n");
+    doc.push_str(&"end\n".repeat(depth + 1));
+    let path = temp_path("deep", "bang");
+    std::fs::write(&path, doc).unwrap();
+    let (sock, server, handle) = start_server("deep");
+    let mut client = Client::connect(&sock).expect("connect");
+
+    let resp = client
+        .request(&Request::for_path("check", path.to_str().unwrap()))
+        .unwrap();
+    assert!(!resp.ok);
+    assert!(
+        resp.error.contains("line 203") && resp.error.contains("nested deeper than 200"),
+        "{}",
+        resp.error
+    );
+    assert_eq!(server.store().stats().panics, 0, "rejected, not caught");
+
+    let pong = client.request(&Request::new("ping")).unwrap();
+    assert!(pong.ok, "{}", pong.error);
+    shutdown(&sock, handle);
+    std::fs::remove_file(&path).ok();
+}
+
 /// Malformed frames get an error response without dropping the
 /// connection or the daemon.
 #[test]
