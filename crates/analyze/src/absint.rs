@@ -20,10 +20,10 @@
 //! is impossible, which is what lets `Project::diagnose()` gate on it —
 //! and what `tests/prop_absint.rs` checks differentially.
 
-use crate::access::FlatView;
 use crate::diag::{Code, Diagnostic, Location};
 use banger_calc::absint::{analyze_with, AbsVal, AnalysisOptions, Finding, FindingKind, Interval};
 use banger_calc::{Program, ProgramLibrary};
+use banger_taskgraph::hierarchy::Expanded;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Diagnostics for one program analyzed in isolation (all inputs
@@ -41,7 +41,7 @@ pub fn program_diagnostics(prog: &Program) -> Vec<Diagnostic> {
 /// The design-level B04x pass: analyzes every program referenced by a
 /// task in the flattened view, seeding array lengths from storage
 /// declarations where the design pins them down.
-pub fn body_safety(view: &FlatView, library: &ProgramLibrary, diags: &mut Vec<Diagnostic>) {
+pub fn body_safety(view: &Expanded, library: &ProgramLibrary, diags: &mut Vec<Diagnostic>) {
     for (pname, prog, opts) in seeded_analyses(view, library) {
         let analysis = analyze_with(prog, &opts);
         diags.extend(analysis.findings.iter().map(|f| to_diagnostic(pname, f)));
@@ -54,20 +54,20 @@ pub fn body_safety(view: &FlatView, library: &ProgramLibrary, diags: &mut Vec<Di
 /// size seed the array length of the reader's input of the same name;
 /// every other input stays unknown.
 pub fn seeded_analyses<'a>(
-    view: &'a FlatView,
+    view: &'a Expanded,
     library: &'a ProgramLibrary,
 ) -> Vec<(&'a str, &'a Program, AnalysisOptions)> {
     // Storage base name -> declared size, for classes whose size is a
     // meaningful array length (finite, integral, >= 1).
     let mut declared: BTreeMap<&str, f64> = BTreeMap::new();
-    for sc in &view.storages {
+    for sc in &view.classes {
         if sc.size.is_finite() && sc.size >= 1.0 && sc.size.fract() == 0.0 {
             declared.insert(sc.base.as_str(), sc.size);
         }
     }
     // Which tasks read which storage classes (to seed their inputs).
     let mut feeds: Vec<Vec<&str>> = vec![Vec::new(); view.tasks.len()];
-    for sc in &view.storages {
+    for sc in &view.classes {
         for &r in &sc.readers {
             feeds[r].push(sc.base.as_str());
         }

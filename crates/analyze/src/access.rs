@@ -1,384 +1,98 @@
-//! A tolerant mirror of `HierGraph::flatten` used by the analysis passes.
-//!
-//! Unlike `flatten`, which fails fast on the first structural problem, this
-//! walk keeps going: port-binding problems become [`Diagnostic`]s (B020 /
-//! B021) and the offending arcs are dropped, so the later passes can still
-//! report everything else that is wrong with the design.
+//! The analyzer's reading of `HierGraph::expand`, the one hierarchy walk
+//! (it lives in `banger_taskgraph::hierarchy`; `HierGraph::flatten` is
+//! its strict reading). The walk drops an arc it cannot route and lists
+//! why; here each reason becomes a B020 / B021 [`Diagnostic`], so the
+//! later passes can still report everything else that is wrong with the
+//! design.
 
 use crate::diag::{Code, Diagnostic, Location};
-use banger_taskgraph::{HierGraph, HierNodeId, NodeKind};
-use std::collections::BTreeMap;
+use banger_taskgraph::hierarchy::{BindingFault, BindingProblem, Expanded};
+use banger_taskgraph::HierGraph;
 
-/// A leaf task in the flattened view.
-#[derive(Debug, Clone)]
-pub struct FlatTask {
-    /// Hierarchy-qualified name (`Factor.fl21`).
-    pub name: String,
-    /// Computational weight as drawn.
-    pub weight: f64,
-    /// PITS program implementing the task, if any.
-    pub program: Option<String>,
-}
-
-/// One storage *class* — a set of storage nodes merged across compound
-/// boundaries that alias the same data item.
-#[derive(Debug, Clone)]
-pub struct StorageClass {
-    /// The storage's base (unqualified) name; this is the variable arcs
-    /// through it carry.
-    pub base: String,
-    /// Qualified names of every alias in the class.
-    pub names: Vec<String>,
-    /// Declared size (largest across aliases).
-    pub size: f64,
-    /// Flat task indices that write the item (deduplicated, sorted).
-    pub writers: Vec<usize>,
-    /// Flat task indices that read the item (deduplicated, sorted).
-    pub readers: Vec<usize>,
-}
-
-/// The flattened view of a design: leaf tasks, direct labeled edges and
-/// storage classes, plus any port diagnostics found along the way.
-#[derive(Debug, Clone, Default)]
-pub struct FlatView {
-    /// Leaf tasks with qualified names.
-    pub tasks: Vec<FlatTask>,
-    /// Direct task-to-task edges `(src, dst, label)` (deduplicated).
-    pub edges: Vec<(usize, usize, String)>,
-    /// Storage classes after alias merging.
-    pub storages: Vec<StorageClass>,
-    /// B020/B021 findings collected during expansion.
-    pub diags: Vec<Diagnostic>,
-}
-
-impl FlatView {
-    /// Number of leaf tasks.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Adjacency of the full precedence graph: direct edges plus a
-    /// writer -> reader edge for every storage class. `skip_storage`
-    /// omits the induced edges of that one storage class (used by the
-    /// racy-read pass to ask whether ordering comes from elsewhere).
-    pub fn adjacency(&self, skip_storage: Option<usize>) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); self.tasks.len()];
-        for (s, d, _) in &self.edges {
-            adj[*s].push(*d);
-        }
-        for (si, sc) in self.storages.iter().enumerate() {
-            if Some(si) == skip_storage {
-                continue;
-            }
-            for &w in &sc.writers {
-                for &r in &sc.readers {
-                    if w != r {
-                        adj[w].push(r);
-                    }
-                }
-            }
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
-        }
-        adj
-    }
-}
-
-enum FlatNodeKind {
-    Task,
-    Storage { size: f64, base: String },
-}
-
-struct FlatNode {
-    name: String,
-    kind: FlatNodeKind,
-}
-
-#[derive(Default)]
-struct Accum {
-    nodes: Vec<FlatNode>,
-    tasks: Vec<FlatTask>,
-    /// Flat-task index of each task node (parallel to `nodes`).
-    task_of: Vec<Option<usize>>,
-    arcs: Vec<(usize, usize, String)>,
-    diags: Vec<Diagnostic>,
-}
-
-enum Repr {
-    Simple(usize),
-    Compound {
-        inputs: BTreeMap<String, Vec<usize>>,
-        outputs: BTreeMap<String, Vec<usize>>,
-    },
-}
-
-fn qualified(prefix: &str, name: &str) -> String {
-    if prefix.is_empty() {
-        name.to_string()
-    } else {
-        format!("{prefix}.{name}")
-    }
-}
-
-fn expand_level(g: &HierGraph, prefix: &str, acc: &mut Accum) -> Vec<Repr> {
-    let mut repr = Vec::new();
-    for (_, node) in g.nodes() {
-        match &node.kind {
-            NodeKind::Task { weight, program } => {
-                let idx = acc.nodes.len();
-                let name = qualified(prefix, &node.name);
-                acc.tasks.push(FlatTask {
-                    name: name.clone(),
-                    weight: *weight,
-                    program: program.clone(),
-                });
-                acc.nodes.push(FlatNode {
-                    name,
-                    kind: FlatNodeKind::Task,
-                });
-                acc.task_of.push(Some(acc.tasks.len() - 1));
-                repr.push(Repr::Simple(idx));
-            }
-            NodeKind::Storage { size } => {
-                let idx = acc.nodes.len();
-                acc.nodes.push(FlatNode {
-                    name: qualified(prefix, &node.name),
-                    kind: FlatNodeKind::Storage {
-                        size: *size,
-                        base: node.name.clone(),
-                    },
-                });
-                acc.task_of.push(None);
-                repr.push(Repr::Simple(idx));
-            }
-            NodeKind::Compound {
-                expansion,
-                inputs,
-                outputs,
-            } => {
-                let child_prefix = qualified(prefix, &node.name);
-                let child = expand_level(expansion, &child_prefix, acc);
-                route_arcs(expansion, &child, acc);
-                let mut resolve = |bindings: &BTreeMap<String, Vec<HierNodeId>>,
-                                   side_in: bool|
-                 -> BTreeMap<String, Vec<usize>> {
-                    let mut out = BTreeMap::new();
-                    for (label, ids) in bindings {
-                        let mut flats = Vec::new();
-                        for &inner in ids {
-                            match child.get(inner.index()) {
-                                None => acc.diags.push(
-                                    Diagnostic::error(
-                                        Code::B021,
-                                        Location::node(child_prefix.clone()),
-                                        format!(
-                                            "port binding for `{label}` in compound \
-                                             `{child_prefix}` names missing inner node {inner}",
-                                        ),
-                                    )
-                                    .with_help(
-                                        "bind the port to a node that exists in the expansion",
-                                    ),
-                                ),
-                                Some(Repr::Simple(i)) => flats.push(*i),
-                                Some(Repr::Compound { inputs, outputs }) => {
-                                    let map = if side_in { inputs } else { outputs };
-                                    match map.get(label) {
-                                        Some(nested) => flats.extend(nested.iter().copied()),
-                                        None => acc.diags.push(
-                                            Diagnostic::error(
-                                                Code::B020,
-                                                Location::node(child_prefix.clone()),
-                                                format!(
-                                                    "nested compound inside `{child_prefix}` \
-                                                     lacks a binding for `{label}`",
-                                                ),
-                                            )
-                                            .with_help(
-                                                "add a bind declaration for the variable on the \
-                                                 nested compound",
-                                            ),
-                                        ),
-                                    }
-                                }
-                            }
-                        }
-                        out.insert(label.clone(), flats);
-                    }
-                    out
-                };
-                let inputs = resolve(inputs, true);
-                let outputs = resolve(outputs, false);
-                repr.push(Repr::Compound { inputs, outputs });
-            }
+/// Expands `design` for the passes: every storage class's writers and
+/// readers deduplicated and sorted (the walk lists one per routed arc).
+pub fn flat_view(design: &HierGraph) -> Expanded {
+    let mut view = design.expand();
+    for class in &mut view.classes {
+        for tasks in [&mut class.writers, &mut class.readers] {
+            tasks.sort_unstable();
+            tasks.dedup();
         }
     }
-    repr
+    view
 }
 
-fn endpoints(
-    g: &HierGraph,
-    level: &[Repr],
-    id: HierNodeId,
-    label: &str,
-    incoming: bool,
-    acc: &mut Accum,
-) -> Vec<usize> {
-    match &level[id.index()] {
-        Repr::Simple(i) => vec![*i],
-        Repr::Compound { inputs, outputs } => {
-            let map = if incoming { inputs } else { outputs };
-            match map.get(label) {
-                Some(v) => v.clone(),
-                None => {
-                    let name = g
-                        .node(id)
-                        .map(|n| n.name.clone())
-                        .unwrap_or_else(|| id.to_string());
-                    acc.diags.push(
-                        Diagnostic::error(
-                            Code::B020,
-                            Location::node(name.clone()),
-                            format!(
-                                "compound `{name}` has no {} binding for variable `{label}`",
-                                if incoming { "input" } else { "output" },
-                            ),
-                        )
-                        .with_help(format!(
-                            "add `bind {} {name} {label} <inner-node>` so the arc can cross \
-                             the compound boundary",
-                            if incoming { "in" } else { "out" },
-                        )),
-                    );
-                    Vec::new()
-                }
-            }
-        }
+/// Adjacency of the full precedence graph: direct arcs plus a
+/// writer -> reader edge for every storage class. `skip_class` omits the
+/// induced edges of that one storage class (used by the racy-read pass to
+/// ask whether ordering comes from elsewhere).
+pub fn adjacency(view: &Expanded, skip_class: Option<usize>) -> Vec<Vec<usize>> {
+    let mut adj = vec![Vec::new(); view.tasks.len()];
+    for arc in &view.arcs {
+        adj[arc.src].push(arc.dst);
     }
-}
-
-fn route_arcs(g: &HierGraph, level: &[Repr], acc: &mut Accum) {
-    for arc in g.arcs() {
-        let srcs = endpoints(g, level, arc.src, &arc.label, false, acc);
-        let dsts = endpoints(g, level, arc.dst, &arc.label, true, acc);
-        for &s in &srcs {
-            for &d in &dsts {
-                acc.arcs.push((s, d, arc.label.clone()));
-            }
-        }
-    }
-}
-
-/// Union-find over flat node indices (storage alias merging).
-struct UnionFind {
-    parent: Vec<usize>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[rb] = ra;
-        }
-    }
-}
-
-/// Builds the flattened analysis view of a design, tolerating binding
-/// errors (reported as diagnostics rather than failures).
-pub fn flat_view(design: &HierGraph) -> FlatView {
-    let mut acc = Accum::default();
-    let top = expand_level(design, "", &mut acc);
-    route_arcs(design, &top, &mut acc);
-
-    let n = acc.nodes.len();
-    let mut uf = UnionFind::new(n);
-    for (s, d, _) in &acc.arcs {
-        let s_store = matches!(acc.nodes[*s].kind, FlatNodeKind::Storage { .. });
-        let d_store = matches!(acc.nodes[*d].kind, FlatNodeKind::Storage { .. });
-        if s_store && d_store {
-            uf.union(*s, *d);
-        }
-    }
-
-    let mut edges: Vec<(usize, usize, String)> = Vec::new();
-    let mut writers: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut readers: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (s, d, label) in &acc.arcs {
-        let s_task = acc.task_of[*s];
-        let d_task = acc.task_of[*d];
-        match (s_task, d_task) {
-            (Some(ts), Some(td)) => edges.push((ts, td, label.clone())),
-            (Some(ts), None) => writers[uf.find(*d)].push(ts),
-            (None, Some(td)) => readers[uf.find(*s)].push(td),
-            (None, None) => {} // alias arc, already merged
-        }
-    }
-    edges.sort();
-    edges.dedup();
-
-    let mut storages = Vec::new();
-    for i in 0..n {
-        if !matches!(acc.nodes[i].kind, FlatNodeKind::Storage { .. }) || uf.find(i) != i {
+    for (ci, class) in view.classes.iter().enumerate() {
+        if Some(ci) == skip_class {
             continue;
         }
-        let mut names = Vec::new();
-        let mut size = 0.0f64;
-        let mut base = String::new();
-        for (j, node) in acc.nodes.iter().enumerate() {
-            if let FlatNodeKind::Storage { size: s, base: b } = &node.kind {
-                if uf.find(j) == i {
-                    names.push(node.name.clone());
-                    if *s > size {
-                        size = *s;
-                    }
-                    if base.is_empty() {
-                        base = b.clone();
-                    }
+        for &w in &class.writers {
+            for &r in &class.readers {
+                if w != r {
+                    adj[w].push(r);
                 }
             }
         }
-        let mut w = std::mem::take(&mut writers[i]);
-        w.sort_unstable();
-        w.dedup();
-        let mut r = std::mem::take(&mut readers[i]);
-        r.sort_unstable();
-        r.dedup();
-        storages.push(StorageClass {
-            base,
-            names,
-            size,
-            writers: w,
-            readers: r,
-        });
     }
+    for list in &mut adj {
+        list.sort_unstable();
+        list.dedup();
+    }
+    adj
+}
 
-    FlatView {
-        tasks: acc.tasks,
-        edges,
-        storages,
-        diags: acc.diags,
+/// The B020 / B021 finding for an arc the walk dropped.
+pub fn binding_diagnostic(problem: &BindingProblem) -> Diagnostic {
+    let (compound, label) = (&problem.compound, &problem.label);
+    let at = Location::node(compound.clone());
+    match &problem.fault {
+        BindingFault::Unbound { incoming, .. } => {
+            let (side, dir) = if *incoming {
+                ("input", "in")
+            } else {
+                ("output", "out")
+            };
+            Diagnostic::error(
+                Code::B020,
+                at,
+                format!("compound `{compound}` has no {side} binding for variable `{label}`"),
+            )
+            .with_help(format!(
+                "add `bind {compound} {dir} {label} <inner-node>` so the arc can cross the \
+                 compound boundary",
+            ))
+        }
+        BindingFault::NestedUnbound => Diagnostic::error(
+            Code::B020,
+            at,
+            format!("nested compound inside `{compound}` lacks a binding for `{label}`"),
+        )
+        .with_help("add a bind declaration for the variable on the nested compound"),
+        BindingFault::MissingInner(inner) => Diagnostic::error(
+            Code::B021,
+            at,
+            format!(
+                "port binding for `{label}` in compound `{compound}` names missing inner \
+                 node {inner}",
+            ),
+        )
+        .with_help("bind the port to a node that exists in the expansion"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use banger_taskgraph::HierNodeId;
 
     #[test]
     fn storage_between_tasks_forms_a_class() {
@@ -389,13 +103,13 @@ mod tests {
         g.add_flow(a, s).unwrap();
         g.add_flow(s, b).unwrap();
         let v = flat_view(&g);
-        assert_eq!(v.task_count(), 2);
-        assert_eq!(v.storages.len(), 1);
-        assert_eq!(v.storages[0].base, "s");
-        assert_eq!(v.storages[0].writers, vec![0]);
-        assert_eq!(v.storages[0].readers, vec![1]);
-        assert!(v.diags.is_empty());
-        let adj = v.adjacency(None);
+        assert_eq!(v.tasks.len(), 2);
+        assert_eq!(v.classes.len(), 1);
+        assert_eq!(v.classes[0].base, "s");
+        assert_eq!(v.classes[0].writers, vec![0]);
+        assert_eq!(v.classes[0].readers, vec![1]);
+        assert!(v.problems.is_empty());
+        let adj = adjacency(&v, None);
         assert_eq!(adj[0], vec![1]);
     }
 
@@ -408,11 +122,12 @@ mod tests {
         let t = g.add_task("t", 1.0);
         g.add_arc(t, c, "x", 1.0).unwrap();
         let v = flat_view(&g);
-        assert_eq!(v.diags.len(), 1);
-        assert_eq!(v.diags[0].code, Code::B020);
-        assert!(v.diags[0].message.contains('C'), "{}", v.diags[0].message);
+        assert_eq!(v.problems.len(), 1);
+        let d = binding_diagnostic(&v.problems[0]);
+        assert_eq!(d.code, Code::B020);
+        assert!(d.message.contains('C'), "{}", d.message);
         // The arc was dropped, not fatal: both tasks still flattened.
-        assert_eq!(v.task_count(), 2);
+        assert_eq!(v.tasks.len(), 2);
     }
 
     #[test]
@@ -426,9 +141,11 @@ mod tests {
         g.add_arc(t, c, "x", 1.0).unwrap();
         let v = flat_view(&g);
         assert!(
-            v.diags.iter().any(|d| d.code == Code::B021),
+            v.problems
+                .iter()
+                .any(|p| binding_diagnostic(p).code == Code::B021),
             "{:?}",
-            v.diags
+            v.problems
         );
     }
 
@@ -447,9 +164,9 @@ mod tests {
         g.add_arc(c, s, "S", 0.0).unwrap();
         g.add_flow(s, r).unwrap();
         let v = flat_view(&g);
-        assert_eq!(v.storages.len(), 1, "{:?}", v.storages);
-        assert_eq!(v.storages[0].names.len(), 2);
-        assert_eq!(v.storages[0].writers.len(), 1);
-        assert_eq!(v.storages[0].readers.len(), 1);
+        assert_eq!(v.classes.len(), 1, "{:?}", v.classes);
+        assert_eq!(v.classes[0].members.len(), 2);
+        assert_eq!(v.classes[0].writers.len(), 1);
+        assert_eq!(v.classes[0].readers.len(), 1);
     }
 }

@@ -7,7 +7,13 @@
 //! library so the CLI (`banger check`), the project facade
 //! (`Project::diagnose`) and tests all share one engine.
 //!
-//! Three pass families run over a hierarchical design:
+//! The crate has no hierarchy walk of its own: every pass reads the
+//! `Expanded` design of `banger_taskgraph::HierGraph::expand`, the walk
+//! `HierGraph::flatten` is the strict reading of, so the scheduler graph
+//! and the diagnostics cannot disagree about what a design contains
+//! ([`access`] maps the walk's binding problems to `B020`/`B021`).
+//!
+//! Four pass families run over a hierarchical design:
 //!
 //! * **Storage races** — two tasks writing the same storage item with no
 //!   precedence path between them (write/write, `B001`), and reads of

@@ -546,6 +546,27 @@ end-program
     }
 
     #[test]
+    fn the_unbound_port_help_is_a_line_the_document_grammar_accepts() {
+        use banger_analyze::Code;
+        let unbound = DOC.replace("  bind Work in lo double\n", "");
+        let mut broken = parse_project(&unbound).unwrap();
+        let b020: Vec<_> = broken
+            .diagnose()
+            .iter()
+            .filter(|d| d.code == Code::B020)
+            .collect();
+        assert_eq!(b020.len(), 1, "{b020:?}");
+        // "add `bind Work in lo <inner-node>` so the arc can cross ...":
+        // paste it, with a real inner node, after the compound.
+        let help = b020[0].help.as_deref().unwrap();
+        let line = help.split('`').nth(1).unwrap();
+        let line = line.replace("<inner-node>", "double");
+        let pasted = unbound.replace("  task merge", &format!("  {line}\n  task merge"));
+        let mut fixed = parse_project(&pasted).unwrap_or_else(|e| panic!("{e}\n---\n{pasted}"));
+        assert!(fixed.diagnose().iter().all(|d| d.code != Code::B020));
+    }
+
+    #[test]
     fn round_trips() {
         let p = parse_project(DOC).unwrap();
         let printed = print_project(&p);

@@ -288,10 +288,19 @@ impl Project {
         self.machine.as_ref()
     }
 
-    /// Flattens (and caches) the design.
+    /// Flattens (and caches) the design. A design that does not flatten
+    /// fails with the analyzer's named findings
+    /// ([`ProjectError::Invalid`]) whenever it has any, so every verb
+    /// reports an unbound port or a cycle the way `check` does.
     pub fn flatten(&mut self) -> Result<&Flattened, ProjectError> {
         if self.flattened.is_none() {
-            self.flattened = Some(self.design.flatten()?);
+            match self.design.flatten() {
+                Ok(flat) => self.flattened = Some(flat),
+                Err(e) => {
+                    self.gate()?;
+                    return Err(e.into());
+                }
+            }
         }
         self.flattened_ref()
     }
@@ -329,7 +338,8 @@ impl Project {
     /// reads them from [`diagnose`](Self::diagnose) (the request handler
     /// puts them in its response's notes).
     /// Called by [`schedule`](Self::schedule), [`run`](Self::run),
-    /// [`run_scheduled`](Self::run_scheduled) and the code generators.
+    /// [`run_scheduled`](Self::run_scheduled), the code generators, and by
+    /// [`flatten`](Self::flatten) on a design that does not flatten.
     fn gate(&mut self) -> Result<(), ProjectError> {
         let diags = self.diagnose();
         if banger_analyze::has_errors(diags) {
@@ -342,10 +352,10 @@ impl Project {
     /// [`banger_sched::HEURISTIC_NAMES`], plus `"DSH"`).
     /// The design must pass [`diagnose`](Self::diagnose) with no errors.
     pub fn schedule(&mut self, heuristic: &str) -> Result<Schedule, ProjectError> {
-        self.flatten()?;
         // Report the missing machine before any design diagnostics: it is
         // the first thing the user must fix to get a schedule at all.
         self.machine_ref()?;
+        self.flatten()?;
         self.gate()?;
         let m = self.machine_ref()?;
         let g = &self.flattened_ref()?.graph;
@@ -739,20 +749,10 @@ impl Project {
 
         // Carry the drawn storage sizes over to the rebuilt design so
         // the scheduler's communication model is unchanged.
-        fn storage_sizes(g: &HierGraph, out: &mut BTreeMap<String, f64>) {
-            use banger_taskgraph::NodeKind;
-            for (_, node) in g.nodes() {
-                match &node.kind {
-                    NodeKind::Storage { size } => {
-                        out.entry(node.name.clone()).or_insert(*size);
-                    }
-                    NodeKind::Compound { expansion, .. } => storage_sizes(expansion, out),
-                    NodeKind::Task { .. } => {}
-                }
-            }
-        }
         let mut sizes = BTreeMap::new();
-        storage_sizes(&self.design, &mut sizes);
+        for storage in self.design.expand().storages {
+            sizes.entry(storage.base).or_insert(storage.size);
+        }
 
         self.design = banger_opt::flat_to_design(&self.name, &flat, &sizes)?;
         self.library = lib;

@@ -1005,6 +1005,65 @@ fn serve_daemon_round_trip() {
     std::fs::remove_dir_all(&scratch).ok();
 }
 
+/// One defect, one answer: a design that cannot be flattened is refused
+/// by every verb with the analyzer's named finding, not with the
+/// flattener's own wording, in-process and by a daemon, which keeps
+/// serving afterwards.
+#[cfg(unix)]
+#[test]
+fn every_verb_names_an_unflattenable_designs_defect_the_way_check_does() {
+    const MACHINE: &str = "machine hypercube:1\n  speed 1\n  process-startup 0\n  \
+                           msg-startup 0\n  rate 1\nend\n";
+    let documents = [
+        (
+            "unbound",
+            "task gen 1\ncompound C\ntask w 1\nend\ntask use 1\nbind C out r w\n\
+             arc gen -> C label v vol 1\narc C -> use label r vol 1\n",
+            ["error[B020]", "compound `C` has no input binding"],
+        ),
+        (
+            "cycle",
+            "task p 1\ntask q 1\narc p -> q label x vol 1\narc q -> p label y vol 1\n",
+            ["error[B030]", "p -> q -> p"],
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("banger-cli-defects-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (sock, guard) = start_daemon("defects", &dir);
+    for (name, design, named) in documents {
+        let path = dir.join(format!("{name}.bang"));
+        let text = format!("project {name}\n{MACHINE}design\n{design}end\n");
+        std::fs::write(&path, text).unwrap();
+        for connect in [vec![], vec!["--connect", sock.to_str().unwrap()]] {
+            for verb in ["check", "gantt", "show", "graph", "run"] {
+                let out = banger()
+                    .args(&connect)
+                    .args([verb, path.to_str().unwrap()])
+                    .output()
+                    .unwrap();
+                let said = format!(
+                    "{}{}",
+                    String::from_utf8_lossy(&out.stdout),
+                    String::from_utf8_lossy(&out.stderr)
+                );
+                assert_eq!(out.status.code(), Some(1), "{verb} {connect:?}: {said}");
+                for want in named {
+                    assert!(said.contains(want), "{verb} {connect:?}: {said}");
+                }
+                assert!(!said.contains("running locally"), "{verb}: {said}");
+            }
+        }
+    }
+    let ping = banger()
+        .args(["--connect", sock.to_str().unwrap(), "ping"])
+        .output()
+        .unwrap();
+    assert_eq!(String::from_utf8_lossy(&ping.stdout), "pong\n");
+    stop_daemon(&sock, guard);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A daemon resolves nothing against its own working directory: the
 /// client sends the project path absolute and reads and writes the
 /// other files itself.

@@ -2,10 +2,14 @@
 //! flattening conserves work, port wiring is complete, and `.bang`
 //! documents round-trip.
 
+#[path = "support/designs.rs"]
+mod designs;
+
 use banger::document::{parse_project, print_project};
 use banger::project::Project;
 use banger_machine::{Machine, MachineParams, Topology};
 use banger_taskgraph::{generators, HierGraph, NodeKind};
+use designs::grouped_design;
 use proptest::prelude::*;
 
 /// Total task weight across all hierarchy levels.
@@ -17,37 +21,6 @@ fn hier_weight(g: &HierGraph) -> f64 {
             NodeKind::Storage { .. } => 0.0,
         })
         .sum()
-}
-
-/// A random two-level design: a top-level source storage, `groups`
-/// compound nodes each holding a chain of `chain_len` tasks, and a sink
-/// task collecting every group's output.
-fn grouped_design(groups: usize, chain_len: usize, weight: f64) -> HierGraph {
-    let mut top = HierGraph::new("grouped");
-    let src = top.add_storage("input", 4.0);
-    let sink = top.add_task("sink", weight);
-    let out = top.add_storage("output", 1.0);
-    top.add_flow(sink, out).unwrap();
-    for gi in 0..groups {
-        let mut inner = HierGraph::new(format!("G{gi}"));
-        let mut prev = None;
-        let mut first = None;
-        for ci in 0..chain_len {
-            let t = inner.add_task(format!("t{ci}"), weight * (ci + 1) as f64);
-            if let Some(p) = prev {
-                inner.add_arc(p, t, format!("c{ci}"), 2.0).unwrap();
-            } else {
-                first = Some(t);
-            }
-            prev = Some(t);
-        }
-        let c = top.add_compound(format!("G{gi}"), inner);
-        top.bind_input(c, "input", first.unwrap()).unwrap();
-        top.bind_output(c, format!("r{gi}"), prev.unwrap()).unwrap();
-        top.add_arc(src, c, "input", 4.0).unwrap();
-        top.add_arc(c, sink, format!("r{gi}"), 1.0).unwrap();
-    }
-    top
 }
 
 proptest! {

@@ -1,101 +1,59 @@
 //! Property tests for the static-analysis engine (`banger-analyze`):
 //! lint never panics and is deterministic on random hierarchical graphs,
-//! and the schedulable seed designs (LU) produce zero error-severity
-//! diagnostics.
+//! it refuses exactly the designs a strict flatten refuses, and the
+//! schedulable seed designs (LU) produce zero error-severity diagnostics.
+
+#[path = "support/designs.rs"]
+mod designs;
 
 use banger::lu::lu_program_library;
-use banger_analyze::{diagnose, Severity};
+use banger_analyze::{diagnose, Code, Severity};
 use banger_calc::ProgramLibrary;
-use banger_taskgraph::{generators, HierGraph};
+use banger_taskgraph::generators;
+use designs::{grouped_design, random_design, varied_design};
 use proptest::prelude::*;
-
-/// A random flat-ish design driven by a seed: `n` tasks, arcs and storage
-/// wired pseudo-randomly — including broken shapes (races, cycles via
-/// storage fan-in/out, isolated tasks, zero weights) that the lints are
-/// for. The generator intentionally does NOT keep designs clean.
-fn random_design(seed: u64, n: usize) -> HierGraph {
-    let mut g = HierGraph::new(format!("rand{seed}"));
-    let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let tasks: Vec<_> = (0..n)
-        .map(|i| {
-            // Mix in zero weights so B032 paths are exercised.
-            let w = (next() % 5) as f64;
-            g.add_task(format!("t{i}"), w)
-        })
-        .collect();
-    let stores: Vec<_> = (0..n.div_ceil(2))
-        .map(|i| g.add_storage(format!("s{i}"), (next() % 8) as f64))
-        .collect();
-    let arcs = (n * 2).max(4);
-    for k in 0..arcs {
-        let t = tasks[(next() as usize) % tasks.len()];
-        let s = stores[(next() as usize) % stores.len()];
-        // Alternate write and read arcs; duplicates and self-loops are
-        // rejected by add_arc/add_flow, which is fine — skip them.
-        let r = if k % 2 == 0 {
-            g.add_flow(t, s)
-        } else {
-            g.add_flow(s, t)
-        };
-        let _ = r;
-        if next() % 3 == 0 {
-            let a = tasks[(next() as usize) % tasks.len()];
-            let b = tasks[(next() as usize) % tasks.len()];
-            let _ = g.add_arc(a, b, format!("d{k}"), (next() % 4) as f64);
-        }
-    }
-    g
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The lint engine must never panic, whatever the design looks like,
-    /// and must return the same findings for the same inputs.
+    /// and must return the same findings for the same inputs. And because
+    /// the scheduler graph and the analyzer read one hierarchy walk, they
+    /// agree on what is wrong: a strict flatten fails exactly when the
+    /// analyzer names a binding problem, a cycle or a bad weight, and when
+    /// it succeeds its tasks are the walk's, in `TaskId` order.
     #[test]
-    fn lint_is_total_and_deterministic(seed in 0u64..1_000_000, n in 2usize..12) {
-        let g = random_design(seed, n);
+    fn lint_is_total_and_deterministic(
+        seed in 0u64..1_000_000,
+        n in 2usize..12,
+        varied in any::<bool>(),
+    ) {
+        let g = if varied { varied_design(seed, n) } else { random_design(seed, n) };
         let lib = ProgramLibrary::new();
-        let d1 = diagnose(&g, &lib);
-        let d2 = diagnose(&g, &lib);
-        prop_assert_eq!(d1, d2);
+        let diags = diagnose(&g, &lib);
+        prop_assert_eq!(&diags, &diagnose(&g, &lib));
+
+        let refused = diags.iter().any(|d| match d.code {
+            Code::B020 | Code::B021 | Code::B030 => true,
+            Code::B032 => d.severity == Severity::Error,
+            _ => false,
+        });
+        match g.flatten() {
+            Err(e) => prop_assert!(refused, "flatten says {}, lint only {:?}", e, diags),
+            Ok(f) => {
+                prop_assert!(!refused, "flatten succeeded against {:?}", diags);
+                let walked: Vec<String> = g.expand().tasks.into_iter().map(|t| t.name).collect();
+                let flat: Vec<String> = f.graph.tasks().map(|(_, t)| t.name.clone()).collect();
+                prop_assert_eq!(walked, flat);
+            }
+        }
     }
 
     /// Clean two-level compound designs stay clean: no error-severity
     /// findings on the grouped shapes the flatten property tests use.
     #[test]
     fn grouped_designs_have_no_errors(groups in 1usize..5, chain_len in 1usize..4) {
-        let mut top = HierGraph::new("grouped");
-        let src = top.add_storage("input", 4.0);
-        let sink = top.add_task("sink", 1.0);
-        let out = top.add_storage("output", 1.0);
-        top.add_flow(sink, out).unwrap();
-        for gi in 0..groups {
-            let mut inner = HierGraph::new(format!("G{gi}"));
-            let mut prev = None;
-            let mut first = None;
-            for ci in 0..chain_len {
-                let t = inner.add_task(format!("t{ci}"), (ci + 1) as f64);
-                if let Some(p) = prev {
-                    inner.add_arc(p, t, format!("c{ci}"), 2.0).unwrap();
-                } else {
-                    first = Some(t);
-                }
-                prev = Some(t);
-            }
-            let c = top.add_compound(format!("G{gi}"), inner);
-            top.bind_input(c, "input", first.unwrap()).unwrap();
-            top.bind_output(c, format!("r{gi}"), prev.unwrap()).unwrap();
-            top.add_arc(src, c, "input", 4.0).unwrap();
-            top.add_arc(c, sink, format!("r{gi}"), 1.0).unwrap();
-        }
-        let diags = diagnose(&top, &ProgramLibrary::new());
+        let diags = diagnose(&grouped_design(groups, chain_len, 1.0), &ProgramLibrary::new());
         prop_assert!(
             diags.iter().all(|d| d.severity != Severity::Error),
             "unexpected errors: {:?}",
