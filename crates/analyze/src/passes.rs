@@ -1,9 +1,14 @@
 //! The analysis passes: storage races, PITL/PITS interface cross-checks
 //! and graph hygiene.
+//!
+//! Nothing here walks a PITS body: the per-program checks (B013–B015) are
+//! predicates over [`banger_calc::ast::Facts`] — which variables a body
+//! reads, assigns and index-stores, and where first — and the B04x checks
+//! come from the abstract interpreter through `crate::absint`.
 
 use crate::access::{adjacency, binding_diagnostic, flat_view};
 use crate::diag::{sort_diagnostics, Code, Diagnostic, Location};
-use banger_calc::ast::{Expr, Stmt};
+use banger_calc::ast::Facts;
 use banger_calc::{Program, ProgramLibrary};
 use banger_taskgraph::hierarchy::Expanded;
 use banger_taskgraph::HierGraph;
@@ -131,133 +136,15 @@ fn races(view: &Expanded, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Variables assigned anywhere in a statement list (assignment targets,
-/// indexed targets and `for` loop variables).
-fn assigned_vars(body: &[Stmt], out: &mut BTreeSet<String>) {
-    for s in body {
-        match s {
-            Stmt::Assign { var, .. } | Stmt::AssignIndex { var, .. } => {
-                out.insert(var.clone());
-            }
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                assigned_vars(then_body, out);
-                assigned_vars(else_body, out);
-            }
-            Stmt::While { body, .. } => assigned_vars(body, out),
-            Stmt::For { var, body, .. } => {
-                out.insert(var.clone());
-                assigned_vars(body, out);
-            }
-            Stmt::Print { .. } => {}
-        }
-    }
-}
-
-fn expr_vars(e: &Expr, out: &mut BTreeSet<String>) {
-    match e {
-        Expr::Num(_) => {}
-        Expr::Var(v) => {
-            out.insert(v.clone());
-        }
-        Expr::Index(v, idx) => {
-            out.insert(v.clone());
-            expr_vars(idx, out);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                expr_vars(a, out);
-            }
-        }
-        Expr::Bin(_, a, b) => {
-            expr_vars(a, out);
-            expr_vars(b, out);
-        }
-        Expr::Un(_, a) => expr_vars(a, out),
-    }
-}
-
-/// Variables read anywhere in a statement list.
-fn read_vars(body: &[Stmt], out: &mut BTreeSet<String>) {
-    for s in body {
-        match s {
-            Stmt::Assign { expr, .. } => expr_vars(expr, out),
-            Stmt::AssignIndex {
-                var, index, expr, ..
-            } => {
-                // An indexed store updates one element: the rest of the
-                // array flows through, so this counts as a read too.
-                out.insert(var.clone());
-                expr_vars(index, out);
-                expr_vars(expr, out);
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-                ..
-            } => {
-                expr_vars(cond, out);
-                read_vars(then_body, out);
-                read_vars(else_body, out);
-            }
-            Stmt::While { cond, body, .. } => {
-                expr_vars(cond, out);
-                read_vars(body, out);
-            }
-            Stmt::For { from, to, body, .. } => {
-                expr_vars(from, out);
-                expr_vars(to, out);
-                read_vars(body, out);
-            }
-            Stmt::Print { expr: e, .. } => expr_vars(e, out),
-        }
-    }
-}
-
-/// First source position of an assignment to `var`, for B015 spans.
-fn first_assign_pos(body: &[Stmt], var: &str) -> Option<banger_calc::Pos> {
-    for s in body {
-        match s {
-            Stmt::Assign { var: v, pos, .. } | Stmt::AssignIndex { var: v, pos, .. }
-                if v == var =>
-            {
-                return Some(*pos);
-            }
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                if let Some(p) =
-                    first_assign_pos(then_body, var).or_else(|| first_assign_pos(else_body, var))
-                {
-                    return Some(p);
-                }
-            }
-            Stmt::While { body, .. } | Stmt::For { body, .. } => {
-                if let Some(p) = first_assign_pos(body, var) {
-                    return Some(p);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Per-program checks that do not depend on the design (B013/B014/B015).
+/// Per-program checks that do not depend on the design (B013/B014/B015),
+/// each a predicate over the body's [`Facts`]. An indexed store updates one
+/// element and the rest of the array flows through, so it counts as a
+/// write (B013, B015) *and* as a read (B014).
 fn program_body_checks(prog: &Program, diags: &mut Vec<Diagnostic>) {
-    let mut assigned = BTreeSet::new();
-    assigned_vars(&prog.body, &mut assigned);
-    let mut read = BTreeSet::new();
-    read_vars(&prog.body, &mut read);
+    let facts = Facts::of(&prog.body);
 
     for out in &prog.outputs {
-        if !assigned.contains(out) {
+        if facts.written(out).is_none() {
             diags.push(
                 Diagnostic::error(
                     Code::B013,
@@ -272,7 +159,8 @@ fn program_body_checks(prog: &Program, diags: &mut Vec<Diagnostic>) {
         }
     }
     for inp in &prog.inputs {
-        if !read.contains(inp) {
+        let inp = inp.as_str();
+        if !facts.reads.contains_key(inp) && !facts.stored.contains_key(inp) {
             diags.push(
                 Diagnostic::warning(
                     Code::B014,
@@ -286,12 +174,14 @@ fn program_body_checks(prog: &Program, diags: &mut Vec<Diagnostic>) {
             );
         }
     }
-    for var in &assigned {
+    let mut written: BTreeSet<&str> = facts.assigned.keys().copied().collect();
+    written.extend(facts.stored.keys().copied());
+    for var in written {
         if !prog.declares(var) {
             diags.push(
                 Diagnostic::warning(
                     Code::B015,
-                    Location::program(prog.name.clone(), first_assign_pos(&prog.body, var)),
+                    Location::program(prog.name.clone(), facts.written(var)),
                     format!(
                         "program `{}` assigns `{var}` without declaring it (implicit local)",
                         prog.name,
@@ -722,7 +612,8 @@ mod tests {
 
     #[test]
     fn body_checks_cover_b013_b014_b015() {
-        let lib = lib_of(&["task P\n in a, b\n out r, unset\nbegin\n r := a\n tmp := 1\nend\n"]);
+        let lib = lib_of(&["task P\n in a, b\n out r, unset\nbegin\n r := a\n \
+             for i := 1 to a do\n  r := r + i\n end\n tmp := 1\n tmp := 2\nend\n"]);
         let mut g = HierGraph::new("b");
         let t = g.add_task_with_program("t", 1.0, "P");
         let s = g.add_storage("r", 1.0);
@@ -731,11 +622,23 @@ mod tests {
         let cs = codes(&diags);
         assert!(cs.contains(&Code::B013), "{diags:?}"); // unset never assigned
         assert!(cs.contains(&Code::B014), "{diags:?}"); // b never read
-        assert!(cs.contains(&Code::B015), "{diags:?}"); // tmp undeclared
-                                                        // B013 carries the declaration span from the parser.
+        assert!(cs.contains(&Code::B015), "{diags:?}"); // i, tmp undeclared
+
+        // B013 carries the declaration span from the parser.
         let b013 = diags.iter().find(|d| d.code == Code::B013).unwrap();
         assert!(b013.location.span.is_some(), "{b013:?}");
         assert_eq!(b013.location.span.unwrap().line, 3);
+        // B015 points at the first write, and a `for` header is one.
+        let b015: Vec<_> = diags.iter().filter(|d| d.code == Code::B015).collect();
+        let text: Vec<String> = b015.iter().map(|d| crate::render_text(d)).collect();
+        assert_eq!(text.len(), 2, "{text:?}");
+        assert!(text[0].contains("assigns `i`"), "{}", text[0]);
+        assert!(text[0].contains("at program `P` at 6:2"), "{}", text[0]);
+        assert!(text[1].contains("assigns `tmp`"), "{}", text[1]);
+        assert!(text[1].contains("at program `P` at 9:2"), "{}", text[1]);
+        let json = crate::render_json(&diags);
+        assert!(json.contains("\"line\":6,\"col\":2"), "{json}");
+        assert!(json.contains("\"line\":9,\"col\":2"), "{json}");
     }
 
     #[test]

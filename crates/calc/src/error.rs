@@ -4,7 +4,8 @@ use std::fmt;
 
 /// A source position (1-based line and column), carried by every
 /// compile-time diagnostic so the calculator panel can highlight it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Positions order as the text reads: by line, then by column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Pos {
     /// 1-based line.
     pub line: u32,

@@ -9,7 +9,11 @@
 //! demand.* This crate is that calculator, headless:
 //!
 //! * [`token`] / [`parser`] / [`ast`] — the "simplified programming
-//!   language" of Figure 4's lower window;
+//!   language" of Figure 4's lower window; [`ast`] also holds the one
+//!   reading of a body that is not a translation — [`ast::Facts`], the
+//!   variables a statement list reads, assigns, index-stores and prints —
+//!   which every lint, rewrite rule and legality check outside this crate
+//!   is a predicate over;
 //! * [`interp`] — trial runs of single tasks with inputs, outputs, prints
 //!   and an operation count (a measured task weight for the scheduler);
 //! * [`builtins`] — the scientific function and constant buttons;
@@ -17,6 +21,8 @@
 //!   safety findings and static operation-count bounds (the weight
 //!   estimate of a task nobody has trial-run yet);
 //! * [`pretty`] — canonical program text (round-trips with the parser);
+//! * [`transform`] — program rewrites: the reduction splitter (legality
+//!   stated over [`ast::Facts`]), variable renaming and body splicing;
 //! * [`symbols`] — the name → dense-slot table the bytecode compiler and
 //!   the abstract interpreter share;
 //! * [`panel`] — the calculator panel itself: button presses, immediate

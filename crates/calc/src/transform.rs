@@ -12,23 +12,28 @@
 //!   out r
 //!   local i, ...
 //! begin
-//!   <prelude statements>            # may not assign r or use i
+//!   <prelude statements>            # may not read or write r
 //!   r := <init>
-//!   for i := <lo> to <hi> do
-//!     <body statements>             # may not assign r
-//!     r := r + <contribution>
+//!   for i := <lo> to <hi> do        # bounds may not read r or i
+//!     <body statements>             # may not read or write r
+//!     r := r + <contribution>       # the contribution may not read r
 //!   end
-//!   <postlude statements>           # may read r (e.g. r := r * h)
+//!   <postlude statements>           # may read r (e.g. r := r * h), not i
 //! end
 //! ```
 //!
-//! and splits it into `k` *chunk* programs, each reducing a contiguous
-//! sub-range into a partial, plus a *combine* program that sums the
-//! partials, applies the postlude, and emits the original output — exactly
-//! the structure a non-programmer would have to build by hand (compare the
-//! `pi_quadrature` example).
+//! Each condition is a predicate over [`Facts`] of a sub-slice of the body
+//! (or [`Expr::mentions`] of one expression). A chunk owns a partial, not
+//! `r`: the left operand of the closing `r := r + e` is the loop's only read
+//! of the accumulator.
+//!
+//! A program of that shape is split into `k` *chunk* programs, each
+//! reducing a contiguous sub-range into a partial, plus a *combine* program
+//! that sums the partials, applies the postlude, and emits the original
+//! output — exactly the structure a non-programmer would have to build by
+//! hand (compare the `pi_quadrature` example).
 
-use crate::ast::{BinOp, Expr, Program, Stmt};
+use crate::ast::{BinOp, Expr, Facts, Program, Stmt};
 use crate::error::Pos;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -83,53 +88,64 @@ pub struct ReductionSplit {
     pub partials: Vec<String>,
 }
 
-fn pos0() -> Pos {
-    Pos { line: 1, col: 1 }
+/// Where generated statements say they are.
+const POS0: Pos = Pos { line: 1, col: 1 };
+
+/// The recognised shape (see module docs), borrowed from the program.
+struct Reduction<'a> {
+    /// Index of `r := init` in the body; the loop is the next statement.
+    at: usize,
+    init: &'a Expr,
+    loop_var: &'a str,
+    lo: &'a Expr,
+    hi: &'a Expr,
+    /// The loop body before its closing `r := r + e`.
+    before: &'a [Stmt],
+    /// The `e` of the closing `r := r + e`, and that statement's position.
+    contribution: &'a Expr,
+    closing_pos: Pos,
 }
 
-/// True when `expr` mentions variable `v`.
-fn uses_var(expr: &Expr, v: &str) -> bool {
-    match expr {
-        Expr::Num(_) => false,
-        Expr::Var(n) => n == v,
-        Expr::Index(n, i) => n == v || uses_var(i, v),
-        Expr::Call(_, args) => args.iter().any(|a| uses_var(a, v)),
-        Expr::Bin(_, l, r) => uses_var(l, v) || uses_var(r, v),
-        Expr::Un(_, inner) => uses_var(inner, v),
-    }
-}
-
-/// True when any statement in `stmts` assigns variable `v`.
-pub fn assigns_var(stmts: &[Stmt], v: &str) -> bool {
-    stmts.iter().any(|s| match s {
-        Stmt::Assign { var, .. } | Stmt::AssignIndex { var, .. } => var == v,
-        Stmt::If {
-            then_body,
-            else_body,
+/// Locates `r := init` immediately followed by the reduction For: its
+/// variable is not `r`, it ends with `r := r + e` and does not otherwise
+/// write `r`.
+fn find_reduction<'a>(body: &'a [Stmt], r: &str) -> Option<Reduction<'a>> {
+    body.windows(2).enumerate().find_map(|(at, pair)| {
+        let [Stmt::Assign {
+            var, expr: init, ..
+        }, Stmt::For {
+            var: loop_var,
+            from,
+            to,
+            body,
             ..
-        } => assigns_var(then_body, v) || assigns_var(else_body, v),
-        Stmt::While { body, .. } => assigns_var(body, v),
-        Stmt::For { var, body, .. } => var == v || assigns_var(body, v),
-        Stmt::Print { .. } => false,
-    })
-}
-
-/// True when any statement mentions `v` in an expression.
-pub fn stmts_use_var(stmts: &[Stmt], v: &str) -> bool {
-    stmts.iter().any(|s| match s {
-        Stmt::Assign { expr, .. } => uses_var(expr, v),
-        Stmt::AssignIndex { index, expr, .. } => uses_var(index, v) || uses_var(expr, v),
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-            ..
-        } => uses_var(cond, v) || stmts_use_var(then_body, v) || stmts_use_var(else_body, v),
-        Stmt::While { cond, body, .. } => uses_var(cond, v) || stmts_use_var(body, v),
-        Stmt::For { from, to, body, .. } => {
-            uses_var(from, v) || uses_var(to, v) || stmts_use_var(body, v)
-        }
-        Stmt::Print { expr: e, .. } => uses_var(e, v),
+        }] = pair
+        else {
+            return None;
+        };
+        let [before @ .., Stmt::Assign {
+            var: acc,
+            expr: Expr::Bin(BinOp::Add, lhs, e),
+            pos,
+        }] = &body[..]
+        else {
+            return None;
+        };
+        let shape = var == r
+            && acc == r
+            && matches!(&**lhs, Expr::Var(n) if n == r)
+            && Facts::of(before).written(r).is_none()
+            && loop_var != r;
+        shape.then_some(Reduction {
+            at,
+            init,
+            loop_var,
+            lo: from,
+            hi: to,
+            before,
+            contribution: e,
+            closing_pos: *pos,
+        })
     })
 }
 
@@ -154,72 +170,36 @@ pub fn parallelize_reduction(prog: &Program, k: usize) -> Result<ReductionSplit,
     if prog.outputs.len() != 1 {
         return Err(TransformError::NotSingleOutput);
     }
-    let r = prog.outputs[0].clone();
+    let r = prog.outputs[0].as_str();
+    let red = find_reduction(&prog.body, r).ok_or(TransformError::NoReductionLoop)?;
+    let (loop_var, lo, hi) = (red.loop_var, red.lo, red.hi);
 
-    // Locate `r := init` immediately followed by the reduction For.
-    let mut init_idx = None;
-    for (i, s) in prog.body.iter().enumerate() {
-        if let (Stmt::Assign { var, .. }, Some(Stmt::For { var: lv, body, .. })) =
-            (s, prog.body.get(i + 1))
-        {
-            if var == &r {
-                // The For must end with `r := r + e` and not otherwise
-                // assign r.
-                if let Some(Stmt::Assign { var: bv, expr, .. }) = body.last() {
-                    if bv == &r {
-                        if let Expr::Bin(BinOp::Add, lhs, _) = expr {
-                            if matches!(&**lhs, Expr::Var(n) if n == &r)
-                                && !assigns_var(&body[..body.len() - 1], &r)
-                                && lv != &r
-                            {
-                                init_idx = Some(i);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let init_idx = init_idx.ok_or(TransformError::NoReductionLoop)?;
-
-    let (init_expr, loop_var, lo, hi, loop_body) =
-        match (&prog.body[init_idx], &prog.body[init_idx + 1]) {
-            (
-                Stmt::Assign { expr: init, .. },
-                Stmt::For {
-                    var,
-                    from,
-                    to,
-                    body,
-                    ..
-                },
-            ) => (
-                init.clone(),
-                var.clone(),
-                from.clone(),
-                to.clone(),
-                body.clone(),
-            ),
-            _ => unreachable!("checked above"),
-        };
-
-    if uses_var(&lo, &loop_var) || uses_var(&hi, &loop_var) {
+    if lo.mentions(loop_var) || hi.mentions(loop_var) {
         return Err(TransformError::LoopBoundsUseLoopVar);
     }
 
-    let prelude: Vec<Stmt> = prog.body[..init_idx].to_vec();
-    let postlude: Vec<Stmt> = prog.body[init_idx + 2..].to_vec();
+    let (prelude, postlude) = (&prog.body[..red.at], &prog.body[red.at + 2..]);
 
-    // Prelude must not touch the accumulator or the loop variable.
-    if assigns_var(&prelude, &r) || stmts_use_var(&prelude, &r) {
+    // Prelude must not touch the accumulator: it runs in every chunk and
+    // again in the combiner.
+    let pre = Facts::of(prelude);
+    if pre.written(r).is_some() || pre.reads.contains_key(r) {
         return Err(TransformError::UnsafeStatement(
             "prelude reads or writes the accumulator".into(),
         ));
     }
+    // The chunks do not own the accumulator: the left operand of the
+    // closing `r := r + e` is the only read of it the loop may make.
+    if Facts::of(red.before).reads.contains_key(r)
+        || [red.contribution, lo, hi].iter().any(|e| e.mentions(r))
+    {
+        return Err(TransformError::UnsafeStatement(
+            "the loop reads the accumulator outside its closing `r := r + e`".into(),
+        ));
+    }
     // Postlude may read/write r but must not re-loop over the range
     // variable (it runs once, in the combiner).
-    if stmts_use_var(&postlude, &loop_var) {
+    if Facts::of(postlude).reads.contains_key(loop_var) {
         return Err(TransformError::UnsafeStatement(
             "postlude uses the loop variable".into(),
         ));
@@ -229,12 +209,11 @@ pub fn parallelize_reduction(prog: &Program, k: usize) -> Result<ReductionSplit,
     //   a_c = lo + floor(len * c / k),  b_c = lo + floor(len * (c+1) / k) - 1
     // where len = hi - lo + 1. Generated as PITS expressions so dynamic
     // bounds work.
-    let num = |v: f64| Expr::Num(v);
     let bin = |op, l: Expr, rr: Expr| Expr::Bin(op, Box::new(l), Box::new(rr));
     let len_expr = bin(
         BinOp::Add,
         bin(BinOp::Sub, hi.clone(), lo.clone()),
-        num(1.0),
+        Expr::Num(1.0),
     );
     let bound = |c: usize| {
         // lo + floor(len * c / k)
@@ -245,47 +224,50 @@ pub fn parallelize_reduction(prog: &Program, k: usize) -> Result<ReductionSplit,
                 "floor".into(),
                 vec![bin(
                     BinOp::Div,
-                    bin(BinOp::Mul, len_expr.clone(), num(c as f64)),
-                    num(k as f64),
+                    bin(BinOp::Mul, len_expr.clone(), Expr::Num(c as f64)),
+                    Expr::Num(k as f64),
                 )],
             ),
         )
     };
 
+    let mut locals: Vec<String> = prog.locals.clone();
+    if !locals.iter().any(|l| l == loop_var) {
+        locals.push(loop_var.to_string());
+    }
     let mut chunks = Vec::with_capacity(k);
     let mut partials = Vec::with_capacity(k);
     for c in 0..k {
         let part = format!("part{c}");
-        let mut body = prelude.clone();
+        let mut body = prelude.to_vec();
         body.push(Stmt::Assign {
             var: part.clone(),
-            expr: num(0.0),
-            pos: pos0(),
+            expr: Expr::Num(0.0),
+            pos: POS0,
         });
-        // Rewrite the loop body's final accumulation onto the partial.
-        let mut loop_stmts = loop_body.clone();
-        if let Some(Stmt::Assign { var, expr, .. }) = loop_stmts.last_mut() {
-            *var = part.clone();
-            if let Expr::Bin(BinOp::Add, lhs, _) = expr {
-                **lhs = Expr::Var(part.clone());
-            }
-        }
+        // The loop's closing accumulation moves onto the partial.
+        let mut loop_stmts = red.before.to_vec();
+        loop_stmts.push(Stmt::Assign {
+            var: part.clone(),
+            expr: bin(
+                BinOp::Add,
+                Expr::Var(part.clone()),
+                red.contribution.clone(),
+            ),
+            pos: red.closing_pos,
+        });
         body.push(Stmt::For {
-            var: loop_var.clone(),
+            var: loop_var.to_string(),
             from: bound(c),
-            to: bin(BinOp::Sub, bound(c + 1), num(1.0)),
+            to: bin(BinOp::Sub, bound(c + 1), Expr::Num(1.0)),
             body: loop_stmts,
-            pos: pos0(),
+            pos: POS0,
         });
-        let mut locals: Vec<String> = prog.locals.clone();
-        if !locals.contains(&loop_var) {
-            locals.push(loop_var.clone());
-        }
         chunks.push(Program {
             name: format!("{}Chunk{c}", prog.name),
             inputs: prog.inputs.clone(),
             outputs: vec![part.clone()],
-            locals,
+            locals: locals.clone(),
             body,
             decl_pos: Default::default(),
         });
@@ -293,31 +275,26 @@ pub fn parallelize_reduction(prog: &Program, k: usize) -> Result<ReductionSplit,
     }
 
     // Combiner: r := init + part0 + ... + partK-1, then the postlude.
-    // The init expression may reference inputs, so the combiner keeps the
-    // original input list too (harmless extra arcs are avoided by the
-    // design expansion only wiring what it needs).
-    let mut sum = init_expr;
+    let mut sum = red.init.clone();
     for part in &partials {
         sum = bin(BinOp::Add, sum, Expr::Var(part.clone()));
     }
-    let mut combine_body = prelude;
+    let mut combine_body = prelude.to_vec();
     combine_body.push(Stmt::Assign {
-        var: r.clone(),
+        var: r.to_string(),
         expr: sum,
-        pos: pos0(),
+        pos: POS0,
     });
-    combine_body.extend(postlude);
-    let mut combine_inputs = partials.clone();
-    // Keep original inputs only when the combiner body actually uses them.
-    for v in &prog.inputs {
-        if stmts_use_var(&combine_body, v) {
-            combine_inputs.push(v.clone());
-        }
-    }
+    combine_body.extend_from_slice(postlude);
+    // The init expression and the postlude may reference inputs: keep
+    // those the combiner body reads.
+    let uses = Facts::of(&combine_body).reads;
+    let kept = prog.inputs.iter().filter(|v| uses.contains_key(v.as_str()));
+    let combine_inputs = partials.iter().chain(kept).cloned().collect();
     let combine = Program {
         name: format!("{}Combine", prog.name),
         inputs: combine_inputs,
-        outputs: vec![r],
+        outputs: vec![r.to_string()],
         locals: prog.locals.clone(),
         body: combine_body,
         decl_pos: Default::default(),
@@ -615,6 +592,25 @@ end";
             parallelize_reduction(&p, 2),
             Err(TransformError::UnsafeStatement(_))
         ));
+    }
+
+    #[test]
+    fn loops_that_read_the_accumulator_are_not_reductions() {
+        // Each computes something a sum of partials cannot: the loop reads
+        // the accumulator in the contribution, in another statement, in a
+        // bound. (The first yields 1024 for n = 10.)
+        for body in [
+            "s := 1 for i := 1 to n do s := s + s end",
+            "s := 1 for i := 1 to n do t := s * 2 s := s + t end",
+            "s := 1 for i := 1 to s + n do s := s + i end",
+        ] {
+            let src = format!("task T in n out s local i, t begin {body} end");
+            let got = parallelize_reduction(&parse_program(&src).unwrap(), 2);
+            assert!(
+                matches!(got, Err(TransformError::UnsafeStatement(_))),
+                "{body}: {got:?}"
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,12 @@ pub mod rustgen;
 pub use cgen::generate_c;
 pub use rustgen::generate_rust;
 
-use banger_calc::Value;
+use banger_calc::ast::{Facts, Program};
+use banger_calc::{ProgramLibrary, Value};
+use banger_sched::Schedule;
+use banger_taskgraph::hierarchy::Flattened;
+use banger_taskgraph::TaskId;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Errors from code generation.
@@ -53,6 +58,70 @@ impl fmt::Display for CodegenError {
 }
 
 impl std::error::Error for CodegenError {}
+
+/// What both generators establish before they emit anything.
+pub(crate) struct Plan<'a> {
+    /// The programs the design's tasks name, by name.
+    pub progs: BTreeMap<&'a str, &'a Program>,
+    /// Primary placements per processor, in predicted start order (ties by
+    /// task id); non-primary copies are dropped.
+    pub per_proc: BTreeMap<u32, Vec<(f64, TaskId)>>,
+}
+
+/// Checks the preconditions both generators share — every input port has a
+/// value, every task has a program the library holds and a primary
+/// placement — and groups the placements per processor.
+pub(crate) fn plan<'a>(
+    design: &'a Flattened,
+    lib: &'a ProgramLibrary,
+    schedule: &Schedule,
+    inputs: &BTreeMap<String, Value>,
+) -> Result<Plan<'a>, CodegenError> {
+    for port in &design.inputs {
+        if !inputs.contains_key(&port.var) {
+            return Err(CodegenError::MissingInput(port.var.clone()));
+        }
+    }
+    let mut progs = BTreeMap::new();
+    let mut per_proc: BTreeMap<u32, Vec<(f64, TaskId)>> = BTreeMap::new();
+    for (t, task) in design.graph.tasks() {
+        let name = task
+            .program
+            .as_deref()
+            .ok_or_else(|| CodegenError::NoProgram(task.name.clone()))?;
+        let prog = lib
+            .get(name)
+            .ok_or_else(|| CodegenError::UnknownProgram(name.to_string()))?;
+        progs.insert(name, prog);
+        let p = schedule
+            .primary(t)
+            .ok_or_else(|| CodegenError::Unscheduled(task.name.clone()))?;
+        per_proc.entry(p.proc.0).or_default().push((p.start, t));
+    }
+    for q in per_proc.values_mut() {
+        q.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    }
+    Ok(Plan { progs, per_proc })
+}
+
+/// The variables a generated task function declares and zero-initialises:
+/// the outputs, the declared locals, then the implicit locals — names the
+/// body assigns (by `:=` or a `for` header) without declaring, which the
+/// interpreter treats as locals — in name order.
+pub(crate) fn zeroed_vars(prog: &Program) -> Vec<&str> {
+    let assigned = Facts::of(&prog.body).assigned.into_keys();
+    let declared = prog.outputs.iter().chain(&prog.locals).map(String::as_str);
+    declared
+        .chain(assigned.filter(|v| !prog.declares(v)))
+        .collect()
+}
+
+/// Indents the line about to be written: four spaces a level, both targets.
+pub(crate) fn indent(w: &mut String, depth: usize) {
+    for _ in 0..depth {
+        w.push_str("    ");
+    }
+}
 
 /// Renders a [`Value`] as a Rust literal over the generated runtime.
 pub(crate) fn rust_value_literal(v: &Value) -> String {

@@ -54,10 +54,12 @@
 //!
 //! Exit codes: 0 success (warnings allowed), 1 operational failure or
 //! error-severity diagnostics, 2 usage errors (unknown subcommand, missing
-//! arguments).
+//! arguments). A reader that closes the pipe early (`| head -1`) changes
+//! none of them: see `put`.
 
 use banger::serve::{ops, ProjectStore, Request, Response};
 use banger_calc::Value;
+use std::io::{stderr, stdout, ErrorKind, Write};
 use std::path::Path;
 use std::process::exit;
 
@@ -116,7 +118,7 @@ fn main() {
     let connect = extract_connect(&mut args);
     let command = args.first().map(String::as_str).unwrap_or("help");
     if matches!(command, "help" | "--help" | "-h") {
-        println!("{}", usage_text());
+        put(stdout().lock(), &format!("{}\n", usage_text()));
         return;
     }
     if command == "serve" {
@@ -127,7 +129,7 @@ fn main() {
         let mut req = Request::new(command);
         req.path = args.get(1).cloned();
         if command == "evict" && req.path.is_none() {
-            eprintln!("banger: evict needs a <file.bang> argument");
+            say("banger: evict needs a <file.bang> argument");
             exit(2);
         }
         let socket = connect
@@ -138,14 +140,16 @@ fn main() {
         exit(finish(&resp));
     }
     if !COMMANDS.iter().any(|(name, _)| *name == command) {
-        eprintln!("banger: unknown subcommand {command:?} (run `banger help` for the list)");
+        say(&format!(
+            "banger: unknown subcommand {command:?} (run `banger help` for the list)"
+        ));
         exit(2);
     }
     let Some(path) = args.get(1) else {
-        eprintln!(
+        say(&format!(
             "banger: {command} needs a <file.bang> argument\n\n{}",
             usage_text()
-        );
+        ));
         exit(2);
     };
     let req = build_request(command, path, &args[2..]).unwrap_or_else(|e| die(&e));
@@ -153,7 +157,9 @@ fn main() {
     let resp = match &connect {
         None => local(),
         Some(sock) => ask_daemon(Path::new(sock), &req).unwrap_or_else(|e| {
-            eprintln!("banger: no daemon at {sock} ({e}); running locally");
+            say(&format!(
+                "banger: no daemon at {sock} ({e}); running locally"
+            ));
             local()
         }),
     };
@@ -216,7 +222,7 @@ fn usage_text() -> String {
 fn extract_connect(args: &mut Vec<String>) -> Option<String> {
     let i = args.iter().position(|a| a == "--connect")?;
     if i + 1 >= args.len() {
-        eprintln!("banger: --connect needs a socket path");
+        say("banger: --connect needs a socket path");
         exit(2);
     }
     let path = args.remove(i + 1);
@@ -237,18 +243,18 @@ fn cmd_serve(rest: &[String]) -> i32 {
     let server = match banger::serve::Server::bind(&socket) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("banger: cannot bind {}: {e}", socket.display());
+            say(&format!("banger: cannot bind {}: {e}", socket.display()));
             return 1;
         }
     };
-    eprintln!("banger serve: listening on {}", socket.display());
+    say(&format!("banger serve: listening on {}", socket.display()));
     match server.serve() {
         Ok(()) => {
-            eprintln!("banger serve: shut down cleanly");
+            say("banger serve: shut down cleanly");
             0
         }
         Err(e) => {
-            eprintln!("banger serve: {e}");
+            say(&format!("banger serve: {e}"));
             1
         }
     }
@@ -256,7 +262,7 @@ fn cmd_serve(rest: &[String]) -> i32 {
 
 #[cfg(not(unix))]
 fn cmd_serve(_rest: &[String]) -> i32 {
-    eprintln!("banger: serve requires a Unix platform");
+    say("banger: serve requires a Unix platform");
     1
 }
 
@@ -277,12 +283,35 @@ fn ask_daemon(_socket: &Path, _req: &Request) -> std::io::Result<Response> {
     ))
 }
 
+/// Writes `text` to a standard stream with one `write_all` on the locked
+/// handle. A closed pipe is the reader's choice (`banger ... | head -1`),
+/// not a failure: nothing is said about it and the exit code stays what
+/// it would have been. `print!` would panic instead (exit 101).
+fn put(mut stream: impl Write, text: &str) {
+    let written = stream
+        .write_all(text.as_bytes())
+        .and_then(|()| stream.flush());
+    match written {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            // Anything else is a failure: say, a disk filled behind a redirect.
+            let _ = writeln!(stderr().lock(), "banger: cannot write output: {e}");
+            exit(1);
+        }
+        _ => {}
+    }
+}
+
+/// One line on stderr.
+fn say(line: &str) {
+    put(stderr().lock(), &format!("{line}\n"));
+}
+
 /// Prints a response — output to stdout, notes and the error to stderr —
 /// writes the files it returned, and gives the exit code.
 fn finish(resp: &Response) -> i32 {
-    print!("{}", resp.output);
+    put(stdout().lock(), &resp.output);
     if !resp.notes.is_empty() {
-        eprintln!("{}", resp.notes);
+        say(&resp.notes);
     }
     for (name, content) in &resp.files {
         let written = Path::new(name)
@@ -290,19 +319,19 @@ fn finish(resp: &Response) -> i32 {
             .map_or(Ok(()), std::fs::create_dir_all)
             .and_then(|()| std::fs::write(name, content));
         match written {
-            Ok(()) => eprintln!("wrote {name}"),
+            Ok(()) => say(&format!("wrote {name}")),
             Err(e) => die(&format!("cannot write {name}: {e}")),
         }
     }
     if !resp.ok {
-        eprintln!("banger: {}", resp.error);
+        say(&format!("banger: {}", resp.error));
         return if resp.exit != 0 { resp.exit } else { 1 };
     }
     resp.exit
 }
 
 fn die(msg: &str) -> ! {
-    eprintln!("banger: {msg}");
+    say(&format!("banger: {msg}"));
     exit(1)
 }
 

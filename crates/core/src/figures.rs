@@ -2,7 +2,7 @@
 //! in `banger-bench` prints these; EXPERIMENTS.md records the outputs.
 
 use crate::chart::{speedup_chart, SpeedupPoint};
-use crate::gantt::{self, GanttOptions};
+use crate::gantt;
 use crate::lu::{lu_inputs, lu_program_library, solve_reference, test_system};
 use crate::project::{short_name, Project};
 use banger_calc::{parser, pretty, Button, Panel, Value};
@@ -113,12 +113,9 @@ pub fn figure3() -> String {
         s.validate(&f.graph, &m).expect("MH schedules validate");
         if dim > 0 {
             out.push('\n');
-            out.push_str(&gantt::render(
-                &s,
-                m.processors(),
-                |t| short_name(&f.graph.task(t).name),
-                GanttOptions::default(),
-            ));
+            out.push_str(&gantt::render(&s, m.processors(), |t| {
+                short_name(&f.graph.task(t).name)
+            }));
         }
         points.push(SpeedupPoint {
             processors: m.processors(),

@@ -8,7 +8,7 @@
 //! the code."*
 
 use crate::chart::SpeedupPoint;
-use crate::gantt::{self, GanttOptions};
+use crate::gantt;
 use banger_analyze::Diagnostic;
 use banger_calc::{interp, InterpConfig, Outcome, ProgramLibrary, RunError, Value};
 use banger_codegen::CodegenError;
@@ -368,12 +368,9 @@ impl Project {
         let procs = self.machine_ref()?.processors();
         let f = self.flatten()?;
         let g = &f.graph;
-        Ok(gantt::render(
-            schedule,
-            procs,
-            |t| short_name(&g.task(t).name),
-            GanttOptions::default(),
-        ))
+        Ok(gantt::render(schedule, procs, |t| {
+            short_name(&g.task(t).name)
+        }))
     }
 
     /// Trial-runs one named PITS program with explicit inputs (paper
@@ -537,12 +534,9 @@ impl Project {
         let f = self.flatten()?;
         let g = &f.graph;
         let observed = trace.observed_schedule(g.task_count());
-        Ok(gantt::render(
-            &observed,
-            trace.workers,
-            |t| short_name(&g.task(t).name),
-            GanttOptions::default(),
-        ))
+        Ok(gantt::render(&observed, trace.workers, |t| {
+            short_name(&g.task(t).name)
+        }))
     }
 
     /// Joins a predicted schedule against a traced execution: the

@@ -33,7 +33,7 @@
 //! | diagnose | `Project::diagnose` memo, rendered warnings, `check` output per format | source hash | hash change |
 //! | compile | `Arc<CompiledProgram>` in the `ProgramLibrary` | program name | hash change |
 //! | router + workers | [`Session`](banger_exec::Session) (parked pool, slab store) | source hash | hash change, worker loss |
-//! | schedule | rendered schedule + Gantt | (design hash, machine spec, heuristic) | hash change |
+//! | schedule | rendered schedule + Gantt | source hash (design and machine are in the bytes), then heuristic | hash change |
 //!
 //! Verbs outside `check`, `gantt`/`schedule` and `run` are recomputed on
 //! the resident project each time; verbs that rewrite the design work on

@@ -22,7 +22,7 @@
 //! cache without recomputation.
 
 use super::protocol::{Request, Response};
-use super::store::{EntryState, ProjectStore, SchedKey};
+use super::store::{EntryState, ProjectStore};
 use crate::analyze;
 use crate::project::{short_name, OptimizeStats, Project, ProjectError};
 use banger_exec::{ExecMode, ExecOptions, ExecReport};
@@ -271,23 +271,20 @@ fn render_schedule(project: &mut Project, heuristic: &str) -> Result<String, Str
 }
 
 /// `gantt` / `schedule [-H h] [--optimize]`; the rendered chart is
-/// memoized per (design hash, machine spec, heuristic).
+/// memoized per heuristic inside the snapshot's state.
 fn op_schedule(state: &mut EntryState, req: &Request) -> Answer {
     let (mut scratch, notes) = optimized(&state.project, req.optimize)?;
     if let Some(scratch) = &mut scratch {
         let output = render_schedule(scratch, &req.heuristic)?;
         return Ok(Response::success(output).with_notes(notes));
     }
-    let key: SchedKey = (
-        state.source_hash,
-        state.machine_spec.clone(),
-        req.heuristic.clone(),
-    );
-    if let Some(output) = state.schedules.get(&key) {
+    if let Some(output) = state.schedules.get(&req.heuristic) {
         return Ok(Response::success(output.clone()).cached(true));
     }
     let output = render_schedule(&mut state.project, &req.heuristic)?;
-    state.schedules.insert(key, output.clone());
+    state
+        .schedules
+        .insert(req.heuristic.clone(), output.clone());
     Ok(Response::success(output))
 }
 

@@ -36,26 +36,16 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Key for one cached schedule: (design content hash, machine spec,
-/// heuristic). The machine spec string is [`Machine::describe`]'s
-/// one-liner — two designs sharing source bytes but differing machines
-/// can never collide because the machine is *part of* the hashed source;
-/// the spec stays in the key as defense in depth and documentation.
-///
-/// [`Machine::describe`]: banger_machine::Machine::describe
-pub type SchedKey = (u64, String, String);
-
 /// Everything derived from one source snapshot. Dropped wholesale on
 /// hash change or eviction — there is no partial invalidation.
 pub struct EntryState {
-    /// Hash of the source bytes this state was built from (the design
-    /// component of every [`SchedKey`]).
+    /// Hash of the source bytes this state was built from. The design and
+    /// the machine are both part of those bytes, so every cache below is
+    /// implicitly keyed by them.
     pub source_hash: u64,
     /// The parsed project (parse + diagnose + compile caches live
     /// inside it).
     pub project: Project,
-    /// Machine spec line for schedule keys; empty if no machine.
-    pub machine_spec: String,
     /// The design's warning diagnostics as text, one per line; empty
     /// when it has none, or has errors (a verb that needs a clean design
     /// then fails with the whole report). Every verb but `check`, whose
@@ -64,8 +54,8 @@ pub struct EntryState {
     /// Rendered `check` output per format (`text` / `json`), plus the
     /// number of error-severity findings.
     pub checks: HashMap<String, (String, usize)>,
-    /// Rendered `gantt` output (chart + summary line) per schedule key.
-    pub schedules: HashMap<SchedKey, String>,
+    /// Rendered `gantt` output (chart + summary line) per heuristic name.
+    pub schedules: HashMap<String, String>,
     /// Warm executor session (parked worker pool, routing tables, slab
     /// store); opened lazily by the first `run` request.
     pub session: Option<Session>,
@@ -74,8 +64,6 @@ pub struct EntryState {
 /// One per-path slot. `state: None` means cold: never built, evicted,
 /// or poisoned by a panicking request.
 pub struct Entry {
-    /// Hash of the source bytes `state` was built from.
-    pub source_hash: u64,
     /// The derived caches, absent when cold.
     pub state: Option<EntryState>,
 }
@@ -91,7 +79,7 @@ impl Entry {
         hash: u64,
         counters: &Counters,
     ) -> Result<(&mut EntryState, bool), String> {
-        let stale = self.state.is_some() && self.source_hash != hash;
+        let stale = self.state.as_ref().is_some_and(|s| s.source_hash != hash);
         if stale {
             counters.rebuilds.fetch_add(1, Ordering::Relaxed);
             self.state = None;
@@ -104,7 +92,6 @@ impl Entry {
         let mut project = parse_project(source).map_err(|e| e.to_string())?;
         // Warm the parse-adjacent caches up front: flatten feeds every
         // downstream consumer and diagnose memoizes inside the Project.
-        let machine_spec = project.machine().map(|m| m.describe()).unwrap_or_default();
         let diags = project.diagnose();
         let warnings = if banger_analyze::has_errors(diags) {
             String::new()
@@ -112,11 +99,9 @@ impl Entry {
             let lines: Vec<String> = diags.iter().map(banger_analyze::render_text).collect();
             lines.join("\n")
         };
-        self.source_hash = hash;
         self.state = Some(EntryState {
             source_hash: hash,
             project,
-            machine_spec,
             warnings,
             checks: HashMap::new(),
             schedules: HashMap::new(),
@@ -217,12 +202,10 @@ impl ProjectStore {
         let hash = content_hash(source.as_bytes());
         let slot = {
             let mut map = self.entries.lock();
-            Arc::clone(map.entry(canon.clone()).or_insert_with(|| {
-                Arc::new(Mutex::new(Entry {
-                    source_hash: 0,
-                    state: None,
-                }))
-            }))
+            Arc::clone(
+                map.entry(canon.clone())
+                    .or_insert_with(|| Arc::new(Mutex::new(Entry { state: None }))),
+            )
         };
         Ok((slot, canon, source, hash))
     }

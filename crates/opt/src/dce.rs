@@ -20,9 +20,8 @@
 
 use std::collections::BTreeMap;
 
-use banger_calc::ast::Program;
+use banger_calc::ast::{Facts, Program};
 use banger_calc::library::ProgramLibrary;
-use banger_calc::transform::{assigns_var, stmts_use_var};
 use banger_taskgraph::hierarchy::{ExternalPort, Flattened};
 use banger_taskgraph::TaskGraph;
 
@@ -50,43 +49,23 @@ impl DceStats {
     }
 }
 
-/// Removes a variable from a declaration list, counting the removal.
-fn trim_decls(decls: &mut Vec<String>, dead: &[String], count: &mut usize) {
-    decls.retain(|v| {
-        let keep = !dead.iter().any(|d| d == v);
-        if !keep {
-            *count += 1;
-        }
-        keep
-    });
-}
-
 /// Returns `prog` with never-referenced inputs and locals removed.
-/// A declaration survives if any statement reads *or* assigns it, or if
+/// A declaration survives if any statement reads *or* writes it (the
+/// body's [`Facts`] name it in `reads`, `assigned` or `stored`), or if
 /// it is also an output. Removal is free: unreferenced variables cost no
 /// operations to bind and hold value `0` forever.
 fn trim_program(prog: &Program, stats: &mut DceStats) -> Program {
-    let dead_inputs: Vec<String> = prog
-        .inputs
-        .iter()
-        .filter(|v| {
-            !stmts_use_var(&prog.body, v)
-                && !assigns_var(&prog.body, v)
-                && !prog.outputs.contains(v)
-        })
-        .cloned()
-        .collect();
-    let dead_locals: Vec<String> = prog
-        .locals
-        .iter()
-        .filter(|v| !stmts_use_var(&prog.body, v) && !assigns_var(&prog.body, v))
-        .cloned()
-        .collect();
+    let facts = Facts::of(&prog.body);
+    let live = |v: &String| facts.reads.contains_key(v.as_str()) || facts.written(v).is_some();
     let mut out = prog.clone();
-    trim_decls(&mut out.inputs, &dead_inputs, &mut stats.inputs_trimmed);
-    trim_decls(&mut out.locals, &dead_locals, &mut stats.locals_trimmed);
-    for v in dead_inputs.iter().chain(&dead_locals) {
-        out.decl_pos.remove(v);
+    out.inputs.retain(|v| live(v) || prog.outputs.contains(v));
+    out.locals.retain(live);
+    stats.inputs_trimmed += prog.inputs.len() - out.inputs.len();
+    stats.locals_trimmed += prog.locals.len() - out.locals.len();
+    for v in prog.inputs.iter().chain(&prog.locals) {
+        if !out.declares(v) {
+            out.decl_pos.remove(v);
+        }
     }
     out
 }

@@ -35,9 +35,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use banger_calc::ast::{Program, Stmt};
+use banger_calc::ast::{Facts, Program};
 use banger_calc::library::ProgramLibrary;
-use banger_calc::transform::{assigns_var, rename_vars, splice_programs};
+use banger_calc::transform::{rename_vars, splice_programs};
 use banger_sched::grain;
 use banger_taskgraph::hierarchy::{ExternalPort, Flattened};
 use banger_taskgraph::{TaskGraph, TaskId};
@@ -80,19 +80,6 @@ fn source_of(g: &TaskGraph, t: TaskId, var: &str) -> Source {
     Source::External
 }
 
-fn has_print(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|s| match s {
-        Stmt::Print { .. } => true,
-        Stmt::If {
-            then_body,
-            else_body,
-            ..
-        } => has_print(then_body) || has_print(else_body),
-        Stmt::While { body, .. } | Stmt::For { body, .. } => has_print(body),
-        Stmt::Assign { .. } | Stmt::AssignIndex { .. } => false,
-    })
-}
-
 /// A fused cluster ready to be installed in the rewritten graph.
 struct Plan {
     members: Vec<TaskId>,
@@ -115,7 +102,8 @@ fn plan_cluster(
         .iter()
         .map(|&m| lib.get(g.task(m).program.as_deref()?))
         .collect::<Option<Vec<_>>>()?;
-    if progs.iter().any(|p| has_print(&p.body)) {
+    let facts: Vec<Facts> = progs.iter().map(|p| Facts::of(&p.body)).collect();
+    if facts.iter().any(|f| f.prints) {
         return None;
     }
 
@@ -182,12 +170,12 @@ fn plan_cluster(
         return None;
     }
 
-    // Mutation hazards: a member assigning an input variable mutates
-    // the merged variable in place; reject when the original value had
-    // any other observer.
-    for (&m, prog) in members.iter().zip(&progs) {
+    // Mutation hazards: a member writing an input variable (assigning
+    // it or storing into it) mutates the merged variable in place; reject
+    // when the original value had any other observer.
+    for ((&m, prog), facts) in members.iter().zip(&progs).zip(&facts) {
         for v in &prog.inputs {
-            if !assigns_var(&prog.body, v) {
+            if facts.written(v).is_none() {
                 continue;
             }
             match source_of(g, m, v) {

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example topology_explorer`
 
 use banger::figures;
-use banger::gantt::{self, GanttOptions};
+use banger::gantt;
 use banger::project::short_name;
 use banger_machine::{Machine, RoutingTable, Topology};
 use banger_sched::bounds;
@@ -76,11 +76,6 @@ fn main() {
     println!("\nbest machine: {} — Gantt chart:\n", m.topology().name());
     println!(
         "{}",
-        gantt::render(
-            &s,
-            m.processors(),
-            |t| short_name(&g.task(t).name),
-            GanttOptions::default()
-        )
+        gantt::render(&s, m.processors(), |t| short_name(&g.task(t).name),)
     );
 }

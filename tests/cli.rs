@@ -292,6 +292,69 @@ fn parallelize_rewrites_document() {
         "{}",
         String::from_utf8_lossy(&out2.stderr)
     );
+    // A loop that reads its accumulator is not a reduction (this one
+    // doubles: 1024 for n = 10). It used to be split into chunks that read
+    // an `s` they no longer own, and the rewritten document failed at run.
+    let path = std::env::temp_dir().join("banger_cli_test_doubling.bang");
+    std::fs::write(
+        &path,
+        "project doubling\n\
+         design\n\
+         \x20 storage n 1\n\
+         \x20 task T 10 prog Doubling\n\
+         \x20 storage s 1\n\
+         \x20 arc n -> T\n\
+         \x20 arc T -> s\n\
+         end\n\
+         begin-program\n\
+         task Doubling\n\
+         \x20 in n\n\
+         \x20 out s\n\
+         \x20 local i\n\
+         begin\n\
+         \x20 s := 1\n\
+         \x20 for i := 1 to n do\n\
+         \x20   s := s + s\n\
+         \x20 end\n\
+         end\n\
+         end-program\n",
+    )
+    .unwrap();
+    let out3 = banger()
+        .args(["parallelize", path.to_str().unwrap(), "T", "2"])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out3.stderr);
+    assert_eq!(out3.status.code(), Some(1), "{err}");
+    assert!(err.contains("cannot parallelize"), "{err}");
+    assert!(err.contains("reads the accumulator"), "{err}");
+    assert!(out3.stdout.is_empty(), "nothing may be emitted: {out3:?}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_closed_pipe_is_not_a_panic() {
+    // 415 KB of document into a pipe nobody reads: the write fails with
+    // EPIPE once the reader is gone. That is the reader's choice
+    // (`banger ... | head -1`), not a crash: `print!` used to panic,
+    // exit 101.
+    let mut child = banger()
+        .args(["optimize", "examples/projects/dense_lu.bang"])
+        .args(["--expand", "fact:8", "--emit", "-"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("CLI starts");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("CLI exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    // Not 101 (a panic), not a signal: the response's own code.
+    assert!(
+        matches!(out.status.code(), Some(0..=2)),
+        "{:?}: {err}",
+        out.status
+    );
+    assert!(!err.contains("panicked"), "{err}");
 }
 
 #[test]
