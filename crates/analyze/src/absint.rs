@@ -21,7 +21,7 @@
 //! and what `tests/prop_absint.rs` checks differentially.
 
 use crate::diag::{Code, Diagnostic, Location};
-use banger_calc::absint::{analyze_with, AbsVal, AnalysisOptions, Finding, FindingKind, Interval};
+use banger_calc::absint::{analyze_with, AnalysisOptions, Finding, FindingKind};
 use banger_calc::{Program, ProgramLibrary};
 use banger_taskgraph::hierarchy::Expanded;
 use std::collections::{BTreeMap, BTreeSet};
@@ -40,11 +40,22 @@ pub fn program_diagnostics(prog: &Program) -> Vec<Diagnostic> {
 
 /// The design-level B04x pass: analyzes every program referenced by a
 /// task in the flattened view, seeding array lengths from storage
-/// declarations where the design pins them down.
+/// declarations where the design pins them down. The library memoizes the
+/// findings per program, so the seedings go to it a program at a time;
+/// diagnostics are sorted afterwards, and those of one program keep their
+/// task order.
 pub fn body_safety(view: &Expanded, library: &ProgramLibrary, diags: &mut Vec<Diagnostic>) {
-    for (pname, prog, opts) in seeded_analyses(view, library) {
-        let analysis = analyze_with(prog, &opts);
-        diags.extend(analysis.findings.iter().map(|f| to_diagnostic(pname, f)));
+    let mut asked: BTreeMap<&str, Vec<Seeding>> = BTreeMap::new();
+    for (pname, _, seeding) in seedings(view, library) {
+        asked.entry(pname).or_default().push(seeding);
+    }
+    for (pname, seedings) in asked {
+        for findings in library
+            .seeded_findings(pname, &seedings)
+            .unwrap_or_default()
+        {
+            diags.extend(findings.iter().map(|f| to_diagnostic(pname, f)));
+        }
     }
 }
 
@@ -57,6 +68,23 @@ pub fn seeded_analyses<'a>(
     view: &'a Expanded,
     library: &'a ProgramLibrary,
 ) -> Vec<(&'a str, &'a Program, AnalysisOptions)> {
+    seedings(view, library)
+        .into_iter()
+        .map(|(pname, prog, seeding)| {
+            let opts = AnalysisOptions::with_declared_lengths(seeding);
+            (pname, prog, opts)
+        })
+        .collect()
+}
+
+/// The declared lengths one analysis is seeded with: `(input name,
+/// storage size)`, sorted.
+type Seeding<'a> = Vec<(&'a str, f64)>;
+
+fn seedings<'a>(
+    view: &'a Expanded,
+    library: &'a ProgramLibrary,
+) -> Vec<(&'a str, &'a Program, Seeding<'a>)> {
     // Storage base name -> declared size, for classes whose size is a
     // meaningful array length (finite, integral, >= 1).
     let mut declared: BTreeMap<&str, f64> = BTreeMap::new();
@@ -96,14 +124,12 @@ pub fn seeded_analyses<'a>(
         if done.contains(&key) {
             continue;
         }
-        let mut opts = AnalysisOptions::default();
-        for &(base, size) in &key.1 {
-            let mut v = AbsVal::array(Interval::point(f64::from_bits(size)));
-            v.len_declared = true;
-            opts.inputs.insert(base.to_string(), v);
-        }
+        let seeding = key
+            .1
+            .iter()
+            .map(|&(base, size)| (base, f64::from_bits(size)));
+        out.push((pname, prog, seeding.collect()));
         done.insert(key);
-        out.push((pname, prog, opts));
     }
     out
 }

@@ -1001,6 +1001,20 @@ impl Default for AnalysisOptions {
     }
 }
 
+impl AnalysisOptions {
+    /// Default options with each named input seeded as an array of that
+    /// declared length — how a design's storage sizes reach the analysis.
+    pub fn with_declared_lengths<'a>(lengths: impl IntoIterator<Item = (&'a str, f64)>) -> Self {
+        let mut opts = AnalysisOptions::default();
+        for (name, len) in lengths {
+            let mut v = AbsVal::array(Interval::point(len));
+            v.len_declared = true;
+            opts.inputs.insert(name.to_string(), v);
+        }
+        opts
+    }
+}
+
 /// The result of analyzing one program.
 #[derive(Debug, Clone)]
 pub struct Analysis {

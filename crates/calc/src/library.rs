@@ -7,28 +7,60 @@
 //! out by [`ProgramLibrary::get_compiled`] is shared by the exec
 //! runner's worker threads, trial runs, and benchmarks, so no caller
 //! ever recompiles (or re-walks the AST of) a task body per invocation.
+//!
+//! An entry is everything derived from one program text — AST, bytecode,
+//! static cost, seeded analyses — and is immutable: editing a program
+//! replaces its entry. That makes the entry the unit of reuse between two
+//! libraries: [`ProgramLibrary::add_source_from`] takes the entry of a
+//! donor library whose text is byte-identical instead of parsing and
+//! compiling again. Positions in the AST are program-relative, so where
+//! the text sat in its document is not part of what the entry was
+//! computed from.
 
-use crate::absint::{self, StaticCost};
+use crate::absint::{self, AnalysisOptions, Finding, StaticCost};
 use crate::ast::Program;
 use crate::compile::{compile, CompiledProgram};
 use crate::error::ParseError;
 use crate::parser::parse_program;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// A library of PITS programs keyed by name.
+/// A library of PITS programs keyed by name. Cloning shares the entries.
 #[derive(Debug, Clone, Default)]
 pub struct ProgramLibrary {
-    programs: BTreeMap<String, Entry>,
+    programs: BTreeMap<String, Arc<Entry>>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Entry {
+    /// The source the program was parsed from; `None` for a program
+    /// registered as an AST ([`ProgramLibrary::add`]), which no text can
+    /// match.
+    text: Option<Box<str>>,
     source: Arc<Program>,
     compiled: Arc<CompiledProgram>,
-    /// The program's static cost, analyzed on first request. The entry
-    /// is replaced as a whole when the program is, so it cannot go stale.
+    /// The program's static cost, analyzed on first request.
     cost: OnceLock<StaticCost>,
+    /// Findings of the seeded analyses the last
+    /// [`ProgramLibrary::seeded_findings`] call asked for.
+    seeded: Mutex<Seeded>,
+}
+
+/// Findings by seeding, sorted by it; a slice of exact size, because
+/// every resident program holds one.
+type Seeded = Box<[(SeedKey, Arc<[Finding]>)]>;
+
+/// One seeding of a program's inputs, as the analysis reads it: `(index
+/// into Program::inputs, declared length as f64 bits)` for each seeded
+/// input, in input order.
+type SeedKey = Box<[(u32, u64)]>;
+
+/// The programs of a library by the exact source text each was parsed
+/// from: what [`ProgramLibrary::add_source_from`] reuses. Lookup compares
+/// the bytes of the text, never a hash of them.
+#[derive(Debug, Default)]
+pub struct TextIndex<'a> {
+    by_text: BTreeMap<&'a str, &'a Arc<Entry>>,
 }
 
 impl ProgramLibrary {
@@ -41,8 +73,36 @@ impl ProgramLibrary {
     /// Returns the name. Re-registering a name replaces the old program
     /// (the panel's "edit task" flow) and its compiled form.
     pub fn add_source(&mut self, src: &str) -> Result<String, ParseError> {
-        let prog = parse_program(src)?;
-        Ok(self.add(prog))
+        self.add_source_from(src, &TextIndex::default())
+    }
+
+    /// [`add_source`](Self::add_source), except that a program `donor`
+    /// holds under exactly the text `src` is shared with it — AST,
+    /// bytecode, and the analyses memoized so far — instead of being
+    /// parsed and compiled again.
+    pub fn add_source_from(
+        &mut self,
+        src: &str,
+        donor: &TextIndex<'_>,
+    ) -> Result<String, ParseError> {
+        let entry = match donor.by_text.get(src) {
+            Some(&entry) => Arc::clone(entry),
+            None => Arc::new(Entry::new(parse_program(src)?, Some(src.into()))),
+        };
+        let name = entry.source.name.clone();
+        self.programs.insert(name.clone(), entry);
+        Ok(name)
+    }
+
+    /// This library's programs by source text, for a later library to
+    /// take unchanged programs from.
+    pub fn by_text(&self) -> TextIndex<'_> {
+        let by_text = self
+            .programs
+            .values()
+            .filter_map(|e| Some((e.text.as_deref()?, e)))
+            .collect();
+        TextIndex { by_text }
     }
 
     /// Registers an already-parsed program, compiling it eagerly
@@ -50,15 +110,8 @@ impl ProgramLibrary {
     /// errors at the same execution points the tree-walker raises them).
     pub fn add(&mut self, prog: Program) -> String {
         let name = prog.name.clone();
-        let compiled = Arc::new(compile(&prog));
-        self.programs.insert(
-            name.clone(),
-            Entry {
-                source: Arc::new(prog),
-                compiled,
-                cost: OnceLock::new(),
-            },
-        );
+        self.programs
+            .insert(name.clone(), Arc::new(Entry::new(prog, None)));
         name
     }
 
@@ -116,6 +169,88 @@ impl ProgramLibrary {
             .get(name)
             .map(|e| *e.cost.get_or_init(|| absint::analyze(&e.source).cost))
     }
+
+    /// The findings of [`absint::analyze_with`] on a named program under
+    /// each of `seedings`, in that order; a seeding is the declared array
+    /// lengths of some of the program's inputs
+    /// ([`AnalysisOptions::with_declared_lengths`]). `None` when the name
+    /// is unknown.
+    ///
+    /// An analysis is a function of the program and the seeding alone, so
+    /// the entry keeps the findings under the seeding and a later call —
+    /// from this library or one that shares the entry — runs only the
+    /// analyses it is first to ask for. The entry keeps exactly what the
+    /// last call asked for, so it never holds more seedings than one
+    /// design uses.
+    pub fn seeded_findings(
+        &self,
+        name: &str,
+        seedings: &[Vec<(&str, f64)>],
+    ) -> Option<Vec<Arc<[Finding]>>> {
+        let e = self.programs.get(name)?;
+        let held = std::mem::take(&mut *e.seeded());
+        let mut asked: Vec<(SeedKey, Arc<[Finding]>)> = Vec::new();
+        let findings = seedings
+            .iter()
+            .map(|lengths| {
+                let key = e.seed_key(lengths);
+                let at = |memo: &[(SeedKey, _)]| memo.binary_search_by(|(k, _)| k.cmp(&key));
+                match at(&asked) {
+                    Ok(i) => Arc::clone(&asked[i].1),
+                    Err(i) => {
+                        let found = match at(&held) {
+                            Ok(j) => Arc::clone(&held[j].1),
+                            Err(_) => e.analyze_seeded(&key),
+                        };
+                        asked.insert(i, (key, Arc::clone(&found)));
+                        found
+                    }
+                }
+            })
+            .collect();
+        *e.seeded() = asked.into();
+        Some(findings)
+    }
+}
+
+impl Entry {
+    fn new(prog: Program, text: Option<Box<str>>) -> Self {
+        Entry {
+            text,
+            compiled: Arc::new(compile(&prog)),
+            source: Arc::new(prog),
+            cost: OnceLock::new(),
+            seeded: Mutex::default(),
+        }
+    }
+
+    fn seeded(&self) -> std::sync::MutexGuard<'_, Seeded> {
+        self.seeded
+            .lock()
+            .expect("the seeded-analysis memo is never held across a call that can panic")
+    }
+
+    /// What the analysis reads of `lengths`: only `in` names are looked
+    /// up, and of a name given twice the later length stands (the options
+    /// hold a map).
+    fn seed_key(&self, lengths: &[(&str, f64)]) -> SeedKey {
+        let seeded = |input: &String| lengths.iter().rev().find(|(name, _)| name == input);
+        (0u32..)
+            .zip(&self.source.inputs)
+            .filter_map(|(i, input)| Some((i, seeded(input)?.1.to_bits())))
+            .collect()
+    }
+
+    fn analyze_seeded(&self, key: &SeedKey) -> Arc<[Finding]> {
+        let lengths = key.iter().map(|&(i, bits)| {
+            (
+                self.source.inputs[i as usize].as_str(),
+                f64::from_bits(bits),
+            )
+        });
+        let opts = AnalysisOptions::with_declared_lengths(lengths);
+        absint::analyze_with(&self.source, &opts).findings.into()
+    }
 }
 
 #[cfg(test)]
@@ -167,6 +302,105 @@ mod tests {
             .unwrap();
         assert_eq!(lib.estimate_weight("T"), Some(3.0));
         assert_eq!(before.estimate_weight("T"), Some(1.0));
+    }
+
+    const INDEXER: &str = "task T in v, w out x begin x := v[9] + w[2] end";
+
+    #[test]
+    fn identical_text_is_shared_with_the_donor_and_nothing_else_is() {
+        let double = "task Double in a out b begin b := a * 2 end";
+        let mut old = ProgramLibrary::new();
+        old.add_source(INDEXER).unwrap();
+        old.add_source(double).unwrap();
+        old.add(parse_program("task Ast out x begin x := 1 end").unwrap());
+        old.estimate_weight("T");
+
+        let donor = old.by_text();
+        let mut new = ProgramLibrary::new();
+        new.add_source_from(INDEXER, &donor).unwrap();
+        // One more space is another text; so is the text of a program
+        // that entered the donor as an AST.
+        new.add_source_from(&double.replace("a * 2", "a *  2"), &donor)
+            .unwrap();
+        new.add_source_from("task Ast out x begin x := 1 end", &donor)
+            .unwrap();
+        let shared = |name: &str| {
+            let (o, n) = (
+                old.get_compiled(name).unwrap(),
+                new.get_compiled(name).unwrap(),
+            );
+            assert_eq!(
+                Arc::ptr_eq(&o, &n),
+                Arc::ptr_eq(
+                    &old.get_shared(name).unwrap(),
+                    &new.get_shared(name).unwrap()
+                )
+            );
+            Arc::ptr_eq(&o, &n)
+        };
+        assert!(shared("T"));
+        assert!(!shared("Double"));
+        assert!(!shared("Ast"));
+        assert_eq!(new.get("Double"), old.get("Double"), "positions included");
+        // A text the donor does not hold goes to the parser, errors and all.
+        assert!(new.add_source_from("task ???", &donor).is_err());
+    }
+
+    #[test]
+    fn seeded_findings_are_those_of_a_fresh_analysis() {
+        let mut lib = ProgramLibrary::new();
+        lib.add_source(INDEXER).unwrap();
+        let seedings = [
+            vec![("v", 3.0), ("w", 2.0)],
+            vec![],
+            vec![("v", 12.0)],
+            // Only `in` names count, and of a name given twice the later.
+            vec![("v", 12.0), ("v", 3.0), ("w", 2.0), ("x", 1.0)],
+        ];
+        let first = lib.seeded_findings("T", &seedings).unwrap();
+        for (lengths, found) in seedings.iter().zip(&first) {
+            let opts = AnalysisOptions::with_declared_lengths(lengths.iter().copied());
+            let fresh = absint::analyze_with(lib.get("T").unwrap(), &opts).findings;
+            assert_eq!(found[..], fresh[..], "{lengths:?}");
+        }
+        assert!(!first[0].is_empty() && first[2].is_empty(), "{first:?}");
+        assert!(
+            Arc::ptr_eq(&first[0], &first[3]),
+            "one analysis, asked twice"
+        );
+        assert!(lib.seeded_findings("Nope", &seedings).is_none());
+
+        // A library that shares the entry shares the memo, and the memo
+        // holds what was asked last: no more.
+        let mut next = ProgramLibrary::new();
+        next.add_source_from(INDEXER, &lib.by_text()).unwrap();
+        let again = next.seeded_findings("T", &seedings[..1]).unwrap();
+        assert!(Arc::ptr_eq(&again[0], &first[0]));
+        assert_eq!(lib.programs["T"].seeded().len(), 1);
+        let recomputed = lib.seeded_findings("T", &seedings[2..3]).unwrap();
+        assert!(!Arc::ptr_eq(&recomputed[0], &first[2]));
+        assert_eq!(recomputed[0][..], first[2][..]);
+    }
+
+    #[test]
+    fn a_thousand_saves_leave_the_memo_at_one_designs_seedings() {
+        // A save is a new library built with the last as its donor, and a
+        // design that asks for its seedings. Two storage sizes alternate.
+        let mut lib = ProgramLibrary::new();
+        lib.add_source(INDEXER).unwrap();
+        for save in 0..1000 {
+            let mut next = ProgramLibrary::new();
+            next.add_source_from(INDEXER, &lib.by_text()).unwrap();
+            let v = if save % 2 == 0 { 3.0 } else { 12.0 };
+            let asked = [vec![("v", v), ("w", 2.0)], vec![("v", v)]];
+            next.seeded_findings("T", &asked).unwrap();
+            assert_eq!(
+                next.programs["T"].seeded().len(),
+                asked.len(),
+                "save {save}"
+            );
+            lib = next;
+        }
     }
 
     #[test]

@@ -50,13 +50,19 @@ use crate::project::Project;
 pub struct DocError {
     /// 1-based line number.
     pub line: usize,
+    /// 1-based column, where the error has one (PITS syntax errors).
+    pub column: Option<u32>,
     /// What went wrong.
     pub message: String,
 }
 
 impl fmt::Display for DocError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
+        write!(f, "line {}", self.line)?;
+        if let Some(column) = self.column {
+            write!(f, ", column {column}")?;
+        }
+        write!(f, ": {}", self.message)
     }
 }
 
@@ -65,10 +71,23 @@ impl std::error::Error for DocError {}
 /// Parses a `.bang` document into a [`Project`] (machine included when a
 /// `machine` section is present).
 pub fn parse_project(text: &str) -> Result<Project, DocError> {
+    parse_project_reusing(text, &ProgramLibrary::new())
+}
+
+/// [`parse_project`], taking from `donor` — the library of an earlier
+/// version of the document — every program whose `begin-program` block is
+/// byte for byte a block the donor was parsed from, instead of parsing and
+/// compiling it again. The project is the one `parse_project(text)`
+/// builds: a program's AST and bytecode are functions of its own text, and
+/// nothing else of the donor is read.
+pub fn parse_project_reusing(text: &str, donor: &ProgramLibrary) -> Result<Project, DocError> {
+    let donor = donor.by_text();
     let mut lines = Numbered::new(text);
     let mut name = String::from("untitled");
     let mut design: Option<HierGraph> = None;
     let mut library = ProgramLibrary::new();
+    // Program name -> line of its `begin-program`.
+    let mut defined: BTreeMap<String, usize> = BTreeMap::new();
     let mut machine: Option<Machine> = None;
 
     while let Some((no, line)) = lines.next_content() {
@@ -109,9 +128,21 @@ pub fn parse_project(text: &str) -> Result<Project, DocError> {
                         None => return Err(err(start, "unterminated begin-program")),
                     }
                 }
-                library
-                    .add_source(&src)
-                    .map_err(|e| err(start, &format!("bad PITS program: {e}")))?;
+                // Positions in a program are relative to its block, whose
+                // line 1 follows `begin-program`.
+                let program = library
+                    .add_source_from(&src, &donor)
+                    .map_err(|e| DocError {
+                        line: start + e.pos.line as usize,
+                        column: Some(e.pos.col),
+                        message: format!("bad PITS program: {}", e.message),
+                    })?;
+                if let Some(first) = defined.insert(program.clone(), start) {
+                    return Err(err(
+                        start,
+                        &format!("duplicate program {program:?} (first defined at line {first})"),
+                    ));
+                }
             }
             other => return Err(err(no, &format!("unknown directive {other:?}"))),
         }
@@ -129,6 +160,7 @@ pub fn parse_project(text: &str) -> Result<Project, DocError> {
 fn err(line: usize, message: &str) -> DocError {
     DocError {
         line,
+        column: None,
         message: message.to_string(),
     }
 }
@@ -466,6 +498,7 @@ fn print_design_body(g: &HierGraph, out: &mut String, depth: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     const DOC: &str = "\
 # A tiny project
@@ -629,12 +662,57 @@ end
                 "project x\nbegin-program\nnot pits\nend-program\n",
                 "bad PITS",
             ),
+            // A PITS syntax error names the line of the document, not of
+            // the block: `:=` twice on line 6, two lines into the body.
+            (
+                "project x\n\nbegin-program\ntask T out x\nbegin\n  x := := 1\nend\nend-program\n",
+                "line 6, column 8: bad PITS program: expected an expression",
+            ),
         ] {
             let e = parse_project(doc).unwrap_err();
             assert!(
                 e.to_string().contains(needle),
                 "{doc:?}: got {e}, wanted {needle:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_second_program_of_the_same_name_is_a_positioned_error() {
+        // The library replaces on the same name (the panel's "edit task"
+        // flow); a document that defines a name twice is a mistake, and
+        // the second definition used to win silently.
+        let again = "\nbegin-program\ntask Merge\n  in d2\n  out result\nbegin\n  \
+                     result := d2 * 100\nend\nend-program\n";
+        let e = parse_project(&format!("{DOC}{again}")).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "line 54: duplicate program \"Merge\" (first defined at line 45)"
+        );
+    }
+
+    #[test]
+    fn unchanged_program_text_is_taken_from_the_donor() {
+        let old = parse_project(DOC).unwrap();
+        // Lines above the programs, a weight and one program body change.
+        let edited = DOC
+            .replace("project demo", "# moved\n\nproject demo")
+            .replace("task split 10", "task split 11")
+            .replace("d2 := lo * 2", "d2 := lo * 3");
+        let new = parse_project_reusing(&edited, old.library()).unwrap();
+        let shared = |name: &str| {
+            Arc::ptr_eq(
+                &old.library().get_compiled(name).unwrap(),
+                &new.library().get_compiled(name).unwrap(),
+            )
+        };
+        assert!(shared("Split") && shared("Merge"));
+        assert!(!shared("Double"));
+        // And it is the project a parse from nothing builds.
+        let fresh = parse_project(&edited).unwrap();
+        assert_eq!(new.design(), fresh.design());
+        for (name, prog) in fresh.library().iter() {
+            assert_eq!(new.library().get(name), Some(prog));
         }
     }
 

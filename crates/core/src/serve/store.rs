@@ -7,6 +7,16 @@
 //! [`Project`], memoized check renders, schedules, the warm
 //! [`Session`]) is rebuilt whenever the source bytes hash differently.
 //!
+//! A rebuild starts from the new bytes alone and invalidates nothing in
+//! place: the snapshot being replaced is only a *donor*. A program whose
+//! `begin-program` block is byte for byte one the donor was parsed from
+//! is shared with it — AST, bytecode, static cost and the seeded analyses
+//! `diagnose` memoizes with it (see [`banger_calc::library`]) — because
+//! all of those are functions of that text alone. Everything at design
+//! level (flatten, the design passes, renders, schedules, the session) is
+//! built again. No table outlives a snapshot: an evicted or poisoned
+//! entry has no donor, and neither has the first build.
+//!
 //! Locking is two-level: a brief store-wide lock to find or create the
 //! slot, then a per-entry lock held for the duration of one request
 //! against that project. Requests against *different* projects never
@@ -15,8 +25,9 @@
 //! server's `catch_unwind`) cannot wedge an entry; the poisoned *cache
 //! state* is discarded explicitly via [`ProjectStore::evict`] instead.
 
-use crate::document::parse_project;
+use crate::document::parse_project_reusing;
 use crate::project::Project;
+use banger_calc::ProgramLibrary;
 use banger_exec::Session;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -36,8 +47,9 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Everything derived from one source snapshot. Dropped wholesale on
-/// hash change or eviction — there is no partial invalidation.
+/// Everything derived from one source snapshot. Replaced wholesale on
+/// hash change and dropped on eviction; the replacement shares the
+/// programs whose text did not change (see the module docs), nothing else.
 pub struct EntryState {
     /// Hash of the source bytes this state was built from. The design and
     /// the machine are both part of those bytes, so every cache below is
@@ -71,8 +83,11 @@ pub struct Entry {
 impl Entry {
     /// Brings the entry in sync with the just-read source snapshot.
     /// Returns `(state, warm)` where `warm` is false when this call
-    /// (re)built the project from source. Parse failures leave the
-    /// entry cold so the next request retries.
+    /// (re)built the project from source. A first build that fails leaves
+    /// the entry cold; a rebuild that fails puts the replaced snapshot
+    /// back, so the save that fixes the typo still finds its donor. That
+    /// snapshot answers nothing meanwhile: its hash is not the file's, so
+    /// every request builds again and gets the error.
     pub fn ensure(
         &mut self,
         source: &str,
@@ -80,16 +95,40 @@ impl Entry {
         counters: &Counters,
     ) -> Result<(&mut EntryState, bool), String> {
         let stale = self.state.as_ref().is_some_and(|s| s.source_hash != hash);
+        if !stale {
+            if let Some(ref mut state) = self.state {
+                counters.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok((state, true));
+            }
+        }
+        // Taken out for the rebuild: a panic below leaves the entry cold.
+        let replaced = self.state.take();
         if stale {
             counters.rebuilds.fetch_add(1, Ordering::Relaxed);
-            self.state = None;
-        }
-        if let Some(ref mut state) = self.state {
-            counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((state, true));
         }
         counters.misses.fetch_add(1, Ordering::Relaxed);
-        let mut project = parse_project(source).map_err(|e| e.to_string())?;
+        let none = ProgramLibrary::new();
+        let donor = replaced.as_ref().map_or(&none, |s| s.project.library());
+        let mut project = match parse_project_reusing(source, donor) {
+            Ok(project) => project,
+            Err(e) => {
+                self.state = replaced;
+                return Err(e.to_string());
+            }
+        };
+        let library = project.library();
+        let shared = |name: &str| match (library.get_compiled(name), donor.get_compiled(name)) {
+            (Some(new), Some(old)) => Arc::ptr_eq(&new, &old),
+            _ => false,
+        };
+        let reused = library.iter().filter(|(name, _)| shared(name)).count() as u64;
+        let parsed = library.len() as u64 - reused;
+        counters
+            .programs_reused
+            .fetch_add(reused, Ordering::Relaxed);
+        counters
+            .programs_parsed
+            .fetch_add(parsed, Ordering::Relaxed);
         // Warm the parse-adjacent caches up front: flatten feeds every
         // downstream consumer and diagnose memoizes inside the Project.
         let diags = project.diagnose();
@@ -99,7 +138,7 @@ impl Entry {
             let lines: Vec<String> = diags.iter().map(banger_analyze::render_text).collect();
             lines.join("\n")
         };
-        self.state = Some(EntryState {
+        let state = self.state.insert(EntryState {
             source_hash: hash,
             project,
             warnings,
@@ -107,10 +146,6 @@ impl Entry {
             schedules: HashMap::new(),
             session: None,
         });
-        let state = self
-            .state
-            .as_mut()
-            .ok_or("entry state vanished during rebuild")?;
         Ok((state, false))
     }
 }
@@ -125,11 +160,17 @@ pub struct Counters {
     /// Cold builds (first sight of a path, or rebuild after eviction).
     pub misses: AtomicU64,
     /// Rebuilds forced by a source-hash change (also counted in misses).
+    /// A file that does not parse keeps its last good snapshot, so every
+    /// request made while it is broken counts one more.
     pub rebuilds: AtomicU64,
     /// Explicit evictions (`evict` requests and panic poisoning).
     pub evictions: AtomicU64,
     /// Requests that panicked and were contained.
     pub panics: AtomicU64,
+    /// Programs parsed and compiled by cold builds and rebuilds.
+    pub programs_parsed: AtomicU64,
+    /// Programs a rebuild shared with the snapshot it replaced.
+    pub programs_reused: AtomicU64,
 }
 
 /// A point-in-time snapshot of [`Counters`].
@@ -147,14 +188,26 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Requests that panicked and were contained.
     pub panics: u64,
+    /// Programs parsed and compiled by cold builds and rebuilds.
+    pub programs_parsed: u64,
+    /// Programs a rebuild shared with the snapshot it replaced.
+    pub programs_reused: u64,
 }
 
 impl CacheStats {
     /// Renders the snapshot as the `stats` command's output.
     pub fn render(&self) -> String {
         format!(
-            "requests {}  hits {}  misses {}  rebuilds {}  evictions {}  panics {}\n",
-            self.requests, self.hits, self.misses, self.rebuilds, self.evictions, self.panics
+            "requests {}  hits {}  misses {}  rebuilds {}  evictions {}  panics {}  \
+             programs parsed {}  reused {}\n",
+            self.requests,
+            self.hits,
+            self.misses,
+            self.rebuilds,
+            self.evictions,
+            self.panics,
+            self.programs_parsed,
+            self.programs_reused
         )
     }
 }
@@ -246,6 +299,8 @@ impl ProjectStore {
             rebuilds: self.counters.rebuilds.load(Ordering::Relaxed),
             evictions: self.counters.evictions.load(Ordering::Relaxed),
             panics: self.counters.panics.load(Ordering::Relaxed),
+            programs_parsed: self.counters.programs_parsed.load(Ordering::Relaxed),
+            programs_reused: self.counters.programs_reused.load(Ordering::Relaxed),
         }
     }
 }
@@ -345,6 +400,77 @@ end-program
         let (slot, _, src, hash) = store.lookup(path.to_str().unwrap()).unwrap();
         assert!(slot.lock().ensure(&src, hash, &store.counters).is_err());
         assert!(slot.lock().state.is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_broken_save_keeps_the_donor_for_the_save_that_fixes_it() {
+        use crate::serve::{ops::handle, Request};
+        let root = env!("CARGO_MANIFEST_DIR");
+        let good =
+            std::fs::read_to_string(format!("{root}/../../examples/projects/lu3.bang")).unwrap();
+        let broken = good.replace("c[3] := c[3] /", "c[3] := := c[3] /");
+        let mended = good.replace("c[3] := c[3] /", "c[3] := 2 * c[3] /");
+        assert!(broken != good && mended != good);
+
+        let path = temp_bang("typo", &good);
+        let store = ProjectStore::new();
+        let check = Request::for_path("check", path.to_str().unwrap());
+        // The resident snapshot's library (a clone shares its entries).
+        let library = || {
+            let (slot, ..) = store.lookup(path.to_str().unwrap()).unwrap();
+            let entry = slot.lock();
+            let state = entry.state.as_ref().expect("a snapshot is resident");
+            state.project.library().clone()
+        };
+        assert!(handle(&store, &check).ok);
+        let first = library();
+
+        // The typo: every request gets the error a fresh store gives, and
+        // each one is a rebuild that fails.
+        std::fs::write(&path, &broken).unwrap();
+        let want = handle(&ProjectStore::new(), &check);
+        assert!(
+            want.error.contains("line 102, column 11: bad PITS"),
+            "{}",
+            want.error
+        );
+        for _ in 0..2 {
+            let resp = handle(&store, &check);
+            assert_eq!(
+                (resp.ok, resp.exit, &resp.error, &resp.output),
+                (false, 1, &want.error, &want.output)
+            );
+        }
+        assert_eq!(store.stats().rebuilds, 2);
+
+        // The fix parses one program; the other ten are the first
+        // snapshot's, which the failed rebuilds put back.
+        std::fs::write(&path, &mended).unwrap();
+        assert!(handle(&store, &check).ok);
+        let fixed = library();
+        let shared = |name: &String| {
+            Arc::ptr_eq(
+                &first.get_compiled(name).unwrap(),
+                &fixed.get_compiled(name).unwrap(),
+            )
+        };
+        let parsed: Vec<&String> = first
+            .iter()
+            .map(|(n, _)| n)
+            .filter(|n| !shared(n))
+            .collect();
+        assert_eq!(parsed, ["bck3"], "the one edited program");
+        let s = store.stats();
+        assert_eq!((s.programs_parsed, s.programs_reused), (11 + 1, 10));
+        // `evict` clears a put-back snapshot like any other.
+        std::fs::write(&path, &broken).unwrap();
+        assert!(!handle(&store, &check).ok);
+        assert!(store.evict(path.to_str().unwrap()));
+        std::fs::write(&path, &good).unwrap();
+        assert!(handle(&store, &check).ok);
+        let s = store.stats();
+        assert_eq!((s.programs_parsed, s.programs_reused), (12 + 11, 10));
         std::fs::remove_file(&path).ok();
     }
 

@@ -1127,6 +1127,58 @@ fn every_verb_names_an_unflattenable_designs_defect_the_way_check_does() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A document error names the line of the document in both modes: a
+/// second program of the same name (it used to win silently: `run -i a=2`
+/// printed `r = 200`), and a PITS syntax error (it used to name the
+/// `begin-program` line and a position relative to the block).
+#[cfg(unix)]
+#[test]
+fn document_errors_are_positioned_in_both_modes() {
+    const HEAD: &str = "project twice\nmachine single\n  speed 1\n  process-startup 0\n  \
+                        msg-startup 0\n  rate 1\nend\ndesign\n  storage a 1\n  \
+                        task t 1 prog Id\n  storage r 1\n  arc a -> t\n  arc t -> r\nend\n";
+    let id = |body: &str| {
+        format!("\nbegin-program\ntask Id\n  in a\n  out r\nbegin\n  {body}\nend\nend-program\n")
+    };
+    let documents = [
+        (
+            "duplicate",
+            format!("{HEAD}{}{}", id("r := a"), id("r := a * 100")),
+            "line 25: duplicate program \"Id\" (first defined at line 16)",
+        ),
+        (
+            "syntax",
+            format!("{HEAD}{}", id("r := := a")),
+            "line 21, column 8: bad PITS program: expected an expression",
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("banger-cli-docerr-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (sock, guard) = start_daemon("docerr", &dir);
+    for (name, text, want) in documents {
+        let path = dir.join(format!("{name}.bang"));
+        std::fs::write(&path, text).unwrap();
+        for connect in [vec![], vec!["--connect", sock.to_str().unwrap()]] {
+            for verb in [vec!["check"], vec!["run", "-i", "a=2"]] {
+                let out = banger()
+                    .args(&connect)
+                    .arg(verb[0])
+                    .arg(&path)
+                    .args(&verb[1..])
+                    .output()
+                    .unwrap();
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(1), "{verb:?} {connect:?}: {err}");
+                assert!(err.contains(want), "{verb:?} {connect:?}: {err}");
+                assert!(out.stdout.is_empty(), "{verb:?} {connect:?}");
+            }
+        }
+    }
+    stop_daemon(&sock, guard);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A daemon resolves nothing against its own working directory: the
 /// client sends the project path absolute and reads and writes the
 /// other files itself.

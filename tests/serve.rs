@@ -171,6 +171,50 @@ fn rewrite_between_requests_invalidates_the_cache() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The unit of a rebuild is the program: the replaced snapshot gives the
+/// new one every program whose text the edit left alone, and an entry
+/// that was evicted or poisoned gives nothing. Exact counts, on lu3's 11.
+#[test]
+fn a_rebuild_parses_only_the_programs_an_edit_touched() {
+    use banger::serve::{ops::handle, server::dispatch_guarded, ProjectStore};
+    let base = lu3();
+    let path = temp_path("reuse-counts", "bang");
+    let store = ProjectStore::new();
+    let check = Request::for_path("check", path.to_str().unwrap());
+    let mut counted = (0, 0);
+    let mut save_and_check = |text: &str| {
+        std::fs::write(&path, text).unwrap();
+        let resp = handle(&store, &check);
+        assert!(resp.ok, "{}", resp.error);
+        let s = store.stats();
+        let added = (s.programs_parsed - counted.0, s.programs_reused - counted.1);
+        counted = (s.programs_parsed, s.programs_reused);
+        added
+    };
+    assert_eq!(save_and_check(&base), (11, 0), "first sight");
+    let weight = base.replace("task fan1 9 prog", "task fan1 12 prog");
+    assert_eq!(save_and_check(&weight), (0, 11), "a weight-only edit");
+    let body = base.replace("c[3] := c[3] /", "c[3] := c[3] * 3 / 3 /");
+    assert!(body != base && weight != base);
+    assert_eq!(save_and_check(&body), (1, 10), "one program body");
+    // Blocks in another order and lower in the file are the same texts.
+    let (design, programs) = base.split_at(base.find("begin-program").unwrap());
+    let mut blocks: Vec<&str> = programs.split_inclusive("end-program\n").collect();
+    assert_eq!(blocks.len(), 11);
+    blocks.reverse();
+    let moved = format!("{design}# moved\n\n{}", blocks.concat());
+    assert_eq!(save_and_check(&moved), (1, 10), "the edited body is back");
+
+    assert!(store.evict(path.to_str().unwrap()));
+    assert_eq!(save_and_check(&weight), (11, 0), "evict leaves no donor");
+    let mut boom = check.clone();
+    boom.inject_handler_panic = true;
+    assert!(!dispatch_guarded(&store, &boom).ok);
+    assert_eq!(save_and_check(&base), (11, 0), "nor does a contained panic");
+    assert_eq!(store.stats().panics, 1);
+    std::fs::remove_file(&path).ok();
+}
+
 /// A panicking request handler must not kill the daemon: the client
 /// gets a structured error, the entry is poisoned-and-rebuilt, and the
 /// next request succeeds.
