@@ -394,6 +394,12 @@ impl Program {
             || self.outputs.iter().any(|v| v == name)
             || self.locals.iter().any(|v| v == name)
     }
+
+    /// The declared `(inputs, outputs)`, each in declaration order: what
+    /// `banger_taskgraph::binding` resolves arc labels against.
+    pub fn interface(&self) -> (&[String], &[String]) {
+        (&self.inputs, &self.outputs)
+    }
 }
 
 #[cfg(test)]

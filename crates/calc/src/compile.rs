@@ -932,18 +932,6 @@ impl CompiledProgram {
             .map(move |&s| self.var_names[s as usize].as_str())
     }
 
-    /// Position of `name` within the declared outputs, if any — resolves
-    /// a `(task, var)` string pair to a dense output port index once, at
-    /// routing-table build time.
-    pub fn output_index(&self, name: &str) -> Option<usize> {
-        self.output_names().position(|n| n == name)
-    }
-
-    /// Position of `name` within the declared inputs, if any.
-    pub fn input_index(&self, name: &str) -> Option<usize> {
-        self.input_names().position(|n| n == name)
-    }
-
     /// Remaps the compiler's provisional registers into the dense frame:
     /// literal-pool register `LIT_BASE + k` becomes `n_vars + k`, and
     /// end-counted temp `u32::MAX - k` becomes `n_vars + n_lits + k`.

@@ -120,6 +120,11 @@ impl ProgramLibrary {
         self.programs.get(name).map(|e| e.source.as_ref())
     }
 
+    /// A named program's [`Program::interface`].
+    pub fn interface(&self, name: &str) -> Option<(&[String], &[String])> {
+        self.get(name).map(Program::interface)
+    }
+
     /// The shared handle to a named program's AST. Lets long-lived
     /// runtimes (the executor's persistent [`Session`]s) own their
     /// routing tables without borrowing the library or cloning ASTs.

@@ -28,6 +28,7 @@ pub use rustgen::generate_rust;
 use banger_calc::ast::{Facts, Program};
 use banger_calc::{ProgramLibrary, Value};
 use banger_sched::Schedule;
+use banger_taskgraph::binding::{BindError, Bindings};
 use banger_taskgraph::hierarchy::Flattened;
 use banger_taskgraph::TaskId;
 use std::collections::BTreeMap;
@@ -40,10 +41,23 @@ pub enum CodegenError {
     NoProgram(String),
     /// A program name is missing from the library.
     UnknownProgram(String),
+    /// A producing task does not declare the output an arc or an output
+    /// port carries.
+    MissingArcValue {
+        /// Producer task name.
+        producer: String,
+        /// Arc label / variable.
+        var: String,
+    },
     /// The schedule does not place a task.
     Unscheduled(String),
-    /// An input port has no supplied value.
-    MissingInput(String),
+    /// A declared input is bound by neither an arc nor a supplied value.
+    MissingInput {
+        /// The variable.
+        var: String,
+        /// The first task that reads it.
+        task: String,
+    },
 }
 
 impl fmt::Display for CodegenError {
@@ -51,8 +65,15 @@ impl fmt::Display for CodegenError {
         match self {
             CodegenError::NoProgram(t) => write!(f, "task {t:?} has no program"),
             CodegenError::UnknownProgram(p) => write!(f, "program {p:?} not in library"),
+            CodegenError::MissingArcValue { producer, var } => write!(
+                f,
+                "task {producer:?} does not produce output {var:?} required by an arc"
+            ),
             CodegenError::Unscheduled(t) => write!(f, "task {t:?} is not scheduled"),
-            CodegenError::MissingInput(v) => write!(f, "no value supplied for input port {v:?}"),
+            CodegenError::MissingInput { var, task } => write!(
+                f,
+                "task {task:?}: input {var:?} has no producer and no supplied value"
+            ),
         }
     }
 }
@@ -61,38 +82,53 @@ impl std::error::Error for CodegenError {}
 
 /// What both generators establish before they emit anything.
 pub(crate) struct Plan<'a> {
-    /// The programs the design's tasks name, by name.
+    /// Which arc or supplied value feeds which declared input, and which
+    /// output each arc and port carries.
+    pub bindings: Bindings,
+    /// Each task's program, in task order.
+    pub of_task: Vec<&'a Program>,
+    /// The same programs once each, by name.
     pub progs: BTreeMap<&'a str, &'a Program>,
     /// Primary placements per processor, in predicted start order (ties by
     /// task id); non-primary copies are dropped.
     pub per_proc: BTreeMap<u32, Vec<(f64, TaskId)>>,
 }
 
-/// Checks the preconditions both generators share — every input port has a
-/// value, every task has a program the library holds and a primary
-/// placement — and groups the placements per processor.
+/// Checks the preconditions both generators share — the design resolves
+/// under the binding rule exactly as it must for the executor to run it,
+/// every external input has a value, every task has a primary placement —
+/// and groups the placements per processor.
 pub(crate) fn plan<'a>(
-    design: &'a Flattened,
+    design: &Flattened,
     lib: &'a ProgramLibrary,
     schedule: &Schedule,
     inputs: &BTreeMap<String, Value>,
 ) -> Result<Plan<'a>, CodegenError> {
-    for port in &design.inputs {
-        if !inputs.contains_key(&port.var) {
-            return Err(CodegenError::MissingInput(port.var.clone()));
-        }
+    let g = &design.graph;
+    let bindings = Bindings::resolve(design, |name| lib.interface(name));
+    bindings.check().map_err(|e| match e {
+        BindError::NoProgram(task) => CodegenError::NoProgram(task.clone()),
+        BindError::UnknownProgram(name) => CodegenError::UnknownProgram(name.clone()),
+        BindError::MissingOutput { producer, var } => CodegenError::MissingArcValue {
+            producer: producer.clone(),
+            var: var.clone(),
+        },
+    })?;
+    if let Some(slot) = bindings
+        .externals()
+        .iter()
+        .find(|slot| !inputs.contains_key(&slot.var))
+    {
+        return Err(CodegenError::MissingInput {
+            var: slot.var.clone(),
+            task: g.task(slot.first_reader).name.clone(),
+        });
     }
-    let mut progs = BTreeMap::new();
+    let mut of_task = Vec::with_capacity(g.task_count());
     let mut per_proc: BTreeMap<u32, Vec<(f64, TaskId)>> = BTreeMap::new();
-    for (t, task) in design.graph.tasks() {
-        let name = task
-            .program
-            .as_deref()
-            .ok_or_else(|| CodegenError::NoProgram(task.name.clone()))?;
-        let prog = lib
-            .get(name)
-            .ok_or_else(|| CodegenError::UnknownProgram(name.to_string()))?;
-        progs.insert(name, prog);
+    for (t, task) in g.tasks() {
+        let prog = task.program.as_deref().and_then(|name| lib.get(name));
+        of_task.push(prog.expect("Bindings::check passed"));
         let p = schedule
             .primary(t)
             .ok_or_else(|| CodegenError::Unscheduled(task.name.clone()))?;
@@ -101,7 +137,13 @@ pub(crate) fn plan<'a>(
     for q in per_proc.values_mut() {
         q.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     }
-    Ok(Plan { progs, per_proc })
+    let progs = of_task.iter().map(|p| (p.name.as_str(), *p)).collect();
+    Ok(Plan {
+        bindings,
+        of_task,
+        progs,
+        per_proc,
+    })
 }
 
 /// The variables a generated task function declares and zero-initialises:

@@ -1,5 +1,4 @@
-//! ASCII charts: the speedup-prediction display of Figure 3 and generic
-//! labelled bar charts for the comparison tables.
+//! ASCII charts: the speedup-prediction display of Figure 3.
 
 use std::fmt::Write as _;
 
@@ -48,32 +47,6 @@ pub fn speedup_chart(title: &str, points: &[SpeedupPoint], width: usize) -> Stri
     out
 }
 
-/// A generic horizontal bar chart of labelled values (used for heuristic
-/// comparisons: label = heuristic, value = makespan).
-pub fn bar_chart(title: &str, rows: &[(String, f64)], width: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    if rows.is_empty() {
-        out.push_str("(no data)\n");
-        return out;
-    }
-    let maxv = rows.iter().map(|r| r.1).fold(0.0f64, f64::max);
-    let label_w = rows.iter().map(|r| r.0.len()).max().unwrap_or(0);
-    for (label, v) in rows {
-        let bars = if maxv > 0.0 {
-            ((v / maxv) * width as f64).round() as usize
-        } else {
-            0
-        };
-        let _ = writeln!(
-            out,
-            "{label:>label_w$} {} {v:.3}",
-            "#".repeat(bars.max(if *v > 0.0 { 1 } else { 0 }))
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,23 +81,7 @@ mod tests {
     }
 
     #[test]
-    fn bar_chart_shape() {
-        let rows = vec![
-            ("serial".to_string(), 100.0),
-            ("ETF".to_string(), 40.0),
-            ("MH".to_string(), 35.0),
-        ];
-        let text = bar_chart("Makespan by heuristic", &rows, 30);
-        assert!(text.contains("serial"));
-        assert!(text.contains("35.000"));
-        let serial_bars = text.lines().nth(1).unwrap().matches('#').count();
-        let mh_bars = text.lines().nth(3).unwrap().matches('#').count();
-        assert!(serial_bars > mh_bars);
-    }
-
-    #[test]
     fn empty_inputs() {
         assert!(speedup_chart("t", &[], 10).contains("no data"));
-        assert!(bar_chart("t", &[], 10).contains("no data"));
     }
 }

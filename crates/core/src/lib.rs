@@ -54,6 +54,6 @@ pub mod svg;
 
 pub use banger_analyze as analyze;
 pub use banger_trace as trace;
-pub use chart::{bar_chart, speedup_chart, SpeedupPoint};
+pub use chart::{speedup_chart, SpeedupPoint};
 pub use document::{parse_project, print_project, DocError};
 pub use project::{render_weight_table, weight_rows_json, Project, ProjectError, WeightRow};

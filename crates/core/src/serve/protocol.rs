@@ -78,15 +78,20 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame. `Ok(None)` is a clean EOF at a frame boundary; EOF
-/// mid-frame and oversized lengths are errors.
+/// Reads one frame. `Ok(None)` is a clean EOF at a frame boundary —
+/// before the first byte of a length prefix; EOF anywhere later (inside
+/// the prefix included) and oversized lengths are errors.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    loop {
+        match r.read(&mut len[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
+    r.read_exact(&mut len[1..])?;
     let len = u32::from_be_bytes(len) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(
@@ -497,5 +502,17 @@ mod tests {
         partial.truncate(partial.len() - 2);
         let mut r = &partial[..];
         assert!(read_frame(&mut r).is_err());
+
+        // So is EOF inside the length prefix: only EOF before its first
+        // byte is a frame boundary.
+        for cut in 1..4 {
+            let mut r = &partial[..cut];
+            let err = read_frame(&mut r).expect_err("a truncated prefix is not a clean close");
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::UnexpectedEof,
+                "{cut}-byte prefix"
+            );
+        }
     }
 }

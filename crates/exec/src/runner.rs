@@ -68,6 +68,7 @@ use banger_calc::value::cow;
 use banger_calc::vm::Vm;
 use banger_calc::{interp, InterpConfig, Program, ProgramLibrary, RunError, Value};
 use banger_sched::Schedule;
+use banger_taskgraph::binding::{BindError, Bindings, Source};
 use banger_taskgraph::hierarchy::Flattened;
 use banger_taskgraph::{TaskGraph, TaskId};
 use banger_trace::{Trace, TraceEvent};
@@ -350,11 +351,12 @@ struct TaskRoute {
 }
 
 /// Dense routing tables for a design: built once, read by every worker
-/// across any number of firings. Resolving `(task, var)` string pairs
-/// happens here and only here; structural failures (`Cyclic`,
-/// `NoProgram`, `MissingArcValue`) surface at build time, and per-firing
-/// value failures (`UnboundInput`) at [`Router::bind`] time — both
-/// before any task runs.
+/// across any number of firings. `(task, var)` string pairs are resolved
+/// by [`Bindings::resolve`] and copied here beside the program handles;
+/// structural failures (`Cyclic`, `NoProgram`, `MissingArcValue`)
+/// surface at build time, and per-firing value failures
+/// (`UnboundInput`) at [`Router::bind`] time — both before any task
+/// runs.
 pub(crate) struct Router {
     routes: Vec<TaskRoute>,
     /// External-input slots in first-reference order: `(variable, name
@@ -374,78 +376,56 @@ impl Router {
         if !g.is_dag() {
             return Err(ExecError::Cyclic);
         }
-        // Pass 1: every task resolves to a program (fail fast, not
-        // mid-run).
-        let mut compiled: Vec<Arc<CompiledProgram>> = Vec::with_capacity(g.task_count());
-        let mut progs: Vec<Arc<Program>> = Vec::with_capacity(g.task_count());
-        for t in g.task_ids() {
-            let task = g.task(t);
-            let name = task
-                .program
-                .as_deref()
-                .ok_or_else(|| ExecError::NoProgram(task.name.clone()))?;
-            let prog = lib
-                .get_shared(name)
-                .ok_or_else(|| ExecError::UnknownProgram(name.to_string()))?;
-            progs.push(prog);
-            compiled.push(lib.get_compiled(name).expect("get_shared() succeeded"));
-        }
+        // Which arc supplies which input is `taskgraph::binding`'s rule;
+        // what is left here is the copy into dense feeds beside the
+        // compiled-program handles.
+        let bindings = Bindings::resolve(design, |name| lib.interface(name));
+        bindings.check().map_err(|e| match e {
+            BindError::NoProgram(task) => ExecError::NoProgram(task.clone()),
+            BindError::UnknownProgram(name) => ExecError::UnknownProgram(name.clone()),
+            BindError::MissingOutput { producer, var } => ExecError::MissingArcValue {
+                producer: producer.clone(),
+                var: var.clone(),
+            },
+        })?;
+        const CHECKED: &str = "Bindings::check passed";
 
-        // Pass 2: resolve every input binding to a feed.
-        let mut ext_slots: Vec<(String, String)> = Vec::new();
-        let mut ext_index: BTreeMap<String, u32> = BTreeMap::new();
-        let mut routes: Vec<TaskRoute> = Vec::with_capacity(g.task_count());
-        for t in g.task_ids() {
-            let c = Arc::clone(&compiled[t.index()]);
-            let mut feeds = Vec::with_capacity(c.input_slots.len());
-            'vars: for var in c.input_names() {
-                // An arc labelled with the variable name supplies it...
-                for &e in g.in_edges(t) {
-                    let edge = g.edge(e);
-                    if edge.label == var {
-                        let out =
-                            compiled[edge.src.index()]
-                                .output_index(var)
-                                .ok_or_else(|| ExecError::MissingArcValue {
-                                    producer: g.task(edge.src).name.clone(),
-                                    var: var.to_string(),
-                                })?;
-                        feeds.push(Feed::Arc {
-                            src: edge.src,
-                            out: out as u32,
-                        });
-                        continue 'vars;
-                    }
+        let routes = g
+            .tasks()
+            .map(|(t, task)| {
+                let name = task.program.as_deref().expect(CHECKED);
+                let feeds = bindings
+                    .row(t)
+                    .expect(CHECKED)
+                    .iter()
+                    .map(|source| match *source {
+                        Source::Arc { edge, src } => Feed::Arc {
+                            src,
+                            out: bindings.out_index(edge).expect(CHECKED) as u32,
+                        },
+                        Source::External(slot) => Feed::External(slot as u32),
+                    });
+                TaskRoute {
+                    compiled: lib.get_compiled(name).expect(CHECKED),
+                    prog: lib.get_shared(name).expect(CHECKED),
+                    feeds: feeds.collect(),
                 }
-                // ... otherwise it is an external-input slot, valued per
-                // firing by `bind`.
-                let idx = *ext_index.entry(var.to_string()).or_insert_with(|| {
-                    ext_slots.push((var.to_string(), g.task(t).name.clone()));
-                    (ext_slots.len() - 1) as u32
-                });
-                feeds.push(Feed::External(idx));
-            }
-            routes.push(TaskRoute {
-                compiled: c,
-                prog: Arc::clone(&progs[t.index()]),
-                feeds,
-            });
-        }
-
-        // Design output ports resolve the same way.
-        let mut out_ports = Vec::with_capacity(design.outputs.len());
-        for port in &design.outputs {
-            // The port's producing tasks all emit the variable; take the
-            // first.
-            let t = port.tasks[0];
-            let out = compiled[t.index()].output_index(&port.var).ok_or_else(|| {
-                ExecError::MissingArcValue {
-                    producer: g.task(t).name.clone(),
-                    var: port.var.clone(),
-                }
-            })?;
-            out_ports.push((port.var.clone(), t, out));
-        }
+            })
+            .collect();
+        let ext_slots: Vec<(String, String)> = bindings
+            .externals()
+            .iter()
+            .map(|slot| (slot.var.clone(), g.task(slot.first_reader).name.clone()))
+            .collect();
+        let out_ports = design
+            .outputs
+            .iter()
+            .enumerate()
+            .map(|(i, port)| {
+                let (t, out) = bindings.port(i).expect(CHECKED);
+                (port.var.clone(), t, out)
+            })
+            .collect();
 
         let mut ext_sorted: Vec<u32> = (0..ext_slots.len() as u32).collect();
         ext_sorted.sort_by(|&x, &y| ext_slots[x as usize].0.cmp(&ext_slots[y as usize].0));

@@ -4,16 +4,19 @@
 //! the output of other rewrites:
 //!
 //! 1. **Dead arcs** — an arc whose label matches no input of the
-//!    consumer's program. The router never reads it; it only inflates
-//!    the scheduler's communication model.
+//!    consumer's program. Nothing reads it; it only inflates the
+//!    scheduler's communication model.
 //! 2. **Shadowed arcs** — a second arc into the same task with the same
-//!    label. The router binds each input from the *first* matching
-//!    in-edge, so later duplicates are unreachable.
+//!    label; the first one binds the input.
 //! 3. **Dead declarations** — program inputs and locals that no
 //!    statement references. Input binding is free at run time, so
 //!    removing them changes neither values nor operation counts, but it
 //!    shrinks the design's external surface and the scheduler's edge
 //!    set.
+//!
+//! The first two are an edge's role under the binding rule
+//! ([`banger_taskgraph::binding`]), which this pass reads rather than
+//! re-derives.
 //!
 //! All removals are Outcome-preserving: output values, print output and
 //! the total interpreter operation count are exactly unchanged.
@@ -22,8 +25,9 @@ use std::collections::BTreeMap;
 
 use banger_calc::ast::{Facts, Program};
 use banger_calc::library::ProgramLibrary;
+use banger_taskgraph::binding::{Bindings, EdgeRole, Source};
 use banger_taskgraph::hierarchy::{ExternalPort, Flattened};
-use banger_taskgraph::TaskGraph;
+use banger_taskgraph::{EdgeId, TaskGraph, TaskId};
 
 use crate::OptError;
 
@@ -75,8 +79,7 @@ fn trim_program(prog: &Program, stats: &mut DceStats) -> Program {
 /// Returns the rewritten design, a fresh library holding (only) the
 /// trimmed programs the design still references, and removal statistics.
 /// Task ids, task order and the relative order of surviving arcs are
-/// preserved, so downstream passes and the router see the same
-/// first-edge-wins binding decisions.
+/// preserved, so the rewritten design resolves to the same bindings.
 pub fn eliminate_dead(
     flat: &Flattened,
     lib: &ProgramLibrary,
@@ -100,28 +103,13 @@ pub fn eliminate_dead(
     }
     stats.programs_dropped = lib.len() - trimmed.len();
 
-    // Decide the fate of every edge. An edge survives when its consumer
-    // has no program (nothing known about its reads — keep), or when its
-    // label is a (still-declared) input of the consumer's program and no
-    // earlier in-edge already supplies that label.
-    let mut keep = vec![false; g.edge_count()];
-    for t in g.task_ids() {
-        let prog = g.task(t).program.as_deref().map(|n| &trimmed[n]);
-        let mut seen: Vec<&str> = Vec::new();
-        for &e in g.in_edges(t) {
-            let label = g.edge(e).label.as_str();
-            let alive = match prog {
-                None => true,
-                Some(p) => p.inputs.iter().any(|v| v == label) && !seen.contains(&label),
-            };
-            if alive {
-                seen.push(label);
-                keep[e.index()] = true;
-            } else {
-                stats.arcs_removed += 1;
-            }
-        }
-    }
+    // The fate of every edge is its role under the binding rule, read
+    // against the *trimmed* interfaces: an edge survives when it binds a
+    // still-declared input, or when its consumer has no program (nothing
+    // known about its reads — keep).
+    let bindings = Bindings::resolve(flat, |name| trimmed.get(name).map(Program::interface));
+    let keep = |e: EdgeId| !matches!(bindings.role(e), EdgeRole::Dead | EdgeRole::Shadowed);
+    stats.arcs_removed = g.edge_ids().filter(|&e| !keep(e)).count();
 
     // Rebuild the graph: same tasks in the same order (ids are stable),
     // surviving edges in their original order.
@@ -133,31 +121,29 @@ pub fn eliminate_dead(
         }
     }
     for (e, edge) in g.edges() {
-        if keep[e.index()] {
+        if keep(e) {
             out.add_edge(edge.src, edge.dst, edge.volume, edge.label.clone())
                 .map_err(OptError::Graph)?;
         }
     }
 
     // Input ports keep only readers whose program still declares the
-    // variable and still receives it externally (no surviving arc feeds
-    // it). Ports with no readers left disappear.
+    // variable and still receives it externally. Ports with no readers
+    // left disappear.
     let mut inputs: Vec<ExternalPort> = Vec::new();
     for port in &flat.inputs {
-        let readers: Vec<_> = port
+        let reads_externally = |t: TaskId| {
+            let (Some(name), Some(row)) = (g.task(t).program.as_deref(), bindings.row(t)) else {
+                return true;
+            };
+            let mut sources = trimmed[name].inputs.iter().zip(row);
+            sources.any(|(v, source)| *v == port.var && matches!(source, Source::External(_)))
+        };
+        let readers: Vec<TaskId> = port
             .tasks
             .iter()
             .copied()
-            .filter(|&t| {
-                let Some(p) = g.task(t).program.as_deref().map(|n| &trimmed[n]) else {
-                    return true;
-                };
-                p.inputs.contains(&port.var)
-                    && !out
-                        .in_edges(t)
-                        .iter()
-                        .any(|&e| out.edge(e).label == port.var)
-            })
+            .filter(|&t| reads_externally(t))
             .collect();
         if readers.is_empty() {
             stats.ports_removed += 1;

@@ -39,6 +39,7 @@ use banger_calc::ast::{Facts, Program};
 use banger_calc::library::ProgramLibrary;
 use banger_calc::transform::{rename_vars, splice_programs};
 use banger_sched::grain;
+use banger_taskgraph::binding::{Bindings, Source};
 use banger_taskgraph::hierarchy::{ExternalPort, Flattened};
 use banger_taskgraph::{TaskGraph, TaskId};
 
@@ -61,25 +62,6 @@ pub struct FuseStats {
     pub estimated_pt_after: f64,
 }
 
-/// Where a task's input variable comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Source {
-    /// No in-arc carries the name: bound externally per firing.
-    External,
-    /// Produced by this task's first in-arc labelled with the name.
-    Internal(TaskId),
-}
-
-/// The router binds an input from the first in-edge carrying its name.
-fn source_of(g: &TaskGraph, t: TaskId, var: &str) -> Source {
-    for &e in g.in_edges(t) {
-        if g.edge(e).label == var {
-            return Source::Internal(g.edge(e).src);
-        }
-    }
-    Source::External
-}
-
 /// A fused cluster ready to be installed in the rewritten graph.
 struct Plan {
     members: Vec<TaskId>,
@@ -94,6 +76,7 @@ struct Plan {
 fn plan_cluster(
     g: &TaskGraph,
     lib: &ProgramLibrary,
+    bindings: &Bindings,
     members: &[TaskId],
     in_cluster: &dyn Fn(TaskId) -> bool,
     outputs: &[ExternalPort],
@@ -106,6 +89,15 @@ fn plan_cluster(
     if facts.iter().any(|f| f.prints) {
         return None;
     }
+    // Each member's declared inputs beside where the binding rule takes
+    // them from.
+    let sources = |k: usize| {
+        let row = bindings.row(members[k]).expect("the member has a program");
+        progs[k].inputs.iter().zip(row.iter().copied())
+    };
+    let imports_externally = |k: usize, var: &String| {
+        sources(k).any(|(v, src)| v == var && matches!(src, Source::External(_)))
+    };
 
     let is_output_port =
         |t: TaskId, var: &str| outputs.iter().any(|p| p.var == var && p.tasks.contains(&t));
@@ -121,12 +113,11 @@ fn plan_cluster(
     // value (identical source).
     let mut pinned_inputs: BTreeMap<String, Option<TaskId>> = BTreeMap::new();
     let mut pinned_input_order: Vec<String> = Vec::new();
-    for (&m, prog) in members.iter().zip(&progs) {
-        for v in &prog.inputs {
-            let src = source_of(g, m, v);
+    for k in 0..members.len() {
+        for (v, src) in sources(k) {
             let boundary = match src {
-                Source::External => None,
-                Source::Internal(p) => {
+                Source::External(_) => None,
+                Source::Arc { src: p, .. } => {
                     if in_cluster(p) {
                         continue;
                     }
@@ -173,34 +164,21 @@ fn plan_cluster(
     // Mutation hazards: a member writing an input variable (assigning
     // it or storing into it) mutates the merged variable in place; reject
     // when the original value had any other observer.
-    for ((&m, prog), facts) in members.iter().zip(&progs).zip(&facts) {
-        for v in &prog.inputs {
+    for (k, facts) in facts.iter().enumerate() {
+        for (v, src) in sources(k) {
             if facts.written(v).is_none() {
                 continue;
             }
-            match source_of(g, m, v) {
-                Source::External => {
-                    let shared = members.iter().zip(&progs).any(|(&m2, p2)| {
-                        m2 != m && p2.inputs.contains(v) && source_of(g, m2, v) == Source::External
-                    });
-                    if shared {
-                        return None;
-                    }
+            let mut others = (0..members.len()).filter(|&k2| k2 != k);
+            let hazard = match src {
+                Source::External(_) => others.any(|k2| imports_externally(k2, v)),
+                Source::Arc { src: p, .. } if in_cluster(p) => {
+                    out_label_count(p, v) > 1 || is_output_port(p, v)
                 }
-                Source::Internal(p) if in_cluster(p) => {
-                    if out_label_count(p, v) > 1 || is_output_port(p, v) {
-                        return None;
-                    }
-                }
-                Source::Internal(_) => {
-                    let shared = members
-                        .iter()
-                        .zip(&progs)
-                        .any(|(&m2, p2)| m2 != m && p2.inputs.contains(v));
-                    if shared {
-                        return None;
-                    }
-                }
+                Source::Arc { .. } => others.any(|k2| progs[k2].inputs.contains(v)),
+            };
+            if hazard {
+                return None;
             }
         }
     }
@@ -225,11 +203,11 @@ fn plan_cluster(
     };
     let mut spliced_name: BTreeMap<(TaskId, String), String> = BTreeMap::new();
     let mut renamed: Vec<Program> = Vec::with_capacity(members.len());
-    for (&m, prog) in members.iter().zip(&progs) {
+    for (k, (&m, prog)) in members.iter().zip(&progs).enumerate() {
         let mut map: BTreeMap<String, String> = BTreeMap::new();
-        for v in &prog.inputs {
-            match source_of(g, m, v) {
-                Source::Internal(p) if in_cluster(p) => {
+        for (v, src) in sources(k) {
+            match src {
+                Source::Arc { src: p, .. } if in_cluster(p) => {
                     map.insert(v.clone(), spliced_name[&(p, v.clone())].clone());
                 }
                 _ => {
@@ -304,13 +282,14 @@ pub fn fuse_with(
     for &t in &topo {
         members_of.entry(cluster_of[t.index()]).or_default().push(t);
     }
+    let bindings = Bindings::resolve(flat, |name| lib.interface(name));
     let mut plans: BTreeMap<usize, Plan> = BTreeMap::new();
     for (&c, members) in &members_of {
         if members.len() < 2 {
             continue;
         }
         let in_cluster = |t: TaskId| cluster_of[t.index()] == c;
-        match plan_cluster(g, lib, members, &in_cluster, &flat.outputs) {
+        match plan_cluster(g, lib, &bindings, members, &in_cluster, &flat.outputs) {
             Some(plan) => {
                 plans.insert(c, plan);
                 stats.clusters_fused += 1;
@@ -382,7 +361,7 @@ pub fn fuse_with(
 
     // Inter-group edges, deduplicated by (src, dst, label) with the
     // maximum volume, in first-occurrence order (which preserves the
-    // router's first-edge-wins binding for unfused consumers). Edges
+    // binding rule's first-edge-wins for unfused consumers). Edges
     // into a fused group survive only when they carry one of its pinned
     // internal inputs from the planned producer's group — anything else
     // (dead labels, shadowed duplicates) would hijack a binding.

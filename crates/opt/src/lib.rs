@@ -9,7 +9,7 @@
 //! the flattened task graph:
 //!
 //! - [`dce::eliminate_dead`] — drops arcs whose label feeds no program
-//!   input, duplicate-label arcs the router would ignore anyway, and
+//!   input, duplicate-label arcs the binding rule shadows anyway, and
 //!   input declarations no statement ever reads. Outcome-preserving
 //!   (values *and* total interpreter ops are byte-identical).
 //! - [`fuse::fuse`] — lifts the scheduler's grain-packing decision

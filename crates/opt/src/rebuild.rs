@@ -6,8 +6,8 @@
 //! consumes hierarchical designs. This module closes the loop: the flat
 //! graph becomes a single-level design whose storage nodes are exactly
 //! the external ports. Flattening the rebuilt design reproduces the
-//! optimised graph with task and arc order preserved, so the router's
-//! first-edge-wins input bindings are unchanged.
+//! optimised graph with task and arc order preserved, so it resolves to
+//! the same bindings (`banger_taskgraph::binding`).
 
 use std::collections::BTreeMap;
 

@@ -163,126 +163,6 @@ pub fn pack(g: &TaskGraph) -> Result<Packing, GraphError> {
     })
 }
 
-/// The result of linear clustering: a cluster id per task. Unlike
-/// [`Packing`], no contracted graph is built — contracting a *path*
-/// cluster of a DAG can create cycles (think of one branch of a diamond),
-/// so linear clusters are used as a **processor assignment**, via
-/// [`schedule_clusters`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinearClusters {
-    /// `cluster_of[t]` = cluster index of task `t` (dense, in discovery
-    /// order — cluster 0 is the heaviest path).
-    pub cluster_of: Vec<usize>,
-    /// Number of clusters.
-    pub count: usize,
-    /// Estimated parallel time of the clustering (unbounded processors).
-    pub estimated_pt: f64,
-}
-
-/// Linear clustering (Kim & Browne 1988): repeatedly take the heaviest
-/// remaining computation+communication path among unclustered tasks and
-/// make it one linear cluster, until every task is clustered.
-pub fn linear_cluster(g: &TaskGraph) -> Result<LinearClusters, GraphError> {
-    let n = g.task_count();
-    let order = g.topo_order()?;
-    let mut cluster_of: Vec<Option<usize>> = vec![None; n];
-    let mut next_cluster = 0usize;
-
-    // Repeat: find the heaviest path through *unclustered* tasks (comm
-    // counts between consecutive unclustered tasks), make it a cluster.
-    loop {
-        let mut best_finish = f64::NEG_INFINITY;
-        let mut best_end: Option<TaskId> = None;
-        let mut finish = vec![f64::NEG_INFINITY; n];
-        let mut from: Vec<Option<TaskId>> = vec![None; n];
-        for &t in &order {
-            if cluster_of[t.index()].is_some() {
-                continue;
-            }
-            let mut start = 0.0f64;
-            let mut via = None;
-            for &e in g.in_edges(t) {
-                let edge = g.edge(e);
-                if cluster_of[edge.src.index()].is_some() {
-                    continue;
-                }
-                let cand = finish[edge.src.index()] + edge.volume;
-                if cand > start {
-                    start = cand;
-                    via = Some(edge.src);
-                }
-            }
-            finish[t.index()] = start + g.task(t).weight;
-            from[t.index()] = via;
-            if finish[t.index()] > best_finish {
-                best_finish = finish[t.index()];
-                best_end = Some(t);
-            }
-        }
-        let Some(mut cur) = best_end else { break };
-        let c = next_cluster;
-        next_cluster += 1;
-        loop {
-            cluster_of[cur.index()] = Some(c);
-            match from[cur.index()] {
-                Some(p) => cur = p,
-                None => break,
-            }
-        }
-    }
-
-    let cluster_of: Vec<usize> = cluster_of.into_iter().map(|c| c.unwrap_or(0)).collect();
-    let estimated_pt = estimate_pt_ordered(g, &order, &cluster_of);
-    Ok(LinearClusters {
-        count: next_cluster.max(usize::from(n > 0)),
-        cluster_of,
-        estimated_pt,
-    })
-}
-
-/// Schedules `g` on `m` with a **fixed processor assignment**: cluster `c`
-/// lives on processor `c % P` (wrap mapping), and tasks run in b-level
-/// list order at the earliest feasible slot on their assigned processor.
-/// This is the cluster-then-map pipeline linear clustering was designed
-/// for.
-pub fn schedule_clusters(
-    g: &TaskGraph,
-    m: &banger_machine::Machine,
-    clusters: &LinearClusters,
-) -> crate::schedule::Schedule {
-    use crate::engine::{CommModel, Engine};
-    let a = banger_taskgraph::analysis::GraphAnalysis::analyze(g);
-    let nprocs = m.processors();
-    let mut eng = Engine::new("linear-cluster", g, m, CommModel::Analytic);
-    let mut remaining: Vec<usize> = g.task_ids().map(|t| g.in_degree(t)).collect();
-    let mut ready: Vec<TaskId> = g
-        .task_ids()
-        .filter(|&t| remaining[t.index()] == 0)
-        .collect();
-    while !ready.is_empty() {
-        let (pos, &t) = ready
-            .iter()
-            .enumerate()
-            .max_by(|(_, x), (_, y)| {
-                a.b_level[x.index()]
-                    .total_cmp(&a.b_level[y.index()])
-                    .then(y.0.cmp(&x.0))
-            })
-            .unwrap();
-        ready.swap_remove(pos);
-        let proc = banger_machine::ProcId((clusters.cluster_of[t.index()] % nprocs) as u32);
-        eng.commit(t, proc);
-        for s in g.successors(t) {
-            let r = &mut remaining[s.index()];
-            *r -= 1;
-            if *r == 0 {
-                ready.push(s);
-            }
-        }
-    }
-    eng.finish()
-}
-
 /// True when contracting each cluster to one node leaves a DAG.
 fn clustering_is_acyclic(g: &TaskGraph, cluster_of: &[usize]) -> bool {
     // Kahn over the contracted multigraph.
@@ -337,7 +217,6 @@ mod tests {
             Err(GraphError::Cycle(_))
         ));
         assert!(matches!(pack(&g), Err(GraphError::Cycle(_))));
-        assert!(matches!(linear_cluster(&g), Err(GraphError::Cycle(_))));
     }
 
     #[test]
@@ -416,99 +295,5 @@ mod tests {
         let p = pack(&g).unwrap();
         assert_eq!(p.packed.task_count(), 0);
         assert_eq!(p.estimated_pt, 0.0);
-        let lc = linear_cluster(&g).unwrap();
-        assert_eq!(lc.count, 0);
-        assert!(lc.cluster_of.is_empty());
-    }
-
-    #[test]
-    fn linear_clusters_are_paths() {
-        use std::collections::BTreeMap;
-        for g in [
-            generators::gauss_elimination(5, 2.0, 3.0),
-            generators::lattice(4, 4, 1.0, 4.0),
-            generators::fft(8, 2.0, 3.0),
-        ] {
-            let lc = linear_cluster(&g).unwrap();
-            assert_eq!(lc.cluster_of.len(), g.task_count());
-            // Every cluster must be a path: within the cluster, at most one
-            // predecessor and one successor per task stay in-cluster.
-            let mut in_deg: BTreeMap<(usize, u32), usize> = BTreeMap::new();
-            let mut out_deg: BTreeMap<(usize, u32), usize> = BTreeMap::new();
-            for (_, e) in g.edges() {
-                let (cs, cd) = (lc.cluster_of[e.src.index()], lc.cluster_of[e.dst.index()]);
-                if cs == cd {
-                    *out_deg.entry((cs, e.src.0)).or_default() += 1;
-                    *in_deg.entry((cd, e.dst.0)).or_default() += 1;
-                }
-            }
-            for (&k, &d) in &in_deg {
-                assert!(d <= 1, "{}: task {k:?} has {d} in-cluster preds", g.name());
-            }
-            for (&k, &d) in &out_deg {
-                assert!(d <= 1, "{}: task {k:?} has {d} in-cluster succs", g.name());
-            }
-        }
-    }
-
-    #[test]
-    fn cluster_zero_is_the_critical_path() {
-        let g = generators::chain(5, 3.0, 2.0);
-        let lc = linear_cluster(&g).unwrap();
-        assert_eq!(lc.count, 1, "a chain is one path");
-        assert!(lc.cluster_of.iter().all(|&c| c == 0));
-        assert_eq!(lc.estimated_pt, 15.0);
-    }
-
-    #[test]
-    fn schedule_clusters_is_valid_and_respects_assignment() {
-        use banger_machine::{Machine, MachineParams, Topology};
-        let g = generators::lattice(4, 4, 2.0, 5.0);
-        let m = Machine::new(Topology::fully_connected(4), MachineParams::default());
-        let lc = linear_cluster(&g).unwrap();
-        let s = schedule_clusters(&g, &m, &lc);
-        s.validate(&g, &m).unwrap();
-        for p in s.placements() {
-            assert_eq!(
-                p.proc.index(),
-                lc.cluster_of[p.task.index()] % m.processors(),
-                "task {} must sit on its cluster's processor",
-                p.task
-            );
-        }
-        // The diamond-contraction case that breaks graph contraction must
-        // still schedule fine under assignment-based clustering.
-        let mut d = TaskGraph::new("diamond");
-        let a = d.add_task("a", 1.0);
-        let b = d.add_task("b", 5.0);
-        let c = d.add_task("c", 1.0);
-        let e = d.add_task("d", 1.0);
-        d.add_edge(a, b, 10.0, "x").unwrap();
-        d.add_edge(a, c, 1.0, "y").unwrap();
-        d.add_edge(b, e, 10.0, "u").unwrap();
-        d.add_edge(c, e, 1.0, "v").unwrap();
-        let lcd = linear_cluster(&d).unwrap();
-        let sd = schedule_clusters(&d, &m, &lcd);
-        sd.validate(&d, &m).unwrap();
-    }
-
-    #[test]
-    fn linear_clustering_wins_when_compute_dominates() {
-        use banger_machine::{Machine, MachineParams, Topology};
-        // Compute-heavy lattice: keeping each heavy path local while
-        // spreading independent paths beats serial comfortably. (On
-        // communication-dominated graphs wrap mapping can lose to serial —
-        // that is the known cost of fixed cluster assignment.)
-        let g = generators::lattice(5, 5, 8.0, 1.0);
-        let m = Machine::new(Topology::fully_connected(4), MachineParams::default());
-        let lc = linear_cluster(&g).unwrap();
-        let s = schedule_clusters(&g, &m, &lc);
-        let serial = crate::list::serial(&g, &m);
-        assert!(
-            s.makespan() < 0.8 * serial.makespan(),
-            "clustered {} vs serial {}",
-            s.makespan(),
-            serial.makespan()
-        );
     }
 }

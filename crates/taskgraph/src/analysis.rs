@@ -95,18 +95,6 @@ impl GraphAnalysis {
         }
     }
 
-    /// Tasks on the communication-inclusive critical path, i.e. those whose
-    /// `t_level + b_level` equals the critical path length (within `eps`).
-    pub fn critical_tasks(&self, eps: f64) -> Vec<TaskId> {
-        self.topo
-            .iter()
-            .copied()
-            .filter(|t| {
-                (self.t_level[t.index()] + self.b_level[t.index()] - self.cp_length).abs() <= eps
-            })
-            .collect()
-    }
-
     /// Slack of each task: `alap - t_level`; zero for critical tasks.
     pub fn slack(&self) -> Vec<f64> {
         self.t_level
@@ -263,15 +251,6 @@ mod tests {
         assert_eq!(a.alap, vec![0.0, 9.0, 3.0, 14.0]);
         let slack = a.slack();
         assert_eq!(slack, vec![0.0, 3.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn critical_tasks_follow_cp() {
-        let g = fork_join();
-        let a = GraphAnalysis::analyze(&g);
-        let crit = a.critical_tasks(1e-9);
-        let names: Vec<&str> = crit.iter().map(|&t| g.task(t).name.as_str()).collect();
-        assert_eq!(names, vec!["a", "c", "d"]);
     }
 
     #[test]

@@ -56,32 +56,8 @@ pub fn fork_join(width: usize, w_src: f64, w_mid: f64, w_sink: f64, v: f64) -> T
     g
 }
 
-/// An in-tree (reduction): `arity.pow(depth)` leaves reduced level by level
-/// to a single root. Task weight `w`, arc volume `v`.
-pub fn intree(depth: u32, arity: usize, w: f64, v: f64) -> TaskGraph {
-    assert!(arity >= 2, "reduction trees need arity >= 2");
-    let mut g = TaskGraph::new(format!("intree-{depth}x{arity}"));
-    let mut frontier: Vec<TaskId> = (0..arity.pow(depth))
-        .map(|i| g.add_task(format!("leaf{i}"), w))
-        .collect();
-    let mut level = 0;
-    while frontier.len() > 1 {
-        level += 1;
-        let mut next = Vec::with_capacity(frontier.len() / arity);
-        for (j, group) in frontier.chunks(arity).enumerate() {
-            let parent = g.add_task(format!("red{level}_{j}"), w);
-            for (k, &c) in group.iter().enumerate() {
-                g.add_edge(c, parent, v, format!("r{level}_{j}_{k}"))
-                    .unwrap();
-            }
-            next.push(parent);
-        }
-        frontier = next;
-    }
-    g
-}
-
-/// An out-tree (broadcast): mirror image of [`intree`].
+/// An out-tree (broadcast): `arity.pow(depth)` leaves fanned out level by
+/// level from a single root. Task weight `w`, arc volume `v`.
 pub fn outtree(depth: u32, arity: usize, w: f64, v: f64) -> TaskGraph {
     assert!(arity >= 2, "broadcast trees need arity >= 2");
     let mut g = TaskGraph::new(format!("outtree-{depth}x{arity}"));
@@ -647,17 +623,6 @@ mod tests {
         assert_eq!(g.edge_count(), 8);
         assert_eq!(analysis::width(&g), 4);
         assert_eq!(g.critical_path_length(), 12.0);
-    }
-
-    #[test]
-    fn intree_shape() {
-        let g = intree(3, 2, 1.0, 1.0);
-        // 8 leaves + 4 + 2 + 1 = 15 nodes, 14 edges
-        assert_eq!(g.task_count(), 15);
-        assert_eq!(g.edge_count(), 14);
-        assert_eq!(g.exit_tasks().len(), 1);
-        assert_eq!(g.entry_tasks().len(), 8);
-        assert!(g.is_dag());
     }
 
     #[test]

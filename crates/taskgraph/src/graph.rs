@@ -408,13 +408,6 @@ impl TaskGraph {
         path
     }
 
-    /// Scales every task weight by `f` (e.g. to model grain-size sweeps).
-    pub fn scale_weights(&mut self, f: f64) {
-        for t in &mut self.tasks {
-            t.weight *= f;
-        }
-    }
-
     /// Scales every edge volume by `f` (e.g. to sweep the CCR).
     pub fn scale_volumes(&mut self, f: f64) {
         for e in &mut self.edges {
@@ -572,9 +565,8 @@ mod tests {
     #[test]
     fn scaling() {
         let (mut g, _) = diamond();
-        g.scale_weights(2.0);
         g.scale_volumes(0.5);
-        assert_eq!(g.total_weight(), 20.0);
+        assert_eq!(g.total_weight(), 10.0);
         assert_eq!(g.total_volume(), 2.0);
     }
 

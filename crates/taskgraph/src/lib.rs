@@ -17,6 +17,11 @@
 //! * [`graph::TaskGraph`] — the flat weighted DAG the scheduler consumes,
 //!   produced by [`hierarchy::HierGraph::flatten`].
 //!
+//! [`binding`] owns the rule that joins the two languages — which arc
+//! supplies which declared input of a task's PITS program — resolved once
+//! per flattened design into the table the executor, the code generators
+//! and the optimizer read.
+//!
 //! The crate also contains graph [`analysis`] (topological order, critical
 //! path, t-/b-levels, parallelism profile), workload [`generators`] used by
 //! the benchmark harness (the paper's LU decomposition design of Figure 1
@@ -40,6 +45,7 @@
 //! ```
 
 pub mod analysis;
+pub mod binding;
 pub mod dot;
 pub mod error;
 pub mod generators;

@@ -780,6 +780,71 @@ fn check_reports_body_safety_errors_and_exits_nonzero() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A declared input that neither an arc nor `-i` supplies is refused by
+/// every verb that binds it — the generators used to emit a program that
+/// computed with zero where `run` refused.
+#[test]
+fn an_unsupplied_input_is_refused_by_run_and_both_generators_alike() {
+    let path = std::env::temp_dir().join("banger_cli_test_unbound.bang");
+    std::fs::write(
+        &path,
+        "project unbound\n\
+         \n\
+         machine full:2\n\
+         \x20 speed 1\n\
+         \x20 process-startup 0.1\n\
+         \x20 msg-startup 0.5\n\
+         \x20 rate 8\n\
+         end\n\
+         \n\
+         design\n\
+         \x20 storage a 1\n\
+         \x20 task first 10 prog First\n\
+         \x20 task second 10 prog Second\n\
+         \x20 storage y 1\n\
+         \x20 arc a -> first\n\
+         \x20 arc first -> second label x vol 1\n\
+         \x20 arc second -> y\n\
+         end\n\
+         \n\
+         begin-program\n\
+         task First\n\
+         \x20 in a\n\
+         \x20 out x\n\
+         begin\n\
+         \x20 x := a + 1\n\
+         end\n\
+         end-program\n\
+         \n\
+         begin-program\n\
+         task Second\n\
+         \x20 in x, k\n\
+         \x20 out y\n\
+         begin\n\
+         \x20 y := x * k\n\
+         end\n\
+         end-program\n",
+    )
+    .unwrap();
+    let file = path.to_str().unwrap();
+    for verb in [vec!["run"], vec!["codegen", "rust"], vec!["codegen", "c"]] {
+        let (head, lang) = verb.split_at(1);
+        let args = |extra: &[&'static str]| [head, &[file], lang, &["-i", "a=1"], extra].concat();
+        let refused = banger().args(args(&[])).output().unwrap();
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert_eq!(refused.status.code(), Some(1), "{verb:?}: {stderr}");
+        assert!(
+            stderr.contains("task \"second\": input \"k\" has no producer"),
+            "{verb:?}: {stderr}"
+        );
+        assert!(refused.stdout.is_empty(), "{verb:?} printed a product");
+        let supplied = banger().args(args(&["-i", "k=2"])).output().unwrap();
+        assert!(supplied.status.success(), "{verb:?} with k supplied");
+        assert!(!supplied.stdout.is_empty());
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// Kills the daemon child on drop so a failing assertion cannot leak a
 /// background process into the test runner.
 #[cfg(unix)]

@@ -14,6 +14,8 @@
 
 #[path = "support/absint_gen.rs"]
 mod absint_gen;
+#[path = "support/golden.rs"]
+mod golden;
 
 use banger::{parse_project, Project};
 use banger_analyze::absint::seeded_analyses;
@@ -23,6 +25,8 @@ use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+const GOLDEN: &str = "absint_analysis.txt";
 
 const GENERATED: u64 = 512;
 /// Below the statement count of most generated programs: loops are
@@ -61,10 +65,6 @@ const HANDWRITTEN: &[&str] = &[
     "task T out x local a, b, c, d, e, f, i begin a := 0 b := 0 c := 0 d := 0 e := 0 f := 0 \
      for i := 1 to 1000000 do f := e e := d d := c c := b b := a a := a + 1 end x := f end",
 ];
-
-fn golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/absint_analysis.txt")
-}
 
 fn dump_analysis(out: &mut String, label: &str, a: &Analysis) {
     let c = a.cost;
@@ -240,29 +240,11 @@ fn corpus_dump() -> String {
 
 #[test]
 fn analysis_of_the_fixed_corpus_is_byte_identical_to_the_golden_dump() {
-    let want = std::fs::read_to_string(golden_path()).expect("tests/golden/absint_analysis.txt");
-    let got = corpus_dump();
-    if got != want {
-        let line = got
-            .lines()
-            .zip(want.lines())
-            .position(|(g, w)| g != w)
-            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
-        panic!(
-            "analysis dump differs from the golden at line {}:\n  got:  {:?}\n  want: {:?}",
-            line + 1,
-            got.lines().nth(line),
-            want.lines().nth(line)
-        );
-    }
+    golden::assert_matches(GOLDEN, &corpus_dump());
 }
 
-/// Rewrites the golden dump from this build. By hand, and only when the
-/// analyzer's *behaviour* is meant to change.
 #[test]
-#[ignore = "rewrites the checked-in golden dump"]
+#[ignore = "rewrites the checked-in golden file"]
 fn regenerate_golden() {
-    let path = golden_path();
-    std::fs::create_dir_all(path.parent().unwrap()).expect("create tests/golden");
-    std::fs::write(&path, corpus_dump()).expect("write the golden dump");
+    golden::regenerate(GOLDEN, &corpus_dump());
 }

@@ -14,6 +14,8 @@
 
 #[path = "support/designs.rs"]
 mod designs;
+#[path = "support/golden.rs"]
+mod golden;
 
 use banger::lu::lu_program_library;
 use banger::parse_project;
@@ -23,9 +25,7 @@ use banger_taskgraph::{generators, HierGraph, HierNodeId};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-fn golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/flatten.txt")
-}
+const GOLDEN: &str = "flatten.txt";
 
 fn dump(out: &mut String, label: &str, design: &HierGraph, library: &ProgramLibrary) {
     let _ = writeln!(out, "== {label}");
@@ -248,29 +248,11 @@ fn corpus_dump() -> String {
 
 #[test]
 fn flatten_and_diagnose_of_the_fixed_corpus_are_byte_identical_to_the_golden_dump() {
-    let want = std::fs::read_to_string(golden_path()).expect("tests/golden/flatten.txt");
-    let got = corpus_dump();
-    if got != want {
-        let line = got
-            .lines()
-            .zip(want.lines())
-            .position(|(g, w)| g != w)
-            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
-        panic!(
-            "flatten dump differs from the golden at line {}:\n  got:  {:?}\n  want: {:?}",
-            line + 1,
-            got.lines().nth(line),
-            want.lines().nth(line)
-        );
-    }
+    golden::assert_matches(GOLDEN, &corpus_dump());
 }
 
-/// Rewrites the golden dump from this build. By hand, and only when the
-/// walk's *behaviour* is meant to change.
 #[test]
-#[ignore = "rewrites the checked-in golden dump"]
+#[ignore = "rewrites the checked-in golden file"]
 fn regenerate_golden() {
-    let path = golden_path();
-    std::fs::create_dir_all(path.parent().unwrap()).expect("create tests/golden");
-    std::fs::write(&path, corpus_dump()).expect("write the golden dump");
+    golden::regenerate(GOLDEN, &corpus_dump());
 }

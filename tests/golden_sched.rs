@@ -18,12 +18,16 @@
 //! out: there the slot search lets tasks share a processor, and the
 //! engine's debug assertion says so.
 
+#[path = "support/golden.rs"]
+mod golden;
+
 use banger_machine::{Machine, MachineParams, SwitchingMode, Topology};
 use banger_sched::Schedule;
 use banger_taskgraph::analysis::GraphAnalysis;
 use banger_taskgraph::generators::layered_random;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+
+const GOLDEN: &str = "sched_placements.txt";
 
 const HEURISTICS: [&str; 8] = ["serial", "naive", "HLFET", "MCP", "ETF", "DLS", "MH", "DSH"];
 
@@ -80,10 +84,6 @@ fn placement_hash(s: &Schedule) -> u64 {
     banger::serve::content_hash(&bytes)
 }
 
-fn golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sched_placements.txt")
-}
-
 fn dump() -> String {
     let machines = machines();
     let mut out = String::new();
@@ -108,30 +108,11 @@ fn dump() -> String {
 
 #[test]
 fn placements_of_every_heuristic_are_bit_identical_to_the_golden_hashes() {
-    let want = std::fs::read_to_string(golden_path()).expect("tests/golden/sched_placements.txt");
-    let got = dump();
-    let differing: Vec<String> = got
-        .lines()
-        .zip(want.lines())
-        .filter(|(g, w)| g != w)
-        .map(|(g, w)| format!("  got:  {g}\n  want: {w}"))
-        .collect();
-    assert!(
-        differing.is_empty() && got.lines().count() == want.lines().count(),
-        "{} of {} schedules differ from the golden ({} golden lines):\n{}",
-        differing.len(),
-        got.lines().count(),
-        want.lines().count(),
-        differing.join("\n")
-    );
+    golden::assert_matches(GOLDEN, &dump());
 }
 
-/// Rewrites the golden hashes from this build. By hand, and only when a
-/// heuristic's *placements* are meant to change.
 #[test]
-#[ignore = "rewrites the checked-in golden hashes"]
+#[ignore = "rewrites the checked-in golden file"]
 fn regenerate_golden() {
-    let path = golden_path();
-    std::fs::create_dir_all(path.parent().unwrap()).expect("create tests/golden");
-    std::fs::write(&path, dump()).expect("write the golden hashes");
+    golden::regenerate(GOLDEN, &dump());
 }
