@@ -93,11 +93,14 @@ fn seedings<'a>(
             declared.insert(sc.base.as_str(), sc.size);
         }
     }
-    // Which tasks read which storage classes (to seed their inputs).
-    let mut feeds: Vec<Vec<&str>> = vec![Vec::new(); view.tasks.len()];
-    for sc in &view.classes {
+    // Which storage classes each task reads (to seed its inputs), each
+    // once: the walk lists a reader per routed arc.
+    let mut feeds: Vec<Vec<usize>> = vec![Vec::new(); view.tasks.len()];
+    for (ci, sc) in view.classes.iter().enumerate() {
         for &r in &sc.readers {
-            feeds[r].push(sc.base.as_str());
+            if feeds[r].last() != Some(&ci) {
+                feeds[r].push(ci);
+            }
         }
     }
 
@@ -116,8 +119,9 @@ fn seedings<'a>(
         // Sizes are keyed by bit pattern: exact, and `Ord`.
         let mut signature: Vec<(&str, u64)> = feeds[t]
             .iter()
-            .filter(|base| prog.inputs.iter().any(|v| v == *base))
-            .filter_map(|base| declared.get(base).map(|size| (*base, size.to_bits())))
+            .map(|&ci| view.classes[ci].base.as_str())
+            .filter(|base| prog.inputs.iter().any(|v| v == base))
+            .filter_map(|base| declared.get(base).map(|size| (base, size.to_bits())))
             .collect();
         signature.sort();
         let key = (pname, signature);

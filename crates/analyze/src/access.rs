@@ -1,25 +1,23 @@
-//! The analyzer's reading of `HierGraph::expand`, the one hierarchy walk
-//! (it lives in `banger_taskgraph::hierarchy`; `HierGraph::flatten` is
-//! its strict reading). The walk drops an arc it cannot route and lists
-//! why; here each reason becomes a B020 / B021 [`Diagnostic`], so the
-//! later passes can still report everything else that is wrong with the
-//! design.
+//! The analyzer's reading of an `Expanded` design, the result of the one
+//! hierarchy walk (`HierGraph::expand` in `banger_taskgraph::hierarchy`;
+//! `Expanded::flatten` is its strict reading). Nothing here walks: the
+//! passes are handed the same `Expanded` the scheduler graph is projected
+//! from. The walk drops an arc it cannot route and lists why; here each
+//! reason becomes a B020 / B021 [`Diagnostic`], so the later passes can
+//! still report everything else that is wrong with the design.
 
 use crate::diag::{Code, Diagnostic, Location};
 use banger_taskgraph::hierarchy::{BindingFault, BindingProblem, Expanded};
-use banger_taskgraph::HierGraph;
 
-/// Expands `design` for the passes: every storage class's writers and
-/// readers deduplicated and sorted (the walk lists one per routed arc).
-pub fn flat_view(design: &HierGraph) -> Expanded {
-    let mut view = design.expand();
-    for class in &mut view.classes {
-        for tasks in [&mut class.writers, &mut class.readers] {
-            tasks.sort_unstable();
-            tasks.dedup();
-        }
-    }
-    view
+/// The distinct tasks of a storage class's `writers` or `readers`,
+/// ascending. The walk lists one task per routed arc, in route order,
+/// because `Expanded::flatten`'s edge ids follow that order; a pass that
+/// pairs tasks up wants each once.
+pub fn distinct(tasks: &[usize]) -> Vec<usize> {
+    let mut tasks = tasks.to_vec();
+    tasks.sort_unstable();
+    tasks.dedup();
+    tasks
 }
 
 /// Adjacency of the full precedence graph: direct arcs plus a
@@ -92,7 +90,7 @@ pub fn binding_diagnostic(problem: &BindingProblem) -> Diagnostic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use banger_taskgraph::HierNodeId;
+    use banger_taskgraph::{HierGraph, HierNodeId};
 
     #[test]
     fn storage_between_tasks_forms_a_class() {
@@ -102,7 +100,7 @@ mod tests {
         let b = g.add_task("b", 1.0);
         g.add_flow(a, s).unwrap();
         g.add_flow(s, b).unwrap();
-        let v = flat_view(&g);
+        let v = g.expand();
         assert_eq!(v.tasks.len(), 2);
         assert_eq!(v.classes.len(), 1);
         assert_eq!(v.classes[0].base, "s");
@@ -121,7 +119,7 @@ mod tests {
         let c = g.add_compound("C", inner);
         let t = g.add_task("t", 1.0);
         g.add_arc(t, c, "x", 1.0).unwrap();
-        let v = flat_view(&g);
+        let v = g.expand();
         assert_eq!(v.problems.len(), 1);
         let d = binding_diagnostic(&v.problems[0]);
         assert_eq!(d.code, Code::B020);
@@ -139,7 +137,7 @@ mod tests {
         g.bind_input(c, "x", HierNodeId(7)).unwrap();
         let t = g.add_task("t", 1.0);
         g.add_arc(t, c, "x", 1.0).unwrap();
-        let v = flat_view(&g);
+        let v = g.expand();
         assert!(
             v.problems
                 .iter()
@@ -163,7 +161,7 @@ mod tests {
         let r = g.add_task("r", 1.0);
         g.add_arc(c, s, "S", 0.0).unwrap();
         g.add_flow(s, r).unwrap();
-        let v = flat_view(&g);
+        let v = g.expand();
         assert_eq!(v.classes.len(), 1, "{:?}", v.classes);
         assert_eq!(v.classes[0].members.len(), 2);
         assert_eq!(v.classes[0].writers.len(), 1);

@@ -9,9 +9,12 @@
 //!
 //! The crate has no hierarchy walk of its own: every pass reads the
 //! `Expanded` design of `banger_taskgraph::HierGraph::expand`, the walk
-//! `HierGraph::flatten` is the strict reading of, so the scheduler graph
+//! `Expanded::flatten` is the strict reading of, so the scheduler graph
 //! and the diagnostics cannot disagree about what a design contains
 //! ([`access`] maps the walk's binding problems to `B020`/`B021`).
+//! [`diagnose_expanded`] is the entry for a caller that already holds
+//! the `Expanded` — `Project` hands in the one its flat graph is
+//! projected from — and [`diagnose`] walks for a caller that does not.
 //!
 //! Four pass families run over a hierarchical design:
 //!
@@ -64,4 +67,4 @@ pub use diag::{
     has_errors, render_json, render_report, render_text, sort_diagnostics, Code, Diagnostic,
     Location, Severity,
 };
-pub use passes::diagnose;
+pub use passes::{diagnose, diagnose_expanded};

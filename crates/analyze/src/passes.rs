@@ -6,7 +6,7 @@
 //! reads, assigns and index-stores, and where first — and the B04x checks
 //! come from the abstract interpreter through `crate::absint`.
 
-use crate::access::{adjacency, binding_diagnostic, flat_view};
+use crate::access::{adjacency, binding_diagnostic, distinct};
 use crate::diag::{sort_diagnostics, Code, Diagnostic, Location};
 use banger_calc::ast::Facts;
 use banger_calc::{Program, ProgramLibrary};
@@ -16,14 +16,21 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Runs every pass over `design` (checked against `library`) and returns
-/// the findings in stable presentation order.
+/// the findings in stable presentation order: [`diagnose_expanded`] on a
+/// walk of its own, for a caller that keeps none.
 pub fn diagnose(design: &HierGraph, library: &ProgramLibrary) -> Vec<Diagnostic> {
-    let view = flat_view(design);
+    diagnose_expanded(&design.expand(), library)
+}
+
+/// Runs every pass over an already expanded design. `Project` calls this
+/// with the `Expanded` its scheduler graph is projected from, so one
+/// snapshot walks its hierarchy once.
+pub fn diagnose_expanded(view: &Expanded, library: &ProgramLibrary) -> Vec<Diagnostic> {
     let mut diags = view.problems.iter().map(binding_diagnostic).collect();
-    races(&view, &mut diags);
-    interfaces(&view, library, &mut diags);
-    crate::absint::body_safety(&view, library, &mut diags);
-    hygiene(&view, &mut diags);
+    races(view, &mut diags);
+    interfaces(view, library, &mut diags);
+    crate::absint::body_safety(view, library, &mut diags);
+    hygiene(view, &mut diags);
     sort_diagnostics(&mut diags);
     diags
 }
@@ -76,9 +83,14 @@ fn races(view: &Expanded, diags: &mut Vec<Diagnostic>) {
         if sc.writers.len() < 2 {
             continue;
         }
+        // The walk lists a task once per routed arc; pair each up once.
+        let (writers, readers) = (distinct(&sc.writers), distinct(&sc.readers));
+        if writers.len() < 2 {
+            continue;
+        }
         // Write/write: two writers with no precedence path either way.
-        for (i, &w1) in sc.writers.iter().enumerate() {
-            for &w2 in &sc.writers[i + 1..] {
+        for (i, &w1) in writers.iter().enumerate() {
+            for &w2 in &writers[i + 1..] {
                 if !ordered(&full, w1, w2) {
                     diags.push(
                         Diagnostic::error(
@@ -107,10 +119,10 @@ fn races(view: &Expanded, diags: &mut Vec<Diagnostic>) {
         // this only applies to multi-writer items.
         let rest = reachability(
             &adjacency(view, Some(si)),
-            sc.readers.iter().chain(&sc.writers).copied(),
+            readers.iter().chain(&writers).copied(),
         );
-        for &r in &sc.readers {
-            for &w in &sc.writers {
+        for &r in &readers {
+            for &w in &writers {
                 if r != w && !ordered(&rest, r, w) {
                     diags.push(
                         Diagnostic::warning(
@@ -486,6 +498,31 @@ mod tests {
         assert!(b001[0].message.contains("`s`"), "{}", b001[0].message);
         // The unordered reads are also flagged.
         assert!(diags.iter().any(|d| d.code == Code::B002), "{diags:?}");
+    }
+
+    /// The walk lists a writer once per routed arc; a task that reaches a
+    /// storage item by two arcs is still one writer.
+    #[test]
+    fn a_task_writing_by_two_arcs_does_not_race_with_itself() {
+        let mut inner = HierGraph::new("inner");
+        let t = inner.add_task("t", 1.0);
+        let mut g = HierGraph::new("outer");
+        let c = g.add_compound("C", inner);
+        g.bind_output(c, "x", t).unwrap();
+        g.bind_output(c, "y", t).unwrap();
+        let s = g.add_storage("s", 1.0);
+        g.add_arc(c, s, "x", 1.0).unwrap();
+        g.add_arc(c, s, "y", 1.0).unwrap();
+        assert_eq!(g.expand().classes[0].writers, vec![0, 0]);
+        let diags = diagnose(&g, &ProgramLibrary::new());
+        assert!(!codes(&diags).contains(&Code::B001), "{diags:?}");
+
+        // A second writer races with it once.
+        let w = g.add_task("w", 1.0);
+        g.add_flow(w, s).unwrap();
+        let diags = diagnose(&g, &ProgramLibrary::new());
+        let b001 = codes(&diags).iter().filter(|&&c| c == Code::B001).count();
+        assert_eq!(b001, 1, "{diags:?}");
     }
 
     #[test]

@@ -306,7 +306,7 @@ pub fn ablation_grain() -> String {
 /// scheduled LU 3x3 design and report their sizes.
 pub fn codegen_report() -> String {
     let m = Machine::new(Topology::hypercube(2), figures::figure3_params());
-    let mut project = figures::lu_project(3, m);
+    let project = figures::lu_project(3, m);
     let schedule = project.schedule("MH").expect("schedules");
     let (a, b) = banger::lu::test_system(3);
     let inputs = banger::lu::lu_inputs(&a, &b);

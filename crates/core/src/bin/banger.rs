@@ -54,8 +54,10 @@
 //!
 //! Exit codes: 0 success (warnings allowed), 1 operational failure or
 //! error-severity diagnostics, 2 usage errors (unknown subcommand, missing
-//! arguments). A reader that closes the pipe early (`| head -1`) changes
-//! none of them: see `put`.
+//! arguments, an option without its value or with a malformed one, an
+//! operand the verb does not take): one line on stderr, nothing on
+//! stdout, no request made. A reader that closes the pipe early
+//! (`| head -1`) changes none of them: see `put`.
 
 use banger::serve::{ops, ProjectStore, Request, Response};
 use banger_calc::Value;
@@ -152,7 +154,8 @@ fn main() {
         ));
         exit(2);
     };
-    let req = build_request(command, path, &args[2..]).unwrap_or_else(|e| die(&e));
+    let req =
+        build_request(command, path, &args[2..]).unwrap_or_else(|(code, msg)| fail(code, &msg));
     let local = || ops::handle(&ProjectStore::new(), &req);
     let resp = match &connect {
         None => local(),
@@ -331,16 +334,22 @@ fn finish(resp: &Response) -> i32 {
 }
 
 fn die(msg: &str) -> ! {
-    say(&format!("banger: {msg}"));
-    exit(1)
+    fail(1, msg)
 }
 
-/// Parses the options after `<command> <file>` into a request. The
-/// project path goes absolute, and `-s` is read here, because a daemon
-/// has another working directory; the handler opens nothing but the
-/// project. Anything that is not an option of the command is a
-/// positional operand.
-fn build_request(command: &str, path: &str, rest: &[String]) -> Result<Request, String> {
+fn fail(code: i32, msg: &str) -> ! {
+    say(&format!("banger: {msg}"));
+    exit(code)
+}
+
+/// Parses the options after `<command> <file>` into a request, or says
+/// why not as `(exit code, message)`: a usage error, 2, unless it is the
+/// `-s` file that cannot be read. The project path goes absolute, and
+/// `-s` is read here, because a daemon has another working directory; the
+/// handler opens nothing but the project. Only `trial`, `codegen` and
+/// `parallelize` take positional operands.
+fn build_request(command: &str, path: &str, rest: &[String]) -> Result<Request, (i32, String)> {
+    let usage = |msg: String| (2, msg);
     let absolute = std::path::absolute(path)
         .ok()
         .and_then(|p| p.into_os_string().into_string().ok());
@@ -350,7 +359,7 @@ fn build_request(command: &str, path: &str, rest: &[String]) -> Result<Request, 
         let mut value = |what: &str| {
             rest.next()
                 .cloned()
-                .ok_or_else(|| format!("{arg} needs {what}"))
+                .ok_or_else(|| usage(format!("{arg} needs {what}")))
         };
         match (arg.as_str(), command) {
             ("-H", _) => req.heuristic = value("a heuristic name")?,
@@ -359,21 +368,22 @@ fn build_request(command: &str, path: &str, rest: &[String]) -> Result<Request, 
                 let pair = value("var=value")?;
                 let (var, val) = pair
                     .split_once('=')
-                    .ok_or_else(|| format!("bad input {pair:?} (want var=value)"))?;
-                req.inputs.insert(var.to_string(), parse_value(val)?);
+                    .ok_or_else(|| usage(format!("bad input {pair:?} (want var=value)")))?;
+                req.inputs
+                    .insert(var.to_string(), parse_value(val).map_err(usage)?);
             }
             ("-p", _) => {
                 let n = value("a processor budget")?;
                 let n = n
                     .parse()
-                    .map_err(|_| format!("bad processor budget {n:?} (want a number)"))?;
+                    .map_err(|_| usage(format!("bad processor budget {n:?} (want a number)")))?;
                 req.procs = Some(n);
             }
             ("--repeat", _) => {
                 let n = value("a count (e.g. --repeat 1000)")?;
                 let n = n
                     .parse()
-                    .map_err(|_| format!("--repeat needs a positive count, got {n:?}"))?;
+                    .map_err(|_| usage(format!("--repeat needs a positive count, got {n:?}")))?;
                 req.repeat = Some(n);
             }
             ("-t", _) => req.topologies = Some(value("spec,spec,...")?),
@@ -381,7 +391,7 @@ fn build_request(command: &str, path: &str, rest: &[String]) -> Result<Request, 
             ("-s", "verify") => {
                 let file = value("a schedule file")?;
                 let text = std::fs::read_to_string(&file)
-                    .map_err(|e| format!("cannot read {file}: {e}"))?;
+                    .map_err(|e| (1, format!("cannot read {file}: {e}")))?;
                 req.schedule = Some(text);
             }
             ("-o", "svg" | "save-schedule") => req.out = Some(value("an output location")?),
@@ -392,7 +402,8 @@ fn build_request(command: &str, path: &str, rest: &[String]) -> Result<Request, 
             ("--fuse", _) => req.fuse = true,
             ("--reference", _) => req.reference = true,
             ("--dot", _) => req.dot = true,
-            _ => req.args.push(arg.clone()),
+            (_, "trial" | "codegen" | "parallelize") => req.args.push(arg.clone()),
+            _ => return Err(usage(format!("{command} does not take {arg:?}"))),
         }
     }
     Ok(req)

@@ -557,7 +557,7 @@ end-program
 
     #[test]
     fn parses_and_executes() {
-        let mut p = parse_project(DOC).unwrap();
+        let p = parse_project(DOC).unwrap();
         assert_eq!(p.name(), "demo");
         assert_eq!(p.library().len(), 3);
         assert!(p.machine().is_some());
@@ -582,7 +582,7 @@ end-program
     fn the_unbound_port_help_is_a_line_the_document_grammar_accepts() {
         use banger_analyze::Code;
         let unbound = DOC.replace("  bind Work in lo double\n", "");
-        let mut broken = parse_project(&unbound).unwrap();
+        let broken = parse_project(&unbound).unwrap();
         let b020: Vec<_> = broken
             .diagnose()
             .iter()
@@ -595,7 +595,7 @@ end-program
         let line = help.split('`').nth(1).unwrap();
         let line = line.replace("<inner-node>", "double");
         let pasted = unbound.replace("  task merge", &format!("  {line}\n  task merge"));
-        let mut fixed = parse_project(&pasted).unwrap_or_else(|e| panic!("{e}\n---\n{pasted}"));
+        let fixed = parse_project(&pasted).unwrap_or_else(|e| panic!("{e}\n---\n{pasted}"));
         assert!(fixed.diagnose().iter().all(|d| d.code != Code::B020));
     }
 
@@ -732,7 +732,7 @@ end
     fn compound_nesting_is_capped_with_a_positioned_error() {
         // At the cap the document parses, and survives the recursive
         // walks behind it (printer, flatten, drop).
-        let mut p = parse_project(&nested_compounds(MAX_COMPOUND_DEPTH)).unwrap();
+        let p = parse_project(&nested_compounds(MAX_COMPOUND_DEPTH)).unwrap();
         assert_eq!(parse_project(&print_project(&p)).unwrap().name(), "deep");
         assert_eq!(p.flatten().unwrap().graph.task_count(), 1);
         // One level more names the line of the offending `compound` (two
@@ -759,7 +759,7 @@ end
             Machine::new(Topology::hypercube(2), MachineParams::default()),
         );
         let printed = print_project(&p);
-        let mut p2 = parse_project(&printed).unwrap_or_else(|e| panic!("{e}"));
+        let p2 = parse_project(&printed).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(p.design(), p2.design());
         // The reloaded project still solves Ax=b.
         let (a, b) = crate::lu::test_system(3);

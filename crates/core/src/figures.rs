@@ -236,7 +236,7 @@ pub fn lu_project(n: usize, machine: Machine) -> Project {
 /// reference solver; returns a one-line report. Used by `repro` to show
 /// that the reproduced environment is not just plumbing.
 pub fn lu_end_to_end(n: usize) -> String {
-    let mut p = lu_project(n, Machine::new(Topology::hypercube(2), figure3_params()));
+    let p = lu_project(n, Machine::new(Topology::hypercube(2), figure3_params()));
     let (a, b) = test_system(n);
     let report = p.run(&lu_inputs(&a, &b)).expect("LU executes");
     let got = report.outputs["x"].as_array("x").unwrap().to_vec();

@@ -33,7 +33,7 @@
 //! use banger_machine::{Machine, MachineParams, Topology};
 //!
 //! // The paper's running example: LU decomposition of a 3x3 system.
-//! let mut project = figures::lu_project(
+//! let project = figures::lu_project(
 //!     3,
 //!     Machine::new(Topology::hypercube(2), MachineParams::default()),
 //! );

@@ -6,6 +6,16 @@
 //! describes: *"draw a hierarchical dataflow graph ... define a target
 //! machine ... specify algorithms as small sequential tasks ... generate
 //! the code."*
+//!
+//! # The derivation chain
+//!
+//! Three facts are derived from the design and library, each computed at
+//! most once per edit behind `&self` (in `OnceLock`s): the one hierarchy
+//! walk ([`Project::expanded`]), then its strict reading
+//! ([`Project::flatten`]) and its tolerant one ([`Project::diagnose`]).
+//! Only the seven methods that change an input take `&mut self`, and those
+//! that change the design or library go through one private accessor that
+//! drops all three facts — the only reset there is (DESIGN.md §18).
 
 use crate::chart::SpeedupPoint;
 use crate::gantt;
@@ -16,11 +26,12 @@ use banger_exec::{execute, ExecError, ExecMode, ExecOptions, ExecReport, Session
 use banger_machine::{Machine, MachineParams, Topology};
 use banger_sched::{Schedule, ScheduleSummary};
 use banger_sim::{simulate, SimError, SimOptions, SimResult};
-use banger_taskgraph::hierarchy::Flattened;
+use banger_taskgraph::hierarchy::{Expanded, Flattened};
 use banger_taskgraph::{GraphError, HierGraph};
 use banger_trace::{DriftReport, Trace};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Project-level errors.
 #[derive(Debug)]
@@ -48,11 +59,6 @@ pub enum ProjectError {
     /// A graph-rewrite pass failed (see [`Project::optimize`] and
     /// [`Project::expand_task`]).
     Opt(banger_opt::OptError),
-    /// The cached flatten state was read before [`Project::flatten`]
-    /// populated it — a call-order slip inside this crate. Long-lived
-    /// consumers (the `serve` daemon) report this as a structured error
-    /// instead of panicking.
-    NotFlattened,
 }
 
 impl fmt::Display for ProjectError {
@@ -71,9 +77,6 @@ impl fmt::Display for ProjectError {
                 write!(f, "{}", banger_analyze::render_report(diags))
             }
             ProjectError::Opt(e) => write!(f, "optimizer error: {e}"),
-            ProjectError::NotFlattened => {
-                write!(f, "internal error: design not flattened before use")
-            }
         }
     }
 }
@@ -225,6 +228,16 @@ pub fn weight_rows_json(rows: &[WeightRow]) -> String {
     out
 }
 
+/// What a [`Project`] derives from its design and library, in dependency
+/// order: the walk, then its strict and its tolerant reading. Each is
+/// filled on first use; [`Project::edit`] drops all three.
+#[derive(Debug, Clone, Default)]
+struct Derived {
+    expanded: OnceLock<Expanded>,
+    flattened: OnceLock<Result<Flattened, GraphError>>,
+    diagnostics: OnceLock<Vec<Diagnostic>>,
+}
+
 /// A Banger project.
 #[derive(Debug, Clone)]
 pub struct Project {
@@ -232,8 +245,7 @@ pub struct Project {
     design: HierGraph,
     library: ProgramLibrary,
     machine: Option<Machine>,
-    flattened: Option<Flattened>,
-    diagnostics: Option<Vec<Diagnostic>>,
+    derived: Derived,
 }
 
 impl Project {
@@ -244,8 +256,7 @@ impl Project {
             design,
             library: ProgramLibrary::new(),
             machine: None,
-            flattened: None,
-            diagnostics: None,
+            derived: Derived::default(),
         }
     }
 
@@ -259,26 +270,32 @@ impl Project {
         &self.design
     }
 
-    /// Mutable design access; invalidates the flatten and diagnostics
-    /// caches.
-    pub fn design_mut(&mut self) -> &mut HierGraph {
-        self.flattened = None;
-        self.invalidate_diagnostics();
-        &mut self.design
-    }
-
     /// The PITS program library.
     pub fn library(&self) -> &ProgramLibrary {
         &self.library
     }
 
-    /// Mutable program library access; invalidates the diagnostics cache.
-    pub fn library_mut(&mut self) -> &mut ProgramLibrary {
-        self.invalidate_diagnostics();
-        &mut self.library
+    /// The one way to the design and the library for anything that
+    /// changes them: every derived fact is dropped first, so none can
+    /// outlive the inputs it was computed from.
+    fn edit(&mut self) -> (&mut HierGraph, &mut ProgramLibrary) {
+        self.derived = Derived::default();
+        (&mut self.design, &mut self.library)
     }
 
-    /// Defines the target machine (paper step 2).
+    /// Mutable design access; drops every derived fact.
+    pub fn design_mut(&mut self) -> &mut HierGraph {
+        self.edit().0
+    }
+
+    /// Mutable program library access; drops every derived fact.
+    pub fn library_mut(&mut self) -> &mut ProgramLibrary {
+        self.edit().1
+    }
+
+    /// Defines the target machine (paper step 2). Nothing derived reads
+    /// the machine — schedules, charts and simulations are computed per
+    /// call, not kept — so nothing is dropped.
     pub fn set_machine(&mut self, machine: Machine) {
         self.machine = Some(machine);
     }
@@ -288,49 +305,38 @@ impl Project {
         self.machine.as_ref()
     }
 
-    /// Flattens (and caches) the design. A design that does not flatten
-    /// fails with the analyzer's named findings
-    /// ([`ProjectError::Invalid`]) whenever it has any, so every verb
-    /// reports an unbound port or a cycle the way `check` does.
-    pub fn flatten(&mut self) -> Result<&Flattened, ProjectError> {
-        if self.flattened.is_none() {
-            match self.design.flatten() {
-                Ok(flat) => self.flattened = Some(flat),
-                Err(e) => {
-                    self.gate()?;
-                    return Err(e.into());
-                }
-            }
-        }
-        self.flattened_ref()
-    }
-
-    /// Checked access to the flatten cache: every internal reader goes
-    /// through here after a [`flatten`](Self::flatten) call, so a
-    /// call-order slip surfaces as [`ProjectError::NotFlattened`]
-    /// instead of a panic inside a long-lived process.
-    fn flattened_ref(&self) -> Result<&Flattened, ProjectError> {
-        self.flattened.as_ref().ok_or(ProjectError::NotFlattened)
-    }
-
     fn machine_ref(&self) -> Result<&Machine, ProjectError> {
         self.machine.as_ref().ok_or(ProjectError::NoMachine)
     }
 
-    fn invalidate_diagnostics(&mut self) {
-        self.diagnostics = None;
+    /// The design with its compounds expanded: the one hierarchy walk
+    /// [`flatten`](Self::flatten) and [`diagnose`](Self::diagnose) both
+    /// read, kept until the design or library changes.
+    pub fn expanded(&self) -> &Expanded {
+        self.derived.expanded.get_or_init(|| self.design.expand())
+    }
+
+    /// The flattened design, kept until the design or library changes. A
+    /// design that does not flatten fails with the analyzer's named
+    /// findings ([`ProjectError::Invalid`]) whenever it has any, so every
+    /// verb reports an unbound port or a cycle the way `check` does.
+    pub fn flatten(&self) -> Result<&Flattened, ProjectError> {
+        let strict = || self.expanded().flatten();
+        match self.derived.flattened.get_or_init(strict) {
+            Ok(flat) => Ok(flat),
+            Err(e) => {
+                self.gate()?;
+                Err(e.clone().into())
+            }
+        }
     }
 
     /// Runs static analysis over the design and library (see
-    /// [`banger_analyze::diagnose`]) and returns the findings, cached
+    /// [`banger_analyze::diagnose`]) and returns the findings, kept
     /// until the design or library changes.
-    pub fn diagnose(&mut self) -> &[Diagnostic] {
-        if self.diagnostics.is_none() {
-            self.diagnostics = Some(banger_analyze::diagnose(&self.design, &self.library));
-        }
-        // Populated just above; the non-panicking read keeps a daemon
-        // alive even if this invariant ever regresses.
-        self.diagnostics.as_deref().unwrap_or_default()
+    pub fn diagnose(&self) -> &[Diagnostic] {
+        let passes = || banger_analyze::diagnose_expanded(self.expanded(), &self.library);
+        self.derived.diagnostics.get_or_init(passes)
     }
 
     /// Refuses to proceed on error-severity diagnostics. Warnings do not
@@ -340,7 +346,7 @@ impl Project {
     /// Called by [`schedule`](Self::schedule), [`run`](Self::run),
     /// [`run_scheduled`](Self::run_scheduled), the code generators, and by
     /// [`flatten`](Self::flatten) on a design that does not flatten.
-    fn gate(&mut self) -> Result<(), ProjectError> {
+    fn gate(&self) -> Result<(), ProjectError> {
         let diags = self.diagnose();
         if banger_analyze::has_errors(diags) {
             return Err(ProjectError::Invalid(diags.to_vec()));
@@ -351,23 +357,20 @@ impl Project {
     /// Runs a named scheduling heuristic (see
     /// [`banger_sched::HEURISTIC_NAMES`], plus `"DSH"`).
     /// The design must pass [`diagnose`](Self::diagnose) with no errors.
-    pub fn schedule(&mut self, heuristic: &str) -> Result<Schedule, ProjectError> {
+    pub fn schedule(&self, heuristic: &str) -> Result<Schedule, ProjectError> {
         // Report the missing machine before any design diagnostics: it is
         // the first thing the user must fix to get a schedule at all.
-        self.machine_ref()?;
-        self.flatten()?;
-        self.gate()?;
         let m = self.machine_ref()?;
-        let g = &self.flattened_ref()?.graph;
+        let g = &self.flatten()?.graph;
+        self.gate()?;
         banger_sched::run_heuristic(heuristic, g, m)
             .ok_or_else(|| ProjectError::UnknownHeuristic(heuristic.to_string()))
     }
 
     /// Renders a schedule as an ASCII Gantt chart (paper Figure 3, left).
-    pub fn gantt(&mut self, schedule: &Schedule) -> Result<String, ProjectError> {
+    pub fn gantt(&self, schedule: &Schedule) -> Result<String, ProjectError> {
         let procs = self.machine_ref()?.processors();
-        let f = self.flatten()?;
-        let g = &f.graph;
+        let g = &self.flatten()?.graph;
         Ok(gantt::render(schedule, procs, |t| {
             short_name(&g.task(t).name)
         }))
@@ -434,9 +437,8 @@ impl Project {
                 design.with_expansion_mut(id, |sub| walk(sub, lib, updated));
             }
         }
-        walk(&mut self.design, &self.library, &mut updated);
-        self.flattened = None;
-        self.invalidate_diagnostics();
+        let (design, library) = self.edit();
+        walk(design, library, &mut updated);
         Ok(updated)
     }
 
@@ -446,11 +448,10 @@ impl Project {
     /// operation counts of that execution (max over task copies). This is
     /// the data behind `banger check --weights`.
     pub fn weight_report(
-        &mut self,
+        &self,
         measured: Option<&ExecReport>,
     ) -> Result<Vec<WeightRow>, ProjectError> {
-        self.flatten()?;
-        let g = &self.flattened_ref()?.graph;
+        let g = &self.flatten()?.graph;
         let meas = measured.map(|r| r.measured_weights(g.task_count()));
         Ok(g.tasks()
             .map(|(t, task)| WeightRow {
@@ -468,23 +469,22 @@ impl Project {
 
     /// Simulates a schedule on the machine (trial run of the *entire
     /// program*, message-accurate).
-    pub fn simulate(&mut self, schedule: &Schedule) -> Result<SimResult, ProjectError> {
-        self.flatten()?;
+    pub fn simulate(&self, schedule: &Schedule) -> Result<SimResult, ProjectError> {
+        let g = &self.flatten()?.graph;
         let m = self.machine_ref()?;
-        let g = &self.flattened_ref()?.graph;
         Ok(simulate(g, m, schedule, SimOptions::default())?)
     }
 
     /// Executes the design for real on host threads (greedy pool).
     /// The design must pass [`diagnose`](Self::diagnose) with no errors.
-    pub fn run(&mut self, inputs: &BTreeMap<String, Value>) -> Result<ExecReport, ProjectError> {
+    pub fn run(&self, inputs: &BTreeMap<String, Value>) -> Result<ExecReport, ProjectError> {
         self.run_with(inputs, &ExecOptions::default())
     }
 
     /// Executes the design pinned to a schedule (worker *i* = processor
     /// *i*).
     pub fn run_scheduled(
-        &mut self,
+        &self,
         schedule: &Schedule,
         inputs: &BTreeMap<String, Value>,
     ) -> Result<ExecReport, ProjectError> {
@@ -503,14 +503,12 @@ impl Project {
     /// and [`drift_report`](Self::drift_report).
     /// The design must pass [`diagnose`](Self::diagnose) with no errors.
     pub fn run_with(
-        &mut self,
+        &self,
         inputs: &BTreeMap<String, Value>,
         options: &ExecOptions,
     ) -> Result<ExecReport, ProjectError> {
         self.gate()?;
-        self.flatten()?;
-        let f = self.flattened_ref()?;
-        Ok(execute(f, &self.library, inputs, options)?)
+        Ok(execute(self.flatten()?, &self.library, inputs, options)?)
     }
 
     /// Opens a persistent [`Session`] on the design: routing tables,
@@ -519,20 +517,17 @@ impl Project {
     /// (parameter sweeps, convergence loops, `banger run --repeat N`)
     /// pay the setup once. Greedy mode only.
     /// The design must pass [`diagnose`](Self::diagnose) with no errors.
-    pub fn session(&mut self, options: &ExecOptions) -> Result<Session, ProjectError> {
+    pub fn session(&self, options: &ExecOptions) -> Result<Session, ProjectError> {
         self.gate()?;
-        self.flatten()?;
-        let f = self.flattened_ref()?;
-        Ok(Session::new(f, &self.library, options)?)
+        Ok(Session::new(self.flatten()?, &self.library, options)?)
     }
 
     /// Renders a traced execution's *observed* timeline as an ASCII
     /// Gantt chart — same renderer and task labels as the predicted
     /// [`gantt`](Self::gantt), rows are worker threads, time is
     /// wall-clock seconds.
-    pub fn observed_gantt(&mut self, trace: &Trace) -> Result<String, ProjectError> {
-        let f = self.flatten()?;
-        let g = &f.graph;
+    pub fn observed_gantt(&self, trace: &Trace) -> Result<String, ProjectError> {
+        let g = &self.flatten()?.graph;
         let observed = trace.observed_schedule(g.task_count());
         Ok(gantt::render(&observed, trace.workers, |t| {
             short_name(&g.task(t).name)
@@ -545,7 +540,7 @@ impl Project {
     /// [`DriftReport`] compares per-task start/finish times and the
     /// makespan under a global unit fit (see `banger_trace`).
     pub fn drift_report(
-        &mut self,
+        &self,
         schedule: &Schedule,
         trace: &Trace,
     ) -> Result<DriftReport, ProjectError> {
@@ -563,12 +558,11 @@ impl Project {
     /// ([`banger_sched::sweep`]); results are identical to the sequential
     /// loop and come back in `topologies` order.
     pub fn predict_speedup(
-        &mut self,
+        &self,
         topologies: &[Topology],
         params: MachineParams,
     ) -> Result<Vec<SpeedupPoint>, ProjectError> {
-        self.flatten()?;
-        let g = &self.flattened_ref()?.graph;
+        let g = &self.flatten()?.graph;
         let machines: Vec<Machine> = topologies
             .iter()
             .map(|topo| Machine::new(topo.clone(), params))
@@ -588,10 +582,9 @@ impl Project {
     /// Runs every heuristic and summarises the results, sorted best-first.
     /// The runs fan out across worker threads with a shared graph analysis;
     /// the table is identical to the sequential loop's.
-    pub fn compare_heuristics(&mut self) -> Result<Vec<ScheduleSummary>, ProjectError> {
-        self.flatten()?;
-        let m = self.machine.as_ref().ok_or(ProjectError::NoMachine)?;
-        let g = &self.flattened_ref()?.graph;
+    pub fn compare_heuristics(&self) -> Result<Vec<ScheduleSummary>, ProjectError> {
+        let g = &self.flatten()?.graph;
+        let m = self.machine_ref()?;
         let names: Vec<&str> = banger_sched::HEURISTIC_NAMES
             .iter()
             .chain(["DSH"].iter())
@@ -615,12 +608,11 @@ impl Project {
     /// and returns the outcomes best-first. The candidates are scheduled
     /// in parallel; the ranking is deterministic.
     pub fn recommend_machine(
-        &mut self,
+        &self,
         max_procs: usize,
         params: MachineParams,
     ) -> Result<Vec<crate::advisor::MachineChoice>, ProjectError> {
-        self.flatten()?;
-        let g = &self.flattened_ref()?.graph;
+        let g = &self.flatten()?.graph;
         let candidates = crate::advisor::standard_candidates(max_procs, params);
         Ok(crate::advisor::search_machines(g, &candidates))
     }
@@ -704,17 +696,16 @@ impl Project {
             }
         }
 
-        self.design
+        let (design, library) = self.edit();
+        design
             .replace_task_with_compound(node_id, inner, inputs, outputs)
             .map_err(ProjectError::Graph)?;
-        self.flattened = None;
-        self.invalidate_diagnostics();
 
         // Register the generated programs.
         for chunk in split.chunks {
-            self.library.add(chunk);
+            library.add(chunk);
         }
-        self.library.add(split.combine);
+        library.add(split.combine);
         Ok(chunk_names)
     }
 
@@ -730,8 +721,7 @@ impl Project {
     /// output and total interpreter operation counts are unchanged.
     pub fn optimize(&mut self, fuse: bool) -> Result<OptimizeStats, ProjectError> {
         self.gate()?;
-        self.flatten()?;
-        let flat = self.flattened_ref()?;
+        let flat = self.flatten()?;
 
         let (after_dce, lib, dce) = banger_opt::eliminate_dead(flat, &self.library)?;
         let (flat, lib, fuse_stats) = if fuse {
@@ -744,14 +734,14 @@ impl Project {
         // Carry the drawn storage sizes over to the rebuilt design so
         // the scheduler's communication model is unchanged.
         let mut sizes = BTreeMap::new();
-        for storage in self.design.expand().storages {
-            sizes.entry(storage.base).or_insert(storage.size);
+        for storage in &self.expanded().storages {
+            sizes.entry(storage.base.clone()).or_insert(storage.size);
         }
 
-        self.design = banger_opt::flat_to_design(&self.name, &flat, &sizes)?;
-        self.library = lib;
-        self.flattened = None;
-        self.invalidate_diagnostics();
+        let rebuilt = banger_opt::flat_to_design(&self.name, &flat, &sizes)?;
+        let (design, library) = self.edit();
+        *design = rebuilt;
+        *library = lib;
         // The rewritten design must re-pass the analyzer; a failure here
         // is an optimizer bug and is surfaced loudly rather than hidden.
         self.gate()?;
@@ -771,22 +761,19 @@ impl Project {
         task: &str,
         tiles: usize,
     ) -> Result<banger_opt::ExpandStats, ProjectError> {
-        let stats = banger_opt::expand_dense_lu(&mut self.design, task, &mut self.library, tiles)?;
-        self.flattened = None;
-        self.invalidate_diagnostics();
-        Ok(stats)
+        let (design, library) = self.edit();
+        Ok(banger_opt::expand_dense_lu(design, task, library, tiles)?)
     }
 
     /// Generates a self-contained Rust message-passing program for the
     /// scheduled design with concrete inputs.
     pub fn generate_rust(
-        &mut self,
+        &self,
         schedule: &Schedule,
         inputs: &BTreeMap<String, Value>,
     ) -> Result<String, ProjectError> {
         self.gate()?;
-        self.flatten()?;
-        let f = self.flattened_ref()?;
+        let f = self.flatten()?;
         Ok(banger_codegen::generate_rust(
             f,
             &self.library,
@@ -797,13 +784,12 @@ impl Project {
 
     /// Generates an MPI-style C program for the scheduled design.
     pub fn generate_c(
-        &mut self,
+        &self,
         schedule: &Schedule,
         inputs: &BTreeMap<String, Value>,
     ) -> Result<String, ProjectError> {
         self.gate()?;
-        self.flatten()?;
-        let f = self.flattened_ref()?;
+        let f = self.flatten()?;
         Ok(banger_codegen::generate_c(
             f,
             &self.library,
@@ -841,7 +827,7 @@ mod tests {
 
     #[test]
     fn full_workflow() {
-        let mut p = lu_project(3);
+        let p = lu_project(3);
         // Step 1+3 done (design + programs); step 2: machine set.
         let s = p.schedule("MH").unwrap();
         let g = p.flatten().unwrap().graph.clone();
@@ -865,7 +851,7 @@ mod tests {
 
     #[test]
     fn scheduled_execution_matches_greedy() {
-        let mut p = lu_project(3);
+        let p = lu_project(3);
         let s = p.schedule("ETF").unwrap();
         let (a, b) = test_system(3);
         let greedy = p.run(&lu_inputs(&a, &b)).unwrap();
@@ -913,13 +899,13 @@ mod tests {
 
     #[test]
     fn no_machine_error() {
-        let mut p = Project::new("x", generators::lu_hierarchical(2));
+        let p = Project::new("x", generators::lu_hierarchical(2));
         assert!(matches!(p.schedule("MH"), Err(ProjectError::NoMachine)));
     }
 
     #[test]
     fn unknown_heuristic_error() {
-        let mut p = lu_project(2);
+        let p = lu_project(2);
         assert!(matches!(
             p.schedule("MAGIC"),
             Err(ProjectError::UnknownHeuristic(_))
@@ -928,7 +914,7 @@ mod tests {
 
     #[test]
     fn speedup_prediction_monotone_for_lu() {
-        let mut p = lu_project(4);
+        let p = lu_project(4);
         let pts = p
             .predict_speedup(
                 &[
@@ -954,7 +940,7 @@ mod tests {
 
     #[test]
     fn heuristic_comparison_sorted() {
-        let mut p = lu_project(4);
+        let p = lu_project(4);
         let rows = p.compare_heuristics().unwrap();
         assert_eq!(rows.len(), 8);
         for w in rows.windows(2) {
@@ -966,7 +952,7 @@ mod tests {
 
     #[test]
     fn machine_recommendation_ranked() {
-        let mut p = lu_project(4);
+        let p = lu_project(4);
         let rows = p
             .recommend_machine(
                 8,
@@ -989,7 +975,7 @@ mod tests {
     fn optimize_preserves_lu_outcomes_exactly() {
         let (a, b) = test_system(4);
         let inputs = lu_inputs(&a, &b);
-        let mut base = lu_project(4);
+        let base = lu_project(4);
         let want = base.run(&inputs).unwrap();
 
         let mut fused = lu_project(4);
@@ -1034,7 +1020,7 @@ mod tests {
         let inputs: BTreeMap<String, Value> =
             [("a".to_string(), Value::array(a))].into_iter().collect();
 
-        let mut dense = dense_lu_project(n);
+        let dense = dense_lu_project(n);
         let want = dense.run(&inputs).unwrap();
 
         let mut tiled = dense_lu_project(n);
@@ -1108,7 +1094,7 @@ mod tests {
             .into_iter()
             .collect();
 
-        let mut serial = serial_pi_project();
+        let serial = serial_pi_project();
         let serial_ms = serial.schedule("MH").unwrap().makespan();
         let serial_out = serial.run(&inputs).unwrap().outputs["p"].clone();
 
@@ -1158,7 +1144,7 @@ mod tests {
 
     #[test]
     fn traced_run_drives_observed_gantt_and_drift() {
-        let mut p = lu_project(3);
+        let p = lu_project(3);
         let s = p.schedule("MH").unwrap();
         let (a, b) = test_system(3);
         let report = p
@@ -1197,7 +1183,7 @@ mod tests {
 
     #[test]
     fn codegen_paths() {
-        let mut p = lu_project(2);
+        let p = lu_project(2);
         let s = p.schedule("MH").unwrap();
         let (a, b) = test_system(2);
         let rust = p.generate_rust(&s, &lu_inputs(&a, &b)).unwrap();
@@ -1208,7 +1194,7 @@ mod tests {
 
     #[test]
     fn weight_report_compares_static_and_measured() {
-        let mut p = lu_project(3);
+        let p = lu_project(3);
         let (a, b) = test_system(3);
         let report = p.run(&lu_inputs(&a, &b)).unwrap();
         let rows = p.weight_report(Some(&report)).unwrap();
@@ -1280,6 +1266,148 @@ mod tests {
         let json = weight_rows_json(&unbounded);
         assert!(json.contains("\"ops_hi\": null"), "{json}");
         assert_eq!(weight_rows_json(&[]), "[]");
+    }
+
+    /// What a project says about itself, in comparable form: the flat
+    /// graph, the findings (without program spans: a generated program
+    /// has none until it is printed and parsed back), the ETF schedule
+    /// and a run's outputs, prints and operation count.
+    fn facts(p: &Project, inputs: &BTreeMap<String, Value>) -> [String; 4] {
+        let said = |e: ProjectError| e.to_string();
+        let findings: Vec<_> = p
+            .diagnose()
+            .iter()
+            .map(|d| (d.code, d.severity, &d.location.nodes, &d.message))
+            .collect();
+        let run = p.run(inputs).map(|r| (r.total_ops(), r.outputs, r.prints));
+        [
+            format!("{:?}", p.flatten().map_err(said)),
+            format!("{findings:?}"),
+            format!("{:?}", p.schedule("ETF").map_err(said)),
+            format!("{:?}", run.map_err(said)),
+        ]
+    }
+
+    /// Appends an assignment to the body of the first program a task of
+    /// `p` runs: one more operation and an implicit-local warning.
+    fn edit_a_program(p: &mut Project) {
+        let used = p.expanded().tasks.iter().find_map(|t| t.program.clone());
+        let text = banger_calc::pretty::print_program(p.library().get(&used.unwrap()).unwrap());
+        let end = text.rfind("end").unwrap();
+        let edited = format!("{}stale_probe := 1\n{}", &text[..end], &text[end..]);
+        p.library_mut().add_source(&edited).unwrap();
+    }
+
+    #[test]
+    fn no_edit_leaves_a_stale_fact() {
+        use crate::document::{parse_project, print_project};
+        let bundled = |name: &str| {
+            let root = env!("CARGO_MANIFEST_DIR");
+            let path = format!("{root}/../../examples/projects/{name}.bang");
+            parse_project(&std::fs::read_to_string(path).unwrap()).unwrap()
+        };
+        let (a3, b3) = test_system(3);
+        let (a8, _) = test_system(8);
+        let subjects: Vec<(Project, BTreeMap<String, Value>)> = vec![
+            (bundled("lu3"), lu_inputs(&a3, &b3)),
+            (
+                bundled("heat_probe"),
+                [
+                    ("left".to_string(), Value::Num(100.0)),
+                    ("right".to_string(), Value::Num(0.0)),
+                ]
+                .into(),
+            ),
+            (
+                serial_pi_project(),
+                [("n".to_string(), Value::Num(100.0))].into(),
+            ),
+            (
+                dense_lu_project(8),
+                [("a".to_string(), Value::array(a8))].into(),
+            ),
+        ];
+        // Each returns whether it changed the project.
+        type Mutator = fn(&mut Project) -> bool;
+        let mutators: [(&str, Mutator); 7] = [
+            ("design_mut", |p| {
+                p.design_mut().add_task("stale_probe", 3.0);
+                true
+            }),
+            ("library_mut", |p| {
+                edit_a_program(p);
+                true
+            }),
+            ("set_machine", |p| {
+                p.set_machine(Machine::new(Topology::ring(3), MachineParams::default()));
+                true
+            }),
+            ("calibrate_from_programs", |p| {
+                p.calibrate_from_programs().is_ok()
+            }),
+            ("parallelize_task", |p| {
+                p.parallelize_task("quad", 4).is_ok()
+            }),
+            ("optimize", |p| p.optimize(true).is_ok()),
+            ("expand_task", |p| p.expand_task("fact", 2).is_ok()),
+        ];
+        for (name, mutate) in mutators {
+            let mut changed = 0;
+            for (subject, inputs) in &subjects {
+                let mut p = subject.clone();
+                p.flatten().unwrap();
+                p.diagnose();
+                let before = facts(&p, inputs);
+                if !mutate(&mut p) {
+                    continue;
+                }
+                let fresh = parse_project(&print_project(&p)).unwrap();
+                let after = facts(&p, inputs);
+                assert_eq!(after, facts(&fresh, inputs), "{name} on {}", p.name());
+                changed += usize::from(after != before);
+            }
+            assert!(changed > 0, "{name} changed no subject: nothing was tested");
+        }
+    }
+
+    /// A design that does not flatten: the findings are those of its
+    /// expansion, B020 and B021 among them, and `flatten` fails with them
+    /// rather than with the bare graph error.
+    #[test]
+    fn a_design_that_does_not_flatten_still_diagnoses() {
+        use banger_analyze::Code;
+        let mut inner = HierGraph::new("inner");
+        inner.add_task("w", 1.0);
+        let mut design = HierGraph::new("outer");
+        let c = design.add_compound("C", inner);
+        design
+            .bind_input(c, "x", banger_taskgraph::HierNodeId(7))
+            .unwrap();
+        let t = design.add_task("t", 1.0);
+        design.add_arc(t, c, "x", 1.0).unwrap();
+        design.add_arc(t, c, "y", 1.0).unwrap();
+        let p = Project::new("unbound", design);
+
+        let diags = p.diagnose();
+        let of_expansion = banger_analyze::diagnose_expanded(&p.design().expand(), p.library());
+        assert_eq!(diags, of_expansion);
+        assert_eq!(diags, banger_analyze::diagnose(p.design(), p.library()));
+        for code in [Code::B020, Code::B021] {
+            assert!(diags.iter().any(|d| d.code == code), "{code:?}: {diags:?}");
+        }
+        assert!(p.design().flatten().is_err());
+        match p.flatten() {
+            Err(ProjectError::Invalid(findings)) => assert_eq!(findings, diags),
+            other => panic!("expected the analyzer's findings, got {other:?}"),
+        }
+    }
+
+    /// `Project` is shared by reference between a daemon's request
+    /// handlers and cloned by every rewriting verb.
+    #[test]
+    fn project_is_clone_send_sync() {
+        fn check<T: Clone + Send + Sync>() {}
+        check::<Project>();
     }
 
     #[test]

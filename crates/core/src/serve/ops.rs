@@ -98,7 +98,7 @@ fn with_entry(
     let Some(path) = &req.path else {
         return Response::failure(format!("{} needs a \"path\"", req.cmd));
     };
-    let (slot, _canon, source, hash) = match store.lookup(path) {
+    let (slot, source, hash) = match store.lookup(path) {
         Ok(x) => x,
         Err(e) => return Response::failure(e),
     };
@@ -188,15 +188,15 @@ fn op_check(state: &mut EntryState, req: &Request) -> Answer {
             return Ok(check_response(output, errors).cached(true));
         }
     }
-    let diags = state.project.diagnose().to_vec();
+    let diags = state.project.diagnose();
     let errors = diags
         .iter()
         .filter(|d| d.severity == analyze::Severity::Error)
         .count();
     let report = if json {
-        analyze::render_json(&diags)
+        analyze::render_json(diags)
     } else {
-        analyze::render_report(&diags)
+        analyze::render_report(diags)
     };
     if !req.weights {
         let output = format!("{report}\n");
@@ -235,12 +235,12 @@ fn check_response(output: String, errors: usize) -> Response {
 
 /// `show` — design statistics and the hierarchy as DOT.
 fn op_show(state: &mut EntryState, _req: &Request) -> Answer {
-    let p = &mut state.project;
+    let p = &state.project;
     let mut out = format!(
         "project {} — design depth {}, {} leaf tasks, {} programs\nmachine: {}\n",
         p.name(),
         p.design().depth(),
-        p.design().leaf_task_count(),
+        p.expanded().tasks.len(),
         p.library().len(),
         p.machine()
             .map_or("(none defined)".to_string(), |m| m.describe())
@@ -255,16 +255,16 @@ fn op_show(state: &mut EntryState, _req: &Request) -> Answer {
 
 /// Schedules with `heuristic` and renders the Gantt chart plus the
 /// summary line: the stdout of `gantt`.
-fn render_schedule(project: &mut Project, heuristic: &str) -> Result<String, String> {
+fn render_schedule(project: &Project, heuristic: &str) -> Result<String, String> {
     let s = project.schedule(heuristic)?;
     let gantt = project.gantt(&s)?;
-    let m = project.machine().ok_or("project has no machine")?.clone();
+    let m = project.machine().ok_or("project has no machine")?;
     let g = &project.flatten()?.graph;
     Ok(format!(
         "{gantt}\nmakespan {:.3}, speedup {:.2}x, efficiency {:.0}%, {} of {} processors used\n",
         s.makespan(),
-        s.speedup(g, &m),
-        100.0 * s.efficiency(g, &m),
+        s.speedup(g, m),
+        100.0 * s.efficiency(g, m),
         s.processors_used(),
         m.processors()
     ))
@@ -273,15 +273,15 @@ fn render_schedule(project: &mut Project, heuristic: &str) -> Result<String, Str
 /// `gantt` / `schedule [-H h] [--optimize]`; the rendered chart is
 /// memoized per heuristic inside the snapshot's state.
 fn op_schedule(state: &mut EntryState, req: &Request) -> Answer {
-    let (mut scratch, notes) = optimized(&state.project, req.optimize)?;
-    if let Some(scratch) = &mut scratch {
+    let (scratch, notes) = optimized(&state.project, req.optimize)?;
+    if let Some(scratch) = &scratch {
         let output = render_schedule(scratch, &req.heuristic)?;
         return Ok(Response::success(output).with_notes(notes));
     }
     if let Some(output) = state.schedules.get(&req.heuristic) {
         return Ok(Response::success(output.clone()).cached(true));
     }
-    let output = render_schedule(&mut state.project, &req.heuristic)?;
+    let output = render_schedule(&state.project, &req.heuristic)?;
     state
         .schedules
         .insert(req.heuristic.clone(), output.clone());
@@ -327,7 +327,7 @@ fn op_simulate(state: &mut EntryState, req: &Request) -> Answer {
 
 /// `animate [-H h]` — frame-by-frame replay of the simulated schedule.
 fn op_animate(state: &mut EntryState, req: &Request) -> Answer {
-    let p = &mut state.project;
+    let p = &state.project;
     let s = p.schedule(&req.heuristic)?;
     let r = p.simulate(&s)?;
     let procs = p.machine().ok_or("project has no machine")?.processors();
@@ -342,11 +342,11 @@ fn op_animate(state: &mut EntryState, req: &Request) -> Answer {
 
 /// `advise [-H h]` — bottleneck analysis and suggestions.
 fn op_advise(state: &mut EntryState, req: &Request) -> Answer {
-    let p = &mut state.project;
+    let p = &state.project;
     let s = p.schedule(&req.heuristic)?;
-    let m = p.machine().ok_or("project has no machine")?.clone();
+    let m = p.machine().ok_or("project has no machine")?;
     let g = &p.flatten()?.graph;
-    let advice = crate::advisor::advise(g, &m, &s);
+    let advice = crate::advisor::advise(g, m, &s);
     Ok(Response::success(format!(
         "{}\n",
         crate::advisor::render(g, &advice)
@@ -360,7 +360,7 @@ fn op_recommend(state: &mut EntryState, req: &Request) -> Answer {
     if max_procs == 0 {
         return Err("processor budget must be at least 1".to_string());
     }
-    let p = &mut state.project;
+    let p = &state.project;
     let params = p.machine().map(|m| *m.params()).unwrap_or_default();
     let choices = p.recommend_machine(max_procs, params)?;
     Ok(Response::success(format!(
@@ -374,9 +374,9 @@ fn op_recommend(state: &mut EntryState, req: &Request) -> Answer {
 /// `utilization.svg`, returned as files under `dir` (default: the front
 /// end's current directory).
 fn op_svg(state: &mut EntryState, req: &Request) -> Answer {
-    let p = &mut state.project;
+    let p = &state.project;
     let s = p.schedule(&req.heuristic)?;
-    let m = p.machine().ok_or("project has no machine")?.clone();
+    let m = p.machine().ok_or("project has no machine")?;
     let topologies = [
         Topology::single(),
         Topology::hypercube(1),
@@ -422,9 +422,9 @@ fn op_verify(state: &mut EntryState, req: &Request) -> Answer {
         .as_deref()
         .ok_or("verify needs -s <schedule file>")?;
     let s = banger_sched::textfmt::from_text(text)?;
-    let p = &mut state.project;
-    let m = p.machine().ok_or("project has no machine")?.clone();
-    s.validate(&p.flatten()?.graph, &m)
+    let p = &state.project;
+    let m = p.machine().ok_or("project has no machine")?;
+    s.validate(&p.flatten()?.graph, m)
         .map_err(|e| format!("INVALID: {e}"))?;
     let r = p.simulate(&s)?;
     Ok(Response::success(format!(
@@ -461,8 +461,8 @@ fn render_run(report: &ExecReport, notes: String) -> Response {
 /// failure drops the entry's session so the next request rebuilds the
 /// pool.
 fn op_run(state: &mut EntryState, req: &Request) -> Answer {
-    let (mut scratch, notes) = optimized(&state.project, req.optimize)?;
-    let project = scratch.as_mut().unwrap_or(&mut state.project);
+    let (scratch, notes) = optimized(&state.project, req.optimize)?;
+    let project = scratch.as_ref().unwrap_or(&state.project);
     if let Some(task) = &req.inject_panic {
         // Executor fault injection takes a one-off pool: options are
         // fixed at pool construction and must not contaminate the warm
@@ -527,7 +527,7 @@ fn op_run(state: &mut EntryState, req: &Request) -> Answer {
 /// event tracing on: the Chrome trace JSON is returned as the file
 /// `out`; the predicted and observed Gantt charts and the per-task drift
 /// report follow the outputs, and the trace counters join the notes.
-fn traced_run(project: &mut Project, req: &Request, out: &str, notes: String) -> Answer {
+fn traced_run(project: &Project, req: &Request, out: &str, notes: String) -> Answer {
     let h = &req.heuristic;
     let schedule = project.schedule(h)?;
     let options = ExecOptions {
@@ -540,7 +540,7 @@ fn traced_run(project: &mut Project, req: &Request, out: &str, notes: String) ->
         .trace
         .as_ref()
         .ok_or("traced run recorded no trace")?;
-    let graph = project.flatten()?.graph.clone();
+    let graph = &project.flatten()?.graph;
     let name_of = |t| short_name(&graph.task(t).name);
     let mut resp = render_run(&report, notes).with_file(out, trace.chrome_json(name_of));
     resp.output.push_str(&format!(
@@ -590,7 +590,7 @@ fn op_speedup(state: &mut EntryState, req: &Request) -> Answer {
     for spec in specs.split(',') {
         topos.push(Topology::parse(spec.trim()).map_err(|e| e.to_string())?);
     }
-    let p = &mut state.project;
+    let p = &state.project;
     let params = p.machine().map(|m| *m.params()).unwrap_or_default();
     let points = p.predict_speedup(&topos, params)?;
     let title = format!("predicted speedup — {}", p.name());
@@ -676,8 +676,8 @@ fn op_optimize(state: &mut EntryState, req: &Request) -> Answer {
 /// scheduler and router see), unlike `show`, which renders the
 /// hierarchy.
 fn op_graph(state: &mut EntryState, req: &Request) -> Answer {
-    let (mut scratch, notes) = optimized(&state.project, req.optimize)?;
-    let project = scratch.as_mut().unwrap_or(&mut state.project);
+    let (scratch, notes) = optimized(&state.project, req.optimize)?;
+    let project = scratch.as_ref().unwrap_or(&state.project);
     let f = project.flatten()?;
     let out = if req.dot {
         format!("{}\n", banger_taskgraph::dot::taskgraph_to_dot(&f.graph))

@@ -13,8 +13,11 @@
 //! is shared with it — AST, bytecode, static cost and the seeded analyses
 //! `diagnose` memoizes with it (see [`banger_calc::library`]) — because
 //! all of those are functions of that text alone. Everything at design
-//! level (flatten, the design passes, renders, schedules, the session) is
-//! built again. No table outlives a snapshot: an evicted or poisoned
+//! level is built again: the new [`Project`] starts with an empty
+//! derivation chain (its one hierarchy walk, the flat graph and the
+//! design passes are each computed once, on first use — see
+//! [`crate::project`]), and the renders, schedules and session around it
+//! start empty too. No table outlives a snapshot: an evicted or poisoned
 //! entry has no donor, and neither has the first build.
 //!
 //! Locking is two-level: a brief store-wide lock to find or create the
@@ -55,8 +58,10 @@ pub struct EntryState {
     /// the machine are both part of those bytes, so every cache below is
     /// implicitly keyed by them.
     pub source_hash: u64,
-    /// The parsed project (parse + diagnose + compile caches live
-    /// inside it).
+    /// The parsed project. What it derives from the design — expansion,
+    /// flat graph, findings — it keeps itself, behind `&self`; no request
+    /// edits it (rewriting verbs edit a clone), so those facts live
+    /// exactly as long as this snapshot.
     pub project: Project,
     /// The design's warning diagnostics as text, one per line; empty
     /// when it has none, or has errors (a verb that needs a clean design
@@ -109,7 +114,7 @@ impl Entry {
         counters.misses.fetch_add(1, Ordering::Relaxed);
         let none = ProgramLibrary::new();
         let donor = replaced.as_ref().map_or(&none, |s| s.project.library());
-        let mut project = match parse_project_reusing(source, donor) {
+        let project = match parse_project_reusing(source, donor) {
             Ok(project) => project,
             Err(e) => {
                 self.state = replaced;
@@ -129,8 +134,8 @@ impl Entry {
         counters
             .programs_parsed
             .fetch_add(parsed, Ordering::Relaxed);
-        // Warm the parse-adjacent caches up front: flatten feeds every
-        // downstream consumer and diagnose memoizes inside the Project.
+        // Diagnose up front, for the warnings every response carries; the
+        // walk it forces is the one `flatten` will read.
         let diags = project.diagnose();
         let warnings = if banger_analyze::has_errors(diags) {
             String::new()
@@ -243,12 +248,10 @@ impl ProjectStore {
     }
 
     /// Reads the current source snapshot and returns the entry slot for
-    /// it: `(slot, canonical path, source text, content hash)`. The
-    /// read-and-rehash *is* the invalidation probe — there is no file
-    /// watcher; a stale entry is detected the moment the next request
-    /// arrives.
-    #[allow(clippy::type_complexity)]
-    pub fn lookup(&self, path: &str) -> Result<(Arc<Mutex<Entry>>, PathBuf, String, u64), String> {
+    /// it: `(slot, source text, content hash)`. The read-and-rehash *is*
+    /// the invalidation probe — there is no file watcher; a stale entry
+    /// is detected the moment the next request arrives.
+    pub fn lookup(&self, path: &str) -> Result<(Arc<Mutex<Entry>>, String, u64), String> {
         let canon = self.canonical(path)?;
         let source = std::fs::read_to_string(&canon)
             .map_err(|e| format!("cannot read {}: {e}", canon.display()))?;
@@ -256,11 +259,11 @@ impl ProjectStore {
         let slot = {
             let mut map = self.entries.lock();
             Arc::clone(
-                map.entry(canon.clone())
+                map.entry(canon)
                     .or_insert_with(|| Arc::new(Mutex::new(Entry { state: None }))),
             )
         };
-        Ok((slot, canon, source, hash))
+        Ok((slot, source, hash))
     }
 
     /// Discards the derived state for a path (the slot itself remains).
@@ -358,7 +361,7 @@ end-program
     fn warm_hit_then_rewrite_rebuilds() {
         let path = temp_bang("rebuild", DESIGN);
         let store = ProjectStore::new();
-        let (slot, _, src, hash) = store.lookup(path.to_str().unwrap()).unwrap();
+        let (slot, src, hash) = store.lookup(path.to_str().unwrap()).unwrap();
         {
             let mut entry = slot.lock();
             let (_, warm) = entry.ensure(&src, hash, &store.counters).unwrap();
@@ -368,7 +371,7 @@ end-program
         }
         // Rewrite the file: next lookup + ensure must rebuild.
         std::fs::write(&path, DESIGN.replace("task t1 1", "task t1 2")).unwrap();
-        let (slot2, _, src2, hash2) = store.lookup(path.to_str().unwrap()).unwrap();
+        let (slot2, src2, hash2) = store.lookup(path.to_str().unwrap()).unwrap();
         assert!(Arc::ptr_eq(&slot, &slot2), "slot is stable across rewrites");
         {
             let mut entry = slot2.lock();
@@ -384,7 +387,7 @@ end-program
     fn evict_drops_state_but_keeps_slot() {
         let path = temp_bang("evict", DESIGN);
         let store = ProjectStore::new();
-        let (slot, _, src, hash) = store.lookup(path.to_str().unwrap()).unwrap();
+        let (slot, src, hash) = store.lookup(path.to_str().unwrap()).unwrap();
         slot.lock().ensure(&src, hash, &store.counters).unwrap();
         assert!(store.evict(path.to_str().unwrap()));
         assert!(!store.evict(path.to_str().unwrap()), "already cold");
@@ -397,7 +400,7 @@ end-program
     fn parse_failure_leaves_entry_cold() {
         let path = temp_bang("bad", "not a project at all");
         let store = ProjectStore::new();
-        let (slot, _, src, hash) = store.lookup(path.to_str().unwrap()).unwrap();
+        let (slot, src, hash) = store.lookup(path.to_str().unwrap()).unwrap();
         assert!(slot.lock().ensure(&src, hash, &store.counters).is_err());
         assert!(slot.lock().state.is_none());
         std::fs::remove_file(&path).ok();

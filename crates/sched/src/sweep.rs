@@ -13,7 +13,9 @@
 //! Worker count comes from [`std::thread::available_parallelism`], capped
 //! by the number of items; a single item (or a single hardware thread)
 //! short-circuits to the plain sequential loop so tiny sweeps pay no
-//! thread-spawn tax.
+//! thread-spawn tax. A caller that must have a given number of threads
+//! whatever the host offers (a test on a 1-CPU container) passes it to
+//! [`parallel_map_on`].
 
 use crate::schedule::Schedule;
 use banger_machine::Machine;
@@ -39,7 +41,17 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = planned_workers(items.len());
+    parallel_map_on(planned_workers(items.len()), items, f)
+}
+
+/// [`parallel_map`] on `workers` threads, whatever the host offers; one
+/// or none is the plain sequential loop.
+pub fn parallel_map_on<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
@@ -79,23 +91,10 @@ where
 /// The worker-thread count [`parallel_map`] will use for a sweep of
 /// `items` items: `available_parallelism` capped by the item count,
 /// where `<= 1` means the sweep runs as a plain sequential loop.
-///
-/// The `BANGER_SWEEP_WORKERS` environment variable overrides the
-/// detected parallelism (still capped by the item count): containers
-/// that expose a single CPU to `available_parallelism` can set it to
-/// exercise — and benchmark — the multi-worker path. Unparseable or
-/// zero values are ignored.
 pub fn planned_workers(items: usize) -> usize {
-    let detected = std::env::var("BANGER_SWEEP_WORKERS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    detected.min(items)
+    std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(items)
 }
 
 /// Schedules `g` on every machine in `machines` with the named heuristic,
@@ -144,24 +143,17 @@ mod tests {
     }
 
     #[test]
-    fn worker_override_respected_and_capped() {
-        // Sweep results are worker-count-independent (collected by input
-        // index), so mutating the env var here cannot affect other tests'
-        // answers even if they race on it — only thread counts change.
-        std::env::set_var("BANGER_SWEEP_WORKERS", "3");
-        assert_eq!(planned_workers(100), 3);
-        assert_eq!(planned_workers(2), 2, "item count still caps");
-        std::env::set_var("BANGER_SWEEP_WORKERS", "0");
-        assert!(planned_workers(100) >= 1, "zero is ignored");
-        std::env::set_var("BANGER_SWEEP_WORKERS", "nope");
-        assert!(planned_workers(100) >= 1, "garbage is ignored");
-        std::env::remove_var("BANGER_SWEEP_WORKERS");
+    fn planned_workers_are_capped_by_the_items() {
+        assert_eq!(planned_workers(0), 0);
+        assert_eq!(planned_workers(1), 1);
+        assert!((1..=100).contains(&planned_workers(100)));
+    }
 
-        // And the parallel path still matches sequential under override.
-        std::env::set_var("BANGER_SWEEP_WORKERS", "4");
+    #[test]
+    fn four_workers_match_sequential() {
+        // Forced, so the threaded path runs on a 1-CPU host too.
         let items: Vec<usize> = (0..64).collect();
-        let out = parallel_map(&items, |_, &x| x * 2);
-        std::env::remove_var("BANGER_SWEEP_WORKERS");
+        let out = parallel_map_on(4, &items, |_, &x| x * 2);
         assert_eq!(out, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
     }
 

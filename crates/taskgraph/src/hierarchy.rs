@@ -15,11 +15,12 @@
 //! [`HierGraph::expand`] is the one walk over the hierarchy: it expands
 //! compounds, routes arcs through port bindings and merges aliased storage
 //! into an [`Expanded`] design, listing what it could not route instead of
-//! failing. [`HierGraph::flatten`] reads that strictly and eliminates
+//! failing. [`Expanded::flatten`] reads that strictly and eliminates
 //! storage nodes, producing the flat weighted [`TaskGraph`] consumed by the
 //! scheduler, plus the design's external inputs and outputs (storage items
 //! with no producer / no consumer); `banger-analyze` reads the same
-//! [`Expanded`] tolerantly, so both see one set of tasks, arcs and classes.
+//! [`Expanded`] tolerantly — a `Project` hands both the one value — so both
+//! see one set of tasks, arcs and classes.
 
 use crate::error::GraphError;
 use crate::graph::{TaskGraph, TaskId};
@@ -436,30 +437,37 @@ impl HierGraph {
     /// nodes, routed arcs and alias-merged storage classes. The walk never
     /// fails: an arc that cannot cross a compound boundary is dropped and
     /// listed in [`Expanded::problems`], so one pass serves the strict
-    /// [`flatten`](Self::flatten) and the diagnostics that must still
-    /// report everything else wrong with the design.
+    /// [`Expanded::flatten`] and the diagnostics that must still report
+    /// everything else wrong with the design.
     pub fn expand(&self) -> Expanded {
         let mut walk = Walk::default();
+        walk.out.name = self.name.clone();
         let top = expand_level(self, "", &mut walk);
         route_arcs(self, &top, &mut walk);
         walk.finish()
     }
 
-    /// Expands compounds and eliminates storage, producing the flat
-    /// scheduler graph plus the design's external ports: the strict
-    /// reading of [`expand`](Self::expand), in which the first binding
-    /// problem, a bad weight or a cycle is an error.
+    /// Expands compounds and eliminates storage: [`expand`](Self::expand)
+    /// followed by its strict reading, [`Expanded::flatten`].
     pub fn flatten(&self) -> Result<Flattened, GraphError> {
-        let flat = self.expand();
-        if let Some(problem) = flat.problems.first() {
+        self.expand().flatten()
+    }
+}
+
+impl Expanded {
+    /// Eliminates storage, producing the flat scheduler graph plus the
+    /// design's external ports: the strict reading of the walk, in which
+    /// the first binding problem, a bad weight or a cycle is an error.
+    pub fn flatten(&self) -> Result<Flattened, GraphError> {
+        if let Some(problem) = self.problems.first() {
             return Err(GraphError::BadExpansion(problem.to_string()));
         }
         // Task ids are indices into `Expanded::tasks`.
         let mut graph = TaskGraph::new(self.name.clone());
-        for task in flat.tasks {
-            let t = graph.try_add_task(task.name, task.weight)?;
-            if let Some(p) = task.program {
-                graph.set_program(t, p)?;
+        for task in &self.tasks {
+            let t = graph.try_add_task(task.name.clone(), task.weight)?;
+            if let Some(p) = &task.program {
+                graph.set_program(t, p.clone())?;
             }
         }
         let mut add_edge = |s: usize, d: usize, label: &str, vol: f64| {
@@ -473,7 +481,7 @@ impl HierGraph {
                 Err(e) => Err(e),
             }
         };
-        for arc in &flat.arcs {
+        for arc in &self.arcs {
             add_edge(arc.src, arc.dst, &arc.label, arc.volume)?;
         }
         let port = |class: &StorageClass, tasks: &[usize]| ExternalPort {
@@ -482,7 +490,7 @@ impl HierGraph {
         };
         let mut inputs = Vec::new();
         let mut outputs = Vec::new();
-        for class in &flat.classes {
+        for class in &self.classes {
             match (class.writers.is_empty(), class.readers.is_empty()) {
                 (true, true) => {} // isolated storage: ignored
                 (true, false) => inputs.push(port(class, &class.readers)),
@@ -552,14 +560,15 @@ pub struct StorageClass {
     /// Largest declared size across the members (the aliases describe the
     /// same item, sizes should agree).
     pub size: f64,
-    /// Tasks writing the item, one entry per routed arc, in route order.
+    /// Tasks writing the item, one entry per routed arc, in route order
+    /// (the edge ids [`Expanded::flatten`] hands out follow it).
     pub writers: Vec<usize>,
     /// Tasks reading the item, one entry per routed arc, in route order.
     pub readers: Vec<usize>,
 }
 
 /// Why an arc could not cross a compound boundary. `Display` is the text
-/// [`HierGraph::flatten`] fails with.
+/// [`Expanded::flatten`] fails with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BindingProblem {
     /// What is missing.
@@ -619,8 +628,10 @@ impl fmt::Display for BindingProblem {
 /// what [`HierGraph::expand`] returns.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Expanded {
+    /// Name of the design that was expanded.
+    pub name: String,
     /// Leaf tasks; an index here is the task's [`TaskId`] after
-    /// [`HierGraph::flatten`].
+    /// [`flatten`](Self::flatten).
     pub tasks: Vec<FlatTask>,
     /// Every storage node, in walk order.
     pub storages: Vec<FlatStorage>,

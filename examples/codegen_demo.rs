@@ -16,7 +16,7 @@ use std::process::Command;
 
 fn main() {
     let machine = Machine::new(Topology::hypercube(2), figures::figure3_params());
-    let mut project = figures::lu_project(3, machine);
+    let project = figures::lu_project(3, machine);
     let schedule = project.schedule("MH").expect("schedules");
     let (a, b) = test_system(3);
     let inputs = lu_inputs(&a, &b);

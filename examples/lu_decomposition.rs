@@ -19,7 +19,7 @@ fn main() {
 
     let machine = Machine::new(Topology::hypercube(2), figures::figure3_params());
     println!("target machine: {}\n", machine.describe());
-    let mut project = figures::lu_project(n, machine);
+    let project = figures::lu_project(n, machine);
 
     // Design statistics (the "instant feedback" display).
     let f = project.flatten().unwrap();

@@ -177,17 +177,26 @@ fn run_trace_emits_chrome_json_and_drift_report() {
     std::fs::remove_file(&trace_path).ok();
 }
 
+/// A usage error, locally and with `--connect`: exit 2, one line on
+/// stderr naming `named`, nothing on stdout — and no request made: nobody
+/// listens on the socket, so an attempt would say "running locally".
+fn assert_usage_error(args: &[&str], named: &str) {
+    let nobody = std::env::temp_dir().join(format!("banger-cli-usage-{}.sock", std::process::id()));
+    for connect in [vec![], vec!["--connect", nobody.to_str().unwrap()]] {
+        let out = banger().args(&connect).args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} {connect:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} {connect:?}");
+        assert_eq!(err.lines().count(), 1, "{args:?} {connect:?}: {err}");
+        assert!(err.contains(named), "{args:?} {connect:?}: {err}");
+    }
+}
+
 #[test]
 fn run_trace_without_path_is_a_usage_error() {
-    let err = banger()
-        .args(["run", project_path(), "--trace"])
-        .output()
-        .expect("CLI runs");
-    assert!(!err.status.success());
-    assert!(
-        String::from_utf8_lossy(&err.stderr).contains("--trace needs an output path"),
-        "{}",
-        String::from_utf8_lossy(&err.stderr)
+    assert_usage_error(
+        &["run", project_path(), "--trace"],
+        "--trace needs an output path",
     );
 }
 
@@ -480,12 +489,25 @@ fn bad_usage_fails_cleanly() {
     assert_eq!(out3.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out3.stderr).contains("file.bang"));
 
-    let out4 = banger()
-        .args(["run", project_path(), "-i", "notapair"])
+    // An option without its value, or with one that does not parse, and
+    // an operand the verb does not take (a misspelt flag, usually).
+    let file = project_path();
+    assert_usage_error(&["run", file, "-i", "notapair"], "var=value");
+    assert_usage_error(&["run", file, "-i", "a=1x"], "1x");
+    assert_usage_error(&["gantt", file, "-H"], "-H needs");
+    assert_usage_error(&["recommend", file, "-p", "x"], "\"x\"");
+    assert_usage_error(&["run", file, "--repeat", "x"], "--repeat needs");
+    assert_usage_error(&["check", file, "--weigths"], "--weigths");
+    assert_usage_error(&["gantt", file, "extra"], "extra");
+    assert_usage_error(&["svg", file, "-o"], "-o needs");
+
+    // An unreadable `-s` file is not a usage error: the command was right.
+    let out5 = banger()
+        .args(["verify", file, "-s", "/no/such/schedule"])
         .output()
         .unwrap();
-    assert!(!out4.status.success());
-    assert!(String::from_utf8_lossy(&out4.stderr).contains("var=value"));
+    assert_eq!(out5.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out5.stderr).contains("cannot read /no/such/schedule"));
 }
 
 #[test]

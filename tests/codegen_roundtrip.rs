@@ -52,7 +52,7 @@ fn parse_array_output(stdout: &str, var: &str) -> Vec<f64> {
 fn generated_lu_program_matches_reference() {
     let n = 3;
     let m = Machine::new(Topology::hypercube(2), figures::figure3_params());
-    let mut p = figures::lu_project(n, m);
+    let p = figures::lu_project(n, m);
     let schedule = p.schedule("MH").unwrap();
     let (a, b) = test_system(n);
     let source = p.generate_rust(&schedule, &lu_inputs(&a, &b)).unwrap();
@@ -78,7 +78,7 @@ fn generated_program_follows_different_schedules() {
         ("lu3_etf", "ETF", Topology::fully_connected(4)),
     ] {
         let m = Machine::new(topo, MachineParams::default());
-        let mut p = figures::lu_project(n, m);
+        let p = figures::lu_project(n, m);
         let schedule = p.schedule(heuristic).unwrap();
         let source = p.generate_rust(&schedule, &lu_inputs(&a, &b)).unwrap();
         let stdout = compile_and_run(&source, tag);
@@ -137,7 +137,7 @@ fn generated_c_is_structurally_complete() {
     // matching Send/Recv pair with the same tag.
     let n = 4;
     let m = Machine::new(Topology::hypercube(2), figures::figure3_params());
-    let mut p = figures::lu_project(n, m);
+    let p = figures::lu_project(n, m);
     let schedule = p.schedule("MH").unwrap();
     let (a, b) = test_system(n);
     let source = p.generate_c(&schedule, &lu_inputs(&a, &b)).unwrap();

@@ -20,7 +20,7 @@ fn lu_workflow_all_sizes_and_machines() {
             Topology::hypercube(3),
         ] {
             let m = Machine::new(topo, figures::figure3_params());
-            let mut p = figures::lu_project(n, m.clone());
+            let p = figures::lu_project(n, m.clone());
             // Every heuristic schedules validly.
             for h in banger_sched::HEURISTIC_NAMES.iter().chain(["DSH"].iter()) {
                 let s = p.schedule(h).unwrap();
@@ -46,7 +46,7 @@ fn lu_workflow_all_sizes_and_machines() {
 #[test]
 fn pinned_execution_matches_greedy_for_every_heuristic() {
     let m = Machine::new(Topology::hypercube(2), figures::figure3_params());
-    let mut p = figures::lu_project(4, m);
+    let p = figures::lu_project(4, m);
     let (a, b) = test_system(4);
     let baseline = p.run(&lu_inputs(&a, &b)).unwrap().outputs;
     for h in ["HLFET", "ETF", "MH", "DSH"] {
@@ -62,7 +62,7 @@ fn measured_weights_feed_back_into_scheduling() {
     // the flat graph, re-schedule. The re-weighted schedule must still be
     // valid and the predicted makespan must change.
     let m = Machine::new(Topology::hypercube(2), figures::figure3_params());
-    let mut p = figures::lu_project(4, m.clone());
+    let p = figures::lu_project(4, m.clone());
     let s_before = p.schedule("MH").unwrap();
     let (a, b) = test_system(4);
     let report = p.run(&lu_inputs(&a, &b)).unwrap();

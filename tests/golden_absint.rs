@@ -19,7 +19,6 @@ mod golden;
 
 use banger::{parse_project, Project};
 use banger_analyze::absint::seeded_analyses;
-use banger_analyze::access::flat_view;
 use banger_calc::absint::{analyze_with, Analysis, AnalysisOptions, FindingKind};
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
@@ -119,8 +118,7 @@ fn dump_project(out: &mut String, label: &str, project: &Project) {
         let a = analyze_with(prog, &AnalysisOptions::default());
         dump_analysis(out, &format!("{label} program {name}"), &a);
     }
-    let view = flat_view(project.design());
-    for (name, prog, opts) in seeded_analyses(&view, lib) {
+    for (name, prog, opts) in seeded_analyses(project.expanded(), lib) {
         let seeds: Vec<String> = opts
             .inputs
             .iter()

@@ -169,7 +169,7 @@ fn expansion_n12_tiles3_bit_identical() {
     let inputs: BTreeMap<String, Value> =
         [("a".to_string(), Value::array(a))].into_iter().collect();
 
-    let mut dense = build();
+    let dense = build();
     let want = dense.run(&inputs).unwrap();
     let mut tiled = build();
     tiled.expand_task("fact", 3).unwrap();

@@ -200,13 +200,12 @@ fn probe_stats_are_per_run() {
     let solo = banger_sched::mh::mh(&g, &m).stats();
     assert!(solo.arrival_probes > 0 && solo.slot_searches > 0);
 
-    std::env::set_var("BANGER_SWEEP_WORKERS", "4");
+    // Four threads whatever the host offers, eight identical runs.
     let machines: Vec<Machine> = (0..8)
         .map(|_| Machine::new(Topology::hypercube(2), MachineParams::default()))
         .collect();
-    assert_eq!(banger_sched::sweep::planned_workers(machines.len()), 4);
-    let schedules = banger_sched::sweep::sweep_machines("MH", &g, &machines).unwrap();
-    std::env::remove_var("BANGER_SWEEP_WORKERS");
+    let schedules =
+        banger_sched::sweep::parallel_map_on(4, &machines, |_, m| banger_sched::mh::mh(&g, m));
 
     for s in &schedules {
         assert_eq!(
