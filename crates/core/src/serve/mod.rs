@@ -1,5 +1,6 @@
 //! One request model for every front end, and `banger serve` — a
-//! persistent project daemon with content-hashed caches — on top of it.
+//! persistent project daemon with caches keyed by source bytes — on top
+//! of it.
 //!
 //! Every `banger` invocation is a [`Request`] answered by
 //! [`ops::handle`] with a [`Response`]. The `banger` binary parses its
@@ -20,20 +21,20 @@
 //!
 //! ## Cache levels
 //!
-//! Every request re-reads the project file and rehashes its bytes
-//! (FNV-1a 64; no inotify dependency — a stat+read per request is the
-//! invalidation probe). On a hash match the warm entry is reused; on a
-//! mismatch the entry is rebuilt from the new source and every derived
-//! cache below it is discarded.
+//! Every request re-reads the whole project file (no inotify dependency
+//! and no metadata shortcut — the read per request is the invalidation
+//! probe) and compares the bytes with the text the resident entry was
+//! built from. Equal bytes reuse the warm entry; any difference rebuilds
+//! it from the new source and discards every derived cache below it.
 //!
 //! | level | cache | key | invalidated by |
 //! |---|---|---|---|
-//! | source bytes | content hash | canonical path | file rewrite |
-//! | parse | [`Project`](crate::Project) (design + library + machine) | source hash | hash change |
-//! | diagnose | `Project::diagnose` memo, rendered warnings, `check` output per format | source hash | hash change |
-//! | compile | `Arc<CompiledProgram>` in the `ProgramLibrary` | program name | hash change |
-//! | router + workers | [`Session`](banger_exec::Session) (parked pool, slab store) | source hash | hash change, worker loss |
-//! | schedule | rendered schedule + Gantt | source hash (design and machine are in the bytes), then heuristic | hash change |
+//! | source bytes | the text the entry was built from | canonical path | file rewrite |
+//! | parse | [`Project`](crate::Project) (design + library + machine) | source bytes | changed bytes |
+//! | diagnose | `Project::diagnose` memo, rendered warnings, `check` output per format | source bytes | changed bytes |
+//! | compile | `Arc<CompiledProgram>` in the `ProgramLibrary` | program name | a change to its `begin-program` text |
+//! | router + workers | [`Session`](banger_exec::Session) (parked pool, slab store) | source bytes | changed bytes, worker loss |
+//! | schedule | rendered schedule + Gantt | source bytes (design and machine are in them), then heuristic | changed bytes |
 //!
 //! Verbs outside `check`, `gantt`/`schedule` and `run` are recomputed on
 //! the resident project each time; verbs that rewrite the design work on

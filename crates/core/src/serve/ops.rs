@@ -98,12 +98,12 @@ fn with_entry(
     let Some(path) = &req.path else {
         return Response::failure(format!("{} needs a \"path\"", req.cmd));
     };
-    let (slot, source, hash) = match store.lookup(path) {
+    let (slot, bytes) = match store.lookup(path) {
         Ok(x) => x,
         Err(e) => return Response::failure(e),
     };
     let mut entry = slot.lock();
-    let state = match entry.ensure(&source, hash, &store.counters) {
+    let state = match entry.ensure(bytes, &store.counters) {
         Ok((state, _warm)) => state,
         Err(e) => return Response::failure(e),
     };

@@ -1,11 +1,14 @@
-//! The concurrent project store: content-hashed cache entries keyed by
-//! canonical path.
+//! The concurrent project store: cache entries keyed by canonical path,
+//! each valid for exactly the source bytes it was built from.
 //!
 //! One [`ProjectStore`] lives for the daemon's whole life. Each `.bang`
 //! file gets one [`Entry`] slot; the slot survives evictions so that
 //! per-path locks stay stable while the *state* inside (parsed
 //! [`Project`], memoized check renders, schedules, the warm
-//! [`Session`]) is rebuilt whenever the source bytes hash differently.
+//! [`Session`]) is rebuilt whenever the file's bytes differ from the
+//! text that state keeps. Bytes are compared, never only hashed: every
+//! request reads the whole file, and a snapshot answers it only if that
+//! read equals its text.
 //!
 //! A rebuild starts from the new bytes alone and invalidates nothing in
 //! place: the snapshot being replaced is only a *donor*. A program whose
@@ -28,19 +31,21 @@
 //! server's `catch_unwind`) cannot wedge an entry; the poisoned *cache
 //! state* is discarded explicitly via [`ProjectStore::evict`] instead.
 
+use super::protocol::MAX_FRAME;
 use crate::document::parse_project_reusing;
 use crate::project::Project;
 use banger_calc::ProgramLibrary;
 use banger_exec::Session;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// FNV-1a 64-bit over raw bytes: the content hash behind every cache
-/// level. Dependency-free and stable across runs (unlike `DefaultHasher`,
-/// which is randomly seeded per process).
+/// FNV-1a 64-bit over raw bytes: a fingerprint for tests and the
+/// benchmark. No cache is keyed by it. Dependency-free and stable across
+/// runs (unlike `DefaultHasher`, which is randomly seeded per process).
 pub fn content_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -50,14 +55,15 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Everything derived from one source snapshot. Replaced wholesale on
-/// hash change and dropped on eviction; the replacement shares the
-/// programs whose text did not change (see the module docs), nothing else.
+/// Everything derived from one source snapshot. Replaced wholesale when
+/// the file's bytes differ from `source` and dropped on eviction; the
+/// replacement shares the programs whose text did not change (see the
+/// module docs), nothing else.
 pub struct EntryState {
-    /// Hash of the source bytes this state was built from. The design and
-    /// the machine are both part of those bytes, so every cache below is
-    /// implicitly keyed by them.
-    pub source_hash: u64,
+    /// The source text this state was built from: the key of every cache
+    /// below. The design and the machine are both part of it, so a map
+    /// inside this state is keyed only by what varies within a snapshot.
+    pub source: String,
     /// The parsed project. What it derives from the design — expansion,
     /// flat graph, findings — it keeps itself, behind `&self`; no request
     /// edits it (rewriting verbs edit a clone), so those facts live
@@ -81,31 +87,45 @@ pub struct EntryState {
 /// One per-path slot. `state: None` means cold: never built, evicted,
 /// or poisoned by a panicking request.
 pub struct Entry {
+    /// The canonical path the slot is keyed by, for error messages.
+    path: PathBuf,
     /// The derived caches, absent when cold.
     pub state: Option<EntryState>,
 }
 
 impl Entry {
-    /// Brings the entry in sync with the just-read source snapshot.
+    /// Brings the entry in sync with the just-read source `bytes`.
     /// Returns `(state, warm)` where `warm` is false when this call
-    /// (re)built the project from source. A first build that fails leaves
-    /// the entry cold; a rebuild that fails puts the replaced snapshot
-    /// back, so the save that fixes the typo still finds its donor. That
-    /// snapshot answers nothing meanwhile: its hash is not the file's, so
-    /// every request builds again and gets the error.
+    /// (re)built the project from source. Bytes equal to the resident
+    /// snapshot's text are a hit; only bytes that differ are checked for
+    /// UTF-8 — invalid ones are refused before any counter or the entry
+    /// moves — and then parsed, the text moving into the new snapshot. A
+    /// first build that fails leaves the entry cold; a rebuild that fails
+    /// puts the replaced snapshot back, so the save that fixes the typo
+    /// still finds its donor. That snapshot answers nothing meanwhile: its
+    /// text is not the file's, so every request builds again and gets the
+    /// error.
     pub fn ensure(
         &mut self,
-        source: &str,
-        hash: u64,
+        bytes: Vec<u8>,
         counters: &Counters,
     ) -> Result<(&mut EntryState, bool), String> {
-        let stale = self.state.as_ref().is_some_and(|s| s.source_hash != hash);
+        let stale = self
+            .state
+            .as_ref()
+            .is_some_and(|s| s.source.as_bytes() != bytes);
         if !stale {
             if let Some(ref mut state) = self.state {
                 counters.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((state, true));
             }
         }
+        let source = String::from_utf8(bytes).map_err(|_| {
+            format!(
+                "cannot read {}: stream did not contain valid UTF-8",
+                self.path.display()
+            )
+        })?;
         // Taken out for the rebuild: a panic below leaves the entry cold.
         let replaced = self.state.take();
         if stale {
@@ -114,7 +134,7 @@ impl Entry {
         counters.misses.fetch_add(1, Ordering::Relaxed);
         let none = ProgramLibrary::new();
         let donor = replaced.as_ref().map_or(&none, |s| s.project.library());
-        let project = match parse_project_reusing(source, donor) {
+        let project = match parse_project_reusing(&source, donor) {
             Ok(project) => project,
             Err(e) => {
                 self.state = replaced;
@@ -144,7 +164,7 @@ impl Entry {
             lines.join("\n")
         };
         let state = self.state.insert(EntryState {
-            source_hash: hash,
+            source,
             project,
             warnings,
             checks: HashMap::new(),
@@ -164,7 +184,7 @@ pub struct Counters {
     pub hits: AtomicU64,
     /// Cold builds (first sight of a path, or rebuild after eviction).
     pub misses: AtomicU64,
-    /// Rebuilds forced by a source-hash change (also counted in misses).
+    /// Rebuilds forced by changed source bytes (also counted in misses).
     /// A file that does not parse keeps its last good snapshot, so every
     /// request made while it is broken counts one more.
     pub rebuilds: AtomicU64,
@@ -187,7 +207,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Cold builds (first sight of a path, or rebuild after eviction).
     pub misses: u64,
-    /// Rebuilds forced by a source-hash change (also counted in misses).
+    /// Rebuilds forced by changed source bytes (also counted in misses).
     pub rebuilds: u64,
     /// Explicit evictions (`evict` requests and panic poisoning).
     pub evictions: u64,
@@ -240,7 +260,6 @@ impl ProjectStore {
     }
 
     /// Resolves a request path to its canonical form — the store key.
-    /// Canonicalization doubles as the per-request `stat` probe.
     pub fn canonical(&self, path: &str) -> Result<PathBuf, String> {
         Path::new(path)
             .canonicalize()
@@ -248,22 +267,38 @@ impl ProjectStore {
     }
 
     /// Reads the current source snapshot and returns the entry slot for
-    /// it: `(slot, source text, content hash)`. The read-and-rehash *is*
-    /// the invalidation probe — there is no file watcher; a stale entry
-    /// is detected the moment the next request arrives.
-    pub fn lookup(&self, path: &str) -> Result<(Arc<Mutex<Entry>>, String, u64), String> {
+    /// it: `(slot, source bytes)`, for [`Entry::ensure`] to compare with
+    /// the resident text. The whole-file read *is* the invalidation probe
+    /// — there is no file watcher and no metadata shortcut; a stale entry
+    /// is detected the moment the next request arrives. Only a regular
+    /// file of at most one protocol frame ([`MAX_FRAME`]) is read: a
+    /// device would read without end and a FIFO block in `open`.
+    pub fn lookup(&self, path: &str) -> Result<(Arc<Mutex<Entry>>, Vec<u8>), String> {
         let canon = self.canonical(path)?;
-        let source = std::fs::read_to_string(&canon)
-            .map_err(|e| format!("cannot read {}: {e}", canon.display()))?;
-        let hash = content_hash(source.as_bytes());
+        let refuse =
+            |why: &dyn std::fmt::Display| format!("cannot read {}: {why}", canon.display());
+        let meta = std::fs::metadata(&canon).map_err(|e| refuse(&e))?;
+        if !meta.is_file() {
+            return Err(refuse(&"not a regular file"));
+        }
+        // Sized like `fs::read`'s buffer, so a resident text has no slack.
+        let mut bytes = Vec::with_capacity(meta.len().min(MAX_FRAME as u64) as usize);
+        std::fs::File::open(&canon)
+            .and_then(|f| f.take(MAX_FRAME as u64 + 1).read_to_end(&mut bytes))
+            .map_err(|e| refuse(&e))?;
+        if bytes.len() > MAX_FRAME {
+            return Err(refuse(&format_args!("larger than {} MiB", MAX_FRAME >> 20)));
+        }
         let slot = {
             let mut map = self.entries.lock();
-            Arc::clone(
-                map.entry(canon)
-                    .or_insert_with(|| Arc::new(Mutex::new(Entry { state: None }))),
-            )
+            Arc::clone(map.entry(canon).or_insert_with_key(|canon| {
+                Arc::new(Mutex::new(Entry {
+                    path: canon.clone(),
+                    state: None,
+                }))
+            }))
         };
-        Ok((slot, source, hash))
+        Ok((slot, bytes))
     }
 
     /// Discards the derived state for a path (the slot itself remains).
@@ -361,22 +396,22 @@ end-program
     fn warm_hit_then_rewrite_rebuilds() {
         let path = temp_bang("rebuild", DESIGN);
         let store = ProjectStore::new();
-        let (slot, src, hash) = store.lookup(path.to_str().unwrap()).unwrap();
+        let (slot, bytes) = store.lookup(path.to_str().unwrap()).unwrap();
         {
             let mut entry = slot.lock();
-            let (_, warm) = entry.ensure(&src, hash, &store.counters).unwrap();
+            let (_, warm) = entry.ensure(bytes.clone(), &store.counters).unwrap();
             assert!(!warm, "first build is cold");
-            let (_, warm) = entry.ensure(&src, hash, &store.counters).unwrap();
-            assert!(warm, "same hash is a hit");
+            let (_, warm) = entry.ensure(bytes, &store.counters).unwrap();
+            assert!(warm, "same bytes are a hit");
         }
         // Rewrite the file: next lookup + ensure must rebuild.
         std::fs::write(&path, DESIGN.replace("task t1 1", "task t1 2")).unwrap();
-        let (slot2, src2, hash2) = store.lookup(path.to_str().unwrap()).unwrap();
+        let (slot2, bytes2) = store.lookup(path.to_str().unwrap()).unwrap();
         assert!(Arc::ptr_eq(&slot, &slot2), "slot is stable across rewrites");
         {
             let mut entry = slot2.lock();
-            let (_, warm) = entry.ensure(&src2, hash2, &store.counters).unwrap();
-            assert!(!warm, "hash change forces a rebuild");
+            let (_, warm) = entry.ensure(bytes2, &store.counters).unwrap();
+            assert!(!warm, "changed bytes force a rebuild");
         }
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.rebuilds), (1, 2, 1));
@@ -387,8 +422,8 @@ end-program
     fn evict_drops_state_but_keeps_slot() {
         let path = temp_bang("evict", DESIGN);
         let store = ProjectStore::new();
-        let (slot, src, hash) = store.lookup(path.to_str().unwrap()).unwrap();
-        slot.lock().ensure(&src, hash, &store.counters).unwrap();
+        let (slot, bytes) = store.lookup(path.to_str().unwrap()).unwrap();
+        slot.lock().ensure(bytes, &store.counters).unwrap();
         assert!(store.evict(path.to_str().unwrap()));
         assert!(!store.evict(path.to_str().unwrap()), "already cold");
         assert!(slot.lock().state.is_none());
@@ -400,8 +435,8 @@ end-program
     fn parse_failure_leaves_entry_cold() {
         let path = temp_bang("bad", "not a project at all");
         let store = ProjectStore::new();
-        let (slot, src, hash) = store.lookup(path.to_str().unwrap()).unwrap();
-        assert!(slot.lock().ensure(&src, hash, &store.counters).is_err());
+        let (slot, bytes) = store.lookup(path.to_str().unwrap()).unwrap();
+        assert!(slot.lock().ensure(bytes, &store.counters).is_err());
         assert!(slot.lock().state.is_none());
         std::fs::remove_file(&path).ok();
     }
@@ -409,11 +444,10 @@ end-program
     #[test]
     fn a_broken_save_keeps_the_donor_for_the_save_that_fixes_it() {
         use crate::serve::{ops::handle, Request};
-        let root = env!("CARGO_MANIFEST_DIR");
-        let good =
-            std::fs::read_to_string(format!("{root}/../../examples/projects/lu3.bang")).unwrap();
+        let good = lu3();
         let broken = good.replace("c[3] := c[3] /", "c[3] := := c[3] /");
         let mended = good.replace("c[3] := c[3] /", "c[3] := 2 * c[3] /");
+        let garbled = [good.as_bytes(), b"\xff\n"].concat();
         assert!(broken != good && mended != good);
 
         let path = temp_bang("typo", &good);
@@ -426,8 +460,50 @@ end-program
             let state = entry.state.as_ref().expect("a snapshot is resident");
             state.project.library().clone()
         };
+        let counts = |store: &ProjectStore| {
+            let s = store.stats();
+            (
+                s.hits,
+                s.misses,
+                s.rebuilds,
+                s.programs_parsed,
+                s.programs_reused,
+            )
+        };
+        // A save that is not UTF-8 is refused with `read_to_string`'s
+        // message and moves no counter and no snapshot, cold or warm.
+        let garbled_save = |store: &ProjectStore| {
+            std::fs::write(&path, &garbled).unwrap();
+            let not_utf8 = std::fs::read_to_string(&path).unwrap_err();
+            let canon = path.canonicalize().unwrap();
+            let want = format!("cannot read {}: {not_utf8}", canon.display());
+            let before = counts(store);
+            let resp = handle(store, &check);
+            assert_eq!(
+                (resp.ok, resp.exit, &resp.error, resp.output.as_str()),
+                (false, 1, &want, "")
+            );
+            assert_eq!(counts(store), before);
+        };
+        garbled_save(&ProjectStore::new());
+        std::fs::write(&path, &good).unwrap();
         assert!(handle(&store, &check).ok);
         let first = library();
+        // Whether `library` holds the first snapshot's entry for `name`.
+        let shared = |library: &ProgramLibrary, name: &String| {
+            Arc::ptr_eq(
+                &first.get_compiled(name).unwrap(),
+                &library.get_compiled(name).unwrap(),
+            )
+        };
+        garbled_save(&store);
+        // Restoring the text finds the snapshot the garbled save left.
+        std::fs::write(&path, &good).unwrap();
+        let (hits, ..) = counts(&store);
+        assert!(handle(&store, &check).ok);
+        assert_eq!(counts(&store), (hits + 1, 1, 0, 11, 0));
+        let restored = library();
+        assert!(first.iter().all(|(name, _)| shared(&restored, name)));
 
         // The typo: every request gets the error a fresh store gives, and
         // each one is a rebuild that fails.
@@ -446,22 +522,18 @@ end-program
             );
         }
         assert_eq!(store.stats().rebuilds, 2);
+        garbled_save(&store);
 
         // The fix parses one program; the other ten are the first
-        // snapshot's, which the failed rebuilds put back.
+        // snapshot's, which the failed rebuilds put back and the garbled
+        // save left alone.
         std::fs::write(&path, &mended).unwrap();
         assert!(handle(&store, &check).ok);
         let fixed = library();
-        let shared = |name: &String| {
-            Arc::ptr_eq(
-                &first.get_compiled(name).unwrap(),
-                &fixed.get_compiled(name).unwrap(),
-            )
-        };
         let parsed: Vec<&String> = first
             .iter()
             .map(|(n, _)| n)
-            .filter(|n| !shared(n))
+            .filter(|n| !shared(&fixed, n))
             .collect();
         assert_eq!(parsed, ["bck3"], "the one edited program");
         let s = store.stats();
@@ -475,6 +547,137 @@ end-program
         let s = store.stats();
         assert_eq!((s.programs_parsed, s.programs_reused), (12 + 11, 10));
         std::fs::remove_file(&path).ok();
+    }
+
+    fn lu3() -> String {
+        let root = env!("CARGO_MANIFEST_DIR");
+        std::fs::read_to_string(format!("{root}/../../examples/projects/lu3.bang")).unwrap()
+    }
+
+    fn gantt_etf(path: &Path) -> crate::serve::Request {
+        let mut req = crate::serve::Request::for_path("gantt", path.to_str().unwrap());
+        req.heuristic = "ETF".into();
+        req
+    }
+
+    /// The rewrite an (inode, length, mtime) gate would take for the old
+    /// file: one digit changed in place, the old mtime put back.
+    #[test]
+    fn a_same_size_rewrite_with_the_old_mtime_rebuilds() {
+        use crate::serve::ops::handle;
+        use std::io::{Seek as _, SeekFrom};
+        let text = lu3();
+        let path = temp_bang("same-size", &text);
+        let store = ProjectStore::new();
+        let gantt = gantt_etf(&path);
+        let before = handle(&store, &gantt);
+        assert!(before.ok, "{}", before.error);
+
+        let stamp = std::fs::metadata(&path).unwrap();
+        let digit = text.find("task fan1 9 prog").unwrap() + "task fan1 ".len();
+        let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.seek(SeekFrom::Start(digit as u64)).unwrap();
+        file.write_all(b"8").unwrap();
+        file.set_modified(stamp.modified().unwrap()).unwrap();
+        drop(file);
+        let now = std::fs::metadata(&path).unwrap();
+        assert_eq!(
+            (now.len(), now.modified().unwrap()),
+            (stamp.len(), stamp.modified().unwrap())
+        );
+
+        let after = handle(&store, &gantt);
+        let fresh = handle(&ProjectStore::new(), &gantt);
+        assert!(after.ok && !after.cached, "{}", after.error);
+        assert_eq!(after.output, fresh.output);
+        assert_ne!(after.output, before.output, "fan1's weight is on the chart");
+        assert_eq!(store.stats().rebuilds, 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Rewriting the same bytes moves only the mtime: still a hit.
+    #[test]
+    fn identical_bytes_rewritten_are_a_hit() {
+        use crate::serve::ops::handle;
+        let text = lu3();
+        let path = temp_bang("same-bytes", &text);
+        let store = ProjectStore::new();
+        let gantt = gantt_etf(&path);
+        let before = handle(&store, &gantt);
+        assert!(before.ok, "{}", before.error);
+        let counted = store.stats();
+
+        let stamp = std::fs::metadata(&path).unwrap().modified().unwrap();
+        std::fs::write(&path, &text).unwrap();
+        let later = stamp + std::time::Duration::from_secs(5);
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_modified(later).unwrap();
+        drop(file);
+        assert_ne!(std::fs::metadata(&path).unwrap().modified().unwrap(), stamp);
+
+        let after = handle(&store, &gantt);
+        assert!(after.ok && after.cached, "{}", after.error);
+        assert_eq!(after.output, before.output);
+        let s = store.stats();
+        assert_eq!(
+            (s.hits, s.rebuilds, s.programs_parsed),
+            (counted.hits + 1, counted.rebuilds, counted.programs_parsed)
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// What `lookup` says about `path`, which it must refuse.
+    fn refusal(path: &Path) -> String {
+        let store = ProjectStore::new();
+        let Err(e) = store.lookup(path.to_str().unwrap()) else {
+            panic!("{} was read", path.display());
+        };
+        e
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_device_is_refused_not_read() {
+        assert_eq!(
+            refusal(Path::new("/dev/zero")),
+            "cannot read /dev/zero: not a regular file"
+        );
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_fifo_is_refused_without_blocking() {
+        let path =
+            std::env::temp_dir().join(format!("banger-store-{}-fifo.bang", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let made = std::process::Command::new("mkfifo").arg(&path).status();
+        assert!(made.unwrap().success(), "mkfifo");
+        let canon = path.canonicalize().unwrap();
+        // Opening a FIFO with no writer blocks: fail, do not hang.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let probe = path.clone();
+        let prober = std::thread::spawn(move || tx.send(refusal(&probe)).ok());
+        let said = rx.recv_timeout(std::time::Duration::from_secs(20));
+        std::fs::remove_file(&path).ok();
+        let want = format!("cannot read {}: not a regular file", canon.display());
+        assert_eq!(said.expect("lookup blocked on the FIFO"), want);
+        prober.join().expect("the probe thread");
+    }
+
+    #[test]
+    fn a_file_longer_than_one_frame_is_refused() {
+        let path = temp_bang("sparse", "");
+        std::fs::File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(65 << 20)
+            .unwrap();
+        let canon = path.canonicalize().unwrap();
+        let said = refusal(&path);
+        std::fs::remove_file(&path).ok();
+        let want = format!("cannot read {}: larger than 64 MiB", canon.display());
+        assert_eq!(said, want);
     }
 
     #[test]

@@ -1266,6 +1266,35 @@ fn document_errors_are_positioned_in_both_modes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A device is refused by both modes before it is read: `check
+/// /dev/zero` used to grow the process until the allocator failed, and
+/// over the socket the OOM killer took the daemon from every client.
+#[cfg(unix)]
+#[test]
+fn a_device_is_refused_in_both_modes() {
+    let (sock, guard) = start_daemon("device", Path::new("."));
+    for connect in [vec![], vec!["--connect", sock.to_str().unwrap()]] {
+        let out = banger()
+            .args(&connect)
+            .args(["check", "/dev/zero"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{connect:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "banger: cannot read /dev/zero: not a regular file\n",
+            "{connect:?}"
+        );
+        assert!(out.stdout.is_empty(), "{connect:?}");
+    }
+    let ping = banger()
+        .args(["--connect", sock.to_str().unwrap(), "ping"])
+        .output()
+        .unwrap();
+    assert_eq!(String::from_utf8_lossy(&ping.stdout), "pong\n");
+    stop_daemon(&sock, guard);
+}
+
 /// A daemon resolves nothing against its own working directory: the
 /// client sends the project path absolute and reads and writes the
 /// other files itself.

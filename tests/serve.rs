@@ -313,6 +313,44 @@ fn deeply_nested_document_is_an_error_not_a_dead_daemon() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A path that is not a regular file of at most one frame is refused
+/// before it is read: `/dev/zero` used to grow the daemon until the OOM
+/// killer took it, and a FIFO blocked its handler in `open` for good.
+#[test]
+fn unreadable_paths_are_refused_not_read() {
+    let fifo = temp_path("fifo", "bang");
+    std::fs::remove_file(&fifo).ok();
+    let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+    assert!(made.unwrap().success(), "mkfifo");
+    let sparse = temp_path("sparse", "bang");
+    let file = std::fs::File::create(&sparse).unwrap();
+    file.set_len(65 << 20).unwrap();
+    drop(file);
+    let refused = [
+        (PathBuf::from("/dev/zero"), "not a regular file"),
+        (fifo.canonicalize().unwrap(), "not a regular file"),
+        (sparse.canonicalize().unwrap(), "larger than 64 MiB"),
+    ];
+
+    let (sock, server, handle) = start_server("unreadable");
+    let mut client = Client::connect(&sock).expect("connect");
+    for (path, why) in &refused {
+        let resp = client
+            .request(&Request::for_path("check", path.to_str().unwrap()))
+            .unwrap();
+        let want = format!("cannot read {}: {why}", path.display());
+        assert_eq!((resp.ok, resp.exit, resp.error), (false, 1, want));
+        assert!(resp.output.is_empty());
+    }
+    let pong = client.request(&Request::new("ping")).unwrap();
+    assert_eq!(pong.output, "pong\n");
+    let stats = server.store().stats();
+    assert_eq!((stats.misses, stats.panics), (0, 0));
+    shutdown(&sock, handle);
+    std::fs::remove_file(&fifo).ok();
+    std::fs::remove_file(&sparse).ok();
+}
+
 /// Malformed frames get an error response without dropping the
 /// connection or the daemon.
 #[test]
