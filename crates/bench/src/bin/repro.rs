@@ -50,8 +50,7 @@ fn main() {
             xb::suite_params(),
         );
         let s = banger_sched::mh::mh(&g, &m);
-        let r =
-            banger_sim::simulate(&g, &m, &s, banger_sim::SimOptions::default()).expect("simulates");
+        let r = banger_sim::simulate(&g, &m, &s).expect("simulates");
         banger::animate::animate(
             &g,
             m.processors(),

@@ -68,8 +68,8 @@ fn main() {
     if hypercube > 20 {
         usage_error("--hypercube must be at most 20");
     }
-    let known = |h: &String| h == "DSH" || banger_sched::HEURISTIC_NAMES.contains(&h.as_str());
-    if let Some(h) = heuristics.iter().find(|h| !known(h)) {
+    let known = &banger_sched::HEURISTIC_NAMES;
+    if let Some(h) = heuristics.iter().find(|h| !known.contains(&h.as_str())) {
         usage_error(&format!("unknown heuristic {h:?}"));
     }
 

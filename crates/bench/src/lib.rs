@@ -9,8 +9,8 @@
 use banger::chart::SpeedupPoint;
 use banger::figures;
 use banger_machine::{Machine, MachineParams, Topology};
-use banger_sched::bounds;
-use banger_sim::{simulate, SimOptions};
+use banger_sched::{bounds, HEURISTIC_NAMES};
+use banger_sim::simulate;
 use banger_taskgraph::{generators, TaskGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -82,9 +82,6 @@ pub fn machine_suite() -> Vec<Machine> {
     ]
 }
 
-/// The heuristics compared in experiment R1 (order fixed for tables).
-pub const COMPARED: [&str; 7] = ["serial", "naive", "HLFET", "MCP", "ETF", "DLS", "MH"];
-
 /// R1 — heuristic comparison table: one row per (workload, machine,
 /// heuristic) with makespan, speedup and makespan/lower-bound ratio.
 pub fn sched_compare_table() -> String {
@@ -101,17 +98,16 @@ pub fn sched_compare_table() -> String {
             g.ccr()
         );
         let _ = write!(out, "{:<14}", "machine");
-        for h in COMPARED.iter().chain(["DSH"].iter()) {
+        for h in HEURISTIC_NAMES {
             let _ = write!(out, " {h:>18}");
         }
         out.push('\n');
-        let names: Vec<&str> = COMPARED.iter().chain(["DSH"].iter()).copied().collect();
         for m in machine_suite() {
             let lb = bounds::lower_bound(&g, &m);
             let _ = write!(out, "{:<14}", m.topology().name());
             // One parallel sweep per machine row; identical to the old
             // heuristic-at-a-time loop.
-            for s in banger_sched::sweep::sweep_heuristics(&names, &g, &m) {
+            for s in banger_sched::sweep::sweep_heuristics(&HEURISTIC_NAMES, &g, &m) {
                 let s = s.expect("known heuristic");
                 debug_assert!(s.validate(&g, &m).is_ok());
                 let _ = write!(
@@ -145,7 +141,7 @@ pub fn predicted_vs_achieved_table() -> String {
         for m in machine_suite() {
             for h in ["ETF", "MH"] {
                 let s = banger_sched::run_heuristic(h, &g, &m).unwrap();
-                let r = simulate(&g, &m, &s, SimOptions::default()).expect("simulates");
+                let r = simulate(&g, &m, &s).expect("simulates");
                 let _ = writeln!(
                     out,
                     "{:<14} {:<14} {:>10.2} {:>10.2} {:>7.3} {:>9} {:>11.2}  ({h})",

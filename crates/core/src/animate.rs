@@ -115,14 +115,14 @@ pub fn animate(
 mod tests {
     use super::*;
     use banger_machine::{Machine, MachineParams, Topology};
-    use banger_sim::{simulate, SimOptions};
+    use banger_sim::simulate;
     use banger_taskgraph::generators;
 
     fn simulate_lu() -> (TaskGraph, Machine, SimResult) {
         let g = generators::lu_hierarchical(4).flatten().unwrap().graph;
         let m = Machine::new(Topology::hypercube(2), crate::figures::figure3_params());
         let s = banger_sched::mh::mh(&g, &m);
-        let r = simulate(&g, &m, &s, SimOptions::default()).unwrap();
+        let r = simulate(&g, &m, &s).unwrap();
         (g, m, r)
     }
 
@@ -170,7 +170,7 @@ mod tests {
         let g = TaskGraph::new("empty");
         let m = Machine::new(Topology::single(), MachineParams::default());
         let s = banger_sched::list::serial(&g, &m);
-        let r = simulate(&g, &m, &s, SimOptions::default()).unwrap();
+        let r = simulate(&g, &m, &s).unwrap();
         let text = animate(&g, 1, &r, AnimateOptions::default());
         assert!(text.contains("nothing to animate"));
     }

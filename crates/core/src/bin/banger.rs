@@ -1,117 +1,30 @@
 //! `banger` — the environment as a command-line tool.
 //!
-//! Operates on `.bang` project documents (see `banger::document`):
-//!
-//! ```text
-//! banger check <file> [--format text|json] static analysis (B0xx diagnostics)
-//!              [--weights [-i var=value]...] add the per-task weight report:
-//!                                         static estimate vs drawn weight
-//!                                         (vs measured ops when inputs are
-//!                                         given and the design is clean)
-//! banger show <file>                      design statistics + DOT
-//! banger gantt <file> [-H <heuristic>]    schedule + ASCII Gantt chart
-//! banger compare <file>                   all heuristics, sorted
-//! banger simulate <file> [-H <heuristic>] predicted vs achieved
-//! banger animate <file> [-H <heuristic>]  frame-by-frame replay
-//! banger advise <file> [-H <heuristic>]   bottleneck analysis + suggestions
-//! banger recommend <file> [-p <procs>]    rank standard machines for the design
-//! banger svg <file> [-H h] [-o dir]       write gantt/speedup/utilization SVGs
-//! banger save-schedule <file> [-H h] [-o path]  persist a schedule
-//! banger verify <file> -s <schedule>      validate + replay a saved schedule
-//! banger run <file> [-i var=value]... [--trace out.json [-H h]]
-//!                                         execute on host threads; --trace
-//!                                         runs pinned to the -H schedule,
-//!                                         writes Chrome trace JSON and
-//!                                         prints the observed-vs-predicted
-//!                                         drift report
-//! banger trial <file> <program> [-i ...]  trial-run one PITS program
-//! banger speedup <file> -t spec,spec,...  speedup prediction sweep
-//! banger codegen <file> rust|c [-i ...]   emit generated code to stdout
-//! banger parallelize <file> <task> <n>    split a reduction task n ways
-//! banger optimize <file> [--expand task:tiles] [--fuse] [--emit out.bang]
-//!                                         graph-rewrite optimizer: dead-arc
-//!                                         elimination, optional map expansion
-//!                                         of a dense-LU template task and
-//!                                         task fusion; --emit writes the
-//!                                         rewritten document
-//! banger graph <file> [--optimized] [--dot]
-//!                                         flattened task-graph statistics,
-//!                                         optionally after optimization;
-//!                                         --dot prints Graphviz DOT
-//! banger help                             this list
-//! ```
-//!
-//! `run` and `gantt` also accept `--optimize` to apply dead-arc
-//! elimination + fusion before scheduling/executing.
-//!
-//! Input values: scalars (`-i a=2.5`) or arrays (`-i v=[1,2,3]`).
+//! Operates on `.bang` project documents (see `banger::document`); `banger
+//! help` lists the subcommands, their options and the exit codes. Input
+//! values: scalars (`-i a=2.5`) or arrays (`-i v=[1,2,3]`).
 //!
 //! This file is the front end only: it turns the arguments into a
 //! [`Request`], has [`ops::handle`] answer it — in this process, or in a
 //! `banger serve` daemon when `--connect` finds one — and prints the
 //! [`Response`]. Every verb is rendered by the handler, so both ways
-//! print the same thing.
+//! print the same thing. Every verb is a row of [`ops::VERBS`]: `banger
+//! help` prints the rows, a subcommand with no row is unknown, and a
+//! daemon row has no local fallback.
 //!
 //! Exit codes: 0 success (warnings allowed), 1 operational failure or
 //! error-severity diagnostics, 2 usage errors (unknown subcommand, missing
 //! arguments, an option without its value or with a malformed one, an
-//! operand the verb does not take): one line on stderr, nothing on
-//! stdout, no request made. A reader that closes the pipe early
+//! option or operand the verb does not take): one line on stderr, nothing
+//! on stdout, no request made. A reader that closes the pipe early
 //! (`| head -1`) changes none of them: see `put`.
 
-use banger::serve::{ops, ProjectStore, Request, Response};
+use banger::serve::ops::{self, Verb};
+use banger::serve::{ProjectStore, Request, Response};
 use banger_calc::Value;
 use std::io::{stderr, stdout, ErrorKind, Write};
 use std::path::Path;
 use std::process::exit;
-
-/// Every subcommand, with a one-line summary for `banger help`.
-const COMMANDS: &[(&str, &str)] = &[
-    (
-        "check",
-        "static analysis: races, interfaces, hygiene, body safety (B0xx); --weights for cost bounds",
-    ),
-    ("show", "design statistics + DOT rendering"),
-    ("gantt", "schedule + ASCII Gantt chart"),
-    (
-        "compare",
-        "run every scheduling heuristic, sorted by makespan",
-    ),
-    (
-        "simulate",
-        "message-accurate simulation: predicted vs achieved",
-    ),
-    ("animate", "frame-by-frame schedule replay"),
-    ("advise", "bottleneck analysis + suggestions"),
-    ("recommend", "rank standard machines for the design"),
-    ("svg", "write gantt/speedup/utilization SVG charts"),
-    ("save-schedule", "persist a schedule to a file"),
-    ("verify", "validate + replay a saved schedule"),
-    (
-        "run",
-        "execute the design on host threads (--repeat N for a warm session)",
-    ),
-    ("trial", "trial-run one PITS program with explicit inputs"),
-    ("speedup", "speedup prediction sweep over topologies"),
-    ("codegen", "emit generated Rust or C code to stdout"),
-    (
-        "parallelize",
-        "split a reduction task n ways and rewrite the document",
-    ),
-    (
-        "optimize",
-        "graph-rewrite optimizer: dead arcs, map expansion (--expand), fusion (--fuse)",
-    ),
-    (
-        "graph",
-        "flattened task-graph statistics (--optimized first; --dot for Graphviz)",
-    ),
-    (
-        "schedule",
-        "alias of gantt (the daemon client grammar's name for it)",
-    ),
-    ("help", "show this list"),
-];
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -126,8 +39,14 @@ fn main() {
     if command == "serve" {
         exit(cmd_serve(&args[1..]));
     }
-    if matches!(command, "ping" | "stats" | "shutdown" | "evict") {
-        // Daemon-admin verbs are meaningless without a daemon: no fallback.
+    let Some(verb) = ops::verb(command) else {
+        say(&format!(
+            "banger: unknown subcommand {command:?} (run `banger help` for the list)"
+        ));
+        exit(2);
+    };
+    if let Verb::Daemon(..) = verb {
+        // A verb on the daemon itself has no local answer: no fallback.
         let mut req = Request::new(command);
         req.path = args.get(1).cloned();
         if command == "evict" && req.path.is_none() {
@@ -140,12 +59,6 @@ fn main() {
         let resp = ask_daemon(&socket, &req)
             .unwrap_or_else(|e| die(&format!("cannot connect to {}: {e}", socket.display())));
         exit(finish(&resp));
-    }
-    if !COMMANDS.iter().any(|(name, _)| *name == command) {
-        say(&format!(
-            "banger: unknown subcommand {command:?} (run `banger help` for the list)"
-        ));
-        exit(2);
     }
     let Some(path) = args.get(1) else {
         say(&format!(
@@ -170,13 +83,17 @@ fn main() {
 }
 
 fn usage_text() -> String {
-    let mut out =
-        String::from("usage: banger <subcommand> <file.bang> [options]\n\nsubcommands:\n");
-    for (name, summary) in COMMANDS {
-        out.push_str(&format!("  {name:<14} {summary}\n"));
+    let (mut verbs, mut admin) = (String::new(), String::new());
+    for verb in ops::VERBS {
+        match *verb {
+            Verb::Project(name, help, _) => verbs += &format!("  {name:<14} {help}\n"),
+            Verb::Daemon(name, help, _) => admin += &format!("  {name:<16} {help}\n"),
+        }
     }
-    out.push_str(
-        "\noptions:\n\
+    format!(
+        "usage: banger <subcommand> <file.bang> [options]\n\n\
+         subcommands:\n{verbs}  help           show this list\n\
+         \noptions:\n\
          \x20 -H <heuristic>   serial naive HLFET MCP ETF DLS MH DSH (default MH)\n\
          \x20 -i var=value     run/codegen inputs; arrays as [1,2,3]\n\
          \x20 -t spec,spec,... speedup topologies, e.g. single,hypercube:1,hypercube:2\n\
@@ -203,21 +120,21 @@ fn usage_text() -> String {
          \x20 --optimized      graph: optimize (with fusion) before reporting\n\
          \x20 --dot            graph: print Graphviz DOT of the flattened graph\n\
          \ndaemon:\n\
-         \x20 banger serve [--socket PATH]   persistent project daemon: content-hashed\n\
-         \x20                  caches (parse, diagnose, compile, schedule) plus warm\n\
-         \x20                  executor sessions, served over a Unix socket\n\
-         \x20 --connect PATH   serve check/schedule(gantt)/run/optimize from a running\n\
-         \x20                  daemon; falls back to local execution when no daemon\n\
-         \x20                  answers or the flags need local files\n\
-         \x20 ping|stats|shutdown            daemon admin (socket: --connect PATH,\n\
-         \x20                  else $BANGER_SOCKET, else <tmpdir>/banger.sock)\n\
-         \x20 evict <file>     drop the daemon's cached state for one project\n\
+         \x20 banger serve [--socket PATH]   persistent project daemon: caches keyed\n\
+         \x20                  by source bytes (parse, diagnose, compile, schedule)\n\
+         \x20                  plus warm executor sessions, served over a Unix socket\n\
+         \x20 --connect PATH   have the daemon on PATH answer any subcommand; when\n\
+         \x20                  none answers there, run it here and say so on stderr\n\
+         \x20 these ask the daemon on --connect PATH, else on $BANGER_SOCKET, else on\n\
+         \x20 <tmpdir>/banger.sock, and never run locally:\n\
+         {admin}\
          \nexit codes:\n\
          \x20 0  success (warnings allowed)\n\
          \x20 1  operational failure, or `check` found error-severity diagnostics\n\
-         \x20 2  usage error (unknown subcommand, missing arguments)",
-    );
-    out
+         \x20 2  usage error: unknown subcommand, missing arguments, an option\n\
+         \x20    without its value or with a malformed one, or an option or operand\n\
+         \x20    the subcommand does not take"
+    )
 }
 
 /// Removes `--connect PATH` from the argument list and returns the
@@ -346,8 +263,9 @@ fn fail(code: i32, msg: &str) -> ! {
 /// why not as `(exit code, message)`: a usage error, 2, unless it is the
 /// `-s` file that cannot be read. The project path goes absolute, and
 /// `-s` is read here, because a daemon has another working directory; the
-/// handler opens nothing but the project. Only `trial`, `codegen` and
-/// `parallelize` take positional operands.
+/// handler opens nothing but the project. Each option's arm names the
+/// verbs whose handler reads what it sets; any other verb refuses it.
+/// Only `trial`, `codegen` and `parallelize` take positional operands.
 fn build_request(command: &str, path: &str, rest: &[String]) -> Result<Request, (i32, String)> {
     let usage = |msg: String| (2, msg);
     let absolute = std::path::absolute(path)
@@ -362,9 +280,13 @@ fn build_request(command: &str, path: &str, rest: &[String]) -> Result<Request, 
                 .ok_or_else(|| usage(format!("{arg} needs {what}")))
         };
         match (arg.as_str(), command) {
-            ("-H", _) => req.heuristic = value("a heuristic name")?,
-            ("--format", _) => req.format = value("text or json")?,
-            ("-i", _) => {
+            (
+                "-H",
+                "gantt" | "schedule" | "simulate" | "animate" | "advise" | "svg" | "save-schedule"
+                | "run" | "codegen",
+            ) => req.heuristic = value("a heuristic name")?,
+            ("--format", "check") => req.format = value("text or json")?,
+            ("-i", "check" | "run" | "trial" | "codegen") => {
                 let pair = value("var=value")?;
                 let (var, val) = pair
                     .split_once('=')
@@ -372,22 +294,24 @@ fn build_request(command: &str, path: &str, rest: &[String]) -> Result<Request, 
                 req.inputs
                     .insert(var.to_string(), parse_value(val).map_err(usage)?);
             }
-            ("-p", _) => {
+            ("-p", "recommend") => {
                 let n = value("a processor budget")?;
                 let n = n
                     .parse()
                     .map_err(|_| usage(format!("bad processor budget {n:?} (want a number)")))?;
                 req.procs = Some(n);
             }
-            ("--repeat", _) => {
+            ("--repeat", "run") => {
                 let n = value("a count (e.g. --repeat 1000)")?;
                 let n = n
                     .parse()
                     .map_err(|_| usage(format!("--repeat needs a positive count, got {n:?}")))?;
                 req.repeat = Some(n);
             }
-            ("-t", _) => req.topologies = Some(value("spec,spec,...")?),
-            ("--expand", _) => req.expand = Some(value("task:tiles (e.g. --expand fact:16)")?),
+            ("-t", "speedup") => req.topologies = Some(value("spec,spec,...")?),
+            ("--expand", "optimize") => {
+                req.expand = Some(value("task:tiles (e.g. --expand fact:16)")?)
+            }
             ("-s", "verify") => {
                 let file = value("a schedule file")?;
                 let text = std::fs::read_to_string(&file)
@@ -397,12 +321,16 @@ fn build_request(command: &str, path: &str, rest: &[String]) -> Result<Request, 
             ("-o", "svg" | "save-schedule") => req.out = Some(value("an output location")?),
             ("--emit", "optimize") => req.out = Some(value("an output path ('-' for stdout)")?),
             ("--trace", "run") => req.out = Some(value("an output path (e.g. --trace out.json)")?),
-            ("--weights", _) => req.weights = true,
-            ("--optimize" | "--optimized", _) => req.optimize = true,
-            ("--fuse", _) => req.fuse = true,
-            ("--reference", _) => req.reference = true,
-            ("--dot", _) => req.dot = true,
-            (_, "trial" | "codegen" | "parallelize") => req.args.push(arg.clone()),
+            ("--weights", "check") => req.weights = true,
+            ("--optimize" | "--optimized", "gantt" | "schedule" | "run" | "graph") => {
+                req.optimize = true
+            }
+            ("--fuse", "optimize") => req.fuse = true,
+            ("--reference", "trial") => req.reference = true,
+            ("--dot", "graph") => req.dot = true,
+            (_, "trial" | "codegen" | "parallelize") if !arg.starts_with('-') => {
+                req.args.push(arg.clone())
+            }
             _ => return Err(usage(format!("{command} does not take {arg:?}"))),
         }
     }

@@ -13,7 +13,7 @@
 //! most once per edit behind `&self` (in `OnceLock`s): the one hierarchy
 //! walk ([`Project::expanded`]), then its strict reading
 //! ([`Project::flatten`]) and its tolerant one ([`Project::diagnose`]).
-//! Only the seven methods that change an input take `&mut self`, and those
+//! Only the six methods that change an input take `&mut self`, and those
 //! that change the design or library go through one private accessor that
 //! drops all three facts — the only reset there is (DESIGN.md §18).
 
@@ -25,7 +25,7 @@ use banger_codegen::CodegenError;
 use banger_exec::{execute, ExecError, ExecMode, ExecOptions, ExecReport, Session};
 use banger_machine::{Machine, MachineParams, Topology};
 use banger_sched::{Schedule, ScheduleSummary};
-use banger_sim::{simulate, SimError, SimOptions, SimResult};
+use banger_sim::{simulate, SimError, SimResult};
 use banger_taskgraph::hierarchy::{Expanded, Flattened};
 use banger_taskgraph::{GraphError, HierGraph};
 use banger_trace::{DriftReport, Trace};
@@ -355,7 +355,7 @@ impl Project {
     }
 
     /// Runs a named scheduling heuristic (see
-    /// [`banger_sched::HEURISTIC_NAMES`], plus `"DSH"`).
+    /// [`banger_sched::HEURISTIC_NAMES`]).
     /// The design must pass [`diagnose`](Self::diagnose) with no errors.
     pub fn schedule(&self, heuristic: &str) -> Result<Schedule, ProjectError> {
         // Report the missing machine before any design diagnostics: it is
@@ -412,36 +412,6 @@ impl Project {
         }
     }
 
-    /// Re-weights every task node from the static cost estimate of its
-    /// attached program — the "instant feedback" path from editing a task
-    /// body to a refreshed schedule prediction. Returns the number of
-    /// tasks re-weighted.
-    pub fn calibrate_from_programs(&mut self) -> Result<usize, ProjectError> {
-        let mut updated = 0usize;
-        fn walk(design: &mut HierGraph, lib: &ProgramLibrary, updated: &mut usize) {
-            let ids: Vec<_> = design.nodes().map(|(id, _)| id).collect();
-            for id in ids {
-                // Only task nodes carry programs.
-                let prog_name = match design.node(id).map(|n| &n.kind) {
-                    Some(banger_taskgraph::NodeKind::Task {
-                        program: Some(p), ..
-                    }) => Some(p.clone()),
-                    _ => None,
-                };
-                if let Some(p) = prog_name {
-                    if let Some(w) = lib.estimate_weight(&p) {
-                        design.set_task_weight(id, w);
-                        *updated += 1;
-                    }
-                }
-                design.with_expansion_mut(id, |sub| walk(sub, lib, updated));
-            }
-        }
-        let (design, library) = self.edit();
-        walk(design, library, &mut updated);
-        Ok(updated)
-    }
-
     /// One [`WeightRow`] per task in the flattened design, comparing the
     /// drawn weight with the abstract interpreter's static cost of the
     /// attached program and, when `measured` is supplied, with the
@@ -472,7 +442,7 @@ impl Project {
     pub fn simulate(&self, schedule: &Schedule) -> Result<SimResult, ProjectError> {
         let g = &self.flatten()?.graph;
         let m = self.machine_ref()?;
-        Ok(simulate(g, m, schedule, SimOptions::default())?)
+        Ok(simulate(g, m, schedule)?)
     }
 
     /// Executes the design for real on host threads (greedy pool).
@@ -585,15 +555,11 @@ impl Project {
     pub fn compare_heuristics(&self) -> Result<Vec<ScheduleSummary>, ProjectError> {
         let g = &self.flatten()?.graph;
         let m = self.machine_ref()?;
-        let names: Vec<&str> = banger_sched::HEURISTIC_NAMES
-            .iter()
-            .chain(["DSH"].iter())
-            .copied()
-            .collect();
+        let names = &banger_sched::HEURISTIC_NAMES;
         let mut rows = Vec::with_capacity(names.len());
         for (name, s) in names
             .iter()
-            .zip(banger_sched::sweep::sweep_heuristics(&names, g, m))
+            .zip(banger_sched::sweep::sweep_heuristics(names, g, m))
         {
             let s = s.ok_or_else(|| ProjectError::UnknownHeuristic(name.to_string()))?;
             rows.push(s.summarize(g, m));
@@ -1042,19 +1008,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn calibrate_from_programs_updates_weights() {
-        let mut p = lu_project(3);
-        let before = p.flatten().unwrap().graph.total_weight();
-        let updated = p.calibrate_from_programs().unwrap();
-        assert_eq!(updated, p.flatten().unwrap().graph.task_count());
-        let after = p.flatten().unwrap().graph.total_weight();
-        assert_ne!(
-            before, after,
-            "static cost estimates should differ from the generator's nominal weights"
-        );
-    }
-
     /// A one-task serial design computing pi by quadrature.
     fn serial_pi_project() -> Project {
         let mut design = HierGraph::new("pi");
@@ -1329,7 +1282,7 @@ mod tests {
         ];
         // Each returns whether it changed the project.
         type Mutator = fn(&mut Project) -> bool;
-        let mutators: [(&str, Mutator); 7] = [
+        let mutators: [(&str, Mutator); 6] = [
             ("design_mut", |p| {
                 p.design_mut().add_task("stale_probe", 3.0);
                 true
@@ -1341,9 +1294,6 @@ mod tests {
             ("set_machine", |p| {
                 p.set_machine(Machine::new(Topology::ring(3), MachineParams::default()));
                 true
-            }),
-            ("calibrate_from_programs", |p| {
-                p.calibrate_from_programs().is_ok()
             }),
             ("parallelize_task", |p| {
                 p.parallelize_task("quad", 4).is_ok()

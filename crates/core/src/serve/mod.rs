@@ -9,7 +9,9 @@
 //! own process on a [`ProjectStore`] it just created, or in a daemon
 //! that keeps its store — and with it every parse, analysis, compiled
 //! program, schedule and worker pool — resident between requests. There
-//! is one renderer per verb, so the two modes cannot answer differently.
+//! is one renderer per verb, so the two modes cannot answer differently,
+//! and one list of verbs, [`ops::VERBS`], which dispatch and the binary's
+//! `banger help` and usage checks all read.
 //!
 //! The paper's non-programmer iterates: edit a design, check it,
 //! reschedule, run. The daemon makes that loop cheap, SDFG-style: a
@@ -73,7 +75,9 @@
 //! path absolute, reads `-s` files and writes `-o`/`--emit`/`--trace`
 //! files itself, in its own working directory. When no daemon answers
 //! on the socket the client says so and runs the handler itself — the
-//! one fallback — so `--connect` is always safe to add.
+//! one fallback — so `--connect` is always safe to add. The daemon's own
+//! verbs ([`ops::Verb::Daemon`]: `ping`, `stats`, `evict`, `shutdown`)
+//! have no local answer and so no fallback.
 
 #[cfg(unix)]
 pub mod client;

@@ -6,6 +6,13 @@
 //! process on a store it just created, so the two answer alike because
 //! there is nothing else to answer with.
 //!
+//! Every verb is one row of [`VERBS`]: its name, its `banger help`
+//! summary and its handler. [`handle`] finds the row and calls it; the
+//! `banger` binary reads the same rows for `banger help`, to refuse an
+//! unknown subcommand, and to know which verbs only a daemon can answer.
+//! A new verb is one row, one `op_*` function and one invocation in
+//! `tests/cli.rs::every_verb`, whose local/daemon differential covers it.
+//!
 //! The handler reads one file — the project, through
 //! [`ProjectStore::lookup`] — and writes none. What a verb would put in
 //! a file (`svg -o`, `save-schedule -o`, `run --trace`, `optimize
@@ -34,6 +41,127 @@ use std::time::Duration;
 /// What a verb answers: a response, or the message of a failure.
 type Answer = Result<Response, String>;
 
+/// One verb: its name as typed after `banger`, its one-line summary in
+/// `banger help`, and its handler, which is one of two kinds.
+pub enum Verb {
+    /// A verb on one project: it runs on the project's entry, synced with
+    /// the file and under that entry's lock.
+    Project(
+        &'static str,
+        &'static str,
+        fn(&mut EntryState, &Request) -> Answer,
+    ),
+    /// A verb on the daemon itself. It reads no project, so a front end
+    /// with no daemon to ask has no answer of its own for it.
+    Daemon(
+        &'static str,
+        &'static str,
+        fn(&ProjectStore, &Request) -> Response,
+    ),
+}
+
+impl Verb {
+    /// The subcommand, as typed after `banger`.
+    pub fn name(&self) -> &'static str {
+        match *self {
+            Verb::Project(name, ..) | Verb::Daemon(name, ..) => name,
+        }
+    }
+}
+
+/// Every verb, in `banger help` order: the project verbs, then the daemon
+/// ones.
+pub const VERBS: &[Verb] = &[
+    Verb::Project(
+        "check",
+        "static analysis: races, interfaces, hygiene, body safety (B0xx); --weights for cost bounds",
+        op_check,
+    ),
+    Verb::Project("show", "design statistics + DOT rendering", op_show),
+    Verb::Project("gantt", "schedule + ASCII Gantt chart", op_schedule),
+    Verb::Project(
+        "compare",
+        "run every scheduling heuristic, sorted by makespan",
+        op_compare,
+    ),
+    Verb::Project(
+        "simulate",
+        "message-accurate simulation: predicted vs achieved",
+        op_simulate,
+    ),
+    Verb::Project("animate", "frame-by-frame schedule replay", op_animate),
+    Verb::Project("advise", "bottleneck analysis + suggestions", op_advise),
+    Verb::Project(
+        "recommend",
+        "rank standard machines for the design",
+        op_recommend,
+    ),
+    Verb::Project("svg", "write gantt/speedup/utilization SVG charts", op_svg),
+    Verb::Project(
+        "save-schedule",
+        "persist a schedule to a file",
+        op_save_schedule,
+    ),
+    Verb::Project("verify", "validate + replay a saved schedule", op_verify),
+    Verb::Project(
+        "run",
+        "execute the design on host threads (--repeat N for a warm session)",
+        op_run,
+    ),
+    Verb::Project(
+        "trial",
+        "trial-run one PITS program with explicit inputs",
+        op_trial,
+    ),
+    Verb::Project(
+        "speedup",
+        "speedup prediction sweep over topologies",
+        op_speedup,
+    ),
+    Verb::Project(
+        "codegen",
+        "emit generated Rust or C code to stdout",
+        op_codegen,
+    ),
+    Verb::Project(
+        "parallelize",
+        "split a reduction task n ways and rewrite the document",
+        op_parallelize,
+    ),
+    Verb::Project(
+        "optimize",
+        "graph-rewrite optimizer: dead arcs, map expansion (--expand), fusion (--fuse)",
+        op_optimize,
+    ),
+    Verb::Project(
+        "graph",
+        "flattened task-graph statistics (--optimized first; --dot for Graphviz)",
+        op_graph,
+    ),
+    Verb::Project(
+        "schedule",
+        "alias of gantt (the daemon client grammar's name for it)",
+        op_schedule,
+    ),
+    Verb::Daemon("ping", "answer pong when a daemon is up", |_, _| {
+        Response::success("pong\n")
+    }),
+    Verb::Daemon("stats", "the daemon's request and cache counters", |store, _| {
+        Response::success(store.stats().render())
+    }),
+    Verb::Daemon("evict", "drop one <file.bang>'s cached state", op_evict),
+    // The server answers this one before dispatch; the handler answers a
+    // caller that is not a server (a unit test).
+    Verb::Daemon("shutdown", "stop the daemon", |_, _| {
+        Response::success("shutting down\n")
+    }),
+];
+
+/// The row of the verb called `name`.
+pub fn verb(name: &str) -> Option<&'static Verb> {
+    VERBS.iter().find(|verb| verb.name() == name)
+}
+
 /// Dispatches one request against the store. Panics are *not* caught
 /// here — the server wraps this call in `catch_unwind` and poisons the
 /// affected entry (see [`super::server`]).
@@ -42,48 +170,23 @@ pub fn handle(store: &ProjectStore, req: &Request) -> Response {
     if req.inject_handler_panic {
         panic!("injected fault: inject_handler_panic requested");
     }
-    let op = match req.cmd.as_str() {
-        "ping" => return Response::success("pong\n"),
-        "stats" => return Response::success(store.stats().render()),
-        "evict" => {
-            let Some(path) = &req.path else {
-                return Response::failure("evict needs a \"path\"");
-            };
-            let dropped = store.evict(path);
-            return Response::success(if dropped {
-                "evicted\n"
-            } else {
-                "not cached\n"
-            });
-        }
-        // `shutdown` is intercepted by the server before dispatch; seeing
-        // it here means a non-server caller (e.g. a unit test).
-        "shutdown" => return Response::success("shutting down\n"),
-        "check" => op_check,
-        "show" => op_show,
-        "gantt" | "schedule" => op_schedule,
-        "compare" => op_compare,
-        "simulate" => op_simulate,
-        "animate" => op_animate,
-        "advise" => op_advise,
-        "recommend" => op_recommend,
-        "svg" => op_svg,
-        "save-schedule" => op_save_schedule,
-        "verify" => op_verify,
-        "run" => op_run,
-        "trial" => op_trial,
-        "speedup" => op_speedup,
-        "codegen" => op_codegen,
-        "parallelize" => op_parallelize,
-        "optimize" => op_optimize,
-        "graph" => op_graph,
-        other => {
-            return Response::failure(format!(
-                "unknown command {other:?} (want a `banger help` subcommand, or ping, stats, evict, shutdown)"
-            ))
-        }
-    };
-    with_entry(store, req, op)
+    match verb(&req.cmd) {
+        Some(Verb::Project(_, _, op)) => with_entry(store, req, *op),
+        Some(Verb::Daemon(_, _, op)) => op(store, req),
+        None => Response::failure(format!(
+            "unknown command {:?} (want a `banger help` subcommand)",
+            req.cmd
+        )),
+    }
+}
+
+/// Drops the daemon's cached state for the request's project.
+fn op_evict(store: &ProjectStore, req: &Request) -> Response {
+    match &req.path {
+        None => Response::failure(format!("{} needs a \"path\"", req.cmd)),
+        Some(path) if store.evict(path) => Response::success("evicted\n"),
+        Some(_) => Response::success("not cached\n"),
+    }
 }
 
 /// Resolves the request path, syncs the entry with the current source
@@ -179,7 +282,8 @@ fn op_check(state: &mut EntryState, req: &Request) -> Answer {
         "json" => true,
         other => {
             return Err(format!(
-                "unknown check format {other:?} (want text or json)"
+                "unknown {} format {other:?} (want text or json)",
+                req.cmd
             ))
         }
     };
@@ -420,7 +524,7 @@ fn op_verify(state: &mut EntryState, req: &Request) -> Answer {
     let text = req
         .schedule
         .as_deref()
-        .ok_or("verify needs -s <schedule file>")?;
+        .ok_or_else(|| format!("{} needs -s <schedule file>", req.cmd))?;
     let s = banger_sched::textfmt::from_text(text)?;
     let p = &state.project;
     let m = p.machine().ok_or("project has no machine")?;
@@ -559,8 +663,7 @@ fn op_trial(state: &mut EntryState, req: &Request) -> Answer {
     let program = req
         .args
         .first()
-        .filter(|a| !a.starts_with('-'))
-        .ok_or("trial needs a <program> name")?;
+        .ok_or_else(|| format!("{} needs a <program> name", req.cmd))?;
     let config = banger_calc::InterpConfig {
         reference: req.reference,
         ..Default::default()
@@ -615,11 +718,14 @@ fn op_codegen(state: &mut EntryState, req: &Request) -> Answer {
 /// `parallelize <task> <chunks>` — splits a reduction task and prints
 /// the rewritten document.
 fn op_parallelize(state: &mut EntryState, req: &Request) -> Answer {
-    let task = req.args.first().ok_or("parallelize needs a task name")?;
+    let task = req
+        .args
+        .first()
+        .ok_or_else(|| format!("{} needs a task name", req.cmd))?;
     let chunks: usize = req
         .args
         .get(1)
-        .ok_or("parallelize needs a chunk count")?
+        .ok_or_else(|| format!("{} needs a chunk count", req.cmd))?
         .parse()
         .map_err(|_| "bad chunk count")?;
     let mut scratch = state.project.clone();

@@ -102,7 +102,7 @@ pub fn planned_workers(items: usize) -> usize {
 /// in `machines` order. Returns `None` if `name` is unknown.
 pub fn sweep_machines(name: &str, g: &TaskGraph, machines: &[Machine]) -> Option<Vec<Schedule>> {
     // Validate the name once, up front, so the fan-out can unwrap.
-    if name != "serial" && name != "DSH" && !crate::HEURISTIC_NAMES.contains(&name) {
+    if !crate::HEURISTIC_NAMES.contains(&name) {
         return None;
     }
     let a = GraphAnalysis::analyze(g);
@@ -190,7 +190,6 @@ mod tests {
         let g = generators::lattice(4, 4, 3.0, 2.0);
         let m = Machine::new(Topology::mesh(2, 2), MachineParams::default());
         let mut names: Vec<&str> = crate::HEURISTIC_NAMES.to_vec();
-        names.push("DSH");
         names.push("bogus");
         let par = sweep_heuristics(&names, &g, &m);
         for (name, s) in names.iter().zip(&par) {

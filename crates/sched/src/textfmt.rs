@@ -100,7 +100,7 @@ mod tests {
                 ..MachineParams::default()
             },
         );
-        for h in crate::HEURISTIC_NAMES.iter().chain(["DSH"].iter()) {
+        for h in crate::HEURISTIC_NAMES {
             let s = crate::run_heuristic(h, &g, &m).unwrap();
             let text = to_text(&s);
             let back = from_text(&text).unwrap();

@@ -21,4 +21,4 @@
 
 pub mod sim;
 
-pub use sim::{simulate, MsgRecord, SimError, SimOptions, SimResult, SimStats};
+pub use sim::{simulate, MsgRecord, SimError, SimResult, SimStats};

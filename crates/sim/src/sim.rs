@@ -7,20 +7,9 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 
-/// Simulation options.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimOptions {
-    /// Safety valve: abort after this many events (runaway protection).
-    pub max_events: u64,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions {
-            max_events: 50_000_000,
-        }
-    }
-}
+/// Safety valve: a simulation aborts with [`SimError::EventLimit`] after
+/// this many events (runaway protection).
+const MAX_EVENTS: u64 = 50_000_000;
 
 /// Why a simulation failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,19 +173,24 @@ struct Message<'a> {
 ///
 /// ```
 /// use banger_machine::{Machine, MachineParams, Topology};
-/// use banger_sim::{simulate, SimOptions};
+/// use banger_sim::simulate;
 /// use banger_taskgraph::generators;
 /// let g = generators::gauss_elimination(4, 2.0, 1.0);
 /// let m = Machine::new(Topology::hypercube(2), MachineParams::default());
 /// let s = banger_sched::mh::mh(&g, &m);
-/// let r = simulate(&g, &m, &s, SimOptions::default()).unwrap();
+/// let r = simulate(&g, &m, &s).unwrap();
 /// assert!(r.compare() >= 0.99); // MH's prediction holds up
 /// ```
-pub fn simulate(
+pub fn simulate(g: &TaskGraph, m: &Machine, schedule: &Schedule) -> Result<SimResult, SimError> {
+    simulate_within(g, m, schedule, MAX_EVENTS)
+}
+
+/// [`simulate`] with an event budget of `max_events`.
+fn simulate_within(
     g: &TaskGraph,
     m: &Machine,
     schedule: &Schedule,
-    options: SimOptions,
+    max_events: u64,
 ) -> Result<SimResult, SimError> {
     // ---- Build copy table --------------------------------------------
     let mut copies: Vec<CopyState> = Vec::new();
@@ -360,8 +354,8 @@ pub fn simulate(
 
     while let Some(ev) = heap.pop() {
         stats.events += 1;
-        if stats.events > options.max_events {
-            return Err(SimError::EventLimit(options.max_events));
+        if stats.events > max_events {
+            return Err(SimError::EventLimit(max_events));
         }
         match ev.kind {
             EventKind::TaskDone { copy } => {
@@ -492,7 +486,7 @@ mod tests {
     use banger_taskgraph::generators;
 
     fn sim(g: &TaskGraph, m: &Machine, s: &Schedule) -> SimResult {
-        simulate(g, m, s, SimOptions::default()).unwrap()
+        simulate(g, m, s).unwrap()
     }
 
     #[test]
@@ -615,10 +609,7 @@ mod tests {
         let m = Machine::new(Topology::single(), MachineParams::default());
         let mut s = Schedule::new("partial", 2);
         s.place(TaskId(0), ProcId(0), 0.0, 1.0, true);
-        assert_eq!(
-            simulate(&g, &m, &s, SimOptions::default()),
-            Err(SimError::Unplaced(b))
-        );
+        assert_eq!(simulate(&g, &m, &s), Err(SimError::Unplaced(b)));
     }
 
     #[test]
@@ -633,7 +624,7 @@ mod tests {
         s.place(a, ProcId(0), 0.0, 1.0, true);
         s.place(b, ProcId(1), 100.0, 101.0, true);
         assert_eq!(
-            simulate(&g, &m, &s, SimOptions::default()),
+            simulate(&g, &m, &s),
             Err(SimError::NoRoute(ProcId(0), ProcId(1)))
         );
     }
@@ -665,7 +656,7 @@ mod tests {
             }
         }
         s.validate(&g, &m).unwrap();
-        let r = simulate(&g, &m, &s, SimOptions::default()).unwrap();
+        let r = simulate(&g, &m, &s).unwrap();
         assert!(
             (r.compare() - 1.0).abs() < 1e-9,
             "cut-through uncontended must be exact: {}",
@@ -683,7 +674,7 @@ mod tests {
         let g = generators::gauss_elimination(6, 2.0, 1.0);
         let m = Machine::new(Topology::hypercube(2), MachineParams::default());
         let s = banger_sched::mh::mh(&g, &m);
-        let err = simulate(&g, &m, &s, SimOptions { max_events: 3 }).unwrap_err();
+        let err = simulate_within(&g, &m, &s, 3).unwrap_err();
         assert_eq!(err, SimError::EventLimit(3));
     }
 
@@ -716,9 +707,9 @@ mod tests {
                     ..MachineParams::default()
                 },
             );
-            for name in banger_sched::HEURISTIC_NAMES.iter().chain(["DSH"].iter()) {
+            for name in banger_sched::HEURISTIC_NAMES {
                 let s = banger_sched::run_heuristic(name, &g, &m).unwrap();
-                let r = simulate(&g, &m, &s, SimOptions::default())
+                let r = simulate(&g, &m, &s)
                     .unwrap_or_else(|e| panic!("{name} on {}: {e}", m.topology().name()));
                 r.achieved
                     .validate(&g, &m)

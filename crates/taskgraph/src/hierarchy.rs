@@ -351,21 +351,6 @@ impl HierGraph {
         self.arcs.iter()
     }
 
-    /// Sets the weight of a task node. Returns true when `id` names a task
-    /// node at this level (storage/compound nodes are left untouched).
-    pub fn set_task_weight(&mut self, id: HierNodeId, weight: f64) -> bool {
-        match self.nodes.get_mut(id.index()) {
-            Some(HierNode {
-                kind: NodeKind::Task { weight: w, .. },
-                ..
-            }) => {
-                *w = weight;
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Replaces a *task* node in place with a compound node expanding into
     /// `expansion`, keeping the node id (so existing arcs remain attached)
     /// and installing the given port bindings. Used by design transforms
@@ -389,23 +374,6 @@ impl HierGraph {
             outputs,
         };
         Ok(())
-    }
-
-    /// Runs `f` on the expansion of compound node `id`; returns `None` for
-    /// non-compound nodes. Enables recursive edits (e.g. re-weighting tasks
-    /// from trial runs) without exposing the boxed sub-graph directly.
-    pub fn with_expansion_mut<R>(
-        &mut self,
-        id: HierNodeId,
-        f: impl FnOnce(&mut HierGraph) -> R,
-    ) -> Option<R> {
-        match self.nodes.get_mut(id.index()) {
-            Some(HierNode {
-                kind: NodeKind::Compound { expansion, .. },
-                ..
-            }) => Some(f(expansion)),
-            _ => None,
-        }
     }
 
     /// Maximum nesting depth: 1 for a design with no compound nodes.

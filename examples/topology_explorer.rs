@@ -52,8 +52,7 @@ fn main() {
         let s = banger_sched::mh::mh(&g, &m);
         s.validate(&g, &m).expect("valid");
         let lb = bounds::lower_bound(&g, &m);
-        let sim =
-            banger_sim::simulate(&g, &m, &s, banger_sim::SimOptions::default()).expect("simulates");
+        let sim = banger_sim::simulate(&g, &m, &s).expect("simulates");
         println!(
             "{:<16} {:>9} {:>10.2} {:>8.2}x {:>8.3} {:>12.3}",
             m.topology().name(),

@@ -501,6 +501,17 @@ fn bad_usage_fails_cleanly() {
     assert_usage_error(&["gantt", file, "extra"], "extra");
     assert_usage_error(&["svg", file, "-o"], "-o needs");
 
+    // An option the verb's handler never reads is refused, not ignored;
+    // on a verb with operands, too, it is not taken for one.
+    let lu3 = "examples/projects/lu3.bang";
+    let inputs = ["-i", "left=100", "-i", "right=0"];
+    let fused = [&["run", file][..], &inputs, &["--fuse"]].concat();
+    assert_usage_error(&fused, "run does not take \"--fuse\"");
+    assert_usage_error(&["gantt", lu3, "--format", "json"], "--format");
+    assert_usage_error(&["check", lu3, "-H", "ETF"], "\"-H\"");
+    let trial = [&["trial", file, "Init"][..], &inputs, &["-t", "single"]].concat();
+    assert_usage_error(&trial, "trial does not take \"-t\"");
+
     // An unreadable `-s` file is not a usage error: the command was right.
     let out5 = banger()
         .args(["verify", file, "-s", "/no/such/schedule"])
@@ -515,27 +526,13 @@ fn help_lists_every_subcommand_and_exit_codes() {
     let out = banger().args(["help"]).output().unwrap();
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8_lossy(&out.stdout);
-    for cmd in [
-        "check",
-        "show",
-        "gantt",
-        "compare",
-        "simulate",
-        "animate",
-        "advise",
-        "recommend",
-        "svg",
-        "save-schedule",
-        "verify",
-        "run",
-        "trial",
-        "speedup",
-        "codegen",
-        "parallelize",
-    ] {
-        assert!(text.contains(cmd), "help is missing {cmd}:\n{text}");
+    for verb in banger::serve::ops::VERBS {
+        let line = format!("\n  {} ", verb.name());
+        assert!(text.contains(&line), "help is missing {line:?}:\n{text}");
     }
     assert!(text.contains("exit codes"), "{text}");
+    // The daemon's caches are keyed by the bytes themselves, not a hash.
+    assert!(!text.contains("content-hashed"), "{text}");
     // `--help` is an alias.
     let alias = banger().args(["--help"]).output().unwrap();
     assert_eq!(alias.status.code(), Some(0));
@@ -1007,6 +1004,25 @@ fn every_verb(project: &str, inputs: &[String]) -> Vec<Vec<String>> {
         table.push(plain(&expand));
     }
     table
+}
+
+/// Every project verb of `ops::VERBS` is the first word of some
+/// `every_verb` invocation, so none can skip the local/daemon
+/// differential below.
+#[cfg(unix)]
+#[test]
+fn every_project_verb_is_in_the_differential() {
+    let tried: std::collections::BTreeSet<String> =
+        ["heat_probe", "lu3", "matmul", "dense_lu", "racy_pipeline"]
+            .iter()
+            .flat_map(|name| every_verb(&format!("examples/projects/{name}.bang"), &[]))
+            .map(|args| args[0].clone())
+            .collect();
+    for verb in banger::serve::ops::VERBS {
+        if let banger::serve::ops::Verb::Project(name, ..) = verb {
+            assert!(tried.contains(*name), "every_verb never runs {name}");
+        }
+    }
 }
 
 /// The all-verb differential: every subcommand and flag, on every

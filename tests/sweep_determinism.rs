@@ -68,7 +68,6 @@ fn lu_heuristic_comparison_ordering_bit_identical() {
     // same way.
     let mut want: Vec<_> = banger_sched::HEURISTIC_NAMES
         .iter()
-        .chain(["DSH"].iter())
         .map(|name| {
             banger_sched::run_heuristic(name, &g, &m)
                 .unwrap()
@@ -125,11 +124,7 @@ proptest! {
             Topology::hypercube(2),
             MachineParams { msg_startup: 0.5, ..MachineParams::default() },
         );
-        let names: Vec<&str> = banger_sched::HEURISTIC_NAMES
-            .iter()
-            .chain(["DSH"].iter())
-            .copied()
-            .collect();
+        let names = banger_sched::HEURISTIC_NAMES;
         let par = sweep::sweep_heuristics(&names, &g, &m);
         for (name, s) in names.iter().zip(&par) {
             let seq = banger_sched::run_heuristic(name, &g, &m);
