@@ -7,10 +7,12 @@
 //! file left by a crashed daemon), [`Server::serve`] accepts until
 //! [`Server::request_shutdown`] is called — by a `shutdown` request,
 //! by a signal (see [`install_signal_handlers`]), or programmatically
-//! from a test — then removes the socket file and returns. The accept
-//! loop polls a nonblocking listener (~50 ms period) so shutdown flags
-//! set from signal context are honored promptly without `libc`-level
-//! self-pipe machinery.
+//! from a test — then removes the socket file and returns. Between
+//! connections the accept loop waits in `poll(2)` on the listener, so a
+//! client is accepted the moment it connects. The wait times out every
+//! `SHUTDOWN_POLL_MS` (50 ms) to re-check the shutdown flags, which a
+//! `shutdown` request or a signal handled on another thread sets without
+//! waking the `poll` — the price of no `libc`-level self-pipe machinery.
 //!
 //! ## Panic containment
 //!
@@ -24,25 +26,60 @@ use super::ops;
 use super::protocol::{read_frame, write_frame, Request, Response};
 use super::store::ProjectStore;
 use std::io;
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Set by the signal handler; checked by every accept loop. Process
 /// global because POSIX signal handlers have no closure state.
 static SIGNALED: AtomicBool = AtomicBool::new(false);
 
+/// How long the accept loop waits for a connection before it re-checks
+/// the shutdown flags: the most a shutdown waits, never a client.
+const SHUTDOWN_POLL_MS: i32 = 50;
+
+// The two C entry points the daemon needs; the workspace vendors no
+// `libc` crate.
+extern "C" {
+    fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    // `nfds_t` is an `unsigned long` on Linux.
+    fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout_ms: i32) -> i32;
+}
+
+/// `struct pollfd`.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+/// Blocks until `listener` has a connection to accept, a signal arrives,
+/// or `SHUTDOWN_POLL_MS` pass.
+fn wait_for_client(listener: &UnixListener) -> io::Result<()> {
+    const POLLIN: i16 = 1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    // SAFETY: one valid `pollfd` for the duration of the call.
+    if unsafe { poll(&mut fd, 1, SHUTDOWN_POLL_MS) } < 0 {
+        let e = io::Error::last_os_error();
+        if e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
 /// Installs `SIGINT`/`SIGTERM` handlers that request a clean shutdown
 /// of every [`Server`] in the process. Uses the C `signal()` entry
-/// point directly — the workspace vendors no `libc` crate, and setting
-/// one `AtomicBool` is async-signal-safe.
+/// point directly; setting one `AtomicBool` is async-signal-safe.
 pub fn install_signal_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
     extern "C" fn on_signal(_signum: i32) {
         SIGNALED.store(true, Ordering::SeqCst);
     }
@@ -106,6 +143,14 @@ impl Server {
     /// are detached (the process exits right after `serve` in daemon
     /// mode, and test servers close their connections first).
     pub fn serve(&self) -> io::Result<()> {
+        let result = self.accept_until_shutdown();
+        std::fs::remove_file(&self.socket_path).ok();
+        result
+    }
+
+    fn accept_until_shutdown(&self) -> io::Result<()> {
+        // Nonblocking, so a connection that `poll` announced and that
+        // was reset before `accept` costs one more wait, not a hang.
         self.listener.set_nonblocking(true)?;
         while !self.shutdown.load(Ordering::SeqCst) && !SIGNALED.load(Ordering::SeqCst) {
             match self.listener.accept() {
@@ -115,16 +160,12 @@ impl Server {
                     std::thread::spawn(move || serve_client(stream, &store, &shutdown));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(50));
+                    wait_for_client(&self.listener)?;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    std::fs::remove_file(&self.socket_path).ok();
-                    return Err(e);
-                }
+                Err(e) => return Err(e),
             }
         }
-        std::fs::remove_file(&self.socket_path).ok();
         Ok(())
     }
 }

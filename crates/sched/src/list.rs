@@ -10,18 +10,19 @@
 //!   earliest start.
 //! * **MCP** (Modified Critical Path, Wu & Gajski 1990): pick the ready
 //!   task with the smallest ALAP time, then the earliest-start processor.
-//! * **ETF** (Earliest Task First, Hwang et al. 1989): scan every ready
-//!   `(task, processor)` pair and commit the pair with the earliest start;
-//!   ties go to the greater static level.
+//! * **ETF** (Earliest Task First, Hwang et al. 1989): commit the ready
+//!   `(task, processor)` pair with the earliest start; ties go to the
+//!   greater static level.
 //! * **DLS** (Dynamic Level Scheduling, Sih & Lee 1993): commit the pair
 //!   maximising the *dynamic level* `static_level - earliest_start`.
 
 use crate::engine::{CommModel, Engine};
 use crate::ready::ReadyQueue;
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, TIME_EPS};
 use banger_machine::{Machine, ProcId};
 use banger_taskgraph::analysis::GraphAnalysis;
 use banger_taskgraph::{TaskGraph, TaskId};
+use std::collections::BinaryHeap;
 
 /// Task-first list scheduling: repeatedly take the ready task with the
 /// highest `priority` (greater = earlier; ties toward lower task id) via
@@ -40,128 +41,214 @@ fn task_first(name: &str, g: &TaskGraph, m: &Machine, priority: &[f64]) -> Sched
     eng.finish()
 }
 
-/// Per-`(task, processor)` earliest-start cache for the pair-scan
-/// heuristics (ETF/DLS), with epoch-based selective invalidation.
+/// One ready task's candidacy on one processor: the heuristic's key for
+/// that pair, then the task id. Ordered so that [`BinaryHeap`] — a
+/// max-heap — pops the *least* key first.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    key: (f64, f64),
+    task: TaskId,
+}
+
+impl Candidate {
+    fn precedes(&self, other: &Candidate) -> bool {
+        self.cmp(other).is_gt()
+    }
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl Eq for Candidate {}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .key
+            .0
+            .total_cmp(&self.key.0)
+            .then(other.key.1.total_cmp(&self.key.1))
+            .then(other.task.cmp(&self.task))
+    }
+}
+
+/// Which of the three column rules settled an entry after a commit (see
+/// [`PairHeaps::commit`]); indexes the tally it returns.
+const UNCHANGED: usize = 0;
+const TAIL: usize = 1;
+const SEARCH: usize = 2;
+
+/// Marks a task that is not in the ready set.
+const NOT_READY: usize = usize::MAX;
+
+/// The pair-first heuristics' state (ETF, DLS): the ready set, every ready
+/// `(task, processor)` pair's earliest start, and per processor a min-heap
+/// of the ready tasks keyed by `key(task, earliest start)`. The pair to
+/// commit is the least heap top, ties toward the lower processor — the
+/// lexicographic minimum of `(key, task, proc)` over every ready pair,
+/// which is what a full pair scan selects.
 ///
-/// The legacy pair scan recomputed `ready_time(t, p)` — a walk over every
-/// in-edge — for every ready×processor pair at every step, i.e.
-/// `O(steps · |ready| · P · in_degree)` arrival probes. Two facts make
-/// that work cacheable without changing a single selected pair:
-///
-/// * Under [`CommModel::Analytic`] with no duplication, `ready_time(t, p)`
-///   is **immutable once `t` is ready**: every predecessor has exactly one
-///   committed copy and the closed-form `comm_time` never changes. So it
-///   is computed exactly once per pair, when `t` is promoted — `O(E · P)`
-///   arrival probes for the whole run.
-/// * The earliest start additionally depends only on processor `p`'s
-///   timeline, which changes exactly when something commits on `p`. A
-///   per-processor epoch counter is bumped on commit and each cache entry
-///   remembers the epoch it was computed at; the selection scan lazily
-///   recomputes just the stale entries (one slot search each).
-///
-/// Recomputing a stale entry runs the same `slot` search a fresh
-/// evaluation would, so every candidate key in the scan is bit-identical
-/// to the legacy full recomputation, and keys embed `(task, proc)` so the
-/// strict total order makes scan order irrelevant.
-struct PairCache {
+/// * `ready_time(t, p)` is immutable once `t` is ready under
+///   [`CommModel::Analytic`] with no duplication — every predecessor has
+///   its one committed copy — so it is computed exactly once, at
+///   promotion: `O(E · P)` arrival probes for the whole run.
+/// * The earliest start on `p` depends only on `p`'s timeline, so a
+///   commit on `p` moves only `p`'s column, and one pass over it settles
+///   each entry by the cheapest of three rules that give the slot search's
+///   own answer (DESIGN.md §14 has the proofs). The other heaps keep their
+///   keys; the committed task leaves them lazily, when it surfaces at a
+///   top.
+struct PairHeaps<K> {
+    key: K,
     procs: usize,
-    /// `ready_time[t * procs + p]`, filled once when `t` becomes ready.
-    ready_time: Vec<f64>,
-    /// Execution time of `t` on `p`, filled alongside `ready_time`.
-    dur: Vec<f64>,
-    /// Cached earliest start per pair (`ready_time` + slot search).
-    est: Vec<f64>,
-    /// Epoch at which `est` was computed; stale when != `proc_epoch[p]`.
-    entry_epoch: Vec<u64>,
-    /// Bumped on every commit to the processor. Starts at 1 so a zeroed
-    /// `entry_epoch` always reads as stale.
-    proc_epoch: Vec<u64>,
-}
-
-impl PairCache {
-    fn new(tasks: usize, procs: usize) -> Self {
-        PairCache {
-            procs,
-            ready_time: vec![0.0; tasks * procs],
-            dur: vec![0.0; tasks * procs],
-            est: vec![0.0; tasks * procs],
-            entry_epoch: vec![0; tasks * procs],
-            proc_epoch: vec![1; procs],
-        }
-    }
-
-    /// Fills the ready-time/duration row of a newly ready task. Costs
-    /// `in_degree(t)` arrival probes per processor, paid exactly once.
-    fn promote(&mut self, eng: &Engine<'_>, t: TaskId) {
-        let row = t.index() * self.procs;
-        let weight = eng.g.task(t).weight;
-        for p in eng.m.proc_ids() {
-            self.ready_time[row + p.index()] = eng.ready_time(t, p);
-            self.dur[row + p.index()] = eng.m.exec_time(weight, p);
-        }
-    }
-
-    /// Earliest start of ready task `t` on `p`, recomputing the slot
-    /// search only if `p`'s timeline changed since the entry was cached.
-    fn earliest_start(&mut self, eng: &Engine<'_>, t: TaskId, p: ProcId) -> f64 {
-        let i = t.index() * self.procs + p.index();
-        let epoch = self.proc_epoch[p.index()];
-        if self.entry_epoch[i] != epoch {
-            self.est[i] = eng.slot(p, self.ready_time[i], self.dur[i]);
-            self.entry_epoch[i] = epoch;
-        }
-        self.est[i]
-    }
-
-    /// Invalidates every entry on `p` (called after committing there).
-    fn commit_to(&mut self, p: ProcId) {
-        self.proc_epoch[p.index()] += 1;
-    }
-}
-
-/// Ready-set bookkeeping for the pair-scan heuristics: a plain `Vec` ready
-/// set (the scan visits every ready task anyway) plus [`PairCache`] rows
-/// filled on promotion.
-struct PairScan {
     remaining_preds: Vec<usize>,
     ready: Vec<TaskId>,
-    cache: PairCache,
+    /// Index of each task in `ready`, [`NOT_READY`] when it is not there.
+    position: Vec<usize>,
+    /// Per pair, at `t * procs + p`: the ready time, the execution time
+    /// and the earliest start — `Engine::slot` of the first two on `p`'s
+    /// current timeline.
+    ready_time: Vec<f64>,
+    dur: Vec<f64>,
+    est: Vec<f64>,
+    heaps: Vec<BinaryHeap<Candidate>>,
 }
 
-impl PairScan {
-    fn new(eng: &Engine<'_>) -> Self {
-        let g = eng.g;
-        let remaining_preds: Vec<usize> = g.task_ids().map(|t| g.in_degree(t)).collect();
-        let ready: Vec<TaskId> = g
-            .task_ids()
-            .filter(|&t| remaining_preds[t.index()] == 0)
-            .collect();
-        let mut cache = PairCache::new(g.task_count(), eng.m.processors());
-        for &t in &ready {
-            cache.promote(eng, t);
+impl<K: Fn(TaskId, f64) -> (f64, f64)> PairHeaps<K> {
+    fn new(eng: &Engine<'_>, key: K) -> Self {
+        let (g, procs) = (eng.g, eng.m.processors());
+        let pairs = g.task_count() * procs;
+        let mut heaps = PairHeaps {
+            key,
+            procs,
+            remaining_preds: g.task_ids().map(|t| g.in_degree(t)).collect(),
+            ready: Vec::new(),
+            position: vec![NOT_READY; g.task_count()],
+            ready_time: vec![0.0; pairs],
+            dur: vec![0.0; pairs],
+            est: vec![0.0; pairs],
+            heaps: vec![BinaryHeap::new(); procs],
+        };
+        for t in g.task_ids().filter(|t| g.in_degree(*t) == 0) {
+            heaps.promote(eng, t);
         }
-        PairScan {
-            remaining_preds,
-            ready,
-            cache,
+        heaps
+    }
+
+    /// Adds a newly ready task to the ready set and to every heap. Costs
+    /// `in_degree(t)` arrival probes and one slot search per processor.
+    fn promote(&mut self, eng: &Engine<'_>, t: TaskId) {
+        self.position[t.index()] = self.ready.len();
+        self.ready.push(t);
+        let weight = eng.g.task(t).weight;
+        for p in eng.m.proc_ids() {
+            let i = t.index() * self.procs + p.index();
+            self.ready_time[i] = eng.ready_time(t, p);
+            self.dur[i] = eng.m.exec_time(weight, p);
+            self.est[i] = eng.slot(p, self.ready_time[i], self.dur[i]);
+            let key = (self.key)(t, self.est[i]);
+            self.heaps[p.index()].push(Candidate { key, task: t });
         }
     }
 
-    /// Commits the chosen pair (found at `pos` in the ready vec) and
-    /// promotes any newly ready successors.
-    fn commit(&mut self, eng: &mut Engine<'_>, pos: usize, p: ProcId) {
-        let t = self.ready.swap_remove(pos);
-        eng.commit(t, p);
-        self.cache.commit_to(p);
-        for s in eng.g.successors(t) {
-            let r = &mut self.remaining_preds[s.index()];
-            *r -= 1;
-            if *r == 0 {
-                self.cache.promote(eng, s);
-                self.ready.push(s);
+    /// The pair to commit next, or `None` once every task is placed.
+    fn pick(&mut self) -> Option<(TaskId, ProcId)> {
+        let mut best: Option<(Candidate, ProcId)> = None;
+        for (p, heap) in self.heaps.iter_mut().enumerate() {
+            while heap
+                .peek()
+                .is_some_and(|c| self.position[c.task.index()] == NOT_READY)
+            {
+                heap.pop();
+            }
+            if let Some(&top) = heap.peek() {
+                if best.is_none_or(|(b, _)| top.precedes(&b)) {
+                    best = Some((top, ProcId(p as u32)));
+                }
             }
         }
+        best.map(|(c, p)| (c.task, p))
     }
+
+    /// Commits `t` on `p`, brings `p`'s column up to date and promotes the
+    /// successors `t` was the last predecessor of. Returns how many column
+    /// entries each rule settled, indexed by [`UNCHANGED`], [`TAIL`] and
+    /// [`SEARCH`].
+    ///
+    /// With `[s, f]` the new interval and `tail` the latest finish on `p`
+    /// before it, an entry with cached start `e` and duration `d` is
+    /// 1. unchanged if `e + d <= s + TIME_EPS` or `e >= f`: its slot ends
+    ///    before the interval or starts after it;
+    /// 2. moved to `f` if `s >= tail`: the interval extends the timeline,
+    ///    and the slot, which rule 1 found overlapping it, follows it;
+    /// 3. otherwise searched again, as the full scan would.
+    fn commit(&mut self, eng: &mut Engine<'_>, t: TaskId, p: ProcId) -> [usize; 3] {
+        let tail = eng.timelines[p.index()].last_finish();
+        let (s, f) = eng.commit(t, p);
+        let pos = std::mem::replace(&mut self.position[t.index()], NOT_READY);
+        self.ready.swap_remove(pos);
+        if let Some(&moved) = self.ready.get(pos) {
+            self.position[moved.index()] = pos;
+        }
+
+        let mut fired = [0; 3];
+        let mut column = std::mem::take(&mut self.heaps[p.index()]).into_vec();
+        column.clear();
+        for &u in &self.ready {
+            let i = u.index() * self.procs + p.index();
+            let (e, d) = (self.est[i], self.dur[i]);
+            let rule = if e + d <= s + TIME_EPS || e >= f {
+                UNCHANGED
+            } else if s >= tail {
+                self.est[i] = f;
+                TAIL
+            } else {
+                self.est[i] = eng.slot(p, self.ready_time[i], d);
+                SEARCH
+            };
+            fired[rule] += 1;
+            column.push(Candidate {
+                key: (self.key)(u, self.est[i]),
+                task: u,
+            });
+        }
+        self.heaps[p.index()] = BinaryHeap::from(column);
+
+        let g = eng.g;
+        for succ in g.successors(t) {
+            let r = &mut self.remaining_preds[succ.index()];
+            *r -= 1;
+            if *r == 0 {
+                self.promote(eng, succ);
+            }
+        }
+        fired
+    }
+}
+
+/// Pair-first list scheduling: repeatedly commit the ready `(task,
+/// processor)` pair whose `key(task, earliest start)` is least, ties
+/// toward the lower task id, then the lower processor id.
+fn pair_first(
+    name: &str,
+    g: &TaskGraph,
+    m: &Machine,
+    key: impl Fn(TaskId, f64) -> (f64, f64),
+) -> Schedule {
+    let mut eng = Engine::new(name, g, m, CommModel::Analytic);
+    let mut heaps = PairHeaps::new(&eng, key);
+    while let Some((t, p)) = heaps.pick() {
+        heaps.commit(&mut eng, t, p);
+    }
+    eng.finish()
 }
 
 /// HLFET: static-level priority, earliest-start processor.
@@ -198,35 +285,12 @@ pub fn etf(g: &TaskGraph, m: &Machine) -> Schedule {
 
 /// [`etf`] with a precomputed [`GraphAnalysis`].
 pub fn etf_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("ETF", g, m, CommModel::Analytic);
-    let mut scan = PairScan::new(&eng);
-    while !scan.ready.is_empty() {
-        // Key: (start, -static_level, task id, proc id), lexicographic min.
-        let mut best: Option<(f64, f64, TaskId, ProcId, usize)> = None;
-        for pos in 0..scan.ready.len() {
-            let t = scan.ready[pos];
-            for p in m.proc_ids() {
-                let s = scan.cache.earliest_start(&eng, t, p);
-                let cand = (s, -a.static_level[t.index()], t, p);
-                let better = match &best {
-                    None => true,
-                    Some(b) => cand
-                        .0
-                        .total_cmp(&b.0)
-                        .then(cand.1.total_cmp(&b.1))
-                        .then(cand.2.cmp(&b.2))
-                        .then(cand.3.cmp(&b.3))
-                        .is_lt(),
-                };
-                if better {
-                    best = Some((cand.0, cand.1, cand.2, cand.3, pos));
-                }
-            }
-        }
-        let (_, _, _, p, pos) = best.unwrap();
-        scan.commit(&mut eng, pos, p);
-    }
-    eng.finish()
+    pair_first("ETF", g, m, etf_key(a))
+}
+
+/// ETF's pair key: the start, then minus the static level.
+fn etf_key(a: &GraphAnalysis) -> impl Fn(TaskId, f64) -> (f64, f64) + '_ {
+    |t, start| (start, -a.static_level[t.index()])
 }
 
 /// DLS: commit the ready pair maximising `static_level - earliest_start`.
@@ -237,34 +301,13 @@ pub fn dls(g: &TaskGraph, m: &Machine) -> Schedule {
 
 /// [`dls`] with a precomputed [`GraphAnalysis`].
 pub fn dls_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("DLS", g, m, CommModel::Analytic);
-    let mut scan = PairScan::new(&eng);
-    while !scan.ready.is_empty() {
-        // Key: (-dynamic_level, task id, proc id), lexicographic min.
-        let mut best: Option<(f64, TaskId, ProcId, usize)> = None;
-        for pos in 0..scan.ready.len() {
-            let t = scan.ready[pos];
-            for p in m.proc_ids() {
-                let dl = a.static_level[t.index()] - scan.cache.earliest_start(&eng, t, p);
-                let cand = (-dl, t, p);
-                let better = match &best {
-                    None => true,
-                    Some(b) => cand
-                        .0
-                        .total_cmp(&b.0)
-                        .then(cand.1.cmp(&b.1))
-                        .then(cand.2.cmp(&b.2))
-                        .is_lt(),
-                };
-                if better {
-                    best = Some((cand.0, cand.1, cand.2, pos));
-                }
-            }
-        }
-        let (_, _, p, pos) = best.unwrap();
-        scan.commit(&mut eng, pos, p);
-    }
-    eng.finish()
+    pair_first("DLS", g, m, dls_key(a))
+}
+
+/// DLS's pair key: minus the dynamic level. The second component is a
+/// constant, so ties fall to the task id.
+fn dls_key(a: &GraphAnalysis) -> impl Fn(TaskId, f64) -> (f64, f64) + '_ {
+    |t, start| (-(a.static_level[t.index()] - start), 0.0)
 }
 
 /// A naive baseline that ignores communication entirely when choosing
@@ -466,6 +509,88 @@ mod tests {
             let s1 = h(&g, &m);
             let s2 = h(&g, &m);
             assert_eq!(s1, s2);
+        }
+    }
+
+    /// Steps the pair heaps over `g` and checks every pick against a full
+    /// scan of the ready pairs — `key(t, earliest start)`, then `t`, then
+    /// the processor, least first — on the same engine state, and every
+    /// cached start after each commit against a fresh search. Returns how
+    /// often each column rule fired.
+    fn picks_match_the_full_scan(
+        g: &TaskGraph,
+        m: &Machine,
+        key: &dyn Fn(TaskId, f64) -> (f64, f64),
+    ) -> [usize; 3] {
+        let mut eng = Engine::new("step", g, m, CommModel::Analytic);
+        let mut heaps = PairHeaps::new(&eng, key);
+        let mut fired = [0; 3];
+        while let Some((t, p)) = heaps.pick() {
+            let full = heaps
+                .ready
+                .iter()
+                .flat_map(|&u| m.proc_ids().map(move |q| (u, q)))
+                .map(|(u, q)| (key(u, eng.earliest_start(u, q)), u, q))
+                .min_by(|x, y| {
+                    (x.0 .0.total_cmp(&y.0 .0))
+                        .then(x.0 .1.total_cmp(&y.0 .1))
+                        .then(x.1.cmp(&y.1))
+                        .then(x.2.cmp(&y.2))
+                })
+                .unwrap();
+            assert_eq!((t, p), (full.1, full.2), "pick {}", eng.g.task(t).name);
+            for (sum, n) in fired.iter_mut().zip(heaps.commit(&mut eng, t, p)) {
+                *sum += n;
+            }
+            for &u in &heaps.ready {
+                for q in m.proc_ids() {
+                    let cached = heaps.est[u.index() * heaps.procs + q.index()];
+                    assert_eq!(
+                        cached,
+                        eng.earliest_start(u, q),
+                        "{} on {q:?}",
+                        g.task(u).name
+                    );
+                }
+            }
+        }
+        let s = eng.finish();
+        s.validate(g, m).unwrap();
+        assert_eq!(s.placements().len(), g.task_count());
+        fired
+    }
+
+    #[test]
+    fn every_column_rule_fires_and_every_pick_is_the_full_scans() {
+        // h and g feed h2 over 5-unit messages, so h2 waits on p0 until 6
+        // and leaves the gap [1, 6] behind h. DLS places h, g, h2, then m
+        // into that gap at [1, 5]: l's cached start on p0 (1) now overlaps
+        // m and is searched again (rule 3), to 16, as [5, 6] is too short.
+        // The first two commits extend idle timelines and move every
+        // overlapping entry to their finish (rule 2); h2 leaves l's and
+        // m's slots in the gap alone (rule 1).
+        let mut g = TaskGraph::new("rules");
+        let h = g.add_task("h", 1.0);
+        let gg = g.add_task("g", 1.0);
+        g.add_task("l", 2.0);
+        g.add_task("m", 4.0);
+        let h2 = g.add_task("h2", 10.0);
+        g.add_edge(h, h2, 5.0, "x").unwrap();
+        g.add_edge(gg, h2, 5.0, "y").unwrap();
+        let m = machine(2);
+        let a = GraphAnalysis::analyze(&g);
+
+        let fired = picks_match_the_full_scan(&g, &m, &dls_key(&a));
+        assert!(fired.iter().all(|&n| n > 0), "DLS rules fired {fired:?}");
+        let fired = picks_match_the_full_scan(&g, &m, &etf_key(&a));
+        assert!(fired[UNCHANGED] > 0 && fired[TAIL] > 0, "ETF {fired:?}");
+        for (g, m) in [
+            (generators::gauss_elimination(6, 2.0, 1.5), machine(3)),
+            (generators::fork_join(6, 1.0, 4.0, 1.0, 3.0), machine(4)),
+        ] {
+            let a = GraphAnalysis::analyze(&g);
+            picks_match_the_full_scan(&g, &m, &etf_key(&a));
+            picks_match_the_full_scan(&g, &m, &dls_key(&a));
         }
     }
 

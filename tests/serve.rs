@@ -6,6 +6,7 @@ use banger::serve::{Client, Request, Server};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A tiny self-contained design: r = a, through one task.
 const SMALL: &str = "\
@@ -62,7 +63,7 @@ fn start_server(name: &str) -> (PathBuf, Arc<Server>, std::thread::JoinHandle<()
         if Client::connect(&sock).is_ok() {
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(10));
     }
     (sock, server, handle)
 }
@@ -374,6 +375,31 @@ fn protocol_garbage_is_answered_not_fatal() {
     assert_eq!(resp.output, "pong\n");
 
     drop(raw);
+    shutdown(&sock, handle);
+}
+
+/// A fresh connection — what every `banger --connect` invocation makes —
+/// is accepted as soon as it arrives: the accept loop waits in `poll(2)`
+/// on the listener, not in a sleep between attempts (a 50 ms sleep puts
+/// the median near 50 ms).
+#[test]
+fn a_fresh_connection_is_answered_without_an_accept_delay() {
+    let (sock, _server, handle) = start_server("accept");
+    let mut waits: Vec<Duration> = (0..20)
+        .map(|_| {
+            let connected = Instant::now();
+            let mut client = Client::connect(&sock).expect("connect");
+            let pong = client.request(&Request::new("ping")).unwrap();
+            assert_eq!(pong.output, "pong\n");
+            connected.elapsed()
+        })
+        .collect();
+    waits.sort();
+    let median = waits[waits.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median connect-to-pong {median:?}; all {waits:?}"
+    );
     shutdown(&sock, handle);
 }
 
