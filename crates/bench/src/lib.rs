@@ -16,15 +16,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
 
+/// The flat graph of the paper's hierarchical `n`×`n` LU design.
+fn lu_graph(n: usize) -> TaskGraph {
+    std::sync::Arc::unwrap_or_clone(generators::lu_hierarchical(n).flatten().unwrap().graph)
+}
+
 /// The benchmark workload suite: name + graph, covering the structures the
 /// scheduling literature (and the paper's own LU example) exercises.
 pub fn workload_suite() -> Vec<(&'static str, TaskGraph)> {
     let mut rng = StdRng::seed_from_u64(1994); // ICPP 1994
     vec![
-        (
-            "lu-5",
-            generators::lu_hierarchical(5).flatten().unwrap().graph,
-        ),
+        ("lu-5", lu_graph(5)),
         ("gauss-8", generators::gauss_elimination(8, 2.0, 1.0)),
         ("fft-16", generators::fft(16, 4.0, 8.0)),
         ("lattice-6x6", generators::lattice(6, 6, 3.0, 6.0)),
@@ -165,10 +167,7 @@ pub fn speedup_sweep() -> String {
     let params = figures::figure3_params();
     let mut out = String::new();
     for (name, g) in [
-        (
-            "LU 5x5",
-            generators::lu_hierarchical(5).flatten().unwrap().graph,
-        ),
+        ("LU 5x5", lu_graph(5)),
         ("Gauss 8", generators::gauss_elimination(8, 2.0, 1.0)),
     ] {
         let machines: Vec<Machine> = (0..=4u32)

@@ -119,7 +119,9 @@ mod tests {
     use banger_taskgraph::generators;
 
     fn simulate_lu() -> (TaskGraph, Machine, SimResult) {
-        let g = generators::lu_hierarchical(4).flatten().unwrap().graph;
+        let g = std::sync::Arc::unwrap_or_clone(
+            generators::lu_hierarchical(4).flatten().unwrap().graph,
+        );
         let m = Machine::new(Topology::hypercube(2), crate::figures::figure3_params());
         let s = banger_sched::mh::mh(&g, &m);
         let r = simulate(&g, &m, &s).unwrap();

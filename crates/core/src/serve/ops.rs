@@ -146,9 +146,7 @@ pub const VERBS: &[Verb] = &[
     Verb::Daemon("ping", "answer pong when a daemon is up", |_, _| {
         Response::success("pong\n")
     }),
-    Verb::Daemon("stats", "the daemon's request and cache counters", |store, _| {
-        Response::success(store.stats().render())
-    }),
+    Verb::Daemon("stats", "the daemon's request and cache counters", op_stats),
     Verb::Daemon("evict", "drop one <file.bang>'s cached state", op_evict),
     // The server answers this one before dispatch; the handler answers a
     // caller that is not a server (a unit test).
@@ -178,6 +176,18 @@ pub fn handle(store: &ProjectStore, req: &Request) -> Response {
             req.cmd
         )),
     }
+}
+
+/// The store's counters, then the executor's live sessions and pool
+/// threads. Those two are process-wide, so they stay out of
+/// [`CacheStats`](super::CacheStats), a per-store snapshot.
+fn op_stats(store: &ProjectStore, _: &Request) -> Response {
+    Response::success(format!(
+        "{}  sessions {}  pool threads {}\n",
+        store.stats().render(),
+        banger_exec::live_sessions(),
+        banger_exec::live_pool_threads()
+    ))
 }
 
 /// Drops the daemon's cached state for the request's project.
@@ -618,9 +628,11 @@ fn op_run(state: &mut EntryState, req: &Request) -> Answer {
     let report = last.ok_or("the run produced no firing report")?;
     let mut resp = render_run(&report, notes).cached(warm);
     if req.repeat.is_some() {
+        let workers = session.workers();
+        let plural = if workers == 1 { "" } else { "s" };
         resp = resp.with_notes(format!(
-            "({firings} firings on {} warm workers: total {total:?}, mean {:?}, best {best:?})",
-            session.workers(),
+            "({firings} firings on {workers} warm worker{plural}: total {total:?}, mean {:?}, \
+             best {best:?})",
             total / firings,
         ));
     }

@@ -157,7 +157,13 @@ impl Server {
                 Ok((stream, _addr)) => {
                     let store = Arc::clone(&self.store);
                     let shutdown = Arc::clone(&self.shutdown);
-                    std::thread::spawn(move || serve_client(stream, &store, &shutdown));
+                    // A host that refuses a thread (EAGAIN under a flood
+                    // of connections) costs that client its connection:
+                    // the failed spawn drops the closure and the stream
+                    // in it, and the loop keeps accepting.
+                    let _ = std::thread::Builder::new()
+                        .name("banger-client".into())
+                        .spawn(move || serve_client(stream, &store, &shutdown));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     wait_for_client(&self.listener)?;

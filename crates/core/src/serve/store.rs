@@ -220,11 +220,12 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Renders the snapshot as the `stats` command's output.
+    /// Renders the snapshot as the start of the `stats` command's line,
+    /// without its newline (the verb appends the executor's counts).
     pub fn render(&self) -> String {
         format!(
             "requests {}  hits {}  misses {}  rebuilds {}  evictions {}  panics {}  \
-             programs parsed {}  reused {}\n",
+             programs parsed {}  reused {}",
             self.requests,
             self.hits,
             self.misses,

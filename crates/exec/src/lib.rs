@@ -52,4 +52,4 @@ pub use banger_trace::{DriftReport, Trace, TraceEvent, TraceSummary};
 pub use runner::{
     execute, ExecError, ExecMode, ExecOptions, ExecReport, TaskRun, DEFAULT_INLINE_BELOW,
 };
-pub use session::Session;
+pub use session::{live_pool_threads, live_sessions, Session};

@@ -24,7 +24,11 @@
 //! inputs, seeds the roots, joins its own pool as worker 0, waits at the
 //! end-of-firing barrier and assembles the report. [`execute`] in greedy
 //! mode is exactly that, fired once — `Greedy { workers: 1 }` is a pool of
-//! zero threads on the same loop, not a separate sequential path.
+//! zero threads on the same loop, not a separate sequential path. So is a
+//! design none of whose tasks can be stolen (all below
+//! [`ExecOptions::inline_below`]): a pool thread only ever runs a task it
+//! stole, so a session spawns its pool only if some task is `stealable`,
+//! and a cold run of a small design pays no spawn, barrier wait or join.
 //!
 //! Greedy mode has no coordinator thread and no channels. Each worker
 //! owns a Chase–Lev deque ([`crossbeam::deque`]); completing a task
@@ -92,9 +96,11 @@ pub const DEFAULT_INLINE_BELOW: f64 = 1024.0;
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecMode {
     /// Work-conserving pool with `workers` threads (0 = one per available
-    /// core).
+    /// core). A design with no stealable task runs on the caller's thread
+    /// alone, whatever the count.
     Greedy {
-        /// Thread count; 0 picks `std::thread::available_parallelism`.
+        /// Thread count; 0 picks the host's core count
+        /// ([`banger_sched::sweep::host_cores`]).
         workers: usize,
     },
     /// Follow a schedule: worker *i* executes processor *i*'s placements
@@ -901,18 +907,26 @@ pub(crate) fn ws_park(
     go
 }
 
-/// Hands the ready task `t` to `w`: onto its private stack when small,
-/// else into its own deque for thieves. True iff it became stealable
-/// (the caller owes a [`ws_signal`] per batch).
+/// True iff a ready task of static weight `weight` goes into a stealable
+/// deque rather than onto the publishing worker's private stack: not
+/// below [`ExecOptions::inline_below`]. [`ws_push`] follows this rule,
+/// and [`Session::new`] spawns a pool only if some task passes it.
+pub(crate) fn stealable(weight: f64, options: &ExecOptions) -> bool {
+    weight.partial_cmp(&options.inline_below) != Some(std::cmp::Ordering::Less)
+}
+
+/// Hands the ready task `t` to `w`: into its own deque for thieves when
+/// [`stealable`], else onto its private stack. True iff it became
+/// stealable (the caller owes a [`ws_signal`] per batch).
 fn ws_push(ctx: &Ctx<'_>, w: &mut WsWorker, t: TaskId) -> bool {
-    let small = ctx.g.task(t).weight < ctx.options.inline_below;
-    if small {
-        w.local.push(t);
-    } else {
+    let stealable = stealable(ctx.g.task(t).weight, ctx.options);
+    if stealable {
         let stamp = ctx.options.trace.then(|| ctx.epoch.elapsed());
         w.dq.push((t, stamp));
+    } else {
+        w.local.push(t);
     }
-    !small
+    stealable
 }
 
 /// Records the first error, poisons the store, and wakes everyone so

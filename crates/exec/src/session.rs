@@ -8,10 +8,13 @@
 //!   output-port bindings) is built once;
 //! * the slab [`Store`] keeps its allocation and is cleared, not
 //!   rebuilt, per firing;
-//! * worker threads are spawned once and *parked* on the work-stealing
-//!   runtime's condvar between firings — a warm firing whose tasks all
-//!   fall below [`ExecOptions::inline_below`] runs entirely on the
-//!   caller's thread and never wakes them at all;
+//! * worker threads are spawned only if a task can be stolen, and then
+//!   once, *parked* on the work-stealing runtime's condvar between
+//!   firings. A pool thread only ever runs a task it stole, so a design
+//!   whose tasks all fall below [`ExecOptions::inline_below`] gets none:
+//!   it runs entirely on the caller's thread, as `workers: 1` does;
+//! * the flat [`TaskGraph`] is shared with the [`Flattened`] design by
+//!   `Arc`, not copied;
 //! * each worker's [`Vm`](banger_calc::vm::Vm) frame, input staging
 //!   vector, and deque survive across firings.
 //!
@@ -27,7 +30,8 @@
 //!            parked again) → report
 //! ```
 //!
-//! The end-of-firing barrier waits until `parked + dead == pool`:
+//! The end-of-firing barrier waits until `parked + dead` equals the
+//! pool's thread count (zero when nothing is stealable):
 //! workers park between firings under the coord lock (notifying the
 //! barrier), and a worker thread killed by fault injection counts as
 //! permanently parked, so worker loss surfaces as
@@ -36,22 +40,39 @@
 //! ignores work published by a poisoned firing, so a failed firing can
 //! neither leak tasks into the next one nor keep the pool from parking.
 //! Dropping the session sets the shutdown flag, wakes everyone, and joins
-//! the threads.
+//! the threads. [`live_sessions`] and [`live_pool_threads`] count what
+//! the process holds.
 
 use crate::runner::{
-    ws_fire, ws_park, ws_seed, Ctx, ExecError, ExecMode, ExecOptions, ExecReport, Router, Store,
-    WsItem, WsState, WsWorker,
+    stealable, ws_fire, ws_park, ws_seed, Ctx, ExecError, ExecMode, ExecOptions, ExecReport,
+    Router, Store, WsItem, WsState, WsWorker,
 };
 use banger_calc::{ProgramLibrary, Value};
+use banger_sched::sweep::host_cores;
 use banger_taskgraph::hierarchy::Flattened;
 use banger_taskgraph::TaskGraph;
 use crossbeam::deque;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+static LIVE_SESSIONS: AtomicUsize = AtomicUsize::new(0);
+static LIVE_POOL_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// [`Session`]s alive in this process, one-shot greedy runs included
+/// while they fire.
+pub fn live_sessions() -> usize {
+    LIVE_SESSIONS.load(Ordering::Relaxed)
+}
+
+/// Pool threads those sessions hold, from spawn to join; the callers'
+/// own threads are not counted.
+pub fn live_pool_threads() -> usize {
+    LIVE_POOL_THREADS.load(Ordering::Relaxed)
+}
 
 /// What changes between firings: the epoch all trace timestamps are
 /// relative to, and the bound external-input values. Shared with pool
@@ -64,7 +85,7 @@ struct FiringShared {
 /// Everything firing-invariant, shared between the session handle and
 /// its pool threads.
 struct SessionCore {
-    graph: TaskGraph,
+    graph: Arc<TaskGraph>,
     router: Router,
     store: Store,
     ws: WsState,
@@ -94,27 +115,26 @@ impl SessionCore {
 pub struct Session {
     core: Arc<SessionCore>,
     caller: WsWorker,
-    /// Pool thread count (`workers - 1`; the caller is worker 0).
-    pool: usize,
+    /// The pool: `workers - 1` threads, or none (the caller is worker 0).
     threads: Vec<JoinHandle<()>>,
 }
 
 impl Session {
     /// Builds the routing tables, allocates the store, and spawns the
-    /// parked worker pool. Fails on the structural errors (`Cyclic`,
-    /// `NoProgram`, `UnknownProgram`, `MissingArcValue`); per-firing value
-    /// errors (`UnboundInput`) surface from [`Session::run`] instead. Only
-    /// greedy mode persists — a pinned schedule is rejected as
-    /// `BadSchedule`. This is the one place `workers: 0` becomes a count.
+    /// parked worker pool — only if some task is stealable, since a pool
+    /// thread runs nothing else. Fails on the structural errors (`Cyclic`,
+    /// `NoProgram`, `UnknownProgram`, `MissingArcValue`), and with
+    /// `WorkerLost` if the host refuses a thread; per-firing value errors
+    /// (`UnboundInput`) surface from [`Session::run`] instead. Only greedy
+    /// mode persists — a pinned schedule is rejected as `BadSchedule`.
+    /// This is the one place `workers: 0` becomes a count.
     pub fn new(
         design: &Flattened,
         lib: &ProgramLibrary,
         options: &ExecOptions,
     ) -> Result<Self, ExecError> {
         let workers = match options.mode {
-            ExecMode::Greedy { workers: 0 } => {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            }
+            ExecMode::Greedy { workers: 0 } => host_cores(),
             ExecMode::Greedy { workers } => workers,
             ExecMode::Pinned(_) => {
                 return Err(ExecError::BadSchedule(
@@ -122,15 +142,21 @@ impl Session {
                 ))
             }
         };
+        let g = &design.graph;
+        let workers = if g.tasks().any(|(_, task)| stealable(task.weight, options)) {
+            workers
+        } else {
+            1
+        };
         let router = Router::build(design, lib)?;
         let mut deques: Vec<deque::Worker<WsItem>> =
             (0..workers).map(|_| deque::Worker::new()).collect();
         let stealers = deques.iter().map(|d| d.stealer()).collect();
         let core = Arc::new(SessionCore {
-            graph: design.graph.clone(),
+            graph: Arc::clone(g),
             router,
-            store: Store::new(design.graph.task_count()),
-            ws: WsState::new(&design.graph, stealers),
+            store: Store::new(g.task_count()),
+            ws: WsState::new(g, stealers),
             options: options.clone(),
             firing: Mutex::new(Arc::new(FiringShared {
                 epoch: Instant::now(),
@@ -138,28 +164,32 @@ impl Session {
             })),
         });
         let caller = WsWorker::new(0, deques.remove(0));
-        let threads = deques
-            .into_iter()
-            .enumerate()
-            .map(|(i, dq)| {
-                let core = Arc::clone(&core);
-                std::thread::Builder::new()
-                    .name(format!("banger-exec-{}", i + 1))
-                    .spawn(move || session_thread(core, i + 1, dq))
-                    .expect("spawn session worker")
-            })
-            .collect();
-        Ok(Session {
+        LIVE_SESSIONS.fetch_add(1, Ordering::Relaxed);
+        // From here on `Drop` owns the clean-up: a failed spawn returns
+        // the error, and dropping the session joins the threads already
+        // spawned.
+        let mut session = Session {
             core,
             caller,
-            pool: workers - 1,
-            threads,
-        })
+            threads: Vec::with_capacity(workers - 1),
+        };
+        for (i, dq) in deques.into_iter().enumerate() {
+            let core = Arc::clone(&session.core);
+            let thread = std::thread::Builder::new()
+                .name(format!("banger-exec-{}", i + 1))
+                .spawn(move || session_thread(core, i + 1, dq))
+                .map_err(|e| {
+                    ExecError::WorkerLost(format!("cannot spawn worker {}: {e}", i + 1))
+                })?;
+            LIVE_POOL_THREADS.fetch_add(1, Ordering::Relaxed);
+            session.threads.push(thread);
+        }
+        Ok(session)
     }
 
     /// Worker threads in the session, including the caller's.
     pub fn workers(&self) -> usize {
-        self.pool + 1
+        self.threads.len() + 1
     }
 
     /// One firing: binds `external`, re-arms the per-firing state, runs
@@ -191,7 +221,7 @@ impl Session {
         // permanently parked so loss can't hang the session).
         {
             let mut coord = core.ws.coord.lock();
-            while coord.parked + coord.dead < self.pool {
+            while coord.parked + coord.dead < self.threads.len() {
                 core.ws.cv.wait(&mut coord);
             }
         }
@@ -208,7 +238,9 @@ impl Drop for Session {
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
+            LIVE_POOL_THREADS.fetch_sub(1, Ordering::Relaxed);
         }
+        LIVE_SESSIONS.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -319,6 +351,60 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn greedy(workers: usize, inline_below: f64) -> ExecOptions {
+        ExecOptions {
+            mode: ExecMode::Greedy { workers },
+            inline_below,
+            ..ExecOptions::default()
+        }
+    }
+
+    #[test]
+    fn a_design_with_nothing_stealable_spawns_no_pool() {
+        let (f, lib) = fan(8);
+        let mut inline = Session::new(&f, &lib, &greedy(4, DEFAULT_INLINE_BELOW)).unwrap();
+        assert_eq!(inline.workers(), 1, "every task is below the threshold");
+        let mut stolen = Session::new(&f, &lib, &greedy(4, 0.0)).unwrap();
+        assert_eq!(stolen.workers(), 4);
+        let mut single = Session::new(&f, &lib, &greedy(1, 0.0)).unwrap();
+        let n = f.graph.task_count();
+        for a in [0.0, 1.5, 7.0] {
+            let r = inline.run(&ext(a)).unwrap();
+            for other in [stolen.run(&ext(a)).unwrap(), single.run(&ext(a)).unwrap()] {
+                assert_eq!(r.outputs, other.outputs, "a={a}");
+                assert_eq!(r.prints, other.prints, "a={a}");
+                assert_eq!(r.measured_weights(n), other.measured_weights(n), "a={a}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_task_at_the_threshold_gets_the_whole_pool() {
+        let (mut f, lib) = fan(4);
+        let w2 = f
+            .graph
+            .task_ids()
+            .find(|&t| f.graph.task(t).name == "w2")
+            .unwrap();
+        for (weight, workers) in [(DEFAULT_INLINE_BELOW - 0.5, 1), (DEFAULT_INLINE_BELOW, 4)] {
+            Arc::make_mut(&mut f.graph).task_mut(w2).weight = weight;
+            let mut session = Session::new(&f, &lib, &greedy(4, DEFAULT_INLINE_BELOW)).unwrap();
+            assert_eq!(session.workers(), workers, "w2 weighs {weight}");
+            let r = session.run(&ext(1.0)).unwrap();
+            assert_eq!(r.outputs["x"], Value::Num(10.0));
+        }
+    }
+
+    #[test]
+    fn a_session_shares_the_flat_graph() {
+        let (f, lib) = fan(4);
+        let before = Arc::strong_count(&f.graph);
+        let session = Session::new(&f, &lib, &greedy(4, 0.0)).unwrap();
+        assert_eq!(Arc::strong_count(&f.graph), before + 1);
+        drop(session);
+        assert_eq!(Arc::strong_count(&f.graph), before);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! the total interpreter operation count are exactly unchanged.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use banger_calc::ast::{Facts, Program};
 use banger_calc::library::ProgramLibrary;
@@ -162,7 +163,7 @@ pub fn eliminate_dead(
 
     Ok((
         Flattened {
-            graph: out,
+            graph: Arc::new(out),
             inputs,
             outputs: flat.outputs.clone(),
         },
@@ -202,7 +203,7 @@ mod tests {
         g.add_edge(p, c, 1.0, "junk").unwrap();
         g.add_edge(q, c, 1.0, "x").unwrap();
         let flat = Flattened {
-            graph: g,
+            graph: Arc::new(g),
             inputs: vec![ExternalPort {
                 var: "a".into(),
                 tasks: vec![p, q],
@@ -234,7 +235,7 @@ mod tests {
         let t = g.add_task("t", 1.0);
         g.set_program(t, "T").unwrap();
         let flat = Flattened {
-            graph: g,
+            graph: Arc::new(g),
             inputs: vec![
                 ExternalPort {
                     var: "a".into(),
@@ -271,7 +272,7 @@ mod tests {
         g.set_program(c, "C").unwrap();
         g.add_edge(p, c, 1.0, "x").unwrap();
         let flat = Flattened {
-            graph: g.clone(),
+            graph: Arc::new(g.clone()),
             inputs: vec![ExternalPort {
                 var: "a".into(),
                 tasks: vec![p],
@@ -283,6 +284,6 @@ mod tests {
         };
         let (out, _, stats) = eliminate_dead(&flat, &lib).unwrap();
         assert!(stats.is_noop(), "{stats:?}");
-        assert_eq!(out.graph, g);
+        assert_eq!(*out.graph, g);
     }
 }

@@ -34,6 +34,7 @@
 //! fusion degrades to a no-op rather than an unsound rewrite.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use banger_calc::ast::{Facts, Program};
 use banger_calc::library::ProgramLibrary;
@@ -442,7 +443,7 @@ pub fn fuse_with(
 
     Ok((
         Flattened {
-            graph: out,
+            graph: Arc::new(out),
             inputs,
             outputs,
         },
@@ -477,7 +478,7 @@ mod tests {
         g.set_program(c, "C").unwrap();
         g.add_edge(p, c, 1.0, "x").unwrap();
         let flat = Flattened {
-            graph: g,
+            graph: Arc::new(g),
             inputs: vec![ExternalPort {
                 var: "a".into(),
                 tasks: vec![p],
@@ -542,7 +543,7 @@ mod tests {
         g.add_edge(l, j, 1.0, "u").unwrap();
         g.add_edge(r, j, 1.0, "v").unwrap();
         let flat = Flattened {
-            graph: g,
+            graph: Arc::new(g),
             inputs: vec![ExternalPort {
                 var: "a".into(),
                 tasks: vec![p],
@@ -568,7 +569,7 @@ mod tests {
         g.set_program(c, "C").unwrap();
         g.add_edge(p, c, 1.0, "x").unwrap();
         let flat = Flattened {
-            graph: g.clone(),
+            graph: Arc::new(g.clone()),
             inputs: vec![],
             outputs: vec![ExternalPort {
                 var: "y".into(),
@@ -578,7 +579,7 @@ mod tests {
         let (out, _, stats) = fuse_with(&flat, &lib, &[0, 0]).unwrap();
         assert_eq!(stats.clusters_rejected, 1);
         assert_eq!(out.graph.task_count(), 2);
-        assert_eq!(out.graph, g);
+        assert_eq!(*out.graph, g);
     }
 
     #[test]
@@ -600,7 +601,7 @@ mod tests {
         g.add_edge(p, m, 1.0, "x").unwrap();
         g.add_edge(p, s, 1.0, "x").unwrap();
         let flat = Flattened {
-            graph: g,
+            graph: Arc::new(g),
             inputs: vec![ExternalPort {
                 var: "a".into(),
                 tasks: vec![p],

@@ -78,7 +78,7 @@ mod tests {
         g.set_program(c, "C").unwrap();
         g.add_edge(p, c, 2.0, "x").unwrap();
         let flat = Flattened {
-            graph: g,
+            graph: std::sync::Arc::new(g),
             inputs: vec![ExternalPort {
                 var: "a".into(),
                 tasks: vec![p],

@@ -10,8 +10,8 @@
 //! input index, never by completion order, and each run is a pure function
 //! of its input.
 //!
-//! Worker count comes from [`std::thread::available_parallelism`], capped
-//! by the number of items; a single item (or a single hardware thread)
+//! Worker count comes from [`host_cores`], capped by the number of items;
+//! a single item (or a single hardware thread)
 //! short-circuits to the plain sequential loop so tiny sweeps pay no
 //! thread-spawn tax. A caller that must have a given number of threads
 //! whatever the host offers (a test on a 1-CPU container) passes it to
@@ -22,7 +22,7 @@ use banger_machine::Machine;
 use banger_taskgraph::analysis::GraphAnalysis;
 use banger_taskgraph::TaskGraph;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, OnceLock};
 
 /// Applies `f` to every item and returns the results **in input order**.
 ///
@@ -89,12 +89,19 @@ where
 }
 
 /// The worker-thread count [`parallel_map`] will use for a sweep of
-/// `items` items: `available_parallelism` capped by the item count,
-/// where `<= 1` means the sweep runs as a plain sequential loop.
+/// `items` items: [`host_cores`] capped by the item count, where `<= 1`
+/// means the sweep runs as a plain sequential loop.
 pub fn planned_workers(items: usize) -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(items)
+    host_cores().min(items)
+}
+
+/// The host's core count, read once per process. On Linux
+/// `available_parallelism` reads the cgroup files on every call, which a
+/// cold executor run or a small sweep would otherwise pay each time; a
+/// CPU quota or affinity changed after the first read is not seen.
+pub fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Schedules `g` on every machine in `machines` with the named heuristic,

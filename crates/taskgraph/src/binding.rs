@@ -289,7 +289,7 @@ mod tests {
 
     fn flat(graph: TaskGraph, outputs: &[(&str, &[TaskId])]) -> Flattened {
         Flattened {
-            graph,
+            graph: std::sync::Arc::new(graph),
             inputs: Vec::new(),
             outputs: outputs
                 .iter()
@@ -402,9 +402,10 @@ mod tests {
     #[test]
     fn program_problems_come_first_and_leave_the_task_unknown() {
         let (mut design, lib, [p, _, c], [first, ..]) = two_producers();
-        let bare = design.graph.add_task("bare", 1.0);
-        let into_bare = design.graph.add_edge(c, bare, 1.0, "r").unwrap();
-        design.graph.set_program(p, "Gone").unwrap();
+        let g = std::sync::Arc::make_mut(&mut design.graph);
+        let bare = g.add_task("bare", 1.0);
+        let into_bare = g.add_edge(c, bare, 1.0, "r").unwrap();
+        g.set_program(p, "Gone").unwrap();
         let b = resolve(&design, &lib);
         assert_eq!(
             b.problems,

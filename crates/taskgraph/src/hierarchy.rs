@@ -28,6 +28,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Identifier of a node within one level of a [`HierGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -113,8 +114,9 @@ pub struct ExternalPort {
 /// Result of flattening a hierarchical design.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Flattened {
-    /// The flat weighted DAG for the scheduler.
-    pub graph: TaskGraph,
+    /// The flat weighted DAG for the scheduler. Shared, so an executor
+    /// session holds the graph it was built from without copying it.
+    pub graph: Arc<TaskGraph>,
     /// External inputs: storage read but never written inside the design.
     pub inputs: Vec<ExternalPort>,
     /// External outputs: storage written but never read inside the design.
@@ -474,7 +476,7 @@ impl Expanded {
         }
         graph.topo_order()?;
         Ok(Flattened {
-            graph,
+            graph: Arc::new(graph),
             inputs,
             outputs,
         })

@@ -1171,6 +1171,67 @@ fn serve_daemon_round_trip() {
     std::fs::remove_dir_all(&scratch).ok();
 }
 
+/// `stats` counts the executor sessions and pool threads a daemon holds.
+/// An edited small design keeps one session and no pool thread however
+/// often it is rebuilt; a design with a stealable task gets a pool of the
+/// core count less the caller; evicting it gives those threads back. The
+/// daemon is its own process, so no other test moves these counts.
+#[cfg(unix)]
+#[test]
+fn stats_counts_sessions_and_pool_threads() {
+    let dir = std::env::temp_dir().join(format!("banger-cli-pool-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (sock, guard) = start_daemon("pool", &dir);
+    let connect = ["--connect", sock.to_str().unwrap()];
+    let inputs = |name: &str| -> Vec<String> {
+        let file = format!("bench_all/inputs/{name}.inputs");
+        let text = std::fs::read_to_string(file).unwrap();
+        text.lines()
+            .flat_map(|line| ["-i".to_string(), line.to_string()])
+            .collect()
+    };
+    let ask = |args: &[&str]| {
+        let out = banger().args(connect).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let counts = || {
+        let text = ask(&["stats"]);
+        let (_, tail) = text
+            .split_once("  sessions ")
+            .expect("stats counts sessions");
+        tail.trim_end().to_string()
+    };
+
+    let lu3 = dir.join("lu3.bang");
+    let source = std::fs::read_to_string("examples/projects/lu3.bang").unwrap();
+    let lu3_inputs = inputs("lu3");
+    for weight in 9..19 {
+        let edited = source.replace("task fan1 9 prog", &format!("task fan1 {weight} prog"));
+        std::fs::write(&lu3, edited).unwrap();
+        let mut run = vec!["run", lu3.to_str().unwrap()];
+        run.extend(lu3_inputs.iter().map(String::as_str));
+        assert!(ask(&run).contains("x = "));
+    }
+    assert_eq!(counts(), "1  pool threads 0");
+
+    let dense = std::fs::canonicalize("examples/projects/dense_lu.bang").unwrap();
+    let dense = dense.to_str().unwrap();
+    let dense_inputs = inputs("dense_lu");
+    let mut run = vec!["run", dense];
+    run.extend(dense_inputs.iter().map(String::as_str));
+    ask(&run);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(counts(), format!("2  pool threads {}", cores - 1));
+
+    ask(&["evict", dense]);
+    assert_eq!(counts(), "1  pool threads 0");
+    stop_daemon(&sock, guard);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// One defect, one answer: a design that cannot be flattened is refused
 /// by every verb with the analyzer's named finding, not with the
 /// flattener's own wording, in-process and by a daemon, which keeps

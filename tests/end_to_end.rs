@@ -66,7 +66,7 @@ fn measured_weights_feed_back_into_scheduling() {
     let s_before = p.schedule("MH").unwrap();
     let (a, b) = test_system(4);
     let report = p.run(&lu_inputs(&a, &b)).unwrap();
-    let mut g = p.flatten().unwrap().graph.clone();
+    let mut g = (*p.flatten().unwrap().graph).clone();
     let weights = report.measured_weights(g.task_count());
     let ids: Vec<_> = g.task_ids().collect();
     for t in ids {

@@ -104,7 +104,7 @@ fn explicit_chain_fusion_weight_and_outcome() {
     g.add_edge(a, b, 1.0, "p").unwrap();
     g.add_edge(b, c, 1.0, "q").unwrap();
     let flat = Flattened {
-        graph: g,
+        graph: std::sync::Arc::new(g),
         inputs: vec![ExternalPort {
             var: "a".into(),
             tasks: vec![a],

@@ -151,7 +151,7 @@ pub fn random_flat(seed: u64) -> (Flattened, ProgramLibrary, BTreeMap<String, Va
         .collect();
     (
         Flattened {
-            graph: g,
+            graph: std::sync::Arc::new(g),
             inputs,
             outputs,
         },
