@@ -2,7 +2,7 @@
 //! read the response frame.
 
 use super::protocol::{read_frame, write_frame, Request, Response};
-use std::io;
+use std::io::{self, BufReader};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
@@ -11,7 +11,9 @@ use std::path::Path;
 /// sequential (the protocol has no multiplexing — open a second client
 /// for concurrency).
 pub struct Client {
-    stream: UnixStream,
+    /// Responses are read through the buffer, one `read` per frame that
+    /// fits it; requests are written to the stream beneath it.
+    stream: BufReader<UnixStream>,
 }
 
 impl Client {
@@ -19,13 +21,13 @@ impl Client {
     /// CLI's cue to fall back to local execution.
     pub fn connect(socket_path: &Path) -> io::Result<Client> {
         Ok(Client {
-            stream: UnixStream::connect(socket_path)?,
+            stream: BufReader::new(UnixStream::connect(socket_path)?),
         })
     }
 
     /// Sends one request and waits for its response.
     pub fn request(&mut self, req: &Request) -> Result<Response, String> {
-        write_frame(&mut self.stream, req.to_json().as_bytes())
+        write_frame(self.stream.get_mut(), req.to_json().as_bytes())
             .map_err(|e| format!("send failed: {e}"))?;
         let frame = read_frame(&mut self.stream)
             .map_err(|e| format!("receive failed: {e}"))?

@@ -6,7 +6,22 @@
 //! One frame = a big-endian `u32` payload length followed by that many
 //! bytes of UTF-8 JSON. Frames above [`MAX_FRAME`] are rejected (a
 //! corrupted length prefix must not make the server allocate gigabytes).
-//! A clean EOF *between* frames is a normal connection close.
+//! A clean EOF *between* frames is a normal connection close. JSON nested
+//! deeper than [`json::MAX_DEPTH`] is a `bad request`, not a stack
+//! overflow. Both ends read through a per-connection buffer and
+//! [`read_frame`] asks for the whole length prefix at once, so a frame
+//! that fits the buffer is one `read`; a frame is written with one
+//! `write_all`.
+//!
+//! ## Encoding
+//!
+//! [`Request::to_json`] and [`Response::to_json`] write straight into one
+//! `String`, with no intermediate [`Json`] tree. `from_json` visits the
+//! top-level members through [`json::parse_object`], keeps the first
+//! value of each key it knows, moves strings out of the parse, and only
+//! then validates: a syntax error anywhere beats any field error, a
+//! duplicated key counts once, unknown keys are ignored, and a top level
+//! that is not an object reads as an empty one.
 //!
 //! ## Requests
 //!
@@ -83,18 +98,22 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 
 /// Reads one frame. `Ok(None)` is a clean EOF at a frame boundary —
 /// before the first byte of a length prefix; EOF anywhere later (inside
-/// the prefix included) and oversized lengths are errors.
+/// the prefix included) and oversized lengths are errors. The whole
+/// prefix is asked for in one `read`, so through a [`BufReader`] a frame
+/// smaller than its buffer costs one system call.
+///
+/// [`BufReader`]: std::io::BufReader
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
-    loop {
-        match r.read(&mut len[..1]) {
+    let got = loop {
+        match r.read(&mut len) {
             Ok(0) => return Ok(None),
-            Ok(_) => break,
+            Ok(n) => break n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
-    }
-    r.read_exact(&mut len[1..])?;
+    };
+    r.read_exact(&mut len[got..])?;
     let len = u32::from_be_bytes(len) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(
@@ -191,100 +210,216 @@ impl Request {
         r
     }
 
-    /// Renders the request as one JSON object.
+    /// Renders the request as one JSON object, in one pass: fields in
+    /// [`REQUEST_KEYS`] order, each unset optional one left out.
     pub fn to_json(&self) -> String {
-        let mut pairs = vec![("cmd".to_string(), Json::Str(self.cmd.clone()))];
-        let text = |v: &Option<String>| v.clone().map(Json::Str);
-        let flag = |v: bool| v.then_some(Json::Bool(true));
-        let count = |v: Option<u32>| v.map(|n| Json::Num(f64::from(n)));
-        let inputs = self
+        // Room for the keys and punctuation, the text fields unescaped and
+        // 24 bytes a number: enough for a request that escapes little.
+        let texts = [&self.cmd, &self.heuristic, &self.format]
+            .into_iter()
+            .chain(self.args.iter())
+            .chain(
+                [
+                    &self.path,
+                    &self.inject_panic,
+                    &self.topologies,
+                    &self.expand,
+                    &self.schedule,
+                    &self.out,
+                ]
+                .into_iter()
+                .flatten(),
+            )
+            .map(String::len)
+            .sum::<usize>();
+        let values = self
             .inputs
             .iter()
-            .map(|(k, v)| (k.clone(), value_to_json(v)))
-            .collect::<Vec<_>>();
-        let args = self.args.iter().cloned().map(Json::Str).collect::<Vec<_>>();
-        for (key, value) in [
-            ("path", text(&self.path)),
-            ("heuristic", Some(Json::Str(self.heuristic.clone()))),
-            ("format", Some(Json::Str(self.format.clone()))),
-            ("inputs", (!inputs.is_empty()).then_some(Json::Obj(inputs))),
-            ("fuse", flag(self.fuse)),
-            ("inject_panic", text(&self.inject_panic)),
-            ("inject_handler_panic", flag(self.inject_handler_panic)),
-            ("args", (!args.is_empty()).then_some(Json::Arr(args))),
-            ("weights", flag(self.weights)),
-            ("optimize", flag(self.optimize)),
-            ("reference", flag(self.reference)),
-            ("dot", flag(self.dot)),
-            ("repeat", count(self.repeat)),
-            ("procs", count(self.procs)),
-            ("topologies", text(&self.topologies)),
-            ("expand", text(&self.expand)),
-            ("schedule", text(&self.schedule)),
-            ("out", text(&self.out)),
-        ] {
-            if let Some(value) = value {
-                pairs.push((key.to_string(), value));
+            .map(|(name, v)| match v {
+                Value::Num(_) => name.len() + 24,
+                Value::Array(vs) => name.len() + 24 * vs.len(),
+            })
+            .sum::<usize>();
+        let mut out = String::with_capacity(256 + texts + values);
+        out.push_str("{\"cmd\":");
+        json::escape_into(&self.cmd, &mut out);
+        let text = |out: &mut String, k: &str, v: &Option<String>| {
+            if let Some(v) = v {
+                key(out, k);
+                json::escape_into(v, out);
             }
+        };
+        let flag = |out: &mut String, k: &str, v: bool| {
+            if v {
+                key(out, k);
+                out.push_str("true");
+            }
+        };
+        let count = |out: &mut String, k: &str, v: Option<u32>| {
+            if let Some(n) = v {
+                key(out, k);
+                json::number_into(f64::from(n), out);
+            }
+        };
+        text(&mut out, "path", &self.path);
+        key(&mut out, "heuristic");
+        json::escape_into(&self.heuristic, &mut out);
+        key(&mut out, "format");
+        json::escape_into(&self.format, &mut out);
+        if !self.inputs.is_empty() {
+            key(&mut out, "inputs");
+            out.push('{');
+            for (i, (name, v)) in self.inputs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::escape_into(name, &mut out);
+                out.push(':');
+                match v {
+                    Value::Num(n) => json::number_into(*n, &mut out),
+                    Value::Array(vs) => {
+                        out.push('[');
+                        for (j, x) in vs.iter().enumerate() {
+                            if j > 0 {
+                                out.push(',');
+                            }
+                            json::number_into(*x, &mut out);
+                        }
+                        out.push(']');
+                    }
+                }
+            }
+            out.push('}');
         }
-        Json::Obj(pairs).render()
+        flag(&mut out, "fuse", self.fuse);
+        text(&mut out, "inject_panic", &self.inject_panic);
+        flag(&mut out, "inject_handler_panic", self.inject_handler_panic);
+        if !self.args.is_empty() {
+            key(&mut out, "args");
+            out.push('[');
+            for (i, arg) in self.args.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::escape_into(arg, &mut out);
+            }
+            out.push(']');
+        }
+        flag(&mut out, "weights", self.weights);
+        flag(&mut out, "optimize", self.optimize);
+        flag(&mut out, "reference", self.reference);
+        flag(&mut out, "dot", self.dot);
+        count(&mut out, "repeat", self.repeat);
+        count(&mut out, "procs", self.procs);
+        text(&mut out, "topologies", &self.topologies);
+        text(&mut out, "expand", &self.expand);
+        text(&mut out, "schedule", &self.schedule);
+        text(&mut out, "out", &self.out);
+        out.push('}');
+        out
     }
 
-    /// Parses a request from JSON text.
+    /// Parses a request from JSON text. The first occurrence of a key
+    /// counts and unknown keys are ignored; the whole text must be JSON
+    /// before any field is judged.
     pub fn from_json(text: &str) -> Result<Request, String> {
-        let v = json::parse(text)?;
-        let text = |key: &str| v.get(key).and_then(Json::as_str).map(str::to_string);
-        let flag = |key: &str| v.get(key).and_then(Json::as_bool).unwrap_or(false);
-        let count = |key: &str| match v.get(key) {
+        let [cmd, path, heuristic, format, inputs, fuse, inject_panic, inject_handler_panic, args, weights, optimize, reference, dot, repeat, procs, topologies, expand, schedule, out] =
+            first_members(text, REQUEST_KEYS)?;
+        let text = |v: Option<Json>| match v {
+            Some(Json::Str(s)) => Some(s),
+            _ => None,
+        };
+        let flag = |v: Option<Json>| matches!(v, Some(Json::Bool(true)));
+        let count = |name: &str, v: Option<Json>| match v {
             None => Ok(None),
             Some(n) => n
                 .as_num()
                 .filter(|n| n.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(n))
                 .map(|n| Some(n as u32))
-                .ok_or(format!("{key:?} must be a whole number")),
+                .ok_or(format!("{name:?} must be a whole number")),
         };
-        let mut req = Request::new(text("cmd").ok_or("request needs a \"cmd\" string")?);
-        req.path = text("path");
-        if let Some(h) = text("heuristic") {
+        let mut req = Request::new(text(cmd).ok_or("request needs a \"cmd\" string")?);
+        req.path = text(path);
+        if let Some(h) = text(heuristic) {
             req.heuristic = h;
         }
-        if let Some(f) = text("format") {
+        if let Some(f) = text(format) {
             req.format = f;
         }
-        if let Some(Json::Obj(fields)) = v.get("inputs") {
+        if let Some(Json::Obj(fields)) = inputs {
             for (name, val) in fields {
-                req.inputs.insert(
-                    name.clone(),
-                    json_to_value(val).map_err(|e| format!("bad input {name:?}: {e}"))?,
-                );
+                let val = json_to_value(&val).map_err(|e| format!("bad input {name:?}: {e}"))?;
+                req.inputs.insert(name, val);
             }
         }
-        for arg in v.get("args").and_then(Json::as_arr).unwrap_or_default() {
-            req.args
-                .push(arg.as_str().ok_or("\"args\" must be strings")?.to_string());
+        if let Some(Json::Arr(items)) = args {
+            for arg in items {
+                let Json::Str(arg) = arg else {
+                    return Err("\"args\" must be strings".into());
+                };
+                req.args.push(arg);
+            }
         }
-        req.fuse = flag("fuse");
-        req.weights = flag("weights");
-        req.optimize = flag("optimize");
-        req.reference = flag("reference");
-        req.dot = flag("dot");
-        req.repeat = count("repeat")?;
-        req.procs = count("procs")?;
-        req.topologies = text("topologies");
-        req.expand = text("expand");
-        req.schedule = text("schedule");
-        req.out = text("out");
-        req.inject_panic = text("inject_panic");
-        req.inject_handler_panic = flag("inject_handler_panic");
+        req.fuse = flag(fuse);
+        req.weights = flag(weights);
+        req.optimize = flag(optimize);
+        req.reference = flag(reference);
+        req.dot = flag(dot);
+        req.repeat = count("repeat", repeat)?;
+        req.procs = count("procs", procs)?;
+        req.topologies = text(topologies);
+        req.expand = text(expand);
+        req.schedule = text(schedule);
+        req.out = text(out);
+        req.inject_panic = text(inject_panic);
+        req.inject_handler_panic = flag(inject_handler_panic);
         Ok(req)
     }
 }
 
-fn value_to_json(v: &Value) -> Json {
-    match v {
-        Value::Num(n) => Json::Num(*n),
-        Value::Array(vs) => Json::Arr(vs.iter().map(|x| Json::Num(*x)).collect()),
-    }
+/// A request's keys, in the order [`Request::to_json`] writes them.
+const REQUEST_KEYS: [&str; 19] = [
+    "cmd",
+    "path",
+    "heuristic",
+    "format",
+    "inputs",
+    "fuse",
+    "inject_panic",
+    "inject_handler_panic",
+    "args",
+    "weights",
+    "optimize",
+    "reference",
+    "dot",
+    "repeat",
+    "procs",
+    "topologies",
+    "expand",
+    "schedule",
+    "out",
+];
+
+/// A response's keys, in the order [`Response::to_json`] writes them.
+const RESPONSE_KEYS: [&str; 7] = ["ok", "cached", "exit", "output", "notes", "error", "files"];
+
+/// The first value of each of `keys` in the top-level object of `text`,
+/// moved out of the parse; nothing for a top level that is not an object.
+fn first_members<const N: usize>(text: &str, keys: [&str; N]) -> Result<[Option<Json>; N], String> {
+    let mut slots = [const { None }; N];
+    json::parse_object(text, |key, value| {
+        if let Some(k) = keys.iter().position(|k| *k == key) {
+            slots[k].get_or_insert(value);
+        }
+    })?;
+    Ok(slots)
+}
+
+/// Appends `,"k":` — every key the protocol writes is a plain word.
+fn key(out: &mut String, k: &str) {
+    out.push_str(",\"");
+    out.push_str(k);
+    out.push_str("\":");
 }
 
 fn json_to_value(v: &Json) -> Result<Value, String> {
@@ -375,54 +510,77 @@ impl Response {
         self
     }
 
-    /// Renders the response as one JSON object.
+    /// Renders the response as one JSON object, in one pass.
     pub fn to_json(&self) -> String {
-        let mut pairs = vec![
-            ("ok".to_string(), Json::Bool(self.ok)),
-            ("cached".to_string(), Json::Bool(self.cached)),
-            ("exit".to_string(), Json::Num(f64::from(self.exit))),
-            ("output".to_string(), Json::Str(self.output.clone())),
-            ("notes".to_string(), Json::Str(self.notes.clone())),
-            ("error".to_string(), Json::Str(self.error.clone())),
-        ];
-        if !self.files.is_empty() {
-            let files = self
-                .files
-                .iter()
-                .map(|(name, content)| (name.clone(), Json::Str(content.clone())))
-                .collect();
-            pairs.push(("files".to_string(), Json::Obj(files)));
+        let files = self
+            .files
+            .iter()
+            .map(|(name, content)| name.len() + content.len() + 8)
+            .sum::<usize>();
+        let mut out = String::with_capacity(
+            64 + self.output.len() + self.notes.len() + self.error.len() + files,
+        );
+        out.push_str(if self.ok {
+            "{\"ok\":true"
+        } else {
+            "{\"ok\":false"
+        });
+        key(&mut out, "cached");
+        out.push_str(if self.cached { "true" } else { "false" });
+        key(&mut out, "exit");
+        json::number_into(f64::from(self.exit), &mut out);
+        for (k, v) in [
+            ("output", &self.output),
+            ("notes", &self.notes),
+            ("error", &self.error),
+        ] {
+            key(&mut out, k);
+            json::escape_into(v, &mut out);
         }
-        Json::Obj(pairs).render()
+        if !self.files.is_empty() {
+            key(&mut out, "files");
+            out.push('{');
+            for (i, (name, content)) in self.files.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::escape_into(name, &mut out);
+                out.push(':');
+                json::escape_into(content, &mut out);
+            }
+            out.push('}');
+        }
+        out.push('}');
+        out
     }
 
     /// Parses a response from JSON text.
     pub fn from_json(text: &str) -> Result<Response, String> {
-        let v = json::parse(text)?;
-        let text = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string()
+        let [ok, cached, exit, output, notes, error, files] = first_members(text, RESPONSE_KEYS)?;
+        let text = |v: Option<Json>| match v {
+            Some(Json::Str(s)) => s,
+            _ => String::new(),
         };
-        let mut files = Vec::new();
-        if let Some(Json::Obj(pairs)) = v.get("files") {
+        let mut file_list = Vec::new();
+        if let Some(Json::Obj(pairs)) = files {
             for (name, content) in pairs {
-                let content = content.as_str().ok_or("\"files\" must hold strings")?;
-                files.push((name.clone(), content.to_string()));
+                let Json::Str(content) = content else {
+                    return Err("\"files\" must hold strings".into());
+                };
+                file_list.push((name, content));
             }
         }
         Ok(Response {
-            ok: v
-                .get("ok")
+            ok: ok
+                .as_ref()
                 .and_then(Json::as_bool)
                 .ok_or("response needs an \"ok\" bool")?,
-            cached: v.get("cached").and_then(Json::as_bool).unwrap_or(false),
-            exit: v.get("exit").and_then(Json::as_num).unwrap_or(0.0) as i32,
-            output: text("output"),
-            notes: text("notes"),
-            error: text("error"),
-            files,
+            cached: cached.as_ref().and_then(Json::as_bool).unwrap_or(false),
+            exit: exit.as_ref().and_then(Json::as_num).unwrap_or(0.0) as i32,
+            output: text(output),
+            notes: text(notes),
+            error: text(error),
+            files: file_list,
         })
     }
 }
@@ -507,7 +665,7 @@ mod tests {
         assert!(read_frame(&mut r).is_err());
 
         // So is EOF inside the length prefix: only EOF before its first
-        // byte is a frame boundary.
+        // byte is a frame boundary, however the prefix trickles in.
         for cut in 1..4 {
             let mut r = &partial[..cut];
             let err = read_frame(&mut r).expect_err("a truncated prefix is not a clean close");
@@ -516,6 +674,73 @@ mod tests {
                 io::ErrorKind::UnexpectedEof,
                 "{cut}-byte prefix"
             );
+            let err = read_frame(&mut Reads::new(&partial[..cut], 1))
+                .expect_err("a truncated prefix is not a clean close");
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::UnexpectedEof,
+                "{cut} bytes, one a call"
+            );
         }
+    }
+
+    /// A reader over a byte slice that hands out at most `step` bytes per
+    /// `read` and counts the calls.
+    struct Reads<'a> {
+        rest: &'a [u8],
+        step: usize,
+        calls: usize,
+    }
+
+    impl<'a> Reads<'a> {
+        fn new(rest: &'a [u8], step: usize) -> Self {
+            Reads {
+                rest,
+                step,
+                calls: 0,
+            }
+        }
+    }
+
+    impl Read for Reads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = buf.len().min(self.step).min(self.rest.len());
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn short_reads_still_make_whole_frames() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"{\"cmd\":\"ping\"}").unwrap();
+        write_frame(&mut buf, b"").unwrap();
+        let mut r = Reads::new(&buf, 1);
+        assert_eq!(
+            read_frame(&mut r).unwrap().as_deref(),
+            Some(&b"{\"cmd\":\"ping\"}"[..])
+        );
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b""[..]));
+        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
+    }
+
+    #[test]
+    fn a_buffered_frame_costs_one_read() {
+        let mut buf = Vec::new();
+        for payload in [&b"first"[..], b"second", b"third"] {
+            write_frame(&mut buf, payload).unwrap();
+        }
+        // Unbuffered, the prefix is one `read` and the payload another.
+        let mut r = Reads::new(&buf, usize::MAX);
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b"first"[..]));
+        assert_eq!(r.calls, 2);
+        // Through a buffer, one `read` fills it with all three frames.
+        let mut r = io::BufReader::new(Reads::new(&buf, usize::MAX));
+        for payload in [&b"first"[..], b"second", b"third"] {
+            assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(payload));
+        }
+        assert_eq!(r.get_ref().calls, 1);
     }
 }

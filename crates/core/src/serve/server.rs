@@ -25,7 +25,7 @@
 use super::ops;
 use super::protocol::{read_frame, write_frame, Request, Response};
 use super::store::ProjectStore;
-use std::io;
+use std::io::{self, BufReader};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -178,8 +178,11 @@ impl Server {
 
 /// One client connection: any number of request frames, one response
 /// frame each. Returns when the client closes, on a transport error,
-/// or after relaying a `shutdown`.
-fn serve_client(mut stream: UnixStream, store: &ProjectStore, shutdown: &AtomicBool) {
+/// or after relaying a `shutdown`. Requests are read through a buffer,
+/// one `read` per frame that fits it; frames a client sent back to back
+/// wait there for their turn.
+fn serve_client(stream: UnixStream, store: &ProjectStore, shutdown: &AtomicBool) {
+    let mut stream = BufReader::new(stream);
     // Frames are tiny; a blocking read that outlives shutdown is fine
     // because the daemon process exits (or the test drops its client)
     // right after serve() returns.
@@ -196,13 +199,13 @@ fn serve_client(mut stream: UnixStream, store: &ProjectStore, shutdown: &AtomicB
                 Ok(req) if req.cmd == "shutdown" => {
                     shutdown.store(true, Ordering::SeqCst);
                     let resp = Response::success("shutting down\n");
-                    write_frame(&mut stream, resp.to_json().as_bytes()).ok();
+                    write_frame(stream.get_mut(), resp.to_json().as_bytes()).ok();
                     return;
                 }
                 Ok(req) => dispatch_guarded(store, &req),
             },
         };
-        if write_frame(&mut stream, resp.to_json().as_bytes()).is_err() {
+        if write_frame(stream.get_mut(), resp.to_json().as_bytes()).is_err() {
             return;
         }
     }

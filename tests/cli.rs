@@ -1372,6 +1372,34 @@ fn a_device_is_refused_in_both_modes() {
     stop_daemon(&sock, guard);
 }
 
+/// One frame of deeply nested JSON is refused with a `bad request`; it
+/// does not overflow the stack of the thread that parses it, which
+/// would take the daemon down for every client.
+#[cfg(unix)]
+#[test]
+fn a_deeply_nested_frame_is_refused_not_fatal() {
+    use banger::serve::protocol::{read_frame, write_frame};
+    let (sock, guard) = start_daemon("nested", Path::new("."));
+    let mut raw = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+    write_frame(&mut raw, "[".repeat(100_000).as_bytes()).unwrap();
+    let frame = read_frame(&mut raw)
+        .expect("the daemon answers")
+        .expect("an answer, not a closed connection");
+    let reply = parse_json(std::str::from_utf8(&frame).unwrap()).unwrap();
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+    let error = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(
+        error.starts_with("bad request: nesting deeper than"),
+        "{error}"
+    );
+    let ping = banger()
+        .args(["--connect", sock.to_str().unwrap(), "ping"])
+        .output()
+        .unwrap();
+    assert_eq!(String::from_utf8_lossy(&ping.stdout), "pong\n");
+    stop_daemon(&sock, guard);
+}
+
 /// A daemon resolves nothing against its own working directory: the
 /// client sends the project path absolute and reads and writes the
 /// other files itself.

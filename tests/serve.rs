@@ -378,6 +378,33 @@ fn protocol_garbage_is_answered_not_fatal() {
     shutdown(&sock, handle);
 }
 
+/// Two request frames that arrive in one write are both answered, in
+/// order: the server reads ahead into a per-connection buffer, and the
+/// second frame must wait there, not be dropped with the first read.
+#[test]
+fn back_to_back_frames_are_each_answered_in_order() {
+    use banger::serve::protocol::{read_frame, write_frame};
+    use std::io::Write;
+    use std::os::unix::net::UnixStream;
+
+    let (sock, _server, handle) = start_server("pipelined");
+    let mut both = Vec::new();
+    write_frame(&mut both, Request::new("ping").to_json().as_bytes()).unwrap();
+    write_frame(&mut both, Request::new("stats").to_json().as_bytes()).unwrap();
+    let mut raw = UnixStream::connect(&sock).expect("connect");
+    raw.write_all(&both).unwrap();
+    let mut answer = || {
+        let frame = read_frame(&mut raw).unwrap().expect("an answer");
+        banger::serve::Response::from_json(std::str::from_utf8(&frame).unwrap()).unwrap()
+    };
+    assert_eq!(answer().output, "pong\n");
+    let stats = answer();
+    assert!(stats.output.starts_with("requests "), "{}", stats.output);
+
+    drop(raw);
+    shutdown(&sock, handle);
+}
+
 /// A fresh connection — what every `banger --connect` invocation makes —
 /// is accepted as soon as it arrives: the accept loop waits in `poll(2)`
 /// on the listener, not in a sleep between attempts (a 50 ms sleep puts
