@@ -10,7 +10,9 @@
 //! [`Response`]. Every verb is rendered by the handler, so both ways
 //! print the same thing. Every verb is a row of [`ops::VERBS`]: `banger
 //! help` prints the rows, a subcommand with no row is unknown, and a
-//! daemon row has no local fallback.
+//! daemon row has no local fallback. Every option is a row of
+//! [`ops::OPTIONS`]: `banger help` prints those too, and the arguments
+//! are parsed by them.
 //!
 //! Exit codes: 0 success (warnings allowed), 1 operational failure or
 //! error-severity diagnostics, 2 usage errors (unknown subcommand, missing
@@ -19,7 +21,7 @@
 //! on stdout, no request made. A reader that closes the pipe early
 //! (`| head -1`) changes none of them: see `put`.
 
-use banger::serve::ops::{self, Verb};
+use banger::serve::ops::{self, Kind, Verb};
 use banger::serve::{ProjectStore, Request, Response};
 use banger_calc::Value;
 use std::io::{stderr, stdout, ErrorKind, Write};
@@ -40,85 +42,66 @@ fn main() {
         exit(cmd_serve(&args[1..]));
     }
     let Some(verb) = ops::verb(command) else {
-        say(&format!(
-            "banger: unknown subcommand {command:?} (run `banger help` for the list)"
-        ));
-        exit(2);
+        fail(2, &ops::unknown_verb(command));
     };
-    if let Verb::Daemon(..) = verb {
+    let req = build_request(verb, &args[1..]).unwrap_or_else(|(code, msg)| fail(code, &msg));
+    let resp = if verb.on_daemon() {
         // A verb on the daemon itself has no local answer: no fallback.
-        let mut req = Request::new(command);
-        req.path = args.get(1).cloned();
-        if command == "evict" && req.path.is_none() {
-            say("banger: evict needs a <file.bang> argument");
-            exit(2);
-        }
         let socket = connect
             .map(Into::into)
             .unwrap_or_else(banger::serve::default_socket_path);
-        let resp = ask_daemon(&socket, &req)
-            .unwrap_or_else(|e| die(&format!("cannot connect to {}: {e}", socket.display())));
-        exit(finish(&resp));
-    }
-    let Some(path) = args.get(1) else {
-        say(&format!(
-            "banger: {command} needs a <file.bang> argument\n\n{}",
-            usage_text()
-        ));
-        exit(2);
-    };
-    let req =
-        build_request(command, path, &args[2..]).unwrap_or_else(|(code, msg)| fail(code, &msg));
-    let local = || ops::handle(&ProjectStore::new(), &req);
-    let resp = match &connect {
-        None => local(),
-        Some(sock) => ask_daemon(Path::new(sock), &req).unwrap_or_else(|e| {
-            say(&format!(
-                "banger: no daemon at {sock} ({e}); running locally"
-            ));
-            local()
-        }),
+        ask_daemon(&socket, &req)
+            .unwrap_or_else(|e| die(&format!("cannot connect to {}: {e}", socket.display())))
+    } else {
+        let local = || ops::handle(&ProjectStore::new(), &req);
+        match &connect {
+            None => local(),
+            Some(sock) => ask_daemon(Path::new(sock), &req).unwrap_or_else(|e| {
+                say(&format!(
+                    "banger: no daemon at {sock} ({e}); running locally"
+                ));
+                local()
+            }),
+        }
     };
     exit(finish(&resp));
 }
 
+/// The column an option's `banger help` text starts at.
+const HELP_COLUMN: usize = 19;
+/// The column a verb list in `banger help` wraps before.
+const HELP_WIDTH: usize = 78;
+
 fn usage_text() -> String {
     let (mut verbs, mut admin) = (String::new(), String::new());
     for verb in ops::VERBS {
-        match *verb {
-            Verb::Project(name, help, _) => verbs += &format!("  {name:<14} {help}\n"),
-            Verb::Daemon(name, help, _) => admin += &format!("  {name:<16} {help}\n"),
+        let (name, help) = verb.name_and_help();
+        if verb.on_daemon() {
+            admin += &format!("  {name:<16} {help}\n");
+        } else {
+            verbs += &format!("  {name:<14} {help}\n");
         }
+    }
+    let indent = format!("\n{:HELP_COLUMN$}", "");
+    let mut options = String::new();
+    for opt in ops::OPTIONS.iter().filter(|opt| !opt.usage.is_empty()) {
+        options += &format!("  {:<16} ", opt.usage);
+        let mut column = HELP_COLUMN;
+        for (i, verb) in opt.verbs.iter().enumerate() {
+            let sep = if i + 1 < opt.verbs.len() { "/" } else { ":" };
+            if column + verb.len() + sep.len() > HELP_WIDTH {
+                options += &indent;
+                column = HELP_COLUMN;
+            }
+            options += &format!("{verb}{sep}");
+            column += verb.len() + sep.len();
+        }
+        options += &format!(" {}\n", opt.help.replace('\n', &indent));
     }
     format!(
         "usage: banger <subcommand> <file.bang> [options]\n\n\
          subcommands:\n{verbs}  help           show this list\n\
-         \noptions:\n\
-         \x20 -H <heuristic>   serial naive HLFET MCP ETF DLS MH DSH (default MH)\n\
-         \x20 -i var=value     run/codegen inputs; arrays as [1,2,3]\n\
-         \x20 -t spec,spec,... speedup topologies, e.g. single,hypercube:1,hypercube:2\n\
-         \x20 -p <procs>       recommend: processor budget (default 16)\n\
-         \x20 -s <path>        verify: saved schedule file\n\
-         \x20 -o <path>        svg/save-schedule: output location\n\
-         \x20 --format <fmt>   check: text (default) or json\n\
-         \x20 --weights        check: per-task weight report — drawn weight vs the\n\
-         \x20                  abstract interpreter's static cost bounds; with -i\n\
-         \x20                  inputs and a clean design, also runs it and shows\n\
-         \x20                  measured ops per task\n\
-         \x20 --reference      trial: use the tree-walking reference interpreter\n\
-         \x20 --repeat <n>     run: fire the design n times through one persistent\n\
-         \x20                  session (warm worker pool; prints per-firing stats)\n\
-         \x20 --trace <path>   run: execute pinned to the -H schedule with tracing,\n\
-         \x20                  write Chrome trace JSON (chrome://tracing, Perfetto)\n\
-         \x20                  and print the observed-vs-predicted drift report\n\
-         \x20 --optimize       run/gantt: apply dead-arc elimination + task fusion\n\
-         \x20                  to the design first (Outcome-preserving)\n\
-         \x20 --fuse           optimize: fuse grain-packed clusters into single tasks\n\
-         \x20 --expand t:n     optimize: expand dense-LU template task t into an\n\
-         \x20                  n x n tiled block-LU (bit-identical results)\n\
-         \x20 --emit <path>    optimize: write the rewritten document ('-' = stdout)\n\
-         \x20 --optimized      graph: optimize (with fusion) before reporting\n\
-         \x20 --dot            graph: print Graphviz DOT of the flattened graph\n\
+         \noptions:\n{options}\
          \ndaemon:\n\
          \x20 banger serve [--socket PATH]   persistent project daemon: caches keyed\n\
          \x20                  by source bytes (parse, diagnose, compile, schedule)\n\
@@ -154,11 +137,17 @@ fn extract_connect(args: &mut Vec<String>) -> Option<String> {
 /// foreground until SIGINT/SIGTERM or a `shutdown` request.
 #[cfg(unix)]
 fn cmd_serve(rest: &[String]) -> i32 {
-    let socket = rest
-        .windows(2)
-        .find(|w| w[0] == "--socket")
-        .map(|w| std::path::PathBuf::from(&w[1]))
-        .unwrap_or_else(banger::serve::default_socket_path);
+    let mut socket = banger::serve::default_socket_path();
+    let mut words = rest.iter();
+    while let Some(word) = words.next() {
+        if word != "--socket" {
+            fail(2, &ops::does_not_take("serve", word));
+        }
+        let path = words.next();
+        socket = path
+            .unwrap_or_else(|| fail(2, "--socket needs a socket path"))
+            .into();
+    }
     banger::serve::server::install_signal_handlers();
     let server = match banger::serve::Server::bind(&socket) {
         Ok(s) => s,
@@ -259,80 +248,66 @@ fn fail(code: i32, msg: &str) -> ! {
     exit(code)
 }
 
-/// Parses the options after `<command> <file>` into a request, or says
-/// why not as `(exit code, message)`: a usage error, 2, unless it is the
-/// `-s` file that cannot be read. The project path goes absolute, and
-/// `-s` is read here, because a daemon has another working directory; the
-/// handler opens nothing but the project. Each option's arm names the
-/// verbs whose handler reads what it sets; any other verb refuses it.
-/// Only `trial`, `codegen` and `parallelize` take positional operands.
-fn build_request(command: &str, path: &str, rest: &[String]) -> Result<Request, (i32, String)> {
+/// Parses the words after the verb into a request, or says why not as
+/// `(exit code, message)`: a usage error, 2, unless it is the `-s` file
+/// that cannot be read. A word is a flag of one of the verb's rows in
+/// [`ops::OPTIONS`] or an operand; the first operand is the project path,
+/// the others go to the verb's operand row, and anything else is
+/// refused. The project path goes absolute, and a [`Kind::File`] is read
+/// here, because a daemon has another working directory; the handler
+/// opens nothing but the project.
+fn build_request(verb: &Verb, words: &[String]) -> Result<Request, (i32, String)> {
     let usage = |msg: String| (2, msg);
-    let absolute = std::path::absolute(path)
-        .ok()
-        .and_then(|p| p.into_os_string().into_string().ok());
-    let mut req = Request::for_path(command, absolute.unwrap_or_else(|| path.to_string()));
-    let mut rest = rest.iter();
-    while let Some(arg) = rest.next() {
-        let mut value = |what: &str| {
-            rest.next()
+    let cmd = verb.name();
+    let mut req = Request::new(cmd);
+    let mut words = words.iter();
+    while let Some(word) = words.next() {
+        let operand = !word.starts_with('-');
+        if operand && verb.takes_path() && req.path.is_none() {
+            let absolute = std::path::absolute(word)
+                .ok()
+                .and_then(|p| p.into_os_string().into_string().ok());
+            req.path = Some(absolute.unwrap_or_else(|| word.clone()));
+            continue;
+        }
+        let flag = if operand { "" } else { word.as_str() };
+        let opt = ops::options(cmd)
+            .find(|opt| opt.flag() == flag)
+            .ok_or_else(|| usage(ops::does_not_take(cmd, word)))?;
+        let mut value = || {
+            words
+                .next()
                 .cloned()
-                .ok_or_else(|| usage(format!("{arg} needs {what}")))
+                .ok_or_else(|| usage(format!("{word} needs {}", opt.needs)))
         };
-        match (arg.as_str(), command) {
-            (
-                "-H",
-                "gantt" | "schedule" | "simulate" | "animate" | "advise" | "svg" | "save-schedule"
-                | "run" | "codegen",
-            ) => req.heuristic = value("a heuristic name")?,
-            ("--format", "check") => req.format = value("text or json")?,
-            ("-i", "check" | "run" | "trial" | "codegen") => {
-                let pair = value("var=value")?;
+        match opt.kind {
+            Kind::Word(_, set) => *set(&mut req) = value()?,
+            Kind::Text(_, set) => *set(&mut req) = Some(value()?),
+            Kind::File(_, set) => {
+                let file = value()?;
+                let text = std::fs::read_to_string(&file)
+                    .map_err(|e| (1, format!("cannot read {file}: {e}")))?;
+                *set(&mut req) = Some(text);
+            }
+            Kind::Flag(_, set) => *set(&mut req) = true,
+            Kind::Count(_, set) => {
+                let n = value()?;
+                let bad = || usage(format!("{word} needs {}, got {n:?}", opt.needs));
+                *set(&mut req) = Some(n.parse().map_err(|_| bad())?);
+            }
+            Kind::Inputs(_, set) => {
+                let pair = value()?;
                 let (var, val) = pair
                     .split_once('=')
                     .ok_or_else(|| usage(format!("bad input {pair:?} (want var=value)")))?;
-                req.inputs
-                    .insert(var.to_string(), parse_value(val).map_err(usage)?);
+                let val = parse_value(val).map_err(usage)?;
+                set(&mut req).insert(var.to_string(), val);
             }
-            ("-p", "recommend") => {
-                let n = value("a processor budget")?;
-                let n = n
-                    .parse()
-                    .map_err(|_| usage(format!("bad processor budget {n:?} (want a number)")))?;
-                req.procs = Some(n);
-            }
-            ("--repeat", "run") => {
-                let n = value("a count (e.g. --repeat 1000)")?;
-                let n = n
-                    .parse()
-                    .map_err(|_| usage(format!("--repeat needs a positive count, got {n:?}")))?;
-                req.repeat = Some(n);
-            }
-            ("-t", "speedup") => req.topologies = Some(value("spec,spec,...")?),
-            ("--expand", "optimize") => {
-                req.expand = Some(value("task:tiles (e.g. --expand fact:16)")?)
-            }
-            ("-s", "verify") => {
-                let file = value("a schedule file")?;
-                let text = std::fs::read_to_string(&file)
-                    .map_err(|e| (1, format!("cannot read {file}: {e}")))?;
-                req.schedule = Some(text);
-            }
-            ("-o", "svg" | "save-schedule") => req.out = Some(value("an output location")?),
-            ("--emit", "optimize") => req.out = Some(value("an output path ('-' for stdout)")?),
-            ("--trace", "run") => req.out = Some(value("an output path (e.g. --trace out.json)")?),
-            ("--weights", "check") => req.weights = true,
-            ("--optimize" | "--optimized", "gantt" | "schedule" | "run" | "graph") => {
-                req.optimize = true
-            }
-            ("--fuse", "optimize") => req.fuse = true,
-            ("--reference", "trial") => req.reference = true,
-            ("--dot", "graph") => req.dot = true,
-            (_, "trial" | "codegen" | "parallelize") if !arg.starts_with('-') => {
-                req.args.push(arg.clone())
-            }
-            _ => return Err(usage(format!("{command} does not take {arg:?}"))),
+            Kind::Args(_, set) => set(&mut req).push(word.clone()),
         }
+    }
+    if verb.takes_path() && req.path.is_none() {
+        return Err(usage(format!("{cmd} needs a <file.bang> argument")));
     }
     Ok(req)
 }

@@ -10,8 +10,10 @@
 //! that keeps its store — and with it every parse, analysis, compiled
 //! program, schedule and worker pool — resident between requests. There
 //! is one renderer per verb, so the two modes cannot answer differently,
-//! and one list of verbs, [`ops::VERBS`], which dispatch and the binary's
-//! `banger help` and usage checks all read.
+//! one list of verbs, [`ops::VERBS`], which dispatch and the binary's
+//! `banger help` and usage checks all read, and one list of options,
+//! [`ops::OPTIONS`], which the binary's parser, `banger help` and both
+//! ends of the wire read.
 //!
 //! The paper's non-programmer iterates: edit a design, check it,
 //! reschedule, run. The daemon makes that loop cheap, SDFG-style: a
@@ -58,7 +60,8 @@
 //! the affected project entry is poisoned-and-rebuilt (evicted, so the
 //! next request reconstructs it from source), and the daemon keeps
 //! serving — mirroring the per-task panic attribution inside the
-//! executor.
+//! executor. Tests provoke both kinds of fault through the store
+//! ([`ProjectStore::inject`]); no request can.
 //!
 //! ## Quick start
 //!
@@ -76,7 +79,7 @@
 //! files itself, in its own working directory. When no daemon answers
 //! on the socket the client says so and runs the handler itself — the
 //! one fallback — so `--connect` is always safe to add. The daemon's own
-//! verbs ([`ops::Verb::Daemon`]: `ping`, `stats`, `evict`, `shutdown`)
+//! verbs ([`ops::Verb::on_daemon`]: `ping`, `stats`, `evict`, `shutdown`)
 //! have no local answer and so no fallback.
 
 #[cfg(unix)]
@@ -92,7 +95,7 @@ pub use client::Client;
 pub use protocol::{Request, Response};
 #[cfg(unix)]
 pub use server::Server;
-pub use store::{content_hash, CacheStats, ProjectStore};
+pub use store::{content_hash, CacheStats, Fault, ProjectStore};
 
 use std::path::PathBuf;
 

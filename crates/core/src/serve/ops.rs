@@ -13,6 +13,13 @@
 //! A new verb is one row, one `op_*` function and one invocation in
 //! `tests/cli.rs::every_verb`, whose local/daemon differential covers it.
 //!
+//! Which verb takes which option is one table too, [`OPTIONS`]: a row
+//! holds the flag, the wire key, the request field it sets and the verbs
+//! whose handler reads that field. The binary parses its arguments and
+//! prints its options by the rows, and the protocol writes and accepts
+//! exactly the keys of the request's verb, so a handler never sees a
+//! field its verb does not take set by a client.
+//!
 //! The handler reads one file — the project, through
 //! [`ProjectStore::lookup`] — and writes none. What a verb would put in
 //! a file (`svg -o`, `save-schedule -o`, `run --trace`, `optimize
@@ -29,50 +36,78 @@
 //! cache without recomputation.
 
 use super::protocol::{Request, Response};
-use super::store::{EntryState, ProjectStore};
+use super::store::{EntryState, Fault, ProjectStore};
 use crate::analyze;
 use crate::project::{short_name, OptimizeStats, Project, ProjectError};
+use banger_calc::Value;
 use banger_exec::{ExecMode, ExecOptions, ExecReport};
 use banger_machine::Topology;
 use banger_taskgraph::hierarchy::Flattened;
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// What a verb answers: a response, or the message of a failure.
 type Answer = Result<Response, String>;
 
+/// The handler of a verb on one project.
+type ProjectOp = fn(&mut EntryState, &Request) -> Answer;
+
 /// One verb: its name as typed after `banger`, its one-line summary in
-/// `banger help`, and its handler, which is one of two kinds.
+/// `banger help`, and its handler, which is one of four kinds. All but
+/// [`Verb::Daemon`] take a project path as their first operand.
 pub enum Verb {
     /// A verb on one project: it runs on the project's entry, synced with
-    /// the file and under that entry's lock.
-    Project(
+    /// the file and under that entry's lock. The design's warnings lead
+    /// the notes of its answer.
+    Project(&'static str, &'static str, ProjectOp),
+    /// A project verb whose output is the design's findings, warnings
+    /// among them (`check`), so its notes do not repeat them.
+    Findings(&'static str, &'static str, ProjectOp),
+    /// A verb on the daemon's cached state for one project file. Like
+    /// [`Verb::Daemon`], it has no local answer.
+    Entry(
         &'static str,
         &'static str,
-        fn(&mut EntryState, &Request) -> Answer,
+        fn(&ProjectStore, &str) -> Response,
     ),
     /// A verb on the daemon itself. It reads no project, so a front end
     /// with no daemon to ask has no answer of its own for it.
-    Daemon(
-        &'static str,
-        &'static str,
-        fn(&ProjectStore, &Request) -> Response,
-    ),
+    Daemon(&'static str, &'static str, fn(&ProjectStore) -> Response),
 }
 
 impl Verb {
     /// The subcommand, as typed after `banger`.
     pub fn name(&self) -> &'static str {
+        self.name_and_help().0
+    }
+
+    /// The subcommand and its `banger help` summary.
+    pub fn name_and_help(&self) -> (&'static str, &'static str) {
         match *self {
-            Verb::Project(name, ..) | Verb::Daemon(name, ..) => name,
+            Verb::Project(name, help, _)
+            | Verb::Findings(name, help, _)
+            | Verb::Entry(name, help, _)
+            | Verb::Daemon(name, help, _) => (name, help),
         }
+    }
+
+    /// Whether only a daemon can answer the verb: a front end with none
+    /// to ask has no fallback.
+    pub fn on_daemon(&self) -> bool {
+        matches!(self, Verb::Entry(..) | Verb::Daemon(..))
+    }
+
+    /// Whether the verb's first operand is a project path.
+    pub fn takes_path(&self) -> bool {
+        !matches!(self, Verb::Daemon(..))
     }
 }
 
 /// Every verb, in `banger help` order: the project verbs, then the daemon
 /// ones.
 pub const VERBS: &[Verb] = &[
-    Verb::Project(
+    Verb::Findings(
         "check",
         "static analysis: races, interfaces, hygiene, body safety (B0xx); --weights for cost bounds",
         op_check,
@@ -143,14 +178,14 @@ pub const VERBS: &[Verb] = &[
         "alias of gantt (the daemon client grammar's name for it)",
         op_schedule,
     ),
-    Verb::Daemon("ping", "answer pong when a daemon is up", |_, _| {
+    Verb::Daemon("ping", "answer pong when a daemon is up", |_| {
         Response::success("pong\n")
     }),
     Verb::Daemon("stats", "the daemon's request and cache counters", op_stats),
-    Verb::Daemon("evict", "drop one <file.bang>'s cached state", op_evict),
+    Verb::Entry("evict", "drop one <file.bang>'s cached state", op_evict),
     // The server answers this one before dispatch; the handler answers a
     // caller that is not a server (a unit test).
-    Verb::Daemon("shutdown", "stop the daemon", |_, _| {
+    Verb::Daemon("shutdown", "stop the daemon", |_| {
         Response::success("shutting down\n")
     }),
 ];
@@ -160,28 +195,172 @@ pub fn verb(name: &str) -> Option<&'static Verb> {
     VERBS.iter().find(|verb| verb.name() == name)
 }
 
+/// Why a front end or the wire refuses `name`: it names no verb.
+pub fn unknown_verb(name: &str) -> String {
+    format!("unknown subcommand {name:?} (run `banger help` for the list)")
+}
+
+/// Why a front end or the wire refuses `what` — a flag, an operand or a
+/// wire key — on `verb`.
+pub fn does_not_take(verb: &str, what: &str) -> String {
+    format!("{verb} does not take {what:?}")
+}
+
+/// The reader and the writer of one [`Request`] field.
+type Get<T> = fn(&Request) -> &T;
+type Set<T> = fn(&mut Request) -> &mut T;
+
+/// Where an option's value lives in a [`Request`], and so how the command
+/// line reads it and the wire carries it.
+#[derive(Clone, Copy)]
+pub enum Kind {
+    /// A word with a default, always sent: `-H`, `--format`.
+    Word(Get<String>, Set<String>),
+    /// Text, sent when given.
+    Text(Get<Option<String>>, Set<Option<String>>),
+    /// The text of the file the flag names: the front end reads it, so the
+    /// handler opens nothing but the project. Text on the wire.
+    File(Get<Option<String>>, Set<Option<String>>),
+    /// A switch, sent when given, as `true`.
+    Flag(Get<bool>, Set<bool>),
+    /// A whole number, sent when given.
+    Count(Get<Option<u32>>, Set<Option<u32>>),
+    /// `var=value` pairs, one per flag, values scalars or `[1,2,3]`; an
+    /// object on the wire, sent when there are any.
+    Inputs(Get<BTreeMap<String, Value>>, Set<BTreeMap<String, Value>>),
+    /// The operands after the path; an array on the wire, sent when there
+    /// are any.
+    Args(Get<Vec<String>>, Set<Vec<String>>),
+}
+
+/// One option of the command line and the wire alike. The `banger`
+/// binary parses its arguments by these rows and prints them in `banger
+/// help`; [`Request::to_json`] writes, and [`Request::from_json`]
+/// accepts, exactly the keys of the rows that name the request's verb.
+/// A new option is one row here and one field of [`Request`].
+pub struct Opt {
+    /// The flag and the placeholder of its value, as `banger help` shows
+    /// them: `-H <heuristic>`, `--weights`. Empty for the operands.
+    pub usage: &'static str,
+    /// What the flag is said to need when its value is missing.
+    pub needs: &'static str,
+    /// The wire key: the name of the request field the option sets.
+    pub key: &'static str,
+    /// That field.
+    pub kind: Kind,
+    /// The verbs whose handler reads the field.
+    pub verbs: &'static [&'static str],
+    /// The rest of the option's `banger help` line, after its verbs; each
+    /// `\n` continues it on the next line.
+    pub help: &'static str,
+}
+
+impl Opt {
+    /// The flag as typed: `usage` without its placeholder.
+    pub fn flag(&self) -> &'static str {
+        self.usage
+            .split_once(' ')
+            .map_or(self.usage, |(flag, _)| flag)
+    }
+}
+
+/// `opt!(usage, needs, Kind(field), [verbs], help)`: a row of [`OPTIONS`]
+/// whose key is the field's name.
+macro_rules! opt {
+    ($usage:literal, $needs:literal, $kind:ident($field:ident), [$($verb:literal),*], $help:literal) => {
+        Opt {
+            usage: $usage,
+            needs: $needs,
+            key: stringify!($field),
+            kind: Kind::$kind(|r| &r.$field, |r| &mut r.$field),
+            verbs: &[$($verb),*],
+            help: $help,
+        }
+    };
+}
+
+/// Every option, in `banger help` order, and last the operands after the
+/// path. Two flags may share a key (`-o`, `--trace` and `--emit` all set
+/// `out`), but never on one verb.
+#[rustfmt::skip]
+pub const OPTIONS: &[Opt] = &[
+    opt!("-H <heuristic>", "a heuristic name", Word(heuristic),
+        ["gantt", "schedule", "simulate", "animate", "advise", "svg", "save-schedule", "run", "codegen"],
+        "serial naive HLFET MCP ETF DLS MH DSH\n(default MH)"),
+    opt!("-i var=value", "var=value", Inputs(inputs), ["check", "run", "trial", "codegen"],
+        "inputs; arrays as [1,2,3]"),
+    opt!("-t spec,spec,...", "spec,spec,...", Text(topologies), ["speedup"],
+        "topologies, e.g. single,hypercube:1,hypercube:2"),
+    opt!("-p <procs>", "a processor budget", Count(procs), ["recommend"],
+        "processor budget (default 16)"),
+    opt!("-s <path>", "a schedule file", File(schedule), ["verify"], "saved schedule file"),
+    opt!("-o <path>", "an output location", Text(out), ["svg", "save-schedule"], "output location"),
+    opt!("--format <fmt>", "text or json", Word(format), ["check"], "text (default) or json"),
+    opt!("--weights", "", Flag(weights), ["check"],
+        "per-task weight report — drawn weight vs the\n\
+         abstract interpreter's static cost bounds; with -i\n\
+         inputs and a clean design, also runs it and shows\n\
+         measured ops per task"),
+    opt!("--reference", "", Flag(reference), ["trial"],
+        "use the tree-walking reference interpreter"),
+    opt!("--repeat <n>", "a count (e.g. --repeat 1000)", Count(repeat), ["run"],
+        "fire the design n times through one persistent\n\
+         session (warm worker pool; prints per-firing stats)"),
+    opt!("--trace <path>", "an output path (e.g. --trace out.json)", Text(out), ["run"],
+        "execute pinned to the -H schedule with tracing,\n\
+         write Chrome trace JSON (chrome://tracing, Perfetto)\n\
+         and print the observed-vs-predicted drift report"),
+    opt!("--optimize", "", Flag(optimize), ["run", "gantt", "schedule"],
+        "apply dead-arc elimination + task\n\
+         fusion to the design first (Outcome-preserving)"),
+    opt!("--fuse", "", Flag(fuse), ["optimize"],
+        "fuse grain-packed clusters into single tasks"),
+    opt!("--expand t:n", "task:tiles (e.g. --expand fact:16)", Text(expand), ["optimize"],
+        "expand dense-LU template task t into an\n\
+         n x n tiled block-LU (bit-identical results)"),
+    opt!("--emit <path>", "an output path ('-' for stdout)", Text(out), ["optimize"],
+        "write the rewritten document ('-' = stdout)"),
+    opt!("--optimized", "", Flag(optimize), ["graph"],
+        "optimize (with fusion) before reporting"),
+    opt!("--dot", "", Flag(dot), ["graph"], "print Graphviz DOT of the flattened graph"),
+    opt!("", "", Args(args), ["trial", "codegen", "parallelize"], ""),
+];
+
+/// The options `verb` takes, in table order.
+pub fn options(verb: &str) -> impl Iterator<Item = &'static Opt> + '_ {
+    OPTIONS.iter().filter(move |opt| opt.verbs.contains(&verb))
+}
+
 /// Dispatches one request against the store. Panics are *not* caught
 /// here — the server wraps this call in `catch_unwind` and poisons the
 /// affected entry (see [`super::server`]).
 pub fn handle(store: &ProjectStore, req: &Request) -> Response {
     store.counters.requests.fetch_add(1, Ordering::Relaxed);
-    if req.inject_handler_panic {
-        panic!("injected fault: inject_handler_panic requested");
-    }
-    match verb(&req.cmd) {
-        Some(Verb::Project(_, _, op)) => with_entry(store, req, *op),
-        Some(Verb::Daemon(_, _, op)) => op(store, req),
-        None => Response::failure(format!(
-            "unknown command {:?} (want a `banger help` subcommand)",
-            req.cmd
-        )),
+    let task_fault = match store.fault() {
+        Some(Fault::Handler) => panic!("injected fault: the handler panics"),
+        Some(Fault::Task(task)) => Some(task),
+        None => None,
+    };
+    let Some(verb) = verb(&req.cmd) else {
+        return Response::failure(unknown_verb(&req.cmd));
+    };
+    match (verb, &req.path) {
+        (Verb::Project(_, _, op), Some(path)) => {
+            with_entry(store, path, req, *op, true, task_fault)
+        }
+        (Verb::Findings(_, _, op), Some(path)) => {
+            with_entry(store, path, req, *op, false, task_fault)
+        }
+        (Verb::Entry(_, _, op), Some(path)) => op(store, path),
+        (Verb::Daemon(_, _, op), _) => op(store),
+        (_, None) => Response::failure(format!("{} needs a \"path\"", req.cmd)),
     }
 }
 
 /// The store's counters, then the executor's live sessions and pool
 /// threads. Those two are process-wide, so they stay out of
 /// [`CacheStats`](super::CacheStats), a per-store snapshot.
-fn op_stats(store: &ProjectStore, _: &Request) -> Response {
+fn op_stats(store: &ProjectStore) -> Response {
     Response::success(format!(
         "{}  sessions {}  pool threads {}\n",
         store.stats().render(),
@@ -190,27 +369,27 @@ fn op_stats(store: &ProjectStore, _: &Request) -> Response {
     ))
 }
 
-/// Drops the daemon's cached state for the request's project.
-fn op_evict(store: &ProjectStore, req: &Request) -> Response {
-    match &req.path {
-        None => Response::failure(format!("{} needs a \"path\"", req.cmd)),
-        Some(path) if store.evict(path) => Response::success("evicted\n"),
-        Some(_) => Response::success("not cached\n"),
+/// Drops the daemon's cached state for the project at `path`.
+fn op_evict(store: &ProjectStore, path: &str) -> Response {
+    if store.evict(path) {
+        Response::success("evicted\n")
+    } else {
+        Response::success("not cached\n")
     }
 }
 
-/// Resolves the request path, syncs the entry with the current source
-/// bytes, and runs `op` under the per-entry lock. The design's warnings
-/// go in front of the notes of every verb but `check`, which lists them
-/// on stdout.
+/// Syncs the entry of the project at `path` with its current bytes, and
+/// runs `op` under the per-entry lock, with the store's injected task
+/// fault, if any, in force. With `warnings`, the design's warnings go in
+/// front of the answer's notes.
 fn with_entry(
     store: &ProjectStore,
+    path: &str,
     req: &Request,
-    op: fn(&mut EntryState, &Request) -> Answer,
+    op: ProjectOp,
+    warnings: bool,
+    task_fault: Option<String>,
 ) -> Response {
-    let Some(path) = &req.path else {
-        return Response::failure(format!("{} needs a \"path\"", req.cmd));
-    };
     let (slot, bytes) = match store.lookup(path) {
         Ok(x) => x,
         Err(e) => return Response::failure(e),
@@ -220,8 +399,9 @@ fn with_entry(
         Ok((state, _warm)) => state,
         Err(e) => return Response::failure(e),
     };
+    state.task_fault = task_fault;
     let mut resp = op(state, req).unwrap_or_else(Response::failure);
-    if req.cmd != "check" && !state.warnings.is_empty() {
+    if warnings && !state.warnings.is_empty() {
         let own = std::mem::replace(&mut resp.notes, state.warnings.clone());
         resp = resp.with_notes(own);
     }
@@ -577,7 +757,7 @@ fn render_run(report: &ExecReport, notes: String) -> Response {
 fn op_run(state: &mut EntryState, req: &Request) -> Answer {
     let (scratch, notes) = optimized(&state.project, req.optimize)?;
     let project = scratch.as_ref().unwrap_or(&state.project);
-    if let Some(task) = &req.inject_panic {
+    if let Some(task) = &state.task_fault {
         // Executor fault injection takes a one-off pool: options are
         // fixed at pool construction and must not contaminate the warm
         // one.
@@ -888,12 +1068,12 @@ mod tests {
         );
         req.inputs
             .insert("b".into(), banger_calc::Value::array(vec![1.0, 2.0, 3.0]));
-        let mut bad = req.clone();
-        bad.inject_panic = Some("Factor.fan1".into());
-        let resp = handle(&store, &bad);
+        store.inject(Some(Fault::Task("Factor.fan1".into())));
+        let resp = handle(&store, &req);
         assert!(!resp.ok);
         assert!(resp.error.contains("Factor.fan1"), "{}", resp.error);
         // The entry survives: a clean run on the same store succeeds.
+        store.inject(None);
         let resp = handle(&store, &req);
         assert!(resp.ok, "{}", resp.error);
         std::fs::remove_file(&path).ok();

@@ -17,44 +17,35 @@
 //!
 //! [`Request::to_json`] and [`Response::to_json`] write straight into one
 //! `String`, with no intermediate [`Json`] tree. `from_json` visits the
-//! top-level members through [`json::parse_object`], keeps the first
-//! value of each key it knows, moves strings out of the parse, and only
-//! then validates: a syntax error anywhere beats any field error, a
-//! duplicated key counts once, unknown keys are ignored, and a top level
-//! that is not an object reads as an empty one.
+//! top-level members through [`json::parse_object`] and moves strings out
+//! of the parse; a syntax error anywhere beats any member's error, and the
+//! first of duplicated members counts.
 //!
 //! ## Requests
 //!
 //! A [`Request`] is one `banger` invocation with its arguments parsed:
 //! the verb, the project path, and one typed field per option. It is
 //! the only thing that crosses from a front end into
-//! [`ops::handle`](super::ops::handle), whether the front end calls the
-//! handler in its own process or sends the request to a daemon. `cmd`,
-//! `heuristic` and `format` are always written; every other field only
-//! when set.
+//! [`ops::handle`], whether the front end calls the handler in its own
+//! process or sends the request to a daemon. The wire carries what the
+//! command line does, by the same table, [`ops::OPTIONS`]: `cmd`, the
+//! `path` of a verb that takes one, and the keys of the verb's options —
+//! a word (`heuristic`, `format`) always, anything else when set. A
+//! request naming no verb, a member its verb does not take or a value of
+//! the wrong kind is refused in the command line's words.
 //!
 //! ```json
-//! {"cmd": "schedule", "path": "/abs/proj.bang", "heuristic": "ETF", "format": "text"}
-//! {"cmd": "run", "path": "/abs/proj.bang", ..., "inputs": {"a": 2.5, "v": [1, 2, 3]}}
-//! {"cmd": "run", "path": "/abs/proj.bang", ..., "repeat": 200}
-//! {"cmd": "run", "path": "/abs/proj.bang", ..., "out": "t.json"}
-//! {"cmd": "check", "path": "/abs/proj.bang", ..., "format": "json", "weights": true}
-//! {"cmd": "optimize", "path": "/abs/proj.bang", ..., "fuse": true, "expand": "fact:8", "out": "-"}
-//! {"cmd": "verify", "path": "/abs/proj.bang", ..., "schedule": "<schedule text>"}
-//! {"cmd": "trial", "path": "/abs/proj.bang", ..., "args": ["Init"], "reference": true}
-//! {"cmd": "ping"}   {"cmd": "stats"}   {"cmd": "evict", "path": "..."}   {"cmd": "shutdown"}
+//! {"cmd": "gantt", "path": "/abs/proj.bang", "heuristic": "ETF"}
+//! {"cmd": "run", "path": "/abs/proj.bang", "heuristic": "MH", "inputs": {"a": 2.5, "v": [1, 2, 3]}, "repeat": 200}
+//! {"cmd": "check", "path": "/abs/proj.bang", "format": "json", "weights": true}
+//! {"cmd": "trial", "path": "/abs/proj.bang", "args": ["Init"], "reference": true}
+//! {"cmd": "ping"}   {"cmd": "evict", "path": "/abs/proj.bang"}
 //! ```
 //!
 //! The handler opens exactly one file, the project at `path`; a front
 //! end therefore sends an absolute `path`, reads what else the verb
 //! takes from disk itself (`verify -s` travels as `schedule` text), and
 //! names in `out` where the verb's file product is to go.
-//!
-//! Fault-injection hooks (testing only): `"inject_panic": "<task>"` on a
-//! `run` forwards to [`ExecOptions::inject_panic`](banger_exec::ExecOptions)
-//! (an *attributed executor error*, not a handler crash), while
-//! `"inject_handler_panic": true` on any command panics inside the
-//! request handler itself — the daemon must survive it.
 //!
 //! ## Responses
 //!
@@ -72,6 +63,7 @@
 //! optimizer statistics, drift tables). `cached` reports whether the
 //! request was served from a warm cache entry without recomputation.
 
+use super::ops::{self, Kind, Verb};
 use banger_calc::Value;
 use banger_taskgraph::json::{self, Json};
 use std::collections::BTreeMap;
@@ -126,15 +118,15 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(buf))
 }
 
-/// One request to the handler. Unknown JSON fields are ignored so old
-/// daemons tolerate newer clients.
-#[derive(Debug, Clone, PartialEq)]
+/// One request to the handler: the verb, its project path, and one field
+/// per option of [`ops::OPTIONS`]. A handler reads
+/// only the fields of its verb's options, and the wire carries only
+/// those.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Request {
-    /// The verb: any `banger` subcommand that takes a project, or one of
-    /// `ping`, `stats`, `evict`, `shutdown`.
+    /// The verb: the name of a row of [`ops::VERBS`].
     pub cmd: String,
-    /// Project file path (canonicalized by the store); absent for verbs
-    /// that address the daemon itself.
+    /// The project file, absolute; absent for a verb on the daemon itself.
     pub path: Option<String>,
     /// `-H`: scheduling heuristic (default `MH`).
     pub heuristic: String,
@@ -144,13 +136,13 @@ pub struct Request {
     pub inputs: BTreeMap<String, Value>,
     /// `optimize --fuse`: also fuse grain-packed clusters.
     pub fuse: bool,
-    /// Positional operands after the path: `trial <program>`,
-    /// `codegen <lang>`, `parallelize <task> <chunks>`.
+    /// The operands after the path: `trial <program>`, `codegen <lang>`,
+    /// `parallelize <task> <chunks>`.
     pub args: Vec<String>,
     /// `check --weights`: append the per-task weight report.
     pub weights: bool,
-    /// `run`/`gantt --optimize`, `graph --optimized`: rewrite the design
-    /// (dead arcs + fusion) before the verb's own work.
+    /// `--optimize`, `graph --optimized`: rewrite the design (dead arcs +
+    /// fusion) before the verb's own work.
     pub optimize: bool,
     /// `trial --reference`: use the tree-walking interpreter.
     pub reference: bool,
@@ -171,10 +163,6 @@ pub struct Request {
     /// stdout) and `run --trace`, which it also selects. The handler
     /// only names the returned [`Response::files`] after it.
     pub out: Option<String>,
-    /// Testing: forward to the executor's per-task panic injection.
-    pub inject_panic: Option<String>,
-    /// Testing: panic inside the request handler itself.
-    pub inject_handler_panic: bool,
 }
 
 impl Request {
@@ -182,24 +170,9 @@ impl Request {
     pub fn new(cmd: impl Into<String>) -> Self {
         Request {
             cmd: cmd.into(),
-            path: None,
             heuristic: "MH".to_string(),
             format: "text".to_string(),
-            inputs: BTreeMap::new(),
-            fuse: false,
-            args: Vec::new(),
-            weights: false,
-            optimize: false,
-            reference: false,
-            dot: false,
-            repeat: None,
-            procs: None,
-            topologies: None,
-            expand: None,
-            schedule: None,
-            out: None,
-            inject_panic: None,
-            inject_handler_panic: false,
+            ..Request::default()
         }
     }
 
@@ -210,195 +183,155 @@ impl Request {
         r
     }
 
-    /// Renders the request as one JSON object, in one pass: fields in
-    /// [`REQUEST_KEYS`] order, each unset optional one left out.
+    /// Renders the request as one JSON object, in one pass: `cmd`, the
+    /// path, then the fields of the verb's options in table order — a
+    /// word always, anything else when set. A field the verb does not
+    /// take is left out, whatever it holds.
     pub fn to_json(&self) -> String {
-        // Room for the keys and punctuation, the text fields unescaped and
-        // 24 bytes a number: enough for a request that escapes little.
-        let texts = [&self.cmd, &self.heuristic, &self.format]
-            .into_iter()
-            .chain(self.args.iter())
-            .chain(
-                [
-                    &self.path,
-                    &self.inject_panic,
-                    &self.topologies,
-                    &self.expand,
-                    &self.schedule,
-                    &self.out,
-                ]
-                .into_iter()
-                .flatten(),
-            )
-            .map(String::len)
-            .sum::<usize>();
-        let values = self
-            .inputs
-            .iter()
-            .map(|(name, v)| match v {
-                Value::Num(_) => name.len() + 24,
-                Value::Array(vs) => name.len() + 24 * vs.len(),
-            })
-            .sum::<usize>();
-        let mut out = String::with_capacity(256 + texts + values);
+        let mut out = String::with_capacity(256);
         out.push_str("{\"cmd\":");
         json::escape_into(&self.cmd, &mut out);
-        let text = |out: &mut String, k: &str, v: &Option<String>| {
-            if let Some(v) = v {
-                key(out, k);
-                json::escape_into(v, out);
-            }
-        };
-        let flag = |out: &mut String, k: &str, v: bool| {
-            if v {
-                key(out, k);
-                out.push_str("true");
-            }
-        };
-        let count = |out: &mut String, k: &str, v: Option<u32>| {
-            if let Some(n) = v {
-                key(out, k);
-                json::number_into(f64::from(n), out);
-            }
-        };
-        text(&mut out, "path", &self.path);
-        key(&mut out, "heuristic");
-        json::escape_into(&self.heuristic, &mut out);
-        key(&mut out, "format");
-        json::escape_into(&self.format, &mut out);
-        if !self.inputs.is_empty() {
-            key(&mut out, "inputs");
-            out.push('{');
-            for (i, (name, v)) in self.inputs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+        let verb = ops::verb(&self.cmd);
+        if let Some(path) = self
+            .path
+            .as_ref()
+            .filter(|_| verb.is_some_and(Verb::takes_path))
+        {
+            key(&mut out, "path");
+            json::escape_into(path, &mut out);
+        }
+        for opt in ops::options(&self.cmd) {
+            // The key goes first and comes off again if the field is unset.
+            let start = out.len();
+            key(&mut out, opt.key);
+            let set = match opt.kind {
+                Kind::Word(get, _) => {
+                    json::escape_into(get(self), &mut out);
+                    true
                 }
-                json::escape_into(name, &mut out);
-                out.push(':');
-                match v {
-                    Value::Num(n) => json::number_into(*n, &mut out),
-                    Value::Array(vs) => {
-                        out.push('[');
-                        for (j, x) in vs.iter().enumerate() {
-                            if j > 0 {
-                                out.push(',');
+                Kind::Text(get, _) | Kind::File(get, _) => get(self)
+                    .as_ref()
+                    .map(|text| json::escape_into(text, &mut out))
+                    .is_some(),
+                Kind::Flag(get, _) => {
+                    out.push_str("true");
+                    *get(self)
+                }
+                Kind::Count(get, _) => get(self)
+                    .map(|n| json::number_into(f64::from(n), &mut out))
+                    .is_some(),
+                Kind::Inputs(get, _) => {
+                    list_into(&mut out, "{}", get(self), |out, (name, v)| {
+                        json::escape_into(name, out);
+                        out.push(':');
+                        match v {
+                            Value::Num(n) => json::number_into(*n, out),
+                            Value::Array(xs) => {
+                                list_into(out, "[]", xs.iter(), |out, x| json::number_into(*x, out))
                             }
-                            json::number_into(*x, &mut out);
                         }
-                        out.push(']');
-                    }
+                    });
+                    !get(self).is_empty()
                 }
-            }
-            out.push('}');
-        }
-        flag(&mut out, "fuse", self.fuse);
-        text(&mut out, "inject_panic", &self.inject_panic);
-        flag(&mut out, "inject_handler_panic", self.inject_handler_panic);
-        if !self.args.is_empty() {
-            key(&mut out, "args");
-            out.push('[');
-            for (i, arg) in self.args.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+                Kind::Args(get, _) => {
+                    list_into(&mut out, "[]", get(self), |out, arg| {
+                        json::escape_into(arg, out)
+                    });
+                    !get(self).is_empty()
                 }
-                json::escape_into(arg, &mut out);
+            };
+            if !set {
+                out.truncate(start);
             }
-            out.push(']');
         }
-        flag(&mut out, "weights", self.weights);
-        flag(&mut out, "optimize", self.optimize);
-        flag(&mut out, "reference", self.reference);
-        flag(&mut out, "dot", self.dot);
-        count(&mut out, "repeat", self.repeat);
-        count(&mut out, "procs", self.procs);
-        text(&mut out, "topologies", &self.topologies);
-        text(&mut out, "expand", &self.expand);
-        text(&mut out, "schedule", &self.schedule);
-        text(&mut out, "out", &self.out);
         out.push('}');
         out
     }
 
-    /// Parses a request from JSON text. The first occurrence of a key
-    /// counts and unknown keys are ignored; the whole text must be JSON
-    /// before any field is judged.
+    /// Parses a request from JSON text: the whole text must be JSON
+    /// before any member is judged, then `cmd` must name a verb, and each
+    /// other member must be one the verb takes, holding a value of its
+    /// kind. The first of duplicated members counts.
     pub fn from_json(text: &str) -> Result<Request, String> {
-        let [cmd, path, heuristic, format, inputs, fuse, inject_panic, inject_handler_panic, args, weights, optimize, reference, dot, repeat, procs, topologies, expand, schedule, out] =
-            first_members(text, REQUEST_KEYS)?;
-        let text = |v: Option<Json>| match v {
-            Some(Json::Str(s)) => Some(s),
-            _ => None,
+        let mut members = Vec::new();
+        json::parse_object(text, |k, v| members.push((k, v)))?;
+        let cmd = match members.iter().find(|(k, _)| k == "cmd") {
+            Some((_, Json::Str(cmd))) => cmd.clone(),
+            _ => return Err("request needs a \"cmd\" string".into()),
         };
-        let flag = |v: Option<Json>| matches!(v, Some(Json::Bool(true)));
-        let count = |name: &str, v: Option<Json>| match v {
-            None => Ok(None),
-            Some(n) => n
-                .as_num()
-                .filter(|n| n.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(n))
-                .map(|n| Some(n as u32))
-                .ok_or(format!("{name:?} must be a whole number")),
-        };
-        let mut req = Request::new(text(cmd).ok_or("request needs a \"cmd\" string")?);
-        req.path = text(path);
-        if let Some(h) = text(heuristic) {
-            req.heuristic = h;
-        }
-        if let Some(f) = text(format) {
-            req.format = f;
-        }
-        if let Some(Json::Obj(fields)) = inputs {
-            for (name, val) in fields {
-                let val = json_to_value(&val).map_err(|e| format!("bad input {name:?}: {e}"))?;
-                req.inputs.insert(name, val);
+        let verb = ops::verb(&cmd).ok_or_else(|| ops::unknown_verb(&cmd))?;
+        let mut req = Request::new(cmd);
+        let mut seen = vec!["cmd"];
+        for (k, v) in members {
+            if seen.contains(&&*k) {
+                continue;
+            }
+            let opt = ops::options(verb.name()).find(|opt| opt.key == k);
+            let (k, kind) = match opt {
+                Some(opt) => (opt.key, Some(opt.kind)),
+                None if k == "path" && verb.takes_path() => ("path", None),
+                None => return Err(ops::does_not_take(verb.name(), &k)),
+            };
+            seen.push(k);
+            let string = |v| match v {
+                Json::Str(s) => Ok(s),
+                _ => Err(format!("{k:?} must be a string")),
+            };
+            match kind {
+                None => req.path = Some(string(v)?),
+                Some(Kind::Word(_, set)) => *set(&mut req) = string(v)?,
+                Some(Kind::Text(_, set) | Kind::File(_, set)) => *set(&mut req) = Some(string(v)?),
+                Some(Kind::Flag(_, set)) => {
+                    *set(&mut req) = v.as_bool().ok_or(format!("{k:?} must be true or false"))?
+                }
+                Some(Kind::Count(_, set)) => {
+                    let n = v
+                        .as_num()
+                        .filter(|n| n.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(n))
+                        .ok_or(format!("{k:?} must be a whole number"))?;
+                    *set(&mut req) = Some(n as u32);
+                }
+                Some(Kind::Inputs(_, set)) => {
+                    let Json::Obj(fields) = v else {
+                        return Err(format!("{k:?} must be an object"));
+                    };
+                    for (name, val) in fields {
+                        let val =
+                            json_to_value(&val).map_err(|e| format!("bad input {name:?}: {e}"))?;
+                        set(&mut req).insert(name, val);
+                    }
+                }
+                Some(Kind::Args(_, set)) => {
+                    let args = match v {
+                        Json::Arr(items) => items.into_iter().map(|arg| string(arg).ok()).collect(),
+                        _ => None,
+                    };
+                    *set(&mut req) = args.ok_or(format!("{k:?} must be strings"))?;
+                }
             }
         }
-        if let Some(Json::Arr(items)) = args {
-            for arg in items {
-                let Json::Str(arg) = arg else {
-                    return Err("\"args\" must be strings".into());
-                };
-                req.args.push(arg);
-            }
-        }
-        req.fuse = flag(fuse);
-        req.weights = flag(weights);
-        req.optimize = flag(optimize);
-        req.reference = flag(reference);
-        req.dot = flag(dot);
-        req.repeat = count("repeat", repeat)?;
-        req.procs = count("procs", procs)?;
-        req.topologies = text(topologies);
-        req.expand = text(expand);
-        req.schedule = text(schedule);
-        req.out = text(out);
-        req.inject_panic = text(inject_panic);
-        req.inject_handler_panic = flag(inject_handler_panic);
         Ok(req)
     }
 }
 
-/// A request's keys, in the order [`Request::to_json`] writes them.
-const REQUEST_KEYS: [&str; 19] = [
-    "cmd",
-    "path",
-    "heuristic",
-    "format",
-    "inputs",
-    "fuse",
-    "inject_panic",
-    "inject_handler_panic",
-    "args",
-    "weights",
-    "optimize",
-    "reference",
-    "dot",
-    "repeat",
-    "procs",
-    "topologies",
-    "expand",
-    "schedule",
-    "out",
-];
+/// Appends `items` between the two characters of `brackets`, separated
+/// by commas, each as `item` writes it.
+fn list_into<T>(
+    out: &mut String,
+    brackets: &str,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    let (open, close) = brackets.split_at(1);
+    out.push_str(open);
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push_str(close);
+}
 
 /// A response's keys, in the order [`Response::to_json`] writes them.
 const RESPONSE_KEYS: [&str; 7] = ["ok", "cached", "exit", "output", "notes", "error", "files"];
@@ -539,16 +472,11 @@ impl Response {
         }
         if !self.files.is_empty() {
             key(&mut out, "files");
-            out.push('{');
-            for (i, (name, content)) in self.files.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::escape_into(name, &mut out);
+            list_into(&mut out, "{}", &self.files, |out, (name, content)| {
+                json::escape_into(name, out);
                 out.push(':');
-                json::escape_into(content, &mut out);
-            }
-            out.push('}');
+                json::escape_into(content, out);
+            });
         }
         out.push('}');
         out
@@ -596,21 +524,32 @@ mod tests {
         req.inputs.insert("a".into(), Value::Num(2.5));
         req.inputs
             .insert("v".into(), Value::array(vec![1.0, 2.0, 3.0]));
-        req.inject_panic = Some("w3".into());
-        req.args = vec!["Init".into(), "4".into()];
-        req.weights = true;
         req.repeat = Some(3);
-        req.procs = Some(8);
-        req.schedule = Some("schedule MH\n".into());
+        req.optimize = true;
         req.out = Some("out dir/t.json".into());
         let back = Request::from_json(&req.to_json()).unwrap();
         assert_eq!(req, back);
-        // Unset fields are not written: the frame of a plain request is
-        // what it was before those fields existed.
+        // Unset fields are not written, nor the fields of other verbs'
+        // options: `check` takes no heuristic.
+        let mut check = Request::for_path("check", "/p.bang");
+        check.heuristic = "ETF".into();
         assert_eq!(
-            Request::for_path("check", "/p.bang").to_json(),
-            "{\"cmd\":\"check\",\"path\":\"/p.bang\",\"heuristic\":\"MH\",\"format\":\"text\"}"
+            check.to_json(),
+            "{\"cmd\":\"check\",\"path\":\"/p.bang\",\"format\":\"text\"}"
         );
+    }
+
+    /// No verb takes two options that share a key: `to_json` would write
+    /// it twice.
+    #[test]
+    fn no_verb_takes_a_key_twice() {
+        for verb in ops::VERBS {
+            let mut keys: Vec<&str> = ops::options(verb.name()).map(|opt| opt.key).collect();
+            let all = keys.len();
+            keys.sort();
+            keys.dedup();
+            assert_eq!(keys.len(), all, "{}", verb.name());
+        }
     }
 
     #[test]
@@ -630,13 +569,55 @@ mod tests {
 
     #[test]
     fn bad_requests_are_rejected() {
-        assert!(Request::from_json("{}").is_err());
+        let refused = |text: &str, why: &str| {
+            assert_eq!(Request::from_json(text), Err(why.to_string()), "{text}");
+        };
+        refused("{}", "request needs a \"cmd\" string");
         assert!(Request::from_json("not json").is_err());
-        assert!(Request::from_json("{\"cmd\": 7}").is_err());
-        assert!(Request::from_json("{\"cmd\": \"run\", \"inputs\": {\"a\": \"str\"}}").is_err());
-        assert!(Request::from_json("{\"cmd\": \"run\", \"repeat\": -1}").is_err());
-        assert!(Request::from_json("{\"cmd\": \"run\", \"repeat\": 1.5}").is_err());
-        assert!(Request::from_json("{\"cmd\": \"trial\", \"args\": [7]}").is_err());
+        refused("{\"cmd\": 7}", "request needs a \"cmd\" string");
+        refused(
+            "{\"cmd\": \"nonsense\"}",
+            "unknown subcommand \"nonsense\" (run `banger help` for the list)",
+        );
+        refused(
+            "{\"cmd\": \"run\", \"inputs\": {\"a\": \"str\"}}",
+            "bad input \"a\": inputs must be numbers or arrays of numbers",
+        );
+        refused(
+            "{\"cmd\": \"run\", \"inputs\": [1]}",
+            "\"inputs\" must be an object",
+        );
+        refused(
+            "{\"cmd\": \"run\", \"repeat\": -1}",
+            "\"repeat\" must be a whole number",
+        );
+        refused(
+            "{\"cmd\": \"run\", \"repeat\": 1.5}",
+            "\"repeat\" must be a whole number",
+        );
+        refused(
+            "{\"cmd\": \"trial\", \"args\": [7]}",
+            "\"args\" must be strings",
+        );
+        refused(
+            "{\"cmd\": \"trial\", \"args\": \"x\"}",
+            "\"args\" must be strings",
+        );
+        refused(
+            "{\"cmd\": \"check\", \"fuse\": true}",
+            "check does not take \"fuse\"",
+        );
+        refused(
+            "{\"cmd\": \"ping\", \"path\": \"/p\"}",
+            "ping does not take \"path\"",
+        );
+        // The syntax error anywhere beats any member's, and the first of
+        // duplicated members counts.
+        assert!(Request::from_json("{\"cmd\": \"ping\", \"path\": 1,}")
+            .unwrap_err()
+            .contains("offset"));
+        let dup = Request::from_json("{\"cmd\":\"run\",\"repeat\":2,\"repeat\":\"x\"}");
+        assert_eq!(dup.map(|r| r.repeat), Ok(Some(2)));
     }
 
     #[test]

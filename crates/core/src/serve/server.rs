@@ -241,17 +241,18 @@ pub fn dispatch_guarded(store: &ProjectStore, req: &Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::Fault;
 
     #[test]
     fn handler_panic_is_contained_and_poisons_the_entry() {
         let store = ProjectStore::new();
-        let mut req = Request::new("ping");
-        req.inject_handler_panic = true;
-        let resp = dispatch_guarded(&store, &req);
+        store.inject(Some(Fault::Handler));
+        let resp = dispatch_guarded(&store, &Request::new("ping"));
         assert!(!resp.ok);
         assert!(resp.error.contains("panic"), "{}", resp.error);
         assert_eq!(store.stats().panics, 1);
         // The daemon-side dispatcher still answers afterwards.
+        store.inject(None);
         let resp = dispatch_guarded(&store, &Request::new("ping"));
         assert!(resp.ok);
     }

@@ -82,6 +82,9 @@ pub struct EntryState {
     /// Warm executor session (parked worker pool, routing tables, slab
     /// store); opened lazily by the first `run` request.
     pub session: Option<Session>,
+    /// The task whose firing panics, while the store injects
+    /// [`Fault::Task`]: set for each request, read by `run`.
+    pub(crate) task_fault: Option<String>,
 }
 
 /// One per-path slot. `state: None` means cold: never built, evicted,
@@ -170,6 +173,7 @@ impl Entry {
             checks: HashMap::new(),
             schedules: HashMap::new(),
             session: None,
+            task_fault: None,
         });
         Ok((state, false))
     }
@@ -238,11 +242,24 @@ impl CacheStats {
     }
 }
 
+/// A fault injected into every request a store answers, for tests of
+/// the daemon's containment. Only code holding the store sets one: no
+/// request can.
+#[derive(Debug, Clone)]
+pub enum Fault {
+    /// The handler panics before it dispatches, as a bug in a verb would.
+    Handler,
+    /// A `run` fires once on a private pool whose task of this name
+    /// panics: the executor's attributed error, not a handler panic.
+    Task(String),
+}
+
 /// The daemon's shared state: per-path entries plus lifetime counters.
 pub struct ProjectStore {
     entries: Mutex<HashMap<PathBuf, Arc<Mutex<Entry>>>>,
     /// Lifetime counters (shared with request handlers).
     pub counters: Counters,
+    fault: Mutex<Option<Fault>>,
 }
 
 impl Default for ProjectStore {
@@ -257,7 +274,18 @@ impl ProjectStore {
         ProjectStore {
             entries: Mutex::new(HashMap::new()),
             counters: Counters::default(),
+            fault: Mutex::new(None),
         }
+    }
+
+    /// Injects `fault` into every request from now on; `None` clears it.
+    pub fn inject(&self, fault: Option<Fault>) {
+        *self.fault.lock() = fault;
+    }
+
+    /// The fault in force, if any.
+    pub(crate) fn fault(&self) -> Option<Fault> {
+        self.fault.lock().clone()
     }
 
     /// Resolves a request path to its canonical form — the store key.

@@ -511,6 +511,15 @@ fn bad_usage_fails_cleanly() {
     assert_usage_error(&["check", lu3, "-H", "ETF"], "\"-H\"");
     let trial = [&["trial", file, "Init"][..], &inputs, &["-t", "single"]].concat();
     assert_usage_error(&trial, "trial does not take \"-t\"");
+    // A verb on the daemon takes only what its row says: `ping` no
+    // operand, `stats` no flag, `evict` one path.
+    assert_usage_error(&["ping", "junk"], "ping does not take \"junk\"");
+    assert_usage_error(
+        &["stats", "--format", "json"],
+        "stats does not take \"--format\"",
+    );
+    assert_usage_error(&["evict", file, "extra"], "evict does not take \"extra\"");
+    assert_usage_error(&["evict"], "evict needs a <file.bang> argument");
 
     // An unreadable `-s` file is not a usage error: the command was right.
     let out5 = banger()
@@ -519,6 +528,79 @@ fn bad_usage_fails_cleanly() {
         .unwrap();
     assert_eq!(out5.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out5.stderr).contains("cannot read /no/such/schedule"));
+}
+
+/// `serve` takes `--socket PATH` and nothing else: a flag without its
+/// path, or a misspelt one, is a usage error, not a daemon on the default
+/// socket.
+#[cfg(unix)]
+#[test]
+fn serve_refuses_what_it_does_not_take() {
+    let fallback = std::env::temp_dir().join(format!("banger-cli-fb-{}.sock", std::process::id()));
+    for (args, named) in [
+        (&["serve", "--socket"][..], "--socket needs a socket path"),
+        (
+            &["serve", "--sokcet", "x.sock"][..],
+            "serve does not take \"--sokcet\"",
+        ),
+    ] {
+        let mut child = banger()
+            .args(args)
+            .env("BANGER_SOCKET", &fallback)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("CLI starts");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while child.try_wait().unwrap().is_none() && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        if child.try_wait().unwrap().is_none() {
+            child.kill().ok();
+            child.wait().ok();
+            std::fs::remove_file(&fallback).ok();
+            panic!("banger {args:?} served instead of refusing");
+        }
+        let out = child.wait_with_output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(err.contains(named), "{args:?}: {err}");
+        assert!(!fallback.exists(), "{args:?} bound the fallback socket");
+    }
+}
+
+/// `evict` resolves a relative path in the client's working directory,
+/// as every project verb does: the daemon has its own.
+#[cfg(unix)]
+#[test]
+fn evict_reads_a_relative_path_where_the_client_stands() {
+    let base = std::env::temp_dir().join(format!("banger-cli-evict-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let (daemon_dir, client_dir) = (base.join("d1"), base.join("d2"));
+    std::fs::create_dir_all(&daemon_dir).unwrap();
+    std::fs::create_dir_all(&client_dir).unwrap();
+    std::fs::copy("examples/projects/lu3.bang", client_dir.join("lu3.bang")).unwrap();
+    let (sock, guard) = start_daemon("evict", &daemon_dir);
+    let ask = |args: &[&str]| {
+        let out = banger()
+            .args(["--connect", sock.to_str().unwrap()])
+            .args(args)
+            .current_dir(&client_dir)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    assert!(ask(&["check", "lu3.bang"]).contains("0 errors"));
+    assert_eq!(ask(&["evict", "lu3.bang"]), "evicted\n");
+    assert_eq!(ask(&["evict", "lu3.bang"]), "not cached\n");
+    stop_daemon(&sock, guard);
+    std::fs::remove_dir_all(&base).ok();
 }
 
 #[test]
@@ -531,6 +613,21 @@ fn help_lists_every_subcommand_and_exit_codes() {
         assert!(text.contains(&line), "help is missing {line:?}:\n{text}");
     }
     assert!(text.contains("exit codes"), "{text}");
+    // Every option row is listed, with its verbs, in lines that fit a
+    // terminal.
+    let (_, options) = text.split_once("\noptions:\n").expect("an options block");
+    let (options, _) = options.split_once("\n\ndaemon:").expect("a daemon block");
+    for opt in banger::serve::ops::OPTIONS
+        .iter()
+        .filter(|o| !o.usage.is_empty())
+    {
+        let line = format!("  {:<16} {}", opt.usage, opt.verbs[0]);
+        assert!(options.contains(&line), "help is missing {line:?}:\n{text}");
+    }
+    assert!(
+        options.lines().all(|l| l.chars().count() <= 80),
+        "{options}"
+    );
     // The daemon's caches are keyed by the bytes themselves, not a hash.
     assert!(!text.contains("content-hashed"), "{text}");
     // `--help` is an alias.
@@ -1019,8 +1116,9 @@ fn every_project_verb_is_in_the_differential() {
             .map(|args| args[0].clone())
             .collect();
     for verb in banger::serve::ops::VERBS {
-        if let banger::serve::ops::Verb::Project(name, ..) = verb {
-            assert!(tried.contains(*name), "every_verb never runs {name}");
+        if !verb.on_daemon() {
+            let name = verb.name();
+            assert!(tried.contains(name), "every_verb never runs {name}");
         }
     }
 }

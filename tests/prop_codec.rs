@@ -1,22 +1,30 @@
 //! The byte-level codec against the char-level one it replaced.
 //!
 //! `support/json_oracle.rs` keeps the former `json::parse`, `escape_into`
-//! and `Request`/`Response` `to_json`/`from_json` verbatim. Seeded
-//! requests (every field, strings full of quotes, backslashes, control,
-//! non-ASCII and astral characters), responses with files, and `Json`
-//! trees must encode to the same bytes and decode to the same values.
-//! Corrupted texts — truncations, byte flips, duplicated keys, Unicode
-//! whitespace between tokens, `\u` escapes with lone surrogates,
+//! and `Response` `to_json`/`from_json` verbatim, and the former
+//! `Request::from_json`. Seeded responses with files and `Json` trees
+//! (strings full of quotes, backslashes, control, non-ASCII and astral
+//! characters) must encode to the same bytes and decode to the same
+//! values. Corrupted texts — truncations, byte flips, duplicated keys,
+//! Unicode whitespace between tokens, `\u` escapes with lone surrogates,
 //! non-object top levels, numbers like `1e400` and `-` — must give the
 //! same result and byte-identical error texts, through `json::parse`,
-//! `json::parse_object` and both decoders.
+//! `json::parse_object` and the response decoder.
 //!
-//! The one intended difference is the nesting cap (`json::MAX_DEPTH`),
+//! Requests are strict where the old decoder read every field on every
+//! verb and ignored the rest: a seeded request holds only its verb's
+//! fields, reads back as itself through both decoders, and a member its
+//! verb does not take is refused with the CLI's wording. On any text the
+//! request decoder gives the old syntax error, and whatever it accepts
+//! the old decoder reads alike.
+//!
+//! The other intended difference is the nesting cap (`json::MAX_DEPTH`),
 //! which nothing here comes near; `json.rs`'s unit tests pin it.
 
 #[path = "support/json_oracle.rs"]
 mod oracle;
 
+use banger::serve::ops::{self, Kind, VERBS};
 use banger::serve::{Request, Response};
 use banger_calc::Value;
 use banger_taskgraph::json::{self, Json};
@@ -88,43 +96,65 @@ fn some<T>(rng: &mut Rng, make: impl FnOnce(&mut Rng) -> T) -> Option<T> {
     rng.chance(2).then(|| make(rng))
 }
 
+/// A finite number: a non-finite one is written as `null`, which no
+/// decoder reads back as a number.
+fn finite(rng: &mut Rng) -> f64 {
+    loop {
+        let x = number(rng);
+        if x.is_finite() {
+            return x;
+        }
+    }
+}
+
+/// A request of a seeded verb, with seeded values in that verb's fields
+/// only: the option table says which and of what kind.
 fn request(rng: &mut Rng) -> Request {
-    let mut req = Request::new(string(rng));
-    req.path = some(rng, string);
-    if rng.chance(2) {
-        req.heuristic = string(rng);
+    let verb = &VERBS[rng.below(VERBS.len())];
+    let mut req = Request::new(verb.name());
+    if verb.takes_path() {
+        req.path = some(rng, string);
     }
-    if rng.chance(2) {
-        req.format = string(rng);
+    for opt in ops::options(verb.name()) {
+        match opt.kind {
+            Kind::Word(_, set) => {
+                if rng.chance(2) {
+                    *set(&mut req) = string(rng);
+                }
+            }
+            Kind::Text(_, set) | Kind::File(_, set) => *set(&mut req) = some(rng, string),
+            Kind::Flag(_, set) => *set(&mut req) = rng.chance(2),
+            Kind::Count(_, set) => {
+                let any = rng.next() as u32;
+                *set(&mut req) = some(rng, |rng| rng.pick(&[0, 1, 200, u32::MAX, any]));
+            }
+            Kind::Inputs(_, set) => {
+                for _ in 0..rng.below(4) {
+                    let value = if rng.chance(2) {
+                        Value::Num(finite(rng))
+                    } else {
+                        let len = rng.below(4);
+                        Value::array((0..len).map(|_| finite(rng)).collect())
+                    };
+                    set(&mut req).insert(string(rng), value);
+                }
+            }
+            Kind::Args(_, set) => *set(&mut req) = (0..rng.below(4)).map(|_| string(rng)).collect(),
+        }
     }
-    for _ in 0..rng.below(4) {
-        let value = if rng.chance(2) {
-            Value::Num(number(rng))
-        } else {
-            let len = rng.below(4);
-            Value::array((0..len).map(|_| number(rng)).collect())
-        };
-        req.inputs.insert(string(rng), value);
-    }
-    req.fuse = rng.chance(2);
-    req.args = (0..rng.below(4)).map(|_| string(rng)).collect();
-    req.weights = rng.chance(2);
-    req.optimize = rng.chance(2);
-    req.reference = rng.chance(2);
-    req.dot = rng.chance(2);
-    let count = |rng: &mut Rng| {
-        let any = rng.next() as u32;
-        rng.pick(&[0, 1, 200, u32::MAX, any])
-    };
-    req.repeat = some(rng, count);
-    req.procs = some(rng, count);
-    req.topologies = some(rng, string);
-    req.expand = some(rng, string);
-    req.schedule = some(rng, string);
-    req.out = some(rng, string);
-    req.inject_panic = some(rng, string);
-    req.inject_handler_panic = rng.chance(2);
     req
+}
+
+/// Every key some request may carry, and two that none may.
+fn every_key() -> impl Iterator<Item = &'static str> {
+    let options = ops::OPTIONS.iter().map(|opt| opt.key);
+    options.chain(["path", "inject_panic", "inject_handler_panic", "zzz"])
+}
+
+/// Whether the verb `cmd` takes the member `key`.
+fn takes(cmd: &str, key: &str) -> bool {
+    let path = key == "path" && ops::verb(cmd).is_some_and(ops::Verb::takes_path);
+    path || ops::options(cmd).any(|opt| opt.key == key)
 }
 
 fn response(rng: &mut Rng) -> Response {
@@ -273,8 +303,10 @@ const ODD_TEXTS: &[&str] = &[
     "{\"repeat\":1.5}",
 ];
 
-/// Both codecs read `text` alike: `json::parse`, the member visitor, and
-/// both decoders, down to the error text.
+/// Both codecs read `text` alike: `json::parse`, the member visitor and
+/// the response decoder, down to the error text; the request decoder
+/// gives the old syntax error, and reads what it accepts as the old one
+/// did.
 fn same_reading(text: &str) {
     let old = oracle::parse(text);
     assert_eq!(json::parse(text), old, "json::parse {text:?}");
@@ -289,11 +321,14 @@ fn same_reading(text: &str) {
         want,
         "json::parse_object {text:?}"
     );
-    assert_eq!(
-        Request::from_json(text),
-        oracle::request_from_json(text),
-        "Request::from_json {text:?}"
-    );
+    let strict = Request::from_json(text);
+    if json::parse(text).is_err() || strict.is_ok() {
+        assert_eq!(
+            strict,
+            oracle::request_from_json(text),
+            "Request::from_json {text:?}"
+        );
+    }
     assert_eq!(
         Response::from_json(text),
         oracle::response_from_json(text),
@@ -307,11 +342,39 @@ fn requests_encode_and_decode_as_before() {
         let mut rng = Rng::new(seed);
         let req = request(&mut rng);
         let text = req.to_json();
-        assert_eq!(text, oracle::request_to_json(&req), "seed {seed}");
+        assert_eq!(Request::from_json(&text).as_ref(), Ok(&req), "seed {seed}");
+        assert_eq!(
+            oracle::request_from_json(&text),
+            Ok(req.clone()),
+            "seed {seed}"
+        );
         same_reading(&text);
         for bad in corruptions(&mut rng, &text) {
             same_reading(&bad);
         }
+        // A member the verb does not take, first or last, is refused.
+        let foreign: Vec<&str> = every_key().filter(|k| !takes(&req.cmd, k)).collect();
+        let key = rng.pick(&foreign);
+        let member = format!("\"{key}\":{}", oracle::render(&value(&mut rng, 2)));
+        let spliced = if rng.chance(2) {
+            format!("{{{member},{}", &text[1..])
+        } else {
+            format!("{},{member}}}", &text[..text.len() - 1])
+        };
+        let refusal = ops::does_not_take(&req.cmd, key);
+        assert_eq!(Request::from_json(&spliced), Err(refusal), "{spliced}");
+        // The fields of other verbs' options are not written.
+        let mut stray = req.clone();
+        if !takes(&req.cmd, "path") {
+            stray.path = Some("/p.bang".into());
+        }
+        if !takes(&req.cmd, "fuse") {
+            stray.fuse = true;
+        }
+        if !takes(&req.cmd, "format") {
+            stray.format = "json".into();
+        }
+        assert_eq!(Request::from_json(&stray.to_json()), Ok(req), "seed {seed}");
     }
 }
 

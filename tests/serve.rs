@@ -2,7 +2,7 @@
 //! clients, cache invalidation on rewrite, and panic containment.
 #![cfg(unix)]
 
-use banger::serve::{Client, Request, Server};
+use banger::serve::{Client, Fault, Request, Response, Server};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -208,9 +208,9 @@ fn a_rebuild_parses_only_the_programs_an_edit_touched() {
 
     assert!(store.evict(path.to_str().unwrap()));
     assert_eq!(save_and_check(&weight), (11, 0), "evict leaves no donor");
-    let mut boom = check.clone();
-    boom.inject_handler_panic = true;
-    assert!(!dispatch_guarded(&store, &boom).ok);
+    store.inject(Some(Fault::Handler));
+    assert!(!dispatch_guarded(&store, &check).ok);
+    store.inject(None);
     assert_eq!(save_and_check(&base), (11, 0), "nor does a contained panic");
     assert_eq!(store.stats().panics, 1);
     std::fs::remove_file(&path).ok();
@@ -231,9 +231,9 @@ fn daemon_survives_a_panicking_request() {
     assert!(client.request(&req).unwrap().ok);
     assert!(client.request(&req).unwrap().cached);
 
-    let mut boom = req.clone();
-    boom.inject_handler_panic = true;
-    let resp = client.request(&boom).unwrap();
+    server.store().inject(Some(Fault::Handler));
+    let resp = client.request(&req).unwrap();
+    server.store().inject(None);
     assert!(!resp.ok);
     assert!(resp.error.contains("panic"), "{}", resp.error);
 
@@ -267,9 +267,11 @@ fn executor_faults_are_attributed_not_fatal() {
     );
     req.inputs
         .insert("b".into(), banger_calc::Value::array(vec![1.0, 2.0, 3.0]));
-    let mut bad = req.clone();
-    bad.inject_panic = Some("Factor.fan1".into());
-    let resp = client.request(&bad).unwrap();
+    server
+        .store()
+        .inject(Some(Fault::Task("Factor.fan1".into())));
+    let resp = client.request(&req).unwrap();
+    server.store().inject(None);
     assert!(!resp.ok);
     assert!(resp.error.contains("Factor.fan1"), "{}", resp.error);
     assert_eq!(server.store().stats().panics, 0, "attributed, not caught");
@@ -352,6 +354,149 @@ fn unreadable_paths_are_refused_not_read() {
     std::fs::remove_file(&sparse).ok();
 }
 
+/// Sends `frame` as is on `raw` and reads the answer.
+fn ask_raw(raw: &mut std::os::unix::net::UnixStream, frame: &str) -> Response {
+    use banger::serve::protocol::{read_frame, write_frame};
+    write_frame(raw, frame.as_bytes()).unwrap();
+    let answer = read_frame(raw).unwrap().expect("an answer");
+    Response::from_json(std::str::from_utf8(&answer).unwrap()).unwrap()
+}
+
+/// The socket takes what the command line takes: every member a verb
+/// does not take — another verb's option, a path for a verb on the
+/// daemon itself, a key no verb has — is refused with the CLI's wording,
+/// before the handler sees the request.
+#[test]
+fn every_member_a_verb_does_not_take_is_refused() {
+    use banger::serve::ops::{self, Kind, OPTIONS, VERBS};
+    let path = temp_path("foreign", "bang");
+    std::fs::write(&path, SMALL).unwrap();
+    let (sock, server, handle) = start_server("foreign");
+    let mut raw = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+    let project = format!(",\"path\":{:?}", path.to_str().unwrap());
+    // A well-formed value of each key's kind.
+    let members = OPTIONS
+        .iter()
+        .map(|opt| {
+            let value = match opt.kind {
+                Kind::Word(..) | Kind::Text(..) | Kind::File(..) => "\"x\"",
+                Kind::Flag(..) => "true",
+                Kind::Count(..) => "3",
+                Kind::Inputs(..) => "{\"a\":1}",
+                Kind::Args(..) => "[\"x\"]",
+            };
+            (opt.key, value)
+        })
+        .chain([("path", "\"/x.bang\""), ("zzz", "1")])
+        .collect::<std::collections::BTreeMap<_, _>>();
+    let mut refused = 0;
+    for verb in VERBS {
+        let cmd = verb.name();
+        for (&key, value) in &members {
+            let taken = ops::options(cmd).any(|opt| opt.key == key);
+            if taken || (key == "path" && verb.takes_path()) {
+                continue;
+            }
+            let path = if verb.takes_path() { &project[..] } else { "" };
+            let frame = format!("{{\"cmd\":\"{cmd}\"{path},\"{key}\":{value}}}");
+            let resp = ask_raw(&mut raw, &frame);
+            let want = format!("bad request: {cmd} does not take {key:?}");
+            assert_eq!((resp.ok, resp.error), (false, want), "{frame}");
+            refused += 1;
+        }
+    }
+    assert!(refused > 250, "{refused} pairs");
+    // Nothing reached a handler: no request counted, no entry built.
+    let stats = server.store().stats();
+    assert_eq!((stats.requests, stats.misses), (0, 0));
+    drop(raw);
+    shutdown(&sock, handle);
+    std::fs::remove_file(&path).ok();
+}
+
+/// A member the verb takes holding a value of another kind is refused,
+/// not read as its default.
+#[test]
+fn a_value_of_the_wrong_kind_is_refused() {
+    let path = temp_path("kinds", "bang");
+    std::fs::write(&path, SMALL).unwrap();
+    let (sock, _server, handle) = start_server("kinds");
+    let mut raw = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+    let p = format!("{:?}", path.to_str().unwrap());
+    for (frame, why) in [
+        (
+            format!("{{\"cmd\":\"gantt\",\"path\":{p},\"heuristic\":7}}"),
+            "\"heuristic\" must be a string",
+        ),
+        (
+            format!("{{\"cmd\":\"run\",\"path\":{p},\"optimize\":\"yes\"}}"),
+            "\"optimize\" must be true or false",
+        ),
+        (
+            format!("{{\"cmd\":\"run\",\"path\":{p},\"repeat\":\"3\"}}"),
+            "\"repeat\" must be a whole number",
+        ),
+        (
+            format!("{{\"cmd\":\"trial\",\"path\":{p},\"args\":[7]}}"),
+            "\"args\" must be strings",
+        ),
+        (
+            "{\"cmd\":\"check\",\"path\":7}".to_string(),
+            "\"path\" must be a string",
+        ),
+        (
+            format!("{{\"cmd\":\"gnatt\",\"path\":{p}}}"),
+            "unknown subcommand \"gnatt\"",
+        ),
+    ] {
+        let resp = ask_raw(&mut raw, &frame);
+        assert!(!resp.ok, "{frame}");
+        assert!(
+            resp.error.starts_with("bad request: "),
+            "{frame}: {}",
+            resp.error
+        );
+        assert!(resp.error.contains(why), "{frame}: {}", resp.error);
+    }
+    drop(raw);
+    shutdown(&sock, handle);
+    std::fs::remove_file(&path).ok();
+}
+
+/// The fault hooks are not on the wire: a client that names one is
+/// refused like any other foreign member, and nothing panics.
+#[test]
+fn fault_hooks_cannot_be_reached_over_the_socket() {
+    let path = temp_path("hooks", "bang");
+    std::fs::write(&path, lu3()).unwrap();
+    let (sock, server, handle) = start_server("hooks");
+    let mut raw = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+    let p = format!("{:?}", path.to_str().unwrap());
+    for (frame, want) in [
+        (
+            "{\"cmd\":\"ping\",\"inject_handler_panic\":true}".to_string(),
+            "bad request: ping does not take \"inject_handler_panic\"",
+        ),
+        (
+            format!("{{\"cmd\":\"check\",\"path\":{p},\"inject_handler_panic\":true}}"),
+            "bad request: check does not take \"inject_handler_panic\"",
+        ),
+        (
+            format!("{{\"cmd\":\"run\",\"path\":{p},\"inject_panic\":\"Factor.fan1\"}}"),
+            "bad request: run does not take \"inject_panic\"",
+        ),
+    ] {
+        let resp = ask_raw(&mut raw, &frame);
+        assert_eq!((resp.ok, resp.error.as_str()), (false, want), "{frame}");
+    }
+    let stats = ask_raw(&mut raw, "{\"cmd\":\"stats\"}");
+    assert!(stats.output.contains("  panics 0  "), "{}", stats.output);
+    assert_eq!(server.store().stats().panics, 0);
+    drop(raw);
+    shutdown(&sock, handle);
+    std::fs::remove_file(&path).ok();
+}
+
 /// Malformed frames get an error response without dropping the
 /// connection or the daemon.
 #[test]
@@ -363,14 +508,14 @@ fn protocol_garbage_is_answered_not_fatal() {
     let mut raw = UnixStream::connect(&sock).expect("connect");
     write_frame(&mut raw, b"this is not json").unwrap();
     let frame = read_frame(&mut raw).unwrap().expect("an answer");
-    let resp = banger::serve::Response::from_json(std::str::from_utf8(&frame).unwrap()).unwrap();
+    let resp = Response::from_json(std::str::from_utf8(&frame).unwrap()).unwrap();
     assert!(!resp.ok);
     assert!(resp.error.contains("bad request"), "{}", resp.error);
 
     // The same connection still serves well-formed requests.
     write_frame(&mut raw, Request::new("ping").to_json().as_bytes()).unwrap();
     let frame = read_frame(&mut raw).unwrap().expect("an answer");
-    let resp = banger::serve::Response::from_json(std::str::from_utf8(&frame).unwrap()).unwrap();
+    let resp = Response::from_json(std::str::from_utf8(&frame).unwrap()).unwrap();
     assert!(resp.ok);
     assert_eq!(resp.output, "pong\n");
 
@@ -395,7 +540,7 @@ fn back_to_back_frames_are_each_answered_in_order() {
     raw.write_all(&both).unwrap();
     let mut answer = || {
         let frame = read_frame(&mut raw).unwrap().expect("an answer");
-        banger::serve::Response::from_json(std::str::from_utf8(&frame).unwrap()).unwrap()
+        Response::from_json(std::str::from_utf8(&frame).unwrap()).unwrap()
     };
     assert_eq!(answer().output, "pong\n");
     let stats = answer();

@@ -1,8 +1,13 @@
 //! The serve codec as it was before it worked on bytes: the recursive
-//! `char` parser, the char-at-a-time escaper, and `Request`/`Response`
-//! encoding through a `Json` tree. Kept verbatim as the oracle
-//! `prop_codec` compares the byte-level codec with, text for text and
-//! error for error. It has no nesting cap: keep its inputs shallow.
+//! `char` parser, the char-at-a-time escaper, and `Response` encoding
+//! through a `Json` tree. Kept verbatim as the oracle `prop_codec`
+//! compares the byte-level codec with, text for text and error for
+//! error. It has no nesting cap: keep its inputs shallow.
+//!
+//! Of the request half only the old decoder is left, without the two
+//! fault-injection fields that no longer exist. It read every field on
+//! every verb and ignored what it did not know; the strict decoder must
+//! read whatever it accepts the way this one does.
 
 use banger::serve::{Request, Response};
 use banger_calc::Value;
@@ -213,45 +218,6 @@ fn value_at(c: &[char], i: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// The former `Request::to_json`.
-pub fn request_to_json(req: &Request) -> String {
-    let mut pairs = vec![("cmd".to_string(), Json::Str(req.cmd.clone()))];
-    let text = |v: &Option<String>| v.clone().map(Json::Str);
-    let flag = |v: bool| v.then_some(Json::Bool(true));
-    let count = |v: Option<u32>| v.map(|n| Json::Num(f64::from(n)));
-    let inputs = req
-        .inputs
-        .iter()
-        .map(|(k, v)| (k.clone(), value_to_json(v)))
-        .collect::<Vec<_>>();
-    let args = req.args.iter().cloned().map(Json::Str).collect::<Vec<_>>();
-    for (key, value) in [
-        ("path", text(&req.path)),
-        ("heuristic", Some(Json::Str(req.heuristic.clone()))),
-        ("format", Some(Json::Str(req.format.clone()))),
-        ("inputs", (!inputs.is_empty()).then_some(Json::Obj(inputs))),
-        ("fuse", flag(req.fuse)),
-        ("inject_panic", text(&req.inject_panic)),
-        ("inject_handler_panic", flag(req.inject_handler_panic)),
-        ("args", (!args.is_empty()).then_some(Json::Arr(args))),
-        ("weights", flag(req.weights)),
-        ("optimize", flag(req.optimize)),
-        ("reference", flag(req.reference)),
-        ("dot", flag(req.dot)),
-        ("repeat", count(req.repeat)),
-        ("procs", count(req.procs)),
-        ("topologies", text(&req.topologies)),
-        ("expand", text(&req.expand)),
-        ("schedule", text(&req.schedule)),
-        ("out", text(&req.out)),
-    ] {
-        if let Some(value) = value {
-            pairs.push((key.to_string(), value));
-        }
-    }
-    render(&Json::Obj(pairs))
-}
-
 /// The former `Request::from_json`.
 pub fn request_from_json(text: &str) -> Result<Request, String> {
     let v = parse(text)?;
@@ -296,16 +262,7 @@ pub fn request_from_json(text: &str) -> Result<Request, String> {
     req.expand = text("expand");
     req.schedule = text("schedule");
     req.out = text("out");
-    req.inject_panic = text("inject_panic");
-    req.inject_handler_panic = flag("inject_handler_panic");
     Ok(req)
-}
-
-fn value_to_json(v: &Value) -> Json {
-    match v {
-        Value::Num(n) => Json::Num(*n),
-        Value::Array(vs) => Json::Arr(vs.iter().map(|x| Json::Num(*x)).collect()),
-    }
 }
 
 fn json_to_value(v: &Json) -> Result<Value, String> {
