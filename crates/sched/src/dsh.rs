@@ -22,17 +22,21 @@
 //! Because a committed copy becomes visible to [`Engine::edge_arrival`],
 //! duplication cascades naturally: after copying `p`, the next binding
 //! message may be `p`'s own input, which the loop then attacks in turn.
+//!
+//! Both steps price a hypothetical copy of a placed predecessor `u` on a
+//! processor by `ready_time(u, p)`, and [`ReadyMemo`] keeps that value
+//! until it can move (DESIGN.md §14).
 
 use crate::engine::{CommModel, Engine};
 use crate::ready::ReadyQueue;
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, TIME_EPS};
 use banger_machine::{Machine, ProcId};
-use banger_taskgraph::analysis::GraphAnalysis;
+use banger_taskgraph::analysis::{ArcTable, GraphAnalysis};
 use banger_taskgraph::{TaskGraph, TaskId};
 
 /// Maximum duplication attempts per task placement, a safety valve against
 /// adversarial graphs (each attempt commits at most one extra copy).
-const MAX_DUPES_PER_TASK: usize = 64;
+pub(crate) const MAX_DUPES_PER_TASK: usize = 64;
 
 /// Runs the Duplication Scheduling Heuristic. See module docs.
 pub fn dsh(g: &TaskGraph, m: &Machine) -> Schedule {
@@ -42,9 +46,12 @@ pub fn dsh(g: &TaskGraph, m: &Machine) -> Schedule {
 
 /// [`dsh`] with a precomputed [`GraphAnalysis`], so sweeps over many
 /// machines pay for the (machine-independent) level computation once.
+/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
 pub fn dsh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("DSH", g, m, CommModel::Analytic);
-    let mut queue = ReadyQueue::new(g, &a.static_level);
+    let arcs = crate::arcs_of(g, a);
+    let mut eng = Engine::new("DSH", arcs, m, CommModel::Analytic);
+    let mut queue = ReadyQueue::new(arcs, &a.static_level);
+    let mut memo = ReadyMemo::new(arcs.task_count(), m.processors());
 
     while let Some(t) = queue.pop() {
         // Earliest-finish processor, where each candidate's finish time is
@@ -55,19 +62,69 @@ pub fn dsh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
         let mut best = ProcId(0);
         let mut best_finish = f64::INFINITY;
         for p in m.proc_ids() {
-            let start = estimate_start_with_duplication(&eng, t, p);
-            let finish = start + m.exec_time(g.task(t).weight, p);
-            if finish + crate::schedule::TIME_EPS < best_finish {
+            let start = estimate_start_with_duplication(&eng, &mut memo, t, p);
+            let finish = start + eng.exec_time(t, p);
+            if finish + TIME_EPS < best_finish {
                 best_finish = finish;
                 best = p;
             }
         }
 
-        duplicate_binding_preds(&mut eng, t, best);
+        duplicate_binding_preds(&mut eng, &mut memo, t, best);
         eng.commit(t, best);
-        queue.complete(g, t);
+        queue.complete(arcs, t);
     }
     eng.finish()
+}
+
+/// `ready_time(u, p)` of placed tasks `u`, per `(u, p)` pair, each kept
+/// from its first probe until it can move.
+///
+/// Under [`CommModel::Analytic`] a ready time depends on the committed
+/// copies of `u`'s inputs and on nothing else — no timeline enters it.
+/// Once `u` is placed, each input holds its primary copy, so the value
+/// moves only when an input gains a duplicate; committing a duplicate of
+/// `x` therefore forgets the rows of `x`'s consumers
+/// ([`ReadyMemo::forget_consumers`]), and every other row stays exact.
+struct ReadyMemo {
+    procs: usize,
+    /// At `u * procs + p`; [`UNKNOWN`] until probed. A ready time is the
+    /// maximum of 0 and some arrivals, never NaN.
+    ready: Vec<f64>,
+}
+
+/// A [`ReadyMemo`] entry not probed since it last could move.
+const UNKNOWN: f64 = f64::NAN;
+
+impl ReadyMemo {
+    fn new(tasks: usize, procs: usize) -> Self {
+        ReadyMemo {
+            procs,
+            ready: vec![UNKNOWN; tasks * procs],
+        }
+    }
+
+    /// [`Engine::ready_time`] of the placed task `u` on `p`.
+    fn ready_time(&mut self, eng: &Engine<'_>, u: TaskId, p: ProcId) -> f64 {
+        debug_assert!(eng.placed(u), "only a placed task's ready time is kept");
+        debug_assert!(
+            eng.comm == CommModel::Analytic,
+            "link timelines enter a ready time under contention"
+        );
+        let entry = &mut self.ready[u.index() * self.procs + p.index()];
+        if entry.is_nan() {
+            *entry = eng.ready_time(u, p);
+        }
+        *entry
+    }
+
+    /// Forgets the rows of `x`'s consumers: `x` has a new copy.
+    fn forget_consumers(&mut self, arcs: &ArcTable, x: TaskId) {
+        for &c in arcs.consumers(x) {
+            let row = c.index() * self.procs;
+            self.ready[row..row + self.procs].fill(UNKNOWN);
+        }
+    }
 }
 
 /// Estimates `t`'s start on `p` assuming the same one-level duplication
@@ -75,21 +132,24 @@ pub fn dsh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
 /// message arrival exceeds the predecessor's locally-recomputed finish, use
 /// the duplicated finish instead. A cheap upper-fidelity mirror of the
 /// commit path — it does not mutate engine state.
-pub(crate) fn estimate_start_with_duplication(eng: &Engine<'_>, t: TaskId, p: ProcId) -> f64 {
+fn estimate_start_with_duplication(
+    eng: &Engine<'_>,
+    memo: &mut ReadyMemo,
+    t: TaskId,
+    p: ProcId,
+) -> f64 {
     let mut ready = 0.0f64;
     // Track the local occupancy consumed by hypothetical copies so two
     // copies do not claim the same idle slot.
     let mut local_extra = 0.0f64;
-    for &e in eng.g.in_edges(t) {
-        let edge = eng.g.edge(e);
-        let msg_arrival = eng.edge_arrival(edge.src, edge.volume, p);
-        let already_local = eng.copies[edge.src.index()].iter().any(|c| c.proc == p);
-        let arrival = if already_local {
+    for &(src, volume) in eng.arcs.inputs(t) {
+        let msg_arrival = eng.edge_arrival(src, volume, p);
+        let arrival = if eng.has_copy_on(src, p) {
             msg_arrival
         } else {
             // Hypothetical copy of the predecessor on p.
-            let pred_ready = eng.ready_time(edge.src, p);
-            let dur = eng.m.exec_time(eng.g.task(edge.src).weight, p);
+            let pred_ready = memo.ready_time(eng, src, p);
+            let dur = eng.exec_time(src, p);
             let slot = eng.slot(p, pred_ready.max(local_extra), dur);
             let dup_finish = slot + dur;
             if dup_finish < msg_arrival {
@@ -101,29 +161,24 @@ pub(crate) fn estimate_start_with_duplication(eng: &Engine<'_>, t: TaskId, p: Pr
         };
         ready = ready.max(arrival);
     }
-    let dur = eng.m.exec_time(eng.g.task(t).weight, p);
-    eng.slot(p, ready.max(local_extra), dur)
+    eng.slot(p, ready.max(local_extra), eng.exec_time(t, p))
 }
 
 /// Repeatedly copies the predecessor whose message currently bounds `t`'s
 /// ready time onto `p`, while each copy strictly reduces that ready time.
-pub(crate) fn duplicate_binding_preds(eng: &mut Engine<'_>, t: TaskId, p: ProcId) {
+fn duplicate_binding_preds(eng: &mut Engine<'_>, memo: &mut ReadyMemo, t: TaskId, p: ProcId) {
     for _ in 0..MAX_DUPES_PER_TASK {
         let ready = eng.ready_time(t, p);
-        if ready <= crate::schedule::TIME_EPS {
+        if ready <= TIME_EPS {
             return; // already starts at time zero
         }
         // Find the binding predecessor: the input with the latest arrival
         // that is NOT already satisfied by a local copy.
         let mut binding: Option<(TaskId, f64)> = None;
-        for &e in eng.g.in_edges(t) {
-            let edge = eng.g.edge(e);
-            let arrival = eng.edge_arrival(edge.src, edge.volume, p);
-            if (arrival - ready).abs() <= crate::schedule::TIME_EPS {
-                let already_local = eng.copies[edge.src.index()].iter().any(|c| c.proc == p);
-                if !already_local {
-                    binding = Some((edge.src, arrival));
-                }
+        for &(src, volume) in eng.arcs.inputs(t) {
+            let arrival = eng.edge_arrival(src, volume, p);
+            if (arrival - ready).abs() <= TIME_EPS && !eng.has_copy_on(src, p) {
+                binding = Some((src, arrival));
             }
         }
         let Some((pred, old_arrival)) = binding else {
@@ -132,12 +187,13 @@ pub(crate) fn duplicate_binding_preds(eng: &mut Engine<'_>, t: TaskId, p: ProcId
 
         // Would a local copy of `pred` help? Its own inputs arrive from
         // existing copies; it needs an idle slot ending before old_arrival.
-        let pred_ready = eng.ready_time(pred, p);
-        let dur = eng.m.exec_time(eng.g.task(pred).weight, p);
+        let pred_ready = memo.ready_time(eng, pred, p);
+        let dur = eng.exec_time(pred, p);
         let start = eng.slot(p, pred_ready, dur);
         let local_finish = start + dur;
-        if local_finish + crate::schedule::TIME_EPS < old_arrival {
+        if local_finish + TIME_EPS < old_arrival {
             eng.commit(pred, p); // duplicate copy (not primary)
+            memo.forget_consumers(eng.arcs, pred);
         } else {
             return; // copying does not pay; stop
         }
@@ -219,7 +275,7 @@ mod tests {
         let copies: usize = g.task_ids().map(|t| s.placements_of(t).len()).sum();
         assert!(copies > g.task_count(), "expected some duplication");
         let e = etf(&g, &m);
-        assert!(s.makespan() <= e.makespan() + crate::schedule::TIME_EPS);
+        assert!(s.makespan() <= e.makespan() + TIME_EPS);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 
 use crate::schedule::{SchedStats, Schedule, TIME_EPS};
 use banger_machine::{LinkId, Machine, ProcId, SwitchingMode};
-use banger_taskgraph::{TaskGraph, TaskId};
+use banger_taskgraph::analysis::ArcTable;
+use banger_taskgraph::TaskId;
 
 /// Busy intervals of one resource — a processor or a directed link —
 /// with insertion-based slot search.
@@ -65,7 +66,15 @@ impl Timeline {
     /// scan of the intervals bit for bit at a cost of `O(log runs + gaps
     /// that do not fit)`. The rest — zero-weight tasks, and times so large
     /// that an ulp exceeds `TIME_EPS` — scan the intervals.
+    ///
+    /// A probe at or past the last finish returns `ready` at once: every
+    /// entry then has `start <= reach <= ready`, so the scan, its
+    /// candidate still at `ready`, either returns `ready` before an entry
+    /// or passes the entry without pushing the candidate.
     pub fn earliest_slot(&self, ready: f64, dur: f64) -> f64 {
+        if ready >= self.last_finish() {
+            return ready;
+        }
         // Both sums round by at most half an ulp of a value below
         // `horizon + dur + TIME_EPS`; twice `f64::EPSILON` of that is four
         // times the bound the proof needs (DESIGN.md §14).
@@ -231,24 +240,44 @@ pub struct Copy {
     pub finish: f64,
 }
 
+/// Marks a task with no committed copy in [`Primary::proc`].
+const UNPLACED: ProcId = ProcId(u32::MAX);
+/// Marks a task with no duplicate in [`Primary::duplicates`].
+const NO_DUPLICATES: u32 = u32::MAX;
+
+/// A task's primary copy as the engine stores it, flat: one entry per
+/// task, no allocation per commit. `duplicates` indexes the task's list in
+/// [`Engine`]'s side table of duplicates, which only DSH fills.
+#[derive(Debug, Clone, Copy)]
+struct Primary {
+    proc: ProcId,
+    duplicates: u32,
+    finish: f64,
+}
+
 /// Mutable state of a scheduling run.
 pub struct Engine<'a> {
-    /// The design being scheduled.
-    pub g: &'a TaskGraph,
+    /// The design being scheduled, as its flat arc table.
+    pub arcs: &'a ArcTable,
     /// The target machine.
     pub m: &'a Machine,
     /// One timeline per processor.
     pub timelines: Vec<Timeline>,
-    /// Committed copies per task (first = primary).
-    pub copies: Vec<Vec<Copy>>,
     /// Link occupancy (only consulted under [`CommModel::Contention`]).
     pub links: LinkState,
     /// The communication model in force.
     pub comm: CommModel,
+    /// Per task, its primary copy ([`UNPLACED`] until the first commit).
+    primaries: Vec<Primary>,
+    /// The duplicates of the tasks that have any, each list in commit
+    /// order.
+    duplicates: Vec<Vec<Copy>>,
     schedule: Schedule,
     /// Reusable buffer for commit-path link reservations, so probing and
     /// committing allocate nothing per `(task, proc)` evaluation.
     scratch: Vec<LinkReservation>,
+    /// Reusable per-processor row for [`Engine::best_processor`].
+    row: Vec<f64>,
     /// Per-run probe counters, embedded into the schedule by
     /// [`Engine::finish`] as [`SchedStats`]. Strictly per-run: concurrent
     /// sweep workers never share a counter, so every schedule reports
@@ -258,106 +287,141 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Creates an engine for one heuristic run.
-    pub fn new(name: &str, g: &'a TaskGraph, m: &'a Machine, comm: CommModel) -> Self {
+    /// Creates an engine for one heuristic run over the graph whose arcs
+    /// are `arcs`.
+    pub fn new(name: &str, arcs: &'a ArcTable, m: &'a Machine, comm: CommModel) -> Self {
+        let n = arcs.task_count();
         Engine {
-            g,
+            arcs,
             m,
             timelines: vec![Timeline::default(); m.processors()],
-            copies: vec![Vec::new(); g.task_count()],
             links: LinkState::for_machine(m),
             comm,
-            schedule: Schedule::new(name, g.task_count()),
+            primaries: vec![
+                Primary {
+                    proc: UNPLACED,
+                    duplicates: NO_DUPLICATES,
+                    finish: 0.0,
+                };
+                n
+            ],
+            duplicates: Vec::new(),
+            schedule: Schedule::new(name, n),
             scratch: Vec::new(),
+            row: vec![0.0; m.processors()],
             arrival_probes: std::cell::Cell::new(0),
             slot_searches: std::cell::Cell::new(0),
         }
     }
 
-    /// Arrival time of one copy's message at `p`, probe only.
+    /// The duplicates of `t`, in commit order.
     #[inline]
-    fn copy_arrival(&self, c: &Copy, volume: f64, p: ProcId) -> f64 {
-        if c.proc == p {
-            return c.finish;
+    fn duplicates_of(&self, t: TaskId) -> &[Copy] {
+        match self.primaries[t.index()].duplicates {
+            NO_DUPLICATES => &[],
+            list => &self.duplicates[list as usize],
+        }
+    }
+
+    /// True when some copy of `t` is committed on `p`.
+    pub fn has_copy_on(&self, t: TaskId, p: ProcId) -> bool {
+        self.primaries[t.index()].proc == p || self.duplicates_of(t).iter().any(|c| c.proc == p)
+    }
+
+    /// True once the task has at least one committed copy.
+    pub fn placed(&self, t: TaskId) -> bool {
+        self.primaries[t.index()].proc != UNPLACED
+    }
+
+    /// Arrival time at `p` of a message of `volume` sent by a copy on
+    /// `from` finishing at `finish`, probe only.
+    #[inline]
+    fn copy_arrival(&self, from: ProcId, finish: f64, volume: f64, p: ProcId) -> f64 {
+        if from == p {
+            return finish;
         }
         match self.comm {
-            CommModel::Analytic => c.finish + self.m.comm_time(c.proc, p, volume),
+            CommModel::Analytic => finish + self.m.comm_time(from, p, volume),
             CommModel::Contention => {
-                let route = self.m.routing().link_slice(c.proc, p);
+                let route = self.m.routing().link_slice(from, p);
                 if route.is_empty() {
                     // Distinct processors with no route: unreachable.
                     f64::INFINITY
                 } else {
-                    self.links.route_arrival(self.m, route, c.finish, volume)
+                    self.links.route_arrival(self.m, route, finish, volume)
                 }
             }
         }
     }
 
     /// Earliest time the data of edge `pred -> t` can be present on `p`,
-    /// taking the cheapest committed copy of the predecessor. Pure probe:
-    /// allocates nothing. [`Engine::commit`] re-derives the winning route's
-    /// reservations when it actually places a task.
+    /// taking the cheapest committed copy of the predecessor: the first
+    /// copy with the strictly smallest arrival. Pure probe: allocates
+    /// nothing. Panics if `pred` has not been placed yet — heuristics must
+    /// respect topological readiness. [`Engine::commit`] re-derives the
+    /// winning route's reservations when it actually places a task.
     pub fn edge_arrival(&self, pred: TaskId, volume: f64, p: ProcId) -> f64 {
         self.arrival_probes.set(self.arrival_probes.get() + 1);
-        let mut best = f64::INFINITY;
-        for c in &self.copies[pred.index()] {
-            let arrival = self.copy_arrival(c, volume, p);
-            if arrival < best {
-                best = arrival;
-            }
-        }
-        best
+        self.cheapest_copy(pred, volume, p).1
     }
 
-    /// Like [`Engine::edge_arrival`], but appends the winning route's link
-    /// reservations onto `out` (used by the commit path). The winning copy
-    /// matches the probe exactly: first copy with the strictly smallest
-    /// arrival.
-    fn edge_arrival_with_reservations(
-        &self,
-        pred: TaskId,
-        volume: f64,
-        p: ProcId,
-        out: &mut Vec<LinkReservation>,
-    ) -> f64 {
-        let mut best = f64::INFINITY;
-        let mut best_copy: Option<&Copy> = None;
-        for c in &self.copies[pred.index()] {
-            let arrival = self.copy_arrival(c, volume, p);
-            if arrival < best {
-                best = arrival;
-                best_copy = Some(c);
+    /// The copy of `pred` whose message reaches `p` first, if any arrives
+    /// before infinity, and when.
+    #[inline]
+    fn cheapest_copy(&self, pred: TaskId, volume: f64, p: ProcId) -> (Option<Copy>, f64) {
+        let primary = self.primaries[pred.index()];
+        assert!(
+            primary.proc != UNPLACED,
+            "predecessor {pred} not yet placed"
+        );
+        let mut best = None;
+        let mut arrival = f64::INFINITY;
+        let first = self.copy_arrival(primary.proc, primary.finish, volume, p);
+        if first < arrival {
+            arrival = first;
+            best = Some(Copy {
+                proc: primary.proc,
+                finish: primary.finish,
+            });
+        }
+        for &c in self.duplicates_of(pred) {
+            let a = self.copy_arrival(c.proc, c.finish, volume, p);
+            if a < arrival {
+                arrival = a;
+                best = Some(c);
             }
         }
-        if self.comm == CommModel::Contention {
-            if let Some(c) = best_copy {
-                if c.proc != p {
-                    let route = self.m.routing().link_slice(c.proc, p);
-                    self.links
-                        .route_message(self.m, route, c.finish, volume, out);
-                }
-            }
-        }
-        best
+        (best, arrival)
     }
 
     /// Ready time of task `t` on processor `p`: the latest arrival over all
     /// inputs. Pure probe: allocates nothing. Panics if a predecessor has
-    /// not been placed yet — heuristics must respect topological readiness.
+    /// not been placed yet.
     pub fn ready_time(&self, t: TaskId, p: ProcId) -> f64 {
         let mut ready = 0.0f64;
-        for &e in self.g.in_edges(t) {
-            let edge = self.g.edge(e);
-            assert!(
-                !self.copies[edge.src.index()].is_empty(),
-                "predecessor {} of {} not yet placed",
-                edge.src,
-                t
-            );
-            ready = ready.max(self.edge_arrival(edge.src, edge.volume, p));
+        for &(src, volume) in self.arcs.inputs(t) {
+            ready = ready.max(self.edge_arrival(src, volume, p));
         }
         ready
+    }
+
+    /// The ready time of `t` on every processor, into `row` (one entry per
+    /// processor), in one pass over `t`'s inputs: each input's copies are
+    /// read once and its arrival probed on every processor in turn.
+    /// Each entry is [`Engine::ready_time`]'s, bit for bit — the same
+    /// maxima over the same arrivals in the same order — and the probe
+    /// count is the same.
+    pub fn ready_times(&self, t: TaskId, row: &mut [f64]) {
+        debug_assert_eq!(row.len(), self.m.processors());
+        row.fill(0.0);
+        let inputs = self.arcs.inputs(t);
+        self.arrival_probes
+            .set(self.arrival_probes.get() + (inputs.len() * row.len()) as u64);
+        for &(src, volume) in inputs {
+            for (p, ready) in self.m.proc_ids().zip(row.iter_mut()) {
+                *ready = ready.max(self.cheapest_copy(src, volume, p).1);
+            }
+        }
     }
 
     /// Ready time plus every input's link reservations, appended onto `out`
@@ -369,15 +433,14 @@ impl<'a> Engine<'a> {
         out: &mut Vec<LinkReservation>,
     ) -> f64 {
         let mut ready = 0.0f64;
-        for &e in self.g.in_edges(t) {
-            let edge = self.g.edge(e);
-            assert!(
-                !self.copies[edge.src.index()].is_empty(),
-                "predecessor {} of {} not yet placed",
-                edge.src,
-                t
-            );
-            ready = ready.max(self.edge_arrival_with_reservations(edge.src, edge.volume, p, out));
+        for &(src, volume) in self.arcs.inputs(t) {
+            let (copy, arrival) = self.cheapest_copy(src, volume, p);
+            if let Some(c) = copy.filter(|c| self.comm == CommModel::Contention && c.proc != p) {
+                let route = self.m.routing().link_slice(c.proc, p);
+                self.links
+                    .route_message(self.m, route, c.finish, volume, out);
+            }
+            ready = ready.max(arrival);
         }
         ready
     }
@@ -390,22 +453,28 @@ impl<'a> Engine<'a> {
         self.timelines[p.index()].earliest_slot(ready, dur)
     }
 
+    /// Execution time of `t` on `p`.
+    #[inline]
+    pub fn exec_time(&self, t: TaskId, p: ProcId) -> f64 {
+        self.m.exec_time(self.arcs.weight(t), p)
+    }
+
     /// Earliest start of `t` on `p` given current state: ready time plus
     /// insertion slot search.
     pub fn earliest_start(&self, t: TaskId, p: ProcId) -> f64 {
         let ready = self.ready_time(t, p);
-        let dur = self.m.exec_time(self.g.task(t).weight, p);
-        self.slot(p, ready, dur)
+        self.slot(p, ready, self.exec_time(t, p))
     }
 
     /// Commits task `t` on processor `p` at the earliest feasible time,
     /// reserving links under the contention model. Returns the placement's
-    /// `(start, finish)`. The first commit of a task is its primary copy.
+    /// `(start, finish)`. The first commit of a task is its primary copy;
+    /// a later one is a duplicate.
     pub fn commit(&mut self, t: TaskId, p: ProcId) -> (f64, f64) {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         let ready = self.ready_time_with_reservations(t, p, &mut scratch);
-        let dur = self.m.exec_time(self.g.task(t).weight, p);
+        let dur = self.exec_time(t, p);
         let start = self.slot(p, ready, dur);
         let finish = start + dur;
         let timeline = &mut self.timelines[p.index()];
@@ -416,15 +485,20 @@ impl<'a> Engine<'a> {
         }
         scratch.clear();
         self.scratch = scratch;
-        let primary = self.copies[t.index()].is_empty();
-        self.copies[t.index()].push(Copy { proc: p, finish });
+        let entry = &mut self.primaries[t.index()];
+        let primary = entry.proc == UNPLACED;
+        if primary {
+            entry.proc = p;
+            entry.finish = finish;
+        } else {
+            if entry.duplicates == NO_DUPLICATES {
+                entry.duplicates = self.duplicates.len() as u32;
+                self.duplicates.push(Vec::new());
+            }
+            self.duplicates[entry.duplicates as usize].push(Copy { proc: p, finish });
+        }
         self.schedule.place(t, p, start, finish, primary);
         (start, finish)
-    }
-
-    /// True once the task has at least one committed copy.
-    pub fn placed(&self, t: TaskId) -> bool {
-        !self.copies[t.index()].is_empty()
     }
 
     /// Consumes the engine, returning the accumulated schedule with this
@@ -440,17 +514,21 @@ impl<'a> Engine<'a> {
 
     /// Selects the processor minimising the earliest start of `t`
     /// (ties broken toward lower processor ids), the proc-selection rule
-    /// shared by HLFET and MCP.
-    pub fn best_processor(&self, t: TaskId) -> ProcId {
+    /// shared by HLFET and MCP. The ready times come from one
+    /// [`Engine::ready_times`] pass.
+    pub fn best_processor(&mut self, t: TaskId) -> ProcId {
+        let mut row = std::mem::take(&mut self.row);
+        self.ready_times(t, &mut row);
         let mut best = ProcId(0);
         let mut best_start = f64::INFINITY;
-        for p in self.m.proc_ids() {
-            let s = self.earliest_start(t, p);
+        for (p, &ready) in self.m.proc_ids().zip(&row) {
+            let s = self.slot(p, ready, self.exec_time(t, p));
             if s < best_start - TIME_EPS {
                 best_start = s;
                 best = p;
             }
         }
+        self.row = row;
         best
     }
 }
@@ -459,6 +537,7 @@ impl<'a> Engine<'a> {
 mod tests {
     use super::*;
     use banger_machine::{MachineParams, Topology};
+    use banger_taskgraph::TaskGraph;
     use proptest::prelude::*;
 
     #[test]
@@ -722,7 +801,8 @@ mod tests {
         let b = g.add_task("b", 4.0);
         g.add_edge(a, b, 6.0, "x").unwrap();
         let m = Machine::new(Topology::fully_connected(2), MachineParams::default());
-        let mut eng = Engine::new("test", &g, &m, CommModel::Analytic);
+        let arcs = ArcTable::new(&g);
+        let mut eng = Engine::new("test", &arcs, &m, CommModel::Analytic);
         assert!(!eng.placed(a));
         eng.commit(a, ProcId(0));
         assert!(eng.placed(a));
@@ -743,7 +823,8 @@ mod tests {
         let b = g.add_task("b", 4.0);
         g.add_edge(a, b, 6.0, "x").unwrap();
         let m = Machine::new(Topology::fully_connected(2), MachineParams::default());
-        let mut eng = Engine::new("test", &g, &m, CommModel::Analytic);
+        let arcs = ArcTable::new(&g);
+        let mut eng = Engine::new("test", &arcs, &m, CommModel::Analytic);
         eng.commit(a, ProcId(0));
         eng.commit(a, ProcId(1)); // duplicate
                                   // now b on P1 sees the local copy
@@ -763,7 +844,8 @@ mod tests {
         let b = g.add_task("b", 4.0);
         g.add_edge(a, b, 6.0, "x").unwrap();
         let m = Machine::new(Topology::fully_connected(2), MachineParams::default());
-        let eng = Engine::new("test", &g, &m, CommModel::Analytic);
+        let arcs = ArcTable::new(&g);
+        let eng = Engine::new("test", &arcs, &m, CommModel::Analytic);
         let _ = eng.ready_time(b, ProcId(0));
     }
 }

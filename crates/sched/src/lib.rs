@@ -52,7 +52,7 @@ pub mod textfmt;
 pub use schedule::{Placement, SchedStats, Schedule, ScheduleError, ScheduleSummary};
 
 use banger_machine::Machine;
-use banger_taskgraph::analysis::GraphAnalysis;
+use banger_taskgraph::analysis::{ArcTable, GraphAnalysis};
 use banger_taskgraph::TaskGraph;
 
 /// Every heuristic in the crate, by name — the comparison tables iterate
@@ -63,15 +63,22 @@ pub const HEURISTIC_NAMES: [&str; 8] =
 /// Runs a heuristic by name (see [`HEURISTIC_NAMES`]). Returns `None` for
 /// unknown names.
 pub fn run_heuristic(name: &str, g: &TaskGraph, m: &Machine) -> Option<Schedule> {
-    if name == "serial" {
-        return Some(list::serial(g, m));
+    if !HEURISTIC_NAMES.contains(&name) {
+        return None;
     }
     let a = GraphAnalysis::analyze(g);
     run_heuristic_with(name, g, m, &a)
 }
 
 /// [`run_heuristic`] with a precomputed [`GraphAnalysis`], so sweeps over
-/// many heuristics or machines compute the machine-independent levels once.
+/// many heuristics or machines compute the machine-independent levels and
+/// the arc table once.
+///
+/// `a` must be `GraphAnalysis::analyze(g)` of `g` as it is now: the run
+/// reads every weight and arc from `a.arcs`, not from `g`. An analysis
+/// with another task or arc count panics; one of a different graph with
+/// the same counts schedules that graph. The same holds for every
+/// heuristic's `*_with` function.
 pub fn run_heuristic_with(
     name: &str,
     g: &TaskGraph,
@@ -79,7 +86,7 @@ pub fn run_heuristic_with(
     a: &GraphAnalysis,
 ) -> Option<Schedule> {
     Some(match name {
-        "serial" => list::serial(g, m),
+        "serial" => list::serial_with(g, m, a),
         "naive" => list::naive_no_comm_with(g, m, a),
         "HLFET" => list::hlfet_with(g, m, a),
         "MCP" => list::mcp_with(g, m, a),
@@ -91,11 +98,21 @@ pub fn run_heuristic_with(
     })
 }
 
+/// The arc table every `*_with` run reads: `a`'s, which must be the
+/// analysis of `g`. Panics when the task or arc counts differ.
+fn arcs_of<'a>(g: &TaskGraph, a: &'a GraphAnalysis) -> &'a ArcTable {
+    assert!(
+        g.task_count() == a.arcs.task_count() && g.edge_count() == a.arcs.arc_count(),
+        "the analysis of another graph"
+    );
+    &a.arcs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use banger_machine::{MachineParams, Topology};
-    use banger_taskgraph::generators;
+    use banger_taskgraph::{generators, TaskId};
 
     #[test]
     fn run_heuristic_dispatch() {
@@ -115,5 +132,16 @@ mod tests {
             );
         }
         assert!(run_heuristic("bogus", &g, &m).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "the analysis of another graph")]
+    fn an_analysis_taken_before_an_edit_is_refused() {
+        let mut g = generators::gauss_elimination(4, 2.0, 1.0);
+        let a = GraphAnalysis::analyze(&g);
+        let (first, last) = (TaskId(0), TaskId(g.task_count() as u32 - 1));
+        g.add_edge(first, last, 1.0, "late").unwrap();
+        let m = Machine::new(Topology::hypercube(2), MachineParams::default());
+        run_heuristic_with("HLFET", &g, &m, &a);
     }
 }

@@ -20,7 +20,7 @@ use crate::engine::{CommModel, Engine};
 use crate::ready::ReadyQueue;
 use crate::schedule::{Schedule, TIME_EPS};
 use banger_machine::{Machine, ProcId};
-use banger_taskgraph::analysis::GraphAnalysis;
+use banger_taskgraph::analysis::{ArcTable, GraphAnalysis};
 use banger_taskgraph::{TaskGraph, TaskId};
 use std::collections::BinaryHeap;
 
@@ -30,13 +30,13 @@ use std::collections::BinaryHeap;
 /// earliest start. Selection is `O(log n)` per step; the legacy linear
 /// scan lives on in [`crate::reference`], which only the differential
 /// tests call.
-fn task_first(name: &str, g: &TaskGraph, m: &Machine, priority: &[f64]) -> Schedule {
-    let mut eng = Engine::new(name, g, m, CommModel::Analytic);
-    let mut queue = ReadyQueue::new(g, priority);
+fn task_first(name: &str, arcs: &ArcTable, m: &Machine, priority: &[f64]) -> Schedule {
+    let mut eng = Engine::new(name, arcs, m, CommModel::Analytic);
+    let mut queue = ReadyQueue::new(arcs, priority);
     while let Some(t) = queue.pop() {
         let p = eng.best_processor(t);
         eng.commit(t, p);
-        queue.complete(g, t);
+        queue.complete(arcs, t);
     }
     eng.finish()
 }
@@ -109,7 +109,7 @@ const NOT_READY: usize = usize::MAX;
 struct PairHeaps<K> {
     key: K,
     procs: usize,
-    remaining_preds: Vec<usize>,
+    remaining_preds: Vec<u32>,
     ready: Vec<TaskId>,
     /// Index of each task in `ready`, [`NOT_READY`] when it is not there.
     position: Vec<usize>,
@@ -124,35 +124,40 @@ struct PairHeaps<K> {
 
 impl<K: Fn(TaskId, f64) -> (f64, f64)> PairHeaps<K> {
     fn new(eng: &Engine<'_>, key: K) -> Self {
-        let (g, procs) = (eng.g, eng.m.processors());
-        let pairs = g.task_count() * procs;
+        let (n, procs) = (eng.arcs.task_count(), eng.m.processors());
+        let pairs = n * procs;
         let mut heaps = PairHeaps {
             key,
             procs,
-            remaining_preds: g.task_ids().map(|t| g.in_degree(t)).collect(),
+            remaining_preds: (0..n as u32)
+                .map(|t| eng.arcs.inputs(TaskId(t)).len() as u32)
+                .collect(),
             ready: Vec::new(),
-            position: vec![NOT_READY; g.task_count()],
+            position: vec![NOT_READY; n],
             ready_time: vec![0.0; pairs],
             dur: vec![0.0; pairs],
             est: vec![0.0; pairs],
             heaps: vec![BinaryHeap::new(); procs],
         };
-        for t in g.task_ids().filter(|t| g.in_degree(*t) == 0) {
-            heaps.promote(eng, t);
+        for t in (0..n as u32).map(TaskId) {
+            if heaps.remaining_preds[t.index()] == 0 {
+                heaps.promote(eng, t);
+            }
         }
         heaps
     }
 
     /// Adds a newly ready task to the ready set and to every heap. Costs
-    /// `in_degree(t)` arrival probes and one slot search per processor.
+    /// `in_degree(t)` arrival probes and one slot search per processor;
+    /// the ready times are one [`Engine::ready_times`] pass.
     fn promote(&mut self, eng: &Engine<'_>, t: TaskId) {
         self.position[t.index()] = self.ready.len();
         self.ready.push(t);
-        let weight = eng.g.task(t).weight;
+        let row = t.index() * self.procs;
+        eng.ready_times(t, &mut self.ready_time[row..row + self.procs]);
         for p in eng.m.proc_ids() {
-            let i = t.index() * self.procs + p.index();
-            self.ready_time[i] = eng.ready_time(t, p);
-            self.dur[i] = eng.m.exec_time(weight, p);
+            let i = row + p.index();
+            self.dur[i] = eng.exec_time(t, p);
             self.est[i] = eng.slot(p, self.ready_time[i], self.dur[i]);
             let key = (self.key)(t, self.est[i]);
             self.heaps[p.index()].push(Candidate { key, task: t });
@@ -222,8 +227,8 @@ impl<K: Fn(TaskId, f64) -> (f64, f64)> PairHeaps<K> {
         }
         self.heaps[p.index()] = BinaryHeap::from(column);
 
-        let g = eng.g;
-        for succ in g.successors(t) {
+        let arcs = eng.arcs;
+        for &succ in arcs.consumers(t) {
             let r = &mut self.remaining_preds[succ.index()];
             *r -= 1;
             if *r == 0 {
@@ -239,11 +244,11 @@ impl<K: Fn(TaskId, f64) -> (f64, f64)> PairHeaps<K> {
 /// toward the lower task id, then the lower processor id.
 fn pair_first(
     name: &str,
-    g: &TaskGraph,
+    arcs: &ArcTable,
     m: &Machine,
     key: impl Fn(TaskId, f64) -> (f64, f64),
 ) -> Schedule {
-    let mut eng = Engine::new(name, g, m, CommModel::Analytic);
+    let mut eng = Engine::new(name, arcs, m, CommModel::Analytic);
     let mut heaps = PairHeaps::new(&eng, key);
     while let Some((t, p)) = heaps.pick() {
         heaps.commit(&mut eng, t, p);
@@ -259,8 +264,9 @@ pub fn hlfet(g: &TaskGraph, m: &Machine) -> Schedule {
 
 /// [`hlfet`] with a precomputed [`GraphAnalysis`], so sweeps over many
 /// machines pay for the (machine-independent) level computation once.
+/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
 pub fn hlfet_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    task_first("HLFET", g, m, &a.static_level)
+    task_first("HLFET", crate::arcs_of(g, a), m, &a.static_level)
 }
 
 /// MCP: smallest-ALAP priority (implemented as `-alap`), earliest-start
@@ -271,9 +277,10 @@ pub fn mcp(g: &TaskGraph, m: &Machine) -> Schedule {
 }
 
 /// [`mcp`] with a precomputed [`GraphAnalysis`].
+/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
 pub fn mcp_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
     let neg_alap: Vec<f64> = a.alap.iter().map(|&x| -x).collect();
-    task_first("MCP", g, m, &neg_alap)
+    task_first("MCP", crate::arcs_of(g, a), m, &neg_alap)
 }
 
 /// ETF: commit the ready `(task, processor)` pair with the earliest start;
@@ -284,8 +291,9 @@ pub fn etf(g: &TaskGraph, m: &Machine) -> Schedule {
 }
 
 /// [`etf`] with a precomputed [`GraphAnalysis`].
+/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
 pub fn etf_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    pair_first("ETF", g, m, etf_key(a))
+    pair_first("ETF", crate::arcs_of(g, a), m, etf_key(a))
 }
 
 /// ETF's pair key: the start, then minus the static level.
@@ -300,8 +308,9 @@ pub fn dls(g: &TaskGraph, m: &Machine) -> Schedule {
 }
 
 /// [`dls`] with a precomputed [`GraphAnalysis`].
+/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
 pub fn dls_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    pair_first("DLS", g, m, dls_key(a))
+    pair_first("DLS", crate::arcs_of(g, a), m, dls_key(a))
 }
 
 /// DLS's pair key: minus the dynamic level. The second component is a
@@ -319,9 +328,11 @@ pub fn naive_no_comm(g: &TaskGraph, m: &Machine) -> Schedule {
 }
 
 /// [`naive_no_comm`] with a precomputed [`GraphAnalysis`].
+/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
 pub fn naive_no_comm_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("naive-no-comm", g, m, CommModel::Analytic);
-    let mut queue = ReadyQueue::new(g, &a.static_level);
+    let arcs = crate::arcs_of(g, a);
+    let mut eng = Engine::new("naive-no-comm", arcs, m, CommModel::Analytic);
+    let mut queue = ReadyQueue::new(arcs, &a.static_level);
     while let Some(t) = queue.pop() {
         // Pick the processor that is free soonest, blind to where the
         // task's inputs live.
@@ -335,16 +346,23 @@ pub fn naive_no_comm_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Sche
             })
             .unwrap();
         eng.commit(t, p);
-        queue.complete(g, t);
+        queue.complete(arcs, t);
     }
     eng.finish()
 }
 
 /// Serial baseline: every task on processor 0 in topological order.
 pub fn serial(g: &TaskGraph, m: &Machine) -> Schedule {
-    let mut eng = Engine::new("serial", g, m, CommModel::Analytic);
-    for t in g.topo_order().expect("scheduling requires a DAG") {
-        eng.commit(t, banger_machine::ProcId(0));
+    let a = GraphAnalysis::analyze(g);
+    serial_with(g, m, &a)
+}
+
+/// [`serial`] with a precomputed [`GraphAnalysis`].
+/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
+pub fn serial_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
+    let mut eng = Engine::new("serial", crate::arcs_of(g, a), m, CommModel::Analytic);
+    for &t in &a.topo {
+        eng.commit(t, ProcId(0));
     }
     eng.finish()
 }
@@ -522,7 +540,8 @@ mod tests {
         m: &Machine,
         key: &dyn Fn(TaskId, f64) -> (f64, f64),
     ) -> [usize; 3] {
-        let mut eng = Engine::new("step", g, m, CommModel::Analytic);
+        let a = GraphAnalysis::analyze(g);
+        let mut eng = Engine::new("step", &a.arcs, m, CommModel::Analytic);
         let mut heaps = PairHeaps::new(&eng, key);
         let mut fired = [0; 3];
         while let Some((t, p)) = heaps.pick() {
@@ -538,7 +557,7 @@ mod tests {
                         .then(x.2.cmp(&y.2))
                 })
                 .unwrap();
-            assert_eq!((t, p), (full.1, full.2), "pick {}", eng.g.task(t).name);
+            assert_eq!((t, p), (full.1, full.2), "pick {}", g.task(t).name);
             for (sum, n) in fired.iter_mut().zip(heaps.commit(&mut eng, t, p)) {
                 *sum += n;
             }

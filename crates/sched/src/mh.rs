@@ -28,22 +28,25 @@ pub fn mh(g: &TaskGraph, m: &Machine) -> Schedule {
 
 /// [`mh`] with a precomputed [`GraphAnalysis`], so sweeps over many machines
 /// pay for the (machine-independent) level computation once.
+/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
 pub fn mh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("MH", g, m, CommModel::Contention);
+    let arcs = crate::arcs_of(g, a);
+    let mut eng = Engine::new("MH", arcs, m, CommModel::Contention);
     // Highest b-level first; ties toward lower task id. Note MH's per-proc
     // finish loop below probes each (task, proc) pair exactly once per
     // selected task, so only the *selection* needed the heap — there is no
     // repeated pair rescan to cache away (unlike ETF/DLS).
-    let mut queue = ReadyQueue::new(g, &a.b_level);
+    let mut queue = ReadyQueue::new(arcs, &a.b_level);
+    let mut ready = vec![0.0; m.processors()];
 
     while let Some(t) = queue.pop() {
         // Choose the processor with the earliest finish under link-accurate
         // arrival times; ties toward lower processor id.
+        eng.ready_times(t, &mut ready);
         let mut best = m.proc_ids().next().unwrap();
         let mut best_finish = f64::INFINITY;
-        for p in m.proc_ids() {
-            let r = eng.ready_time(t, p);
-            let dur = m.exec_time(g.task(t).weight, p);
+        for (p, &r) in m.proc_ids().zip(&ready) {
+            let dur = eng.exec_time(t, p);
             let start = eng.slot(p, r, dur);
             let finish = start + dur;
             if finish + crate::schedule::TIME_EPS < best_finish {
@@ -52,7 +55,7 @@ pub fn mh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
             }
         }
         eng.commit(t, best);
-        queue.complete(g, t);
+        queue.complete(arcs, t);
     }
     eng.finish()
 }

@@ -16,7 +16,8 @@
 //!   because task ids are unique — the popped maximum is exactly the
 //!   element the old `max_by(total_cmp.then(lower id))` scan returned.
 
-use banger_taskgraph::{TaskGraph, TaskId};
+use banger_taskgraph::analysis::ArcTable;
+use banger_taskgraph::TaskId;
 use std::collections::BinaryHeap;
 
 /// One heap entry: a ready task and its (static) selection priority.
@@ -57,17 +58,21 @@ impl Ord for Entry {
 /// once (on a DAG).
 pub(crate) struct ReadyQueue<'a> {
     priority: &'a [f64],
-    remaining_preds: Vec<usize>,
+    remaining_preds: Vec<u32>,
     heap: BinaryHeap<Entry>,
 }
 
 impl<'a> ReadyQueue<'a> {
-    /// Builds the queue over `g` with one static `priority` per task
-    /// (greater = selected earlier; ties toward lower task id).
-    pub fn new(g: &TaskGraph, priority: &'a [f64]) -> Self {
-        let remaining_preds: Vec<usize> = g.task_ids().map(|t| g.in_degree(t)).collect();
-        let mut heap = BinaryHeap::with_capacity(g.task_count());
-        for t in g.task_ids() {
+    /// Builds the queue over the graph of `arcs` with one static
+    /// `priority` per task (greater = selected earlier; ties toward lower
+    /// task id).
+    pub fn new(arcs: &ArcTable, priority: &'a [f64]) -> Self {
+        let n = arcs.task_count();
+        let remaining_preds: Vec<u32> = (0..n as u32)
+            .map(|t| arcs.inputs(TaskId(t)).len() as u32)
+            .collect();
+        let mut heap = BinaryHeap::with_capacity(n);
+        for t in (0..n as u32).map(TaskId) {
             if remaining_preds[t.index()] == 0 {
                 heap.push(Entry {
                     pri: priority[t.index()],
@@ -89,8 +94,8 @@ impl<'a> ReadyQueue<'a> {
 
     /// Marks `t` complete, promoting any successors whose last dependency
     /// it was.
-    pub fn complete(&mut self, g: &TaskGraph, t: TaskId) {
-        for s in g.successors(t) {
+    pub fn complete(&mut self, arcs: &ArcTable, t: TaskId) {
+        for &s in arcs.consumers(t) {
             let r = &mut self.remaining_preds[s.index()];
             *r -= 1;
             if *r == 0 {
@@ -142,11 +147,12 @@ mod tests {
             }
         }
 
-        let mut q = ReadyQueue::new(&g, &priority);
+        let arcs = ArcTable::new(&g);
+        let mut q = ReadyQueue::new(&arcs, &priority);
         let mut got = Vec::new();
         while let Some(t) = q.pop() {
             got.push(t);
-            q.complete(&g, t);
+            q.complete(&arcs, t);
         }
         assert_eq!(got, want);
     }
@@ -156,11 +162,12 @@ mod tests {
         // total_cmp puts NaN above +inf; the queue must not panic or loop.
         let g = generators::independent(4, 1.0);
         let priority = [f64::NAN, 1.0, f64::INFINITY, f64::NAN];
-        let mut q = ReadyQueue::new(&g, &priority);
+        let arcs = ArcTable::new(&g);
+        let mut q = ReadyQueue::new(&arcs, &priority);
         let mut got = Vec::new();
         while let Some(t) = q.pop() {
             got.push(t.index());
-            q.complete(&g, t);
+            q.complete(&arcs, t);
         }
         // NaN (positive) > inf > 1.0; equal NaNs tie toward lower id.
         assert_eq!(got, vec![0, 3, 2, 1]);

@@ -9,7 +9,10 @@
 //! `ready_time` for every ready×processor pair at every step. They share
 //! the [`Engine`] with the production schedulers, so any divergence in a
 //! differential run points at the selection/caching rework, not at the
-//! probe/commit machinery.
+//! probe/commit machinery. The ready time of a `(task, processor)` pair is
+//! always probed on its own, through [`Engine::ready_time`] or
+//! [`Engine::earliest_start`], and DSH's duplication steps recompute every
+//! ready time they price, with no memo.
 //!
 //! Do **not** optimise this module. Its only job is to stay slow and
 //! obviously correct. The complexity gap versus the production paths is
@@ -17,7 +20,7 @@
 //! [`crate::SchedStats`] probe counters.
 
 use crate::engine::{CommModel, Engine};
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, TIME_EPS};
 use banger_machine::{Machine, ProcId};
 use banger_taskgraph::analysis::GraphAnalysis;
 use banger_taskgraph::{TaskGraph, TaskId};
@@ -62,9 +65,31 @@ impl ReadyTracker {
     }
 }
 
+/// Selects the processor minimising the earliest start of `t`, one
+/// [`Engine::earliest_start`] probe per processor (ties broken toward
+/// lower processor ids).
+fn best_processor(eng: &Engine<'_>, t: TaskId) -> ProcId {
+    let mut best = ProcId(0);
+    let mut best_start = f64::INFINITY;
+    for p in eng.m.proc_ids() {
+        let s = eng.earliest_start(t, p);
+        if s < best_start - TIME_EPS {
+            best_start = s;
+            best = p;
+        }
+    }
+    best
+}
+
 /// Legacy task-first list scheduling: linear max-scan selection.
-fn task_first(name: &str, g: &TaskGraph, m: &Machine, priority: &[f64]) -> Schedule {
-    let mut eng = Engine::new(name, g, m, CommModel::Analytic);
+fn task_first(
+    name: &str,
+    g: &TaskGraph,
+    m: &Machine,
+    a: &GraphAnalysis,
+    priority: &[f64],
+) -> Schedule {
+    let mut eng = Engine::new(name, &a.arcs, m, CommModel::Analytic);
     let mut tracker = ReadyTracker::new(g);
     while !tracker.is_done() {
         let &t = tracker
@@ -76,7 +101,7 @@ fn task_first(name: &str, g: &TaskGraph, m: &Machine, priority: &[f64]) -> Sched
                     .then(b.0.cmp(&a.0))
             })
             .unwrap();
-        let p = eng.best_processor(t);
+        let p = best_processor(&eng, t);
         eng.commit(t, p);
         tracker.complete(g, t);
     }
@@ -85,19 +110,19 @@ fn task_first(name: &str, g: &TaskGraph, m: &Machine, priority: &[f64]) -> Sched
 
 /// Reference HLFET (linear selection scan).
 pub fn hlfet_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    task_first("HLFET", g, m, &a.static_level)
+    task_first("HLFET", g, m, a, &a.static_level)
 }
 
 /// Reference MCP (linear selection scan).
 pub fn mcp_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
     let neg_alap: Vec<f64> = a.alap.iter().map(|&x| -x).collect();
-    task_first("MCP", g, m, &neg_alap)
+    task_first("MCP", g, m, a, &neg_alap)
 }
 
 /// Reference ETF: recomputes every ready×processor earliest start from
 /// scratch at every step.
 pub fn etf_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("ETF", g, m, CommModel::Analytic);
+    let mut eng = Engine::new("ETF", &a.arcs, m, CommModel::Analytic);
     let mut tracker = ReadyTracker::new(g);
     while !tracker.is_done() {
         // Key: (start, -static_level, task id, proc id), lexicographic min.
@@ -130,7 +155,7 @@ pub fn etf_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
 
 /// Reference DLS: full pair rescan per step.
 pub fn dls_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("DLS", g, m, CommModel::Analytic);
+    let mut eng = Engine::new("DLS", &a.arcs, m, CommModel::Analytic);
     let mut tracker = ReadyTracker::new(g);
     while !tracker.is_done() {
         // Key: (-dynamic_level, task id, proc id), lexicographic min.
@@ -162,7 +187,7 @@ pub fn dls_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
 
 /// Reference communication-blind baseline (linear selection scan).
 pub fn naive_no_comm_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("naive-no-comm", g, m, CommModel::Analytic);
+    let mut eng = Engine::new("naive-no-comm", &a.arcs, m, CommModel::Analytic);
     let mut tracker = ReadyTracker::new(g);
     while !tracker.is_done() {
         let &t = tracker
@@ -191,7 +216,7 @@ pub fn naive_no_comm_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Sche
 
 /// Reference Mapping Heuristic (linear b-level selection scan).
 pub fn mh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("MH", g, m, CommModel::Contention);
+    let mut eng = Engine::new("MH", &a.arcs, m, CommModel::Contention);
 
     let mut remaining: Vec<usize> = g.task_ids().map(|t| g.in_degree(t)).collect();
     let mut ready: Vec<TaskId> = g
@@ -218,7 +243,7 @@ pub fn mh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
             let dur = m.exec_time(g.task(t).weight, p);
             let start = eng.slot(p, r, dur);
             let finish = start + dur;
-            if finish + crate::schedule::TIME_EPS < best_finish {
+            if finish + TIME_EPS < best_finish {
                 best_finish = finish;
                 best = p;
             }
@@ -236,10 +261,11 @@ pub fn mh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
     eng.finish()
 }
 
-/// Reference DSH (linear static-level selection scan; the duplication
-/// machinery itself is shared with production via [`crate::dsh`]).
+/// Reference DSH: linear static-level selection scan, and the estimate
+/// and duplication loop as they stood before [`crate::dsh`] kept ready
+/// times, recomputing every one they price.
 pub fn dsh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("DSH", g, m, CommModel::Analytic);
+    let mut eng = Engine::new("DSH", &a.arcs, m, CommModel::Analytic);
 
     let mut remaining: Vec<usize> = g.task_ids().map(|t| g.in_degree(t)).collect();
     let mut ready: Vec<TaskId> = g
@@ -262,15 +288,15 @@ pub fn dsh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
         let mut best = ProcId(0);
         let mut best_finish = f64::INFINITY;
         for p in m.proc_ids() {
-            let start = crate::dsh::estimate_start_with_duplication(&eng, t, p);
+            let start = estimate_start_with_duplication(g, &eng, t, p);
             let finish = start + m.exec_time(g.task(t).weight, p);
-            if finish + crate::schedule::TIME_EPS < best_finish {
+            if finish + TIME_EPS < best_finish {
                 best_finish = finish;
                 best = p;
             }
         }
 
-        crate::dsh::duplicate_binding_preds(&mut eng, t, best);
+        duplicate_binding_preds(g, &mut eng, t, best);
         eng.commit(t, best);
 
         for s in g.successors(t) {
@@ -284,10 +310,84 @@ pub fn dsh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
     eng.finish()
 }
 
+/// Estimates `t`'s start on `p` assuming the same one-level duplication
+/// that [`duplicate_binding_preds`] would commit: for every input whose
+/// message arrival exceeds the predecessor's locally-recomputed finish, use
+/// the duplicated finish instead. A cheap upper-fidelity mirror of the
+/// commit path — it does not mutate engine state.
+fn estimate_start_with_duplication(g: &TaskGraph, eng: &Engine<'_>, t: TaskId, p: ProcId) -> f64 {
+    let mut ready = 0.0f64;
+    // Track the local occupancy consumed by hypothetical copies so two
+    // copies do not claim the same idle slot.
+    let mut local_extra = 0.0f64;
+    for &e in g.in_edges(t) {
+        let edge = g.edge(e);
+        let msg_arrival = eng.edge_arrival(edge.src, edge.volume, p);
+        let already_local = eng.has_copy_on(edge.src, p);
+        let arrival = if already_local {
+            msg_arrival
+        } else {
+            // Hypothetical copy of the predecessor on p.
+            let pred_ready = eng.ready_time(edge.src, p);
+            let dur = eng.m.exec_time(g.task(edge.src).weight, p);
+            let slot = eng.slot(p, pred_ready.max(local_extra), dur);
+            let dup_finish = slot + dur;
+            if dup_finish < msg_arrival {
+                local_extra = dup_finish;
+                dup_finish
+            } else {
+                msg_arrival
+            }
+        };
+        ready = ready.max(arrival);
+    }
+    let dur = eng.m.exec_time(g.task(t).weight, p);
+    eng.slot(p, ready.max(local_extra), dur)
+}
+
+/// Repeatedly copies the predecessor whose message currently bounds `t`'s
+/// ready time onto `p`, while each copy strictly reduces that ready time.
+fn duplicate_binding_preds(g: &TaskGraph, eng: &mut Engine<'_>, t: TaskId, p: ProcId) {
+    for _ in 0..crate::dsh::MAX_DUPES_PER_TASK {
+        let ready = eng.ready_time(t, p);
+        if ready <= TIME_EPS {
+            return; // already starts at time zero
+        }
+        // Find the binding predecessor: the input with the latest arrival
+        // that is NOT already satisfied by a local copy.
+        let mut binding: Option<(TaskId, f64)> = None;
+        for &e in g.in_edges(t) {
+            let edge = g.edge(e);
+            let arrival = eng.edge_arrival(edge.src, edge.volume, p);
+            if (arrival - ready).abs() <= TIME_EPS {
+                let already_local = eng.has_copy_on(edge.src, p);
+                if !already_local {
+                    binding = Some((edge.src, arrival));
+                }
+            }
+        }
+        let Some((pred, old_arrival)) = binding else {
+            return; // bound by local work or by an unimprovable input
+        };
+
+        // Would a local copy of `pred` help? Its own inputs arrive from
+        // existing copies; it needs an idle slot ending before old_arrival.
+        let pred_ready = eng.ready_time(pred, p);
+        let dur = eng.m.exec_time(g.task(pred).weight, p);
+        let start = eng.slot(p, pred_ready, dur);
+        let local_finish = start + dur;
+        if local_finish + TIME_EPS < old_arrival {
+            eng.commit(pred, p); // duplicate copy (not primary)
+        } else {
+            return; // copying does not pay; stop
+        }
+    }
+}
+
 /// Reference serial baseline (identical to production; included so the
 /// differential dispatcher covers every name).
-pub fn serial(g: &TaskGraph, m: &Machine) -> Schedule {
-    let mut eng = Engine::new("serial", g, m, CommModel::Analytic);
+pub fn serial(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
+    let mut eng = Engine::new("serial", &a.arcs, m, CommModel::Analytic);
     for t in g.topo_order().expect("scheduling requires a DAG") {
         eng.commit(t, ProcId(0));
     }
@@ -303,7 +403,7 @@ pub fn run_reference_with(
     a: &GraphAnalysis,
 ) -> Option<Schedule> {
     Some(match name {
-        "serial" => serial(g, m),
+        "serial" => serial(g, m, a),
         "naive" => naive_no_comm_with(g, m, a),
         "HLFET" => hlfet_with(g, m, a),
         "MCP" => mcp_with(g, m, a),

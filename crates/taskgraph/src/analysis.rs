@@ -17,6 +17,87 @@
 
 use crate::graph::{TaskGraph, TaskId};
 
+/// The arcs of a [`TaskGraph`] laid out for passes that read every arc
+/// many times: per task its weight, its inputs as `(producer, volume)` in
+/// [`TaskGraph::in_edges`] order and its consumers in
+/// [`TaskGraph::out_edges`] order, each list one contiguous run of one
+/// shared array. A consumer carries no volume: a pass that needs the
+/// volume of an out-arc pushes over the consumer's inputs instead, as the
+/// backward level passes of [`GraphAnalysis::analyze`] do.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ArcTable {
+    weight: Vec<f64>,
+    /// `inputs[input_start[t]..input_start[t + 1]]` are `t`'s inputs.
+    input_start: Vec<u32>,
+    inputs: Vec<(TaskId, f64)>,
+    /// `consumers[consumer_start[t]..consumer_start[t + 1]]` likewise.
+    consumer_start: Vec<u32>,
+    consumers: Vec<TaskId>,
+}
+
+impl ArcTable {
+    /// Lays out the arcs of `g` in one pass over its tasks.
+    pub fn new(g: &TaskGraph) -> Self {
+        let n = g.task_count();
+        let mut table = ArcTable {
+            weight: Vec::with_capacity(n),
+            input_start: Vec::with_capacity(n + 1),
+            inputs: Vec::with_capacity(g.edge_count()),
+            consumer_start: Vec::with_capacity(n + 1),
+            consumers: Vec::with_capacity(g.edge_count()),
+        };
+        table.input_start.push(0);
+        table.consumer_start.push(0);
+        for (t, task) in g.tasks() {
+            table.weight.push(task.weight);
+            table.inputs.extend(g.in_edges(t).iter().map(|&e| {
+                let edge = g.edge(e);
+                (edge.src, edge.volume)
+            }));
+            table
+                .consumers
+                .extend(g.out_edges(t).iter().map(|&e| g.edge(e).dst));
+            table.input_start.push(table.inputs.len() as u32);
+            table.consumer_start.push(table.consumers.len() as u32);
+        }
+        table
+    }
+
+    /// Number of tasks.
+    #[inline]
+    pub fn task_count(&self) -> usize {
+        self.weight.len()
+    }
+
+    /// Number of arcs (parallel arcs counted apart).
+    #[inline]
+    pub fn arc_count(&self) -> usize {
+        self.inputs.len()
+    }
+
+    /// The weight of `t`.
+    #[inline]
+    pub fn weight(&self, t: TaskId) -> f64 {
+        self.weight[t.index()]
+    }
+
+    /// The inputs of `t` as `(producer, volume)`, in
+    /// [`TaskGraph::in_edges`] order (a producer repeats for parallel arcs).
+    #[inline]
+    pub fn inputs(&self, t: TaskId) -> &[(TaskId, f64)] {
+        let i = t.index();
+        &self.inputs[self.input_start[i] as usize..self.input_start[i + 1] as usize]
+    }
+
+    /// The consumers of `t`, in [`TaskGraph::out_edges`] order (a consumer
+    /// repeats for parallel arcs).
+    #[inline]
+    pub fn consumers(&self, t: TaskId) -> &[TaskId] {
+        let i = t.index();
+        &self.consumers[self.consumer_start[i] as usize..self.consumer_start[i + 1] as usize]
+    }
+}
+
 /// Result of a full static analysis of a task graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphAnalysis {
@@ -32,57 +113,67 @@ pub struct GraphAnalysis {
     pub cp_length: f64,
     /// One valid topological order (reused by schedulers).
     pub topo: Vec<TaskId>,
+    /// The graph's arcs, laid out once for the level passes below and for
+    /// every scheduling run handed this analysis.
+    pub arcs: ArcTable,
 }
 
 impl GraphAnalysis {
     /// Runs the full analysis. Panics if the graph is cyclic: callers are
     /// expected to validate designs before analysing them (use
     /// [`TaskGraph::is_dag`]).
+    ///
+    /// After the topological sort the graph is read once, into the
+    /// [`ArcTable`]; every level pass reads the table. The backward passes
+    /// push each finished level over the task's inputs instead of pulling
+    /// over its consumers: when
+    /// a task's turn comes, every consumer has pushed its term, and the
+    /// maximum (or minimum) of the same finite values taken in another
+    /// order is the same value, so the levels are those of the pull.
     pub fn analyze(g: &TaskGraph) -> Self {
         let topo = g
             .topo_order()
             .expect("analysis requires an acyclic dataflow graph");
-        let n = g.task_count();
+        let arcs = ArcTable::new(g);
+        let n = arcs.task_count();
         let mut t_level = vec![0.0f64; n];
         for &t in &topo {
             let mut best = 0.0f64;
-            for &e in g.in_edges(t) {
-                let edge = g.edge(e);
-                let cand = t_level[edge.src.index()] + g.task(edge.src).weight + edge.volume;
-                best = best.max(cand);
+            for &(src, volume) in arcs.inputs(t) {
+                best = best.max(t_level[src.index()] + arcs.weight(src) + volume);
             }
             t_level[t.index()] = best;
         }
 
+        // Until a task's turn, its entries hold the maximum over the
+        // consumers pushed so far (0 with none).
         let mut b_level = vec![0.0f64; n];
         let mut static_level = vec![0.0f64; n];
         for &t in topo.iter().rev() {
-            let w = g.task(t).weight;
-            let mut bb = 0.0f64;
-            let mut sb = 0.0f64;
-            for &e in g.out_edges(t) {
-                let edge = g.edge(e);
-                bb = bb.max(edge.volume + b_level[edge.dst.index()]);
-                sb = sb.max(static_level[edge.dst.index()]);
+            let i = t.index();
+            let w = arcs.weight(t);
+            b_level[i] += w;
+            static_level[i] += w;
+            for &(src, volume) in arcs.inputs(t) {
+                let s = src.index();
+                b_level[s] = b_level[s].max(volume + b_level[i]);
+                static_level[s] = static_level[s].max(static_level[i]);
             }
-            b_level[t.index()] = w + bb;
-            static_level[t.index()] = w + sb;
         }
 
-        let cp_length = g
-            .task_ids()
-            .map(|t| t_level[t.index()] + b_level[t.index()])
+        let cp_length = (0..n)
+            .map(|i| t_level[i] + b_level[i])
             .fold(0.0f64, f64::max);
 
-        let mut alap = vec![0.0f64; n];
+        // Likewise the latest finish, which starts at the critical path.
+        let mut alap = vec![cp_length; n];
         for &t in topo.iter().rev() {
-            let w = g.task(t).weight;
-            let mut latest_finish = cp_length;
-            for &e in g.out_edges(t) {
-                let edge = g.edge(e);
-                latest_finish = latest_finish.min(alap[edge.dst.index()] - edge.volume);
+            let i = t.index();
+            alap[i] -= arcs.weight(t);
+            for &(src, volume) in arcs.inputs(t) {
+                let s = src.index();
+                alap[s] = alap[s].min(alap[i] - volume);
             }
-            alap[t.index()] = latest_finish - w;
         }
 
         GraphAnalysis {
@@ -92,6 +183,7 @@ impl GraphAnalysis {
             alap,
             cp_length,
             topo,
+            arcs,
         }
     }
 

@@ -1,10 +1,13 @@
 //! Property tests over the graph and machine substrates.
 
+#[path = "support/levels_oracle.rs"]
+mod levels_oracle;
+
 use banger_machine::{ProcId, RoutingTable, Topology};
-use banger_taskgraph::{analysis, generators, textfmt, TaskGraph};
+use banger_taskgraph::{analysis, generators, textfmt, TaskGraph, TaskId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a random layered DAG described by (seed, layers, width,
 /// edge probability).
@@ -95,6 +98,80 @@ proptest! {
             let max = *p.cluster_of.iter().max().unwrap();
             prop_assert_eq!(max + 1, p.packed.task_count());
         }
+    }
+}
+
+/// Strategy: a DAG of up to 40 tasks with what the layered generator never
+/// makes — parallel arcs (same ends, another label), zero weights and
+/// volumes, isolated tasks — and arcs added in random order, so that
+/// neither edge list is sorted by the other end.
+fn irregular_graph() -> impl Strategy<Value = TaskGraph> {
+    (any::<u64>(), 1usize..40).prop_map(|(seed, n)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = TaskGraph::new("irregular");
+        for i in 0..n {
+            let w = match rng.gen_range(0..4) {
+                0 => 0.0,
+                1 => 1e-7,
+                _ => rng.gen_range(0.0..50.0),
+            };
+            g.add_task(format!("t{i}"), w);
+        }
+        for k in 0..rng.gen_range(0..3 * n) {
+            let a = rng.gen_range(0..n as u32);
+            let b = rng.gen_range(0..n as u32);
+            if a == b {
+                continue;
+            }
+            let (src, dst) = (TaskId(a.min(b)), TaskId(a.max(b)));
+            let volume = if rng.gen_bool(0.3) {
+                0.0
+            } else {
+                rng.gen_range(0.0..25.0)
+            };
+            // Two draws of the same pair are parallel arcs.
+            g.add_edge(src, dst, volume, format!("v{k}")).unwrap();
+        }
+        g
+    })
+}
+
+/// Every level bit for bit, and the order itself.
+fn levels_match_the_oracle(g: &TaskGraph) -> Result<(), TestCaseError> {
+    let a = analysis::GraphAnalysis::analyze(g);
+    let old = levels_oracle::analyze(g);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(bits(&a.t_level), bits(&old.t_level));
+    prop_assert_eq!(bits(&a.b_level), bits(&old.b_level));
+    prop_assert_eq!(bits(&a.static_level), bits(&old.static_level));
+    prop_assert_eq!(bits(&a.alap), bits(&old.alap));
+    prop_assert_eq!(a.cp_length.to_bits(), old.cp_length.to_bits());
+    prop_assert_eq!(&a.topo, &old.topo);
+    // The table is the graph's arcs, list for list.
+    for t in g.task_ids() {
+        prop_assert_eq!(a.arcs.weight(t).to_bits(), g.task(t).weight.to_bits());
+        let inputs: Vec<(TaskId, f64)> = g
+            .in_edges(t)
+            .iter()
+            .map(|&e| (g.edge(e).src, g.edge(e).volume))
+            .collect();
+        prop_assert_eq!(a.arcs.inputs(t), &inputs[..]);
+        prop_assert!(a.arcs.consumers(t).iter().copied().eq(g.successors(t)));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn levels_over_the_arc_table_are_the_old_passes_bit_for_bit(g in irregular_graph()) {
+        levels_match_the_oracle(&g)?;
+    }
+
+    #[test]
+    fn levels_on_layered_graphs_are_the_old_passes_bit_for_bit(g in random_graph()) {
+        levels_match_the_oracle(&g)?;
     }
 }
 

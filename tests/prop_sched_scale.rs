@@ -149,6 +149,51 @@ fn scale_generators_match_reference() {
     assert_identical(&st, &m4, &NAMES);
 }
 
+/// Duplication-heavy shapes: fork-joins and out-trees with message
+/// startups of 1 or more, where DSH copies producers onto their consumers'
+/// processors. Weights are scaled per task by a seeded factor, so static
+/// levels interleave the tree's depths: a task's ready time on a processor
+/// is priced (and kept by DSH) while its producer can still gain a
+/// duplicate there, which is when that kept value must be forgotten. Each
+/// case must duplicate, so none passes vacuously.
+#[test]
+fn duplication_heavy_graphs_match_reference() {
+    for seed in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut graphs = [
+            generators::fork_join(6 + seed as usize % 5, 2.0, 10.0, 2.0, 15.0),
+            generators::outtree(3, 2 + seed as usize % 2, 3.0, 12.0),
+        ];
+        for g in &mut graphs {
+            for t in g.task_ids().collect::<Vec<_>>() {
+                g.task_mut(t).weight *= rng.gen_range(0.5..2.0);
+            }
+        }
+        for g in &graphs {
+            for (topology, msg_startup) in [
+                (Topology::fully_connected(4), 1.0),
+                (Topology::fully_connected(8), 2.5),
+                (Topology::hypercube(3), 1.0),
+                (Topology::ring(5), 1.5),
+            ] {
+                let params = MachineParams {
+                    msg_startup,
+                    ..MachineParams::default()
+                };
+                let m = Machine::new(topology, params);
+                assert_identical(g, &m, &["DSH"]);
+                let s = banger_sched::dsh::dsh(g, &m);
+                assert!(
+                    s.placements().len() > g.task_count(),
+                    "seed {seed}: DSH duplicated nothing on {} / {}",
+                    g.name(),
+                    m.topology().name()
+                );
+            }
+        }
+    }
+}
+
 /// A random DAG of `n` tasks: task `i` takes up to three distinct
 /// predecessors among the tasks before it. Weights and volumes are drawn
 /// from the given lists.
@@ -266,10 +311,11 @@ fn insertion_heavy_graphs_match_reference() {
 /// A wide, shallow graph keeps the ready set large for the whole run —
 /// the worst case for the legacy scans and the best case for the rework.
 /// The selection heuristics (HLFET/MCP) must probe *exactly* as often as
-/// the reference (only selection time changed), while the pair-first
-/// heuristics (ETF/DLS) must show the asymptotic probe reduction of
-/// computing each ready time once and settling most of a commit's column
-/// without a search.
+/// the reference (only selection time and the order of their ready-time
+/// probes changed), while the pair-first heuristics (ETF/DLS) must show
+/// the asymptotic probe reduction of computing each ready time once and
+/// settling most of a commit's column without a search, and DSH the
+/// reduction of keeping the ready times it prices.
 #[test]
 fn probe_counters_prove_the_asymptotic_win() {
     let g = generators::stencil(30, 40, 2.0, 1.0);
@@ -305,6 +351,23 @@ fn probe_counters_prove_the_asymptotic_win() {
             r.slot_searches
         );
     }
+
+    // DSH keeps the ready time of every placed task it prices, where the
+    // reference recomputes each one: on the benchmark's 3k-task layered
+    // shape it must probe at most 0.6x as often.
+    let g = generators::layered_random(13, 20, 150, 3, (1.0, 10.0), (1.0, 5.0));
+    let m = Machine::new(Topology::hypercube(3), MachineParams::default());
+    let a = GraphAnalysis::analyze(&g);
+    let opt = banger_sched::run_heuristic_with("DSH", &g, &m, &a).unwrap();
+    let naive = reference::run_reference_with("DSH", &g, &m, &a).unwrap();
+    assert_eq!(opt, naive, "DSH");
+    let (o, r) = (opt.stats(), naive.stats());
+    assert!(
+        o.arrival_probes * 10 <= r.arrival_probes * 6,
+        "DSH: the kept ready times should cut arrival probes to 0.6x: {} vs {}",
+        o.arrival_probes,
+        r.arrival_probes
+    );
 }
 
 /// Stats ride the schedule, per run — two concurrent sweeps must each see
