@@ -27,13 +27,15 @@
 //!
 //! Every request re-reads the whole project file (no inotify dependency
 //! and no metadata shortcut — the read per request is the invalidation
-//! probe) and compares the bytes with the text the resident entry was
-//! built from. Equal bytes reuse the warm entry; any difference rebuilds
-//! it from the new source and discards every derived cache below it.
+//! probe) and compares the bytes with the text the resident snapshot was
+//! built from. Equal bytes reuse the warm snapshot; any difference
+//! publishes a new one, every derived cache below it empty. Verbs read a
+//! snapshot with no store lock held; only `run` holds one for long, its
+//! snapshot's session lock, so on one file only `run` waits for `run`.
 //!
 //! | level | cache | key | invalidated by |
 //! |---|---|---|---|
-//! | source bytes | the text the entry was built from | canonical path | file rewrite |
+//! | source bytes | the text the snapshot was built from | canonical path | file rewrite |
 //! | parse | [`Project`](crate::Project) (design + library + machine) | source bytes | changed bytes |
 //! | diagnose | `Project::diagnose` memo, rendered warnings, `check` output per format | source bytes | changed bytes |
 //! | compile | `Arc<CompiledProgram>` in the `ProgramLibrary` | program name | a change to its `begin-program` text |
@@ -57,8 +59,8 @@
 //!
 //! The daemon handles each request under [`std::panic::catch_unwind`]: a
 //! panic anywhere in the pipeline produces a structured error response,
-//! the affected project entry is poisoned-and-rebuilt (evicted, so the
-//! next request reconstructs it from source), and the daemon keeps
+//! the affected project is poisoned-and-rebuilt (its snapshot evicted,
+//! so the next request reconstructs it from source), and the daemon keeps
 //! serving — mirroring the per-task panic attribution inside the
 //! executor. Tests provoke both kinds of fault through the store
 //! ([`ProjectStore::inject`]); no request can.

@@ -21,7 +21,7 @@
 //! field its verb does not take set by a client.
 //!
 //! The handler reads one file — the project, through
-//! [`ProjectStore::lookup`] — and writes none. What a verb would put in
+//! [`ProjectStore::snapshot`] — and writes none. What a verb would put in
 //! a file (`svg -o`, `save-schedule -o`, `run --trace`, `optimize
 //! --emit`) it returns in [`Response::files`] for the front end to
 //! write; what it would read from one (`verify -s`) arrives in the
@@ -36,11 +36,11 @@
 //! cache without recomputation.
 
 use super::protocol::{Request, Response};
-use super::store::{EntryState, Fault, ProjectStore};
+use super::store::{Fault, ProjectStore, Snapshot};
 use crate::analyze;
 use crate::project::{short_name, OptimizeStats, Project, ProjectError};
 use banger_calc::Value;
-use banger_exec::{ExecMode, ExecOptions, ExecReport};
+use banger_exec::{ExecError, ExecMode, ExecOptions, ExecReport};
 use banger_machine::Topology;
 use banger_taskgraph::hierarchy::Flattened;
 use std::collections::BTreeMap;
@@ -51,14 +51,14 @@ use std::time::Duration;
 type Answer = Result<Response, String>;
 
 /// The handler of a verb on one project.
-type ProjectOp = fn(&mut EntryState, &Request) -> Answer;
+type ProjectOp = fn(&Snapshot, &Request, &ProjectStore) -> Answer;
 
 /// One verb: its name as typed after `banger`, its one-line summary in
 /// `banger help`, and its handler, which is one of four kinds. All but
 /// [`Verb::Daemon`] take a project path as their first operand.
 pub enum Verb {
-    /// A verb on one project: it runs on the project's entry, synced with
-    /// the file and under that entry's lock. The design's warnings lead
+    /// A verb on one project: it reads the snapshot built from the file's
+    /// current bytes, with no store lock held. The design's warnings lead
     /// the notes of its answer.
     Project(&'static str, &'static str, ProjectOp),
     /// A project verb whose output is the design's findings, warnings
@@ -333,24 +333,18 @@ pub fn options(verb: &str) -> impl Iterator<Item = &'static Opt> + '_ {
 
 /// Dispatches one request against the store. Panics are *not* caught
 /// here — the server wraps this call in `catch_unwind` and poisons the
-/// affected entry (see [`super::server`]).
+/// affected project's snapshot (see [`super::server`]).
 pub fn handle(store: &ProjectStore, req: &Request) -> Response {
     store.counters.requests.fetch_add(1, Ordering::Relaxed);
-    let task_fault = match store.fault() {
-        Some(Fault::Handler) => panic!("injected fault: the handler panics"),
-        Some(Fault::Task(task)) => Some(task),
-        None => None,
-    };
+    if let Some(Fault::Handler) = store.fault() {
+        panic!("injected fault: the handler panics");
+    }
     let Some(verb) = verb(&req.cmd) else {
         return Response::failure(unknown_verb(&req.cmd));
     };
     match (verb, &req.path) {
-        (Verb::Project(_, _, op), Some(path)) => {
-            with_entry(store, path, req, *op, true, task_fault)
-        }
-        (Verb::Findings(_, _, op), Some(path)) => {
-            with_entry(store, path, req, *op, false, task_fault)
-        }
+        (Verb::Project(_, _, op), Some(path)) => on_snapshot(store, path, req, *op, true),
+        (Verb::Findings(_, _, op), Some(path)) => on_snapshot(store, path, req, *op, false),
         (Verb::Entry(_, _, op), Some(path)) => op(store, path),
         (Verb::Daemon(_, _, op), _) => op(store),
         (_, None) => Response::failure(format!("{} needs a \"path\"", req.cmd)),
@@ -378,31 +372,23 @@ fn op_evict(store: &ProjectStore, path: &str) -> Response {
     }
 }
 
-/// Syncs the entry of the project at `path` with its current bytes, and
-/// runs `op` under the per-entry lock, with the store's injected task
-/// fault, if any, in force. With `warnings`, the design's warnings go in
-/// front of the answer's notes.
-fn with_entry(
+/// Runs `op` on the snapshot of the project at `path` built from its
+/// current bytes. With `warnings`, the design's warnings go in front of
+/// the answer's notes.
+fn on_snapshot(
     store: &ProjectStore,
     path: &str,
     req: &Request,
     op: ProjectOp,
     warnings: bool,
-    task_fault: Option<String>,
 ) -> Response {
-    let (slot, bytes) = match store.lookup(path) {
-        Ok(x) => x,
+    let snap = match store.snapshot(path) {
+        Ok(snap) => snap,
         Err(e) => return Response::failure(e),
     };
-    let mut entry = slot.lock();
-    let state = match entry.ensure(bytes, &store.counters) {
-        Ok((state, _warm)) => state,
-        Err(e) => return Response::failure(e),
-    };
-    state.task_fault = task_fault;
-    let mut resp = op(state, req).unwrap_or_else(Response::failure);
-    if warnings && !state.warnings.is_empty() {
-        let own = std::mem::replace(&mut resp.notes, state.warnings.clone());
+    let mut resp = op(&snap, req, store).unwrap_or_else(Response::failure);
+    if warnings && !snap.warnings.is_empty() {
+        let own = std::mem::replace(&mut resp.notes, snap.warnings.clone());
         resp = resp.with_notes(own);
     }
     resp
@@ -466,7 +452,7 @@ fn flat_summary(f: &Flattened) -> String {
 /// and an error-free design the design also runs once, so the report
 /// shows measured ops next to the static bounds (JSON: one object with
 /// `diagnostics` and `weights` keys).
-fn op_check(state: &mut EntryState, req: &Request) -> Answer {
+fn op_check(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
     let json = match req.format.as_str() {
         "text" => false,
         "json" => true,
@@ -478,11 +464,12 @@ fn op_check(state: &mut EntryState, req: &Request) -> Answer {
         }
     };
     if !req.weights {
-        if let Some((output, errors)) = state.checks.get(&req.format).cloned() {
+        let memo = snap.checks.lock().get(&req.format).cloned();
+        if let Some((output, errors)) = memo {
             return Ok(check_response(output, errors).cached(true));
         }
     }
-    let diags = state.project.diagnose();
+    let diags = snap.project.diagnose();
     let errors = diags
         .iter()
         .filter(|d| d.severity == analyze::Severity::Error)
@@ -494,17 +481,17 @@ fn op_check(state: &mut EntryState, req: &Request) -> Answer {
     };
     if !req.weights {
         let output = format!("{report}\n");
-        state
-            .checks
+        snap.checks
+            .lock()
             .insert(req.format.clone(), (output.clone(), errors));
         return Ok(check_response(output, errors));
     }
     let measured = if !req.inputs.is_empty() && errors == 0 {
-        Some(state.project.run(&req.inputs)?)
+        Some(snap.project.run(&req.inputs)?)
     } else {
         None
     };
-    let rows = state.project.weight_report(measured.as_ref())?;
+    let rows = snap.project.weight_report(measured.as_ref())?;
     let output = if json {
         let rows = crate::weight_rows_json(&rows);
         format!("{{\"diagnostics\": {report},\n\"weights\": {rows}}}\n")
@@ -528,8 +515,8 @@ fn check_response(output: String, errors: usize) -> Response {
 }
 
 /// `show` — design statistics and the hierarchy as DOT.
-fn op_show(state: &mut EntryState, _req: &Request) -> Answer {
-    let p = &state.project;
+fn op_show(snap: &Snapshot, _req: &Request, _: &ProjectStore) -> Answer {
+    let p = &snap.project;
     let mut out = format!(
         "project {} — design depth {}, {} leaf tasks, {} programs\nmachine: {}\n",
         p.name(),
@@ -565,30 +552,31 @@ fn render_schedule(project: &Project, heuristic: &str) -> Result<String, String>
 }
 
 /// `gantt` / `schedule [-H h] [--optimize]`; the rendered chart is
-/// memoized per heuristic inside the snapshot's state.
-fn op_schedule(state: &mut EntryState, req: &Request) -> Answer {
-    let (scratch, notes) = optimized(&state.project, req.optimize)?;
+/// memoized per heuristic inside the snapshot.
+fn op_schedule(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
+    let (scratch, notes) = optimized(&snap.project, req.optimize)?;
     if let Some(scratch) = &scratch {
         let output = render_schedule(scratch, &req.heuristic)?;
         return Ok(Response::success(output).with_notes(notes));
     }
-    if let Some(output) = state.schedules.get(&req.heuristic) {
-        return Ok(Response::success(output.clone()).cached(true));
+    let memo = snap.schedules.lock().get(&req.heuristic).cloned();
+    if let Some(output) = memo {
+        return Ok(Response::success(output).cached(true));
     }
-    let output = render_schedule(&state.project, &req.heuristic)?;
-    state
-        .schedules
+    let output = render_schedule(&snap.project, &req.heuristic)?;
+    snap.schedules
+        .lock()
         .insert(req.heuristic.clone(), output.clone());
     Ok(Response::success(output))
 }
 
 /// `compare` — every heuristic, sorted by makespan.
-fn op_compare(state: &mut EntryState, _req: &Request) -> Answer {
+fn op_compare(snap: &Snapshot, _req: &Request, _: &ProjectStore) -> Answer {
     let mut out = format!(
         "{:<14} {:>10} {:>9} {:>11} {:>7}\n",
         "heuristic", "makespan", "speedup", "efficiency", "procs"
     );
-    for r in state.project.compare_heuristics()? {
+    for r in snap.project.compare_heuristics()? {
         out.push_str(&format!(
             "{:<14} {:>10.3} {:>8.2}x {:>10.0}% {:>7}\n",
             r.heuristic,
@@ -603,9 +591,9 @@ fn op_compare(state: &mut EntryState, _req: &Request) -> Answer {
 
 /// `simulate [-H h]` — predicted vs achieved on the message-accurate
 /// simulator.
-fn op_simulate(state: &mut EntryState, req: &Request) -> Answer {
-    let s = state.project.schedule(&req.heuristic)?;
-    let r = state.project.simulate(&s)?;
+fn op_simulate(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
+    let s = snap.project.schedule(&req.heuristic)?;
+    let r = snap.project.simulate(&s)?;
     Ok(Response::success(format!(
         "{}: predicted {:.3}, achieved {:.3} (ratio {:.3})\n\
          traffic: {} messages, {} link hops, {:.3} time units queueing\n",
@@ -620,8 +608,8 @@ fn op_simulate(state: &mut EntryState, req: &Request) -> Answer {
 }
 
 /// `animate [-H h]` — frame-by-frame replay of the simulated schedule.
-fn op_animate(state: &mut EntryState, req: &Request) -> Answer {
-    let p = &state.project;
+fn op_animate(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
+    let p = &snap.project;
     let s = p.schedule(&req.heuristic)?;
     let r = p.simulate(&s)?;
     let procs = p.machine().ok_or("project has no machine")?.processors();
@@ -635,8 +623,8 @@ fn op_animate(state: &mut EntryState, req: &Request) -> Answer {
 }
 
 /// `advise [-H h]` — bottleneck analysis and suggestions.
-fn op_advise(state: &mut EntryState, req: &Request) -> Answer {
-    let p = &state.project;
+fn op_advise(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
+    let p = &snap.project;
     let s = p.schedule(&req.heuristic)?;
     let m = p.machine().ok_or("project has no machine")?;
     let g = &p.flatten()?.graph;
@@ -649,12 +637,12 @@ fn op_advise(state: &mut EntryState, req: &Request) -> Answer {
 
 /// `recommend [-p procs]` — the standard machine candidates (MH on
 /// each), ranked by makespan.
-fn op_recommend(state: &mut EntryState, req: &Request) -> Answer {
+fn op_recommend(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
     let max_procs = req.procs.unwrap_or(16) as usize;
     if max_procs == 0 {
         return Err("processor budget must be at least 1".to_string());
     }
-    let p = &state.project;
+    let p = &snap.project;
     let params = p.machine().map(|m| *m.params()).unwrap_or_default();
     let choices = p.recommend_machine(max_procs, params)?;
     Ok(Response::success(format!(
@@ -667,8 +655,8 @@ fn op_recommend(state: &mut EntryState, req: &Request) -> Answer {
 /// `svg [-H h] [-o dir]` — `gantt.svg`, `speedup.svg` and
 /// `utilization.svg`, returned as files under `dir` (default: the front
 /// end's current directory).
-fn op_svg(state: &mut EntryState, req: &Request) -> Answer {
-    let p = &state.project;
+fn op_svg(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
+    let p = &snap.project;
     let s = p.schedule(&req.heuristic)?;
     let m = p.machine().ok_or("project has no machine")?;
     let topologies = [
@@ -697,8 +685,8 @@ fn op_svg(state: &mut EntryState, req: &Request) -> Answer {
 
 /// `save-schedule [-H h] [-o path]` — the schedule in its text format,
 /// on stdout or as a file.
-fn op_save_schedule(state: &mut EntryState, req: &Request) -> Answer {
-    let s = state.project.schedule(&req.heuristic)?;
+fn op_save_schedule(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
+    let s = snap.project.schedule(&req.heuristic)?;
     let text = banger_sched::textfmt::to_text(&s);
     Ok(match &req.out {
         Some(path) => Response::success("")
@@ -710,13 +698,13 @@ fn op_save_schedule(state: &mut EntryState, req: &Request) -> Answer {
 
 /// `verify -s schedule` — validates a saved schedule against the design
 /// and machine, then replays it on the simulator.
-fn op_verify(state: &mut EntryState, req: &Request) -> Answer {
+fn op_verify(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
     let text = req
         .schedule
         .as_deref()
         .ok_or_else(|| format!("{} needs -s <schedule file>", req.cmd))?;
     let s = banger_sched::textfmt::from_text(text)?;
-    let p = &state.project;
+    let p = &snap.project;
     let m = p.machine().ok_or("project has no machine")?;
     s.validate(&p.flatten()?.graph, m)
         .map_err(|e| format!("INVALID: {e}"))?;
@@ -748,21 +736,22 @@ fn render_run(report: &ExecReport, notes: String) -> Response {
 }
 
 /// `run [-i var=value]... [--optimize] [--repeat n | --trace out [-H h]]`.
-/// A run fires through a [`Session`](banger_exec::Session): the entry's
-/// warm one (`cached` reports its reuse), or a private one for an
-/// optimized copy. `--repeat` fires it n times and prints the last
-/// firing's outputs with per-firing latency notes. A worker-level
-/// failure drops the entry's session so the next request rebuilds the
-/// pool.
-fn op_run(state: &mut EntryState, req: &Request) -> Answer {
-    let (scratch, notes) = optimized(&state.project, req.optimize)?;
-    let project = scratch.as_ref().unwrap_or(&state.project);
-    if let Some(task) = &state.task_fault {
+/// A run fires through a [`Session`](banger_exec::Session): the
+/// snapshot's warm one, whose lock it holds for its firings (`cached`
+/// reports its reuse), or a private one for an optimized copy. `--repeat`
+/// fires it n times and prints the last firing's outputs with per-firing
+/// latency notes. Only a worker the warm session lost drops it, so the
+/// next request rebuilds the pool; a session starts every firing clean,
+/// so any other failure leaves it warm.
+fn op_run(snap: &Snapshot, req: &Request, store: &ProjectStore) -> Answer {
+    let (scratch, notes) = optimized(&snap.project, req.optimize)?;
+    let project = scratch.as_ref().unwrap_or(&snap.project);
+    if let Some(Fault::Task(task)) = store.fault() {
         // Executor fault injection takes a one-off pool: options are
         // fixed at pool construction and must not contaminate the warm
         // one.
         let opts = ExecOptions {
-            inject_panic: Some(task.clone()),
+            inject_panic: Some(task),
             ..Default::default()
         };
         return Ok(render_run(&project.run_with(&req.inputs, &opts)?, notes));
@@ -777,17 +766,15 @@ fn op_run(state: &mut EntryState, req: &Request) -> Answer {
     if firings == 0 {
         return Err("--repeat needs a count of at least 1".to_string());
     }
-    let warm = !req.optimize && state.session.is_some();
+    let mut warm_slot = (!req.optimize).then(|| snap.session.lock());
+    let warm = warm_slot.as_ref().is_some_and(|slot| slot.is_some());
     let mut private;
-    let session = if req.optimize {
-        private = project.session(&ExecOptions::default())?;
-        &mut private
-    } else {
-        match state.session.as_mut() {
-            Some(s) => s,
-            None => state
-                .session
-                .insert(project.session(&ExecOptions::default())?),
+    let session = match warm_slot.as_deref_mut() {
+        Some(Some(session)) => session,
+        Some(slot) => slot.insert(project.session(&ExecOptions::default())?),
+        None => {
+            private = project.session(&ExecOptions::default())?;
+            &mut private
         }
     };
     let (mut total, mut best, mut last) = (Duration::ZERO, Duration::MAX, None);
@@ -799,8 +786,10 @@ fn op_run(state: &mut EntryState, req: &Request) -> Answer {
                 last = Some(r);
             }
             Err(e) => {
-                // The pool may have lost workers; rebuild it next time.
-                state.session = None;
+                if let (Some(slot), ExecError::WorkerLost(_)) = (warm_slot.as_deref_mut(), &e) {
+                    // The pool lost workers; rebuild it next time.
+                    *slot = None;
+                }
                 return Err(ProjectError::from(e).into());
             }
         }
@@ -851,7 +840,7 @@ fn traced_run(project: &Project, req: &Request, out: &str, notes: String) -> Ans
 /// `trial <program> [-i var=value]... [--reference]` — runs one PITS
 /// program through the compiled VM, or the tree-walking reference
 /// interpreter; both produce identical outcomes.
-fn op_trial(state: &mut EntryState, req: &Request) -> Answer {
+fn op_trial(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
     let program = req
         .args
         .first()
@@ -860,7 +849,7 @@ fn op_trial(state: &mut EntryState, req: &Request) -> Answer {
         reference: req.reference,
         ..Default::default()
     };
-    let outcome = state.project.trial_run_with(program, &req.inputs, config)?;
+    let outcome = snap.project.trial_run_with(program, &req.inputs, config)?;
     let mut out = String::new();
     for line in &outcome.prints {
         out.push_str(&format!("{line}\n"));
@@ -876,7 +865,7 @@ fn op_trial(state: &mut EntryState, req: &Request) -> Answer {
 }
 
 /// `speedup [-t spec,spec,...]` — speedup prediction chart.
-fn op_speedup(state: &mut EntryState, req: &Request) -> Answer {
+fn op_speedup(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
     let specs = req
         .topologies
         .as_deref()
@@ -885,7 +874,7 @@ fn op_speedup(state: &mut EntryState, req: &Request) -> Answer {
     for spec in specs.split(',') {
         topos.push(Topology::parse(spec.trim()).map_err(|e| e.to_string())?);
     }
-    let p = &state.project;
+    let p = &snap.project;
     let params = p.machine().map(|m| *m.params()).unwrap_or_default();
     let points = p.predict_speedup(&topos, params)?;
     let title = format!("predicted speedup — {}", p.name());
@@ -897,11 +886,11 @@ fn op_speedup(state: &mut EntryState, req: &Request) -> Answer {
 
 /// `codegen [rust|c] [-H h] [-i var=value]...` — generated code on
 /// stdout.
-fn op_codegen(state: &mut EntryState, req: &Request) -> Answer {
-    let s = state.project.schedule(&req.heuristic)?;
+fn op_codegen(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
+    let s = snap.project.schedule(&req.heuristic)?;
     let code = match req.args.first().map_or("rust", String::as_str) {
-        "rust" => state.project.generate_rust(&s, &req.inputs)?,
-        "c" => state.project.generate_c(&s, &req.inputs)?,
+        "rust" => snap.project.generate_rust(&s, &req.inputs)?,
+        "c" => snap.project.generate_c(&s, &req.inputs)?,
         other => return Err(format!("unknown language {other:?} (rust|c)")),
     };
     Ok(Response::success(code))
@@ -909,7 +898,7 @@ fn op_codegen(state: &mut EntryState, req: &Request) -> Answer {
 
 /// `parallelize <task> <chunks>` — splits a reduction task and prints
 /// the rewritten document.
-fn op_parallelize(state: &mut EntryState, req: &Request) -> Answer {
+fn op_parallelize(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
     let task = req
         .args
         .first()
@@ -920,7 +909,7 @@ fn op_parallelize(state: &mut EntryState, req: &Request) -> Answer {
         .ok_or_else(|| format!("{} needs a chunk count", req.cmd))?
         .parse()
         .map_err(|_| "bad chunk count")?;
-    let mut scratch = state.project.clone();
+    let mut scratch = snap.project.clone();
     let names = scratch.parallelize_task(task, chunks)?;
     Ok(
         Response::success(crate::document::print_project(&scratch)).with_notes(format!(
@@ -935,8 +924,8 @@ fn op_parallelize(state: &mut EntryState, req: &Request) -> Answer {
 /// elimination and — with `--fuse` — task fusion. The statistics are
 /// notes; the rewritten document is returned as the file `out`, or on
 /// stdout when `out` is `-`.
-fn op_optimize(state: &mut EntryState, req: &Request) -> Answer {
-    let mut scratch = state.project.clone();
+fn op_optimize(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
+    let mut scratch = snap.project.clone();
     let mut resp = Response::success("");
     if let Some(spec) = &req.expand {
         let (task, tiles) = spec
@@ -973,9 +962,9 @@ fn op_optimize(state: &mut EntryState, req: &Request) -> Answer {
 /// `graph [--optimized] [--dot]` — the *flattened* task graph (what the
 /// scheduler and router see), unlike `show`, which renders the
 /// hierarchy.
-fn op_graph(state: &mut EntryState, req: &Request) -> Answer {
-    let (scratch, notes) = optimized(&state.project, req.optimize)?;
-    let project = scratch.as_ref().unwrap_or(&state.project);
+fn op_graph(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
+    let (scratch, notes) = optimized(&snap.project, req.optimize)?;
+    let project = scratch.as_ref().unwrap_or(&snap.project);
     let f = project.flatten()?;
     let out = if req.dot {
         format!("{}\n", banger_taskgraph::dot::taskgraph_to_dot(&f.graph))
@@ -1054,6 +1043,36 @@ mod tests {
         let second = handle(&store, &req);
         assert!(second.cached, "second run reuses the warm pool");
         assert_eq!(first.output, second.output);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A firing that fails for any reason but a lost worker leaves the
+    /// warm pool in place: an input the run lacks fires nothing at all.
+    #[test]
+    fn a_failed_firing_keeps_the_warm_session() {
+        let path = temp_bang("keep", &lu3_source());
+        let store = ProjectStore::new();
+        let mut req = Request::for_path("run", path.to_str().unwrap());
+        req.inputs.insert(
+            "A".into(),
+            banger_calc::Value::array(vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]),
+        );
+        let b = banger_calc::Value::array(vec![1.0, 2.0, 3.0]);
+        req.inputs.insert("b".into(), b.clone());
+        let first = handle(&store, &req);
+        assert!(first.ok && !first.cached, "{}", first.error);
+        req.inputs.remove("b");
+        let missing = handle(&store, &req);
+        assert!(
+            !missing.ok && missing.error.contains(r#"input "b" has no producer"#),
+            "{}",
+            missing.error
+        );
+        req.inputs.insert("b".into(), b);
+        let again = handle(&store, &req);
+        assert!(again.ok, "{}", again.error);
+        assert!(again.cached, "a missing input cost the warm pool");
+        assert_eq!(again.output, first.output);
         std::fs::remove_file(&path).ok();
     }
 

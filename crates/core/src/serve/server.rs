@@ -18,9 +18,9 @@
 //!
 //! Every request runs under [`catch_unwind`]. A panic inside the
 //! pipeline produces a structured error response and *poisons* the
-//! project entry the request addressed: its cached state is evicted, so
-//! the next request rebuilds from source. The daemon itself keeps
-//! serving — one hostile design cannot take down everyone's sessions.
+//! project the request addressed: its snapshot is evicted, so the next
+//! request rebuilds from source. The daemon itself keeps serving — one
+//! hostile design cannot take down everyone's sessions.
 
 use super::ops;
 use super::protocol::{read_frame, write_frame, Request, Response};
@@ -212,17 +212,17 @@ fn serve_client(stream: UnixStream, store: &ProjectStore, shutdown: &AtomicBool)
 }
 
 /// Runs one request under `catch_unwind`. On panic: counts it, poisons
-/// (evicts) the addressed entry so the next request rebuilds from
-/// source, and returns a structured error instead of killing the
-/// connection thread.
+/// (evicts) the addressed project's snapshot so the next request
+/// rebuilds from source, and returns a structured error instead of
+/// killing the connection thread.
 pub fn dispatch_guarded(store: &ProjectStore, req: &Request) -> Response {
     match catch_unwind(AssertUnwindSafe(|| ops::handle(store, req))) {
         Ok(resp) => resp,
         Err(payload) => {
             store.counters.panics.fetch_add(1, Ordering::Relaxed);
             if let Some(path) = &req.path {
-                // Poison-and-rebuild: whatever half-mutated state the
-                // panic left behind must not serve another request.
+                // Poison-and-rebuild: a memo or the session the panic
+                // interrupted must not serve another request.
                 store.evict(path);
             }
             let msg = payload

@@ -2,13 +2,12 @@
 //! each valid for exactly the source bytes it was built from.
 //!
 //! One [`ProjectStore`] lives for the daemon's whole life. Each `.bang`
-//! file gets one [`Entry`] slot; the slot survives evictions so that
-//! per-path locks stay stable while the *state* inside (parsed
-//! [`Project`], memoized check renders, schedules, the warm
-//! [`Session`]) is rebuilt whenever the file's bytes differ from the
-//! text that state keeps. Bytes are compared, never only hashed: every
-//! request reads the whole file, and a snapshot answers it only if that
-//! read equals its text.
+//! file gets one slot, which survives evictions; the [`Snapshot`] it
+//! publishes (parsed [`Project`], memoized check renders, schedules, the
+//! warm [`Session`]) is rebuilt whenever the file's bytes differ from the
+//! text that snapshot keeps. Bytes are compared, never only hashed:
+//! every request reads the whole file, and a snapshot answers it only if
+//! that read equals its text.
 //!
 //! A rebuild starts from the new bytes alone and invalidates nothing in
 //! place: the snapshot being replaced is only a *donor*. A program whose
@@ -21,15 +20,18 @@
 //! design passes are each computed once, on first use — see
 //! [`crate::project`]), and the renders, schedules and session around it
 //! start empty too. No table outlives a snapshot: an evicted or poisoned
-//! entry has no donor, and neither has the first build.
+//! slot has no donor, and neither has the first build.
 //!
-//! Locking is two-level: a brief store-wide lock to find or create the
-//! slot, then a per-entry lock held for the duration of one request
-//! against that project. Requests against *different* projects never
-//! contend. The vendored `parking_lot` mutex is used deliberately — it
-//! has no lock poisoning, so a panicking request (contained by the
-//! server's `catch_unwind`) cannot wedge an entry; the poisoned *cache
-//! state* is discarded explicitly via [`ProjectStore::evict`] instead.
+//! A snapshot is published, not locked: a slot holds it behind an `Arc`,
+//! [`ProjectStore::snapshot`] hands each request a clone, and the verb
+//! runs with no store lock held; a request finishes on the snapshot it
+//! started with, whatever a rebuild or an eviction publishes meanwhile.
+//! The slot lock covers the byte compare and, for changed bytes, the
+//! build, so two requests on one edited file parse it once. No store lock
+//! is taken while another is held. The vendored `parking_lot` mutex has
+//! no lock poisoning, so a panicking request (contained by the server's
+//! `catch_unwind`) cannot wedge a slot; [`ProjectStore::evict`] drops the
+//! snapshot it ran on instead.
 
 use super::protocol::MAX_FRAME;
 use crate::document::parse_project_reusing;
@@ -55,14 +57,16 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Everything derived from one source snapshot. Replaced wholesale when
-/// the file's bytes differ from `source` and dropped on eviction; the
-/// replacement shares the programs whose text did not change (see the
-/// module docs), nothing else.
-pub struct EntryState {
-    /// The source text this state was built from: the key of every cache
-    /// below. The design and the machine are both part of it, so a map
-    /// inside this state is keyed only by what varies within a snapshot.
+/// Everything derived from one source text. Published once and never
+/// replaced in place: changed bytes build a new snapshot, and eviction
+/// drops this one from its slot; the replacement shares the programs
+/// whose text did not change (see the module docs), nothing else. A verb
+/// reads it through `&self`; the two memos and the session are the only
+/// things it writes, each behind a lock of its own.
+pub struct Snapshot {
+    /// The source text this snapshot was built from: the key of every
+    /// cache below. The design and the machine are both part of it, so a
+    /// map inside the snapshot is keyed only by what varies within it.
     pub source: String,
     /// The parsed project. What it derives from the design — expansion,
     /// flat graph, findings — it keeps itself, behind `&self`; no request
@@ -75,116 +79,28 @@ pub struct EntryState {
     /// stdout lists them, carries these in its response's notes.
     pub warnings: String,
     /// Rendered `check` output per format (`text` / `json`), plus the
-    /// number of error-severity findings.
-    pub checks: HashMap<String, (String, usize)>,
-    /// Rendered `gantt` output (chart + summary line) per heuristic name.
-    pub schedules: HashMap<String, String>,
+    /// number of error-severity findings. Locked for one `get` or one
+    /// `insert`, never while a report renders.
+    pub checks: Mutex<HashMap<String, (String, usize)>>,
+    /// Rendered `gantt` output (chart + summary line) per heuristic name,
+    /// locked like `checks`.
+    pub schedules: Mutex<HashMap<String, String>>,
     /// Warm executor session (parked worker pool, routing tables, slab
-    /// store); opened lazily by the first `run` request.
-    pub session: Option<Session>,
-    /// The task whose firing panics, while the store injects
-    /// [`Fault::Task`]: set for each request, read by `run`.
-    pub(crate) task_fault: Option<String>,
+    /// store); opened lazily by the first `run` request, which holds
+    /// this lock for its firings. No other verb takes it.
+    pub session: Mutex<Option<Session>>,
 }
 
-/// One per-path slot. `state: None` means cold: never built, evicted,
-/// or poisoned by a panicking request.
-pub struct Entry {
-    /// The canonical path the slot is keyed by, for error messages.
-    path: PathBuf,
-    /// The derived caches, absent when cold.
-    pub state: Option<EntryState>,
-}
-
-impl Entry {
-    /// Brings the entry in sync with the just-read source `bytes`.
-    /// Returns `(state, warm)` where `warm` is false when this call
-    /// (re)built the project from source. Bytes equal to the resident
-    /// snapshot's text are a hit; only bytes that differ are checked for
-    /// UTF-8 — invalid ones are refused before any counter or the entry
-    /// moves — and then parsed, the text moving into the new snapshot. A
-    /// first build that fails leaves the entry cold; a rebuild that fails
-    /// puts the replaced snapshot back, so the save that fixes the typo
-    /// still finds its donor. That snapshot answers nothing meanwhile: its
-    /// text is not the file's, so every request builds again and gets the
-    /// error.
-    pub fn ensure(
-        &mut self,
-        bytes: Vec<u8>,
-        counters: &Counters,
-    ) -> Result<(&mut EntryState, bool), String> {
-        let stale = self
-            .state
-            .as_ref()
-            .is_some_and(|s| s.source.as_bytes() != bytes);
-        if !stale {
-            if let Some(ref mut state) = self.state {
-                counters.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((state, true));
-            }
-        }
-        let source = String::from_utf8(bytes).map_err(|_| {
-            format!(
-                "cannot read {}: stream did not contain valid UTF-8",
-                self.path.display()
-            )
-        })?;
-        // Taken out for the rebuild: a panic below leaves the entry cold.
-        let replaced = self.state.take();
-        if stale {
-            counters.rebuilds.fetch_add(1, Ordering::Relaxed);
-        }
-        counters.misses.fetch_add(1, Ordering::Relaxed);
-        let none = ProgramLibrary::new();
-        let donor = replaced.as_ref().map_or(&none, |s| s.project.library());
-        let project = match parse_project_reusing(&source, donor) {
-            Ok(project) => project,
-            Err(e) => {
-                self.state = replaced;
-                return Err(e.to_string());
-            }
-        };
-        let library = project.library();
-        let shared = |name: &str| match (library.get_compiled(name), donor.get_compiled(name)) {
-            (Some(new), Some(old)) => Arc::ptr_eq(&new, &old),
-            _ => false,
-        };
-        let reused = library.iter().filter(|(name, _)| shared(name)).count() as u64;
-        let parsed = library.len() as u64 - reused;
-        counters
-            .programs_reused
-            .fetch_add(reused, Ordering::Relaxed);
-        counters
-            .programs_parsed
-            .fetch_add(parsed, Ordering::Relaxed);
-        // Diagnose up front, for the warnings every response carries; the
-        // walk it forces is the one `flatten` will read.
-        let diags = project.diagnose();
-        let warnings = if banger_analyze::has_errors(diags) {
-            String::new()
-        } else {
-            let lines: Vec<String> = diags.iter().map(banger_analyze::render_text).collect();
-            lines.join("\n")
-        };
-        let state = self.state.insert(EntryState {
-            source,
-            project,
-            warnings,
-            checks: HashMap::new(),
-            schedules: HashMap::new(),
-            session: None,
-            task_fault: None,
-        });
-        Ok((state, false))
-    }
-}
+/// One per-path slot: the published snapshot, `None` when cold — never
+/// built, evicted, or poisoned by a panicking request.
+type Slot = Arc<Mutex<Option<Arc<Snapshot>>>>;
 
 /// Monotonic daemon-lifetime counters, readable without any lock.
 #[derive(Default)]
 pub struct Counters {
     /// Requests dispatched (all verbs).
     pub requests: AtomicU64,
-    /// Requests answered from a warm entry.
+    /// Requests answered from a warm snapshot.
     pub hits: AtomicU64,
     /// Cold builds (first sight of a path, or rebuild after eviction).
     pub misses: AtomicU64,
@@ -207,7 +123,7 @@ pub struct Counters {
 pub struct CacheStats {
     /// Requests dispatched (all verbs).
     pub requests: u64,
-    /// Requests answered from a warm entry.
+    /// Requests answered from a warm snapshot.
     pub hits: u64,
     /// Cold builds (first sight of a path, or rebuild after eviction).
     pub misses: u64,
@@ -254,9 +170,9 @@ pub enum Fault {
     Task(String),
 }
 
-/// The daemon's shared state: per-path entries plus lifetime counters.
+/// The daemon's shared state: per-path slots plus lifetime counters.
 pub struct ProjectStore {
-    entries: Mutex<HashMap<PathBuf, Arc<Mutex<Entry>>>>,
+    entries: Mutex<HashMap<PathBuf, Slot>>,
     /// Lifetime counters (shared with request handlers).
     pub counters: Counters,
     fault: Mutex<Option<Fault>>,
@@ -295,14 +211,21 @@ impl ProjectStore {
             .map_err(|e| format!("cannot read {path}: {e}"))
     }
 
-    /// Reads the current source snapshot and returns the entry slot for
-    /// it: `(slot, source bytes)`, for [`Entry::ensure`] to compare with
-    /// the resident text. The whole-file read *is* the invalidation probe
-    /// — there is no file watcher and no metadata shortcut; a stale entry
-    /// is detected the moment the next request arrives. Only a regular
-    /// file of at most one protocol frame ([`MAX_FRAME`]) is read: a
-    /// device would read without end and a FIFO block in `open`.
-    pub fn lookup(&self, path: &str) -> Result<(Arc<Mutex<Entry>>, Vec<u8>), String> {
+    /// The snapshot of the project at `path` built from its current
+    /// bytes. The whole-file read *is* the invalidation probe — there is
+    /// no file watcher and no metadata shortcut; a stale snapshot is
+    /// detected the moment the next request arrives. Only a regular file
+    /// of at most one protocol frame ([`MAX_FRAME`]) is read: a device
+    /// would read without end and a FIFO block in `open`.
+    ///
+    /// Bytes equal to the published snapshot's text are a hit. Only
+    /// bytes that differ are checked for UTF-8 — invalid ones are refused
+    /// before any counter or the slot moves — and then built, with the
+    /// published snapshot as the donor. A build that fails leaves the
+    /// slot as it was, so the save that fixes the typo still finds its
+    /// donor. That snapshot answers nothing meanwhile: its text is not
+    /// the file's, so every request builds again and gets the error.
+    pub fn snapshot(&self, path: &str) -> Result<Arc<Snapshot>, String> {
         let canon = self.canonical(path)?;
         let refuse =
             |why: &dyn std::fmt::Display| format!("cannot read {}: {why}", canon.display());
@@ -318,43 +241,79 @@ impl ProjectStore {
         if bytes.len() > MAX_FRAME {
             return Err(refuse(&format_args!("larger than {} MiB", MAX_FRAME >> 20)));
         }
-        let slot = {
-            let mut map = self.entries.lock();
-            Arc::clone(map.entry(canon).or_insert_with_key(|canon| {
-                Arc::new(Mutex::new(Entry {
-                    path: canon.clone(),
-                    state: None,
-                }))
-            }))
+        let slot = Arc::clone(
+            self.entries
+                .lock()
+                .entry(canon.clone())
+                .or_insert_with(|| Arc::new(Mutex::new(None))),
+        );
+        let mut published = slot.lock();
+        if let Some(snapshot) = published.as_ref().filter(|s| s.source.as_bytes() == bytes) {
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(snapshot));
+        }
+        let source = String::from_utf8(bytes).map_err(|_| {
+            format!(
+                "cannot read {}: stream did not contain valid UTF-8",
+                canon.display()
+            )
+        })?;
+        if published.is_some() {
+            self.counters.rebuilds.fetch_add(1, Ordering::Relaxed);
+        }
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        let none = ProgramLibrary::new();
+        let donor = published.as_ref().map_or(&none, |s| s.project.library());
+        let project = parse_project_reusing(&source, donor).map_err(|e| e.to_string())?;
+        let library = project.library();
+        let shared = |name: &str| match (library.get_compiled(name), donor.get_compiled(name)) {
+            (Some(new), Some(old)) => Arc::ptr_eq(&new, &old),
+            _ => false,
         };
-        Ok((slot, bytes))
+        let reused = library.iter().filter(|(name, _)| shared(name)).count() as u64;
+        let parsed = library.len() as u64 - reused;
+        self.counters
+            .programs_reused
+            .fetch_add(reused, Ordering::Relaxed);
+        self.counters
+            .programs_parsed
+            .fetch_add(parsed, Ordering::Relaxed);
+        // Diagnose up front, for the warnings every response carries; the
+        // walk it forces is the one `flatten` will read.
+        let diags = project.diagnose();
+        let warnings = if banger_analyze::has_errors(diags) {
+            String::new()
+        } else {
+            let lines: Vec<String> = diags.iter().map(banger_analyze::render_text).collect();
+            lines.join("\n")
+        };
+        let built = Snapshot {
+            source,
+            project,
+            warnings,
+            checks: Mutex::new(HashMap::new()),
+            schedules: Mutex::new(HashMap::new()),
+            session: Mutex::new(None),
+        };
+        Ok(Arc::clone(published.insert(Arc::new(built))))
     }
 
-    /// Discards the derived state for a path (the slot itself remains).
-    /// Returns whether anything warm was actually dropped. Used by the
-    /// `evict` verb, by panic poisoning, and by the bench to force cold
+    /// Drops the published snapshot for a path (the slot itself
+    /// remains); a request already holding it finishes on it. Returns
+    /// whether anything warm was actually dropped. Used by the `evict`
+    /// verb, by panic poisoning, and by the bench to force cold
     /// measurements.
     pub fn evict(&self, path: &str) -> bool {
         let canon = match self.canonical(path) {
             Ok(c) => c,
             Err(_) => PathBuf::from(path),
         };
-        let slot = {
-            let map = self.entries.lock();
-            map.get(&canon).cloned()
-        };
-        match slot {
-            Some(slot) => {
-                let mut entry = slot.lock();
-                let was_warm = entry.state.is_some();
-                entry.state = None;
-                if was_warm {
-                    self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                was_warm
-            }
-            None => false,
+        let slot = self.entries.lock().get(&canon).cloned();
+        let was_warm = slot.is_some_and(|slot| slot.lock().take().is_some());
+        if was_warm {
+            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
         }
+        was_warm
     }
 
     /// Snapshots the lifetime counters.
@@ -421,27 +380,33 @@ end-program
         assert_eq!(content_hash(b"foobar"), 0x85944171f73967e8);
     }
 
+    /// What the slot for `path` publishes, without reading the file.
+    fn published(store: &ProjectStore, path: &Path) -> Option<Arc<Snapshot>> {
+        let slot = store
+            .entries
+            .lock()
+            .get(&path.canonicalize().unwrap())?
+            .clone();
+        let snapshot = slot.lock().clone();
+        snapshot
+    }
+
     #[test]
     fn warm_hit_then_rewrite_rebuilds() {
         let path = temp_bang("rebuild", DESIGN);
         let store = ProjectStore::new();
-        let (slot, bytes) = store.lookup(path.to_str().unwrap()).unwrap();
-        {
-            let mut entry = slot.lock();
-            let (_, warm) = entry.ensure(bytes.clone(), &store.counters).unwrap();
-            assert!(!warm, "first build is cold");
-            let (_, warm) = entry.ensure(bytes, &store.counters).unwrap();
-            assert!(warm, "same bytes are a hit");
-        }
-        // Rewrite the file: next lookup + ensure must rebuild.
+        let first = store.snapshot(path.to_str().unwrap()).unwrap();
+        let again = store.snapshot(path.to_str().unwrap()).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "same bytes are a hit");
+        // Rewrite the file: the next request must rebuild.
         std::fs::write(&path, DESIGN.replace("task t1 1", "task t1 2")).unwrap();
-        let (slot2, bytes2) = store.lookup(path.to_str().unwrap()).unwrap();
-        assert!(Arc::ptr_eq(&slot, &slot2), "slot is stable across rewrites");
-        {
-            let mut entry = slot2.lock();
-            let (_, warm) = entry.ensure(bytes2, &store.counters).unwrap();
-            assert!(!warm, "changed bytes force a rebuild");
-        }
+        let rebuilt = store.snapshot(path.to_str().unwrap()).unwrap();
+        assert!(
+            !Arc::ptr_eq(&first, &rebuilt),
+            "changed bytes force a rebuild"
+        );
+        assert_eq!(first.source, DESIGN, "a held snapshot keeps its text");
+        assert_eq!(store.entries.lock().len(), 1, "one slot across rewrites");
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.rebuilds), (1, 2, 1));
         std::fs::remove_file(&path).ok();
@@ -451,12 +416,17 @@ end-program
     fn evict_drops_state_but_keeps_slot() {
         let path = temp_bang("evict", DESIGN);
         let store = ProjectStore::new();
-        let (slot, bytes) = store.lookup(path.to_str().unwrap()).unwrap();
-        slot.lock().ensure(bytes, &store.counters).unwrap();
+        let held = store.snapshot(path.to_str().unwrap()).unwrap();
         assert!(store.evict(path.to_str().unwrap()));
         assert!(!store.evict(path.to_str().unwrap()), "already cold");
-        assert!(slot.lock().state.is_none());
+        assert!(published(&store, &path).is_none());
         assert_eq!(store.stats().evictions, 1);
+        assert_eq!(held.source, DESIGN, "a request holding it finishes on it");
+        let after = store.snapshot(path.to_str().unwrap()).unwrap();
+        assert!(
+            !Arc::ptr_eq(&held, &after),
+            "the next request builds afresh"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -464,9 +434,8 @@ end-program
     fn parse_failure_leaves_entry_cold() {
         let path = temp_bang("bad", "not a project at all");
         let store = ProjectStore::new();
-        let (slot, bytes) = store.lookup(path.to_str().unwrap()).unwrap();
-        assert!(slot.lock().ensure(bytes, &store.counters).is_err());
-        assert!(slot.lock().state.is_none());
+        assert!(store.snapshot(path.to_str().unwrap()).is_err());
+        assert!(published(&store, &path).is_none());
         std::fs::remove_file(&path).ok();
     }
 
@@ -484,10 +453,8 @@ end-program
         let check = Request::for_path("check", path.to_str().unwrap());
         // The resident snapshot's library (a clone shares its entries).
         let library = || {
-            let (slot, ..) = store.lookup(path.to_str().unwrap()).unwrap();
-            let entry = slot.lock();
-            let state = entry.state.as_ref().expect("a snapshot is resident");
-            state.project.library().clone()
+            let snapshot = published(&store, &path).expect("a snapshot is resident");
+            snapshot.project.library().clone()
         };
         let counts = |store: &ProjectStore| {
             let s = store.stats();
@@ -655,10 +622,10 @@ end-program
         std::fs::remove_file(&path).ok();
     }
 
-    /// What `lookup` says about `path`, which it must refuse.
+    /// What `snapshot` says about `path`, which it must refuse.
     fn refusal(path: &Path) -> String {
         let store = ProjectStore::new();
-        let Err(e) = store.lookup(path.to_str().unwrap()) else {
+        let Err(e) = store.snapshot(path.to_str().unwrap()) else {
             panic!("{} was read", path.display());
         };
         e
@@ -689,7 +656,7 @@ end-program
         let said = rx.recv_timeout(std::time::Duration::from_secs(20));
         std::fs::remove_file(&path).ok();
         let want = format!("cannot read {}: not a regular file", canon.display());
-        assert_eq!(said.expect("lookup blocked on the FIFO"), want);
+        assert_eq!(said.expect("snapshot blocked on the FIFO"), want);
         prober.join().expect("the probe thread");
     }
 
@@ -712,6 +679,6 @@ end-program
     #[test]
     fn missing_file_is_an_error() {
         let store = ProjectStore::new();
-        assert!(store.lookup("/nonexistent/banger-xyz.bang").is_err());
+        assert!(store.snapshot("/nonexistent/banger-xyz.bang").is_err());
     }
 }

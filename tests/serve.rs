@@ -216,6 +216,131 @@ fn a_rebuild_parses_only_the_programs_an_edit_touched() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Two clients on a file saved since its snapshot was built: the first
+/// to reach the slot rebuilds it, the other waits for that build and
+/// hits it. Neither parses a program, since a weight-only edit leaves
+/// every program's text alone.
+#[test]
+fn two_clients_on_an_edited_file_parse_it_once() {
+    let base = lu3();
+    let path = temp_path("two-clients", "bang");
+    std::fs::write(&path, &base).unwrap();
+    let (sock, server, handle) = start_server("two-clients");
+    let store = server.store();
+    let check = Request::for_path("check", path.to_str().unwrap());
+    let mut clients: Vec<Client> = (0..2)
+        .map(|_| Client::connect(&sock).expect("connect"))
+        .collect();
+    assert!(clients[0].request(&check).unwrap().ok);
+    let counts = || {
+        let s = store.stats();
+        [s.misses, s.rebuilds, s.hits, s.programs_parsed]
+    };
+    for round in 0..20 {
+        let weight = format!("task fan1 {} prog", 10 + round);
+        std::fs::write(&path, base.replace("task fan1 9 prog", &weight)).unwrap();
+        let before = counts();
+        let barrier = std::sync::Barrier::new(clients.len());
+        std::thread::scope(|scope| {
+            for client in &mut clients {
+                let (barrier, check) = (&barrier, &check);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let resp = client.request(check).unwrap();
+                    assert!(resp.ok, "{}", resp.error);
+                });
+            }
+        });
+        let added: Vec<u64> = counts().iter().zip(before).map(|(a, b)| a - b).collect();
+        assert_eq!(
+            added,
+            [1, 1, 1, 0],
+            "round {round}: misses, rebuilds, hits, parsed"
+        );
+    }
+    shutdown(&sock, handle);
+    std::fs::remove_file(&path).ok();
+}
+
+/// One task that adds up `1..=n`: a firing whose length `n` sets.
+const SPIN: &str = "\
+project spin
+
+machine single
+  speed 1
+  process-startup 0
+  msg-startup 0
+  rate 1
+end
+
+design
+  storage n 1
+  task spin 1 prog Spin
+  storage r 1
+  arc n -> spin
+  arc spin -> r
+end
+
+begin-program
+task Spin
+  in n
+  out r
+  local i
+begin
+  r := 0
+  for i := 1 to n do
+    r := r + i
+  end
+end
+end-program
+";
+
+/// A `run` holds only its snapshot's session: `check` and `gantt` on the
+/// same file are answered while a long `run --repeat` is still firing.
+#[test]
+fn a_long_run_does_not_hold_the_file_for_other_verbs() {
+    let path = temp_path("long-run", "bang");
+    std::fs::write(&path, SPIN).unwrap();
+    let (sock, _server, handle) = start_server("long-run");
+    let mut run = Request::for_path("run", path.to_str().unwrap());
+    run.inputs
+        .insert("n".into(), banger_calc::Value::Num(1_000_000.0));
+    let mut a = Client::connect(&sock).expect("connect");
+    assert!(a.request(&run).unwrap().ok, "the cold run");
+    // Fire for about 2.5 s, whatever this build's speed.
+    run.repeat = Some(3);
+    let three = Instant::now();
+    let warm = a.request(&run).unwrap();
+    assert!(warm.ok && warm.cached, "{}", warm.error);
+    let firing = three.elapsed().as_nanos() / 3;
+    run.repeat = Some((Duration::from_millis(2_500).as_nanos() / firing.max(1)).max(1) as u32);
+    let long = std::thread::spawn(move || {
+        let resp = a.request(&run).unwrap();
+        assert!(resp.ok, "{}", resp.error);
+        Instant::now()
+    });
+
+    std::thread::sleep(Duration::from_millis(300));
+    let mut b = Client::connect(&sock).expect("connect");
+    let asked = Instant::now();
+    for cmd in ["check", "gantt"] {
+        let resp = b
+            .request(&Request::for_path(cmd, path.to_str().unwrap()))
+            .unwrap();
+        assert!(resp.ok, "{cmd}: {}", resp.error);
+    }
+    let answered = Instant::now();
+    let ran_until = long.join().expect("the long run");
+    let waited = answered - asked;
+    assert!(waited < Duration::from_millis(500), "B waited {waited:?}");
+    assert!(
+        answered < ran_until,
+        "B was answered only after A's run ended"
+    );
+    shutdown(&sock, handle);
+    std::fs::remove_file(&path).ok();
+}
+
 /// A panicking request handler must not kill the daemon: the client
 /// gets a structured error, the entry is poisoned-and-rebuilt, and the
 /// next request succeeds.
