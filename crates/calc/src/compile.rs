@@ -10,7 +10,7 @@
 //! a dense frame slot; every builtin call is pre-resolved to a direct
 //! function index; every literal is frozen into its op. What remains at
 //! run time is a `Vec<Op>` walked by a program counter over a reusable
-//! `Vec<Value>` frame — no maps, no strings, no per-step allocation.
+//! register frame — no maps, no strings, no per-step allocation.
 //!
 //! ## The ops-as-weight invariant
 //!
@@ -39,6 +39,7 @@ use crate::builtins;
 use crate::error::RunError;
 use crate::symbols::SymbolTable;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// A frame-slot / register index.
 pub type Reg = u32;
@@ -64,13 +65,15 @@ pub(crate) mod ctx {
 /// scratch. (`dst`/`src`/`lhs`/`rhs` fields are registers; `target`
 /// fields are op indices.)
 ///
-/// Every op that *reads* a register first checks its initialisation bit
+/// Every op that *reads* a register first checks that it was assigned
 /// and fails with `Undefined` like the tree-walker's variable read. For
 /// scratch and literal-pool registers the check never fires (scratch is
 /// written before it is read by construction; the pool is preloaded), so
 /// the compiler may pass a named variable's slot *directly* as an
 /// operand — fusing what would otherwise be a `LoadVar` into the
-/// consuming op — without changing observable behaviour.
+/// consuming op — without changing observable behaviour. The exception
+/// is a clean chain (`ChainSpec::clean`), whose operands the compiler
+/// proved to be assigned scalars.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)]
 pub enum Op {
@@ -79,9 +82,6 @@ pub enum Op {
     Tick(u64),
     /// `r[dst] = Num(val)` — a frozen literal.
     Const { dst: Reg, val: f64 },
-    /// `r[dst] = r[src].clone()` with **no** initialisation check — used
-    /// only where the source is a VM-owned scratch value (loop counters).
-    Copy { dst: Reg, src: Reg },
     /// `r[dst] = r[slot].clone()`, `Undefined` if the variable slot was
     /// never assigned.
     LoadVar { dst: Reg, slot: Reg },
@@ -141,21 +141,17 @@ pub enum Op {
     CheckNum { src: Reg, what: &'static str },
     /// Like [`Op::CheckNum`] but also rounds in place (for-loop bounds).
     CheckNumRound { src: Reg, what: &'static str },
-    /// `if r[i] > r[end] { jump target }` — for-loop test over the
-    /// VM-owned (already rounded) counter and bound.
-    ForTest { i: Reg, end: Reg, target: u32 },
-    /// `r[i] += 1` — for-loop increment.
-    ForInc { i: Reg },
     /// Push `r[src]`'s display form onto the print log.
     Print { src: Reg },
     /// Raise a compile-time-frozen runtime error (unknown function, bad
     /// arity) — executed only if control actually reaches the call site.
     Fail(u32),
-    /// Two or three chained scalar binary operations in one dispatch
-    /// (`chain.len >= 2`): the compiler's emission for nested scalar
-    /// expressions like the affine index `(i - 1) * n + j`. Produced
-    /// only by the peephole fuser ([`fuse`]) where each intermediate was
-    /// a single-use scratch register; the chain replays the original
+    /// One to three chained scalar binary operations in one dispatch:
+    /// the compiler's emission for nested scalar expressions like the
+    /// affine index `(i - 1) * n + j`, and for a statement's `Tick` plus
+    /// the lone `BinNum` after it. Produced only by the peephole fuser
+    /// ([`fuse`]) where each intermediate was a single-use scratch
+    /// register; the chain replays the original [`Op::Tick`] and
     /// [`Op::BinNum`]s' checks and ticks in their exact order, so
     /// errors, `StepLimit` budgets, and measured weights are unchanged —
     /// only the dispatch count drops.
@@ -174,18 +170,29 @@ pub enum Op {
         slot: Reg,
         idx: Reg,
     },
-    /// Fused for-loop back edge: the per-iteration tick, `r[i] += 1`,
-    /// and the jump to the loop head in one dispatch.
-    ForNext { i: Reg, head: u32 },
-    /// Fused loop-head pair: [`Op::ForTest`] plus the [`Op::Copy`] that
-    /// publishes the VM-owned counter into the named loop variable.
+    /// For-loop entry: `if r[i] <= r[end] { r[var] = r[i] } else { jump
+    /// target }` over the VM-owned (already rounded) counter and bound —
+    /// the tree-walker's first `while i <= end` test and its publication
+    /// of the counter into the named loop variable.
     ForTestCopy {
         i: Reg,
         end: Reg,
         var: Reg,
         target: u32,
     },
+    /// Rotated for-loop back edge: the per-iteration tick, `r[i] += 1`,
+    /// and `if r[i] <= r[end] { r[var] = r[i]; jump body }` in one
+    /// dispatch; falls through when the loop is done.
+    ForLoop {
+        i: Reg,
+        end: Reg,
+        var: Reg,
+        body: u32,
+    },
 }
+
+// `ChainSpec`'s fold and fact fields live in its padding: no op grew.
+const _: () = assert!(std::mem::size_of::<Op>() == 40);
 
 /// A left-to-right chain of 1–3 scalar binary operations whose
 /// intermediates were single-use scratch registers before fusion:
@@ -209,6 +216,31 @@ pub struct ChainSpec {
     pub op3: BinOp,
     pub d: Reg,
     pub swap3: bool,
+    /// The statement `Tick` folded in front of the chain (0 or 1),
+    /// ticked before any check.
+    pub stmt_tick: u8,
+    /// Every operand (and an [`Op::IdxSetChain`]'s index) is certainly
+    /// an initialised scalar whenever the op runs — proved by
+    /// `mark_clean_chains`. The VM then skips every check and ticks
+    /// the whole chain with one budget compare: with no check left that
+    /// could fail, `StepLimit` is the only error the chain can raise, so
+    /// it fires at the same budget.
+    pub clean: bool,
+}
+
+impl ChainSpec {
+    /// The operand registers the chain reads, in evaluation order.
+    pub(crate) fn operands(&self) -> impl Iterator<Item = Reg> {
+        [self.a, self.b, self.c, self.d]
+            .into_iter()
+            .take(self.len as usize + 1)
+    }
+
+    /// Ticks the chain replays: the folded statement tick plus one per
+    /// operation.
+    pub(crate) fn ticks(&self) -> u64 {
+        u64::from(self.stmt_tick) + u64::from(self.len)
+    }
 }
 
 /// A compiled PITS program: flat ops plus the frame layout metadata the
@@ -266,7 +298,7 @@ pub fn compile(prog: &Program) -> CompiledProgram {
         .enumerate()
         .map(|(k, &v)| ((n_vars + k) as Reg, v))
         .collect();
-    CompiledProgram {
+    let mut compiled = CompiledProgram {
         name: prog.name.clone(),
         ops: c.ops,
         frame_size: n_vars + lit_slots.len() + c.max_temps,
@@ -278,7 +310,9 @@ pub fn compile(prog: &Program) -> CompiledProgram {
         lit_slots,
         fails: c.fails,
     }
-    .seal()
+    .seal();
+    mark_clean_chains(&mut compiled);
+    compiled
 }
 
 /// An expression whose value already sits in a register (named variable
@@ -398,7 +432,7 @@ impl<'a> Compiler<'a> {
             Op::Jump(t)
             | Op::JumpIfFalse { target: t, .. }
             | Op::ShortCircuit { target: t, .. }
-            | Op::ForTest { target: t, .. } => *t = target,
+            | Op::ForTestCopy { target: t, .. } => *t = target,
             other => unreachable!("patching non-jump op {other:?}"),
         }
     }
@@ -508,20 +542,22 @@ impl<'a> Compiler<'a> {
                     src: tend,
                     what: ctx::FOR_END,
                 });
-                let head = self.here();
-                let test = self.emit(Op::ForTest {
+                // Rotated: the entry test runs once, and the back edge
+                // ticks, steps, re-tests and publishes the counter itself.
+                let test = self.emit(Op::ForTestCopy {
                     i: ti,
                     end: tend,
+                    var: var_slot,
                     target: 0,
                 });
-                self.emit(Op::Copy {
-                    dst: var_slot,
-                    src: ti,
-                });
+                let body_at = self.here();
                 self.block(body);
-                self.emit(Op::Tick(1));
-                self.emit(Op::ForInc { i: ti });
-                self.emit(Op::Jump(head));
+                self.emit(Op::ForLoop {
+                    i: ti,
+                    end: tend,
+                    var: var_slot,
+                    body: body_at,
+                });
                 let end = self.here();
                 self.patch(test, end);
                 self.release_to(mark);
@@ -668,9 +704,8 @@ fn jump_targets(ops: &[Op]) -> Vec<bool> {
             Op::Jump(t)
             | Op::JumpIfFalse { target: t, .. }
             | Op::ShortCircuit { target: t, .. }
-            | Op::ForTest { target: t, .. }
             | Op::ForTestCopy { target: t, .. }
-            | Op::ForNext { head: t, .. } => is_target[*t as usize] = true,
+            | Op::ForLoop { body: t, .. } => is_target[*t as usize] = true,
             _ => {}
         }
     }
@@ -685,9 +720,8 @@ fn remap_targets(ops: &mut [Op], map: &[u32]) {
             Op::Jump(t)
             | Op::JumpIfFalse { target: t, .. }
             | Op::ShortCircuit { target: t, .. }
-            | Op::ForTest { target: t, .. }
             | Op::ForTestCopy { target: t, .. }
-            | Op::ForNext { head: t, .. } => *t = map[*t as usize],
+            | Op::ForLoop { body: t, .. } => *t = map[*t as usize],
             _ => {}
         }
     }
@@ -749,9 +783,9 @@ fn drop_dead_checks(ops: Vec<Op>) -> Vec<Op> {
 ///   `IndexGet`'s index, or the very next `IndexSet`'s element value,
 ///   fuses into [`Op::IdxGetChain`] / [`Op::IdxSetChain`] — the
 ///   dominant array-sweep shape (`M[(i-1)*n+j]`).
-/// * `Tick(1), ForInc, Jump` — the for-loop back edge — becomes
-///   [`Op::ForNext`].
-/// * `ForTest, Copy` (counter publication) becomes [`Op::ForTestCopy`].
+/// * A statement's `Tick(1)` right before a chain folds into it
+///   (`ChainSpec::stmt_tick`); a lone `BinNum` after a tick becomes a
+///   one-stage [`Op::BinChain`].
 ///
 /// Registers already consumed into a chain must not reappear as later
 /// operands of the same fused group (the fused form never writes them,
@@ -770,140 +804,106 @@ fn fuse(ops: Vec<Op>) -> Vec<Op> {
     while i < n {
         map[i] = out.len() as u32;
 
-        // Scalar chains, longest first, then their array consumers.
+        // Scalar chains, longest first, then their array consumers; a
+        // statement tick just before the chain folds into it.
+        let folds = matches!(ops[i], Op::Tick(1))
+            && i + 1 < n
+            && !is_target[i + 1]
+            && matches!(ops[i + 1], Op::BinNum { .. });
+        let start = i + usize::from(folds);
         if let Op::BinNum {
             op: op1,
             dst,
             lhs: a,
             rhs: b,
-        } = ops[i]
+        } = ops[start]
         {
-            if temp(dst) {
-                let mut chain = ChainSpec {
-                    len: 1,
-                    op1,
-                    a,
-                    b,
-                    op2: op1,
-                    c: a,
-                    swap2: false,
-                    op3: op1,
-                    d: a,
-                    swap3: false,
-                };
-                // `last` holds the chain value so far; `interm` are the
-                // scratch registers already folded away (never written
-                // by the fused form, so later stages must not read them).
-                let mut last = dst;
-                let mut interm: Vec<Reg> = Vec::new();
-                let mut len = 1usize;
-                while len < 3 {
-                    let k = i + len;
-                    if k >= n || is_target[k] || !temp(last) {
-                        break;
-                    }
-                    let Op::BinNum { op, dst, lhs, rhs } = ops[k] else {
-                        break;
-                    };
-                    let Some((other, swap)) = chain_link(last, lhs, rhs) else {
-                        break;
-                    };
-                    if interm.contains(&other) {
-                        break;
-                    }
-                    if len == 1 {
-                        chain.op2 = op;
-                        chain.c = other;
-                        chain.swap2 = swap;
-                    } else {
-                        chain.op3 = op;
-                        chain.d = other;
-                        chain.swap3 = swap;
-                    }
-                    interm.push(last);
-                    last = dst;
-                    len += 1;
-                    chain.len = len as u8;
+            let mut chain = ChainSpec {
+                len: 1,
+                op1,
+                a,
+                b,
+                op2: op1,
+                c: a,
+                swap2: false,
+                op3: op1,
+                d: a,
+                swap3: false,
+                stmt_tick: u8::from(folds),
+                clean: false,
+            };
+            // `last` holds the chain value so far; `interm` are the
+            // scratch registers already folded away (never written by
+            // the fused form, so later stages must not read them).
+            let mut last = dst;
+            let mut interm: Vec<Reg> = Vec::new();
+            let mut len = 1usize;
+            while len < 3 {
+                let k = start + len;
+                if k >= n || is_target[k] || !temp(last) {
+                    break;
                 }
-
-                // An IndexGet/IndexSet consuming the chain's scratch?
-                let k = i + len;
-                let consumer = if k < n && !is_target[k] && temp(last) {
-                    match ops[k] {
-                        Op::IndexGet { dst, slot, idx }
-                            if idx == last && slot != last && !interm.contains(&slot) =>
-                        {
-                            Some(Op::IdxGetChain { chain, slot, dst })
-                        }
-                        Op::IndexSet { slot, idx, val }
-                            if val == last
-                                && idx != last
-                                && slot != last
-                                && !interm.contains(&idx)
-                                && !interm.contains(&slot) =>
-                        {
-                            Some(Op::IdxSetChain { chain, slot, idx })
-                        }
-                        _ => None,
-                    }
+                let Op::BinNum { op, dst, lhs, rhs } = ops[k] else {
+                    break;
+                };
+                let Some((other, swap)) = chain_link(last, lhs, rhs) else {
+                    break;
+                };
+                if interm.contains(&other) {
+                    break;
+                }
+                if len == 1 {
+                    chain.op2 = op;
+                    chain.c = other;
+                    chain.swap2 = swap;
                 } else {
-                    None
-                };
-
-                if let Some(op) = consumer {
-                    out.push(op);
-                    let fused = out.len() as u32 - 1;
-                    map[i..=k].fill(fused);
-                    i = k + 1;
-                    continue;
+                    chain.op3 = op;
+                    chain.d = other;
+                    chain.swap3 = swap;
                 }
-                if len >= 2 {
-                    out.push(Op::BinChain { chain, dst: last });
-                    let fused = out.len() as u32 - 1;
-                    map[i..i + len].fill(fused);
-                    i += len;
-                    continue;
-                }
+                interm.push(last);
+                last = dst;
+                len += 1;
+                chain.len = len as u8;
             }
-        }
 
-        // For-loop back edge: Tick(1), ForInc, Jump.
-        if let Op::Tick(1) = ops[i] {
-            if i + 2 < n && !is_target[i + 1] && !is_target[i + 2] {
-                if let (Op::ForInc { i: ctr }, Op::Jump(head)) = (&ops[i + 1], &ops[i + 2]) {
-                    out.push(Op::ForNext {
-                        i: *ctr,
-                        head: *head,
-                    });
-                    map[i + 1] = out.len() as u32 - 1;
-                    map[i + 2] = out.len() as u32 - 1;
-                    i += 3;
-                    continue;
-                }
-            }
-        }
-
-        // Loop head: ForTest, Copy (publish counter into the variable).
-        if let Op::ForTest {
-            i: ctr,
-            end,
-            target,
-        } = ops[i]
-        {
-            if i + 1 < n && !is_target[i + 1] {
-                if let Op::Copy { dst, src } = ops[i + 1] {
-                    if src == ctr {
-                        out.push(Op::ForTestCopy {
-                            i: ctr,
-                            end,
-                            var: dst,
-                            target,
-                        });
-                        map[i + 1] = out.len() as u32 - 1;
-                        i += 2;
-                        continue;
+            // An IndexGet/IndexSet consuming the chain's scratch?
+            let k = start + len;
+            let consumer = if k < n && !is_target[k] && temp(last) {
+                match ops[k] {
+                    Op::IndexGet { dst, slot, idx }
+                        if idx == last && slot != last && !interm.contains(&slot) =>
+                    {
+                        Some(Op::IdxGetChain { chain, slot, dst })
                     }
+                    Op::IndexSet { slot, idx, val }
+                        if val == last
+                            && idx != last
+                            && slot != last
+                            && !interm.contains(&idx)
+                            && !interm.contains(&slot) =>
+                    {
+                        Some(Op::IdxSetChain { chain, slot, idx })
+                    }
+                    _ => None,
                 }
+            } else {
+                None
+            };
+
+            if let Some(op) = consumer {
+                out.push(op);
+                let fused = out.len() as u32 - 1;
+                map[i..=k].fill(fused);
+                i = k + 1;
+                continue;
+            }
+            if len >= 2 || folds {
+                out.push(Op::BinChain { chain, dst: last });
+                let fused = out.len() as u32 - 1;
+                map[i..k].fill(fused);
+                i = k;
+                continue;
             }
         }
 
@@ -913,6 +913,224 @@ fn fuse(ops: Vec<Op>) -> Vec<Op> {
     map[n] = out.len() as u32;
     remap_targets(&mut out, &map);
     out
+}
+
+/// Marks every fused chain whose operands are certainly initialised
+/// scalars whenever it runs (`ChainSpec::clean`).
+///
+/// A forward must-analysis over the sealed op stream: the fact set is a
+/// bitset over the frame's registers, and a register is in it when every
+/// path to this point leaves a scalar there — a literal, the preloaded
+/// constant `pi`/`e` no input replaced, a value an op produces as a
+/// number (arithmetic, an element read, a loop counter), or a register
+/// an op already read as a scalar without failing. A `LoadVar` copies
+/// its source's fact and a builtin call forgets its destination (some
+/// builtins return arrays). A state is kept only at jump targets, where
+/// paths meet (intersection). A target starts at "everything" and
+/// shrinks; passes repeat until no back edge removes a fact a pass used,
+/// which for most programs is after the first. Code no path reaches
+/// keeps whatever it is given — it never runs.
+fn mark_clean_chains(prog: &mut CompiledProgram) {
+    let is_chain = |op: &Op| {
+        matches!(
+            op,
+            Op::BinChain { .. } | Op::IdxGetChain { .. } | Op::IdxSetChain { .. }
+        )
+    };
+    if !prog.ops.iter().any(is_chain) {
+        return;
+    }
+    let mut entry = Bits(vec![0; prog.frame_size.div_ceil(64)]);
+    for &(r, _) in &prog.lit_slots {
+        entry.set(r);
+    }
+    for &(r, _) in &prog.const_slots {
+        if !prog.input_slots.contains(&r) {
+            entry.set(r);
+        }
+    }
+    let mut at = States::new(&prog.ops, entry.0.len());
+    let mut cur = Bits(entry.0.clone());
+    loop {
+        let mut changed = false;
+        cur.0.copy_from_slice(&entry.0);
+        // False after an op control cannot fall out of.
+        let mut live = true;
+        for k in 0..prog.ops.len() {
+            // At a jump target, meet its state (or take it, where control
+            // does not fall in) and keep the result as the state: a back
+            // edge then asks for another pass only if it removes a fact
+            // this pass used.
+            if let Some(state) = at.state_mut(k) {
+                if live {
+                    cur.meet(state);
+                    state.copy_from_slice(&cur.0);
+                } else {
+                    cur.0.copy_from_slice(state);
+                }
+                live = true;
+            }
+            if !live {
+                continue;
+            }
+            match &mut prog.ops[k] {
+                Op::Tick(_) | Op::Print { .. } => {}
+                Op::Const { dst, .. } => cur.set(*dst),
+                Op::LoadVar { dst, slot } => {
+                    if cur.has(*slot) {
+                        cur.set(*dst)
+                    } else {
+                        cur.clear(*dst)
+                    }
+                }
+                Op::Call { dst, .. } => cur.clear(*dst),
+                Op::IndexGet { dst, idx, .. } => {
+                    cur.set(*idx);
+                    cur.set(*dst);
+                }
+                Op::IndexSet { idx, val, .. } => {
+                    cur.set(*idx);
+                    cur.set(*val);
+                }
+                Op::BinNum { dst, lhs, rhs, .. } => {
+                    cur.set(*lhs);
+                    cur.set(*rhs);
+                    cur.set(*dst);
+                }
+                Op::Neg { dst, src } | Op::Not { dst, src } | Op::BoolCast { dst, src, .. } => {
+                    cur.set(*src);
+                    cur.set(*dst);
+                }
+                Op::CheckNum { src, .. } | Op::CheckNumRound { src, .. } => cur.set(*src),
+                Op::Jump(t) => {
+                    changed |= at.flow(k, *t, &cur, None);
+                    live = false;
+                }
+                Op::JumpIfFalse { cond, target, .. } => {
+                    cur.set(*cond);
+                    changed |= at.flow(k, *target, &cur, None);
+                }
+                Op::ShortCircuit {
+                    src, dst, target, ..
+                } => {
+                    cur.set(*src);
+                    changed |= at.flow(k, *target, &cur, Some(*dst));
+                }
+                Op::ForTestCopy {
+                    i,
+                    end,
+                    var,
+                    target,
+                } => {
+                    changed |= at.flow(k, *target, &cur, None);
+                    cur.set(*i);
+                    cur.set(*end);
+                    cur.set(*var);
+                }
+                Op::ForLoop { i, var, body, .. } => {
+                    cur.set(*i);
+                    changed |= at.flow(k, *body, &cur, Some(*var));
+                }
+                Op::Fail(_) => live = false,
+                Op::BinChain { chain, dst } | Op::IdxGetChain { chain, dst, .. } => {
+                    chain.clean = chain.operands().all(|r| cur.has(r));
+                    chain.operands().for_each(|r| cur.set(r));
+                    cur.set(*dst);
+                }
+                Op::IdxSetChain { chain, idx, .. } => {
+                    chain.clean = chain.operands().all(|r| cur.has(r)) && cur.has(*idx);
+                    chain.operands().for_each(|r| cur.set(r));
+                    cur.set(*idx);
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+}
+
+/// A set of registers, one bit each.
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn set(&mut self, r: Reg) {
+        self.0[r as usize / 64] |= 1 << (r % 64);
+    }
+
+    fn clear(&mut self, r: Reg) {
+        self.0[r as usize / 64] &= !(1 << (r % 64));
+    }
+
+    fn has(&self, r: Reg) -> bool {
+        self.0[r as usize / 64] & (1 << (r % 64)) != 0
+    }
+
+    fn meet(&mut self, other: &[u64]) {
+        for (w, o) in self.0.iter_mut().zip(other) {
+            *w &= o;
+        }
+    }
+}
+
+/// The fact sets of `mark_clean_chains` at the jump targets, in one
+/// flat buffer: the meet of every state a jump has carried there.
+struct States {
+    /// Op index -> first word of its state, `usize::MAX` if no jump
+    /// lands there.
+    first: Vec<usize>,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl States {
+    fn new(ops: &[Op], words: usize) -> States {
+        let mut next = 0;
+        let first: Vec<usize> = jump_targets(ops)
+            .into_iter()
+            .map(|t| {
+                if t {
+                    next += words;
+                    next - words
+                } else {
+                    usize::MAX
+                }
+            })
+            .collect();
+        States {
+            first,
+            words,
+            bits: vec![!0; next],
+        }
+    }
+
+    /// The state at op `k`, if a jump lands there.
+    fn state_mut(&mut self, k: usize) -> Option<&mut [u64]> {
+        let s = self.first[k];
+        (s != usize::MAX).then(|| &mut self.bits[s..s + self.words])
+    }
+
+    /// Meets `from` plus `extra` (a register only the jump writes) into
+    /// the state at `target`, for the jump at op `at`. True when that
+    /// removed a fact at or before `at`: a later target is met further
+    /// on in the same pass, so only a back edge asks for another.
+    fn flow(&mut self, at: usize, target: u32, from: &Bits, extra: Option<Reg>) -> bool {
+        let s = self.first[target as usize];
+        let mut changed = false;
+        for (w, (into, &f)) in self.bits[s..s + self.words]
+            .iter_mut()
+            .zip(&from.0)
+            .enumerate()
+        {
+            let f = match extra {
+                Some(r) if r as usize / 64 == w => f | 1 << (r % 64),
+                _ => f,
+            };
+            changed |= *into & !f != 0;
+            *into &= f;
+        }
+        changed && target as usize <= at
+    }
 }
 
 impl CompiledProgram {
@@ -949,10 +1167,6 @@ impl CompiledProgram {
         for op in &mut self.ops {
             match op {
                 Op::Const { dst, .. } => fix(dst),
-                Op::Copy { dst, src } => {
-                    fix(dst);
-                    fix(src);
-                }
                 Op::LoadVar { dst, .. } => fix(dst),
                 Op::IndexGet { dst, idx, .. } => {
                     fix(dst);
@@ -985,12 +1199,7 @@ impl CompiledProgram {
                     fix(dst);
                 }
                 Op::CheckNum { src, .. } | Op::CheckNumRound { src, .. } => fix(src),
-                Op::ForTest { i, end, .. } => {
-                    fix(i);
-                    fix(end);
-                }
-                Op::ForInc { i } | Op::ForNext { i, .. } => fix(i),
-                Op::ForTestCopy { i, end, var, .. } => {
+                Op::ForTestCopy { i, end, var, .. } | Op::ForLoop { i, end, var, .. } => {
                     fix(i);
                     fix(end);
                     fix(var);
@@ -1023,6 +1232,149 @@ impl CompiledProgram {
             }
         }
         self
+    }
+}
+
+impl fmt::Display for CompiledProgram {
+    /// One op per line: its index, then what it does, with variables by
+    /// name, literals by value and scratch registers as `%k`. A chain
+    /// the compiler proved clean ends in `(clean)`; `tick 1;` in front
+    /// of a chain is a statement tick folded into it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let n_lits = self.lit_slots.len();
+        let reg = |r: Reg| {
+            let r = r as usize;
+            if r < self.n_vars {
+                self.var_names[r].clone()
+            } else if r < self.n_vars + n_lits {
+                self.lit_slots[r - self.n_vars].1.to_string()
+            } else {
+                format!("%{}", r - self.n_vars - n_lits)
+            }
+        };
+        let expr = |ch: &ChainSpec| {
+            let mut e = format!("{} {} {}", reg(ch.a), ch.op1.symbol(), reg(ch.b));
+            let stages = [(ch.op2, ch.c, ch.swap2), (ch.op3, ch.d, ch.swap3)];
+            for (op, o, swap) in stages.into_iter().take(ch.len as usize - 1) {
+                e = if swap {
+                    format!("{} {} ({e})", reg(o), op.symbol())
+                } else {
+                    format!("({e}) {} {}", op.symbol(), reg(o))
+                };
+            }
+            e
+        };
+        let tick = |ch: &ChainSpec| if ch.stmt_tick > 0 { "tick 1; " } else { "" };
+        let clean = |ch: &ChainSpec| if ch.clean { "  (clean)" } else { "" };
+        writeln!(
+            f,
+            "task {}: {} ops, frame {} ({} variables, {} literals)",
+            self.name,
+            self.ops.len(),
+            self.frame_size,
+            self.n_vars,
+            n_lits
+        )?;
+        for (k, op) in self.ops.iter().enumerate() {
+            let text = match *op {
+                Op::Tick(n) => format!("tick {n}"),
+                Op::Const { dst, val } => format!("{} := {val}", reg(dst)),
+                Op::LoadVar { dst, slot } => format!("{} := {}", reg(dst), reg(slot)),
+                Op::IndexGet { dst, slot, idx } => {
+                    format!("{} := {}[{}]", reg(dst), reg(slot), reg(idx))
+                }
+                Op::IndexSet { slot, idx, val } => {
+                    format!("{}[{}] := {}", reg(slot), reg(idx), reg(val))
+                }
+                Op::BinNum { op, dst, lhs, rhs } => {
+                    format!("{} := {} {} {}", reg(dst), reg(lhs), op.symbol(), reg(rhs))
+                }
+                Op::Neg { dst, src } => format!("{} := -{}", reg(dst), reg(src)),
+                Op::Not { dst, src } => format!("{} := not {}", reg(dst), reg(src)),
+                Op::Call {
+                    builtin,
+                    dst,
+                    first,
+                    argc,
+                } => {
+                    let args: Vec<String> = (first..first + Reg::from(argc)).map(reg).collect();
+                    let name = builtins::BUILTINS[builtin as usize].name;
+                    format!("{} := {name}({})", reg(dst), args.join(", "))
+                }
+                Op::Jump(t) => format!("jump {t}"),
+                Op::JumpIfFalse { cond, target, .. } => {
+                    format!("unless {} jump {target}", reg(cond))
+                }
+                Op::ShortCircuit {
+                    src,
+                    dst,
+                    target,
+                    is_and,
+                } => {
+                    let op = if is_and { "and" } else { "or" };
+                    format!(
+                        "{} := {} {op} …, jump {target} if decided",
+                        reg(dst),
+                        reg(src)
+                    )
+                }
+                Op::BoolCast { src, dst, .. } => format!("{} := bool {}", reg(dst), reg(src)),
+                Op::CheckNum { src, what } => format!("check {} ({what})", reg(src)),
+                Op::CheckNumRound { src, what } => format!("round {} ({what})", reg(src)),
+                Op::Print { src } => format!("print {}", reg(src)),
+                Op::Fail(e) => format!("fail: {}", self.fails[e as usize]),
+                Op::BinChain { ref chain, dst } => format!(
+                    "{}{} := {}{}",
+                    tick(chain),
+                    reg(dst),
+                    expr(chain),
+                    clean(chain)
+                ),
+                Op::IdxGetChain {
+                    ref chain,
+                    slot,
+                    dst,
+                } => format!(
+                    "{}{} := {}[{}]{}",
+                    tick(chain),
+                    reg(dst),
+                    reg(slot),
+                    expr(chain),
+                    clean(chain)
+                ),
+                Op::IdxSetChain {
+                    ref chain,
+                    slot,
+                    idx,
+                } => format!(
+                    "{}{}[{}] := {}{}",
+                    tick(chain),
+                    reg(slot),
+                    reg(idx),
+                    expr(chain),
+                    clean(chain)
+                ),
+                Op::ForTestCopy {
+                    i,
+                    end,
+                    var,
+                    target,
+                } => format!(
+                    "if {i} <= {end}: {} := {i} else jump {target}",
+                    reg(var),
+                    i = reg(i),
+                    end = reg(end)
+                ),
+                Op::ForLoop { i, end, var, body } => format!(
+                    "tick 1; {i} += 1; if {i} <= {end}: {} := {i}, jump {body}",
+                    reg(var),
+                    i = reg(i),
+                    end = reg(end)
+                ),
+            };
+            writeln!(f, "{k:>4}  {text}")?;
+        }
+        Ok(())
     }
 }
 
@@ -1085,14 +1437,96 @@ mod tests {
 
     #[test]
     fn simple_operands_fuse_into_one_op() {
-        // `x := a + 1` needs no LoadVar/Const: the statement tick plus
-        // one fused BinNum reading the variable slot and the literal
-        // pool directly.
+        // `x := a + 1` needs no LoadVar/Const: one chain reading the
+        // variable slot and the literal pool directly, with the
+        // statement tick folded in. `a` is an input, so the chain must
+        // check it.
         let p = parse_program("task T in a out x begin x := a + 1 end").unwrap();
         let c = compile(&p);
-        assert_eq!(c.ops.len(), 2, "{:?}", c.ops);
-        assert!(matches!(c.ops[0], Op::Tick(1)));
-        assert!(matches!(c.ops[1], Op::BinNum { .. }));
+        assert_eq!(c.ops.len(), 1, "{:?}", c.ops);
+        let Op::BinChain { chain, .. } = c.ops[0] else {
+            panic!("{c}");
+        };
+        assert_eq!((chain.len, chain.stmt_tick, chain.clean), (1, 1, false));
+    }
+
+    /// The `clean` flags of the program's chains, in op order.
+    fn clean_flags(src: &str) -> Vec<bool> {
+        compile(&parse_program(src).unwrap())
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                Op::BinChain { chain, .. }
+                | Op::IdxGetChain { chain, .. }
+                | Op::IdxSetChain { chain, .. } => Some(chain.clean),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_fact_the_loop_body_kills_is_not_used_on_the_next_iteration() {
+        // `c` is a scalar when the loop starts, but the body makes it an
+        // array before the second iteration reads it again; `i` is
+        // published afresh by every back edge, so the body cannot
+        // unmake it.
+        let src = "task T in v out x local c, i begin c := 1 x := 0 \
+                   for i := 1 to 3 do x := c + i c := v i := v end end";
+        assert_eq!(clean_flags(src), [false]);
+        let src = "task T in v out x local c, i begin c := 1 x := 0 \
+                   for i := 1 to 3 do x := c + i i := v end end";
+        assert_eq!(clean_flags(src), [true]);
+        // An input, a builtin's result, and `pi` shadowed by an input are
+        // not known to be scalars; a literal, a checked operand and `e`
+        // are.
+        let src = "task T in a, pi out x local n begin n := len(a) \
+                   x := a + 1 x := n + 1 x := pi + 1 x := a + e end";
+        assert_eq!(clean_flags(src), [false, false, false, true]);
+    }
+
+    /// The tiled LU's update kernel, as `optimize --expand` writes it
+    /// for 16 x 16 tiles.
+    const GEMM: &str = "task K_gemm_e in l, u, z0 out z1 local t, r, c begin
+  z1 := z0
+  for t := 1 to 16 do
+    for r := 1 to 16 do
+      for c := 1 to 16 do
+        z1[(r - 1) * 16 + c] := z1[(r - 1) * 16 + c] - l[(r - 1) * 16 + t] * u[(t - 1) * 16 + c]
+      end end end end";
+
+    #[test]
+    fn the_gemm_inner_loop_is_six_clean_dispatches() {
+        let c = compile(&parse_program(GEMM).unwrap());
+        let text = c.to_string();
+        let (inner, back) = c
+            .ops
+            .iter()
+            .enumerate()
+            .find_map(|(k, op)| match *op {
+                Op::ForLoop { var, body, .. } if c.var_names[var as usize] == "c" => {
+                    Some((body as usize, k))
+                }
+                _ => None,
+            })
+            .expect("the inner loop's back edge");
+        let lines: Vec<&str> = text
+            .lines()
+            .skip(1 + inner)
+            .take(back + 1 - inner)
+            .collect();
+        assert_eq!(
+            lines.join("\n"),
+            [
+                "  20  tick 1; %6 := ((r - 1) * 16) + c  (clean)",
+                "  21  %8 := z1[((r - 1) * 16) + c]  (clean)",
+                "  22  %10 := l[((r - 1) * 16) + t]  (clean)",
+                "  23  %11 := u[((t - 1) * 16) + c]  (clean)",
+                "  24  z1[%6] := %8 - (%10 * %11)  (clean)",
+                "  25  tick 1; %4 += 1; if %4 <= %5: c := %4, jump 20",
+            ]
+            .join("\n"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -1134,7 +1568,6 @@ mod tests {
     fn regs_of(op: &Op) -> Vec<Reg> {
         match *op {
             Op::Const { dst, .. } => vec![dst],
-            Op::Copy { dst, src } => vec![dst, src],
             Op::LoadVar { dst, slot } => vec![dst, slot],
             Op::IndexGet { dst, slot, idx } => vec![dst, slot, idx],
             Op::IndexSet { slot, idx, val } => vec![slot, idx, val],
@@ -1153,9 +1586,9 @@ mod tests {
             Op::ShortCircuit { src, dst, .. } => vec![src, dst],
             Op::BoolCast { src, dst, .. } => vec![src, dst],
             Op::CheckNum { src, .. } | Op::CheckNumRound { src, .. } => vec![src],
-            Op::ForTest { i, end, .. } => vec![i, end],
-            Op::ForInc { i } | Op::ForNext { i, .. } => vec![i],
-            Op::ForTestCopy { i, end, var, .. } => vec![i, end, var],
+            Op::ForTestCopy { i, end, var, .. } | Op::ForLoop { i, end, var, .. } => {
+                vec![i, end, var]
+            }
             Op::BinChain { chain, dst } => vec![chain.a, chain.b, chain.c, chain.d, dst],
             Op::IdxGetChain { chain, slot, dst } => {
                 vec![chain.a, chain.b, chain.c, chain.d, slot, dst]

@@ -11,8 +11,10 @@
 //! publishing a task's outputs, fanning an array out to N consumer
 //! edges, binding a VM input register, `M := A` inside a task body — is
 //! a reference-count bump, never an O(len) copy. The buffer is copied
-//! *only* when a write (`M[i] := x`) hits a shared value, via
-//! [`Value::as_array_mut`] / `Arc::make_mut`; a value holding the sole
+//! *only* when a write (`M[i] := x`) hits a shared value: through
+//! `Arc::make_mut` in the tree-walker and [`Value::as_array_mut`], and
+//! in the VM when its first write to a register takes the buffer out of
+//! the `Arc` to own it (`unwrap_counted`); a value holding the sole
 //! reference mutates in place. Observable semantics are identical to a
 //! deep-copying representation: mutation through one binding is never
 //! visible through another, and — because the interpreter's op counter
@@ -26,10 +28,11 @@ use std::sync::Arc;
 
 /// Thread-local copy-on-write counters.
 ///
-/// Every CoW write gate (the three `Arc::make_mut` sites: interpreter
-/// `AssignIndex`, VM `IndexSet`, and [`Value::as_array_mut`]) notes a
-/// copy here when — and only when — the write actually duplicated a
-/// shared buffer. The counters are cumulative per thread; the traced
+/// Every CoW write gate notes a copy here when — and only when — the
+/// write actually duplicated a shared buffer: the two `Arc::make_mut`
+/// sites (interpreter `AssignIndex` and [`Value::as_array_mut`]) and the
+/// VM's first write to an array register (`unwrap_counted`, which
+/// copies exactly when `make_mut` would). The counters are cumulative per thread; the traced
 /// executor reads deltas around each task body to attribute copies to
 /// tasks. Counting never touches `Outcome` — measured weights stay
 /// byte-identical whether anyone reads these or not.
@@ -60,6 +63,16 @@ pub(crate) fn make_mut_counted(a: &mut Arc<Vec<f64>>) -> &mut Vec<f64> {
         cow::note(a.len());
     }
     Arc::make_mut(a)
+}
+
+/// Takes an array buffer out of its `Arc`: the buffer itself when this
+/// was the only reference, else one copy, counted exactly as
+/// [`make_mut_counted`] counts it.
+pub(crate) fn unwrap_counted(a: Arc<Vec<f64>>) -> Vec<f64> {
+    Arc::try_unwrap(a).unwrap_or_else(|shared| {
+        cow::note(shared.len());
+        shared.as_ref().clone()
+    })
 }
 
 /// A PITS runtime value.
@@ -165,13 +178,28 @@ impl From<Vec<f64>> for Value {
 /// Converts a calculator index expression result to a 1-based array
 /// offset, checking range.
 pub fn to_index(raw: f64, var: &str, len: usize) -> Result<usize, RunError> {
-    let idx = raw.round() as i64;
+    checked_offset(raw, len).map_err(|index| RunError::IndexOutOfRange {
+        var: var.to_string(),
+        index,
+        len,
+    })
+}
+
+/// [`to_index`] without the name: the offset, or the rounded index that
+/// is out of range. An index is nearly always a whole number, and then
+/// `raw as i64` is exact and equals `raw.round() as i64`; only a
+/// fraction (or NaN, an infinity, a value past `i64`) pays for the
+/// rounding, which has no single instruction on the baseline x86-64.
+#[inline]
+pub(crate) fn checked_offset(raw: f64, len: usize) -> Result<usize, i64> {
+    let whole = raw as i64;
+    let idx = if whole as f64 == raw {
+        whole
+    } else {
+        raw.round() as i64
+    };
     if idx < 1 || idx as usize > len {
-        return Err(RunError::IndexOutOfRange {
-            var: var.to_string(),
-            index: idx,
-            len,
-        });
+        return Err(idx);
     }
     Ok(idx as usize - 1)
 }
@@ -250,5 +278,43 @@ mod tests {
         assert!(to_index(0.0, "v", 3).is_err());
         assert!(to_index(4.0, "v", 3).is_err());
         assert!(to_index(-1.0, "v", 3).is_err());
+    }
+
+    #[test]
+    fn exact_indices_equal_rounded_ones() {
+        let len = usize::MAX;
+        let fail = |raw: f64| match to_index(raw, "v", 3) {
+            Err(RunError::IndexOutOfRange { index, .. }) => index,
+            other => panic!("{raw}: {other:?}"),
+        };
+        for raw in [
+            1.0,
+            2.5,
+            3.5,
+            1e15 + 0.5,
+            4503599627370497.0,
+            9.223372036854776e18,
+            1e300,
+        ] {
+            assert_eq!(
+                to_index(raw, "v", len).unwrap(),
+                raw.round() as i64 as usize - 1
+            );
+        }
+        for raw in [
+            0.0,
+            -0.0,
+            0.4,
+            -0.5,
+            -2.5,
+            -9.223372036854776e18,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1e300,
+            9.3e18,
+        ] {
+            assert_eq!(fail(raw), raw.round() as i64, "{raw}");
+        }
     }
 }

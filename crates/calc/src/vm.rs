@@ -1,12 +1,31 @@
 //! Register VM for compiled PITS programs.
 //!
 //! Executes the flat op stream produced by [`crate::compile`] over a
-//! reusable `Vec<Value>` frame. Variable references are plain vector
-//! indexing (the compiler resolved every name to a dense slot), builtin
-//! calls are direct function-pointer invocations, and the frame, its
-//! init mask, and the print log live inside a [`Vm`] that worker threads
-//! keep across task executions — so the steady-state hot loop performs
-//! no allocation beyond what the program's own values require.
+//! reusable frame. Variable references are plain vector indexing (the
+//! compiler resolved every name to a dense slot), builtin calls are
+//! direct function-pointer invocations, and the frame and the print log
+//! live inside a [`Vm`] that worker threads keep across task executions
+//! — so the steady-state hot loop performs no allocation beyond what the
+//! program's own values require.
+//!
+//! A frame register (`Slot`) is in one of three states: never
+//! assigned, holding a value (a scalar, or an array shared
+//! copy-on-write), or holding an array the frame alone owns. The first
+//! element write to an array register takes its buffer out of the `Arc`
+//! — the buffer itself when no one else holds it, else one copy, counted
+//! in [`crate::value::cow`] exactly as `Arc::make_mut` would have copied
+//! — and every later write to it is a plain store with no atomic
+//! operation. Reading the register as a whole (`LoadVar`, `print`, an
+//! output) moves the buffer back into an `Arc`, so sharing, and the copy
+//! count, are what they would be with a write gate on every element; a
+//! run drops the buffers it still owns.
+//!
+//! Chains the compiler proved clean (`ChainSpec::clean`: every operand
+//! an initialised scalar) read their operands unchecked and tick once,
+//! with one budget compare; the rest replay each constituent's checks
+//! and ticks. A `for` loop is rotated: `ForTestCopy` tests once on
+//! entry, and the back edge `ForLoop` ticks, steps, re-tests and
+//! publishes the counter in one dispatch.
 //!
 //! The observable contract is *identical* to the tree-walker
 //! ([`crate::interp`]): same `Outcome` (outputs, prints, and — crucially
@@ -17,11 +36,12 @@
 
 use crate::ast::BinOp;
 use crate::builtins;
-use crate::compile::{compile, ctx, CompiledProgram, Op};
+use crate::compile::{compile, ctx, ChainSpec, CompiledProgram, Op, Reg};
 use crate::error::RunError;
 use crate::interp::{InterpConfig, Outcome};
-use crate::value::{to_index, Value};
+use crate::value::{checked_offset, unwrap_counted, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The result of a dense-port run ([`Vm::run_dense`]): outputs in
 /// `CompiledProgram::output_slots` order instead of a name-keyed map, so
@@ -37,11 +57,148 @@ pub struct DenseOutcome {
     pub ops: u64,
 }
 
+/// A chain stage: the chained value `v` on the left, or on the right
+/// when `swap`.
+macro_rules! stage {
+    ($op:expr, $v:expr, $o:expr, $swap:expr) => {
+        if $swap {
+            apply_bin($op, $o, $v)
+        } else {
+            apply_bin($op, $v, $o)
+        }
+    };
+}
+
+/// A frame register, in one of three states: never assigned, holding a
+/// value (a scalar, or an array shared copy-on-write), or holding an
+/// array the frame alone owns.
+#[derive(Debug, Default)]
+enum Slot {
+    /// Never assigned: reading it is `Undefined`.
+    #[default]
+    Unset,
+    /// A scalar value.
+    Num(f64),
+    /// An array value, shared copy-on-write.
+    Shared(Arc<Vec<f64>>),
+    /// An array only this frame holds, since an element write.
+    Owned(Vec<f64>),
+}
+
+impl Slot {
+    fn from_value(v: Value) -> Slot {
+        match v {
+            Value::Num(x) => Slot::Num(x),
+            Value::Array(a) => Slot::Shared(a),
+        }
+    }
+
+    /// The value of an assigned register that holds no owned array
+    /// (scratch registers never do).
+    fn value(&self) -> Value {
+        match self {
+            Slot::Num(x) => Value::Num(*x),
+            Slot::Shared(a) => Value::Array(Arc::clone(a)),
+            Slot::Unset | Slot::Owned(_) => unreachable!("a call argument is an assigned scratch"),
+        }
+    }
+
+    /// Register `r` read as a whole value (`LoadVar`, `print`, an
+    /// output): `Undefined` if never assigned; an owned buffer moves
+    /// back into an `Arc` first, so the value handed out shares it.
+    fn share(&mut self, prog: &CompiledProgram, r: Reg) -> Result<Value, RunError> {
+        if let Slot::Owned(buf) = self {
+            *self = Slot::Shared(Arc::new(std::mem::take(buf)));
+        }
+        match self {
+            Slot::Num(x) => Ok(Value::Num(*x)),
+            Slot::Shared(a) => Ok(Value::Array(Arc::clone(a))),
+            Slot::Unset => Err(undefined(prog, r)),
+            Slot::Owned(_) => unreachable!("moved into an Arc above"),
+        }
+    }
+
+    /// Register `r` read as a scalar: `Undefined`, then
+    /// `NotAScalar(what)` — the tree-walker's variable read and
+    /// `as_num`. Scratch and literal-pool registers are always assigned
+    /// when read, which is what lets the compiler pass named slots
+    /// directly as operands.
+    #[inline(always)]
+    fn num(&self, prog: &CompiledProgram, r: Reg, what: &str) -> Result<f64, RunError> {
+        match *self {
+            Slot::Num(x) => Ok(x),
+            Slot::Unset => Err(undefined(prog, r)),
+            Slot::Shared(_) | Slot::Owned(_) => Err(not_a_scalar(what)),
+        }
+    }
+
+    /// `Undefined` if register `r` was never assigned.
+    #[inline(always)]
+    fn defined(&self, prog: &CompiledProgram, r: Reg) -> Result<(), RunError> {
+        match self {
+            Slot::Unset => Err(undefined(prog, r)),
+            _ => Ok(()),
+        }
+    }
+
+    /// Element `raw` of the array in variable `slot`, for a read:
+    /// `Undefined`, `NotAnArray`, then `IndexOutOfRange`.
+    #[inline(always)]
+    fn element(&self, prog: &CompiledProgram, slot: Reg, raw: f64) -> Result<f64, RunError> {
+        let a: &[f64] = match self {
+            Slot::Owned(buf) => buf,
+            Slot::Shared(a) => a,
+            Slot::Num(_) => return Err(not_an_array(prog, slot)),
+            Slot::Unset => return Err(undefined(prog, slot)),
+        };
+        match checked_offset(raw, a.len()) {
+            Ok(i) => Ok(a[i]),
+            Err(index) => Err(out_of_range(prog, slot, index, a.len())),
+        }
+    }
+
+    /// Element `raw` of the array in variable `slot`, for a write, with
+    /// the checks of [`Slot::element`]. The first write takes the buffer
+    /// out of its `Arc` ([`Slot::own`]); later ones find it owned.
+    #[inline(always)]
+    fn element_mut(
+        &mut self,
+        prog: &CompiledProgram,
+        slot: Reg,
+        raw: f64,
+    ) -> Result<&mut f64, RunError> {
+        if !matches!(self, Slot::Owned(_)) {
+            self.own(prog, slot, raw)?;
+        }
+        let Slot::Owned(buf) = self else {
+            unreachable!("owned above")
+        };
+        match checked_offset(raw, buf.len()) {
+            Ok(i) => Ok(&mut buf[i]),
+            Err(index) => Err(out_of_range(prog, slot, index, buf.len())),
+        }
+    }
+
+    /// The first write to an array register: its checks, then the buffer
+    /// out of the `Arc` — itself if unshared, else one counted copy.
+    /// Nothing is taken when a check fails, as `Arc::make_mut` after the
+    /// index check took nothing.
+    #[inline(never)]
+    fn own(&mut self, prog: &CompiledProgram, slot: Reg, raw: f64) -> Result<(), RunError> {
+        self.element(prog, slot, raw)?;
+        if let Slot::Shared(a) = std::mem::take(self) {
+            *self = Slot::Owned(unwrap_counted(a));
+        }
+        Ok(())
+    }
+}
+
 /// A reusable execution frame. Cheap to create; cheaper to keep.
 #[derive(Debug, Default)]
 pub struct Vm {
-    regs: Vec<Value>,
-    init: Vec<bool>,
+    regs: Vec<Slot>,
+    /// A builtin call's arguments, as the values it takes.
+    args: Vec<Value>,
 }
 
 impl Vm {
@@ -51,21 +208,17 @@ impl Vm {
     }
 
     /// Resets the frame and preloads constants and the literal pool.
-    /// `clear` + `resize` keeps the allocation across runs.
+    /// `clear` + `resize` keeps the allocation across runs; it drops
+    /// whatever the last run left, owned buffers included.
     fn reset(&mut self, prog: &CompiledProgram) {
         self.regs.clear();
-        self.regs.resize(prog.frame_size, Value::Num(0.0));
-        self.init.clear();
-        self.init.resize(prog.frame_size, false);
-
+        self.regs.resize_with(prog.frame_size, Slot::default);
         for &(slot, v) in &prog.const_slots {
-            self.regs[slot as usize] = Value::Num(v);
-            self.init[slot as usize] = true;
+            self.regs[slot as usize] = Slot::Num(v);
         }
         // The literal pool: read-only slots ops reference directly.
         for &(slot, v) in &prog.lit_slots {
-            self.regs[slot as usize] = Value::Num(v);
-            self.init[slot as usize] = true;
+            self.regs[slot as usize] = Slot::Num(v);
         }
     }
 
@@ -82,26 +235,26 @@ impl Vm {
             let v = inputs
                 .get(name)
                 .ok_or_else(|| RunError::MissingInput(name.clone()))?;
-            self.regs[slot as usize] = v.clone();
-            self.init[slot as usize] = true;
+            self.regs[slot as usize] = Slot::from_value(v.clone());
         }
 
         let mut prints = Vec::new();
-        let ops = self.dispatch(prog, config.max_steps, &mut prints)?;
-
-        let mut outputs = BTreeMap::new();
-        for &slot in &prog.output_slots {
-            let name = &prog.var_names[slot as usize];
-            if !self.init[slot as usize] {
-                return Err(RunError::Undefined(name.clone()));
-            }
-            outputs.insert(name.clone(), self.regs[slot as usize].clone());
-        }
-        Ok(Outcome {
-            outputs,
-            prints,
-            ops,
-        })
+        let outcome = self
+            .dispatch(prog, config.max_steps, &mut prints)
+            .and_then(|ops| {
+                let mut outputs = BTreeMap::new();
+                for &slot in &prog.output_slots {
+                    let name = prog.var_names[slot as usize].clone();
+                    outputs.insert(name, self.regs[slot as usize].share(prog, slot)?);
+                }
+                Ok(Outcome {
+                    outputs,
+                    prints,
+                    ops,
+                })
+            });
+        self.disown();
+        outcome
     }
 
     /// Runs a compiled program with positionally-bound inputs: `inputs[i]`
@@ -118,25 +271,36 @@ impl Vm {
         debug_assert_eq!(inputs.len(), prog.input_slots.len());
         self.reset(prog);
         for (&slot, v) in prog.input_slots.iter().zip(inputs) {
-            self.regs[slot as usize] = v.clone();
-            self.init[slot as usize] = true;
+            self.regs[slot as usize] = Slot::from_value(v.clone());
         }
 
         let mut prints = Vec::new();
-        let ops = self.dispatch(prog, config.max_steps, &mut prints)?;
+        let outcome = self
+            .dispatch(prog, config.max_steps, &mut prints)
+            .and_then(|ops| {
+                let outputs = prog
+                    .output_slots
+                    .iter()
+                    .map(|&slot| self.regs[slot as usize].share(prog, slot))
+                    .collect::<Result<_, _>>()?;
+                Ok(DenseOutcome {
+                    outputs,
+                    prints,
+                    ops,
+                })
+            });
+        self.disown();
+        outcome
+    }
 
-        let mut outputs = Vec::with_capacity(prog.output_slots.len());
-        for &slot in &prog.output_slots {
-            if !self.init[slot as usize] {
-                return Err(RunError::Undefined(prog.var_names[slot as usize].clone()));
+    /// Drops the owned buffers a run leaves (its outputs were moved back
+    /// into `Arc`s), so a kept frame holds no array of its own.
+    fn disown(&mut self) {
+        for r in &mut self.regs {
+            if let Slot::Owned(_) = r {
+                *r = Slot::Unset;
             }
-            outputs.push(self.regs[slot as usize].clone());
         }
-        Ok(DenseOutcome {
-            outputs,
-            prints,
-            ops,
-        })
     }
 
     /// The dispatch loop. Returns the op count (the measured weight).
@@ -147,6 +311,7 @@ impl Vm {
         prints: &mut Vec<String>,
     ) -> Result<u64, RunError> {
         let code = &prog.ops[..];
+        let regs = &mut self.regs[..];
         let mut pc = 0usize;
         let mut ops: u64 = 0;
 
@@ -159,130 +324,69 @@ impl Vm {
             }};
         }
         macro_rules! put {
-            ($dst:expr, $v:expr) => {{
-                let d = $dst as usize;
-                self.regs[d] = $v;
-                self.init[d] = true;
-            }};
+            ($dst:expr, $v:expr) => {
+                regs[$dst as usize] = $v
+            };
         }
-        // Reads a scalar the compiler guarantees is one (loop counters
-        // and bounds after `CheckNumRound`).
-        macro_rules! own_num {
+        // Reads a register the compiler proved holds a scalar: a loop
+        // counter or bound after `CheckNumRound`, or an operand of a
+        // clean chain.
+        macro_rules! scalar {
             ($r:expr) => {
-                match self.regs[$r as usize] {
-                    Value::Num(v) => v,
-                    Value::Array(_) => unreachable!("VM-owned register holds an array"),
+                match regs[$r as usize] {
+                    Slot::Num(v) => v,
+                    _ => unreachable!("a proved scalar register holds no scalar"),
                 }
             };
         }
-        // The tree-walker's variable read: `Undefined` on a never-
-        // assigned name. Scratch and literal-pool registers are always
-        // initialised, so for them this is a predictable no-op branch —
-        // which is what lets the compiler pass named slots directly as
-        // operands.
-        macro_rules! check_init {
-            ($r:expr) => {{
-                let r = $r as usize;
-                if !self.init[r] {
-                    return Err(RunError::Undefined(
-                        prog.var_names.get(r).cloned().unwrap_or_default(),
-                    ));
-                }
-            }};
-        }
-        // Evaluates a fused 1–3-op scalar chain (`ChainSpec`), replaying
-        // each constituent `BinNum`'s checks and ticks in order. The
-        // non-chained operand of each stage keeps its original left/right
-        // error context (`swap` = the chained value was the right-hand
-        // operand, so the register operand is the left).
-        macro_rules! chain_stage {
-            ($v:expr, $op:expr, $other:expr, $swap:expr) => {{
-                check_init!($other);
-                if $swap {
-                    let o = self.regs[$other as usize].as_num(ctx::LEFT_OPERAND)?;
-                    tick!(1);
-                    apply_bin($op, o, $v)
-                } else {
-                    let o = self.regs[$other as usize].as_num(ctx::RIGHT_OPERAND)?;
-                    tick!(1);
-                    apply_bin($op, $v, o)
-                }
-            }};
-        }
-        macro_rules! chain_eval {
+        // Evaluates a fused 1–3-op scalar chain (`ChainSpec`). A clean
+        // chain ticks once for all its stages and reads its operands
+        // unchecked; any other goes through `checked_chain`.
+        macro_rules! chain {
             ($ch:expr) => {{
                 let ch = $ch;
-                check_init!(ch.a);
-                let l = self.regs[ch.a as usize].as_num(ctx::LEFT_OPERAND)?;
-                check_init!(ch.b);
-                let r = self.regs[ch.b as usize].as_num(ctx::RIGHT_OPERAND)?;
-                tick!(1);
-                let mut v = apply_bin(ch.op1, l, r);
-                if ch.len >= 2 {
-                    v = chain_stage!(v, ch.op2, ch.c, ch.swap2);
+                if ch.clean {
+                    tick!(ch.ticks());
+                    let mut v = apply_bin(ch.op1, scalar!(ch.a), scalar!(ch.b));
+                    if ch.len >= 2 {
+                        v = stage!(ch.op2, v, scalar!(ch.c), ch.swap2);
+                    }
+                    if ch.len >= 3 {
+                        v = stage!(ch.op3, v, scalar!(ch.d), ch.swap3);
+                    }
+                    v
+                } else {
+                    let v = checked_chain(regs, prog, ch, ops, max_steps)?;
+                    ops += ch.ticks();
+                    v
                 }
-                if ch.len >= 3 {
-                    v = chain_stage!(v, ch.op3, ch.d, ch.swap3);
-                }
-                v
             }};
         }
 
         while pc < code.len() {
             match code[pc] {
                 Op::Tick(n) => tick!(n),
-                Op::Const { dst, val } => put!(dst, Value::Num(val)),
-                Op::Copy { dst, src } => {
-                    let v = self.regs[src as usize].clone();
-                    put!(dst, v);
-                }
+                Op::Const { dst, val } => put!(dst, Slot::Num(val)),
                 Op::LoadVar { dst, slot } => {
-                    if !self.init[slot as usize] {
-                        return Err(RunError::Undefined(prog.var_names[slot as usize].clone()));
-                    }
-                    let v = self.regs[slot as usize].clone();
-                    put!(dst, v);
+                    let v = regs[slot as usize].share(prog, slot)?;
+                    put!(dst, Slot::from_value(v));
                 }
                 Op::IndexGet { dst, slot, idx } => {
-                    check_init!(idx);
-                    let raw = self.regs[idx as usize].as_num(ctx::ARRAY_INDEX)?;
-                    let name = &prog.var_names[slot as usize];
-                    if !self.init[slot as usize] {
-                        return Err(RunError::Undefined(name.clone()));
-                    }
-                    let v = match &self.regs[slot as usize] {
-                        Value::Array(a) => a[to_index(raw, name, a.len())?],
-                        Value::Num(_) => return Err(RunError::NotAnArray(name.clone())),
-                    };
+                    let raw = regs[idx as usize].num(prog, idx, ctx::ARRAY_INDEX)?;
+                    let v = regs[slot as usize].element(prog, slot, raw)?;
                     tick!(1);
-                    put!(dst, Value::Num(v));
+                    put!(dst, Slot::Num(v));
                 }
                 Op::IndexSet { slot, idx, val } => {
-                    check_init!(idx);
-                    let raw = self.regs[idx as usize].as_num(ctx::ARRAY_INDEX)?;
-                    check_init!(val);
-                    let v = self.regs[val as usize].as_num(ctx::ARRAY_ELEMENT)?;
-                    let name = &prog.var_names[slot as usize];
-                    if !self.init[slot as usize] {
-                        return Err(RunError::Undefined(name.clone()));
-                    }
-                    match &mut self.regs[slot as usize] {
-                        Value::Array(a) => {
-                            let i = to_index(raw, name, a.len())?;
-                            // CoW write gate: copies the buffer only if it
-                            // is still shared (no tick either way).
-                            crate::value::make_mut_counted(a)[i] = v;
-                        }
-                        Value::Num(_) => return Err(RunError::NotAnArray(name.clone())),
-                    }
+                    let raw = regs[idx as usize].num(prog, idx, ctx::ARRAY_INDEX)?;
+                    let v = regs[val as usize].num(prog, val, ctx::ARRAY_ELEMENT)?;
+                    *regs[slot as usize].element_mut(prog, slot, raw)? = v;
                 }
                 Op::BinNum { op, dst, lhs, rhs } => {
-                    check_init!(lhs);
-                    let l = self.regs[lhs as usize].as_num(ctx::LEFT_OPERAND)?;
-                    check_init!(rhs);
-                    let r = self.regs[rhs as usize].as_num(ctx::RIGHT_OPERAND)?;
+                    let l = regs[lhs as usize].num(prog, lhs, ctx::LEFT_OPERAND)?;
+                    let r = regs[rhs as usize].num(prog, rhs, ctx::RIGHT_OPERAND)?;
                     tick!(1);
-                    put!(dst, Value::Num(apply_bin(op, l, r)));
+                    put!(dst, Slot::Num(apply_bin(op, l, r)));
                 }
                 // The fused chains replay their constituent `BinNum`s'
                 // check/tick/compute sequences exactly; intermediates
@@ -291,8 +395,8 @@ impl Vm {
                 // the VM just produced), matching how the original read
                 // of an always-initialised scratch slot could not fail.
                 Op::BinChain { ref chain, dst } => {
-                    let v = chain_eval!(chain);
-                    put!(dst, Value::Num(v));
+                    let v = chain!(chain);
+                    put!(dst, Slot::Num(v));
                 }
                 Op::IdxGetChain {
                     ref chain,
@@ -302,17 +406,10 @@ impl Vm {
                     // The chain computes the index; then exactly the
                     // `IndexGet` sequence (its index checks are the
                     // trivially-passing scratch reads).
-                    let raw = chain_eval!(chain);
-                    let name = &prog.var_names[slot as usize];
-                    if !self.init[slot as usize] {
-                        return Err(RunError::Undefined(name.clone()));
-                    }
-                    let v = match &self.regs[slot as usize] {
-                        Value::Array(a) => a[to_index(raw, name, a.len())?],
-                        Value::Num(_) => return Err(RunError::NotAnArray(name.clone())),
-                    };
+                    let raw = chain!(chain);
+                    let v = regs[slot as usize].element(prog, slot, raw)?;
                     tick!(1);
-                    put!(dst, Value::Num(v));
+                    put!(dst, Slot::Num(v));
                 }
                 Op::IdxSetChain {
                     ref chain,
@@ -322,32 +419,25 @@ impl Vm {
                     // The chain computes the element *value* (it ran
                     // before the `IndexSet` in the unfused stream); the
                     // index check below is the real one.
-                    let v = chain_eval!(chain);
-                    check_init!(idx);
-                    let raw = self.regs[idx as usize].as_num(ctx::ARRAY_INDEX)?;
-                    let name = &prog.var_names[slot as usize];
-                    if !self.init[slot as usize] {
-                        return Err(RunError::Undefined(name.clone()));
-                    }
-                    match &mut self.regs[slot as usize] {
-                        Value::Array(a) => {
-                            let i = to_index(raw, name, a.len())?;
-                            crate::value::make_mut_counted(a)[i] = v;
-                        }
-                        Value::Num(_) => return Err(RunError::NotAnArray(name.clone())),
-                    }
+                    let v = chain!(chain);
+                    let raw = if chain.clean {
+                        scalar!(idx)
+                    } else {
+                        regs[idx as usize].num(prog, idx, ctx::ARRAY_INDEX)?
+                    };
+                    *regs[slot as usize].element_mut(prog, slot, raw)? = v;
                 }
                 Op::Neg { dst, src } => {
-                    check_init!(src);
+                    regs[src as usize].defined(prog, src)?;
                     tick!(1);
-                    let v = self.regs[src as usize].as_num(ctx::NEG_OPERAND)?;
-                    put!(dst, Value::Num(-v));
+                    let v = regs[src as usize].num(prog, src, ctx::NEG_OPERAND)?;
+                    put!(dst, Slot::Num(-v));
                 }
                 Op::Not { dst, src } => {
-                    check_init!(src);
+                    regs[src as usize].defined(prog, src)?;
                     tick!(1);
-                    let b = self.regs[src as usize].truthy(ctx::NOT_OPERAND)?;
-                    put!(dst, Value::Num(bool_num(!b)));
+                    let v = regs[src as usize].num(prog, src, ctx::NOT_OPERAND)?;
+                    put!(dst, Slot::Num(bool_num(v == 0.0)));
                 }
                 Op::Call {
                     builtin,
@@ -357,21 +447,19 @@ impl Vm {
                 } => {
                     let b = &builtins::BUILTINS[builtin as usize];
                     tick!(b.cost);
-                    let args = if argc == 0 {
-                        &[][..]
-                    } else {
-                        &self.regs[first as usize..first as usize + argc as usize]
-                    };
-                    let v = (b.func)(args)?;
-                    put!(dst, v);
+                    let first = first as usize;
+                    let args = &regs[first..first + argc as usize];
+                    self.args.extend(args.iter().map(Slot::value));
+                    let v = (b.func)(&self.args);
+                    self.args.clear();
+                    put!(dst, Slot::from_value(v?));
                 }
                 Op::Jump(target) => {
                     pc = target as usize;
                     continue;
                 }
                 Op::JumpIfFalse { cond, target, what } => {
-                    check_init!(cond);
-                    if !self.regs[cond as usize].truthy(what)? {
+                    if regs[cond as usize].num(prog, cond, what)? == 0.0 {
                         pc = target as usize;
                         continue;
                     }
@@ -387,13 +475,12 @@ impl Vm {
                     } else {
                         ctx::OR_OPERAND
                     };
-                    check_init!(src);
-                    let l = self.regs[src as usize].truthy(what)?;
+                    let l = regs[src as usize].num(prog, src, what)? != 0.0;
                     tick!(1);
                     if l != is_and {
                         // `and` with false lhs, or `or` with true lhs:
                         // the result is decided.
-                        put!(dst, Value::Num(bool_num(l)));
+                        put!(dst, Slot::Num(bool_num(l)));
                         pc = target as usize;
                         continue;
                     }
@@ -404,57 +491,117 @@ impl Vm {
                     } else {
                         ctx::OR_OPERAND
                     };
-                    check_init!(src);
-                    let r = self.regs[src as usize].truthy(what)?;
-                    put!(dst, Value::Num(bool_num(r)));
+                    let r = regs[src as usize].num(prog, src, what)? != 0.0;
+                    put!(dst, Slot::Num(bool_num(r)));
                 }
                 Op::CheckNum { src, what } => {
-                    check_init!(src);
-                    self.regs[src as usize].as_num(what)?;
+                    regs[src as usize].num(prog, src, what)?;
                 }
                 Op::CheckNumRound { src, what } => {
-                    let v = self.regs[src as usize].as_num(what)?;
-                    self.regs[src as usize] = Value::Num(v.round());
+                    let v = regs[src as usize].num(prog, src, what)?;
+                    put!(src, Slot::Num(v.round()));
                 }
-                Op::ForTest { i, end, target } => {
-                    if own_num!(i) > own_num!(end) {
-                        pc = target as usize;
-                        continue;
-                    }
-                }
-                Op::ForInc { i } => {
-                    let v = own_num!(i);
-                    self.regs[i as usize] = Value::Num(v + 1.0);
-                }
-                Op::ForNext { i, head } => {
-                    tick!(1);
-                    let v = own_num!(i);
-                    self.regs[i as usize] = Value::Num(v + 1.0);
-                    pc = head as usize;
-                    continue;
-                }
+                // `<=`, not `!(>)`: a NaN bound or start runs no
+                // iteration, as in the tree-walker's `while i <= end`.
                 Op::ForTestCopy {
                     i,
                     end,
                     var,
                     target,
                 } => {
-                    if own_num!(i) > own_num!(end) {
+                    let v = scalar!(i);
+                    if v <= scalar!(end) {
+                        put!(var, Slot::Num(v));
+                    } else {
                         pc = target as usize;
                         continue;
                     }
-                    let v = self.regs[i as usize].clone();
-                    put!(var, v);
+                }
+                Op::ForLoop { i, end, var, body } => {
+                    tick!(1);
+                    let v = scalar!(i) + 1.0;
+                    put!(i, Slot::Num(v));
+                    if v <= scalar!(end) {
+                        put!(var, Slot::Num(v));
+                        pc = body as usize;
+                        continue;
+                    }
                 }
                 Op::Print { src } => {
-                    check_init!(src);
-                    prints.push(self.regs[src as usize].to_string());
+                    let v = regs[src as usize].share(prog, src)?;
+                    prints.push(v.to_string());
                 }
                 Op::Fail(i) => return Err(prog.fails[i as usize].clone()),
             }
             pc += 1;
         }
         Ok(ops)
+    }
+}
+
+/// A chain not proved clean: each constituent's checks and ticks in
+/// order, the non-chained operand of each stage keeping its original
+/// left/right error context (`swap` = the chained value was the
+/// right-hand operand, so the register operand is the left). `ops`
+/// is the count before the chain; on success the chain has ticked
+/// `ch.ticks()`.
+#[inline(never)]
+fn checked_chain(
+    regs: &[Slot],
+    prog: &CompiledProgram,
+    ch: &ChainSpec,
+    mut ops: u64,
+    max_steps: u64,
+) -> Result<f64, RunError> {
+    let mut tick = |n: u64| {
+        ops += n;
+        if ops > max_steps {
+            return Err(RunError::StepLimit(max_steps));
+        }
+        Ok(())
+    };
+    tick(u64::from(ch.stmt_tick))?;
+    let l = regs[ch.a as usize].num(prog, ch.a, ctx::LEFT_OPERAND)?;
+    let r = regs[ch.b as usize].num(prog, ch.b, ctx::RIGHT_OPERAND)?;
+    tick(1)?;
+    let mut v = apply_bin(ch.op1, l, r);
+    let stages = [(ch.op2, ch.c, ch.swap2), (ch.op3, ch.d, ch.swap3)];
+    for (op, other, swap) in stages.into_iter().take(ch.len as usize - 1) {
+        let what = if swap {
+            ctx::LEFT_OPERAND
+        } else {
+            ctx::RIGHT_OPERAND
+        };
+        let o = regs[other as usize].num(prog, other, what)?;
+        tick(1)?;
+        v = stage!(op, v, o, swap);
+    }
+    Ok(v)
+}
+
+/// `Undefined`, naming the variable (scratch and pool registers never
+/// raise it).
+#[cold]
+fn undefined(prog: &CompiledProgram, r: Reg) -> RunError {
+    RunError::Undefined(prog.var_names.get(r as usize).cloned().unwrap_or_default())
+}
+
+#[cold]
+fn not_a_scalar(what: &str) -> RunError {
+    RunError::NotAScalar(what.to_string())
+}
+
+#[cold]
+fn not_an_array(prog: &CompiledProgram, slot: Reg) -> RunError {
+    RunError::NotAnArray(prog.var_names[slot as usize].clone())
+}
+
+#[cold]
+fn out_of_range(prog: &CompiledProgram, slot: Reg, index: i64, len: usize) -> RunError {
+    RunError::IndexOutOfRange {
+        var: prog.var_names[slot as usize].clone(),
+        index,
+        len,
     }
 }
 
@@ -720,6 +867,38 @@ end";
     }
 
     #[test]
+    fn loops_that_unmake_a_scalar_parity() {
+        // The body turns `c`, then the counter, into arrays after a chain
+        // read them; the next iteration must fail as the tree-walker does.
+        let v = Value::array(vec![1.0, 2.0]);
+        assert_parity(
+            "task T in v out x local c, i begin c := 1 x := 0 \
+             for i := 1 to 3 do x := c + i c := v end end",
+            &inputs(&[("v", v.clone())]),
+        );
+        assert_parity(
+            "task T in v out x local i begin x := 0 \
+             for i := 1 to 3 do x := x + i i := v x := x + i end end",
+            &inputs(&[("v", v.clone())]),
+        );
+        // NaN and infinite bounds: no iteration, or the budget stops it.
+        for bound in ["0 / 0", "1 / 0", "-1 / 0"] {
+            assert_parity(
+                &format!(
+                    "task T out x local i begin x := 0 for i := {bound} to 3 do x := x + i end end"
+                ),
+                &BTreeMap::new(),
+            );
+            assert_parity(
+                &format!(
+                    "task T out x local i begin x := 0 for i := 1 to {bound} do x := x + i end end"
+                ),
+                &BTreeMap::new(),
+            );
+        }
+    }
+
+    #[test]
     fn negative_modulo_parity() {
         assert_parity("task T out x begin x := -7 % 3 end", &BTreeMap::new());
     }
@@ -843,6 +1022,46 @@ end";
         assert_eq!(aliased.outputs[0], Value::Num(9.0));
         assert_eq!(aliased.outputs[1], Value::Num(1.0));
         assert_eq!(shared.as_array("v").unwrap(), &[1.0, 2.0]);
+    }
+
+    /// Whether the frame holds an array of its own.
+    fn owns_a_buffer(vm: &Vm) -> bool {
+        vm.regs.iter().any(|r| matches!(r, Slot::Owned(_)))
+    }
+
+    #[test]
+    fn a_run_leaves_no_owned_buffer() {
+        // `w` is written in place, then read whole once by `print` and
+        // once as the output; `t` is written last and never read whole.
+        let src = "task T in n out w local t begin \
+                   w := zeros(n) w[1] := 5 print w w[2] := 6 \
+                   t := zeros(n) t[1] := 7 end";
+        let c = compile(&parse_program(src).unwrap());
+        let mut vm = Vm::new();
+        let (copies, _) = crate::value::cow::counters();
+        let out = vm
+            .run(
+                &c,
+                &inputs(&[("n", Value::Num(3.0))]),
+                InterpConfig::default(),
+            )
+            .unwrap();
+        assert_eq!(out.outputs["w"], Value::array(vec![5.0, 6.0, 0.0]));
+        assert_eq!(out.prints, ["[5, 0, 0]"]);
+        assert!(!owns_a_buffer(&vm));
+        assert_eq!(crate::value::cow::counters().0, copies, "no write copied");
+        // A run that fails after a write leaves none either.
+        let failing = compile(
+            &parse_program("task T in n begin t := zeros(n) t[1] := 1 t[9] := 2 end").unwrap(),
+        );
+        assert!(vm
+            .run(
+                &failing,
+                &inputs(&[("n", Value::Num(3.0))]),
+                InterpConfig::default()
+            )
+            .is_err());
+        assert!(!owns_a_buffer(&vm));
     }
 
     #[test]

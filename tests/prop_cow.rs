@@ -310,6 +310,108 @@ fn read_only_bindings_stay_shared_and_ops_do_not_tick_on_copy() {
     );
 }
 
+/// The copies a run makes, read from the thread's CoW counters:
+/// `(buffers copied, elements copied)`.
+fn copies_of<T>(run: impl FnOnce() -> T) -> ((u64, u64), T) {
+    let (c0, e0) = banger_calc::value::cow::counters();
+    let out = run();
+    let (c1, e1) = banger_calc::value::cow::counters();
+    ((c1 - c0, e1 - e0), out)
+}
+
+/// The VM owns an array register from its first element write on and
+/// moves it back into an `Arc` when the array is read whole; the copies
+/// that makes are the tree-walker's, which writes through `make_mut` on
+/// every element. Each case is one program, a run on each engine, and
+/// the copies both must count; a case made of two programs feeds the
+/// first one's output to the second, on the same `Vm`.
+#[test]
+fn both_engines_copy_the_same_buffers() {
+    let parse = |src: &str| banger_calc::parser::parse_program(src).unwrap();
+    let cfg = InterpConfig::default();
+    let arr = || Value::array(vec![1.0, 2.0, 3.0]);
+    type Case<'a> = (&'a str, &'a [&'a str], BTreeMap<String, Value>, (u64, u64));
+    let cases: [Case; 5] = [
+        // An aliased input written: the caller and the other binding
+        // still hold the buffer.
+        (
+            "aliased input",
+            &["task T in v, w out x begin v[1] := 9 x := v[1] + w[1] end"],
+            {
+                let shared = arr();
+                [("v".to_string(), shared.clone()), ("w".to_string(), shared)]
+                    .into_iter()
+                    .collect()
+            },
+            (1, 3),
+        ),
+        // Written twice: only the first write copies.
+        (
+            "written twice",
+            &["task T in a out x begin a[1] := 1 a[2] := 2 x := a[1] end"],
+            [("a".to_string(), arr())].into_iter().collect(),
+            (1, 3),
+        ),
+        // Written after `b := a`: `a` and `b` share, then each write of a
+        // shared buffer copies it.
+        (
+            "written after b := a",
+            &["task T in n out x local a, b begin \
+               a := zeros(n) a[1] := 1 b := a b[2] := 2 a[3] := 3 x := a[1] + b[2] end"],
+            [("n".to_string(), Value::Num(3.0))].into_iter().collect(),
+            (1, 3),
+        ),
+        // Printed between writes: the print's reference is gone by the
+        // second write, which copies nothing.
+        (
+            "written after print",
+            &["task T in n out x local a begin \
+               a := zeros(n) a[1] := 1 print a a[2] := 2 x := a[2] end"],
+            [("n".to_string(), Value::Num(3.0))].into_iter().collect(),
+            (0, 0),
+        ),
+        // Written after being output: the caller holds the first run's
+        // output when the second run writes it.
+        (
+            "written after output",
+            &[
+                "task P in n out w begin w := zeros(n) w[1] := 1 end",
+                "task Q in w out y begin w[2] := 2 y := w[2] end",
+            ],
+            [("n".to_string(), Value::Num(3.0))].into_iter().collect(),
+            (1, 3),
+        ),
+    ];
+    for (what, sources, inputs, want) in cases {
+        let progs: Vec<_> = sources.iter().map(|s| parse(s)).collect();
+        let compiled: Vec<_> = progs.iter().map(compile).collect();
+        let (by_walker, walked) = copies_of(|| {
+            let mut ins = inputs.clone();
+            let mut out = None;
+            for p in &progs {
+                let o = interp::run_with(p, &ins, cfg).unwrap();
+                ins.extend(o.outputs.clone());
+                out = Some(o);
+            }
+            out
+        });
+        let mut machine = vm::Vm::new();
+        let (by_vm, ran) = copies_of(|| {
+            let mut ins = inputs.clone();
+            let mut out = None;
+            for c in &compiled {
+                let o = machine.run(c, &ins, cfg).unwrap();
+                ins.extend(o.outputs.clone());
+                out = Some(o);
+            }
+            out
+        });
+        assert_eq!(ran, walked, "{what}");
+        assert_eq!(by_vm, by_walker, "{what}: copies and elements copied");
+        assert_eq!(by_vm, want, "{what}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Executor differential: work-stealing dispatch vs inline execution.
 // ---------------------------------------------------------------------------
