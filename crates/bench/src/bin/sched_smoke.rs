@@ -16,7 +16,6 @@
 //! `--tasks 100000` is the README's 100k quick-start demo.
 
 use banger_sched::SchedStats;
-use banger_taskgraph::analysis::GraphAnalysis;
 use banger_taskgraph::generators;
 use std::time::Instant;
 
@@ -64,9 +63,12 @@ fn main() {
     if tasks == 0 {
         usage_error("--tasks must be at least 1");
     }
-    // The bound `Topology::parse` puts on `hypercube:DIM`.
-    if hypercube > 20 {
-        usage_error("--hypercube must be at most 20");
+    let max_dim = banger_machine::MAX_PROCESSORS.ilog2();
+    if hypercube > max_dim {
+        usage_error(&format!(
+            "--hypercube must be at most {max_dim} ({} processors)",
+            banger_machine::MAX_PROCESSORS
+        ));
     }
     let known = &banger_sched::HEURISTIC_NAMES;
     if let Some(h) = heuristics.iter().find(|h| !known.contains(&h.as_str())) {
@@ -90,10 +92,9 @@ fn main() {
     );
 
     let start = Instant::now();
-    let a = GraphAnalysis::analyze(&g);
     for h in &heuristics {
         let t0 = Instant::now();
-        let s = banger_sched::run_heuristic_with(h, &g, &m, &a)
+        let s = banger_sched::run_heuristic(h, &g, &m)
             .expect("heuristic names were checked against the registry");
         let sched_ms = t0.elapsed().as_millis();
         s.validate(&g, &m)

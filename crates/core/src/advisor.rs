@@ -14,7 +14,7 @@
 //! * targeted suggestions (pack grains, duplicate, use fewer processors,
 //!   upgrade the network) keyed on what actually dominates.
 
-use banger_machine::{Machine, MachineParams, ProcId, Topology};
+use banger_machine::{Machine, MachineParams, ProcId, Topology, MAX_PROCESSORS};
 use banger_sched::{Placement, Schedule};
 use banger_taskgraph::{TaskGraph, TaskId};
 use std::fmt::Write as _;
@@ -226,9 +226,11 @@ pub struct MachineChoice {
     pub efficiency: f64,
 }
 
-/// The Figure 2 topology family up to `max_procs` processors — the
-/// candidate space a non-programmer would shop from.
+/// The Figure 2 topology family up to `max_procs` (at most
+/// [`MAX_PROCESSORS`]) processors — the candidate space a non-programmer
+/// would shop from.
 pub fn standard_candidates(max_procs: usize, params: MachineParams) -> Vec<Machine> {
+    let max_procs = max_procs.min(MAX_PROCESSORS);
     let mut topos: Vec<Topology> = vec![Topology::single()];
     let mut dim = 1u32;
     while (1usize << dim) <= max_procs {

@@ -41,7 +41,7 @@ use crate::analyze;
 use crate::project::{short_name, OptimizeStats, Project, ProjectError};
 use banger_calc::Value;
 use banger_exec::{ExecError, ExecMode, ExecOptions, ExecReport};
-use banger_machine::Topology;
+use banger_machine::{Topology, MAX_PROCESSORS};
 use banger_taskgraph::hierarchy::Flattened;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -641,6 +641,9 @@ fn op_recommend(snap: &Snapshot, req: &Request, _: &ProjectStore) -> Answer {
     let max_procs = req.procs.unwrap_or(16) as usize;
     if max_procs == 0 {
         return Err("processor budget must be at least 1".to_string());
+    }
+    if max_procs > MAX_PROCESSORS {
+        return Err(format!("processor budget must be at most {MAX_PROCESSORS}"));
     }
     let p = &snap.project;
     let params = p.machine().map(|m| *m.params()).unwrap_or_default();

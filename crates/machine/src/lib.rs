@@ -35,4 +35,4 @@ pub mod topology;
 
 pub use machine::{Machine, MachineParams, SwitchingMode};
 pub use routing::{LinkId, RoutingTable};
-pub use topology::{ProcId, Topology, TopologyError};
+pub use topology::{ProcId, Topology, TopologyError, MAX_PROCESSORS};

@@ -11,7 +11,7 @@
 //! time unit on a unit-speed processor.
 
 use crate::routing::RoutingTable;
-use crate::topology::{ProcId, Topology};
+use crate::topology::{ProcId, Topology, MAX_PROCESSORS};
 
 /// How messages traverse multi-hop routes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,9 +115,13 @@ impl Machine {
         Machine::try_new(topology, params).expect("invalid machine parameters")
     }
 
-    /// Fallible constructor validating the parameter set.
+    /// Fallible constructor validating the parameter set and refusing a
+    /// topology of more than [`MAX_PROCESSORS`] processors.
     pub fn try_new(topology: Topology, params: MachineParams) -> Result<Self, String> {
         params.validate()?;
+        if topology.processors() > MAX_PROCESSORS {
+            return Err(format!("more than {MAX_PROCESSORS} processors"));
+        }
         let routing = RoutingTable::build(&topology);
         let speeds = vec![1.0; topology.processors()];
         Ok(Machine {
@@ -327,6 +331,15 @@ mod tests {
                 "{bad:?}"
             );
         }
+    }
+
+    #[test]
+    fn more_processors_than_the_cap_are_refused() {
+        let ok = Machine::try_new(Topology::linear(MAX_PROCESSORS), MachineParams::default());
+        assert_eq!(ok.unwrap().processors(), MAX_PROCESSORS);
+        let err = Machine::try_new(Topology::star(MAX_PROCESSORS + 1), MachineParams::default())
+            .unwrap_err();
+        assert_eq!(err, "more than 256 processors");
     }
 
     #[test]

@@ -32,6 +32,12 @@ impl fmt::Display for ProcId {
     }
 }
 
+/// The most processors a machine may have. [`Topology::parse`] refuses
+/// more before building the topology, [`crate::Machine::try_new`] before
+/// building its routing table: the routes of `linear:256` alone hold
+/// about 5.6 M hops (22 MB).
+pub const MAX_PROCESSORS: usize = 256;
+
 /// Errors from topology construction or spec parsing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TopologyError {
@@ -243,6 +249,11 @@ impl Topology {
             ))
         };
         let check = |cond: bool, m: &str| if cond { Ok(()) } else { Err(bad(m)) };
+        // Counted with saturating arithmetic, so an overflow is refused too.
+        let capped = |n: usize| {
+            let too_many = format!("more than {MAX_PROCESSORS} processors");
+            check(n <= MAX_PROCESSORS, &too_many)
+        };
         match kind {
             "single" => Ok(Topology::single()),
             "hypercube" => {
@@ -251,43 +262,50 @@ impl Topology {
                     d >= 1,
                     "hypercube dimension must be >= 1 (one processor is spelled `single`)",
                 )?;
-                check(d <= 20, "hypercube dimension too large")?;
+                capped(if d < 64 { 1 << d } else { usize::MAX })?;
                 Ok(Topology::hypercube(d as u32))
             }
             "mesh" => {
                 let (r, c) = two(args)?;
                 check(r >= 1 && c >= 1, "mesh needs positive extents")?;
+                capped(r.saturating_mul(c))?;
                 Ok(Topology::mesh(r, c))
             }
             "torus" => {
                 let (r, c) = two(args)?;
                 check(r >= 2 && c >= 2, "torus needs extents >= 2")?;
+                capped(r.saturating_mul(c))?;
                 Ok(Topology::torus(r, c))
             }
             "ring" => {
                 let n = one(args)?;
                 check(n >= 2, "ring needs >= 2 processors")?;
+                capped(n)?;
                 Ok(Topology::ring(n))
             }
             "linear" => {
                 let n = one(args)?;
                 check(n >= 1, "linear needs >= 1 processor")?;
+                capped(n)?;
                 Ok(Topology::linear(n))
             }
             "star" => {
                 let n = one(args)?;
                 check(n >= 2, "star needs >= 2 processors")?;
+                capped(n)?;
                 Ok(Topology::star(n))
             }
             "tree" => {
                 let (a, d) = two(args)?;
                 check(a >= 2, "tree arity must be >= 2")?;
-                check(d <= 10, "tree depth too large")?;
+                let levels = (0..=d.min(64) as u32).map(|i| a.saturating_pow(i));
+                capped(levels.fold(0, usize::saturating_add))?;
                 Ok(Topology::tree(a, d as u32))
             }
             "full" => {
                 let n = one(args)?;
                 check(n >= 1, "full needs >= 1 processor")?;
+                capped(n)?;
                 Ok(Topology::fully_connected(n))
             }
             other => Err(bad(&format!("unknown topology kind {other:?}"))),
@@ -487,6 +505,39 @@ mod tests {
             "star:1",
         ] {
             assert!(Topology::parse(bad).is_err(), "spec {bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn parse_refuses_more_processors_than_the_cap() {
+        for spec in [
+            "hypercube:8",
+            "mesh:16x16",
+            "torus:2x128",
+            "linear:256",
+            "tree:2x7",
+        ] {
+            let t = Topology::parse(spec).unwrap();
+            assert!(t.processors() <= MAX_PROCESSORS, "{spec}");
+        }
+        for bad in [
+            "hypercube:9",
+            "hypercube:20",
+            "hypercube:64",
+            "hypercube:18446744073709551615",
+            "mesh:300x300",
+            "mesh:18446744073709551615x2",
+            "torus:17x16",
+            "ring:257",
+            "linear:257",
+            "star:100000",
+            "full:257",
+            "tree:2x8",
+            "tree:1000x10",
+            "tree:2x18446744073709551615",
+        ] {
+            let err = Topology::parse(bad).unwrap_err().to_string();
+            assert!(err.contains("more than 256 processors"), "{bad}: {err}");
         }
     }
 

@@ -31,7 +31,7 @@ use crate::engine::{CommModel, Engine};
 use crate::ready::ReadyQueue;
 use crate::schedule::{Schedule, TIME_EPS};
 use banger_machine::{Machine, ProcId};
-use banger_taskgraph::analysis::{ArcTable, GraphAnalysis};
+use banger_taskgraph::analysis::ArcTable;
 use banger_taskgraph::{TaskGraph, TaskId};
 
 /// Maximum duplication attempts per task placement, a safety valve against
@@ -40,17 +40,9 @@ pub(crate) const MAX_DUPES_PER_TASK: usize = 64;
 
 /// Runs the Duplication Scheduling Heuristic. See module docs.
 pub fn dsh(g: &TaskGraph, m: &Machine) -> Schedule {
-    let a = GraphAnalysis::analyze(g);
-    dsh_with(g, m, &a)
-}
-
-/// [`dsh`] with a precomputed [`GraphAnalysis`], so sweeps over many
-/// machines pay for the (machine-independent) level computation once.
-/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
-pub fn dsh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let arcs = crate::arcs_of(g, a);
+    let arcs = &ArcTable::new(g);
     let mut eng = Engine::new("DSH", arcs, m, CommModel::Analytic);
-    let mut queue = ReadyQueue::new(arcs, &a.static_level);
+    let mut queue = ReadyQueue::new(arcs, &g.analysis().static_level);
     let mut memo = ReadyMemo::new(arcs.task_count(), m.processors());
 
     while let Some(t) = queue.pop() {

@@ -52,7 +52,6 @@ pub mod textfmt;
 pub use schedule::{Placement, SchedStats, Schedule, ScheduleError, ScheduleSummary};
 
 use banger_machine::Machine;
-use banger_taskgraph::analysis::{ArcTable, GraphAnalysis};
 use banger_taskgraph::TaskGraph;
 
 /// Every heuristic in the crate, by name — the comparison tables iterate
@@ -61,51 +60,21 @@ pub const HEURISTIC_NAMES: [&str; 8] =
     ["serial", "naive", "HLFET", "MCP", "ETF", "DLS", "MH", "DSH"];
 
 /// Runs a heuristic by name (see [`HEURISTIC_NAMES`]). Returns `None` for
-/// unknown names.
+/// unknown names. Every heuristic reads [`TaskGraph::analysis`], which the
+/// graph keeps until its next edit, so a sweep over one graph computes it
+/// once.
 pub fn run_heuristic(name: &str, g: &TaskGraph, m: &Machine) -> Option<Schedule> {
-    if !HEURISTIC_NAMES.contains(&name) {
-        return None;
-    }
-    let a = GraphAnalysis::analyze(g);
-    run_heuristic_with(name, g, m, &a)
-}
-
-/// [`run_heuristic`] with a precomputed [`GraphAnalysis`], so sweeps over
-/// many heuristics or machines compute the machine-independent levels and
-/// the arc table once.
-///
-/// `a` must be `GraphAnalysis::analyze(g)` of `g` as it is now: the run
-/// reads every weight and arc from `a.arcs`, not from `g`. An analysis
-/// with another task or arc count panics; one of a different graph with
-/// the same counts schedules that graph. The same holds for every
-/// heuristic's `*_with` function.
-pub fn run_heuristic_with(
-    name: &str,
-    g: &TaskGraph,
-    m: &Machine,
-    a: &GraphAnalysis,
-) -> Option<Schedule> {
     Some(match name {
-        "serial" => list::serial_with(g, m, a),
-        "naive" => list::naive_no_comm_with(g, m, a),
-        "HLFET" => list::hlfet_with(g, m, a),
-        "MCP" => list::mcp_with(g, m, a),
-        "ETF" => list::etf_with(g, m, a),
-        "DLS" => list::dls_with(g, m, a),
-        "MH" => mh::mh_with(g, m, a),
-        "DSH" => dsh::dsh_with(g, m, a),
+        "serial" => list::serial(g, m),
+        "naive" => list::naive_no_comm(g, m),
+        "HLFET" => list::hlfet(g, m),
+        "MCP" => list::mcp(g, m),
+        "ETF" => list::etf(g, m),
+        "DLS" => list::dls(g, m),
+        "MH" => mh::mh(g, m),
+        "DSH" => dsh::dsh(g, m),
         _ => return None,
     })
-}
-
-/// The arc table every `*_with` run reads: `a`'s, which must be the
-/// analysis of `g`. Panics when the task or arc counts differ.
-fn arcs_of<'a>(g: &TaskGraph, a: &'a GraphAnalysis) -> &'a ArcTable {
-    assert!(
-        g.task_count() == a.arcs.task_count() && g.edge_count() == a.arcs.arc_count(),
-        "the analysis of another graph"
-    );
-    &a.arcs
 }
 
 #[cfg(test)]
@@ -134,14 +103,41 @@ mod tests {
         assert!(run_heuristic("bogus", &g, &m).is_none());
     }
 
+    /// The sweeps read the analysis the graph owns, so on a graph nobody
+    /// has analysed yet they schedule exactly as one `run_heuristic` per
+    /// run on a graph of its own.
     #[test]
-    #[should_panic(expected = "the analysis of another graph")]
-    fn an_analysis_taken_before_an_edit_is_refused() {
-        let mut g = generators::gauss_elimination(4, 2.0, 1.0);
-        let a = GraphAnalysis::analyze(&g);
-        let (first, last) = (TaskId(0), TaskId(g.task_count() as u32 - 1));
-        g.add_edge(first, last, 1.0, "late").unwrap();
+    fn a_sweep_on_a_fresh_graph_matches_one_run_per_graph() {
+        let fresh = || generators::gauss_elimination(5, 2.0, 3.0);
+        let machines: Vec<Machine> = (0..=3)
+            .map(|dim| Machine::new(Topology::hypercube(dim), MachineParams::default()))
+            .collect();
+        let swept = sweep::sweep_machines("DSH", &fresh(), &machines).unwrap();
+        for (m, s) in machines.iter().zip(&swept) {
+            assert_eq!(Some(s), run_heuristic("DSH", &fresh(), m).as_ref());
+        }
+        let swept = sweep::sweep_heuristics(&HEURISTIC_NAMES, &fresh(), &machines[2]);
+        for (name, s) in HEURISTIC_NAMES.iter().zip(swept) {
+            assert_eq!(s, run_heuristic(name, &fresh(), &machines[2]), "{name}");
+        }
+    }
+
+    /// An edit after a run drops the analysis the run read, so the next
+    /// run schedules the graph as it is now.
+    #[test]
+    fn a_run_after_an_edit_schedules_the_edited_graph() {
+        let edit = |g: &mut TaskGraph| {
+            let late = g.add_task("late", 5.0);
+            g.add_edge(TaskId(0), late, 1.0, "late").unwrap();
+        };
         let m = Machine::new(Topology::hypercube(2), MachineParams::default());
-        run_heuristic_with("HLFET", &g, &m, &a);
+        let mut g = generators::gauss_elimination(4, 2.0, 1.0);
+        run_heuristic("HLFET", &g, &m);
+        edit(&mut g);
+        let mut fresh = generators::gauss_elimination(4, 2.0, 1.0);
+        edit(&mut fresh);
+        let s = run_heuristic("HLFET", &g, &m).unwrap();
+        s.validate(&g, &m).unwrap();
+        assert_eq!(Some(s), run_heuristic("HLFET", &fresh, &m));
     }
 }

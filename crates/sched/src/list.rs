@@ -258,42 +258,20 @@ fn pair_first(
 
 /// HLFET: static-level priority, earliest-start processor.
 pub fn hlfet(g: &TaskGraph, m: &Machine) -> Schedule {
-    let a = GraphAnalysis::analyze(g);
-    hlfet_with(g, m, &a)
-}
-
-/// [`hlfet`] with a precomputed [`GraphAnalysis`], so sweeps over many
-/// machines pay for the (machine-independent) level computation once.
-/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
-pub fn hlfet_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    task_first("HLFET", crate::arcs_of(g, a), m, &a.static_level)
+    task_first("HLFET", &ArcTable::new(g), m, &g.analysis().static_level)
 }
 
 /// MCP: smallest-ALAP priority (implemented as `-alap`), earliest-start
 /// processor.
 pub fn mcp(g: &TaskGraph, m: &Machine) -> Schedule {
-    let a = GraphAnalysis::analyze(g);
-    mcp_with(g, m, &a)
-}
-
-/// [`mcp`] with a precomputed [`GraphAnalysis`].
-/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
-pub fn mcp_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let neg_alap: Vec<f64> = a.alap.iter().map(|&x| -x).collect();
-    task_first("MCP", crate::arcs_of(g, a), m, &neg_alap)
+    let neg_alap: Vec<f64> = g.analysis().alap.iter().map(|&x| -x).collect();
+    task_first("MCP", &ArcTable::new(g), m, &neg_alap)
 }
 
 /// ETF: commit the ready `(task, processor)` pair with the earliest start;
 /// break ties by greater static level, then lower ids.
 pub fn etf(g: &TaskGraph, m: &Machine) -> Schedule {
-    let a = GraphAnalysis::analyze(g);
-    etf_with(g, m, &a)
-}
-
-/// [`etf`] with a precomputed [`GraphAnalysis`].
-/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
-pub fn etf_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    pair_first("ETF", crate::arcs_of(g, a), m, etf_key(a))
+    pair_first("ETF", &ArcTable::new(g), m, etf_key(g.analysis()))
 }
 
 /// ETF's pair key: the start, then minus the static level.
@@ -303,14 +281,7 @@ fn etf_key(a: &GraphAnalysis) -> impl Fn(TaskId, f64) -> (f64, f64) + '_ {
 
 /// DLS: commit the ready pair maximising `static_level - earliest_start`.
 pub fn dls(g: &TaskGraph, m: &Machine) -> Schedule {
-    let a = GraphAnalysis::analyze(g);
-    dls_with(g, m, &a)
-}
-
-/// [`dls`] with a precomputed [`GraphAnalysis`].
-/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
-pub fn dls_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    pair_first("DLS", crate::arcs_of(g, a), m, dls_key(a))
+    pair_first("DLS", &ArcTable::new(g), m, dls_key(g.analysis()))
 }
 
 /// DLS's pair key: minus the dynamic level. The second component is a
@@ -323,16 +294,9 @@ fn dls_key(a: &GraphAnalysis) -> impl Fn(TaskId, f64) -> (f64, f64) + '_ {
 /// processors (it balances load by earliest-finishing processor). Used by
 /// the A1 ablation to quantify the value of communication awareness.
 pub fn naive_no_comm(g: &TaskGraph, m: &Machine) -> Schedule {
-    let a = GraphAnalysis::analyze(g);
-    naive_no_comm_with(g, m, &a)
-}
-
-/// [`naive_no_comm`] with a precomputed [`GraphAnalysis`].
-/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
-pub fn naive_no_comm_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let arcs = crate::arcs_of(g, a);
+    let arcs = &ArcTable::new(g);
     let mut eng = Engine::new("naive-no-comm", arcs, m, CommModel::Analytic);
-    let mut queue = ReadyQueue::new(arcs, &a.static_level);
+    let mut queue = ReadyQueue::new(arcs, &g.analysis().static_level);
     while let Some(t) = queue.pop() {
         // Pick the processor that is free soonest, blind to where the
         // task's inputs live.
@@ -353,15 +317,9 @@ pub fn naive_no_comm_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Sche
 
 /// Serial baseline: every task on processor 0 in topological order.
 pub fn serial(g: &TaskGraph, m: &Machine) -> Schedule {
-    let a = GraphAnalysis::analyze(g);
-    serial_with(g, m, &a)
-}
-
-/// [`serial`] with a precomputed [`GraphAnalysis`].
-/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
-pub fn serial_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("serial", crate::arcs_of(g, a), m, CommModel::Analytic);
-    for &t in &a.topo {
+    let arcs = ArcTable::new(g);
+    let mut eng = Engine::new("serial", &arcs, m, CommModel::Analytic);
+    for &t in &g.analysis().topo {
         eng.commit(t, ProcId(0));
     }
     eng.finish()
@@ -540,8 +498,8 @@ mod tests {
         m: &Machine,
         key: &dyn Fn(TaskId, f64) -> (f64, f64),
     ) -> [usize; 3] {
-        let a = GraphAnalysis::analyze(g);
-        let mut eng = Engine::new("step", &a.arcs, m, CommModel::Analytic);
+        let arcs = ArcTable::new(g);
+        let mut eng = Engine::new("step", &arcs, m, CommModel::Analytic);
         let mut heaps = PairHeaps::new(&eng, key);
         let mut fired = [0; 3];
         while let Some((t, p)) = heaps.pick() {
@@ -597,19 +555,19 @@ mod tests {
         g.add_edge(h, h2, 5.0, "x").unwrap();
         g.add_edge(gg, h2, 5.0, "y").unwrap();
         let m = machine(2);
-        let a = GraphAnalysis::analyze(&g);
+        let a = g.analysis();
 
-        let fired = picks_match_the_full_scan(&g, &m, &dls_key(&a));
+        let fired = picks_match_the_full_scan(&g, &m, &dls_key(a));
         assert!(fired.iter().all(|&n| n > 0), "DLS rules fired {fired:?}");
-        let fired = picks_match_the_full_scan(&g, &m, &etf_key(&a));
+        let fired = picks_match_the_full_scan(&g, &m, &etf_key(a));
         assert!(fired[UNCHANGED] > 0 && fired[TAIL] > 0, "ETF {fired:?}");
         for (g, m) in [
             (generators::gauss_elimination(6, 2.0, 1.5), machine(3)),
             (generators::fork_join(6, 1.0, 4.0, 1.0, 3.0), machine(4)),
         ] {
-            let a = GraphAnalysis::analyze(&g);
-            picks_match_the_full_scan(&g, &m, &etf_key(&a));
-            picks_match_the_full_scan(&g, &m, &dls_key(&a));
+            let a = g.analysis();
+            picks_match_the_full_scan(&g, &m, &etf_key(a));
+            picks_match_the_full_scan(&g, &m, &dls_key(a));
         }
     }
 

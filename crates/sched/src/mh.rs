@@ -17,26 +17,18 @@ use crate::engine::{CommModel, Engine};
 use crate::ready::ReadyQueue;
 use crate::schedule::Schedule;
 use banger_machine::Machine;
-use banger_taskgraph::analysis::GraphAnalysis;
+use banger_taskgraph::analysis::ArcTable;
 use banger_taskgraph::TaskGraph;
 
 /// Runs the Mapping Heuristic. See module docs.
 pub fn mh(g: &TaskGraph, m: &Machine) -> Schedule {
-    let a = GraphAnalysis::analyze(g);
-    mh_with(g, m, &a)
-}
-
-/// [`mh`] with a precomputed [`GraphAnalysis`], so sweeps over many machines
-/// pay for the (machine-independent) level computation once.
-/// `a` must be `GraphAnalysis::analyze(g)` (see [`crate::run_heuristic_with`]).
-pub fn mh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let arcs = crate::arcs_of(g, a);
+    let arcs = &ArcTable::new(g);
     let mut eng = Engine::new("MH", arcs, m, CommModel::Contention);
     // Highest b-level first; ties toward lower task id. Note MH's per-proc
     // finish loop below probes each (task, proc) pair exactly once per
     // selected task, so only the *selection* needed the heap — there is no
     // repeated pair rescan to cache away (unlike ETF/DLS).
-    let mut queue = ReadyQueue::new(arcs, &a.b_level);
+    let mut queue = ReadyQueue::new(arcs, &g.analysis().b_level);
     let mut ready = vec![0.0; m.processors()];
 
     while let Some(t) = queue.pop() {

@@ -9,7 +9,8 @@
 //! `ready_time` for every ready×processor pair at every step. They share
 //! the [`Engine`] with the production schedulers, so any divergence in a
 //! differential run points at the selection/caching rework, not at the
-//! probe/commit machinery. The ready time of a `(task, processor)` pair is
+//! probe/commit machinery. Like the production schedulers, each is a
+//! plain `(g, m)` function reading the levels of `g.analysis()`. The ready time of a `(task, processor)` pair is
 //! always probed on its own, through [`Engine::ready_time`] or
 //! [`Engine::earliest_start`], and DSH's duplication steps recompute every
 //! ready time they price, with no memo.
@@ -22,7 +23,7 @@
 use crate::engine::{CommModel, Engine};
 use crate::schedule::{Schedule, TIME_EPS};
 use banger_machine::{Machine, ProcId};
-use banger_taskgraph::analysis::GraphAnalysis;
+use banger_taskgraph::analysis::ArcTable;
 use banger_taskgraph::{TaskGraph, TaskId};
 
 /// Tracks readiness with the legacy `Vec` ready set.
@@ -82,14 +83,9 @@ fn best_processor(eng: &Engine<'_>, t: TaskId) -> ProcId {
 }
 
 /// Legacy task-first list scheduling: linear max-scan selection.
-fn task_first(
-    name: &str,
-    g: &TaskGraph,
-    m: &Machine,
-    a: &GraphAnalysis,
-    priority: &[f64],
-) -> Schedule {
-    let mut eng = Engine::new(name, &a.arcs, m, CommModel::Analytic);
+fn task_first(name: &str, g: &TaskGraph, m: &Machine, priority: &[f64]) -> Schedule {
+    let arcs = ArcTable::new(g);
+    let mut eng = Engine::new(name, &arcs, m, CommModel::Analytic);
     let mut tracker = ReadyTracker::new(g);
     while !tracker.is_done() {
         let &t = tracker
@@ -109,20 +105,22 @@ fn task_first(
 }
 
 /// Reference HLFET (linear selection scan).
-pub fn hlfet_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    task_first("HLFET", g, m, a, &a.static_level)
+pub fn hlfet(g: &TaskGraph, m: &Machine) -> Schedule {
+    task_first("HLFET", g, m, &g.analysis().static_level)
 }
 
 /// Reference MCP (linear selection scan).
-pub fn mcp_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let neg_alap: Vec<f64> = a.alap.iter().map(|&x| -x).collect();
-    task_first("MCP", g, m, a, &neg_alap)
+pub fn mcp(g: &TaskGraph, m: &Machine) -> Schedule {
+    let neg_alap: Vec<f64> = g.analysis().alap.iter().map(|&x| -x).collect();
+    task_first("MCP", g, m, &neg_alap)
 }
 
 /// Reference ETF: recomputes every ready×processor earliest start from
 /// scratch at every step.
-pub fn etf_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("ETF", &a.arcs, m, CommModel::Analytic);
+pub fn etf(g: &TaskGraph, m: &Machine) -> Schedule {
+    let a = g.analysis();
+    let arcs = ArcTable::new(g);
+    let mut eng = Engine::new("ETF", &arcs, m, CommModel::Analytic);
     let mut tracker = ReadyTracker::new(g);
     while !tracker.is_done() {
         // Key: (start, -static_level, task id, proc id), lexicographic min.
@@ -154,8 +152,10 @@ pub fn etf_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
 }
 
 /// Reference DLS: full pair rescan per step.
-pub fn dls_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("DLS", &a.arcs, m, CommModel::Analytic);
+pub fn dls(g: &TaskGraph, m: &Machine) -> Schedule {
+    let a = g.analysis();
+    let arcs = ArcTable::new(g);
+    let mut eng = Engine::new("DLS", &arcs, m, CommModel::Analytic);
     let mut tracker = ReadyTracker::new(g);
     while !tracker.is_done() {
         // Key: (-dynamic_level, task id, proc id), lexicographic min.
@@ -186,8 +186,10 @@ pub fn dls_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
 }
 
 /// Reference communication-blind baseline (linear selection scan).
-pub fn naive_no_comm_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("naive-no-comm", &a.arcs, m, CommModel::Analytic);
+pub fn naive_no_comm(g: &TaskGraph, m: &Machine) -> Schedule {
+    let a = g.analysis();
+    let arcs = ArcTable::new(g);
+    let mut eng = Engine::new("naive-no-comm", &arcs, m, CommModel::Analytic);
     let mut tracker = ReadyTracker::new(g);
     while !tracker.is_done() {
         let &t = tracker
@@ -215,8 +217,10 @@ pub fn naive_no_comm_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Sche
 }
 
 /// Reference Mapping Heuristic (linear b-level selection scan).
-pub fn mh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("MH", &a.arcs, m, CommModel::Contention);
+pub fn mh(g: &TaskGraph, m: &Machine) -> Schedule {
+    let a = g.analysis();
+    let arcs = ArcTable::new(g);
+    let mut eng = Engine::new("MH", &arcs, m, CommModel::Contention);
 
     let mut remaining: Vec<usize> = g.task_ids().map(|t| g.in_degree(t)).collect();
     let mut ready: Vec<TaskId> = g
@@ -264,8 +268,10 @@ pub fn mh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
 /// Reference DSH: linear static-level selection scan, and the estimate
 /// and duplication loop as they stood before [`crate::dsh`] kept ready
 /// times, recomputing every one they price.
-pub fn dsh_with(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("DSH", &a.arcs, m, CommModel::Analytic);
+pub fn dsh(g: &TaskGraph, m: &Machine) -> Schedule {
+    let a = g.analysis();
+    let arcs = ArcTable::new(g);
+    let mut eng = Engine::new("DSH", &arcs, m, CommModel::Analytic);
 
     let mut remaining: Vec<usize> = g.task_ids().map(|t| g.in_degree(t)).collect();
     let mut ready: Vec<TaskId> = g
@@ -386,8 +392,9 @@ fn duplicate_binding_preds(g: &TaskGraph, eng: &mut Engine<'_>, t: TaskId, p: Pr
 
 /// Reference serial baseline (identical to production; included so the
 /// differential dispatcher covers every name).
-pub fn serial(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
-    let mut eng = Engine::new("serial", &a.arcs, m, CommModel::Analytic);
+pub fn serial(g: &TaskGraph, m: &Machine) -> Schedule {
+    let arcs = ArcTable::new(g);
+    let mut eng = Engine::new("serial", &arcs, m, CommModel::Analytic);
     for t in g.topo_order().expect("scheduling requires a DAG") {
         eng.commit(t, ProcId(0));
     }
@@ -395,22 +402,17 @@ pub fn serial(g: &TaskGraph, m: &Machine, a: &GraphAnalysis) -> Schedule {
 }
 
 /// Runs a reference heuristic by name, mirroring
-/// [`crate::run_heuristic_with`]. Returns `None` for unknown names.
-pub fn run_reference_with(
-    name: &str,
-    g: &TaskGraph,
-    m: &Machine,
-    a: &GraphAnalysis,
-) -> Option<Schedule> {
+/// [`crate::run_heuristic`]. Returns `None` for unknown names.
+pub fn run_reference(name: &str, g: &TaskGraph, m: &Machine) -> Option<Schedule> {
     Some(match name {
-        "serial" => serial(g, m, a),
-        "naive" => naive_no_comm_with(g, m, a),
-        "HLFET" => hlfet_with(g, m, a),
-        "MCP" => mcp_with(g, m, a),
-        "ETF" => etf_with(g, m, a),
-        "DLS" => dls_with(g, m, a),
-        "MH" => mh_with(g, m, a),
-        "DSH" => dsh_with(g, m, a),
+        "serial" => serial(g, m),
+        "naive" => naive_no_comm(g, m),
+        "HLFET" => hlfet(g, m),
+        "MCP" => mcp(g, m),
+        "ETF" => etf(g, m),
+        "DLS" => dls(g, m),
+        "MH" => mh(g, m),
+        "DSH" => dsh(g, m),
         _ => return None,
     })
 }

@@ -19,7 +19,6 @@
 
 use crate::schedule::Schedule;
 use banger_machine::Machine;
-use banger_taskgraph::analysis::GraphAnalysis;
 use banger_taskgraph::TaskGraph;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, OnceLock};
@@ -105,25 +104,24 @@ pub fn host_cores() -> usize {
 }
 
 /// Schedules `g` on every machine in `machines` with the named heuristic,
-/// in parallel, sharing one [`GraphAnalysis`] across all runs. Results are
-/// in `machines` order. Returns `None` if `name` is unknown.
+/// in parallel. Every run reads the one [`TaskGraph::analysis`] of `g`, so
+/// the levels are computed at most once per sweep. Results are in
+/// `machines` order. Returns `None` if `name` is unknown.
 pub fn sweep_machines(name: &str, g: &TaskGraph, machines: &[Machine]) -> Option<Vec<Schedule>> {
     // Validate the name once, up front, so the fan-out can unwrap.
     if !crate::HEURISTIC_NAMES.contains(&name) {
         return None;
     }
-    let a = GraphAnalysis::analyze(g);
     Some(parallel_map(machines, |_, m| {
-        crate::run_heuristic_with(name, g, m, &a).expect("name pre-validated")
+        crate::run_heuristic(name, g, m).expect("name pre-validated")
     }))
 }
 
-/// Schedules `g` on `m` with every named heuristic, in parallel, sharing
-/// one [`GraphAnalysis`]. Results are in `names` order; unknown names
-/// yield `None` in their slot.
+/// Schedules `g` on `m` with every named heuristic, in parallel, all
+/// reading the one [`TaskGraph::analysis`] of `g`. Results are in `names`
+/// order; unknown names yield `None` in their slot.
 pub fn sweep_heuristics(names: &[&str], g: &TaskGraph, m: &Machine) -> Vec<Option<Schedule>> {
-    let a = GraphAnalysis::analyze(g);
-    parallel_map(names, |_, name| crate::run_heuristic_with(name, g, m, &a))
+    parallel_map(names, |_, name| crate::run_heuristic(name, g, m))
 }
 
 #[cfg(test)]

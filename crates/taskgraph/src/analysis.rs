@@ -98,7 +98,12 @@ impl ArcTable {
     }
 }
 
-/// Result of a full static analysis of a task graph.
+/// Result of a full static analysis of a task graph: its levels and one
+/// topological order. The graph owns it: read it through
+/// [`TaskGraph::analysis`], which computes it once and keeps it until the
+/// graph is next edited. The [`ArcTable`] the passes read is not kept,
+/// since beside the graph's own lists it would store the adjacency twice;
+/// a scheduling run lays out its own.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphAnalysis {
     /// Earliest start times including communication (one per task).
@@ -113,15 +118,12 @@ pub struct GraphAnalysis {
     pub cp_length: f64,
     /// One valid topological order (reused by schedulers).
     pub topo: Vec<TaskId>,
-    /// The graph's arcs, laid out once for the level passes below and for
-    /// every scheduling run handed this analysis.
-    pub arcs: ArcTable,
 }
 
 impl GraphAnalysis {
-    /// Runs the full analysis. Panics if the graph is cyclic: callers are
-    /// expected to validate designs before analysing them (use
-    /// [`TaskGraph::is_dag`]).
+    /// Runs the full analysis; [`TaskGraph::analysis`] keeps its result.
+    /// Panics if the graph is cyclic: callers are expected to validate
+    /// designs before analysing them (use [`TaskGraph::is_dag`]).
     ///
     /// After the topological sort the graph is read once, into the
     /// [`ArcTable`]; every level pass reads the table. The backward passes
@@ -183,7 +185,6 @@ impl GraphAnalysis {
             alap,
             cp_length,
             topo,
-            arcs,
         }
     }
 
@@ -240,7 +241,11 @@ pub fn depth(g: &TaskGraph) -> usize {
 /// critical path length. This is the classic upper bound on achievable
 /// speedup.
 pub fn average_parallelism(g: &TaskGraph) -> f64 {
-    let cp = g.critical_path_length();
+    parallelism_over(g, g.critical_path_length())
+}
+
+/// Total weight over the critical path `cp`; 0 when `cp` is.
+fn parallelism_over(g: &TaskGraph, cp: f64) -> f64 {
     if cp == 0.0 {
         0.0
     } else {
@@ -271,18 +276,21 @@ pub struct GraphStats {
     pub average_parallelism: f64,
 }
 
-/// Computes [`GraphStats`] for a design.
+/// Computes [`GraphStats`] for a design, with one parallelism profile and
+/// one critical path.
 pub fn stats(g: &TaskGraph) -> GraphStats {
+    let profile = parallelism_profile(g);
+    let cp_length = g.critical_path_length();
     GraphStats {
         tasks: g.task_count(),
         edges: g.edge_count(),
         total_weight: g.total_weight(),
         total_volume: g.total_volume(),
         ccr: g.ccr(),
-        cp_length: g.critical_path_length(),
-        width: width(g),
-        depth: depth(g),
-        average_parallelism: average_parallelism(g),
+        cp_length,
+        width: profile.iter().copied().max().unwrap_or(0),
+        depth: profile.len(),
+        average_parallelism: parallelism_over(g, cp_length),
     }
 }
 

@@ -6,9 +6,11 @@
 //! and every arc carries a data *volume* (abstract data units) plus the
 //! variable label shown on the arc in Banger's graph editor.
 
+use crate::analysis::GraphAnalysis;
 use crate::error::GraphError;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a task in a [`TaskGraph`]; a dense index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -71,6 +73,11 @@ pub struct Edge {
 ///
 /// Nodes and edges are stored densely; adjacency is kept as per-node edge
 /// lists so scheduling inner loops never allocate.
+///
+/// The graph owns its [`GraphAnalysis`]: [`TaskGraph::analysis`] computes
+/// it on first read and keeps it until the next `&mut` call, every one of
+/// which drops it. Neither `==` nor `{:?}` shows whether it was read, and
+/// a clone carries it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskGraph {
     name: String,
@@ -80,6 +87,24 @@ pub struct TaskGraph {
     succ: Vec<Vec<EdgeId>>,
     /// `pred[i]` lists edge ids whose `dst` is task `i`.
     pred: Vec<Vec<EdgeId>>,
+    analysis: Cached,
+}
+
+/// The analysis a [`TaskGraph`] keeps: equal to every other and printed
+/// as `..`, so whether it was read shows in neither `==` nor `{:?}`.
+#[derive(Clone, Default)]
+struct Cached(OnceLock<GraphAnalysis>);
+
+impl PartialEq for Cached {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for Cached {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("..")
+    }
 }
 
 impl TaskGraph {
@@ -113,6 +138,13 @@ impl TaskGraph {
         self.tasks.is_empty()
     }
 
+    /// The graph's levels and topological order, computed on
+    /// the first call after the last edit and shared by every later one.
+    /// Panics if the graph is cyclic (see [`GraphAnalysis::analyze`]).
+    pub fn analysis(&self) -> &GraphAnalysis {
+        self.analysis.0.get_or_init(|| GraphAnalysis::analyze(self))
+    }
+
     /// Adds a task with the given name and weight, returning its id.
     ///
     /// Weights must be finite and non-negative; this is checked by
@@ -132,6 +164,7 @@ impl TaskGraph {
         if !weight.is_finite() || weight < 0.0 {
             return Err(GraphError::BadWeight(weight));
         }
+        self.analysis.0.take();
         let id = TaskId(self.tasks.len() as u32);
         self.tasks.push(Task {
             name: name.into(),
@@ -150,6 +183,7 @@ impl TaskGraph {
             .get_mut(t.index())
             .ok_or(GraphError::UnknownNode(t.0))?;
         task.program = Some(program.into());
+        self.analysis.0.take();
         Ok(())
     }
 
@@ -185,6 +219,7 @@ impl TaskGraph {
                 label,
             });
         }
+        self.analysis.0.take();
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(Edge {
             src,
@@ -206,6 +241,7 @@ impl TaskGraph {
     /// Mutable access to the task record for `t`.
     #[inline]
     pub fn task_mut(&mut self, t: TaskId) -> &mut Task {
+        self.analysis.0.take();
         &mut self.tasks[t.index()]
     }
 
@@ -410,6 +446,7 @@ impl TaskGraph {
 
     /// Scales every edge volume by `f` (e.g. to sweep the CCR).
     pub fn scale_volumes(&mut self, f: f64) {
+        self.analysis.0.take();
         for e in &mut self.edges {
             e.volume *= f;
         }
@@ -576,5 +613,52 @@ mod tests {
         g.set_program(a, "sqrt_prog").unwrap();
         assert_eq!(g.task(a).program.as_deref(), Some("sqrt_prog"));
         assert!(g.set_program(TaskId(99), "x").is_err());
+    }
+
+    /// Each `&mut` method drops the analysis: read before the edit, it is
+    /// after the edit that of a graph built with the edit and never read.
+    /// Reading it changes neither `==` nor `{:?}`, and a clone taken after
+    /// the read, then edited, is analysed afresh.
+    #[test]
+    fn every_edit_drops_the_analysis() {
+        type Edit = fn(&mut TaskGraph);
+        let edits: [(&str, Edit); 6] = [
+            ("add_task", |g| {
+                g.add_task("e", 9.0);
+            }),
+            ("try_add_task", |g| {
+                g.try_add_task("e", 9.0).unwrap();
+            }),
+            ("set_program", |g| g.set_program(TaskId(1), "p").unwrap()),
+            ("add_edge", |g| {
+                g.add_edge(TaskId(0), TaskId(3), 7.0, "w").unwrap();
+            }),
+            ("task_mut", |g| g.task_mut(TaskId(2)).weight = 30.0),
+            ("scale_volumes", |g| g.scale_volumes(5.0)),
+        ];
+        for (name, edit) in edits {
+            let fresh = {
+                let (mut g, _) = diamond();
+                edit(&mut g);
+                g
+            };
+            let (mut g, _) = diamond();
+            let before = g.analysis().clone();
+            edit(&mut g);
+            assert_eq!(g.analysis(), &GraphAnalysis::analyze(&fresh), "{name}");
+            assert_eq!(g, fresh, "{name}");
+            assert_eq!(format!("{g:?}"), format!("{fresh:?}"), "{name}");
+            if name != "set_program" {
+                assert_ne!(g.analysis(), &before, "{name} moves the analysis");
+            }
+
+            let (read, _) = diamond();
+            read.analysis();
+            let mut copy = read.clone();
+            assert_eq!(read, diamond().0);
+            assert_eq!(format!("{read:?}"), format!("{:?}", diamond().0));
+            edit(&mut copy);
+            assert_eq!(copy.analysis(), &GraphAnalysis::analyze(&fresh), "{name}");
+        }
     }
 }

@@ -1470,6 +1470,57 @@ fn a_device_is_refused_in_both_modes() {
     stop_daemon(&sock, guard);
 }
 
+/// Runs the CLI under a 4 GB address-space limit, so a machine the
+/// process cannot hold aborts it rather than filling the host.
+#[cfg(unix)]
+fn banger_capped(args: &[&str]) -> std::process::Output {
+    Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 4000000; exec \"$0\" \"$@\"")
+        .arg(banger().get_program())
+        .args(args)
+        .output()
+        .unwrap()
+}
+
+/// A machine of more processors than the cap is a diagnostic and exit 1,
+/// whether a `machine` line, `speedup -t` or `recommend -p` asks for it:
+/// each used to abort (exit 134) while building the routing table.
+#[cfg(unix)]
+#[test]
+fn a_machine_beyond_the_processor_cap_is_refused() {
+    let path = std::env::temp_dir().join("banger_cli_test_big_machine.bang");
+    for spec in ["mesh:300x300", "hypercube:20", "tree:1000x10"] {
+        let doc = format!("project big\nmachine {spec}\nend\ndesign\ntask t 1\nend\n");
+        std::fs::write(&path, doc).unwrap();
+        let out = banger_capped(&["check", path.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{spec}: {err}");
+        assert!(
+            err.contains("line 2: bad topology") && err.contains("more than 256 processors"),
+            "{spec}: {err}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+    let lu = "examples/projects/lu3.bang";
+    for (args, want) in [
+        (
+            ["recommend", lu, "-p", "1048576"],
+            "processor budget must be at most 256",
+        ),
+        (
+            ["speedup", lu, "-t", "single,hypercube:20"],
+            "more than 256 processors",
+        ),
+    ] {
+        let out = banger_capped(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(want), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
 /// One frame of deeply nested JSON is refused with a `bad request`; it
 /// does not overflow the stack of the thread that parses it, which
 /// would take the daemon down for every client.

@@ -23,7 +23,6 @@ mod golden;
 
 use banger_machine::{Machine, MachineParams, SwitchingMode, Topology};
 use banger_sched::Schedule;
-use banger_taskgraph::analysis::GraphAnalysis;
 use banger_taskgraph::generators::layered_random;
 use std::fmt::Write as _;
 
@@ -89,10 +88,9 @@ fn dump() -> String {
     let mut out = String::new();
     for &(seed, layers, width, deg, weight, volume) in &SHAPES {
         let g = layered_random(seed, layers, width, deg, weight, volume);
-        let a = GraphAnalysis::analyze(&g);
         for (mname, m) in &machines {
             for h in HEURISTICS {
-                let s = banger_sched::run_heuristic_with(h, &g, m, &a).expect("known heuristic");
+                let s = banger_sched::run_heuristic(h, &g, m).expect("known heuristic");
                 let _ = writeln!(
                     out,
                     "{h} {mname} seed{seed}-{} placements={} hash={:016x}",

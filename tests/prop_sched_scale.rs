@@ -14,7 +14,6 @@
 use banger_machine::{Machine, MachineParams, SwitchingMode, Topology};
 use banger_sched::reference;
 use banger_sched::schedule::TIME_EPS;
-use banger_taskgraph::analysis::GraphAnalysis;
 use banger_taskgraph::{generators, TaskGraph, TaskId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -25,11 +24,10 @@ use rand::{Rng, SeedableRng};
 const NAMES: [&str; 8] = ["serial", "naive", "HLFET", "MCP", "ETF", "DLS", "MH", "DSH"];
 
 fn assert_identical(g: &TaskGraph, m: &Machine, names: &[&str]) {
-    let a = GraphAnalysis::analyze(g);
     for name in names {
-        let opt = banger_sched::run_heuristic_with(name, g, m, &a)
+        let opt = banger_sched::run_heuristic(name, g, m)
             .unwrap_or_else(|| panic!("{name} unknown to production dispatcher"));
-        let naive = reference::run_reference_with(name, g, m, &a)
+        let naive = reference::run_reference(name, g, m)
             .unwrap_or_else(|| panic!("{name} unknown to reference dispatcher"));
         assert_eq!(
             opt,
@@ -296,8 +294,7 @@ fn insertion_heavy_graphs_match_reference() {
         }
         for m in eps_machines() {
             assert_identical(&g, &m, &["ETF", "DLS"]);
-            let a = GraphAnalysis::analyze(&g);
-            let dls = banger_sched::run_heuristic_with("DLS", &g, &m, &a).unwrap();
+            let dls = banger_sched::run_heuristic("DLS", &g, &m).unwrap();
             let floor = (g.task_count() * (m.processors() + 1)) as u64;
             researched += dls.stats().slot_searches - floor;
         }
@@ -320,11 +317,10 @@ fn insertion_heavy_graphs_match_reference() {
 fn probe_counters_prove_the_asymptotic_win() {
     let g = generators::stencil(30, 40, 2.0, 1.0);
     let m = Machine::new(Topology::fully_connected(4), MachineParams::default());
-    let a = GraphAnalysis::analyze(&g);
 
     for name in ["HLFET", "MCP", "naive", "MH"] {
-        let opt = banger_sched::run_heuristic_with(name, &g, &m, &a).unwrap();
-        let naive = reference::run_reference_with(name, &g, &m, &a).unwrap();
+        let opt = banger_sched::run_heuristic(name, &g, &m).unwrap();
+        let naive = reference::run_reference(name, &g, &m).unwrap();
         assert_eq!(opt, naive, "{name}");
         assert_eq!(
             opt.stats(),
@@ -334,8 +330,8 @@ fn probe_counters_prove_the_asymptotic_win() {
     }
 
     for name in ["ETF", "DLS"] {
-        let opt = banger_sched::run_heuristic_with(name, &g, &m, &a).unwrap();
-        let naive = reference::run_reference_with(name, &g, &m, &a).unwrap();
+        let opt = banger_sched::run_heuristic(name, &g, &m).unwrap();
+        let naive = reference::run_reference(name, &g, &m).unwrap();
         assert_eq!(opt, naive, "{name}");
         let (o, r) = (opt.stats(), naive.stats());
         assert!(
@@ -357,9 +353,8 @@ fn probe_counters_prove_the_asymptotic_win() {
     // shape it must probe at most 0.6x as often.
     let g = generators::layered_random(13, 20, 150, 3, (1.0, 10.0), (1.0, 5.0));
     let m = Machine::new(Topology::hypercube(3), MachineParams::default());
-    let a = GraphAnalysis::analyze(&g);
-    let opt = banger_sched::run_heuristic_with("DSH", &g, &m, &a).unwrap();
-    let naive = reference::run_reference_with("DSH", &g, &m, &a).unwrap();
+    let opt = banger_sched::run_heuristic("DSH", &g, &m).unwrap();
+    let naive = reference::run_reference("DSH", &g, &m).unwrap();
     assert_eq!(opt, naive, "DSH");
     let (o, r) = (opt.stats(), naive.stats());
     assert!(

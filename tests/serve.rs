@@ -441,6 +441,43 @@ fn deeply_nested_document_is_an_error_not_a_dead_daemon() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A machine of more processors than the cap is refused before its
+/// routing table is built. `hypercube:20` and `mesh:1100x1100` each asked
+/// for more than a TiB there, and the failed allocation aborted the daemon
+/// for every client. A `recommend` budget above the cap is refused too.
+#[test]
+fn a_machine_beyond_the_processor_cap_is_an_error_not_a_dead_daemon() {
+    let (sock, server, handle) = start_server("bigmachine");
+    let mut client = Client::connect(&sock).expect("connect");
+    let path = temp_path("bigmachine", "bang");
+    for spec in ["hypercube:20", "mesh:1100x1100"] {
+        let doc = format!("project big\nmachine {spec}\nend\ndesign\ntask t 1\nend\n");
+        std::fs::write(&path, doc).unwrap();
+        let resp = client
+            .request(&Request::for_path("check", path.to_str().unwrap()))
+            .unwrap();
+        assert!(!resp.ok, "{spec}");
+        assert!(
+            resp.error.contains("line 2: bad topology")
+                && resp.error.contains("more than 256 processors"),
+            "{spec}: {}",
+            resp.error
+        );
+    }
+    std::fs::write(&path, lu3()).unwrap();
+    let mut recommend = Request::for_path("recommend", path.to_str().unwrap());
+    recommend.procs = Some(257);
+    let resp = client.request(&recommend).unwrap();
+    assert!(!resp.ok);
+    assert_eq!(resp.error, "processor budget must be at most 256");
+    assert_eq!(server.store().stats().panics, 0, "rejected, not caught");
+
+    let pong = client.request(&Request::new("ping")).unwrap();
+    assert!(pong.ok, "{}", pong.error);
+    shutdown(&sock, handle);
+    std::fs::remove_file(&path).ok();
+}
+
 /// A path that is not a regular file of at most one frame is refused
 /// before it is read: `/dev/zero` used to grow the daemon until the OOM
 /// killer took it, and a FIFO blocked its handler in `open` for good.
