@@ -22,8 +22,9 @@
 
 use crate::diag::{Code, Diagnostic, Location};
 use banger_calc::absint::{analyze_with, AnalysisOptions, Finding, FindingKind};
-use banger_calc::{Program, ProgramLibrary};
+use banger_calc::{Program, ProgramLibrary, SeededFindings};
 use banger_taskgraph::hierarchy::Expanded;
+use banger_taskgraph::parallel::parallel_map_on;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Diagnostics for one program analyzed in isolation (all inputs
@@ -41,22 +42,61 @@ pub fn program_diagnostics(prog: &Program) -> Vec<Diagnostic> {
 /// The design-level B04x pass: analyzes every program referenced by a
 /// task in the flattened view, seeding array lengths from storage
 /// declarations where the design pins them down. The library memoizes the
-/// findings per program, so the seedings go to it a program at a time;
-/// diagnostics are sorted afterwards, and those of one program keep their
-/// task order.
-pub fn body_safety(view: &Expanded, library: &ProgramLibrary, diags: &mut Vec<Diagnostic>) {
+/// findings per program, so only the analyses it does not hold run: on
+/// up to `workers` threads when two or more do, since each is a function
+/// of its program and seeding alone. The diagnostics come out in program
+/// name order and, within a program, in task order, whatever the thread
+/// count; they are sorted afterwards.
+pub fn body_safety(
+    workers: usize,
+    view: &Expanded,
+    library: &ProgramLibrary,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let requests = requests(view, library);
+    // A rebuild after a small edit finds nearly everything in the memo:
+    // with fewer than two misses `parallel_map_on` runs on this thread.
+    let misses: Vec<(usize, usize)> = requests
+        .iter()
+        .enumerate()
+        .flat_map(|(r, (_, request))| request.misses().map(move |k| (r, k)))
+        .collect();
+    let analyzed = parallel_map_on(workers.min(misses.len()), &misses, |_, &(r, k)| {
+        requests[r].1.analyze(k)
+    });
+    let mut analyzed = analyzed.into_iter();
+    for (pname, request) in requests {
+        let n = request.misses().count();
+        for findings in request.finish(analyzed.by_ref().take(n)) {
+            diags.extend(findings.iter().map(|f| to_diagnostic(pname, f)));
+        }
+    }
+}
+
+/// How many of a design's seeded analyses the library's memo does not
+/// hold: the analyses [`body_safety`] would run, on more than one thread
+/// only when there are two or more.
+pub fn memo_misses(view: &Expanded, library: &ProgramLibrary) -> usize {
+    requests(view, library)
+        .iter()
+        .map(|(_, request)| request.misses().count())
+        .sum()
+}
+
+/// The seeded analyses of a design, a request per program in name order,
+/// each split by its program's memo.
+fn requests<'a>(
+    view: &'a Expanded,
+    library: &'a ProgramLibrary,
+) -> Vec<(&'a str, SeededFindings<'a>)> {
     let mut asked: BTreeMap<&str, Vec<Seeding>> = BTreeMap::new();
     for (pname, _, seeding) in seedings(view, library) {
         asked.entry(pname).or_default().push(seeding);
     }
-    for (pname, seedings) in asked {
-        for findings in library
-            .seeded_findings(pname, &seedings)
-            .unwrap_or_default()
-        {
-            diags.extend(findings.iter().map(|f| to_diagnostic(pname, f)));
-        }
-    }
+    asked
+        .iter()
+        .filter_map(|(&pname, seedings)| Some((pname, library.seeded(pname, seedings)?)))
+        .collect()
 }
 
 /// The analyses [`body_safety`] runs on a design: one `(program name,

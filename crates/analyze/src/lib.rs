@@ -67,4 +67,4 @@ pub use diag::{
     has_errors, render_json, render_report, render_text, sort_diagnostics, Code, Diagnostic,
     Location, Severity,
 };
-pub use passes::{diagnose, diagnose_expanded};
+pub use passes::{diagnose, diagnose_expanded, diagnose_expanded_on};

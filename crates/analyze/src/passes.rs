@@ -11,6 +11,7 @@ use crate::diag::{sort_diagnostics, Code, Diagnostic, Location};
 use banger_calc::ast::Facts;
 use banger_calc::{Program, ProgramLibrary};
 use banger_taskgraph::hierarchy::Expanded;
+use banger_taskgraph::parallel::host_cores;
 use banger_taskgraph::HierGraph;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -26,10 +27,21 @@ pub fn diagnose(design: &HierGraph, library: &ProgramLibrary) -> Vec<Diagnostic>
 /// with the `Expanded` its scheduler graph is projected from, so one
 /// snapshot walks its hierarchy once.
 pub fn diagnose_expanded(view: &Expanded, library: &ProgramLibrary) -> Vec<Diagnostic> {
+    diagnose_expanded_on(host_cores(), view, library)
+}
+
+/// [`diagnose_expanded`] with the seeded analyses on up to `workers`
+/// threads, whatever the host offers; the findings are the same for every
+/// count.
+pub fn diagnose_expanded_on(
+    workers: usize,
+    view: &Expanded,
+    library: &ProgramLibrary,
+) -> Vec<Diagnostic> {
     let mut diags = view.problems.iter().map(binding_diagnostic).collect();
     races(view, &mut diags);
     interfaces(view, library, &mut diags);
-    crate::absint::body_safety(view, library, &mut diags);
+    crate::absint::body_safety(workers, view, library, &mut diags);
     hygiene(view, &mut diags);
     sort_diagnostics(&mut diags);
     diags
@@ -211,23 +223,23 @@ fn interfaces(view: &Expanded, library: &ProgramLibrary, diags: &mut Vec<Diagnos
     let n = view.tasks.len();
     // Labels arriving at / leaving each task: direct edge labels plus the
     // base names of storage classes the task reads/writes.
-    let mut incoming: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
-    let mut outgoing: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
+    let mut incoming: Vec<BTreeSet<&str>> = vec![BTreeSet::new(); n];
+    let mut outgoing: Vec<BTreeSet<&str>> = vec![BTreeSet::new(); n];
     for arc in &view.arcs {
-        outgoing[arc.src].insert(arc.label.clone());
-        incoming[arc.dst].insert(arc.label.clone());
+        outgoing[arc.src].insert(&arc.label);
+        incoming[arc.dst].insert(&arc.label);
     }
     for sc in &view.classes {
         for &w in &sc.writers {
-            outgoing[w].insert(sc.base.clone());
+            outgoing[w].insert(&sc.base);
         }
         for &r in &sc.readers {
-            incoming[r].insert(sc.base.clone());
+            incoming[r].insert(&sc.base);
         }
     }
 
     // Body checks once per distinct program actually used by the design.
-    let mut checked = BTreeSet::new();
+    let mut checked: BTreeSet<&str> = BTreeSet::new();
 
     for (t, task) in view.tasks.iter().enumerate() {
         let Some(pname) = &task.program else { continue };
@@ -249,10 +261,10 @@ fn interfaces(view: &Expanded, library: &ProgramLibrary, diags: &mut Vec<Diagnos
             );
             continue;
         };
-        if checked.insert(pname.clone()) {
+        if checked.insert(pname) {
             program_body_checks(prog, diags);
         }
-        for label in &incoming[t] {
+        for &label in &incoming[t] {
             if !prog.inputs.iter().any(|v| v == label) {
                 diags.push(
                     Diagnostic::warning(
@@ -273,7 +285,7 @@ fn interfaces(view: &Expanded, library: &ProgramLibrary, diags: &mut Vec<Diagnos
                 );
             }
         }
-        for label in &outgoing[t] {
+        for &label in &outgoing[t] {
             if !prog.outputs.iter().any(|v| v == label) {
                 diags.push(
                     Diagnostic::error(
@@ -298,7 +310,7 @@ fn interfaces(view: &Expanded, library: &ProgramLibrary, diags: &mut Vec<Diagnos
         // flag unsupplied inputs on tasks that already receive arcs.
         if !incoming[t].is_empty() {
             for inp in &prog.inputs {
-                if !incoming[t].contains(inp) {
+                if !incoming[t].contains(inp.as_str()) {
                     diags.push(
                         Diagnostic::warning(
                             Code::B016,

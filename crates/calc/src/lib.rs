@@ -81,7 +81,7 @@ pub use ast::Program;
 pub use compile::{compile, CompiledProgram, Op};
 pub use error::{ParseError, Pos, RunError};
 pub use interp::{run, run_with, InterpConfig, Outcome};
-pub use library::ProgramLibrary;
+pub use library::{ProgramLibrary, SeededFindings};
 pub use panel::{Button, Panel, PanelError};
 pub use parser::{parse_expr, parse_program};
 pub use transform::{parallelize_reduction, ReductionSplit, TransformError};

@@ -41,8 +41,8 @@ struct Entry {
     compiled: Arc<CompiledProgram>,
     /// The program's static cost, analyzed on first request.
     cost: OnceLock<StaticCost>,
-    /// Findings of the seeded analyses the last
-    /// [`ProgramLibrary::seeded_findings`] call asked for.
+    /// Findings of the seeded analyses the last [`ProgramLibrary::seeded`]
+    /// request asked for, stored by [`SeededFindings::finish`].
     seeded: Mutex<Seeded>,
 }
 
@@ -175,46 +175,91 @@ impl ProgramLibrary {
             .map(|e| *e.cost.get_or_init(|| absint::analyze(&e.source).cost))
     }
 
-    /// The findings of [`absint::analyze_with`] on a named program under
-    /// each of `seedings`, in that order; a seeding is the declared array
-    /// lengths of some of the program's inputs
+    /// The seeded analyses of a named program, split by the memo: the
+    /// findings it holds under each of `seedings`, and the analyses still
+    /// to run ([`SeededFindings::misses`]). A seeding is the declared
+    /// array lengths of some of the program's inputs
     /// ([`AnalysisOptions::with_declared_lengths`]). `None` when the name
     /// is unknown.
     ///
     /// An analysis is a function of the program and the seeding alone, so
-    /// the entry keeps the findings under the seeding and a later call —
-    /// from this library or one that shares the entry — runs only the
-    /// analyses it is first to ask for. The entry keeps exactly what the
-    /// last call asked for, so it never holds more seedings than one
-    /// design uses.
-    pub fn seeded_findings(
-        &self,
-        name: &str,
-        seedings: &[Vec<(&str, f64)>],
-    ) -> Option<Vec<Arc<[Finding]>>> {
-        let e = self.programs.get(name)?;
-        let held = std::mem::take(&mut *e.seeded());
-        let mut asked: Vec<(SeedKey, Arc<[Finding]>)> = Vec::new();
-        let findings = seedings
+    /// the entry keeps the findings under the seeding and a later request
+    /// — from this library or one that shares the entry — runs only the
+    /// analyses it is first to ask for. [`SeededFindings::finish`] leaves
+    /// the entry holding exactly what the request asked for, so it never
+    /// holds more seedings than one design uses.
+    pub fn seeded(&self, name: &str, seedings: &[Vec<(&str, f64)>]) -> Option<SeededFindings<'_>> {
+        let entry = self.programs.get(name)?;
+        let held = entry.seeded();
+        let mut keys: Vec<(SeedKey, Option<Arc<[Finding]>>)> = Vec::new();
+        let asked = seedings
             .iter()
             .map(|lengths| {
-                let key = e.seed_key(lengths);
-                let at = |memo: &[(SeedKey, _)]| memo.binary_search_by(|(k, _)| k.cmp(&key));
-                match at(&asked) {
-                    Ok(i) => Arc::clone(&asked[i].1),
-                    Err(i) => {
-                        let found = match at(&held) {
-                            Ok(j) => Arc::clone(&held[j].1),
-                            Err(_) => e.analyze_seeded(&key),
-                        };
-                        asked.insert(i, (key, Arc::clone(&found)));
-                        found
-                    }
+                let key = entry.seed_key(lengths);
+                if let Some(k) = keys.iter().position(|(k, _)| *k == key) {
+                    return k;
                 }
+                let found = held
+                    .binary_search_by(|(k, _)| k.cmp(&key))
+                    .ok()
+                    .map(|at| Arc::clone(&held[at].1));
+                keys.push((key, found));
+                keys.len() - 1
             })
             .collect();
-        *e.seeded() = asked.into();
-        Some(findings)
+        drop(held);
+        Some(SeededFindings { entry, keys, asked })
+    }
+}
+
+/// One program's seeded analyses, split by its memo
+/// ([`ProgramLibrary::seeded`]). The misses are independent: a caller may
+/// run them on any threads, in any order, and hands the results back in
+/// the order of [`misses`](Self::misses).
+#[derive(Debug)]
+pub struct SeededFindings<'l> {
+    entry: &'l Entry,
+    /// Each distinct seeding asked for, in the order first asked, with
+    /// the findings the memo holds under it.
+    keys: Vec<(SeedKey, Option<Arc<[Finding]>>)>,
+    /// For each seeding asked for, in order: its index in `keys`.
+    asked: Vec<usize>,
+}
+
+impl SeededFindings<'_> {
+    /// The analyses the memo does not hold, ascending: what
+    /// [`analyze`](Self::analyze) takes.
+    pub fn misses(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.keys.len()).filter(|&k| self.keys[k].1.is_none())
+    }
+
+    /// Runs miss `k`'s analysis; it reads nothing but the program and
+    /// the seeding.
+    pub fn analyze(&self, k: usize) -> Arc<[Finding]> {
+        self.entry.analyze_seeded(&self.keys[k].0)
+    }
+
+    /// The findings under each seeding asked for, in order, given
+    /// `analyzed`: [`analyze`](Self::analyze) of every miss, in the order
+    /// of [`misses`](Self::misses). The memo keeps these seedings and no
+    /// others.
+    pub fn finish(
+        mut self,
+        analyzed: impl IntoIterator<Item = Arc<[Finding]>>,
+    ) -> Vec<Arc<[Finding]>> {
+        let mut analyzed = analyzed.into_iter();
+        for (_, found) in self.keys.iter_mut().filter(|(_, found)| found.is_none()) {
+            *found = analyzed.next();
+        }
+        let mut memo: Vec<(SeedKey, Arc<[Finding]>)> = self
+            .keys
+            .into_iter()
+            .map(|(key, found)| (key, found.expect("one analysis per miss")))
+            .collect();
+        let findings = self.asked.iter().map(|&k| Arc::clone(&memo[k].1)).collect();
+        memo.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        *self.entry.seeded() = memo.into();
+        findings
     }
 }
 
@@ -261,6 +306,17 @@ impl Entry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every seeded analysis of `name`, the misses run in order.
+    fn seeded_findings(
+        lib: &ProgramLibrary,
+        name: &str,
+        seedings: &[Vec<(&str, f64)>],
+    ) -> Option<Vec<Arc<[Finding]>>> {
+        let request = lib.seeded(name, seedings)?;
+        let analyzed: Vec<_> = request.misses().map(|k| request.analyze(k)).collect();
+        Some(request.finish(analyzed))
+    }
 
     #[test]
     fn add_get_and_estimate() {
@@ -362,7 +418,7 @@ mod tests {
             // Only `in` names count, and of a name given twice the later.
             vec![("v", 12.0), ("v", 3.0), ("w", 2.0), ("x", 1.0)],
         ];
-        let first = lib.seeded_findings("T", &seedings).unwrap();
+        let first = seeded_findings(&lib, "T", &seedings).unwrap();
         for (lengths, found) in seedings.iter().zip(&first) {
             let opts = AnalysisOptions::with_declared_lengths(lengths.iter().copied());
             let fresh = absint::analyze_with(lib.get("T").unwrap(), &opts).findings;
@@ -373,16 +429,16 @@ mod tests {
             Arc::ptr_eq(&first[0], &first[3]),
             "one analysis, asked twice"
         );
-        assert!(lib.seeded_findings("Nope", &seedings).is_none());
+        assert!(seeded_findings(&lib, "Nope", &seedings).is_none());
 
         // A library that shares the entry shares the memo, and the memo
         // holds what was asked last: no more.
         let mut next = ProgramLibrary::new();
         next.add_source_from(INDEXER, &lib.by_text()).unwrap();
-        let again = next.seeded_findings("T", &seedings[..1]).unwrap();
+        let again = seeded_findings(&next, "T", &seedings[..1]).unwrap();
         assert!(Arc::ptr_eq(&again[0], &first[0]));
         assert_eq!(lib.programs["T"].seeded().len(), 1);
-        let recomputed = lib.seeded_findings("T", &seedings[2..3]).unwrap();
+        let recomputed = seeded_findings(&lib, "T", &seedings[2..3]).unwrap();
         assert!(!Arc::ptr_eq(&recomputed[0], &first[2]));
         assert_eq!(recomputed[0][..], first[2][..]);
     }
@@ -398,7 +454,7 @@ mod tests {
             next.add_source_from(INDEXER, &lib.by_text()).unwrap();
             let v = if save % 2 == 0 { 3.0 } else { 12.0 };
             let asked = [vec![("v", v), ("w", 2.0)], vec![("v", v)]];
-            next.seeded_findings("T", &asked).unwrap();
+            seeded_findings(&next, "T", &asked).unwrap();
             assert_eq!(
                 next.programs["T"].seeded().len(),
                 asked.len(),

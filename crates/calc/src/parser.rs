@@ -34,6 +34,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
         toks,
         i: 0,
         depth: 0,
+        height: 0,
     };
     let prog = p.program()?;
     p.expect(Tok::Eof, "end of input")?;
@@ -48,6 +49,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
         toks,
         i: 0,
         depth: 0,
+        height: 0,
     };
     let e = p.expr()?;
     p.expect(Tok::Eof, "end of input")?;
@@ -59,10 +61,22 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 /// descent parser recurses once per nesting level).
 const MAX_DEPTH: u32 = 200;
 
+/// Maximum height of an expression tree, a chain's spine included:
+/// `1 + 1 + … + 1` with this many terms is the highest accepted. The
+/// parser reads a left-associative chain in a loop, but the compiler, the
+/// analyses, the interpreter and the drop glue recurse once per level of
+/// the tree it builds, on the caller's stack. A daemon client thread has
+/// 2 MiB; there, in a debug build, `check`, `gantt` and `run` of such a
+/// chain overflow at about 1,300 terms (and `trial --reference` at about
+/// 320), in a release build at 8,000–10,000 (`trial --reference` 6,800).
+pub const MAX_HEIGHT: u32 = 1000;
+
 struct Parser {
     toks: Vec<Spanned>,
     i: usize,
     depth: u32,
+    /// Height of the expression the last expression rule returned.
+    height: u32,
 }
 
 impl Parser {
@@ -79,6 +93,37 @@ impl Parser {
         self.depth -= 1;
     }
 
+    /// `node`, one level above the highest of its operands (`self.height`
+    /// holds that height on entry); past [`MAX_HEIGHT`] an error at `at`,
+    /// the position of the token that opened the node.
+    fn node(&mut self, node: Expr, at: Pos) -> Result<Expr, ParseError> {
+        self.height += 1;
+        if self.height > MAX_HEIGHT {
+            return Err(ParseError {
+                pos: at,
+                message: format!(
+                    "expression deeper than {MAX_HEIGHT} levels; split it over several assignments"
+                ),
+            });
+        }
+        Ok(node)
+    }
+
+    /// `lhs op rhs`, where `lhs` is `lhs_height` high and `rhs` is the
+    /// expression just parsed; `at` is the operator's position. A
+    /// left-associative chain's spine grows here one link at a time.
+    fn bin(
+        &mut self,
+        op: BinOp,
+        lhs: Expr,
+        lhs_height: u32,
+        rhs: Expr,
+        at: Pos,
+    ) -> Result<Expr, ParseError> {
+        self.height = self.height.max(lhs_height);
+        self.node(Expr::Bin(op, Box::new(lhs), Box::new(rhs)), at)
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.i].tok
     }
@@ -87,12 +132,22 @@ impl Parser {
         self.toks[self.i].pos
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.i].tok.clone();
+    /// Steps past the current token; `Eof` is never stepped past.
+    fn bump(&mut self) {
         if self.i + 1 < self.toks.len() {
             self.i += 1;
         }
-        t
+    }
+
+    /// The current token's name, moved out of the token list, if it is an
+    /// identifier; the parser never looks back at a token it has passed.
+    fn eat_ident(&mut self) -> Option<String> {
+        let Tok::Ident(name) = &mut self.toks[self.i].tok else {
+            return None;
+        };
+        let name = std::mem::take(name);
+        self.bump();
+        Some(name)
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
@@ -112,13 +167,8 @@ impl Parser {
     }
 
     fn ident(&mut self, what: &str) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(name) => {
-                self.bump();
-                Ok(name)
-            }
-            other => Err(self.err(format!("expected {what}, found {other:?}"))),
-        }
+        self.eat_ident()
+            .ok_or_else(|| self.err(format!("expected {what}, found {:?}", self.peek())))
     }
 
     fn program(&mut self) -> Result<Program, ParseError> {
@@ -195,31 +245,30 @@ impl Parser {
 
     fn stmt_inner(&mut self) -> Result<Stmt, ParseError> {
         let pos = self.pos();
-        match self.peek().clone() {
-            Tok::Ident(var) => {
-                self.bump();
-                match self.peek() {
-                    Tok::Assign => {
-                        self.bump();
-                        let expr = self.expr()?;
-                        Ok(Stmt::Assign { var, expr, pos })
-                    }
-                    Tok::LBracket => {
-                        self.bump();
-                        let index = self.expr()?;
-                        self.expect(Tok::RBracket, "`]`")?;
-                        self.expect(Tok::Assign, "`:=`")?;
-                        let expr = self.expr()?;
-                        Ok(Stmt::AssignIndex {
-                            var,
-                            index,
-                            expr,
-                            pos,
-                        })
-                    }
-                    _ => Err(self.err("expected `:=` or `[` after variable")),
+        if let Some(var) = self.eat_ident() {
+            return match self.peek() {
+                Tok::Assign => {
+                    self.bump();
+                    let expr = self.expr()?;
+                    Ok(Stmt::Assign { var, expr, pos })
                 }
-            }
+                Tok::LBracket => {
+                    self.bump();
+                    let index = self.expr()?;
+                    self.expect(Tok::RBracket, "`]`")?;
+                    self.expect(Tok::Assign, "`:=`")?;
+                    let expr = self.expr()?;
+                    Ok(Stmt::AssignIndex {
+                        var,
+                        index,
+                        expr,
+                        pos,
+                    })
+                }
+                _ => Err(self.err("expected `:=` or `[` after variable")),
+            };
+        }
+        match self.peek() {
             Tok::If => {
                 self.bump();
                 let cond = self.expr()?;
@@ -286,9 +335,10 @@ impl Parser {
     fn expr_inner(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.orterm()?;
         while *self.peek() == Tok::Or {
+            let (at, lhs_height) = (self.pos(), self.height);
             self.bump();
             let rhs = self.orterm()?;
-            lhs = Expr::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs));
+            lhs = self.bin(BinOp::Or, lhs, lhs_height, rhs, at)?;
         }
         Ok(lhs)
     }
@@ -296,20 +346,22 @@ impl Parser {
     fn orterm(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.andterm()?;
         while *self.peek() == Tok::And {
+            let (at, lhs_height) = (self.pos(), self.height);
             self.bump();
             let rhs = self.andterm()?;
-            lhs = Expr::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
+            lhs = self.bin(BinOp::And, lhs, lhs_height, rhs, at)?;
         }
         Ok(lhs)
     }
 
     fn andterm(&mut self) -> Result<Expr, ParseError> {
         if *self.peek() == Tok::Not {
+            let at = self.pos();
             self.enter()?; // `not not ...` chains recurse here
             self.bump();
             let inner = self.andterm();
             self.leave();
-            return Ok(Expr::Un(UnOp::Not, Box::new(inner?)));
+            return self.node(Expr::Un(UnOp::Not, Box::new(inner?)), at);
         }
         self.cmp()
     }
@@ -325,9 +377,10 @@ impl Parser {
             Tok::Ge => BinOp::Ge,
             _ => return Ok(lhs),
         };
+        let (at, lhs_height) = (self.pos(), self.height);
         self.bump();
         let rhs = self.sum()?;
-        Ok(Expr::Bin(op, Box::new(lhs), Box::new(rhs)))
+        self.bin(op, lhs, lhs_height, rhs, at)
     }
 
     fn sum(&mut self) -> Result<Expr, ParseError> {
@@ -338,9 +391,10 @@ impl Parser {
                 Tok::Minus => BinOp::Sub,
                 _ => return Ok(lhs),
             };
+            let (at, lhs_height) = (self.pos(), self.height);
             self.bump();
             let rhs = self.prod()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.bin(op, lhs, lhs_height, rhs, at)?;
         }
     }
 
@@ -353,19 +407,21 @@ impl Parser {
                 Tok::Percent => BinOp::Mod,
                 _ => return Ok(lhs),
             };
+            let (at, lhs_height) = (self.pos(), self.height);
             self.bump();
             let rhs = self.unary()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.bin(op, lhs, lhs_height, rhs, at)?;
         }
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
         if *self.peek() == Tok::Minus {
+            let at = self.pos();
             self.enter()?; // `- - - x` chains recurse here
             self.bump();
             let inner = self.unary();
             self.leave();
-            return Ok(Expr::Un(UnOp::Neg, Box::new(inner?)));
+            return self.node(Expr::Un(UnOp::Neg, Box::new(inner?)), at);
         }
         self.power()
     }
@@ -373,47 +429,55 @@ impl Parser {
     fn power(&mut self) -> Result<Expr, ParseError> {
         let base = self.primary()?;
         if *self.peek() == Tok::Caret {
+            let (at, base_height) = (self.pos(), self.height);
+            self.enter()?; // `2^2^2^...` chains recurse here
             self.bump();
             // right-associative: 2^3^2 = 2^(3^2)
-            let exp = self.unary()?;
-            return Ok(Expr::Bin(BinOp::Pow, Box::new(base), Box::new(exp)));
+            let exp = self.unary();
+            self.leave();
+            return self.bin(BinOp::Pow, base, base_height, exp?, at);
         }
         Ok(base)
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
-            Tok::Num(v) => {
-                self.bump();
-                Ok(Expr::Num(v))
-            }
-            Tok::Ident(name) => {
-                self.bump();
-                match self.peek() {
-                    Tok::LParen => {
-                        self.bump();
-                        let mut args = Vec::new();
-                        if *self.peek() != Tok::RParen {
-                            loop {
-                                args.push(self.expr()?);
-                                if *self.peek() == Tok::Comma {
-                                    self.bump();
-                                } else {
-                                    break;
-                                }
+        let at = self.pos();
+        if let Some(name) = self.eat_ident() {
+            self.height = 0;
+            return match self.peek() {
+                Tok::LParen => {
+                    self.bump();
+                    let mut args = Vec::new();
+                    let mut highest = 0;
+                    if *self.peek() != Tok::RParen {
+                        loop {
+                            args.push(self.expr()?);
+                            highest = highest.max(self.height);
+                            if *self.peek() == Tok::Comma {
+                                self.bump();
+                            } else {
+                                break;
                             }
                         }
-                        self.expect(Tok::RParen, "`)`")?;
-                        Ok(Expr::Call(name, args))
                     }
-                    Tok::LBracket => {
-                        self.bump();
-                        let idx = self.expr()?;
-                        self.expect(Tok::RBracket, "`]`")?;
-                        Ok(Expr::Index(name, Box::new(idx)))
-                    }
-                    _ => Ok(Expr::Var(name)),
+                    self.expect(Tok::RParen, "`)`")?;
+                    self.height = highest;
+                    self.node(Expr::Call(name, args), at)
                 }
+                Tok::LBracket => {
+                    self.bump();
+                    let idx = self.expr()?;
+                    self.expect(Tok::RBracket, "`]`")?;
+                    self.node(Expr::Index(name, Box::new(idx)), at)
+                }
+                _ => self.node(Expr::Var(name), at),
+            };
+        }
+        match self.peek() {
+            &Tok::Num(v) => {
+                self.bump();
+                self.height = 0;
+                self.node(Expr::Num(v), at)
             }
             Tok::LParen => {
                 self.bump();
@@ -628,6 +692,59 @@ mod depth_tests {
         }
         let src = format!("task T out x begin {body} end");
         assert!(parse_program(&src).is_err());
+    }
+
+    /// `1 + 1 + … + 1` with `terms` terms.
+    fn chain(terms: usize) -> String {
+        vec!["1"; terms].join(" + ")
+    }
+
+    #[test]
+    fn a_chain_at_the_height_cap_parses_and_one_more_term_is_refused() {
+        let cap = MAX_HEIGHT as usize;
+        assert!(parse_expr(&chain(cap)).is_ok());
+        let err = parse_expr(&chain(cap + 1)).unwrap_err();
+        assert!(err.message.contains("deeper than 1000 levels"), "{err}");
+        // At the operator that made the tree one level too high: the
+        // `cap`-th `+`, after `cap` terms of "1 + ".
+        assert_eq!(
+            err.pos,
+            Pos {
+                line: 1,
+                col: 4 * cap as u32 - 1
+            }
+        );
+        let err = parse_expr(&chain(20_000)).unwrap_err();
+        assert_eq!(
+            err.pos,
+            Pos {
+                line: 1,
+                col: 4 * cap as u32 - 1
+            }
+        );
+    }
+
+    #[test]
+    fn the_height_counts_every_level_not_each_chain_alone() {
+        // Two chains of 600, one inside the other: each under the cap,
+        // the tree over it.
+        let inner = format!("({})", chain(600));
+        let src = format!("{inner} + {}", chain(599));
+        let err = parse_expr(&src).unwrap_err();
+        assert!(err.message.contains("deeper than"), "{err}");
+        assert!(parse_expr(&format!("{inner} + {}", chain(300))).is_ok());
+        // Unary operators, calls and indexing are levels too.
+        let src = format!("abs({}) * -v[{}]", chain(999), chain(998));
+        assert!(parse_expr(&src).is_err());
+        assert!(parse_expr(&format!("abs({})", chain(999))).is_ok());
+    }
+
+    #[test]
+    fn deep_power_chains_rejected() {
+        let src = vec!["2"; 100_000].join("^");
+        let err = parse_expr(&src).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert!(parse_expr(&vec!["2"; 100].join("^")).is_ok());
     }
 
     #[test]

@@ -99,9 +99,17 @@ pub struct Spanned {
 }
 
 /// Lexes a complete source text.
+///
+/// The lexer walks the bytes of `src`: every token is ASCII, so a token's
+/// text is a slice of `src` and only an identifier allocates (its name).
+/// Columns count characters, and they still do: a non-ASCII character can
+/// only sit in a comment, which runs to the end of its line, or be the
+/// character an error names.
 pub fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
-    let mut out = Vec::new();
-    let bytes: Vec<char> = src.chars().collect();
+    let bytes = src.as_bytes();
+    // About one token per four bytes of program text: one allocation
+    // instead of a growing vector's dozen.
+    let mut out = Vec::with_capacity(src.len() / 4 + 1);
     let mut i = 0usize;
     let mut line = 1u32;
     let mut col = 1u32;
@@ -130,204 +138,142 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
     };
 
     while i < bytes.len() {
-        let c = bytes[i];
         let pos = Pos { line, col };
-        let advance = |i: &mut usize, col: &mut u32| {
-            *i += 1;
-            *col += 1;
-        };
-        match c {
-            '\n' => {
+        let start = i;
+        // Every arm below but the newline's, the comment's and the
+        // error's consumes ASCII only, so `i - start` is also the number
+        // of columns it took.
+        let tok = match bytes[i] {
+            b'\n' => {
                 i += 1;
                 line += 1;
                 col = 1;
+                continue;
             }
-            ' ' | '\t' | '\r' => advance(&mut i, &mut col),
-            '#' => {
-                // comment to end of line
-                while i < bytes.len() && bytes[i] != '\n' {
+            b' ' | b'\t' | b'\r' => {
+                i += 1;
+                col += 1;
+                continue;
+            }
+            b'#' => {
+                // Comment to end of line; the newline resets the column.
+                while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
+                continue;
             }
-            '0'..='9' | '.' => {
-                let start = i;
+            b'0'..=b'9' | b'.' => {
                 let mut seen_dot = false;
                 let mut seen_exp = false;
                 while i < bytes.len() {
                     let d = bytes[i];
                     if d.is_ascii_digit() {
-                        advance(&mut i, &mut col);
-                    } else if d == '.' && !seen_dot && !seen_exp {
+                        i += 1;
+                    } else if d == b'.' && !seen_dot && !seen_exp {
                         seen_dot = true;
-                        advance(&mut i, &mut col);
-                    } else if (d == 'e' || d == 'E')
+                        i += 1;
+                    } else if (d == b'e' || d == b'E')
                         && !seen_exp
-                        && i + 1 < bytes.len()
-                        && (bytes[i + 1].is_ascii_digit()
-                            || ((bytes[i + 1] == '+' || bytes[i + 1] == '-')
-                                && i + 2 < bytes.len()
-                                && bytes[i + 2].is_ascii_digit()))
+                        && exponent_digits(&bytes[i + 1..])
                     {
                         seen_exp = true;
-                        advance(&mut i, &mut col);
-                        if bytes[i] == '+' || bytes[i] == '-' {
-                            advance(&mut i, &mut col);
+                        i += 1;
+                        if bytes[i] == b'+' || bytes[i] == b'-' {
+                            i += 1;
                         }
                     } else {
                         break;
                     }
                 }
-                let text: String = bytes[start..i].iter().collect();
+                let text = &src[start..i];
                 let value: f64 = text.parse().map_err(|_| ParseError {
                     pos,
                     message: format!("bad number literal {text:?}"),
                 })?;
-                out.push(Spanned {
-                    tok: Tok::Num(value),
-                    pos,
-                });
+                Tok::Num(value)
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
-                    advance(&mut i, &mut col);
+            c if c.is_ascii_alphabetic() || c == b'_' => {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                    i += 1;
                 }
-                let word: String = bytes[start..i].iter().collect();
-                let tok = keyword(&word).unwrap_or(Tok::Ident(word));
-                out.push(Spanned { tok, pos });
+                let word = &src[start..i];
+                keyword(word).unwrap_or_else(|| Tok::Ident(word.to_string()))
             }
-            ':' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == '=' {
-                    advance(&mut i, &mut col);
-                    advance(&mut i, &mut col);
-                    out.push(Spanned {
-                        tok: Tok::Assign,
-                        pos,
-                    });
-                } else {
-                    return Err(ParseError {
-                        pos,
-                        message: "expected `:=`".into(),
-                    });
-                }
+            b':' if bytes.get(i + 1) == Some(&b'=') => {
+                i += 2;
+                Tok::Assign
             }
-            '<' => {
-                advance(&mut i, &mut col);
-                let tok = if i < bytes.len() && bytes[i] == '=' {
-                    advance(&mut i, &mut col);
-                    Tok::Le
-                } else if i < bytes.len() && bytes[i] == '>' {
-                    advance(&mut i, &mut col);
-                    Tok::Ne
-                } else {
-                    Tok::Lt
-                };
-                out.push(Spanned { tok, pos });
-            }
-            '>' => {
-                advance(&mut i, &mut col);
-                let tok = if i < bytes.len() && bytes[i] == '=' {
-                    advance(&mut i, &mut col);
-                    Tok::Ge
-                } else {
-                    Tok::Gt
-                };
-                out.push(Spanned { tok, pos });
-            }
-            '=' => {
-                advance(&mut i, &mut col);
-                out.push(Spanned { tok: Tok::Eq, pos });
-            }
-            '+' => {
-                advance(&mut i, &mut col);
-                out.push(Spanned {
-                    tok: Tok::Plus,
-                    pos,
-                });
-            }
-            '-' => {
-                advance(&mut i, &mut col);
-                out.push(Spanned {
-                    tok: Tok::Minus,
-                    pos,
-                });
-            }
-            '*' => {
-                advance(&mut i, &mut col);
-                out.push(Spanned {
-                    tok: Tok::Star,
-                    pos,
-                });
-            }
-            '/' => {
-                advance(&mut i, &mut col);
-                out.push(Spanned {
-                    tok: Tok::Slash,
-                    pos,
-                });
-            }
-            '^' => {
-                advance(&mut i, &mut col);
-                out.push(Spanned {
-                    tok: Tok::Caret,
-                    pos,
-                });
-            }
-            '%' => {
-                advance(&mut i, &mut col);
-                out.push(Spanned {
-                    tok: Tok::Percent,
-                    pos,
-                });
-            }
-            '(' => {
-                advance(&mut i, &mut col);
-                out.push(Spanned {
-                    tok: Tok::LParen,
-                    pos,
-                });
-            }
-            ')' => {
-                advance(&mut i, &mut col);
-                out.push(Spanned {
-                    tok: Tok::RParen,
-                    pos,
-                });
-            }
-            '[' => {
-                advance(&mut i, &mut col);
-                out.push(Spanned {
-                    tok: Tok::LBracket,
-                    pos,
-                });
-            }
-            ']' => {
-                advance(&mut i, &mut col);
-                out.push(Spanned {
-                    tok: Tok::RBracket,
-                    pos,
-                });
-            }
-            ',' => {
-                advance(&mut i, &mut col);
-                out.push(Spanned {
-                    tok: Tok::Comma,
-                    pos,
-                });
-            }
-            other => {
+            b':' => {
                 return Err(ParseError {
                     pos,
-                    message: format!("unexpected character {other:?}"),
+                    message: "expected `:=`".into(),
                 })
             }
-        }
+            b'<' => match bytes.get(i + 1) {
+                Some(b'=') => {
+                    i += 2;
+                    Tok::Le
+                }
+                Some(b'>') => {
+                    i += 2;
+                    Tok::Ne
+                }
+                _ => {
+                    i += 1;
+                    Tok::Lt
+                }
+            },
+            b'>' if bytes.get(i + 1) == Some(&b'=') => {
+                i += 2;
+                Tok::Ge
+            }
+            c => {
+                i += 1;
+                match c {
+                    b'>' => Tok::Gt,
+                    b'=' => Tok::Eq,
+                    b'+' => Tok::Plus,
+                    b'-' => Tok::Minus,
+                    b'*' => Tok::Star,
+                    b'/' => Tok::Slash,
+                    b'^' => Tok::Caret,
+                    b'%' => Tok::Percent,
+                    b'(' => Tok::LParen,
+                    b')' => Tok::RParen,
+                    b'[' => Tok::LBracket,
+                    b']' => Tok::RBracket,
+                    b',' => Tok::Comma,
+                    _ => {
+                        let other = src[start..]
+                            .chars()
+                            .next()
+                            .expect("a character starts here");
+                        return Err(ParseError {
+                            pos,
+                            message: format!("unexpected character {other:?}"),
+                        });
+                    }
+                }
+            }
+        };
+        col += (i - start) as u32;
+        out.push(Spanned { tok, pos });
     }
     out.push(Spanned {
         tok: Tok::Eof,
         pos: Pos { line, col },
     });
     Ok(out)
+}
+
+/// Whether `rest`, the text after an `e`/`E` in a number, starts an
+/// exponent: a digit, or a sign and a digit.
+fn exponent_digits(rest: &[u8]) -> bool {
+    match rest {
+        [d, ..] if d.is_ascii_digit() => true,
+        [b'+' | b'-', d, ..] => d.is_ascii_digit(),
+        _ => false,
+    }
 }
 
 #[cfg(test)]
@@ -439,6 +385,121 @@ mod tests {
     fn unknown_char_is_error() {
         assert!(lex("a $ b").is_err());
         assert!(lex("a @ b").is_err());
+    }
+
+    /// Tokens with their `(line, col)`, or the error.
+    fn spanned(src: &str) -> Result<Vec<(Tok, u32, u32)>, ParseError> {
+        lex(src).map(|ts| {
+            ts.into_iter()
+                .map(|s| (s.tok, s.pos.line, s.pos.col))
+                .collect()
+        })
+    }
+
+    fn ident(name: &str) -> Tok {
+        Tok::Ident(name.into())
+    }
+
+    fn unexpected(line: u32, col: u32, c: char) -> Result<Vec<(Tok, u32, u32)>, ParseError> {
+        Err(ParseError {
+            pos: Pos { line, col },
+            message: format!("unexpected character {c:?}"),
+        })
+    }
+
+    // The expected values below are what the character-level lexer this
+    // byte-level one replaced gave for the same texts.
+
+    #[test]
+    fn non_ascii_text_in_a_comment_moves_no_position() {
+        assert_eq!(
+            spanned("a # héllo wörld ✓\n  b := 1 # ü\nc"),
+            Ok(vec![
+                (ident("a"), 1, 1),
+                (ident("b"), 2, 3),
+                (Tok::Assign, 2, 5),
+                (Tok::Num(1.0), 2, 8),
+                (ident("c"), 3, 1),
+                (Tok::Eof, 3, 2),
+            ])
+        );
+        assert_eq!(
+            spanned("# ✓✓✓\n\tx := 2 # end ünïcode\n  y"),
+            Ok(vec![
+                (ident("x"), 2, 2),
+                (Tok::Assign, 2, 4),
+                (Tok::Num(2.0), 2, 7),
+                (ident("y"), 3, 3),
+                (Tok::Eof, 3, 4),
+            ])
+        );
+    }
+
+    #[test]
+    fn a_non_ascii_character_outside_a_comment_is_named_whole() {
+        assert_eq!(spanned("x := é"), unexpected(1, 6, 'é'));
+        assert_eq!(spanned("a ✓ b"), unexpected(1, 3, '✓'));
+        assert_eq!(spanned("# ok é\n  z := 1 + ü"), unexpected(2, 12, 'ü'));
+    }
+
+    #[test]
+    fn number_literals_end_where_the_number_does() {
+        assert_eq!(
+            spanned("1e5 .5 1. 2e-3 1e+"),
+            Ok(vec![
+                (Tok::Num(100000.0), 1, 1),
+                (Tok::Num(0.5), 1, 5),
+                (Tok::Num(1.0), 1, 8),
+                (Tok::Num(0.002), 1, 11),
+                (Tok::Num(1.0), 1, 16),
+                (ident("e"), 1, 17),
+                (Tok::Plus, 1, 18),
+                (Tok::Eof, 1, 19),
+            ])
+        );
+        assert_eq!(
+            spanned("1.e5 1..2 3E+2 4e-"),
+            Ok(vec![
+                (Tok::Num(100000.0), 1, 1),
+                (Tok::Num(1.0), 1, 6),
+                (Tok::Num(0.2), 1, 8),
+                (Tok::Num(300.0), 1, 11),
+                (Tok::Num(4.0), 1, 16),
+                (ident("e"), 1, 17),
+                (Tok::Minus, 1, 18),
+                (Tok::Eof, 1, 19),
+            ])
+        );
+        assert_eq!(
+            spanned("x:=1.5e3+y"),
+            Ok(vec![
+                (ident("x"), 1, 1),
+                (Tok::Assign, 1, 2),
+                (Tok::Num(1500.0), 1, 4),
+                (Tok::Plus, 1, 9),
+                (ident("y"), 1, 10),
+                (Tok::Eof, 1, 11),
+            ])
+        );
+        let bare_dot = Err(ParseError {
+            pos: Pos { line: 1, col: 6 },
+            message: "bad number literal \".\"".into(),
+        });
+        assert_eq!(spanned("x := ."), bare_dot);
+    }
+
+    #[test]
+    fn words_that_start_with_a_keyword_are_identifiers() {
+        let words = [
+            "ender", "do_x", "iff", "to2", "_end", "end_", "in_", "notx", "orr",
+        ];
+        let want: Vec<(Tok, u32, u32)> = [1, 7, 12, 16, 20, 25, 30, 34, 39]
+            .into_iter()
+            .zip(words)
+            .map(|(col, w)| (ident(w), 1, col))
+            .chain([(Tok::Eof, 1, 42)])
+            .collect();
+        assert_eq!(spanned(&words.join(" ")), Ok(want));
     }
 
     #[test]

@@ -40,7 +40,7 @@
 use banger_calc::ProgramLibrary;
 use banger_machine::{Machine, MachineParams, SwitchingMode, Topology};
 use banger_taskgraph::{HierGraph, HierNodeId, NodeKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::project::Project;
@@ -252,12 +252,14 @@ const MAX_COMPOUND_DEPTH: usize = 200;
 
 /// Parses one design/compound section up to its `end`; `depth` is the
 /// number of compounds enclosing it.
-fn parse_design_body(
-    lines: &mut Numbered<'_>,
+fn parse_design_body<'a>(
+    lines: &mut Numbered<'a>,
     g: &mut HierGraph,
     depth: usize,
 ) -> Result<(), DocError> {
-    let mut names: BTreeMap<String, HierNodeId> = BTreeMap::new();
+    // Names borrow from the document: a level of the tiled LU has hundreds
+    // of nodes, and every `arc` line looks two of them up.
+    let mut names: HashMap<&'a str, HierNodeId> = HashMap::new();
     loop {
         let (no, line) = lines
             .next_content()
@@ -377,13 +379,13 @@ fn parse_design_body(
     }
 }
 
-fn insert_node(
-    names: &mut BTreeMap<String, HierNodeId>,
+fn insert_node<'a>(
+    names: &mut HashMap<&'a str, HierNodeId>,
     line: usize,
-    name: &str,
+    name: &'a str,
     id: HierNodeId,
 ) -> Result<(), DocError> {
-    if names.insert(name.to_string(), id).is_some() {
+    if names.insert(name, id).is_some() {
         return Err(err(line, &format!("duplicate node name {name:?}")));
     }
     Ok(())

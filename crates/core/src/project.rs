@@ -27,6 +27,7 @@ use banger_machine::{Machine, MachineParams, Topology};
 use banger_sched::{Schedule, ScheduleSummary};
 use banger_sim::{simulate, SimError, SimResult};
 use banger_taskgraph::hierarchy::{Expanded, Flattened};
+use banger_taskgraph::parallel::parallel_map;
 use banger_taskgraph::{GraphError, HierGraph};
 use banger_trace::{DriftReport, Trace};
 use std::collections::BTreeMap;
@@ -525,28 +526,23 @@ impl Project {
     /// topologies with the supplied parameters (paper Figure 3, right).
     /// Uses the MH scheduler (PPSE's flagship). The per-topology runs are
     /// independent and fan out across worker threads
-    /// ([`banger_sched::sweep`]); results are identical to the sequential
-    /// loop and come back in `topologies` order.
+    /// ([`parallel_map`]); results are identical to the sequential loop
+    /// and come back in `topologies` order. Each worker builds its machine
+    /// and drops it with the run, so however long the list, no more
+    /// machines are alive at once than there are workers.
     pub fn predict_speedup(
         &self,
         topologies: &[Topology],
         params: MachineParams,
     ) -> Result<Vec<SpeedupPoint>, ProjectError> {
         let g = &self.flatten()?.graph;
-        let machines: Vec<Machine> = topologies
-            .iter()
-            .map(|topo| Machine::new(topo.clone(), params))
-            .collect();
-        let schedules = banger_sched::sweep::sweep_machines("MH", g, &machines)
-            .ok_or_else(|| ProjectError::UnknownHeuristic("MH".to_string()))?;
-        Ok(machines
-            .iter()
-            .zip(schedules)
-            .map(|(m, s)| SpeedupPoint {
+        Ok(parallel_map(topologies, |_, topo| {
+            let m = Machine::new(topo.clone(), params);
+            SpeedupPoint {
                 processors: m.processors(),
-                speedup: s.speedup(g, m),
-            })
-            .collect())
+                speedup: banger_sched::mh::mh(g, &m).speedup(g, &m),
+            }
+        }))
     }
 
     /// Runs every heuristic and summarises the results, sorted best-first.

@@ -100,7 +100,7 @@ pub enum ExecMode {
     /// alone, whatever the count.
     Greedy {
         /// Thread count; 0 picks the host's core count
-        /// ([`banger_sched::sweep::host_cores`]).
+        /// ([`banger_taskgraph::parallel::host_cores`]).
         workers: usize,
     },
     /// Follow a schedule: worker *i* executes processor *i*'s placements

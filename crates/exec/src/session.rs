@@ -48,8 +48,8 @@ use crate::runner::{
     Router, Store, WsItem, WsState, WsWorker,
 };
 use banger_calc::{ProgramLibrary, Value};
-use banger_sched::sweep::host_cores;
 use banger_taskgraph::hierarchy::Flattened;
+use banger_taskgraph::parallel::host_cores;
 use banger_taskgraph::TaskGraph;
 use crossbeam::deque;
 use parking_lot::Mutex;

@@ -114,7 +114,7 @@ pub const TIME_EPS: f64 = 1e-6;
 
 /// Per-run engine work counters, produced by one scheduling run and
 /// attached to its [`Schedule`]. These replace the old process-global
-/// atomics: concurrent `sweep::parallel_map` runs each get their own
+/// atomics: concurrent `sweep` runs each get their own
 /// counts instead of interleaving into one shared total.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {

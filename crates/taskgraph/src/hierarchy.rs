@@ -27,7 +27,7 @@ use crate::graph::{TaskGraph, TaskId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// Identifier of a node within one level of a [`HierGraph`].
@@ -132,13 +132,34 @@ pub struct HierGraph {
     /// [`arc_hash`] of every arc: `add_arc` scans `arcs` for a duplicate
     /// only when the new arc's hash is already here. Eight bytes an arc,
     /// where a set of the keys themselves would hold every label twice.
-    arc_hashes: HashSet<u64>,
+    arc_hashes: HashSet<u64, BuildHasherDefault<Prehashed>>,
 }
 
 fn arc_hash(src: HierNodeId, dst: HierNodeId, label: &str) -> u64 {
     let mut h = DefaultHasher::new();
     (src, dst, label).hash(&mut h);
     h.finish()
+}
+
+/// The hasher of `arc_hashes`, whose keys are [`arc_hash`] outputs
+/// already: it passes a `u64` through instead of hashing it a second time.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
 }
 
 impl HierGraph {
@@ -148,7 +169,7 @@ impl HierGraph {
             name: name.into(),
             nodes: Vec::new(),
             arcs: Vec::new(),
-            arc_hashes: HashSet::new(),
+            arc_hashes: HashSet::default(),
         }
     }
 

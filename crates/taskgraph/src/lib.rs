@@ -52,6 +52,7 @@ pub mod generators;
 pub mod graph;
 pub mod hierarchy;
 pub mod json;
+pub mod parallel;
 pub mod textfmt;
 
 pub use error::GraphError;

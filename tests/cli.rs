@@ -828,6 +828,69 @@ fn check_rejects_runaway_compound_nesting_with_a_positioned_error() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A document whose one program sets `x` to `1+1+…+1` with `terms`
+/// terms, on line 20.
+fn chain_doc(terms: usize) -> String {
+    format!(
+        "project chain\n\nmachine single\n  speed 1\n  process-startup 0\n  msg-startup 0\n  \
+         rate 1\nend\n\ndesign\n  storage x 1\n  task t 1 prog Chain\n  arc t -> x\nend\n\n\
+         begin-program\ntask Chain\n  out x\nbegin\n  x := {}\nend\nend-program\n",
+        vec!["1"; terms].join("+")
+    )
+}
+
+/// A `+` chain longer than the parser's height cap is a positioned error
+/// at the operator that crossed it; one at the cap checks, schedules and
+/// runs. 200,000 terms aborted `check` with a stack overflow (exit 134),
+/// and 20,000 aborted the daemon for every client.
+#[test]
+fn a_chain_past_the_height_cap_is_refused_at_its_operator() {
+    let cap = banger_calc::parser::MAX_HEIGHT as usize;
+    let path = std::env::temp_dir().join(format!("banger_cli_chain_{}.bang", std::process::id()));
+    let file = path.to_str().unwrap();
+    std::fs::write(&path, chain_doc(cap)).unwrap();
+    run_ok(&["check", file]);
+    assert!(run_ok(&["gantt", file]).contains("Gantt chart"));
+    assert_eq!(run_ok(&["run", file]), format!("x = {cap}\n"));
+
+    // The cap-th `+` is at column 8 + 2 * cap - 1 of line 20.
+    let refusal = format!(
+        "banger: line 20, column {}: bad PITS program: expression deeper than {cap} levels; \
+         split it over several assignments\n",
+        2 * cap + 7
+    );
+    for terms in [cap + 1, 200_000] {
+        std::fs::write(&path, chain_doc(terms)).unwrap();
+        let out = banger().args(["check", file]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{terms} terms");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            refusal,
+            "{terms} terms"
+        );
+        assert!(out.stdout.is_empty());
+    }
+
+    #[cfg(unix)]
+    {
+        std::fs::write(&path, chain_doc(20_000)).unwrap();
+        let (sock, guard) = start_daemon("chain", Path::new("."));
+        let out = banger()
+            .args(["--connect", sock.to_str().unwrap(), "check", file])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1));
+        assert_eq!(String::from_utf8_lossy(&out.stderr), refusal);
+        let ping = banger()
+            .args(["--connect", sock.to_str().unwrap(), "ping"])
+            .output()
+            .unwrap();
+        assert_eq!(String::from_utf8_lossy(&ping.stdout), "pong\n");
+        stop_daemon(&sock, guard);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn check_reports_body_safety_errors_and_exits_nonzero() {
     // A design whose only defect is a PITS body bug: a definite read of
@@ -1474,13 +1537,52 @@ fn a_device_is_refused_in_both_modes() {
 /// process cannot hold aborts it rather than filling the host.
 #[cfg(unix)]
 fn banger_capped(args: &[&str]) -> std::process::Output {
+    banger_under(4_000_000, args)
+}
+
+/// `banger` under a virtual memory limit of `kib` KiB.
+#[cfg(unix)]
+fn banger_under(kib: u64, args: &[&str]) -> std::process::Output {
     Command::new("sh")
         .arg("-c")
-        .arg("ulimit -v 4000000; exec \"$0\" \"$@\"")
+        .arg(format!("ulimit -v {kib}; exec \"$0\" \"$@\""))
         .arg(banger().get_program())
         .args(args)
         .output()
         .unwrap()
+}
+
+/// `speedup -t` builds each machine in the worker that schedules on it
+/// and drops it with the run: sixty `linear:256` machines (about 22 MB
+/// each) used to be built before the first run and aborted under a
+/// 1.5 GB limit (exit 134). About 5 s in release, minutes in debug.
+#[cfg(unix)]
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "minutes in a debug build; CI runs it in release"
+)]
+fn speedup_over_many_large_machines_holds_few_at_once() {
+    let topologies = vec!["linear:256"; 60].join(",");
+    let args = ["speedup", "examples/projects/lu3.bang", "-t", &topologies];
+    let out = banger_under(1_500_000, &args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let one = banger()
+        .args(["speedup", "examples/projects/lu3.bang", "-t", "linear:256"])
+        .output()
+        .unwrap();
+    let row = String::from_utf8_lossy(&one.stdout)
+        .lines()
+        .find(|l| l.contains("256 procs"))
+        .expect("a row for the one machine")
+        .to_string();
+    assert_eq!(stdout.lines().filter(|l| *l == row).count(), 60, "{stdout}");
 }
 
 /// A machine of more processors than the cap is a diagnostic and exit 1,

@@ -17,8 +17,10 @@ mod absint_gen;
 #[path = "support/golden.rs"]
 mod golden;
 
+use banger::document::parse_project_reusing;
 use banger::{parse_project, Project};
-use banger_analyze::absint::seeded_analyses;
+use banger_analyze::absint::{memo_misses, seeded_analyses};
+use banger_analyze::{diagnose_expanded_on, render_json};
 use banger_calc::absint::{analyze_with, Analysis, AnalysisOptions, FindingKind};
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
@@ -245,4 +247,111 @@ fn analysis_of_the_fixed_corpus_is_byte_identical_to_the_golden_dump() {
 #[ignore = "rewrites the checked-in golden file"]
 fn regenerate_golden() {
     golden::regenerate(GOLDEN, &corpus_dump());
+}
+
+/// `render_json` of the diagnostics of a design parsed afresh by `make`,
+/// its seeded analyses run on `workers` threads; the fresh parse leaves
+/// every analysis to run, two or more of them.
+fn diagnostics_on(workers: usize, make: &dyn Fn() -> Project) -> String {
+    let project = make();
+    let (view, library) = (project.expanded(), project.library());
+    assert!(memo_misses(view, library) >= 2);
+    render_json(&diagnose_expanded_on(workers, view, library))
+}
+
+/// The generated programs of `absint_gen` as a design: `v` turned into
+/// an input, and each program read by a task in each of three compounds
+/// whose storage `v` has a size of its own, so a program has three
+/// seedings.
+fn generated_design() -> Project {
+    let strategy = absint_gen::arb_program();
+    let mut library = banger_calc::ProgramLibrary::new();
+    let mut design = banger_taskgraph::HierGraph::new("generated");
+    let mut compounds: Vec<_> = [3.0, 5.0, 8.0]
+        .map(|size| {
+            let mut inner = banger_taskgraph::HierGraph::new("c");
+            let v = inner.add_storage("v", size);
+            (inner, v)
+        })
+        .into();
+    for seed in 0..24 {
+        let mut prog = strategy.generate(&mut TestRng::from_seed(seed));
+        prog.name = format!("Rand{seed}");
+        prog.inputs = vec!["v".into()];
+        prog.outputs.retain(|o| o != "v");
+        prog.body.remove(4); // `v := zeros(5)`
+        for (inner, v) in &mut compounds {
+            let t = inner.add_task_with_program(format!("t{seed}"), 1.0, prog.name.as_str());
+            inner.add_flow(*v, t).unwrap();
+        }
+        library.add(prog);
+    }
+    for (k, (inner, _)) in compounds.into_iter().enumerate() {
+        design.add_compound(format!("c{k}"), inner);
+    }
+    let mut project = Project::new("generated", design);
+    *project.library_mut() = library;
+    project
+}
+
+/// The seeded analyses fan out over threads; what `diagnose` reports, and
+/// in what order, must not depend on how many.
+#[test]
+fn diagnostics_are_the_same_on_one_thread_and_on_four() {
+    // The benchmark's `pipeline_large` design, and the bundled one.
+    let tiled_60 = || {
+        let mut project = parse_project(&dense_lu_doc(60)).unwrap();
+        project.expand_task("fact", 10).unwrap();
+        project
+    };
+    let tiled_64 = || {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/projects");
+        let text = std::fs::read_to_string(dir.join("dense_lu.bang")).unwrap();
+        let mut project = parse_project(&text).unwrap();
+        project.expand_task("fact", 8).unwrap();
+        project
+    };
+    let designs: [(&str, &dyn Fn() -> Project); 3] = [
+        ("dense LU n=60 fact:10", &tiled_60),
+        ("dense_lu.bang fact:8", &tiled_64),
+        ("generated", &generated_design),
+    ];
+    for (label, make) in designs {
+        let one = diagnostics_on(1, make);
+        assert_eq!(one, diagnostics_on(4, make), "{label}");
+        assert_eq!(one, render_json(make().diagnose()), "{label}");
+    }
+    // The tiled designs are clean; the generated one is where an order
+    // could move.
+    let generated = diagnostics_on(4, &generated_design);
+    assert!(
+        generated.matches("\"code\":\"B04").count() > 20,
+        "{generated}"
+    );
+}
+
+/// A rebuild after a small edit takes its programs, and their memoized
+/// analyses, from the last parse: fewer than two analyses are left to
+/// run, so none of them fans out to a thread.
+#[test]
+fn a_rebuild_after_a_small_edit_runs_its_analyses_on_the_calling_thread() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/projects");
+    let text = std::fs::read_to_string(dir.join("lu3.bang")).unwrap();
+    let first = parse_project(&text).unwrap();
+    assert!(memo_misses(first.expanded(), first.library()) >= 2);
+    first.diagnose();
+    for (from, to, misses) in [
+        ("task fan1 9 prog", "task fan1 12 prog", 0),
+        ("for t := 3 to 3 do", "for t := 3 to 2 do", 1),
+    ] {
+        assert!(text.contains(from));
+        let edited = text.replacen(from, to, 1);
+        let next = parse_project_reusing(&edited, first.library()).unwrap();
+        assert_eq!(memo_misses(next.expanded(), next.library()), misses, "{to}");
+        assert_eq!(
+            render_json(next.diagnose()),
+            render_json(parse_project(&edited).unwrap().diagnose()),
+            "{to}"
+        );
+    }
 }

@@ -379,8 +379,9 @@ fn probe_stats_are_per_run() {
     let machines: Vec<Machine> = (0..8)
         .map(|_| Machine::new(Topology::hypercube(2), MachineParams::default()))
         .collect();
-    let schedules =
-        banger_sched::sweep::parallel_map_on(4, &machines, |_, m| banger_sched::mh::mh(&g, m));
+    let schedules = banger_taskgraph::parallel::parallel_map_on(4, &machines, |_, m| {
+        banger_sched::mh::mh(&g, m)
+    });
 
     for s in &schedules {
         assert_eq!(

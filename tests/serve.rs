@@ -441,6 +441,61 @@ fn deeply_nested_document_is_an_error_not_a_dead_daemon() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A document whose one program sets `x` to `1+1+…+1` with `terms`
+/// terms, on line 20.
+fn chain_doc(terms: usize) -> String {
+    format!(
+        "project chain\n\nmachine single\n  speed 1\n  process-startup 0\n  msg-startup 0\n  \
+         rate 1\nend\n\ndesign\n  task t 1 prog Chain\n  storage r 1\n  arc t -> r\nend\n\n\
+         begin-program\ntask Chain\n  out r\nbegin\n  r := {}\nend\nend-program\n",
+        vec!["1"; terms].join("+")
+    )
+}
+
+/// A `+` chain is refused past the parser's height cap: 20,000 terms used
+/// to overflow the client thread's stack and abort the daemon for every
+/// client. At the cap — measured for this: a debug build's 2 MiB client
+/// thread overflows at about 1,300 terms — `check`, `gantt` and `run` are
+/// answered.
+#[test]
+fn a_chain_past_the_height_cap_is_an_error_not_a_dead_daemon() {
+    let cap = banger_calc::parser::MAX_HEIGHT as usize;
+    let path = temp_path("chain", "bang");
+    let (sock, server, handle) = start_server("chain");
+    let mut client = Client::connect(&sock).expect("connect");
+    let ask = |client: &mut Client, verb: &str| {
+        client
+            .request(&Request::for_path(verb, path.to_str().unwrap()))
+            .unwrap()
+    };
+
+    std::fs::write(&path, chain_doc(cap)).unwrap();
+    for verb in ["check", "gantt", "run"] {
+        let resp = ask(&mut client, verb);
+        assert!(resp.ok, "{verb}: {}", resp.error);
+    }
+    assert_eq!(ask(&mut client, "run").output, format!("r = {cap}\n"));
+
+    let refusal = format!(
+        "line 20, column {}: bad PITS program: expression deeper than {cap} levels; \
+         split it over several assignments",
+        2 * cap + 7
+    );
+    for terms in [cap + 1, 20_000] {
+        std::fs::write(&path, chain_doc(terms)).unwrap();
+        for verb in ["check", "gantt", "run"] {
+            let resp = ask(&mut client, verb);
+            assert!(!resp.ok, "{terms} terms, {verb}");
+            assert_eq!(resp.error, refusal, "{terms} terms, {verb}");
+        }
+    }
+    assert_eq!(server.store().stats().panics, 0, "rejected, not caught");
+    let pong = client.request(&Request::new("ping")).unwrap();
+    assert!(pong.ok, "{}", pong.error);
+    shutdown(&sock, handle);
+    std::fs::remove_file(&path).ok();
+}
+
 /// A machine of more processors than the cap is refused before its
 /// routing table is built. `hypercube:20` and `mesh:1100x1100` each asked
 /// for more than a TiB there, and the failed allocation aborted the daemon
