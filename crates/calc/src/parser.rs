@@ -65,10 +65,10 @@ const MAX_DEPTH: u32 = 200;
 /// `1 + 1 + … + 1` with this many terms is the highest accepted. The
 /// parser reads a left-associative chain in a loop, but the compiler, the
 /// analyses, the interpreter and the drop glue recurse once per level of
-/// the tree it builds, on the caller's stack. A daemon client thread has
-/// 2 MiB; there, in a debug build, `check`, `gantt` and `run` of such a
-/// chain overflow at about 1,300 terms (and `trial --reference` at about
-/// 320), in a release build at 8,000–10,000 (`trial --reference` 6,800).
+/// the tree it builds, on the caller's stack. Every thread Banger runs
+/// this on has 8 MiB (`banger_taskgraph::parallel::STACK_SIZE`); there,
+/// in a debug build, `check`, `gantt` and `run` of such a chain overflow
+/// at about 5,300 terms and `trial --reference` at about 1,320.
 pub const MAX_HEIGHT: u32 = 1000;
 
 struct Parser {

@@ -483,8 +483,8 @@ impl Project {
     }
 
     /// Opens a persistent [`Session`] on the design: routing tables,
-    /// compiled programs, the slab store, and a parked worker pool all
-    /// survive across [`Session::run`] firings, so repeated executions
+    /// compiled programs, the slab store, and each worker's deque and Vm
+    /// frame survive across [`Session::run`] firings, so repeated executions
     /// (parameter sweeps, convergence loops, `banger run --repeat N`)
     /// pay the setup once. Greedy mode only.
     /// The design must pass [`diagnose`](Self::diagnose) with no errors.

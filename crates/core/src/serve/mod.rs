@@ -8,7 +8,7 @@
 //! handler runs is the only thing `--connect` changes: in the binary's
 //! own process on a [`ProjectStore`] it just created, or in a daemon
 //! that keeps its store — and with it every parse, analysis, compiled
-//! program, schedule and worker pool — resident between requests. There
+//! program, schedule and warm session — resident between requests. There
 //! is one renderer per verb, so the two modes cannot answer differently,
 //! one list of verbs, [`ops::VERBS`], which dispatch and the binary's
 //! `banger help` and usage checks all read, and one list of options,
@@ -39,7 +39,7 @@
 //! | parse | [`Project`](crate::Project) (design + library + machine) | source bytes | changed bytes |
 //! | diagnose | `Project::diagnose` memo, rendered warnings, `check` output per format | source bytes | changed bytes |
 //! | compile | `Arc<CompiledProgram>` in the `ProgramLibrary` | program name | a change to its `begin-program` text |
-//! | router + workers | [`Session`](banger_exec::Session) (parked pool, slab store) | source bytes | changed bytes, worker loss |
+//! | router + workers | [`Session`](banger_exec::Session) (routing tables, slab store, worker seats) | source bytes | changed bytes |
 //! | schedule | rendered schedule + Gantt | source bytes (design and machine are in them), then heuristic | changed bytes |
 //!
 //! Verbs outside `check`, `gantt`/`schedule` and `run` are recomputed on

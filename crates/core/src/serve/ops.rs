@@ -40,7 +40,7 @@ use super::store::{Fault, ProjectStore, Snapshot};
 use crate::analyze;
 use crate::project::{short_name, OptimizeStats, Project, ProjectError};
 use banger_calc::Value;
-use banger_exec::{ExecError, ExecMode, ExecOptions, ExecReport};
+use banger_exec::{ExecMode, ExecOptions, ExecReport};
 use banger_machine::{Topology, MAX_PROCESSORS};
 use banger_taskgraph::hierarchy::Flattened;
 use std::collections::BTreeMap;
@@ -305,7 +305,7 @@ pub const OPTIONS: &[Opt] = &[
         "use the tree-walking reference interpreter"),
     opt!("--repeat <n>", "a count (e.g. --repeat 1000)", Count(repeat), ["run"],
         "fire the design n times through one persistent\n\
-         session (warm worker pool; prints per-firing stats)"),
+         session (warm workers; prints per-firing stats)"),
     opt!("--trace <path>", "an output path (e.g. --trace out.json)", Text(out), ["run"],
         "execute pinned to the -H schedule with tracing,\n\
          write Chrome trace JSON (chrome://tracing, Perfetto)\n\
@@ -743,16 +743,14 @@ fn render_run(report: &ExecReport, notes: String) -> Response {
 /// snapshot's warm one, whose lock it holds for its firings (`cached`
 /// reports its reuse), or a private one for an optimized copy. `--repeat`
 /// fires it n times and prints the last firing's outputs with per-firing
-/// latency notes. Only a worker the warm session lost drops it, so the
-/// next request rebuilds the pool; a session starts every firing clean,
-/// so any other failure leaves it warm.
+/// latency notes. A session starts every firing clean and owns no
+/// thread, so a failure leaves it warm.
 fn op_run(snap: &Snapshot, req: &Request, store: &ProjectStore) -> Answer {
     let (scratch, notes) = optimized(&snap.project, req.optimize)?;
     let project = scratch.as_ref().unwrap_or(&snap.project);
     if let Some(Fault::Task(task)) = store.fault() {
-        // Executor fault injection takes a one-off pool: options are
-        // fixed at pool construction and must not contaminate the warm
-        // one.
+        // Executor fault injection takes a one-off session: options are
+        // fixed at construction and must not contaminate the warm one.
         let opts = ExecOptions {
             inject_panic: Some(task),
             ..Default::default()
@@ -782,20 +780,10 @@ fn op_run(snap: &Snapshot, req: &Request, store: &ProjectStore) -> Answer {
     };
     let (mut total, mut best, mut last) = (Duration::ZERO, Duration::MAX, None);
     for _ in 0..firings {
-        match session.run(&req.inputs) {
-            Ok(r) => {
-                total += r.wall;
-                best = best.min(r.wall);
-                last = Some(r);
-            }
-            Err(e) => {
-                if let (Some(slot), ExecError::WorkerLost(_)) = (warm_slot.as_deref_mut(), &e) {
-                    // The pool lost workers; rebuild it next time.
-                    *slot = None;
-                }
-                return Err(ProjectError::from(e).into());
-            }
-        }
+        let r = session.run(&req.inputs).map_err(ProjectError::from)?;
+        total += r.wall;
+        best = best.min(r.wall);
+        last = Some(r);
     }
     let report = last.ok_or("the run produced no firing report")?;
     let mut resp = render_run(&report, notes).cached(warm);

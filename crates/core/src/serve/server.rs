@@ -25,6 +25,7 @@
 use super::ops;
 use super::protocol::{read_frame, write_frame, Request, Response};
 use super::store::ProjectStore;
+use banger_taskgraph::parallel::STACK_SIZE;
 use std::io::{self, BufReader};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -163,6 +164,7 @@ impl Server {
                     // in it, and the loop keeps accepting.
                     let _ = std::thread::Builder::new()
                         .name("banger-client".into())
+                        .stack_size(STACK_SIZE)
                         .spawn(move || serve_client(stream, &store, &shutdown));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {

@@ -85,8 +85,8 @@ pub struct Snapshot {
     /// Rendered `gantt` output (chart + summary line) per heuristic name,
     /// locked like `checks`.
     pub schedules: Mutex<HashMap<String, String>>,
-    /// Warm executor session (parked worker pool, routing tables, slab
-    /// store); opened lazily by the first `run` request, which holds
+    /// Warm executor session (routing tables, slab store, worker seats);
+    /// opened lazily by the first `run` request, which holds
     /// this lock for its firings. No other verb takes it.
     pub session: Mutex<Option<Session>>,
 }
@@ -165,7 +165,7 @@ impl CacheStats {
 pub enum Fault {
     /// The handler panics before it dispatches, as a bug in a verb would.
     Handler,
-    /// A `run` fires once on a private pool whose task of this name
+    /// A `run` fires once on a private session whose task of this name
     /// panics: the executor's attributed error, not a handler panic.
     Task(String),
 }

@@ -30,11 +30,12 @@
 //! workers never busy-wait and publishers pay no syscall while nobody
 //! sleeps.
 //!
-//! There is one executor lifecycle: a [`Session`] keeps the worker
-//! threads parked and the routing tables, compiled programs, Vm frames,
-//! and slab store allocated across firings — parameter sweeps,
-//! convergence loops — and a greedy [`execute`] is a session opened,
-//! fired once and dropped, so the two cannot disagree.
+//! There is one executor lifecycle: a [`Session`] keeps the routing
+//! tables, compiled programs, Vm frames and slab store allocated across
+//! firings — parameter sweeps, convergence loops — and runs each firing
+//! on the process's one pool of helper threads, and a greedy [`execute`]
+//! is a session opened, fired once and dropped, so the two cannot
+//! disagree.
 //!
 //! Setting [`ExecOptions::trace`] makes either mode record a
 //! [`Trace`](banger_trace::Trace) of what actually happened — task
@@ -45,11 +46,13 @@
 //! [`ExecError::WorkerPanic`] with the task's name, never silently
 //! swallowed by a thread join.
 
+mod pool;
 pub mod runner;
 pub mod session;
 
 pub use banger_trace::{DriftReport, Trace, TraceEvent, TraceSummary};
+pub use pool::live_pool_threads;
 pub use runner::{
     execute, ExecError, ExecMode, ExecOptions, ExecReport, TaskRun, DEFAULT_INLINE_BELOW,
 };
-pub use session::{live_pool_threads, live_sessions, Session};
+pub use session::{live_sessions, Session};

@@ -21,14 +21,12 @@
 //! ## One lifecycle
 //!
 //! There is one way a firing runs: a [`Session`] binds the external
-//! inputs, seeds the roots, joins its own pool as worker 0, waits at the
-//! end-of-firing barrier and assembles the report. [`execute`] in greedy
-//! mode is exactly that, fired once — `Greedy { workers: 1 }` is a pool of
-//! zero threads on the same loop, not a separate sequential path. So is a
-//! design none of whose tasks can be stolen (all below
-//! [`ExecOptions::inline_below`]): a pool thread only ever runs a task it
-//! stole, so a session spawns its pool only if some task is `stealable`,
-//! and a cold run of a small design pays no spawn, barrier wait or join.
+//! inputs, seeds the roots, works as worker 0 beside whichever helpers of
+//! the process pool join, waits at the end-of-firing barrier and
+//! assembles the report. [`execute`] in greedy mode is exactly that,
+//! fired once. `Greedy { workers: 1 }`, and a design with no task a
+//! helper could steal (all below [`ExecOptions::inline_below`]), are the
+//! same loop with no helper, not a separate sequential path.
 //!
 //! Greedy mode has no coordinator thread and no channels. Each worker
 //! owns a Chase–Lev deque ([`crossbeam::deque`]); completing a task
@@ -74,6 +72,7 @@ use banger_calc::{interp, InterpConfig, Program, ProgramLibrary, RunError, Value
 use banger_sched::Schedule;
 use banger_taskgraph::binding::{BindError, Bindings, Source};
 use banger_taskgraph::hierarchy::Flattened;
+use banger_taskgraph::parallel::STACK_SIZE;
 use banger_taskgraph::{TaskGraph, TaskId};
 use banger_trace::{Trace, TraceEvent};
 use crossbeam::deque::{self, Steal};
@@ -138,9 +137,9 @@ pub struct ExecOptions {
     #[doc(hidden)]
     pub inject_panic: Option<String>,
     /// Fault injection for error-path tests: the worker that dequeues
-    /// the task with this exact name dies (its thread unwinds with the
-    /// task unfinished), exercising the `WorkerLost` path. Not part of
-    /// the public contract.
+    /// the task with this exact name leaves the run with the task
+    /// unfinished, exercising the `WorkerLost` path. Not part of the
+    /// public contract.
     #[doc(hidden)]
     pub inject_worker_death: Option<String>,
 }
@@ -249,7 +248,7 @@ pub enum ExecError {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// A worker thread was lost with tasks still outstanding (its
+    /// A worker was lost from the run with tasks still outstanding (its
     /// dequeued work never completed), so the run can no longer drain.
     WorkerLost(String),
 }
@@ -686,15 +685,6 @@ fn run_one(ctx: &Ctx<'_>, w: &mut WsWorker, t: TaskId) -> Result<bool, ExecError
 /// inline tasks never queue, so they carry no stamp).
 pub(crate) type WsItem = (TaskId, Option<Duration>);
 
-/// Barrier state guarded by [`WsState::coord`].
-pub(crate) struct WsCoord {
-    /// Pool workers (indices ≥ 1) parked between firings.
-    pub(crate) parked: usize,
-    /// Pool workers whose threads died (injected faults); the session
-    /// barrier counts them as permanently "parked".
-    pub(crate) dead: usize,
-}
-
 /// Per-worker completed-work buffers, merged at flush points.
 #[derive(Default)]
 struct WsSink {
@@ -703,10 +693,10 @@ struct WsSink {
     events: Vec<TraceEvent>,
 }
 
-/// The executor's shared per-pool state, in both modes: readiness
+/// The executor's shared per-firing state, in both modes: readiness
 /// counters, the one wait/wake protocol, the result sink and the first
-/// error. A session keeps one for its whole lifetime; a pinned run for
-/// one `execute` call.
+/// error. A session keeps one for its whole lifetime and re-arms it per
+/// firing; a pinned run has one for its one `execute` call.
 pub(crate) struct WsState {
     /// One stealer handle per worker deque, visible to every worker
     /// (none in pinned mode, where nothing is stealable).
@@ -719,12 +709,10 @@ pub(crate) struct WsState {
     /// Workers inside `ws_park` — the Dekker flag publishers check
     /// (fence + relaxed load, no syscall) before touching the condvar.
     waiting: AtomicUsize,
-    pub(crate) coord: Mutex<WsCoord>,
-    pub(crate) cv: Condvar,
+    coord: Mutex<()>,
+    cv: Condvar,
     first_error: Mutex<Option<ExecError>>,
     sink: Mutex<WsSink>,
-    /// Session teardown flag; one-shot pinned runs never set it.
-    pub(crate) shutdown: AtomicBool,
 }
 
 impl WsState {
@@ -737,16 +725,15 @@ impl WsState {
                 .collect(),
             remaining: AtomicUsize::new(g.task_count()),
             waiting: AtomicUsize::new(0),
-            coord: Mutex::new(WsCoord { parked: 0, dead: 0 }),
+            coord: Mutex::new(()),
             cv: Condvar::new(),
             first_error: Mutex::new(None),
             sink: Mutex::new(WsSink::default()),
-            shutdown: AtomicBool::new(false),
         }
     }
 
     /// Rearms per-firing state for session reuse. Callers must ensure
-    /// every pool worker is parked first.
+    /// every worker has left the previous firing first.
     pub(crate) fn reset(&self, g: &TaskGraph) {
         for t in g.task_ids() {
             self.indeg[t.index()].store(g.in_degree(t) as u32, Ordering::Relaxed);
@@ -760,7 +747,7 @@ impl WsState {
     }
 
     /// True while any deque holds a stealable task.
-    pub(crate) fn has_work(&self) -> bool {
+    fn has_work(&self) -> bool {
         self.stealers.iter().any(|s| !s.is_empty())
     }
 
@@ -837,12 +824,6 @@ impl WsWorker {
     }
 }
 
-/// Marker payload for an injected worker-thread death: unwinds through
-/// `ws_run` into [`ws_fire`], which reports it for the dead-worker
-/// accounting. Distinguishable from a task-body panic (those are caught
-/// by `run_one_caught` and never unwind this far).
-struct WsDeath;
-
 /// Next task for `w`: own small-task stack (LIFO, counts as inline),
 /// then own deque (LIFO), then steal FIFO from the others — retrying
 /// the round while any victim reports a racing `Retry`.
@@ -886,16 +867,12 @@ fn ws_signal(ws: &WsState) {
     }
 }
 
-/// The executor's one wait: parks the calling worker on the pool condvar
-/// until `check` decides — `Some(true)` there is something to do,
-/// `Some(false)` the firing (or the session) is over. `waiting` is raised
-/// under the coord lock and before the first check; see [`ws_signal`] for
-/// the pairing.
-pub(crate) fn ws_park(
-    ws: &WsState,
-    coord: &mut MutexGuard<'_, WsCoord>,
-    check: impl Fn() -> Option<bool>,
-) -> bool {
+/// The executor's one wait: parks the calling worker on the firing's
+/// condvar until `check` decides — `Some(true)` there is something to
+/// do, `Some(false)` the firing is over. `waiting` is raised under the
+/// coord lock and before the first check; see [`ws_signal`] for the
+/// pairing.
+fn ws_park(ws: &WsState, coord: &mut MutexGuard<'_, ()>, check: impl Fn() -> Option<bool>) -> bool {
     ws.waiting.fetch_add(1, Ordering::SeqCst);
     let go = loop {
         if let Some(go) = check() {
@@ -910,7 +887,8 @@ pub(crate) fn ws_park(
 /// True iff a ready task of static weight `weight` goes into a stealable
 /// deque rather than onto the publishing worker's private stack: not
 /// below [`ExecOptions::inline_below`]. [`ws_push`] follows this rule,
-/// and [`Session::new`] spawns a pool only if some task passes it.
+/// and [`Session::new`] gives a session helpers only if some task passes
+/// it.
 pub(crate) fn stealable(weight: f64, options: &ExecOptions) -> bool {
     weight.partial_cmp(&options.inline_below) != Some(std::cmp::Ordering::Less)
 }
@@ -979,8 +957,8 @@ fn ws_flush(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
 }
 
 /// One greedy worker's firing loop: run, publish, steal, park. Returns
-/// when the firing completes, poisons, or the session shuts down;
-/// [`ws_fire`] cleans up whatever private state is left behind.
+/// when the firing completes or poisons; [`ws_fire`] cleans up whatever
+/// private state is left behind.
 fn ws_run(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
     loop {
         if ctx.store.poisoned.load(Ordering::SeqCst) {
@@ -992,8 +970,7 @@ fn ws_run(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
             // or the run poisons.
             ws_flush(ctx, ws, w);
             let more = ws_park(ws, &mut ws.coord.lock(), || {
-                let over = ws.shutdown.load(Ordering::SeqCst)
-                    || ctx.store.poisoned.load(Ordering::SeqCst)
+                let over = ctx.store.poisoned.load(Ordering::SeqCst)
                     || ws.remaining.load(Ordering::SeqCst) == 0;
                 if over {
                     Some(false)
@@ -1015,13 +992,6 @@ fn ws_run(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
             });
         }
         if ws_dies_on(ctx, ws, w.me, t) {
-            if w.me > 0 {
-                // Pool threads die for real: unwind into `ws_fire`,
-                // whose caller records the death. The caller's thread
-                // (worker 0) can't be killed, so it just stops
-                // participating.
-                std::panic::panic_any(WsDeath);
-            }
             return;
         }
         match run_one_caught(ctx, w, t) {
@@ -1067,10 +1037,10 @@ pub(crate) fn ws_seed(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
     }
 }
 
-/// One worker's part in one greedy firing, caller and pool threads
-/// alike: the worker loop under a panic boundary, then flush and clean
-/// up. True iff the worker died (an injected death, or — defence in
-/// depth — any other unwind, which poisons the run here).
+/// One worker's part in one greedy firing, caller and helpers alike: the
+/// worker loop under a panic boundary, then flush and clean up. An unwind
+/// (defence in depth: task bodies have their own boundary) poisons the
+/// run here and never reaches the thread, so a pool thread outlives it.
 ///
 /// The clean-up is what keeps a poisoned firing from wedging the next
 /// barrier: a task in flight when the run poisons finishes *late* and
@@ -1078,7 +1048,7 @@ pub(crate) fn ws_seed(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
 /// else has given up. Every worker therefore empties its own deque on
 /// the way out — nobody else can be relied on to — so all deques are
 /// empty once every worker has left the firing.
-pub(crate) fn ws_fire(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) -> bool {
+pub(crate) fn ws_fire(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
     let died = std::panic::catch_unwind(AssertUnwindSafe(|| ws_run(ctx, ws, w))).is_err();
     ws_flush(ctx, ws, w);
     w.local.clear();
@@ -1090,7 +1060,6 @@ pub(crate) fn ws_fire(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) -> bool {
             ExecError::WorkerLost(format!("worker {} thread died mid-run", w.me)),
         );
     }
-    died
 }
 
 /// Pinned execution: one scoped thread per processor of the schedule,
@@ -1145,11 +1114,17 @@ fn run_pinned(
     std::thread::scope(|scope| {
         for (me, queue) in queues.iter().enumerate() {
             let (ctx, ws) = (&ctx, &ws);
-            scope.spawn(move || {
+            let thread = std::thread::Builder::new().stack_size(STACK_SIZE);
+            let spawned = thread.spawn_scoped(scope, move || {
                 let mut w = WsWorker::new(me, deque::Worker::new());
                 pinned_run(ctx, ws, &mut w, queue);
                 ws_flush(ctx, ws, &mut w);
             });
+            if let Err(e) = spawned {
+                // Nobody plays this processor, so the run cannot drain.
+                let lost = format!("cannot spawn worker {me}: {e}");
+                ws_fail(ctx, ws, ExecError::WorkerLost(lost));
+            }
         }
     });
     ws.finish(&ctx)
@@ -1204,6 +1179,7 @@ fn pinned_run(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker, queue: &[(f64, Task
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::tests::pool_to_myself;
     use banger_machine::{Machine, MachineParams, Topology};
     use banger_taskgraph::hierarchy::HierGraph;
 
@@ -1874,6 +1850,7 @@ mod tests {
 
     #[test]
     fn stealable_path_matches_inline_path() {
+        let _turn = pool_to_myself();
         // inline_below: 0.0 forces every ready task through the deques
         // (cross-thread handoff path); results must match the default
         // all-inline collapse and the one-worker loop.
@@ -1906,6 +1883,7 @@ mod tests {
 
     #[test]
     fn trace_counts_inline_and_stolen_tasks() {
+        let _turn = pool_to_myself();
         let (f, lib) = fan(10);
         let inputs = ext(&[("a", Value::Num(2.0))]);
         let traced = |inline_below: f64| {
@@ -1939,6 +1917,7 @@ mod tests {
 
     #[test]
     fn injected_worker_death_surfaces_as_worker_lost() {
+        let _turn = pool_to_myself();
         let (f, lib) = fan(12);
         let inputs = ext(&[("a", Value::Num(2.0))]);
         for inline_below in [0.0, DEFAULT_INLINE_BELOW] {

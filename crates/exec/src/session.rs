@@ -1,51 +1,37 @@
 //! Persistent executions: one design, many firings, zero warm-up.
 //!
-//! A [`Session`] is the executor's one lifecycle. It hoists everything
-//! firing-invariant out of the loop — the model SDFG-style systems use,
-//! keeping the compiled dataflow "hot" and *invoking* it:
+//! A [`Session`] is the executor's one lifecycle: [`execute`](crate::execute)
+//! in greedy mode is a session opened, fired once and dropped, so a
+//! one-shot run and a warm firing cannot differ. It keeps everything
+//! firing-invariant — the [`Router`], the slab [`Store`] (cleared, not
+//! rebuilt), the flat [`TaskGraph`] (shared by `Arc`) and every worker's
+//! deque, Vm frame and buffers ([`WsWorker`]) — and per firing re-binds
+//! only the external inputs ([`Router::bind`]).
 //!
-//! * the [`Router`] (name resolution, `Arc<CompiledProgram>` handles,
-//!   output-port bindings) is built once;
-//! * the slab [`Store`] keeps its allocation and is cleared, not
-//!   rebuilt, per firing;
-//! * worker threads are spawned only if a task can be stolen, and then
-//!   once, *parked* on the work-stealing runtime's condvar between
-//!   firings. A pool thread only ever runs a task it stole, so a design
-//!   whose tasks all fall below [`ExecOptions::inline_below`] gets none:
-//!   it runs entirely on the caller's thread, as `workers: 1` does;
-//! * the flat [`TaskGraph`] is shared with the [`Flattened`] design by
-//!   `Arc`, not copied;
-//! * each worker's [`Vm`](banger_calc::vm::Vm) frame, input staging
-//!   vector, and deque survive across firings.
-//!
-//! Per firing, only the external-input values are re-bound
-//! ([`Router::bind`]) and the per-firing counters re-armed.
-//! [`execute`](crate::execute) in greedy mode is a session opened, fired
-//! once and dropped, so a one-shot run and a warm firing cannot differ in
-//! results, traces or error attribution — there is no second path.
+//! A session keeps no thread. The process has one pool of helpers,
+//! spawned by the first firing that has a helper seat and grown to the
+//! largest `workers - 1` a firing asks for. A firing leases the whole
+//! pool with a `try_lock` and offers its seats; one that finds the pool
+//! leased runs on its caller alone, which is exact: outputs, prints and
+//! measured weights do not depend on the worker count. A design with no
+//! stealable task has no seat and never asks.
 //!
 //! ```text
-//! run(ext):  bind → reset(store, counters) → publish firing → seed
-//!            roots → caller joins the pool → barrier (every pool worker
-//!            parked again) → report
+//! run(ext):  bind → reset → lease, offer workers − 1 seats → seed →
+//!            work as worker 0 → withdraw the free seats, wait for the
+//!            seated helpers → report
 //! ```
 //!
-//! The end-of-firing barrier waits until `parked + dead` equals the
-//! pool's thread count (zero when nothing is stealable):
-//! workers park between firings under the coord lock (notifying the
-//! barrier), and a worker thread killed by fault injection counts as
-//! permanently parked, so worker loss surfaces as
-//! [`ExecError::WorkerLost`] instead of a hang. Every worker empties its
-//! own deque on leaving a firing (see `ws_fire`), and a parked worker
-//! ignores work published by a poisoned firing, so a failed firing can
-//! neither leak tasks into the next one nor keep the pool from parking.
-//! Dropping the session sets the shutdown flag, wakes everyone, and joins
-//! the threads. [`live_sessions`] and [`live_pool_threads`] count what
-//! the process holds.
+//! The barrier waits only for helpers that took a seat, so a firing
+//! never waits on a late wake-up. Every worker empties its own deque on
+//! leaving a firing (`ws_fire`), so a failed firing leaks nothing into
+//! the next, and an injected worker death poisons its firing as
+//! [`ExecError::WorkerLost`] while the helper's thread stays in the pool.
 
+use crate::pool::lease;
 use crate::runner::{
-    stealable, ws_fire, ws_park, ws_seed, Ctx, ExecError, ExecMode, ExecOptions, ExecReport,
-    Router, Store, WsItem, WsState, WsWorker,
+    stealable, ws_fire, ws_seed, Ctx, ExecError, ExecMode, ExecOptions, ExecReport, Router, Store,
+    WsItem, WsState, WsWorker,
 };
 use banger_calc::{ProgramLibrary, Value};
 use banger_taskgraph::hierarchy::Flattened;
@@ -56,11 +42,9 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 static LIVE_SESSIONS: AtomicUsize = AtomicUsize::new(0);
-static LIVE_POOL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// [`Session`]s alive in this process, one-shot greedy runs included
 /// while they fire.
@@ -68,66 +52,68 @@ pub fn live_sessions() -> usize {
     LIVE_SESSIONS.load(Ordering::Relaxed)
 }
 
-/// Pool threads those sessions hold, from spawn to join; the callers'
-/// own threads are not counted.
-pub fn live_pool_threads() -> usize {
-    LIVE_POOL_THREADS.load(Ordering::Relaxed)
-}
-
-/// What changes between firings: the epoch all trace timestamps are
-/// relative to, and the bound external-input values. Shared with pool
-/// workers by `Arc` so a firing needs no borrows from the caller.
-struct FiringShared {
-    epoch: Instant,
-    externals: Vec<Value>,
-}
-
-/// Everything firing-invariant, shared between the session handle and
-/// its pool threads.
+/// Everything firing-invariant, shared with the seated helpers.
 struct SessionCore {
     graph: Arc<TaskGraph>,
     router: Router,
     store: Store,
     ws: WsState,
     options: ExecOptions,
-    firing: Mutex<Arc<FiringShared>>,
+    /// The helper seats' private halves: seat `i` is worker `i + 1`.
+    seats: Vec<Mutex<WsWorker>>,
 }
 
-impl SessionCore {
-    /// The worker-facing view of one firing over the long-lived state.
-    fn ctx<'a>(&'a self, firing: &'a FiringShared) -> Ctx<'a> {
+/// One firing: the session's state, the epoch all trace timestamps are
+/// relative to, and the bound external inputs. A helper that takes a
+/// seat gets a clone.
+#[derive(Clone)]
+pub(crate) struct Firing {
+    core: Arc<SessionCore>,
+    epoch: Instant,
+    externals: Arc<Vec<Value>>,
+}
+
+impl Firing {
+    /// The worker-facing view of this firing.
+    fn ctx(&self) -> Ctx<'_> {
+        let core = &self.core;
         Ctx {
-            g: &self.graph,
-            router: &self.router,
-            options: &self.options,
-            store: &self.store,
-            externals: &firing.externals,
-            epoch: firing.epoch,
+            g: &core.graph,
+            router: &core.router,
+            options: &core.options,
+            store: &core.store,
+            externals: &self.externals,
+            epoch: self.epoch,
         }
+    }
+
+    /// A helper's part in this firing, as worker `me`. It consumes the
+    /// clone, so a helper that has left holds no reference to the core.
+    pub(crate) fn work(self, me: usize) {
+        let core = &self.core;
+        ws_fire(&self.ctx(), &core.ws, &mut core.seats[me - 1].lock());
     }
 }
 
-/// A persistent executor for one flattened design: worker threads stay
-/// parked, routing tables and slab storage stay allocated, and each
+/// A persistent executor for one flattened design: routing tables, slab
+/// storage and every worker's private state stay allocated, and each
 /// [`Session::run`] is one firing. See the module docs for the
 /// lifecycle; `banger run --repeat N` and
 /// [`Project::session`](https://docs.rs/banger-core) surface this.
 pub struct Session {
     core: Arc<SessionCore>,
     caller: WsWorker,
-    /// The pool: `workers - 1` threads, or none (the caller is worker 0).
-    threads: Vec<JoinHandle<()>>,
 }
 
 impl Session {
-    /// Builds the routing tables, allocates the store, and spawns the
-    /// parked worker pool — only if some task is stealable, since a pool
-    /// thread runs nothing else. Fails on the structural errors (`Cyclic`,
-    /// `NoProgram`, `UnknownProgram`, `MissingArcValue`), and with
-    /// `WorkerLost` if the host refuses a thread; per-firing value errors
-    /// (`UnboundInput`) surface from [`Session::run`] instead. Only greedy
-    /// mode persists — a pinned schedule is rejected as `BadSchedule`.
-    /// This is the one place `workers: 0` becomes a count.
+    /// Builds the routing tables, allocates the store, and sets a helper
+    /// seat per worker beyond the caller — none unless some task is
+    /// stealable, since a helper runs nothing else. Fails on the
+    /// structural errors (`Cyclic`, `NoProgram`, `UnknownProgram`,
+    /// `MissingArcValue`); per-firing value errors (`UnboundInput`)
+    /// surface from [`Session::run`] instead. Only greedy mode persists —
+    /// a pinned schedule is rejected as `BadSchedule`. This is the one
+    /// place `workers: 0` becomes a count.
     pub fn new(
         design: &Flattened,
         lib: &ProgramLibrary,
@@ -143,151 +129,88 @@ impl Session {
             }
         };
         let g = &design.graph;
-        let workers = if g.tasks().any(|(_, task)| stealable(task.weight, options)) {
-            workers
-        } else {
-            1
-        };
+        let stealing = g.tasks().any(|(_, task)| stealable(task.weight, options));
+        let workers = if stealing { workers } else { 1 };
         let router = Router::build(design, lib)?;
         let mut deques: Vec<deque::Worker<WsItem>> =
             (0..workers).map(|_| deque::Worker::new()).collect();
         let stealers = deques.iter().map(|d| d.stealer()).collect();
+        let caller = WsWorker::new(0, deques.remove(0));
+        let seats = (deques.into_iter().zip(1..)).map(|(dq, me)| Mutex::new(WsWorker::new(me, dq)));
         let core = Arc::new(SessionCore {
             graph: Arc::clone(g),
             router,
             store: Store::new(g.task_count()),
             ws: WsState::new(g, stealers),
             options: options.clone(),
-            firing: Mutex::new(Arc::new(FiringShared {
-                epoch: Instant::now(),
-                externals: Vec::new(),
-            })),
+            seats: seats.collect(),
         });
-        let caller = WsWorker::new(0, deques.remove(0));
         LIVE_SESSIONS.fetch_add(1, Ordering::Relaxed);
-        // From here on `Drop` owns the clean-up: a failed spawn returns
-        // the error, and dropping the session joins the threads already
-        // spawned.
-        let mut session = Session {
-            core,
-            caller,
-            threads: Vec::with_capacity(workers - 1),
-        };
-        for (i, dq) in deques.into_iter().enumerate() {
-            let core = Arc::clone(&session.core);
-            let thread = std::thread::Builder::new()
-                .name(format!("banger-exec-{}", i + 1))
-                .spawn(move || session_thread(core, i + 1, dq))
-                .map_err(|e| {
-                    ExecError::WorkerLost(format!("cannot spawn worker {}: {e}", i + 1))
-                })?;
-            LIVE_POOL_THREADS.fetch_add(1, Ordering::Relaxed);
-            session.threads.push(thread);
-        }
-        Ok(session)
+        Ok(Session { core, caller })
     }
 
-    /// Worker threads in the session, including the caller's.
+    /// Workers a firing runs on when it gets the pool, the caller
+    /// included.
     pub fn workers(&self) -> usize {
-        self.threads.len() + 1
+        self.core.seats.len() + 1
     }
 
     /// One firing: binds `external`, re-arms the per-firing state, runs
-    /// the design on the warm pool, and waits for every pool worker to
-    /// park again. Errors (including injected panics) poison only their
-    /// own firing, and the next `run` starts clean.
+    /// the design on the caller's thread and whichever helpers join, and
+    /// waits for those to leave. Errors (including injected panics)
+    /// poison only their own firing, and the next `run` starts clean.
     pub fn run(&mut self, external: &BTreeMap<String, Value>) -> Result<ExecReport, ExecError> {
         let core = &self.core;
         let externals = core.router.bind(external)?;
 
-        // All pool workers are parked here (barrier of the previous
-        // firing / fresh construction) and left their deques empty, so
-        // the reset can't race a running worker or a stale task.
+        // Every worker left the previous firing with its deque empty
+        // (that firing's barrier), so the reset races no one.
         core.store.reset();
         core.ws.reset(&core.graph);
 
-        let firing = Arc::new(FiringShared {
+        let firing = Firing {
+            core: Arc::clone(core),
             epoch: Instant::now(),
-            externals,
-        });
-        *core.firing.lock() = Arc::clone(&firing);
-        let ctx = core.ctx(&firing);
-
+            externals: Arc::new(externals),
+        };
+        let ctx = firing.ctx();
+        let seats = core.seats.len();
+        let lease = (seats > 0).then(|| lease(seats, firing.clone())).flatten();
         ws_seed(&ctx, &core.ws, &mut self.caller);
         ws_fire(&ctx, &core.ws, &mut self.caller);
-
-        // End-of-firing barrier: every pool worker parked (or dead —
-        // fault injection kills threads for real; they count as
-        // permanently parked so loss can't hang the session).
-        {
-            let mut coord = core.ws.coord.lock();
-            while coord.parked + coord.dead < self.threads.len() {
-                core.ws.cv.wait(&mut coord);
-            }
-        }
+        drop(lease);
         core.ws.finish(&ctx)
     }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
-        self.core.ws.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _coord = self.core.ws.coord.lock();
-            self.core.ws.cv.notify_all();
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-            LIVE_POOL_THREADS.fetch_sub(1, Ordering::Relaxed);
-        }
         LIVE_SESSIONS.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// Pool thread body: park between firings, join each firing's
-/// work-stealing loop, repeat until shutdown. `parked` is bumped under
-/// the coord lock so the end-of-firing barrier sees us. Work left visible
-/// by a poisoned firing is not a reason to wake: that firing is over, its
-/// owner is about to discard the work, and joining it would only bounce
-/// between parking and un-parking while the barrier starves.
-fn session_thread(core: Arc<SessionCore>, me: usize, dq: deque::Worker<WsItem>) {
-    let mut w = WsWorker::new(me, dq);
-    loop {
-        {
-            let mut coord = core.ws.coord.lock();
-            coord.parked += 1;
-            core.ws.cv.notify_all(); // the barrier may be waiting on us
-            let fire = ws_park(&core.ws, &mut coord, || {
-                if core.ws.shutdown.load(Ordering::SeqCst) {
-                    Some(false)
-                } else {
-                    let live = !core.store.poisoned.load(Ordering::SeqCst);
-                    (live && core.ws.has_work()).then_some(true)
-                }
-            });
-            if !fire {
-                return;
-            }
-            coord.parked -= 1;
-        }
-        // Work is visible: snapshot the current firing and join it.
-        let firing = core.firing.lock().clone();
-        if ws_fire(&core.ctx(&firing), &core.ws, &mut w) {
-            // Injected death: stay dead. The accounting below is what
-            // lets the barrier (and future firings) proceed without us.
-            let mut coord = core.ws.coord.lock();
-            coord.dead += 1;
-            core.ws.cv.notify_all();
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::pool::{live_pool_threads, POOL};
     use crate::runner::{execute, DEFAULT_INLINE_BELOW};
     use banger_taskgraph::hierarchy::HierGraph;
+    use parking_lot::MutexGuard;
+
+    /// Taken by every test in this binary whose firings can have helpers.
+    /// The pool serves one firing at a time, and a firing that finds it
+    /// leased runs on its caller alone: exact, but not the worker count
+    /// the test asked for. Holding this, no other test leases the pool,
+    /// so each of the holder's firings gets all its seats.
+    pub(crate) fn pool_to_myself() -> MutexGuard<'static, ()> {
+        static TURN: Mutex<()> = Mutex::new(());
+        TURN.lock()
+    }
+
+    /// True iff some task of the firing ran on a helper.
+    pub(crate) fn helped(report: &ExecReport) -> bool {
+        report.runs.iter().any(|r| r.worker >= 1)
+    }
 
     /// source -> N squarers -> sum, with an external input `a`.
     fn fan(n: usize) -> (Flattened, ProgramLibrary) {
@@ -307,7 +230,7 @@ mod tests {
             h.add_arc(src, w, "s", 1.0).unwrap();
             h.add_arc(w, sum, format!("r{i}"), 1.0).unwrap();
             lib.add_source(&format!(
-                "task W{i} in s out r{i} begin r{i} := s * s + {i} end"
+                "task W{i} in s out r{i} begin r{i} := s * s + {i} print r{i} end"
             ))
             .unwrap();
             ins.push(format!("r{i}"));
@@ -327,7 +250,8 @@ mod tests {
 
     #[test]
     fn repeated_firings_match_execute() {
-        // `workers: 1` — a pool of zero threads — is the configuration
+        let _turn = pool_to_myself();
+        // `workers: 1` — a firing with no helper — is the configuration
         // the benchmark's `exec_heavy` measures.
         let (f, lib) = fan(8);
         for (workers, inline_below) in [(4, 0.0), (4, DEFAULT_INLINE_BELOW), (1, 0.0)] {
@@ -363,6 +287,7 @@ mod tests {
 
     #[test]
     fn a_design_with_nothing_stealable_spawns_no_pool() {
+        let _turn = pool_to_myself();
         let (f, lib) = fan(8);
         let mut inline = Session::new(&f, &lib, &greedy(4, DEFAULT_INLINE_BELOW)).unwrap();
         assert_eq!(inline.workers(), 1, "every task is below the threshold");
@@ -382,6 +307,7 @@ mod tests {
 
     #[test]
     fn one_task_at_the_threshold_gets_the_whole_pool() {
+        let _turn = pool_to_myself();
         let (mut f, lib) = fan(4);
         let w2 = f
             .graph
@@ -428,6 +354,7 @@ mod tests {
 
     #[test]
     fn failed_firing_does_not_poison_the_next() {
+        let _turn = pool_to_myself();
         let (f, lib) = fan(8);
         for inline_below in [0.0, DEFAULT_INLINE_BELOW] {
             let opts = ExecOptions {
@@ -459,8 +386,9 @@ mod tests {
 
     #[test]
     fn worker_death_mid_session_leaves_it_usable() {
+        let _turn = pool_to_myself();
         let (f, lib) = fan(10);
-        // Force the stealable path so a pool thread (not the caller) can
+        // Force the stealable path so a helper (not the caller) can
         // grab the victim task at least sometimes; either way the firing
         // must error, never hang, and later firings must still complete.
         let opts = ExecOptions {
@@ -535,7 +463,7 @@ mod tests {
     }
 
     /// `layers` x `width` independent chains of stealable (weight 5000)
-    /// tasks `t{layer}_{chain}`, each a short loop.
+    /// tasks `t{layer}_{chain}`, each a short loop that prints its sum.
     fn chains(layers: usize, width: usize) -> (Flattened, ProgramLibrary) {
         let mut h = HierGraph::new("chains");
         let mut lib = ProgramLibrary::new();
@@ -553,7 +481,7 @@ mod tests {
                 };
                 lib.add_source(&format!(
                     "task P{l}_{c} {input} out o{l}_{c} local i begin o{l}_{c} := 0 \
-                     for i := 1 to 50 do o{l}_{c} := o{l}_{c} + i end end"
+                     for i := 1 to 50 do o{l}_{c} := o{l}_{c} + i end print o{l}_{c} end"
                 ))
                 .unwrap();
                 *prev = Some(node);
@@ -564,7 +492,8 @@ mod tests {
 
     #[test]
     fn poisoned_firings_with_tasks_in_flight_never_wedge_the_barrier() {
-        // A firing that poisons while a pool worker still has a task in
+        let _turn = pool_to_myself();
+        // A firing that poisons while a helper still has a task in
         // flight: that task finishes late and pushes its successors into
         // the worker's own deque. If nobody discards them, the parked
         // workers bounce between parking and un-parking forever and the
@@ -592,5 +521,94 @@ mod tests {
             rx.recv_timeout(std::time::Duration::from_secs(20))
                 .unwrap_or_else(|e| panic!("firing loop stalled after {done} sessions: {e:?}"));
         }
+    }
+
+    /// The two paths of a firing, forced rather than left to timing: with
+    /// the lease held elsewhere a firing runs on worker 0 alone; with it
+    /// free, helpers join and (within a few firings) run tasks.
+    #[test]
+    fn a_firing_runs_alone_while_the_pool_is_leased() {
+        let _turn = pool_to_myself();
+        let (f, lib) = chains(4, 8);
+        let mut session = Session::new(&f, &lib, &greedy(4, 0.0)).unwrap();
+        let alone = {
+            let _held = POOL.lease.lock();
+            session.run(&BTreeMap::new()).unwrap()
+        };
+        assert!(alone.runs.iter().all(|r| r.worker == 0));
+        let with_helpers = (0..1000)
+            .map(|_| session.run(&BTreeMap::new()).unwrap())
+            .find(helped)
+            .expect("a leased firing put a helper to work");
+        assert!(live_pool_threads() >= 3, "the pool grew to the seats");
+        let n = f.graph.task_count();
+        assert_eq!(alone.outputs, with_helpers.outputs);
+        assert_eq!(alone.measured_weights(n), with_helpers.measured_weights(n));
+    }
+
+    /// Two sessions firing at once: one leases the pool, the other runs
+    /// alone, turn by turn, and every report is the one-worker report.
+    #[test]
+    fn two_sessions_firing_at_once_match_one_worker() {
+        let _turn = pool_to_myself();
+        let (f, lib) = chains(4, 8);
+        let n = f.graph.task_count();
+        let none = BTreeMap::new();
+        let want = Session::new(&f, &lib, &greedy(1, 0.0))
+            .unwrap()
+            .run(&none)
+            .unwrap();
+        let helped_firings = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let mut session = Session::new(&f, &lib, &greedy(4, 0.0)).unwrap();
+                    for round in 0..500 {
+                        let r = session.run(&none).unwrap();
+                        assert_eq!(r.outputs, want.outputs, "round {round}");
+                        assert_eq!(r.prints, want.prints, "round {round}");
+                        assert_eq!(r.measured_weights(n), want.measured_weights(n));
+                        if helped(&r) {
+                            helped_firings.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert!(helped_firings.into_inner() > 0, "no firing had helpers");
+    }
+
+    /// Names of this process's pool threads, read from the kernel.
+    fn pool_thread_names() -> usize {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("Linux /proc");
+        tasks
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .filter(|name| name.starts_with("banger-exec-"))
+            .count()
+    }
+
+    /// A helper that dies (an injected fault) loses its firing, not its
+    /// thread: the pool keeps its size and its helpers keep working.
+    #[test]
+    fn an_injected_death_leaves_the_pool_its_threads() {
+        let _turn = pool_to_myself();
+        let (f, lib) = chains(4, 8);
+        let mut clean = Session::new(&f, &lib, &greedy(4, 0.0)).unwrap();
+        clean.run(&BTreeMap::new()).unwrap();
+        let size = live_pool_threads();
+        assert_eq!(pool_thread_names(), size);
+        let dying = ExecOptions {
+            inject_worker_death: Some("t1_3".into()),
+            ..greedy(4, 0.0)
+        };
+        let mut session = Session::new(&f, &lib, &dying).unwrap();
+        let helper_died = (0..2000).any(|_| match session.run(&BTreeMap::new()).unwrap_err() {
+            ExecError::WorkerLost(m) => !m.starts_with("worker 0 "),
+            other => panic!("{other}"),
+        });
+        assert!(helper_died, "no helper ever took the victim");
+        assert_eq!(live_pool_threads(), size);
+        assert_eq!(pool_thread_names(), size);
+        assert!((0..1000).any(|_| helped(&clean.run(&BTreeMap::new()).unwrap())));
     }
 }

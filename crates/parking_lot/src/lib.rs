@@ -19,7 +19,7 @@ pub struct MutexGuard<'a, T: ?Sized> {
 }
 
 impl<T> Mutex<T> {
-    pub fn new(value: T) -> Self {
+    pub const fn new(value: T) -> Self {
         Mutex {
             inner: std::sync::Mutex::new(value),
         }
@@ -35,6 +35,16 @@ impl<T: ?Sized> Mutex<T> {
         MutexGuard {
             inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
         }
+    }
+
+    /// The guard, or `None` at once if another thread holds the lock.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        let inner = match self.inner.try_lock() {
+            Ok(guard) => guard,
+            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard { inner: Some(inner) })
     }
 }
 
@@ -57,8 +67,10 @@ pub struct Condvar {
 }
 
 impl Condvar {
-    pub fn new() -> Self {
-        Condvar::default()
+    pub const fn new() -> Self {
+        Condvar {
+            inner: std::sync::Condvar::new(),
+        }
     }
 
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
@@ -87,6 +99,15 @@ mod tests {
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
         assert_eq!(m.into_inner(), 42);
+    }
+
+    #[test]
+    fn try_lock_fails_only_while_held() {
+        let m = Mutex::new(());
+        let held = m.try_lock().expect("free");
+        assert!(m.try_lock().is_none());
+        drop(held);
+        assert!(m.try_lock().is_some());
     }
 
     #[test]

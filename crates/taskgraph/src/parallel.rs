@@ -17,6 +17,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::thread::Builder;
 
 /// Applies `f` to every item and returns the results **in input order**.
 ///
@@ -69,7 +70,9 @@ where
     out.resize_with(items.len(), || None);
 
     std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(claim)).collect();
+        // A helper the host refuses leaves its share to the caller.
+        let spawn = || Builder::new().stack_size(STACK_SIZE).spawn_scoped(s, claim);
+        let helpers: Vec<_> = (1..workers).filter_map(|_| spawn().ok()).collect();
         let mut place = |done: Vec<(usize, R)>| {
             for (i, r) in done {
                 out[i] = Some(r);
@@ -96,6 +99,12 @@ where
 pub fn planned_workers(items: usize) -> usize {
     host_cores().min(items)
 }
+
+/// The stack of every thread Banger spawns: 8 MiB, the main thread's on
+/// Linux. Each of them may walk user input recursively (parse, analyze,
+/// compile, interpret), and a document's depth limits are measured
+/// against this size, so a verb stops at the same depth on any thread.
+pub const STACK_SIZE: usize = 8 << 20;
 
 /// The host's core count, read once per process. On Linux
 /// `available_parallelism` reads the cgroup files on every call, which a

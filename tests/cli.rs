@@ -1333,10 +1333,11 @@ fn serve_daemon_round_trip() {
 }
 
 /// `stats` counts the executor sessions and pool threads a daemon holds.
-/// An edited small design keeps one session and no pool thread however
-/// often it is rebuilt; a design with a stealable task gets a pool of the
-/// core count less the caller; evicting it gives those threads back. The
-/// daemon is its own process, so no other test moves these counts.
+/// An edited small design keeps one session and starts no pool however
+/// often it is rebuilt; the first design with a stealable task starts the
+/// process pool, of the core count less the caller; a second such design
+/// shares it, and evicting one leaves it whole. The daemon is its own
+/// process, so no other test moves these counts.
 #[cfg(unix)]
 #[test]
 fn stats_counts_sessions_and_pool_threads() {
@@ -1378,17 +1379,84 @@ fn stats_counts_sessions_and_pool_threads() {
     }
     assert_eq!(counts(), "1  pool threads 0");
 
-    let dense = std::fs::canonicalize("examples/projects/dense_lu.bang").unwrap();
-    let dense = dense.to_str().unwrap();
     let dense_inputs = inputs("dense_lu");
-    let mut run = vec!["run", dense];
-    run.extend(dense_inputs.iter().map(String::as_str));
-    ask(&run);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    assert_eq!(counts(), format!("2  pool threads {}", cores - 1));
+    let source = std::fs::read_to_string("examples/projects/dense_lu.bang").unwrap();
+    let copies = ["dense_a.bang", "dense_b.bang"].map(|name| dir.join(name));
+    for (resident, copy) in copies.iter().enumerate() {
+        std::fs::write(copy, &source).unwrap();
+        let mut run = vec!["run", copy.to_str().unwrap()];
+        run.extend(dense_inputs.iter().map(String::as_str));
+        ask(&run);
+        let sessions = resident + 2;
+        assert_eq!(counts(), format!("{sessions}  pool threads {}", cores - 1));
+    }
 
-    ask(&["evict", dense]);
-    assert_eq!(counts(), "1  pool threads 0");
+    ask(&["evict", copies[0].to_str().unwrap()]);
+    assert_eq!(counts(), format!("2  pool threads {}", cores - 1));
+    stop_daemon(&sock, guard);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A daemon's threads are bounded by the host, not by the designs it
+/// holds: 50 resident copies of `dense_lu`, each run once, share one pool
+/// of `cores - 1` helpers beside the accept loop and a thread per open
+/// connection.
+#[cfg(unix)]
+#[test]
+fn fifty_resident_stealable_designs_keep_one_pool() {
+    let dir = std::env::temp_dir().join(format!("banger-cli-fifty-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (sock, guard) = start_daemon("fifty", &dir);
+    let tasks = format!("/proc/{}/task", guard.0.id());
+    let threads = || std::fs::read_dir(&tasks).expect("daemon threads").count();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let source = std::fs::read_to_string("examples/projects/dense_lu.bang").unwrap();
+    let inputs = std::fs::read_to_string("bench_all/inputs/dense_lu.inputs").unwrap();
+    for copy in 0..50 {
+        let path = dir.join(format!("dense_{copy}.bang"));
+        std::fs::write(&path, &source).unwrap();
+        let mut run = banger();
+        run.args([
+            "--connect",
+            sock.to_str().unwrap(),
+            "run",
+            path.to_str().unwrap(),
+        ]);
+        for line in inputs.lines() {
+            run.args(["-i", line]);
+        }
+        let out = run.output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // No connection is open once the client has exited, but the
+        // daemon's thread for it ends only when it reads the close.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while threads() > cores && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert!(
+            threads() <= cores,
+            "after {} resident copies the daemon has {} threads on {cores} cores",
+            copy + 1,
+            threads()
+        );
+    }
+    let stats = banger()
+        .args(["--connect", sock.to_str().unwrap(), "stats"])
+        .output()
+        .unwrap();
+    let stats = String::from_utf8_lossy(&stats.stdout);
+    assert!(
+        stats
+            .trim_end()
+            .ends_with(&format!("sessions 50  pool threads {}", cores - 1)),
+        "{stats}"
+    );
     stop_daemon(&sock, guard);
     std::fs::remove_dir_all(&dir).ok();
 }

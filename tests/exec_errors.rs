@@ -17,6 +17,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
+#[path = "support/pool.rs"]
+mod pool;
+
 /// Random layered design where task `t{l}_{w}` computes `1 + sum(inputs)`,
 /// gathered into a `result` port (same shape as `tests/exec_stress.rs`).
 fn build(seed: u64, layers: usize, width: usize) -> (Flattened, ProgramLibrary, f64) {
@@ -218,6 +221,7 @@ fn ws_thresholds() -> [(&'static str, f64); 2] {
 
 #[test]
 fn injected_panic_is_attributed_under_forced_stealing() {
+    let _turn = pool::turn();
     // Same contract as `injected_panic_is_attributed_in_every_mode`, but
     // with inlining disabled so the victim task travels the deque/steal
     // path — the panic unwinds inside whichever worker stole it, and the
@@ -254,7 +258,8 @@ fn injected_panic_is_attributed_under_forced_stealing() {
 
 #[test]
 fn worker_death_with_stolen_work_in_flight_is_worker_lost_never_a_hang() {
-    // Killing a worker thread outright mid-run — while other workers
+    let _turn = pool::turn();
+    // A helper lost from its firing mid-run — while other workers
     // still hold work stolen from its deque — must surface as
     // ExecError::WorkerLost, not deadlock the remaining workers at the
     // end-of-run rendezvous. The test completing at all is the no-hang
@@ -286,14 +291,14 @@ fn worker_death_with_stolen_work_in_flight_is_worker_lost_never_a_hang() {
 
 #[test]
 fn worker_death_is_worker_lost_even_when_the_worker_cannot_die() {
-    // A one-worker greedy pool has no thread to kill, and pinned workers
-    // are scoped threads whose unwind would take the caller with it: in
-    // both, the worker that dequeues the victim stops participating and
-    // the run is WorkerLost naming it — the injection is never ignored.
+    // A one-worker greedy run has no helper to lose, and pinned workers
+    // are scoped threads: in both, as for helpers, the worker that
+    // dequeues the victim stops participating and the run is WorkerLost
+    // naming it — the injection is never ignored.
     let (design, lib, _) = build(5, 4, 6);
     for (label, mode) in all_modes(&design) {
         if matches!(mode, ExecMode::Greedy { workers } if workers > 1) {
-            continue; // covered, with real thread deaths, above
+            continue; // covered, with helpers lost mid-run, above
         }
         let err = execute(
             &design,
@@ -315,6 +320,7 @@ fn worker_death_is_worker_lost_even_when_the_worker_cannot_die() {
 
 #[test]
 fn session_surfaces_faults_per_firing_and_stays_usable() {
+    let _turn = pool::turn();
     // A persistent Session built with a fault injected fails every
     // firing with the attributed error — the poisoned store and leftover
     // deque items from one firing must not wedge or corrupt the next —

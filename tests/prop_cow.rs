@@ -431,6 +431,9 @@ use banger_taskgraph::hierarchy::{Flattened, HierGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+#[path = "support/pool.rs"]
+mod pool;
+
 /// Random layered design with aggressive array traffic (same shape as
 /// `tests/prop_trace.rs`): sources fill an array and write one slot,
 /// interior tasks read aliased elements of every input.
@@ -557,6 +560,7 @@ proptest! {
         width in 1usize..4,
         workers in 2usize..5,
     ) {
+        let _turn = pool::turn();
         let (design, lib) = build_design(seed, layers, width);
         let n = design.graph.task_count();
         let base = run_exec(&design, &lib, 1, DEFAULT_INLINE_BELOW);
@@ -578,7 +582,8 @@ proptest! {
         width in 1usize..4,
         workers in 2usize..5,
     ) {
-        // Reused worker threads, deques, and slab store across firings
+        let _turn = pool::turn();
+        // Reused deques, Vm frames and slab store across firings
         // must not change what the CoW layer observes.
         let (design, lib) = build_design(seed, layers, width);
         let n = design.graph.task_count();

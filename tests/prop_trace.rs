@@ -16,6 +16,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
+#[path = "support/pool.rs"]
+mod pool;
+
 /// Random layered design mixing scalar sums with array traffic (the
 /// `fill`/index-write tasks force CoW copies so the trace's byte
 /// counters see real work). Task `t{l}_{w}` computes `1 + sum(inputs)`.
@@ -126,6 +129,7 @@ proptest! {
         width in 1usize..5,
         workers in 1usize..5,
     ) {
+        let _turn = pool::turn();
         let (design, lib) = build(seed, layers, width);
         let n = design.graph.task_count();
         for (mode, inline_below) in modes(&design, workers) {
@@ -161,8 +165,8 @@ proptest! {
             // inlining disabled every task is deque-dispatched; with the
             // default threshold these weight-1.0 tasks never leave the
             // private inline stacks, so nothing is there to steal.
-            // That holds for every worker count: `workers: 1` is a pool
-            // of zero threads on the same loop, not a separate path.
+            // That holds for every worker count: `workers: 1` is a firing
+            // with no helper on the same loop, not a separate path.
             if matches!(mode, ExecMode::Greedy { .. }) {
                 if inline_below == 0.0 {
                     prop_assert_eq!(summary.inline_tasks, 0);
@@ -185,8 +189,9 @@ proptest! {
         width in 1usize..4,
         workers in 1usize..5,
     ) {
+        let _turn = pool::turn();
         // Tracing must stay observationally free under the persistent
-        // executor too, where worker threads, deques, and the slab store
+        // executor too, where deques, Vm frames and the slab store
         // survive across firings.
         let (design, lib) = build(seed, layers, width);
         let n = design.graph.task_count();

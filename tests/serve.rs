@@ -454,8 +454,8 @@ fn chain_doc(terms: usize) -> String {
 
 /// A `+` chain is refused past the parser's height cap: 20,000 terms used
 /// to overflow the client thread's stack and abort the daemon for every
-/// client. At the cap — measured for this: a debug build's 2 MiB client
-/// thread overflows at about 1,300 terms — `check`, `gantt` and `run` are
+/// client. At the cap — measured for this: a debug build's 8 MiB client
+/// thread overflows at about 5,300 terms — `check`, `gantt` and `run` are
 /// answered.
 #[test]
 fn a_chain_past_the_height_cap_is_an_error_not_a_dead_daemon() {
@@ -490,6 +490,31 @@ fn a_chain_past_the_height_cap_is_an_error_not_a_dead_daemon() {
         }
     }
     assert_eq!(server.store().stats().panics, 0, "rejected, not caught");
+    let pong = client.request(&Request::new("ping")).unwrap();
+    assert!(pong.ok, "{}", pong.error);
+    shutdown(&sock, handle);
+    std::fs::remove_file(&path).ok();
+}
+
+/// `trial --reference` runs the tree-walking interpreter on the client
+/// thread, which spends about four times the stack per level the compiler
+/// does: on a debug build's old 2 MiB client thread it overflowed at
+/// about 320 terms and aborted the daemon. At the height cap it is
+/// answered, and the daemon keeps serving.
+#[test]
+fn trial_reference_at_the_height_cap_is_answered() {
+    let cap = banger_calc::parser::MAX_HEIGHT as usize;
+    let path = temp_path("trial-cap", "bang");
+    std::fs::write(&path, chain_doc(cap)).unwrap();
+    let (sock, _server, handle) = start_server("trial-cap");
+    let mut client = Client::connect(&sock).expect("connect");
+    let mut trial = Request::for_path("trial", path.to_str().unwrap());
+    trial.args = vec!["Chain".into()];
+    trial.reference = true;
+    let resp = client.request(&trial).unwrap();
+    assert!(resp.ok, "{}", resp.error);
+    assert_eq!(resp.output, format!("r = {cap}\n"));
+    assert!(resp.notes.contains("reference engine"), "{}", resp.notes);
     let pong = client.request(&Request::new("ping")).unwrap();
     assert!(pong.ok, "{}", pong.error);
     shutdown(&sock, handle);
