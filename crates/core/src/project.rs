@@ -452,8 +452,8 @@ impl Project {
         self.run_with(inputs, &ExecOptions::default())
     }
 
-    /// Executes the design pinned to a schedule (worker *i* = processor
-    /// *i*).
+    /// Executes the design pinned to a schedule (trace row *i* =
+    /// processor *i*), on the process's executor pool like every run.
     pub fn run_scheduled(
         &self,
         schedule: &Schedule,
@@ -486,7 +486,7 @@ impl Project {
     /// compiled programs, the slab store, and each worker's deque and Vm
     /// frame survive across [`Session::run`] firings, so repeated executions
     /// (parameter sweeps, convergence loops, `banger run --repeat N`)
-    /// pay the setup once. Greedy mode only.
+    /// pay the setup once, in either [`ExecMode`].
     /// The design must pass [`diagnose`](Self::diagnose) with no errors.
     pub fn session(&self, options: &ExecOptions) -> Result<Session, ProjectError> {
         self.gate()?;

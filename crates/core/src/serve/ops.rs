@@ -778,17 +778,17 @@ fn op_run(snap: &Snapshot, req: &Request, store: &ProjectStore) -> Answer {
             &mut private
         }
     };
-    let (mut total, mut best, mut last) = (Duration::ZERO, Duration::MAX, None);
+    let (mut total, mut best, mut workers, mut last) = (Duration::ZERO, Duration::MAX, 1, None);
     for _ in 0..firings {
         let r = session.run(&req.inputs).map_err(ProjectError::from)?;
         total += r.wall;
         best = best.min(r.wall);
+        workers = workers.max(r.workers);
         last = Some(r);
     }
     let report = last.ok_or("the run produced no firing report")?;
     let mut resp = render_run(&report, notes).cached(warm);
     if req.repeat.is_some() {
-        let workers = session.workers();
         let plural = if workers == 1 { "" } else { "s" };
         resp = resp.with_notes(format!(
             "({firings} firings on {workers} warm worker{plural}: total {total:?}, mean {:?}, \

@@ -14,28 +14,19 @@
 //!
 //! * [`ExecMode::Greedy`] — work-conserving pool: any idle worker takes
 //!   any ready task (what a dynamic runtime would do);
-//! * [`ExecMode::Pinned`] — schedule-driven: worker *i* plays processor
-//!   *i* of a [`Schedule`](banger_sched::Schedule) and executes exactly
-//!   its placements in predicted start order, including duplicated
-//!   copies. This is "run the Gantt chart".
-//!
-//! Greedy mode runs on per-worker Chase–Lev work-stealing deques
-//! (`crossbeam::deque`): completing a task publishes newly ready
-//! successors straight into the completing worker's own deque, idle
-//! workers steal, and tasks below [`ExecOptions::inline_below`] run on
-//! the publishing thread's private stack with no queueing at all.
-//! Pinned mode replaces only that policy; readiness counters, result
-//! buffers and error handling are shared. All blocking, in both modes,
-//! is one `parking_lot` mutex/condvar pair behind a Dekker flag;
-//! workers never busy-wait and publishers pay no syscall while nobody
-//! sleeps.
+//! * [`ExecMode::Pinned`] — schedule-driven: processor *i* of a
+//!   [`Schedule`](banger_sched::Schedule) executes exactly its placements
+//!   in predicted start order, including duplicated copies, on whichever
+//!   worker claims it, as trace row *i*. This is "run the Gantt chart".
 //!
 //! There is one executor lifecycle: a [`Session`] keeps the routing
 //! tables, compiled programs, Vm frames and slab store allocated across
 //! firings — parameter sweeps, convergence loops — and runs each firing
-//! on the process's one pool of helper threads, and a greedy [`execute`]
-//! is a session opened, fired once and dropped, so the two cannot
-//! disagree.
+//! on the process's one pool of helper threads, and [`execute`], in
+//! either mode, is a session opened, fired once and dropped, so the two
+//! cannot disagree. The modes differ only in the loop a worker runs
+//! ([`runner`] describes both); readiness counters, result buffers,
+//! error handling and the one wait are shared.
 //!
 //! Setting [`ExecOptions::trace`] makes either mode record a
 //! [`Trace`](banger_trace::Trace) of what actually happened — task

@@ -80,6 +80,16 @@ pub(crate) fn lease(want: usize, firing: Firing) -> Option<Lease> {
     Some(Lease { _held: held })
 }
 
+impl Lease {
+    /// Withdraws the free seats and returns how many helpers took one;
+    /// the drop that follows waits for them to leave.
+    pub(crate) fn end(self) -> usize {
+        let mut seats = POOL.seats.lock();
+        seats.offered = seats.taken;
+        seats.taken
+    }
+}
+
 impl Drop for Lease {
     fn drop(&mut self) {
         let mut seats = POOL.seats.lock();

@@ -18,15 +18,11 @@
 //! compute. DESIGN.md §10 documents the routing tables and the CoW
 //! contract.
 //!
-//! ## One lifecycle
+//! ## Two policies, one lifecycle
 //!
-//! There is one way a firing runs: a [`Session`] binds the external
-//! inputs, seeds the roots, works as worker 0 beside whichever helpers of
-//! the process pool join, waits at the end-of-firing barrier and
-//! assembles the report. [`execute`] in greedy mode is exactly that,
-//! fired once. `Greedy { workers: 1 }`, and a design with no task a
-//! helper could steal (all below [`ExecOptions::inline_below`]), are the
-//! same loop with no helper, not a separate sequential path.
+//! Every firing is a [`Session`] firing (see [`crate::session`]); the
+//! modes differ only in the loop a worker runs. A greedy firing with no
+//! helper is the same loop, not a separate sequential path.
 //!
 //! Greedy mode has no coordinator thread and no channels. Each worker
 //! owns a Chase–Lev deque ([`crossbeam::deque`]); completing a task
@@ -41,13 +37,12 @@
 //! `waiting` flag (`ws_park`), so publishers pay a fence plus one
 //! relaxed load (no syscall) when nobody sleeps.
 //!
-//! Pinned mode keeps its own *policy* — worker *i* walks processor *i*'s
-//! placements in start order, duplicated copies included — as the small
-//! `pinned_run` loop, on the same plumbing: readiness is the shared
-//! in-degree counters (the first copy of a task to publish decrements its
-//! successors), waiting is `ws_park`, results and errors go through the
-//! same per-worker buffers, sink and first-error slot. DESIGN.md §12
-//! documents the protocol.
+//! Pinned mode (`pinned_run`) runs each processor's placements in start
+//! order on whichever worker claims the processor, on the same plumbing:
+//! the in-degree counters (the first copy of a task to publish
+//! decrements its successors), `ws_park`, the per-worker buffers, sink
+//! and first-error slot. Every run and trace event names the processor.
+//! DESIGN.md §12 documents the protocol.
 //!
 //! ## Tracing and error paths
 //!
@@ -59,10 +54,10 @@
 //! does no trace work at all. Task bodies run under `catch_unwind` in
 //! every mode, so a panicking body surfaces as
 //! [`ExecError::WorkerPanic`] naming the task instead of killing the
-//! worker silently; a worker lost with work in flight poisons
-//! the run and surfaces as [`ExecError::WorkerLost`] rather than
-//! hanging the barrier. DESIGN.md §11 documents the event model and
-//! the overhead contract.
+//! worker silently; a worker lost with work in flight (an injected
+//! death) poisons the run and surfaces as [`ExecError::WorkerLost`]
+//! rather than hanging the barrier. DESIGN.md §11 documents the event
+//! model and the overhead contract.
 
 use crate::session::Session;
 use banger_calc::compile::CompiledProgram;
@@ -72,11 +67,10 @@ use banger_calc::{interp, InterpConfig, Program, ProgramLibrary, RunError, Value
 use banger_sched::Schedule;
 use banger_taskgraph::binding::{BindError, Bindings, Source};
 use banger_taskgraph::hierarchy::Flattened;
-use banger_taskgraph::parallel::STACK_SIZE;
 use banger_taskgraph::{TaskGraph, TaskId};
 use banger_trace::{Trace, TraceEvent};
 use crossbeam::deque::{self, Steal};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
@@ -102,10 +96,12 @@ pub enum ExecMode {
         /// ([`banger_taskgraph::parallel::host_cores`]).
         workers: usize,
     },
-    /// Follow a schedule: worker *i* executes processor *i*'s placements
-    /// in predicted start order (duplicated copies included). Shared by
-    /// `Arc` so repeated executions of one schedule don't clone the
-    /// placement lists.
+    /// Follow a schedule: each processor's placements run in predicted
+    /// start order (duplicated copies included), and every run names its
+    /// processor as its worker. The firing runs on at most one thread
+    /// per processor used, capped by the host's cores. Shared by `Arc`
+    /// so repeated executions of one schedule don't clone the placement
+    /// lists.
     Pinned(Arc<Schedule>),
 }
 
@@ -179,6 +175,9 @@ pub struct ExecReport {
     pub outputs: BTreeMap<String, Value>,
     /// Per-task-copy timing, in completion order.
     pub runs: Vec<TaskRun>,
+    /// Threads the firing ran on, the caller included: at most
+    /// [`Session::workers`], and 1 when it found the pool leased.
+    pub workers: usize,
     /// Total wall-clock time.
     pub wall: Duration,
     /// `print` lines from all tasks, tagged with the producing task.
@@ -250,6 +249,8 @@ pub enum ExecError {
     },
     /// A worker was lost from the run with tasks still outstanding (its
     /// dequeued work never completed), so the run can no longer drain.
+    /// Raised only by an injected death ([`ExecOptions::inject_worker_death`])
+    /// or by a worker loop that unwinds outside a task body (a bug).
     WorkerLost(String),
 }
 
@@ -495,19 +496,16 @@ impl Router {
 
 /// Executes the flattened design. `external` supplies values for the
 /// design's input ports (by variable name); the report's `outputs` carries
-/// the output-port values. A greedy run is a [`Session`] fired once — the
-/// same seed, worker loop, barrier and report every later firing would
-/// get — so one-shot and persistent execution cannot disagree.
+/// the output-port values. A run in either mode is a [`Session`] fired
+/// once — the same worker loop, barrier and report every later firing
+/// would get — so one-shot and persistent execution cannot disagree.
 pub fn execute(
     design: &Flattened,
     lib: &ProgramLibrary,
     external: &BTreeMap<String, Value>,
     options: &ExecOptions,
 ) -> Result<ExecReport, ExecError> {
-    match &options.mode {
-        ExecMode::Greedy { .. } => Session::new(design, lib, options)?.run(external),
-        ExecMode::Pinned(schedule) => run_pinned(design, lib, external, options, schedule),
-    }
+    Session::new(design, lib, options)?.run(external)
 }
 
 /// Everything a worker needs, bundled so dispatch code stays readable.
@@ -540,8 +538,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// instead of unwinding through the worker thread and taking it out of
 /// the pool. When tracing, failures also record a
 /// [`TraceEvent::TaskError`]. `Ok` carries [`Store::publish`]'s verdict:
-/// whether this copy was the first of `t` to publish.
+/// whether this copy was the first of `t` to publish. The worker an
+/// injected death ([`ExecOptions::inject_worker_death`]) picks leaves `t`
+/// unfinished and reports it lost.
 fn run_one_caught(ctx: &Ctx<'_>, w: &mut WsWorker, t: TaskId) -> Result<bool, ExecError> {
+    let name = &ctx.g.task(t).name;
+    if ctx.options.inject_worker_death.as_ref() == Some(name) {
+        let lost = format!("worker {} died with task {name:?} in flight", w.me);
+        return Err(ExecError::WorkerLost(lost));
+    }
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| run_one(ctx, w, t))).unwrap_or_else(
         |payload| {
             Err(ExecError::WorkerPanic {
@@ -693,14 +698,57 @@ struct WsSink {
     events: Vec<TraceEvent>,
 }
 
-/// The executor's shared per-firing state, in both modes: readiness
-/// counters, the one wait/wake protocol, the result sink and the first
-/// error. A session keeps one for its whole lifetime and re-arms it per
-/// firing; a pinned run has one for its one `execute` call.
+/// How a firing's workers find their tasks — the one thing the two
+/// [`ExecMode`]s do differently.
+pub(crate) enum Policy {
+    /// Any worker runs any ready task: one stealer handle per worker
+    /// deque, visible to every worker.
+    Greedy(Vec<deque::Stealer<WsItem>>),
+    /// Each processor's placements in start order, on whichever worker
+    /// claims the processor.
+    Pinned {
+        queues: Queues,
+        /// The next queue to claim this firing. It publishes nothing
+        /// (the queues never change), so `Relaxed` suffices.
+        next: AtomicUsize,
+    },
+}
+
+/// A pinned firing's queues: `(processor, its placements' tasks in
+/// predicted start order)` for each processor with a placement.
+pub(crate) type Queues = Vec<(usize, Vec<TaskId>)>;
+
+/// The queues of [`Policy::Pinned`] for `schedule`, refused as
+/// `BadSchedule` naming the task with the lowest id when some task has no
+/// placement.
+pub(crate) fn pinned_queues(g: &TaskGraph, schedule: &Schedule) -> Result<Queues, ExecError> {
+    let mut placed = vec![false; g.task_count()];
+    let mut order = Vec::with_capacity(schedule.placements().len());
+    for p in schedule.placements() {
+        if let Some(seen) = placed.get_mut(p.task.index()) {
+            *seen = true;
+        }
+        order.push((p.proc.index(), p.start, p.task));
+    }
+    if let Some(t) = g.task_ids().find(|t| !placed[t.index()]) {
+        return Err(ExecError::BadSchedule(format!(
+            "task {} is not placed",
+            g.task(t).name
+        )));
+    }
+    order.sort_by(|a, b| (a.0.cmp(&b.0).then(a.1.total_cmp(&b.1))).then(a.2.cmp(&b.2)));
+    let queues = order.chunk_by(|a, b| a.0 == b.0);
+    Ok(queues
+        .map(|q| (q[0].0, q.iter().map(|p| p.2).collect()))
+        .collect())
+}
+
+/// The executor's shared per-firing state, in both modes: the policy,
+/// readiness counters, the one wait/wake protocol, the result sink and
+/// the first error. A session keeps one for its whole lifetime and
+/// re-arms it per firing.
 pub(crate) struct WsState {
-    /// One stealer handle per worker deque, visible to every worker
-    /// (none in pinned mode, where nothing is stealable).
-    stealers: Vec<deque::Stealer<WsItem>>,
+    policy: Policy,
     /// Remaining-predecessor count per task; the `fetch_sub` that hits
     /// zero owns publication of that task.
     indeg: Vec<AtomicU32>,
@@ -716,9 +764,9 @@ pub(crate) struct WsState {
 }
 
 impl WsState {
-    pub(crate) fn new(g: &TaskGraph, stealers: Vec<deque::Stealer<WsItem>>) -> Self {
+    pub(crate) fn new(g: &TaskGraph, policy: Policy) -> Self {
         WsState {
-            stealers,
+            policy,
             indeg: g
                 .task_ids()
                 .map(|t| AtomicU32::new(g.in_degree(t) as u32))
@@ -739,6 +787,9 @@ impl WsState {
             self.indeg[t.index()].store(g.in_degree(t) as u32, Ordering::Relaxed);
         }
         self.remaining.store(g.task_count(), Ordering::SeqCst);
+        if let Policy::Pinned { next, .. } = &self.policy {
+            next.store(0, Ordering::Relaxed);
+        }
         *self.first_error.lock() = None;
         let mut sink = self.sink.lock();
         sink.runs.clear();
@@ -746,18 +797,13 @@ impl WsState {
         sink.events.clear();
     }
 
-    /// True while any deque holds a stealable task.
-    fn has_work(&self) -> bool {
-        self.stealers.iter().any(|s| !s.is_empty())
-    }
-
     /// Ends a firing once every worker has flushed: the first recorded
     /// error, or the caller-facing report — runs and prints in stable
-    /// orders, output-port values out of the slab, wall clock, optional
-    /// trace. The trace's worker count is 1 + the highest worker index
-    /// that actually ran or recorded anything, so utilization reflects
-    /// threads that participated, not pool size.
-    pub(crate) fn finish(&self, ctx: &Ctx<'_>) -> Result<ExecReport, ExecError> {
+    /// orders, output-port values out of the slab, wall clock, the
+    /// `workers` it ran on, optional trace. The trace's worker count is
+    /// 1 + the highest worker index that actually ran or recorded
+    /// anything, so utilization reflects threads that participated.
+    pub(crate) fn finish(&self, ctx: &Ctx<'_>, workers: usize) -> Result<ExecReport, ExecError> {
         if let Some(e) = self.first_error.lock().take() {
             return Err(e);
         }
@@ -782,6 +828,7 @@ impl WsState {
         Ok(ExecReport {
             outputs,
             runs: sink.runs,
+            workers,
             wall,
             prints: sink.prints,
             trace,
@@ -827,7 +874,7 @@ impl WsWorker {
 /// Next task for `w`: own small-task stack (LIFO, counts as inline),
 /// then own deque (LIFO), then steal FIFO from the others — retrying
 /// the round while any victim reports a racing `Retry`.
-fn ws_next(ws: &WsState, w: &mut WsWorker) -> Option<WsItem> {
+fn ws_next(stealers: &[deque::Stealer<WsItem>], w: &mut WsWorker) -> Option<WsItem> {
     if let Some(t) = w.local.pop() {
         w.inlined += 1;
         return Some((t, None));
@@ -835,11 +882,11 @@ fn ws_next(ws: &WsState, w: &mut WsWorker) -> Option<WsItem> {
     if let Some(item) = w.dq.pop() {
         return Some(item);
     }
-    let n = ws.stealers.len();
+    let n = stealers.len();
     loop {
         let mut retry = false;
         for k in 1..n {
-            match ws.stealers[(w.me + k) % n].steal() {
+            match stealers[(w.me + k) % n].steal() {
                 Steal::Success(item) => {
                     w.steals += 1;
                     return Some(item);
@@ -867,21 +914,27 @@ fn ws_signal(ws: &WsState) {
     }
 }
 
-/// The executor's one wait: parks the calling worker on the firing's
-/// condvar until `check` decides — `Some(true)` there is something to
-/// do, `Some(false)` the firing is over. `waiting` is raised under the
-/// coord lock and before the first check; see [`ws_signal`] for the
-/// pairing.
-fn ws_park(ws: &WsState, coord: &mut MutexGuard<'_, ()>, check: impl Fn() -> Option<bool>) -> bool {
+/// The executor's one wait, for a worker with nothing to run: flushes
+/// its records (so a stalled firing still shows them), then parks it on
+/// the firing's condvar until the firing poisons (false) or `go` decides
+/// — `Some(true)` there is something to do, `Some(false)` the firing is
+/// over. `waiting` is raised under the coord lock and before the first
+/// check; see [`ws_signal`] for the pairing.
+fn ws_park(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker, go: impl Fn() -> Option<bool>) -> bool {
+    ws_flush(ctx, ws, w);
+    let mut coord = ws.coord.lock();
     ws.waiting.fetch_add(1, Ordering::SeqCst);
-    let go = loop {
-        if let Some(go) = check() {
-            break go;
+    let decided = loop {
+        if ctx.store.poisoned.load(Ordering::SeqCst) {
+            break false;
         }
-        ws.cv.wait(coord);
+        if let Some(decided) = go() {
+            break decided;
+        }
+        ws.cv.wait(&mut coord);
     };
     ws.waiting.fetch_sub(1, Ordering::SeqCst);
-    go
+    decided
 }
 
 /// True iff a ready task of static weight `weight` goes into a stealable
@@ -916,22 +969,6 @@ fn ws_fail(ctx: &Ctx<'_>, ws: &WsState, e: ExecError) {
     ws.cv.notify_all();
 }
 
-/// Fault injection: true iff `t` is the task whose dequeuing worker is to
-/// be lost. The run is then already poisoned as `WorkerLost`, and the
-/// worker must stop participating with `t` unfinished.
-fn ws_dies_on(ctx: &Ctx<'_>, ws: &WsState, me: usize, t: TaskId) -> bool {
-    let name = &ctx.g.task(t).name;
-    let dies = ctx.options.inject_worker_death.as_ref() == Some(name);
-    if dies {
-        ws_fail(
-            ctx,
-            ws,
-            ExecError::WorkerLost(format!("worker {me} died with task {name:?} in flight")),
-        );
-    }
-    dies
-}
-
 /// Merges `w`'s buffered results into the shared sink and emits the
 /// per-worker steal/inline counters as a [`TraceEvent::WorkerStats`]
 /// when tracing. Called whenever the worker goes idle or exits, so
@@ -959,23 +996,17 @@ fn ws_flush(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
 /// One greedy worker's firing loop: run, publish, steal, park. Returns
 /// when the firing completes or poisons; [`ws_fire`] cleans up whatever
 /// private state is left behind.
-fn ws_run(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
+fn ws_run(ctx: &Ctx<'_>, ws: &WsState, stealers: &[deque::Stealer<WsItem>], w: &mut WsWorker) {
     loop {
         if ctx.store.poisoned.load(Ordering::SeqCst) {
             return;
         }
-        let Some((t, enqueued)) = ws_next(ws, w) else {
-            // Idle: flush (so stalled firings still show partial
-            // traces), then park until work appears, the firing ends,
-            // or the run poisons.
-            ws_flush(ctx, ws, w);
-            let more = ws_park(ws, &mut ws.coord.lock(), || {
-                let over = ctx.store.poisoned.load(Ordering::SeqCst)
-                    || ws.remaining.load(Ordering::SeqCst) == 0;
-                if over {
+        let Some((t, enqueued)) = ws_next(stealers, w) else {
+            let more = ws_park(ctx, ws, w, || {
+                if ws.remaining.load(Ordering::SeqCst) == 0 {
                     Some(false)
                 } else {
-                    ws.has_work().then_some(true)
+                    stealers.iter().any(|s| !s.is_empty()).then_some(true)
                 }
             });
             if !more {
@@ -990,9 +1021,6 @@ fn ws_run(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
                 since,
                 until: ctx.epoch.elapsed(),
             });
-        }
-        if ws_dies_on(ctx, ws, w.me, t) {
-            return;
         }
         match run_one_caught(ctx, w, t) {
             Ok(_) => {
@@ -1023,9 +1051,12 @@ fn ws_run(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
     }
 }
 
-/// Seeds the roots into worker 0's private stack / deque before the
-/// firing starts.
+/// Seeds the roots into worker 0's private stack / deque before a greedy
+/// firing starts; a pinned firing starts at its queues' heads.
 pub(crate) fn ws_seed(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
+    if let Policy::Pinned { .. } = ws.policy {
+        return;
+    }
     let mut pushed = false;
     for t in ctx.g.task_ids() {
         if ctx.g.in_degree(t) == 0 {
@@ -1037,10 +1068,11 @@ pub(crate) fn ws_seed(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
     }
 }
 
-/// One worker's part in one greedy firing, caller and helpers alike: the
-/// worker loop under a panic boundary, then flush and clean up. An unwind
-/// (defence in depth: task bodies have their own boundary) poisons the
-/// run here and never reaches the thread, so a pool thread outlives it.
+/// One worker's part in one firing, caller and helpers alike: the
+/// policy's worker loop under a panic boundary, then flush and clean up.
+/// An unwind (defence in depth: task bodies have their own boundary)
+/// poisons the run here and never reaches the thread, so a pool thread
+/// outlives it.
 ///
 /// The clean-up is what keeps a poisoned firing from wedging the next
 /// barrier: a task in flight when the run poisons finishes *late* and
@@ -1049,7 +1081,11 @@ pub(crate) fn ws_seed(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
 /// the way out — nobody else can be relied on to — so all deques are
 /// empty once every worker has left the firing.
 pub(crate) fn ws_fire(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
-    let died = std::panic::catch_unwind(AssertUnwindSafe(|| ws_run(ctx, ws, w))).is_err();
+    let died = std::panic::catch_unwind(AssertUnwindSafe(|| match &ws.policy {
+        Policy::Greedy(stealers) => ws_run(ctx, ws, stealers, w),
+        Policy::Pinned { queues, next } => pinned_run(ctx, ws, queues, next, w),
+    }))
+    .is_err();
     ws_flush(ctx, ws, w);
     w.local.clear();
     while w.dq.pop().is_some() {}
@@ -1062,95 +1098,48 @@ pub(crate) fn ws_fire(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
     }
 }
 
-/// Pinned execution: one scoped thread per processor of the schedule,
-/// each running `pinned_run` over that processor's placements, on the
-/// plumbing greedy mode uses ([`WsState`], [`WsWorker`]). One-shot by
-/// nature — its callers are `run --trace` and `Project::run_scheduled` —
-/// so it owns its store and state for the one call.
-fn run_pinned(
-    design: &Flattened,
-    lib: &ProgramLibrary,
-    external: &BTreeMap<String, Value>,
-    options: &ExecOptions,
-    schedule: &Schedule,
-) -> Result<ExecReport, ExecError> {
-    let g = &design.graph;
-    let router = Router::build(design, lib)?;
-    let externals = router.bind(external)?;
-
-    // Per-worker copy lists in predicted start order.
-    let mut max_proc = 0usize;
-    let mut placed = vec![false; g.task_count()];
-    for p in schedule.placements() {
-        max_proc = max_proc.max(p.proc.index() + 1);
-        if let Some(seen) = placed.get_mut(p.task.index()) {
-            *seen = true;
-        }
-    }
-    if let Some(t) = g.task_ids().find(|t| !placed[t.index()]) {
-        return Err(ExecError::BadSchedule(format!(
-            "task {} is not placed",
-            g.task(t).name
-        )));
-    }
-    let mut queues: Vec<Vec<(f64, TaskId)>> = vec![Vec::new(); max_proc];
-    for p in schedule.placements() {
-        queues[p.proc.index()].push((p.start, p.task));
-    }
-    for q in &mut queues {
-        q.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    }
-
-    let store = Store::new(g.task_count());
-    let ws = WsState::new(g, Vec::new());
-    let ctx = Ctx {
-        g,
-        router: &router,
-        options,
-        store: &store,
-        externals: &externals,
-        epoch: Instant::now(),
-    };
-    std::thread::scope(|scope| {
-        for (me, queue) in queues.iter().enumerate() {
-            let (ctx, ws) = (&ctx, &ws);
-            let thread = std::thread::Builder::new().stack_size(STACK_SIZE);
-            let spawned = thread.spawn_scoped(scope, move || {
-                let mut w = WsWorker::new(me, deque::Worker::new());
-                pinned_run(ctx, ws, &mut w, queue);
-                ws_flush(ctx, ws, &mut w);
-            });
-            if let Err(e) = spawned {
-                // Nobody plays this processor, so the run cannot drain.
-                let lost = format!("cannot spawn worker {me}: {e}");
-                ws_fail(ctx, ws, ExecError::WorkerLost(lost));
-            }
-        }
-    });
-    ws.finish(&ctx)
+/// A processor a pinned worker has claimed: its placements not yet run,
+/// head first, and (when tracing) since when that head has waited.
+struct Claim<'a> {
+    proc: usize,
+    rest: &'a [TaskId],
+    since: Option<Duration>,
 }
 
-/// The pinned policy: `w` plays one processor and runs `queue`, its
-/// placements, front to back. Each copy waits until every predecessor
-/// task has published (`indeg` at zero — when tracing, the blocked
-/// interval is the copy's dependency wait), and only the first copy of a
-/// task to publish releases the successors. Stops at the first failure
-/// anywhere in the run; an injected worker death makes the worker stop
-/// participating, as for greedy worker 0.
-fn pinned_run(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker, queue: &[(f64, TaskId)]) {
-    for &(_, t) in queue {
-        let since = ctx.options.trace.then(|| ctx.epoch.elapsed());
-        let check = || {
-            if ctx.store.poisoned.load(Ordering::SeqCst) {
-                Some(false)
-            } else {
-                (ws.indeg[t.index()].load(Ordering::SeqCst) == 0).then_some(true)
+/// The pinned policy: `w` claims processors from the cursor `next` and
+/// runs whichever claimed processor's head is ready, as that processor
+/// (`w.me`). A head is ready when every predecessor task has published
+/// (`indeg` at zero; when tracing, its time as head is its dependency
+/// wait), and only the first copy of a task to publish releases the
+/// successors. `w` claims another processor only when none of its heads
+/// is ready, and parks only when, besides, none is left to claim.
+///
+/// Readiness only grows, so a state in which no worker can run a head is
+/// one in which a thread per processor would be blocked too: the firing
+/// ends where a thread-per-processor run would, with any number of
+/// workers, the caller alone included.
+fn pinned_run(ctx: &Ctx<'_>, ws: &WsState, queues: &Queues, next: &AtomicUsize, w: &mut WsWorker) {
+    let now = || ctx.options.trace.then(|| ctx.epoch.elapsed());
+    let ready = |c: &Claim| ws.indeg[c.rest[0].index()].load(Ordering::SeqCst) == 0;
+    let mut claims: Vec<Claim> = Vec::new();
+    while !ctx.store.poisoned.load(Ordering::SeqCst) {
+        let Some(k) = claims.iter().position(ready) else {
+            match queues.get(next.fetch_add(1, Ordering::Relaxed)) {
+                Some((proc, rest)) => claims.push(Claim {
+                    proc: *proc,
+                    rest,
+                    since: now(),
+                }),
+                None if claims.is_empty() => return,
+                None if !ws_park(ctx, ws, w, || claims.iter().any(ready).then_some(true)) => return,
+                None => {}
             }
+            continue;
         };
-        if !check().unwrap_or_else(|| ws_park(ws, &mut ws.coord.lock(), check)) {
-            return;
-        }
-        if let Some(since) = since {
+        let claim = &mut claims[k];
+        let t = claim.rest[0];
+        w.me = claim.proc;
+        if let Some(since) = claim.since {
             let until = ctx.epoch.elapsed();
             if until > since {
                 w.events.push(TraceEvent::QueueWait {
@@ -1161,9 +1150,6 @@ fn pinned_run(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker, queue: &[(f64, Task
                 });
             }
         }
-        if ws_dies_on(ctx, ws, w.me, t) {
-            return;
-        }
         match run_one_caught(ctx, w, t) {
             Ok(first) => {
                 let released = |s: &TaskId| ws.indeg[s.index()].fetch_sub(1, Ordering::AcqRel) == 1;
@@ -1172,6 +1158,11 @@ fn pinned_run(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker, queue: &[(f64, Task
                 }
             }
             Err(e) => return ws_fail(ctx, ws, e),
+        }
+        claim.rest = &claim.rest[1..];
+        claim.since = now();
+        if claim.rest.is_empty() {
+            claims.swap_remove(k);
         }
     }
 }
@@ -1314,6 +1305,7 @@ mod tests {
 
     #[test]
     fn pinned_mode_follows_schedule() {
+        let _turn = pool_to_myself();
         let (f, lib) = fan(6);
         let m = Machine::new(Topology::fully_connected(3), MachineParams::default());
         let s = banger_sched::list::etf(&f.graph, &m);
@@ -1342,6 +1334,7 @@ mod tests {
 
     #[test]
     fn pinned_mode_names_the_first_unplaced_task() {
+        let _turn = pool_to_myself();
         let (f, lib) = fan(4);
         // Only the last task is placed; of the five missing, the error
         // names the one with the lowest id.
@@ -1370,6 +1363,7 @@ mod tests {
 
     #[test]
     fn pinned_mode_executes_duplicates() {
+        let _turn = pool_to_myself();
         let (f, lib) = fan(4);
         let m = Machine::new(
             Topology::fully_connected(4),
@@ -1663,6 +1657,7 @@ mod tests {
 
     #[test]
     fn worker_panic_reported_with_task_name_all_modes() {
+        let _turn = pool_to_myself();
         let (f, lib) = fan(6);
         let m = Machine::new(Topology::fully_connected(3), MachineParams::default());
         let s = banger_sched::list::etf(&f.graph, &m);
@@ -1825,6 +1820,7 @@ mod tests {
 
     #[test]
     fn pinned_trace_observed_schedule_covers_all_copies() {
+        let _turn = pool_to_myself();
         let (f, lib) = fan(6);
         let m = Machine::new(Topology::fully_connected(3), MachineParams::default());
         let s = banger_sched::list::etf(&f.graph, &m);

@@ -1,7 +1,7 @@
 //! Persistent executions: one design, many firings, zero warm-up.
 //!
 //! A [`Session`] is the executor's one lifecycle: [`execute`](crate::execute)
-//! in greedy mode is a session opened, fired once and dropped, so a
+//! is a session opened, fired once and dropped, in either mode, so a
 //! one-shot run and a warm firing cannot differ. It keeps everything
 //! firing-invariant — the [`Router`], the slab [`Store`] (cleared, not
 //! rebuilt), the flat [`TaskGraph`] (shared by `Arc`) and every worker's
@@ -13,8 +13,9 @@
 //! largest `workers - 1` a firing asks for. A firing leases the whole
 //! pool with a `try_lock` and offers its seats; one that finds the pool
 //! leased runs on its caller alone, which is exact: outputs, prints and
-//! measured weights do not depend on the worker count. A design with no
-//! stealable task has no seat and never asks.
+//! measured weights do not depend on the worker count (a pinned worker
+//! plays every processor it claims). A greedy design with no stealable
+//! task has no seat and never asks.
 //!
 //! ```text
 //! run(ext):  bind → reset → lease, offer workers − 1 seats → seed →
@@ -28,10 +29,10 @@
 //! the next, and an injected worker death poisons its firing as
 //! [`ExecError::WorkerLost`] while the helper's thread stays in the pool.
 
-use crate::pool::lease;
+use crate::pool::{lease, Lease};
 use crate::runner::{
-    stealable, ws_fire, ws_seed, Ctx, ExecError, ExecMode, ExecOptions, ExecReport, Router, Store,
-    WsItem, WsState, WsWorker,
+    pinned_queues, stealable, ws_fire, ws_seed, Ctx, ExecError, ExecMode, ExecOptions, ExecReport,
+    Policy, Router, Store, WsItem, WsState, WsWorker,
 };
 use banger_calc::{ProgramLibrary, Value};
 use banger_taskgraph::hierarchy::Flattened;
@@ -107,41 +108,46 @@ pub struct Session {
 
 impl Session {
     /// Builds the routing tables, allocates the store, and sets a helper
-    /// seat per worker beyond the caller — none unless some task is
-    /// stealable, since a helper runs nothing else. Fails on the
+    /// seat per worker beyond the caller: pinned, a worker per processor
+    /// the schedule uses, up to the host's cores; greedy, none unless some
+    /// task is stealable, since a helper runs nothing else. Fails on the
     /// structural errors (`Cyclic`, `NoProgram`, `UnknownProgram`,
-    /// `MissingArcValue`); per-firing value errors (`UnboundInput`)
-    /// surface from [`Session::run`] instead. Only greedy mode persists —
-    /// a pinned schedule is rejected as `BadSchedule`. This is the one
-    /// place `workers: 0` becomes a count.
+    /// `MissingArcValue`, an unplaced task's `BadSchedule`); per-firing
+    /// value errors (`UnboundInput`) surface from [`Session::run`]
+    /// instead. This is the one place `workers: 0` becomes a count.
     pub fn new(
         design: &Flattened,
         lib: &ProgramLibrary,
         options: &ExecOptions,
     ) -> Result<Self, ExecError> {
-        let workers = match options.mode {
-            ExecMode::Greedy { workers: 0 } => host_cores(),
-            ExecMode::Greedy { workers } => workers,
-            ExecMode::Pinned(_) => {
-                return Err(ExecError::BadSchedule(
-                    "persistent sessions support greedy mode only".into(),
-                ))
+        let g = &design.graph;
+        let router = Router::build(design, lib)?;
+        let stealing = || g.tasks().any(|(_, task)| stealable(task.weight, options));
+        let (workers, pinned) = match &options.mode {
+            ExecMode::Greedy { .. } if !stealing() => (1, None),
+            ExecMode::Greedy { workers: 0 } => (host_cores(), None),
+            ExecMode::Greedy { workers } => (*workers, None),
+            ExecMode::Pinned(schedule) => {
+                let queues = pinned_queues(g, schedule)?;
+                (queues.len().clamp(1, host_cores()), Some(queues))
             }
         };
-        let g = &design.graph;
-        let stealing = g.tasks().any(|(_, task)| stealable(task.weight, options));
-        let workers = if stealing { workers } else { 1 };
-        let router = Router::build(design, lib)?;
         let mut deques: Vec<deque::Worker<WsItem>> =
             (0..workers).map(|_| deque::Worker::new()).collect();
-        let stealers = deques.iter().map(|d| d.stealer()).collect();
+        let policy = match pinned {
+            Some(queues) => Policy::Pinned {
+                queues,
+                next: AtomicUsize::new(0),
+            },
+            None => Policy::Greedy(deques.iter().map(|d| d.stealer()).collect()),
+        };
         let caller = WsWorker::new(0, deques.remove(0));
         let seats = (deques.into_iter().zip(1..)).map(|(dq, me)| Mutex::new(WsWorker::new(me, dq)));
         let core = Arc::new(SessionCore {
             graph: Arc::clone(g),
             router,
             store: Store::new(g.task_count()),
-            ws: WsState::new(g, stealers),
+            ws: WsState::new(g, policy),
             options: options.clone(),
             seats: seats.collect(),
         });
@@ -178,8 +184,8 @@ impl Session {
         let lease = (seats > 0).then(|| lease(seats, firing.clone())).flatten();
         ws_seed(&ctx, &core.ws, &mut self.caller);
         ws_fire(&ctx, &core.ws, &mut self.caller);
-        drop(lease);
-        core.ws.finish(&ctx)
+        let helpers = lease.map_or(0, Lease::end);
+        core.ws.finish(&ctx, 1 + helpers)
     }
 }
 
@@ -443,23 +449,46 @@ pub(crate) mod tests {
         }
     }
 
+    /// A pinned firing that finds the pool leased plays every processor
+    /// on its caller, and computes what a firing with helpers and a
+    /// one-worker greedy firing compute; each run still names a
+    /// processor its task is placed on.
     #[test]
-    fn pinned_mode_is_rejected() {
+    fn a_pinned_firing_plays_every_processor_alone_while_the_pool_is_leased() {
         use banger_machine::{Machine, MachineParams, Topology};
-        let (f, lib) = fan(4);
-        let m = Machine::new(Topology::fully_connected(2), MachineParams::default());
+        let _turn = pool_to_myself();
+        let (f, lib) = fan(8);
+        let m = Machine::new(Topology::fully_connected(4), MachineParams::default());
         let s = banger_sched::list::etf(&f.graph, &m);
-        let err = Session::new(
-            &f,
-            &lib,
-            &ExecOptions {
-                mode: ExecMode::pinned(s),
-                ..ExecOptions::default()
-            },
-        )
-        .err()
-        .expect("pinned session must be rejected");
-        assert!(matches!(err, ExecError::BadSchedule(_)), "{err}");
+        let pinned = ExecOptions {
+            mode: ExecMode::pinned(s.clone()),
+            ..ExecOptions::default()
+        };
+        let mut session = Session::new(&f, &lib, &pinned).unwrap();
+        assert_eq!(session.workers(), s.processors_used().min(host_cores()));
+        let alone = {
+            let _held = POOL.lease.lock();
+            session.run(&ext(2.0)).unwrap()
+        };
+        assert_eq!(alone.workers, 1);
+        let unleased = session.run(&ext(2.0)).unwrap();
+        let greedy = execute(&f, &lib, &ext(2.0), &greedy(1, DEFAULT_INLINE_BELOW)).unwrap();
+        let n = f.graph.task_count();
+        for other in [&unleased, &greedy] {
+            assert_eq!(alone.outputs, other.outputs);
+            assert_eq!(alone.prints, other.prints);
+            assert_eq!(alone.measured_weights(n), other.measured_weights(n));
+        }
+        for report in [&alone, &unleased] {
+            assert_eq!(report.runs.len(), s.placements().len());
+            for run in &report.runs {
+                let placed = s.placements_of(run.task);
+                assert!(
+                    placed.iter().any(|p| p.proc.index() == run.worker),
+                    "{run:?}"
+                );
+            }
+        }
     }
 
     /// `layers` x `width` independent chains of stealable (weight 5000)
@@ -536,10 +565,12 @@ pub(crate) mod tests {
             session.run(&BTreeMap::new()).unwrap()
         };
         assert!(alone.runs.iter().all(|r| r.worker == 0));
+        assert_eq!(alone.workers, 1, "the report counts the caller alone");
         let with_helpers = (0..1000)
             .map(|_| session.run(&BTreeMap::new()).unwrap())
             .find(helped)
             .expect("a leased firing put a helper to work");
+        assert!(with_helpers.workers > 1);
         assert!(live_pool_threads() >= 3, "the pool grew to the seats");
         let n = f.graph.task_count();
         assert_eq!(alone.outputs, with_helpers.outputs);

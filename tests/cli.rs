@@ -1653,6 +1653,65 @@ fn speedup_over_many_large_machines_holds_few_at_once() {
     assert_eq!(stdout.lines().filter(|l| *l == row).count(), 60, "{stdout}");
 }
 
+/// `run --trace` pinned to a schedule on 256 processors fires on the
+/// process pool like every run, so it needs no more threads than a greedy
+/// run: MH spreads this 2,009-task `dense_lu` over all 256 processors of
+/// `linear:256`, and a thread per processor used to fail under a 1.5 GB
+/// limit (exit 1, `cannot spawn worker 57`). About 2 s in release.
+#[cfg(unix)]
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow in a debug build; CI runs it in release"
+)]
+fn a_run_pinned_to_256_processors_fits_where_the_greedy_run_fits() {
+    let expand = [
+        "optimize",
+        "examples/projects/dense_lu.bang",
+        "--expand",
+        "fact:16",
+    ];
+    let expanded = banger()
+        .args(expand)
+        .args(["--emit", "-"])
+        .output()
+        .unwrap();
+    assert!(expanded.status.success());
+    let doc = String::from_utf8(expanded.stdout).unwrap();
+    let doc = doc.replacen("machine hypercube:4", "machine linear:256", 1);
+    let path = std::env::temp_dir().join(format!("banger-cli-lu256-{}.bang", std::process::id()));
+    let trace = path.with_extension("json");
+    std::fs::write(&path, doc).unwrap();
+    let inputs = std::fs::read_to_string("bench_all/inputs/dense_lu.inputs").unwrap();
+    let mut args = vec!["run", path.to_str().unwrap()];
+    for line in inputs.lines() {
+        args.extend(["-i", line]);
+    }
+    let greedy = banger_under(1_500_000, &args);
+    assert!(greedy.status.success(), "{greedy:?}");
+    args.extend(["-H", "MH", "--trace", trace.to_str().unwrap()]);
+    let pinned = banger_under(1_500_000, &args);
+    let err = String::from_utf8_lossy(&pinned.stderr);
+    assert_eq!(pinned.status.code(), Some(0), "{err}");
+    assert!(
+        err.contains("2009 task runs") && err.contains("256 workers"),
+        "{err}"
+    );
+    assert!(std::fs::read_to_string(&trace)
+        .unwrap()
+        .contains("traceEvents"));
+    let lu = |out: &[u8]| {
+        let out = String::from_utf8_lossy(out);
+        out.lines()
+            .find(|l| l.starts_with("lu = "))
+            .map(str::to_string)
+    };
+    assert!(lu(&greedy.stdout).is_some());
+    assert_eq!(lu(&pinned.stdout), lu(&greedy.stdout));
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&trace).ok();
+}
+
 /// A machine of more processors than the cap is a diagnostic and exit 1,
 /// whether a `machine` line, `speedup -t` or `recommend -p` asks for it:
 /// each used to abort (exit 134) while building the routing table.

@@ -96,6 +96,7 @@ fn all_modes(design: &Flattened) -> Vec<(&'static str, ExecMode)> {
 
 #[test]
 fn injected_panic_is_attributed_in_every_mode() {
+    let _turn = pool::turn();
     let (design, lib, _) = build(3, 6, 8);
     // A mid-graph task: predecessors have completed, successors are
     // still outstanding when the panic fires.
@@ -157,6 +158,7 @@ fn panic_with_outstanding_fan_out_never_crashes_or_hangs() {
 
 #[test]
 fn runtime_error_is_attributed_not_panicked() {
+    let _turn = pool::turn();
     // A genuine PITS runtime error (out-of-range index) inside a large
     // run must come back as ExecError::Run naming the task, through the
     // same poisoned-store unwind as a panic.
@@ -291,10 +293,11 @@ fn worker_death_with_stolen_work_in_flight_is_worker_lost_never_a_hang() {
 
 #[test]
 fn worker_death_is_worker_lost_even_when_the_worker_cannot_die() {
-    // A one-worker greedy run has no helper to lose, and pinned workers
-    // are scoped threads: in both, as for helpers, the worker that
-    // dequeues the victim stops participating and the run is WorkerLost
-    // naming it — the injection is never ignored.
+    let _turn = pool::turn();
+    // A one-worker greedy run has no helper to lose, and a pinned worker
+    // dies as the processor it plays: in both, as for helpers, the worker
+    // that dequeues the victim stops participating and the run is
+    // WorkerLost naming it — the injection is never ignored.
     let (design, lib, _) = build(5, 4, 6);
     for (label, mode) in all_modes(&design) {
         if matches!(mode, ExecMode::Greedy { workers } if workers > 1) {

@@ -2,6 +2,9 @@
 //! run across worker counts and dispatch modes, checked against a
 //! sequential reference evaluation. Exercises the dependence-counting
 //! dispatcher, the results store, and value passing under contention.
+//! Every task weighs 1 op, below `DEFAULT_INLINE_BELOW`, so the greedy
+//! cases set `inline_below: 0.0`: otherwise no task is stealable and a
+//! firing never has a helper.
 
 use banger_calc::{ProgramLibrary, Value};
 use banger_exec::{execute, ExecMode, ExecOptions};
@@ -10,6 +13,9 @@ use banger_taskgraph::hierarchy::{Flattened, HierGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+
+#[path = "support/pool.rs"]
+mod pool;
 
 /// Builds a random layered design where task `t` computes
 /// `o_t = 1 + sum(inputs)`, plus a final gather into the `result` port.
@@ -80,46 +86,62 @@ fn build(seed: u64, layers: usize, width: usize) -> (Flattened, ProgramLibrary, 
 
 #[test]
 fn hundreds_of_tasks_all_worker_counts() {
+    let _turn = pool::turn();
     let (design, lib, expected) = build(7, 12, 16); // 193 tasks
     assert!(design.graph.task_count() > 150);
-    for workers in [1usize, 2, 4, 8] {
-        let report = execute(
-            &design,
-            &lib,
-            &BTreeMap::new(),
-            &ExecOptions {
-                mode: ExecMode::Greedy { workers },
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
-        assert_eq!(
-            report.outputs["result"],
-            Value::Num(expected),
-            "workers={workers}"
-        );
-        assert_eq!(report.runs.len(), design.graph.task_count());
-        // Task timing must respect dataflow: every run starts after all of
-        // its predecessors' finishes.
-        let mut finish = vec![std::time::Duration::ZERO; design.graph.task_count()];
-        for r in &report.runs {
-            finish[r.task.index()] = r.finish;
-        }
-        for r in &report.runs {
-            for p in design.graph.predecessors(r.task) {
-                assert!(
-                    finish[p.index()] <= r.start,
-                    "workers={workers}: task {} started before its input {}",
-                    r.task,
-                    p
-                );
+    // A helper wakes after the firing has begun, so one round may run
+    // entirely on its caller; rounds repeat until a helper ran a task.
+    let mut helped = false;
+    for _ in 0..100 {
+        for workers in [1usize, 2, 4, 8] {
+            let report = execute(
+                &design,
+                &lib,
+                &BTreeMap::new(),
+                &ExecOptions {
+                    mode: ExecMode::Greedy { workers },
+                    inline_below: 0.0,
+                    ..ExecOptions::default()
+                },
+            )
+            .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
+            assert_eq!(
+                report.outputs["result"],
+                Value::Num(expected),
+                "workers={workers}"
+            );
+            assert_eq!(report.runs.len(), design.graph.task_count());
+            // Task timing must respect dataflow: every run starts after all
+            // of its predecessors' finishes.
+            let mut finish = vec![std::time::Duration::ZERO; design.graph.task_count()];
+            for r in &report.runs {
+                finish[r.task.index()] = r.finish;
             }
+            for r in &report.runs {
+                for p in design.graph.predecessors(r.task) {
+                    assert!(
+                        finish[p.index()] <= r.start,
+                        "workers={workers}: task {} started before its input {}",
+                        r.task,
+                        p
+                    );
+                }
+            }
+            helped |= report.runs.iter().any(|r| r.worker > 0);
+        }
+        if helped {
+            break;
         }
     }
+    assert!(
+        helped,
+        "no firing at 2 or more workers ran a task on a helper"
+    );
 }
 
 #[test]
 fn pinned_stress_matches_greedy() {
+    let _turn = pool::turn();
     // ETF places every task once; DSH (with message start-up making
     // communication dear) duplicates predecessors onto their consumers'
     // processors. Either way pinned mode runs one copy per placement, on
@@ -159,6 +181,7 @@ fn pinned_stress_matches_greedy() {
 
 #[test]
 fn poisoning_under_load_stops_quickly() {
+    let _turn = pool::turn();
     // Inject a failing task in the middle of a large design; execution must
     // return the error, not hang or panic.
     let (design, mut lib, _) = build(13, 10, 12);
@@ -177,6 +200,7 @@ fn poisoning_under_load_stops_quickly() {
         &BTreeMap::new(),
         &ExecOptions {
             mode: ExecMode::Greedy { workers: 8 },
+            inline_below: 0.0,
             ..ExecOptions::default()
         },
     )
