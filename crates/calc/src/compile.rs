@@ -170,6 +170,31 @@ pub enum Op {
         slot: Reg,
         idx: Reg,
     },
+    /// The clean chain `((r[x] - k) * n) + r[y]` with the literals `k`
+    /// and `n` frozen into the op: `r[dst] = Num(..)`. Written only by
+    /// [`specialise_affine`] in place of such an [`Op::BinChain`]; it
+    /// ticks `stmt_tick + 3` with one budget compare and evaluates the
+    /// chain's operations in its order.
+    BinAffine {
+        dst: Reg,
+        x: Reg,
+        y: Reg,
+        k: f64,
+        n: f64,
+        stmt_tick: u8,
+    },
+    /// [`Op::BinAffine`] feeding an element read, in place of such an
+    /// [`Op::IdxGetChain`]: `r[dst] = Num(r[slot][((r[x] - k) * n) +
+    /// r[y]])`, with the read's checks and its tick after them.
+    IdxGetAffine {
+        dst: Reg,
+        slot: Reg,
+        x: Reg,
+        y: Reg,
+        k: f64,
+        n: f64,
+        stmt_tick: u8,
+    },
     /// For-loop entry: `if r[i] <= r[end] { r[var] = r[i] } else { jump
     /// target }` over the VM-owned (already rounded) counter and bound —
     /// the tree-walker's first `while i <= end` test and its publication
@@ -191,7 +216,8 @@ pub enum Op {
     },
 }
 
-// `ChainSpec`'s fold and fact fields live in its padding: no op grew.
+// `ChainSpec`'s fold and fact fields live in its padding, and the affine
+// ops' two immediates fit beside four registers: no op grew.
 const _: () = assert!(std::mem::size_of::<Op>() == 40);
 
 /// A left-to-right chain of 1–3 scalar binary operations whose
@@ -312,6 +338,7 @@ pub fn compile(prog: &Program) -> CompiledProgram {
     }
     .seal();
     mark_clean_chains(&mut compiled);
+    specialise_affine(&mut compiled);
     compiled
 }
 
@@ -1042,11 +1069,61 @@ fn mark_clean_chains(prog: &mut CompiledProgram) {
                     chain.operands().for_each(|r| cur.set(r));
                     cur.set(*idx);
                 }
+                Op::BinAffine { .. } | Op::IdxGetAffine { .. } => {
+                    unreachable!("specialise_affine runs after this analysis")
+                }
             }
         }
         if !changed {
             break;
         }
+    }
+}
+
+/// Rewrites every clean three-stage chain `((x - k) * n) + y` whose `k`
+/// and `n` are literal-pool registers into [`Op::BinAffine`] or, when it
+/// indexes an element read, [`Op::IdxGetAffine`] — the row-major index
+/// of a matrix sweep. The program never writes a pool register, so its
+/// value can be frozen into the op; `pi` and `e` can be reassigned and
+/// stay registers. A stage with the chained value on the right is not
+/// this shape.
+fn specialise_affine(prog: &mut CompiledProgram) {
+    let n_vars = prog.n_vars;
+    let lits = &prog.lit_slots;
+    let lit = |r: Reg| lits.get((r as usize).checked_sub(n_vars)?).map(|&(_, v)| v);
+    let row_major = (3, BinOp::Sub, BinOp::Mul, BinOp::Add, false, false);
+    for op in &mut prog.ops {
+        let (ch, slot, dst) = match *op {
+            Op::BinChain { chain, dst } => (chain, None, dst),
+            Op::IdxGetChain { chain, slot, dst } => (chain, Some(slot), dst),
+            _ => continue,
+        };
+        if !ch.clean || (ch.len, ch.op1, ch.op2, ch.op3, ch.swap2, ch.swap3) != row_major {
+            continue;
+        }
+        let (Some(k), Some(n)) = (lit(ch.b), lit(ch.c)) else {
+            continue;
+        };
+        let (x, y, stmt_tick) = (ch.a, ch.d, ch.stmt_tick);
+        *op = match slot {
+            None => Op::BinAffine {
+                dst,
+                x,
+                y,
+                k,
+                n,
+                stmt_tick,
+            },
+            Some(slot) => Op::IdxGetAffine {
+                dst,
+                slot,
+                x,
+                y,
+                k,
+                n,
+                stmt_tick,
+            },
+        };
     }
 }
 
@@ -1227,6 +1304,9 @@ impl CompiledProgram {
                     fix(slot);
                     fix(idx);
                 }
+                Op::BinAffine { .. } | Op::IdxGetAffine { .. } => {
+                    unreachable!("specialise_affine runs after sealing")
+                }
                 Op::Print { src } => fix(src),
                 Op::Tick(_) | Op::Jump(_) | Op::Fail(_) => {}
             }
@@ -1266,6 +1346,11 @@ impl fmt::Display for CompiledProgram {
         };
         let tick = |ch: &ChainSpec| if ch.stmt_tick > 0 { "tick 1; " } else { "" };
         let clean = |ch: &ChainSpec| if ch.clean { "  (clean)" } else { "" };
+        // An affine op reads as the clean chain it replaced.
+        let affine = |x: Reg, y: Reg, k: f64, n: f64, stmt_tick: u8| {
+            let tick = if stmt_tick > 0 { "tick 1; " } else { "" };
+            (tick, format!("(({} - {k}) * {n}) + {}", reg(x), reg(y)))
+        };
         writeln!(
             f,
             "task {}: {} ops, frame {} ({} variables, {} literals)",
@@ -1354,6 +1439,29 @@ impl fmt::Display for CompiledProgram {
                     expr(chain),
                     clean(chain)
                 ),
+                Op::BinAffine {
+                    dst,
+                    x,
+                    y,
+                    k,
+                    n,
+                    stmt_tick,
+                } => {
+                    let (tick, e) = affine(x, y, k, n, stmt_tick);
+                    format!("{tick}{} := {e}  (clean)", reg(dst))
+                }
+                Op::IdxGetAffine {
+                    dst,
+                    slot,
+                    x,
+                    y,
+                    k,
+                    n,
+                    stmt_tick,
+                } => {
+                    let (tick, e) = affine(x, y, k, n, stmt_tick);
+                    format!("{tick}{} := {}[{e}]  (clean)", reg(dst), reg(slot))
+                }
                 Op::ForTestCopy {
                     i,
                     end,
@@ -1509,6 +1617,19 @@ mod tests {
                 _ => None,
             })
             .expect("the inner loop's back edge");
+        assert_eq!(
+            kinds(&c.ops[inner..=back]),
+            [
+                "BinAffine",
+                "IdxGetAffine",
+                "IdxGetAffine",
+                "IdxGetAffine",
+                "IdxSetChain",
+                "ForLoop"
+            ],
+            "{text}"
+        );
+        // The affine ops print as the chains they replaced.
         let lines: Vec<&str> = text
             .lines()
             .skip(1 + inner)
@@ -1527,6 +1648,66 @@ mod tests {
             .join("\n"),
             "{text}"
         );
+    }
+
+    /// The kind of each op, by its variant name.
+    fn kinds(ops: &[Op]) -> Vec<String> {
+        let kind = |op: &Op| {
+            let text = format!("{op:?}");
+            text.chars().take_while(char::is_ascii_alphabetic).collect()
+        };
+        ops.iter().map(kind).collect()
+    }
+
+    /// The kinds of the element read in `x := v[{index}]` inside two
+    /// loops over `i` and `j`, with `i` an input or a loop counter.
+    fn index_read_kind(index: &str, i_is_input: bool) -> String {
+        let (input, i_loop, end) = if i_is_input {
+            (", i", "", "")
+        } else {
+            ("", "for i := 1 to 2 do", "end")
+        };
+        let src = format!(
+            "task T in v{input} out x local j begin {i_loop} for j := 1 to 3 do \
+             x := v[{index}] end {end} end"
+        );
+        let c = compile(&parse_program(&src).unwrap());
+        let reads: Vec<String> = kinds(&c.ops)
+            .into_iter()
+            .filter(|k| k.starts_with("IdxGet"))
+            .collect();
+        assert_eq!(reads.len(), 1, "{c}");
+        let clean = c.ops.iter().any(|op| match op {
+            Op::IdxGetChain { chain, .. } => chain.clean,
+            _ => false,
+        });
+        format!("{}{}", reads[0], if clean { " (clean)" } else { "" })
+    }
+
+    #[test]
+    fn only_the_clean_literal_row_major_index_is_one_op() {
+        assert_eq!(index_read_kind("(i - 1) * 3 + j", false), "IdxGetAffine");
+        // An input `i` is not known to be a scalar.
+        assert_eq!(index_read_kind("(i - 1) * 3 + j", true), "IdxGetChain");
+        // The chained value on the right of the product.
+        assert_eq!(
+            index_read_kind("3 * (i - 1) + j", false),
+            "IdxGetChain (clean)"
+        );
+        // `pi` can be reassigned, so it is not frozen into the op.
+        assert_eq!(
+            index_read_kind("(i - pi) * 3 + j", false),
+            "IdxGetChain (clean)"
+        );
+        // The same shape as a value: the written index.
+        let c = compile(
+            &parse_program(
+                "task T in v out w local i begin w := v \
+                 for i := 1 to 2 do w[(i - 1) * 3 + 1] := 0 + i end end",
+            )
+            .unwrap(),
+        );
+        assert!(kinds(&c.ops).contains(&"BinAffine".to_string()), "{c}");
     }
 
     #[test]
@@ -1596,6 +1777,10 @@ mod tests {
             Op::IdxSetChain { chain, slot, idx } => {
                 vec![chain.a, chain.b, chain.c, chain.d, slot, idx]
             }
+            Op::BinAffine { dst, x, y, .. } => vec![dst, x, y],
+            Op::IdxGetAffine {
+                dst, slot, x, y, ..
+            } => vec![dst, slot, x, y],
             Op::Print { src } => vec![src],
             Op::Tick(_) | Op::Jump(_) | Op::Fail(_) => vec![],
         }

@@ -25,7 +25,12 @@
 //! with one budget compare; the rest replay each constituent's checks
 //! and ticks. A `for` loop is rotated: `ForTestCopy` tests once on
 //! entry, and the back edge `ForLoop` ticks, steps, re-tests and
-//! publishes the counter in one dispatch.
+//! publishes the counter in one dispatch. The clean row-major index
+//! `((x - k) * n) + y`, with `k` and `n` literals, is one op
+//! (`BinAffine`, `IdxGetAffine`) with `k` and `n` frozen into it.
+//!
+//! A scalar write stores the number in place when the register already
+//! holds one: no `Slot` is built and nothing is dropped.
 //!
 //! The observable contract is *identical* to the tree-walker
 //! ([`crate::interp`]): same `Outcome` (outputs, prints, and — crucially
@@ -328,6 +333,17 @@ impl Vm {
                 regs[$dst as usize] = $v
             };
         }
+        // Writes a scalar: in place when the register already holds one,
+        // so the common write has no drop glue and builds no `Slot`.
+        macro_rules! num {
+            ($dst:expr, $v:expr) => {{
+                let v = $v;
+                match &mut regs[$dst as usize] {
+                    Slot::Num(x) => *x = v,
+                    s => *s = Slot::Num(v),
+                }
+            }};
+        }
         // Reads a register the compiler proved holds a scalar: a loop
         // counter or bound after `CheckNumRound`, or an operand of a
         // clean chain.
@@ -363,10 +379,20 @@ impl Vm {
             }};
         }
 
+        // The clean chain `((x - k) * n) + y` with `k` and `n` frozen:
+        // its ticks with one budget compare, then the chain's IEEE
+        // operations in the chain's order.
+        macro_rules! affine {
+            ($stmt_tick:expr, $x:expr, $y:expr, $k:expr, $n:expr) => {{
+                tick!(u64::from($stmt_tick) + 3);
+                (scalar!($x) - $k) * $n + scalar!($y)
+            }};
+        }
+
         while pc < code.len() {
             match code[pc] {
                 Op::Tick(n) => tick!(n),
-                Op::Const { dst, val } => put!(dst, Slot::Num(val)),
+                Op::Const { dst, val } => num!(dst, val),
                 Op::LoadVar { dst, slot } => {
                     let v = regs[slot as usize].share(prog, slot)?;
                     put!(dst, Slot::from_value(v));
@@ -375,7 +401,7 @@ impl Vm {
                     let raw = regs[idx as usize].num(prog, idx, ctx::ARRAY_INDEX)?;
                     let v = regs[slot as usize].element(prog, slot, raw)?;
                     tick!(1);
-                    put!(dst, Slot::Num(v));
+                    num!(dst, v);
                 }
                 Op::IndexSet { slot, idx, val } => {
                     let raw = regs[idx as usize].num(prog, idx, ctx::ARRAY_INDEX)?;
@@ -386,7 +412,7 @@ impl Vm {
                     let l = regs[lhs as usize].num(prog, lhs, ctx::LEFT_OPERAND)?;
                     let r = regs[rhs as usize].num(prog, rhs, ctx::RIGHT_OPERAND)?;
                     tick!(1);
-                    put!(dst, Slot::Num(apply_bin(op, l, r)));
+                    num!(dst, apply_bin(op, l, r));
                 }
                 // The fused chains replay their constituent `BinNum`s'
                 // check/tick/compute sequences exactly; intermediates
@@ -396,7 +422,7 @@ impl Vm {
                 // of an always-initialised scratch slot could not fail.
                 Op::BinChain { ref chain, dst } => {
                     let v = chain!(chain);
-                    put!(dst, Slot::Num(v));
+                    num!(dst, v);
                 }
                 Op::IdxGetChain {
                     ref chain,
@@ -409,7 +435,7 @@ impl Vm {
                     let raw = chain!(chain);
                     let v = regs[slot as usize].element(prog, slot, raw)?;
                     tick!(1);
-                    put!(dst, Slot::Num(v));
+                    num!(dst, v);
                 }
                 Op::IdxSetChain {
                     ref chain,
@@ -427,17 +453,39 @@ impl Vm {
                     };
                     *regs[slot as usize].element_mut(prog, slot, raw)? = v;
                 }
+                Op::BinAffine {
+                    dst,
+                    x,
+                    y,
+                    k,
+                    n,
+                    stmt_tick,
+                } => num!(dst, affine!(stmt_tick, x, y, k, n)),
+                Op::IdxGetAffine {
+                    dst,
+                    slot,
+                    x,
+                    y,
+                    k,
+                    n,
+                    stmt_tick,
+                } => {
+                    let raw = affine!(stmt_tick, x, y, k, n);
+                    let v = regs[slot as usize].element(prog, slot, raw)?;
+                    tick!(1);
+                    num!(dst, v);
+                }
                 Op::Neg { dst, src } => {
                     regs[src as usize].defined(prog, src)?;
                     tick!(1);
                     let v = regs[src as usize].num(prog, src, ctx::NEG_OPERAND)?;
-                    put!(dst, Slot::Num(-v));
+                    num!(dst, -v);
                 }
                 Op::Not { dst, src } => {
                     regs[src as usize].defined(prog, src)?;
                     tick!(1);
                     let v = regs[src as usize].num(prog, src, ctx::NOT_OPERAND)?;
-                    put!(dst, Slot::Num(bool_num(v == 0.0)));
+                    num!(dst, bool_num(v == 0.0));
                 }
                 Op::Call {
                     builtin,
@@ -480,7 +528,7 @@ impl Vm {
                     if l != is_and {
                         // `and` with false lhs, or `or` with true lhs:
                         // the result is decided.
-                        put!(dst, Slot::Num(bool_num(l)));
+                        num!(dst, bool_num(l));
                         pc = target as usize;
                         continue;
                     }
@@ -492,14 +540,14 @@ impl Vm {
                         ctx::OR_OPERAND
                     };
                     let r = regs[src as usize].num(prog, src, what)? != 0.0;
-                    put!(dst, Slot::Num(bool_num(r)));
+                    num!(dst, bool_num(r));
                 }
                 Op::CheckNum { src, what } => {
                     regs[src as usize].num(prog, src, what)?;
                 }
                 Op::CheckNumRound { src, what } => {
                     let v = regs[src as usize].num(prog, src, what)?;
-                    put!(src, Slot::Num(v.round()));
+                    num!(src, v.round());
                 }
                 // `<=`, not `!(>)`: a NaN bound or start runs no
                 // iteration, as in the tree-walker's `while i <= end`.
@@ -511,7 +559,7 @@ impl Vm {
                 } => {
                     let v = scalar!(i);
                     if v <= scalar!(end) {
-                        put!(var, Slot::Num(v));
+                        num!(var, v);
                     } else {
                         pc = target as usize;
                         continue;
@@ -520,9 +568,9 @@ impl Vm {
                 Op::ForLoop { i, end, var, body } => {
                     tick!(1);
                     let v = scalar!(i) + 1.0;
-                    put!(i, Slot::Num(v));
+                    num!(i, v);
                     if v <= scalar!(end) {
-                        put!(var, Slot::Num(v));
+                        num!(var, v);
                         pc = body as usize;
                         continue;
                     }
@@ -679,6 +727,64 @@ mod tests {
             let want = interp::run_with(&p, ins, cfg);
             let got = vm.run(&c, ins, cfg);
             assert_eq!(got, want, "divergence at max_steps={max_steps} for:\n{src}");
+        }
+    }
+
+    /// [`assert_parity`] at every budget from 1 up to the first that the
+    /// run does not exhaust: the op total of a run that ends, or the ops
+    /// a failing run ticked before its error.
+    fn assert_parity_at_every_budget(src: &str, ins: &BTreeMap<String, Value>) {
+        let p = parse_program(src).unwrap();
+        let c = compile(&p);
+        let mut vm = Vm::new();
+        for max_steps in 1..100_000 {
+            let cfg = InterpConfig {
+                max_steps,
+                ..Default::default()
+            };
+            let want = interp::run_with(&p, ins, cfg);
+            let got = vm.run(&c, ins, cfg);
+            assert_eq!(got, want, "divergence at max_steps={max_steps} for:\n{src}");
+            if want != Err(RunError::StepLimit(max_steps)) {
+                return;
+            }
+        }
+        panic!("no budget up to 100,000 lets this run end:\n{src}");
+    }
+
+    /// Reads and writes a 2 x 3 matrix through `(i - 1) * 3 + j`, then
+    /// runs `tail`.
+    fn affine_src(rows: &str, cols: &str, tail: &str) -> String {
+        format!(
+            "task T in v out w, s local i, j, h begin w := v s := 0 \
+             for i := 1 to {rows} do for j := {cols} do \
+             w[(i - 1) * 3 + j] := w[(i - 1) * 3 + j] * 2 + i \
+             s := s + v[(i - 1) * 3 + j] end end {tail} end"
+        )
+    }
+
+    #[test]
+    fn the_affine_ops_match_the_tree_walker_at_every_budget() {
+        let v = inputs(&[("v", Value::array(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))]);
+        let rounding = "i := 2 j := 1.4 s := s + w[(i - 1) * 3 + j] \
+                        j := 2.5 s := s + w[(i - 1) * 3 + j]";
+        for (rows, cols, tail) in [
+            ("2", "1 to 3", ""),
+            // Index 0, then one past the end (7 of 6).
+            ("2", "0 to 3", ""),
+            ("2", "1 to 4", ""),
+            // A NaN bound runs no iteration; a NaN index is index 0.
+            ("0 / 0", "1 to 3", ""),
+            ("2", "1 to 3", "h := 0 / 0 s := s + w[(h - 1) * 3 + 1]"),
+            // 4.4 and 5.5 round to elements 4 and 6.
+            ("2", "1 to 3", rounding),
+        ] {
+            let src = affine_src(rows, cols, tail);
+            let c = compile(&parse_program(&src).unwrap());
+            let has = |kind: fn(&Op) -> bool| c.ops.iter().any(kind);
+            assert!(has(|op| matches!(op, Op::BinAffine { .. })), "{c}");
+            assert!(has(|op| matches!(op, Op::IdxGetAffine { .. })), "{c}");
+            assert_parity_at_every_budget(&src, &v);
         }
     }
 

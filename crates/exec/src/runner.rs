@@ -800,9 +800,10 @@ impl WsState {
     /// Ends a firing once every worker has flushed: the first recorded
     /// error, or the caller-facing report — runs and prints in stable
     /// orders, output-port values out of the slab, wall clock, the
-    /// `workers` it ran on, optional trace. The trace's worker count is
-    /// 1 + the highest worker index that actually ran or recorded
-    /// anything, so utilization reflects threads that participated.
+    /// `workers` it ran on, optional trace. The trace's rows are 1 + the
+    /// highest worker index that ran or recorded anything: threads that
+    /// participated, greedy, and processors, pinned, where the summary
+    /// counts the `workers` threads instead.
     pub(crate) fn finish(&self, ctx: &Ctx<'_>, workers: usize) -> Result<ExecReport, ExecError> {
         if let Some(e) = self.first_error.lock().take() {
             return Err(e);
@@ -823,7 +824,11 @@ impl WsState {
         let trace = ctx.options.trace.then(|| {
             let ran = sink.runs.iter().map(|r| r.worker);
             let hi = ran.chain(sink.events.iter().map(|e| e.worker())).max();
-            Trace::from_events(sink.events, hi.unwrap_or(0) + 1, wall)
+            let mut trace = Trace::from_events(sink.events, hi.unwrap_or(0) + 1, wall);
+            if let Policy::Pinned { .. } = self.policy {
+                trace.threads = workers;
+            }
+            trace
         });
         Ok(ExecReport {
             outputs,
@@ -1315,6 +1320,7 @@ mod tests {
             &ext(&[("a", Value::Num(2.0))]),
             &ExecOptions {
                 mode: ExecMode::pinned(s.clone()),
+                inline_below: 0.0,
                 ..ExecOptions::default()
             },
         )
@@ -1380,6 +1386,7 @@ mod tests {
             &ext(&[("a", Value::Num(2.0))]),
             &ExecOptions {
                 mode: ExecMode::pinned(s),
+                inline_below: 0.0,
                 ..ExecOptions::default()
             },
         )
@@ -1673,6 +1680,7 @@ mod tests {
                 &ext(&[("a", Value::Num(2.0))]),
                 &ExecOptions {
                     mode: mode.clone(),
+                    inline_below: 0.0,
                     inject_panic: Some("w3".into()),
                     ..ExecOptions::default()
                 },
@@ -1830,6 +1838,7 @@ mod tests {
             &ext(&[("a", Value::Num(2.0))]),
             &ExecOptions {
                 mode: ExecMode::pinned(s),
+                inline_below: 0.0,
                 trace: true,
                 ..ExecOptions::default()
             },

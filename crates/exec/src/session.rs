@@ -14,8 +14,8 @@
 //! pool with a `try_lock` and offers its seats; one that finds the pool
 //! leased runs on its caller alone, which is exact: outputs, prints and
 //! measured weights do not depend on the worker count (a pinned worker
-//! plays every processor it claims). A greedy design with no stealable
-//! task has no seat and never asks.
+//! plays every processor it claims). A design with no stealable task, in
+//! either mode, has no seat and never asks.
 //!
 //! ```text
 //! run(ext):  bind → reset → lease, offer workers − 1 seats → seed →
@@ -109,8 +109,10 @@ pub struct Session {
 impl Session {
     /// Builds the routing tables, allocates the store, and sets a helper
     /// seat per worker beyond the caller: pinned, a worker per processor
-    /// the schedule uses, up to the host's cores; greedy, none unless some
-    /// task is stealable, since a helper runs nothing else. Fails on the
+    /// the schedule uses, up to the host's cores; greedy, the workers
+    /// asked for. In either mode there is none unless some task is
+    /// stealable: no task below `inline_below` is worth a helper's
+    /// wake-up, and a greedy helper runs nothing else. Fails on the
     /// structural errors (`Cyclic`, `NoProgram`, `UnknownProgram`,
     /// `MissingArcValue`, an unplaced task's `BadSchedule`); per-firing
     /// value errors (`UnboundInput`) surface from [`Session::run`]
@@ -124,7 +126,6 @@ impl Session {
         let router = Router::build(design, lib)?;
         let stealing = || g.tasks().any(|(_, task)| stealable(task.weight, options));
         let (workers, pinned) = match &options.mode {
-            ExecMode::Greedy { .. } if !stealing() => (1, None),
             ExecMode::Greedy { workers: 0 } => (host_cores(), None),
             ExecMode::Greedy { workers } => (*workers, None),
             ExecMode::Pinned(schedule) => {
@@ -132,6 +133,7 @@ impl Session {
                 (queues.len().clamp(1, host_cores()), Some(queues))
             }
         };
+        let workers = if stealing() { workers } else { 1 };
         let mut deques: Vec<deque::Worker<WsItem>> =
             (0..workers).map(|_| deque::Worker::new()).collect();
         let policy = match pinned {
@@ -462,6 +464,7 @@ pub(crate) mod tests {
         let s = banger_sched::list::etf(&f.graph, &m);
         let pinned = ExecOptions {
             mode: ExecMode::pinned(s.clone()),
+            inline_below: 0.0,
             ..ExecOptions::default()
         };
         let mut session = Session::new(&f, &lib, &pinned).unwrap();
@@ -489,6 +492,58 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    /// A pinned design with no task worth a helper (all below
+    /// `inline_below`) gets no seat, as a greedy one does, however many
+    /// processors its schedule uses; with the threshold at 0 it gets a
+    /// seat per processor
+    /// (`a_pinned_firing_plays_every_processor_alone_while_the_pool_is_leased`).
+    #[test]
+    fn a_pinned_firing_with_nothing_stealable_has_no_seat() {
+        use banger_machine::{Machine, MachineParams, Topology};
+        let (f, lib) = fan(8);
+        let m = Machine::new(Topology::fully_connected(4), MachineParams::default());
+        let s = banger_sched::list::etf(&f.graph, &m);
+        assert!(s.processors_used() >= 2);
+        let pinned = ExecOptions {
+            mode: ExecMode::pinned(s),
+            ..ExecOptions::default()
+        };
+        let session = Session::new(&f, &lib, &pinned).unwrap();
+        assert_eq!(session.workers(), 1, "every task is below the threshold");
+    }
+
+    /// A traced pinned firing's rows are the schedule's processors, but
+    /// its summary counts the threads that played them: here one, the
+    /// caller, since the pool is leased elsewhere.
+    #[test]
+    fn a_pinned_trace_summary_counts_threads_not_processors() {
+        use banger_machine::{Machine, MachineParams, Topology};
+        let _turn = pool_to_myself();
+        let (f, lib) = fan(8);
+        let m = Machine::new(Topology::fully_connected(8), MachineParams::default());
+        let s = banger_sched::list::etf(&f.graph, &m);
+        assert_eq!(s.processors_used(), 8);
+        let pinned = ExecOptions {
+            mode: ExecMode::pinned(s),
+            inline_below: 0.0,
+            trace: true,
+            ..ExecOptions::default()
+        };
+        let mut session = Session::new(&f, &lib, &pinned).unwrap();
+        let report = {
+            let _held = POOL.lease.lock();
+            session.run(&ext(2.0)).unwrap()
+        };
+        assert_eq!(report.workers, 1);
+        let trace = report.trace.expect("trace recorded");
+        assert_eq!(trace.workers, 8, "one row per processor");
+        let summary = trace.summary();
+        assert_eq!(summary.workers, 1);
+        assert!(summary.utilization() > 0.0);
+        let line = summary.render();
+        assert!(line.contains(" 1 workers at "), "{line}");
     }
 
     /// `layers` x `width` independent chains of stealable (weight 5000)

@@ -168,20 +168,26 @@ pub struct TaskSpan {
 pub struct Trace {
     /// All events, sorted by [`TraceEvent::at`] then worker.
     pub events: Vec<TraceEvent>,
-    /// Worker thread count the execution ran with.
+    /// Rows: a greedy run's worker threads, a pinned run's processors
+    /// (each event's `worker` is below it).
     pub workers: usize,
+    /// Threads that ran the execution, the caller included: the
+    /// summary's worker count. `workers` unless a pinned run's threads
+    /// played several processors each.
+    pub threads: usize,
     /// Total wall-clock time of the execution.
     pub wall: Duration,
 }
 
 impl Trace {
-    /// Builds a trace from raw per-worker event buffers: merges and
-    /// time-sorts them.
+    /// Builds a trace from raw per-worker event buffers, one thread per
+    /// row: merges and time-sorts them.
     pub fn from_events(mut events: Vec<TraceEvent>, workers: usize, wall: Duration) -> Self {
         events.sort_by(|a, b| a.at().cmp(&b.at()).then(a.worker().cmp(&b.worker())));
         Trace {
             events,
             workers,
+            threads: workers,
             wall,
         }
     }
@@ -238,7 +244,7 @@ impl Trace {
     /// Reduces the stream to aggregate counters.
     pub fn summary(&self) -> TraceSummary {
         let mut s = TraceSummary {
-            workers: self.workers,
+            workers: self.threads,
             wall: self.wall,
             ..TraceSummary::default()
         };

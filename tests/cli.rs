@@ -1398,6 +1398,47 @@ fn stats_counts_sessions_and_pool_threads() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A traced `run` is pinned to the schedule, and a pinned firing sizes
+/// itself as a greedy one does: lu3 has no task worth a helper (none
+/// weighs `inline_below`), so its traced run over a daemon leaves the
+/// pool unstarted.
+#[cfg(unix)]
+#[test]
+fn a_traced_run_of_a_design_with_nothing_to_steal_starts_no_pool() {
+    let dir = std::env::temp_dir().join(format!("banger-cli-traced-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (sock, guard) = start_daemon("traced", &dir);
+    let trace = dir.join("t.json");
+    let out = banger()
+        .args(["--connect", sock.to_str().unwrap(), "run"])
+        .arg(std::fs::canonicalize("examples/projects/lu3.bang").unwrap())
+        .args([
+            "-i",
+            "A=[5,1.5,2,1.75,5,1.5,1.25,1.75,5]",
+            "-i",
+            "b=[1,2,3]",
+        ])
+        .arg("--trace")
+        .arg(&trace)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(!stderr.contains("running locally"), "{stderr}");
+    assert!(std::fs::read_to_string(&trace)
+        .unwrap()
+        .contains("traceEvents"));
+    let stats = banger()
+        .args(["--connect", sock.to_str().unwrap(), "stats"])
+        .output()
+        .unwrap();
+    let stats = String::from_utf8_lossy(&stats.stdout);
+    assert!(stats.trim_end().ends_with("pool threads 0"), "{stats}");
+    stop_daemon(&sock, guard);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A daemon's threads are bounded by the host, not by the designs it
 /// holds: 50 resident copies of `dense_lu`, each run once, share one pool
 /// of `cores - 1` helpers beside the accept loop and a thread per open
@@ -1693,13 +1734,17 @@ fn a_run_pinned_to_256_processors_fits_where_the_greedy_run_fits() {
     let pinned = banger_under(1_500_000, &args);
     let err = String::from_utf8_lossy(&pinned.stderr);
     assert_eq!(pinned.status.code(), Some(0), "{err}");
-    assert!(
-        err.contains("2009 task runs") && err.contains("256 workers"),
-        "{err}"
-    );
-    assert!(std::fs::read_to_string(&trace)
-        .unwrap()
-        .contains("traceEvents"));
+    // The trace has a row per processor, but its summary counts the
+    // threads that played them.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = err
+        .split_once(" workers at ")
+        .and_then(|(head, _)| head.rsplit(' ').next()?.parse::<usize>().ok());
+    assert!(err.contains("2009 task runs"), "{err}");
+    assert!(threads.is_some_and(|n| (1..=cores).contains(&n)), "{err}");
+    let chrome = std::fs::read_to_string(&trace).unwrap();
+    assert!(chrome.contains("traceEvents"));
+    assert!(chrome.contains("\"worker 255\""), "a row per processor");
     let lu = |out: &[u8]| {
         let out = String::from_utf8_lossy(out);
         out.lines()

@@ -83,14 +83,28 @@ fn build(seed: u64, layers: usize, width: usize) -> (Flattened, ProgramLibrary, 
     (h.flatten().unwrap(), lib, expected)
 }
 
-fn all_modes(design: &Flattened) -> Vec<(&'static str, ExecMode)> {
+/// The options of each mode: greedy with the default inline threshold,
+/// and pinned with every task stealable, so that its processors get
+/// threads.
+fn all_modes(design: &Flattened) -> Vec<(&'static str, ExecOptions)> {
     let m = Machine::new(Topology::fully_connected(4), MachineParams::default());
     let pinned = banger_sched::list::etf(&design.graph, &m);
+    let greedy = |workers| ExecOptions {
+        mode: ExecMode::Greedy { workers },
+        ..ExecOptions::default()
+    };
     vec![
-        ("greedy-1", ExecMode::Greedy { workers: 1 }),
-        ("greedy-4", ExecMode::Greedy { workers: 4 }),
-        ("greedy-8", ExecMode::Greedy { workers: 8 }),
-        ("pinned", ExecMode::pinned(pinned)),
+        ("greedy-1", greedy(1)),
+        ("greedy-4", greedy(4)),
+        ("greedy-8", greedy(8)),
+        (
+            "pinned",
+            ExecOptions {
+                mode: ExecMode::pinned(pinned),
+                inline_below: 0.0,
+                ..ExecOptions::default()
+            },
+        ),
     ]
 }
 
@@ -101,15 +115,14 @@ fn injected_panic_is_attributed_in_every_mode() {
     // A mid-graph task: predecessors have completed, successors are
     // still outstanding when the panic fires.
     let victim = "t3_4";
-    for (label, mode) in all_modes(&design) {
+    for (label, opts) in all_modes(&design) {
         let err = execute(
             &design,
             &lib,
             &BTreeMap::new(),
             &ExecOptions {
-                mode,
                 inject_panic: Some(victim.to_string()),
-                ..ExecOptions::default()
+                ..opts
             },
         )
         .expect_err("injected panic must fail the run");
@@ -173,17 +186,9 @@ fn runtime_error_is_attributed_not_panicked() {
         .unwrap();
     let design = h.flatten().unwrap();
 
-    for (label, mode) in all_modes(&design) {
-        let err = execute(
-            &design,
-            &lib,
-            &BTreeMap::new(),
-            &ExecOptions {
-                mode,
-                ..ExecOptions::default()
-            },
-        )
-        .expect_err("out-of-range index must fail the run");
+    for (label, opts) in all_modes(&design) {
+        let err = execute(&design, &lib, &BTreeMap::new(), &opts)
+            .expect_err("out-of-range index must fail the run");
         match err {
             ExecError::Run { task, .. } => assert_eq!(task, "oops", "mode {label}"),
             other => panic!("mode {label}: expected Run error, got {other}"),
@@ -299,8 +304,8 @@ fn worker_death_is_worker_lost_even_when_the_worker_cannot_die() {
     // that dequeues the victim stops participating and the run is
     // WorkerLost naming it — the injection is never ignored.
     let (design, lib, _) = build(5, 4, 6);
-    for (label, mode) in all_modes(&design) {
-        if matches!(mode, ExecMode::Greedy { workers } if workers > 1) {
+    for (label, opts) in all_modes(&design) {
+        if matches!(opts.mode, ExecMode::Greedy { workers } if workers > 1) {
             continue; // covered, with helpers lost mid-run, above
         }
         let err = execute(
@@ -308,9 +313,8 @@ fn worker_death_is_worker_lost_even_when_the_worker_cannot_die() {
             &lib,
             &BTreeMap::new(),
             &ExecOptions {
-                mode,
                 inject_worker_death: Some("t1_1".to_string()),
-                ..ExecOptions::default()
+                ..opts
             },
         )
         .expect_err("lost worker must fail the run");

@@ -2,9 +2,9 @@
 //! run across worker counts and dispatch modes, checked against a
 //! sequential reference evaluation. Exercises the dependence-counting
 //! dispatcher, the results store, and value passing under contention.
-//! Every task weighs 1 op, below `DEFAULT_INLINE_BELOW`, so the greedy
-//! cases set `inline_below: 0.0`: otherwise no task is stealable and a
-//! firing never has a helper.
+//! Every task weighs 1 op, below `DEFAULT_INLINE_BELOW`, so every case
+//! sets `inline_below: 0.0`: otherwise no task is stealable and a
+//! firing, greedy or pinned, never has a helper.
 
 use banger_calc::{ProgramLibrary, Value};
 use banger_exec::{execute, ExecMode, ExecOptions};
@@ -162,6 +162,7 @@ fn pinned_stress_matches_greedy() {
             &BTreeMap::new(),
             &ExecOptions {
                 mode: ExecMode::pinned(s.clone()),
+                inline_below: 0.0,
                 ..ExecOptions::default()
             },
         )

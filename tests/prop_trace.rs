@@ -106,7 +106,8 @@ fn run(
 /// Dispatch variants: greedy with the default inline threshold (these
 /// weight-1.0 tasks all run on the private inline stack), greedy with
 /// inlining disabled (every task travels the stealable deque path), and
-/// the pinned schedule (which ignores the threshold).
+/// the pinned schedule with inlining disabled (otherwise no task is
+/// worth a helper, and one thread plays every processor).
 fn modes(design: &Flattened, workers: usize) -> Vec<(ExecMode, f64)> {
     let m = Machine::new(Topology::fully_connected(workers), MachineParams::default());
     vec![
@@ -114,7 +115,7 @@ fn modes(design: &Flattened, workers: usize) -> Vec<(ExecMode, f64)> {
         (ExecMode::Greedy { workers }, 0.0),
         (
             ExecMode::pinned(banger_sched::list::etf(&design.graph, &m)),
-            DEFAULT_INLINE_BELOW,
+            0.0,
         ),
     ]
 }
