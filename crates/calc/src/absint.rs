@@ -1904,7 +1904,8 @@ impl<'p> Walker<'p> {
 
 /// Abstract builtin application. All-point scalar arguments take the
 /// concrete path through the real builtin implementation, so results
-/// are bit-identical to a trial run. `points` is scratch for that call.
+/// are bit-identical to a trial run, but for `zeros` and `fill`, whose
+/// size is checked and never allocated. `points` is scratch for that call.
 fn apply_builtin(
     b: &builtins::Builtin,
     vals: &[AbsVal],
@@ -1917,14 +1918,18 @@ fn apply_builtin(
         _ => None,
     }));
     if points.len() == vals.len() {
-        return match (b.func)(points.as_slice()) {
-            Ok(v) => AbsVal::of_value(&v),
-            Err(_) => {
-                // zeros(-1) and friends: a genuine runtime abort.
-                ctx.reached = false;
-                AbsVal::any()
+        // Every argument here is a scalar, so only a size can fail.
+        let out = match b.name {
+            "zeros" | "fill" => {
+                builtins::size_arg(points, b.name).map(|n| AbsVal::array(Interval::point(n as f64)))
             }
+            _ => (b.func)(points).map(|v| AbsVal::of_value(&v)),
         };
+        return out.unwrap_or_else(|_| {
+            // zeros(-1) and friends: a genuine runtime abort.
+            ctx.reached = false;
+            AbsVal::any()
+        });
     }
     let arg = |i: usize| vals.get(i).map(|v| v.num_or_top()).unwrap_or(Interval::TOP);
     let mono = |f: fn(f64) -> f64, i: Interval| AbsVal::scalar(Interval::new(f(i.lo), f(i.hi)));
@@ -2467,6 +2472,60 @@ end";
         );
         let n = f.iter().filter(|x| x.kind.tag() == "uninit-read").count();
         assert_eq!(n, 1, "{f:?}");
+    }
+
+    /// `zeros` and `fill` of a point size give the length the real
+    /// builtin's array has, and abort (`reached` false) where it fails,
+    /// without allocating the array; `1e9` is the largest size either
+    /// accepts.
+    #[test]
+    fn a_point_sized_array_is_its_length_not_its_buffer() {
+        let abstractly = |name: &str, args: &[f64]| {
+            let b = builtins::lookup(name).unwrap();
+            let vals: Vec<AbsVal> = args
+                .iter()
+                .map(|&a| AbsVal::scalar(Interval::point(a)))
+                .collect();
+            let mut ctx = Ctx {
+                reached: true,
+                report: true,
+                pos: None,
+            };
+            let out = apply_builtin(b, &vals, &mut Vec::new(), &mut ctx);
+            ctx.reached.then_some(out)
+        };
+        for size in [-1.0, 0.0, 2.4, 2.5, 1e6, f64::NAN] {
+            for (name, args) in [("zeros", vec![size]), ("fill", vec![size, 7.0])] {
+                let real = builtins::apply(
+                    name,
+                    &args.iter().map(|&a| Value::Num(a)).collect::<Vec<_>>(),
+                );
+                // A NaN is no point of the domain (`Interval::point` makes
+                // it top), so its size stays the abstract `0..∞`.
+                let want = match real {
+                    Ok(v) => Some(AbsVal::of_value(&v)),
+                    Err(_) if size.is_nan() => {
+                        Some(AbsVal::array(Interval::new(0.0, f64::INFINITY)))
+                    }
+                    Err(_) => None,
+                };
+                assert_eq!(abstractly(name, &args), want, "{name}({size})");
+            }
+        }
+        for name in ["zeros", "fill"] {
+            let args = |size| {
+                if name == "fill" {
+                    vec![size, 7.0]
+                } else {
+                    vec![size]
+                }
+            };
+            assert_eq!(
+                abstractly(name, &args(1e9)),
+                Some(AbsVal::array(Interval::point(1e9)))
+            );
+            assert_eq!(abstractly(name, &args(1e9 + 1.0)), None, "{name}(1e9 + 1)");
+        }
     }
 
     #[test]

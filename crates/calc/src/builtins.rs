@@ -134,7 +134,7 @@ fn b_dot(args: &[Value]) -> Result<Value, RunError> {
 
 /// The element count `zeros`/`fill` were asked for, rounded like every
 /// index; `BadSize` outside `0..=1e9` (NaN included).
-fn size_arg(args: &[Value], name: &str) -> Result<usize, RunError> {
+pub(crate) fn size_arg(args: &[Value], name: &str) -> Result<usize, RunError> {
     let n = num_arg(args, 0, name)?.round();
     if !(0.0..=1e9).contains(&n) {
         return Err(RunError::BadSize {

@@ -351,15 +351,15 @@ pub fn handle(store: &ProjectStore, req: &Request) -> Response {
     }
 }
 
-/// The store's counters, then the executor's live sessions and pool
-/// threads. Those two are process-wide, so they stay out of
+/// The store's counters, then the executor's live sessions and the
+/// process pool's threads. Those two are process-wide, so they stay out of
 /// [`CacheStats`](super::CacheStats), a per-store snapshot.
 fn op_stats(store: &ProjectStore) -> Response {
     Response::success(format!(
         "{}  sessions {}  pool threads {}\n",
         store.stats().render(),
         banger_exec::live_sessions(),
-        banger_exec::live_pool_threads()
+        banger_taskgraph::parallel::live_pool_threads()
     ))
 }
 

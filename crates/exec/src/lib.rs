@@ -37,12 +37,10 @@
 //! [`ExecError::WorkerPanic`] with the task's name, never silently
 //! swallowed by a thread join.
 
-mod pool;
 pub mod runner;
 pub mod session;
 
 pub use banger_trace::{DriftReport, Trace, TraceEvent, TraceSummary};
-pub use pool::live_pool_threads;
 pub use runner::{
     execute, ExecError, ExecMode, ExecOptions, ExecReport, TaskRun, DEFAULT_INLINE_BELOW,
 };

@@ -8,19 +8,17 @@
 //! deque, Vm frame and buffers ([`WsWorker`]) — and per firing re-binds
 //! only the external inputs ([`Router::bind`]).
 //!
-//! A session keeps no thread. The process has one pool of helpers,
-//! spawned by the first firing that has a helper seat and grown to the
-//! largest `workers - 1` a firing asks for. A firing leases the whole
-//! pool with a `try_lock` and offers its seats; one that finds the pool
-//! leased runs on its caller alone, which is exact: outputs, prints and
-//! measured weights do not depend on the worker count (a pinned worker
-//! plays every processor it claims). A design with no stealable task, in
-//! either mode, has no seat and never asks.
+//! A session keeps no thread: a firing borrows helpers from the process's
+//! one pool ([`banger_taskgraph::parallel::lend`]), as every fan-out does.
+//! One that finds the pool lent runs on its caller alone, which is exact:
+//! outputs, prints and measured weights do not depend on the worker count
+//! (a pinned worker plays every processor it claims). A design with no
+//! stealable task, in either mode, has no seat and never asks.
 //!
 //! ```text
-//! run(ext):  bind → reset → lease, offer workers − 1 seats → seed →
-//!            work as worker 0 → withdraw the free seats, wait for the
-//!            seated helpers → report
+//! run(ext):  bind → reset → lend workers − 1 seats → seed → work as
+//!            worker 0 → withdraw the free seats, wait for the seated
+//!            helpers → report
 //! ```
 //!
 //! The barrier waits only for helpers that took a seat, so a firing
@@ -29,14 +27,13 @@
 //! the next, and an injected worker death poisons its firing as
 //! [`ExecError::WorkerLost`] while the helper's thread stays in the pool.
 
-use crate::pool::{lease, Lease};
 use crate::runner::{
     pinned_queues, stealable, ws_fire, ws_seed, Ctx, ExecError, ExecMode, ExecOptions, ExecReport,
     Policy, Router, Store, WsItem, WsState, WsWorker,
 };
 use banger_calc::{ProgramLibrary, Value};
 use banger_taskgraph::hierarchy::Flattened;
-use banger_taskgraph::parallel::host_cores;
+use banger_taskgraph::parallel::{host_cores, lend};
 use banger_taskgraph::TaskGraph;
 use crossbeam::deque;
 use parking_lot::Mutex;
@@ -53,57 +50,20 @@ pub fn live_sessions() -> usize {
     LIVE_SESSIONS.load(Ordering::Relaxed)
 }
 
-/// Everything firing-invariant, shared with the seated helpers.
-struct SessionCore {
-    graph: Arc<TaskGraph>,
-    router: Router,
-    store: Store,
-    ws: WsState,
-    options: ExecOptions,
-    /// The helper seats' private halves: seat `i` is worker `i + 1`.
-    seats: Vec<Mutex<WsWorker>>,
-}
-
-/// One firing: the session's state, the epoch all trace timestamps are
-/// relative to, and the bound external inputs. A helper that takes a
-/// seat gets a clone.
-#[derive(Clone)]
-pub(crate) struct Firing {
-    core: Arc<SessionCore>,
-    epoch: Instant,
-    externals: Arc<Vec<Value>>,
-}
-
-impl Firing {
-    /// The worker-facing view of this firing.
-    fn ctx(&self) -> Ctx<'_> {
-        let core = &self.core;
-        Ctx {
-            g: &core.graph,
-            router: &core.router,
-            options: &core.options,
-            store: &core.store,
-            externals: &self.externals,
-            epoch: self.epoch,
-        }
-    }
-
-    /// A helper's part in this firing, as worker `me`. It consumes the
-    /// clone, so a helper that has left holds no reference to the core.
-    pub(crate) fn work(self, me: usize) {
-        let core = &self.core;
-        ws_fire(&self.ctx(), &core.ws, &mut core.seats[me - 1].lock());
-    }
-}
-
 /// A persistent executor for one flattened design: routing tables, slab
 /// storage and every worker's private state stay allocated, and each
 /// [`Session::run`] is one firing. See the module docs for the
 /// lifecycle; `banger run --repeat N` and
 /// [`Project::session`](https://docs.rs/banger-core) surface this.
 pub struct Session {
-    core: Arc<SessionCore>,
+    graph: Arc<TaskGraph>,
+    router: Router,
+    store: Store,
+    ws: WsState,
+    options: ExecOptions,
     caller: WsWorker,
+    /// The helper seats' private halves: seat `i` is worker `i + 1`.
+    seats: Vec<Mutex<WsWorker>>,
 }
 
 impl Session {
@@ -145,22 +105,22 @@ impl Session {
         };
         let caller = WsWorker::new(0, deques.remove(0));
         let seats = (deques.into_iter().zip(1..)).map(|(dq, me)| Mutex::new(WsWorker::new(me, dq)));
-        let core = Arc::new(SessionCore {
+        LIVE_SESSIONS.fetch_add(1, Ordering::Relaxed);
+        Ok(Session {
             graph: Arc::clone(g),
             router,
             store: Store::new(g.task_count()),
             ws: WsState::new(g, policy),
             options: options.clone(),
+            caller,
             seats: seats.collect(),
-        });
-        LIVE_SESSIONS.fetch_add(1, Ordering::Relaxed);
-        Ok(Session { core, caller })
+        })
     }
 
     /// Workers a firing runs on when it gets the pool, the caller
     /// included.
     pub fn workers(&self) -> usize {
-        self.core.seats.len() + 1
+        self.seats.len() + 1
     }
 
     /// One firing: binds `external`, re-arms the per-firing state, runs
@@ -168,26 +128,28 @@ impl Session {
     /// waits for those to leave. Errors (including injected panics)
     /// poison only their own firing, and the next `run` starts clean.
     pub fn run(&mut self, external: &BTreeMap<String, Value>) -> Result<ExecReport, ExecError> {
-        let core = &self.core;
-        let externals = core.router.bind(external)?;
+        let externals = self.router.bind(external)?;
 
         // Every worker left the previous firing with its deque empty
         // (that firing's barrier), so the reset races no one.
-        core.store.reset();
-        core.ws.reset(&core.graph);
+        self.store.reset();
+        self.ws.reset(&self.graph);
 
-        let firing = Firing {
-            core: Arc::clone(core),
+        let ctx = Ctx {
+            g: &self.graph,
+            router: &self.router,
+            options: &self.options,
+            store: &self.store,
+            externals: &externals,
             epoch: Instant::now(),
-            externals: Arc::new(externals),
         };
-        let ctx = firing.ctx();
-        let seats = core.seats.len();
-        let lease = (seats > 0).then(|| lease(seats, firing.clone())).flatten();
-        ws_seed(&ctx, &core.ws, &mut self.caller);
-        ws_fire(&ctx, &core.ws, &mut self.caller);
-        let helpers = lease.map_or(0, Lease::end);
-        core.ws.finish(&ctx, 1 + helpers)
+        let (ws, seats, caller) = (&self.ws, &self.seats, &mut self.caller);
+        let help = |me: usize| ws_fire(&ctx, ws, &mut seats[me - 1].lock());
+        let ((), helpers) = lend(seats.len(), &help, || {
+            ws_seed(&ctx, ws, caller);
+            ws_fire(&ctx, ws, caller);
+        });
+        ws.finish(&ctx, 1 + helpers)
     }
 }
 
@@ -200,9 +162,9 @@ impl Drop for Session {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::pool::{live_pool_threads, POOL};
     use crate::runner::{execute, DEFAULT_INLINE_BELOW};
     use banger_taskgraph::hierarchy::HierGraph;
+    use banger_taskgraph::parallel::{live_pool_threads, parallel_map_on};
     use parking_lot::MutexGuard;
 
     /// Taken by every test in this binary whose firings can have helpers.
@@ -213,6 +175,26 @@ pub(crate) mod tests {
     pub(crate) fn pool_to_myself() -> MutexGuard<'static, ()> {
         static TURN: Mutex<()> = Mutex::new(());
         TURN.lock()
+    }
+
+    /// `body`'s result, computed while another thread holds the pool's
+    /// lease: a two-worker fan-out whose one item waits on a channel
+    /// until `body` has returned or unwound.
+    fn while_the_pool_is_lent<R>(body: impl FnOnce() -> R) -> R {
+        let (entered, inside) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let released = Mutex::new(released);
+        std::thread::scope(|s| {
+            let _release = release;
+            s.spawn(|| {
+                parallel_map_on(2, &[()], |_, _| {
+                    entered.send(()).unwrap();
+                    released.lock().recv().ok();
+                })
+            });
+            inside.recv().unwrap();
+            body()
+        })
     }
 
     /// True iff some task of the firing ran on a helper.
@@ -469,10 +451,7 @@ pub(crate) mod tests {
         };
         let mut session = Session::new(&f, &lib, &pinned).unwrap();
         assert_eq!(session.workers(), s.processors_used().min(host_cores()));
-        let alone = {
-            let _held = POOL.lease.lock();
-            session.run(&ext(2.0)).unwrap()
-        };
+        let alone = while_the_pool_is_lent(|| session.run(&ext(2.0)).unwrap());
         assert_eq!(alone.workers, 1);
         let unleased = session.run(&ext(2.0)).unwrap();
         let greedy = execute(&f, &lib, &ext(2.0), &greedy(1, DEFAULT_INLINE_BELOW)).unwrap();
@@ -532,10 +511,7 @@ pub(crate) mod tests {
             ..ExecOptions::default()
         };
         let mut session = Session::new(&f, &lib, &pinned).unwrap();
-        let report = {
-            let _held = POOL.lease.lock();
-            session.run(&ext(2.0)).unwrap()
-        };
+        let report = while_the_pool_is_lent(|| session.run(&ext(2.0)).unwrap());
         assert_eq!(report.workers, 1);
         let trace = report.trace.expect("trace recorded");
         assert_eq!(trace.workers, 8, "one row per processor");
@@ -615,10 +591,7 @@ pub(crate) mod tests {
         let _turn = pool_to_myself();
         let (f, lib) = chains(4, 8);
         let mut session = Session::new(&f, &lib, &greedy(4, 0.0)).unwrap();
-        let alone = {
-            let _held = POOL.lease.lock();
-            session.run(&BTreeMap::new()).unwrap()
-        };
+        let alone = while_the_pool_is_lent(|| session.run(&BTreeMap::new()).unwrap());
         assert!(alone.runs.iter().all(|r| r.worker == 0));
         assert_eq!(alone.workers, 1, "the report counts the caller alone");
         let with_helpers = (0..1000)
@@ -664,13 +637,22 @@ pub(crate) mod tests {
         assert!(helped_firings.into_inner() > 0, "no firing had helpers");
     }
 
-    /// Names of this process's pool threads, read from the kernel.
-    fn pool_thread_names() -> usize {
-        let tasks = std::fs::read_dir("/proc/self/task").expect("Linux /proc");
-        tasks
-            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
-            .filter(|name| name.starts_with("banger-exec-"))
-            .count()
+    /// This process's pool threads, counted by the kernel once it counts
+    /// `want` or 5 s have passed: a thread names itself as it starts, so
+    /// one just spawned may not carry its name yet.
+    fn pool_thread_names(want: usize) -> usize {
+        let count = || {
+            let tasks = std::fs::read_dir("/proc/self/task").expect("Linux /proc");
+            tasks
+                .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                .filter(|name| name.starts_with("banger-pool-"))
+                .count()
+        };
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        while count() != want && Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        count()
     }
 
     /// A helper that dies (an injected fault) loses its firing, not its
@@ -682,7 +664,7 @@ pub(crate) mod tests {
         let mut clean = Session::new(&f, &lib, &greedy(4, 0.0)).unwrap();
         clean.run(&BTreeMap::new()).unwrap();
         let size = live_pool_threads();
-        assert_eq!(pool_thread_names(), size);
+        assert_eq!(pool_thread_names(size), size);
         let dying = ExecOptions {
             inject_worker_death: Some("t1_3".into()),
             ..greedy(4, 0.0)
@@ -694,7 +676,7 @@ pub(crate) mod tests {
         });
         assert!(helper_died, "no helper ever took the victim");
         assert_eq!(live_pool_threads(), size);
-        assert_eq!(pool_thread_names(), size);
+        assert_eq!(pool_thread_names(size), size);
         assert!((0..1000).any(|_| helped(&clean.run(&BTreeMap::new()).unwrap())));
     }
 }

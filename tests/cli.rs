@@ -1041,12 +1041,20 @@ impl Drop for DaemonGuard {
 /// and its stderr in `<socket>.log`; returns once the socket answers.
 #[cfg(unix)]
 fn start_daemon(name: &str, cwd: &Path) -> (PathBuf, DaemonGuard) {
+    let mut banger = banger();
+    banger.current_dir(cwd);
+    serve_as(banger, name)
+}
+
+/// Starts `banger serve` as `command`: `banger` itself, or a shell that
+/// execs it.
+#[cfg(unix)]
+fn serve_as(mut command: Command, name: &str) -> (PathBuf, DaemonGuard) {
     let sock = std::env::temp_dir().join(format!("banger-cli-{name}-{}.sock", std::process::id()));
     std::fs::remove_file(&sock).ok();
     let log = std::fs::File::create(sock.with_extension("log")).unwrap();
-    let child = banger()
+    let child = command
         .args(["serve", "--socket", sock.to_str().unwrap()])
-        .current_dir(cwd)
         .stderr(log)
         .spawn()
         .expect("daemon starts");
@@ -1332,12 +1340,27 @@ fn serve_daemon_round_trip() {
     std::fs::remove_dir_all(&scratch).ok();
 }
 
+/// The pool threads a daemon holds once it has checked lu3 and run
+/// nothing stealable: the check fans the seeded B04x analyses a fresh
+/// parse leaves to run (`misses`) out on `min(cores, misses)` workers,
+/// the caller and one fewer pool threads.
+#[cfg(unix)]
+fn pool_after_checking_lu3() -> usize {
+    let text = std::fs::read_to_string("examples/projects/lu3.bang").unwrap();
+    let project = banger::parse_project(&text).unwrap();
+    let misses = banger_analyze::absint::memo_misses(project.expanded(), project.library());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    cores.min(misses) - 1
+}
+
 /// `stats` counts the executor sessions and pool threads a daemon holds.
-/// An edited small design keeps one session and starts no pool however
-/// often it is rebuilt; the first design with a stealable task starts the
-/// process pool, of the core count less the caller; a second such design
-/// shares it, and evicting one leaves it whole. The daemon is its own
-/// process, so no other test moves these counts.
+/// An edited small design keeps one session, whose firings run on one
+/// worker however often it is rebuilt; only its first check fans out,
+/// and grows the pool to `min(cores, misses) − 1`. The first design with
+/// a stealable task grows the process pool to the core count less the
+/// caller; a second such design shares it, and evicting one leaves it
+/// whole. The daemon is its own process, so no other test moves these
+/// counts.
 #[cfg(unix)]
 #[test]
 fn stats_counts_sessions_and_pool_threads() {
@@ -1373,11 +1396,15 @@ fn stats_counts_sessions_and_pool_threads() {
     for weight in 9..19 {
         let edited = source.replace("task fan1 9 prog", &format!("task fan1 {weight} prog"));
         std::fs::write(&lu3, edited).unwrap();
-        let mut run = vec!["run", lu3.to_str().unwrap()];
+        let mut run = vec!["run", lu3.to_str().unwrap(), "--repeat", "2"];
         run.extend(lu3_inputs.iter().map(String::as_str));
-        assert!(ask(&run).contains("x = "));
+        let out = banger().args(connect).args(&run).output().unwrap();
+        assert!(String::from_utf8_lossy(&out.stdout).contains("x = "));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("(2 firings on 1 warm worker: "), "{stderr}");
     }
-    assert_eq!(counts(), "1  pool threads 0");
+    let checked = pool_after_checking_lu3();
+    assert_eq!(counts(), format!("1  pool threads {checked}"));
 
     let dense_inputs = inputs("dense_lu");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1400,11 +1427,11 @@ fn stats_counts_sessions_and_pool_threads() {
 
 /// A traced `run` is pinned to the schedule, and a pinned firing sizes
 /// itself as a greedy one does: lu3 has no task worth a helper (none
-/// weighs `inline_below`), so its traced run over a daemon leaves the
-/// pool unstarted.
+/// weighs `inline_below`), so its traced run over a daemon fires on one
+/// worker, and the pool holds only what the run's check fanned out to.
 #[cfg(unix)]
 #[test]
-fn a_traced_run_of_a_design_with_nothing_to_steal_starts_no_pool() {
+fn a_traced_run_of_a_design_with_nothing_to_steal_fires_on_one_worker() {
     let dir = std::env::temp_dir().join(format!("banger-cli-traced-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -1426,6 +1453,7 @@ fn a_traced_run_of_a_design_with_nothing_to_steal_starts_no_pool() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
     assert!(!stderr.contains("running locally"), "{stderr}");
+    assert!(stderr.contains(" 1 workers at "), "{stderr}");
     assert!(std::fs::read_to_string(&trace)
         .unwrap()
         .contains("traceEvents"));
@@ -1434,15 +1462,22 @@ fn a_traced_run_of_a_design_with_nothing_to_steal_starts_no_pool() {
         .output()
         .unwrap();
     let stats = String::from_utf8_lossy(&stats.stdout);
-    assert!(stats.trim_end().ends_with("pool threads 0"), "{stats}");
+    let checked = pool_after_checking_lu3();
+    assert!(
+        stats
+            .trim_end()
+            .ends_with(&format!("pool threads {checked}")),
+        "{stats}"
+    );
     stop_daemon(&sock, guard);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A daemon's threads are bounded by the host, not by the designs it
-/// holds: 50 resident copies of `dense_lu`, each run once, share one pool
-/// of `cores - 1` helpers beside the accept loop and a thread per open
-/// connection.
+/// holds or the verbs that fan out: 50 resident copies of `dense_lu`,
+/// each run, checked and charted on several machines once, share one
+/// pool of `cores - 1` helpers beside the accept loop and a thread per
+/// open connection.
 #[cfg(unix)]
 #[test]
 fn fifty_resident_stealable_designs_keep_one_pool() {
@@ -1455,25 +1490,25 @@ fn fifty_resident_stealable_designs_keep_one_pool() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let source = std::fs::read_to_string("examples/projects/dense_lu.bang").unwrap();
     let inputs = std::fs::read_to_string("bench_all/inputs/dense_lu.inputs").unwrap();
+    let topologies = "single,hypercube:1,hypercube:2,linear:4,mesh:2x2";
     for copy in 0..50 {
         let path = dir.join(format!("dense_{copy}.bang"));
         std::fs::write(&path, &source).unwrap();
-        let mut run = banger();
-        run.args([
-            "--connect",
-            sock.to_str().unwrap(),
-            "run",
-            path.to_str().unwrap(),
-        ]);
-        for line in inputs.lines() {
-            run.args(["-i", line]);
+        let file = path.to_str().unwrap();
+        let mut run = vec!["run", file];
+        run.extend(inputs.lines().flat_map(|line| ["-i", line]));
+        let check = vec!["check", file];
+        let speedup = vec!["speedup", file, "-t", topologies];
+        for args in [run, check, speedup] {
+            let out = banger()
+                .args(["--connect", sock.to_str().unwrap()])
+                .args(&args)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{args:?}: {stderr}");
+            assert!(!stderr.contains("running locally"), "{stderr}");
         }
-        let out = run.output().unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
         // No connection is open once the client has exited, but the
         // daemon's thread for it ends only when it reads the close.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -1652,13 +1687,57 @@ fn banger_capped(args: &[&str]) -> std::process::Output {
 /// `banger` under a virtual memory limit of `kib` KiB.
 #[cfg(unix)]
 fn banger_under(kib: u64, args: &[&str]) -> std::process::Output {
-    Command::new("sh")
-        .arg("-c")
+    capped(kib).args(args).output().unwrap()
+}
+
+/// A command that runs `banger` with the arguments added to it, under a
+/// virtual memory limit of `kib` KiB.
+#[cfg(unix)]
+fn capped(kib: u64) -> Command {
+    let mut sh = Command::new("sh");
+    sh.arg("-c")
         .arg(format!("ulimit -v {kib}; exec \"$0\" \"$@\""))
-        .arg(banger().get_program())
-        .args(args)
+        .arg(banger().get_program());
+    sh
+}
+
+/// `check` describes an array by its length and never builds it: a
+/// program that asks for `zeros(1e9)` (8 GB) is checked under a 2 GB
+/// limit, in process and by a daemon started under the same limit, which
+/// answers `ping` afterwards. The analysis used to run the builtin and
+/// abort the process (exit 134), the daemon with it.
+#[cfg(unix)]
+#[test]
+fn check_never_builds_the_arrays_a_program_asks_for() {
+    const KIB: u64 = 2_000_000;
+    let path = std::env::temp_dir().join(format!("banger-cli-zeros-{}.bang", std::process::id()));
+    std::fs::write(
+        &path,
+        "project huge\n\nmachine single\nend\n\ndesign\n  storage y 1\n  task t 1 prog Huge\n  \
+         arc t -> y\nend\n\nbegin-program\ntask Huge\n  out y\n  local a\nbegin\n  \
+         a := zeros(1e9)\n  y := a[1]\nend\nend-program\n",
+    )
+    .unwrap();
+    let file = path.to_str().unwrap();
+    let local = banger_under(KIB, &["check", file]);
+    let stderr = String::from_utf8_lossy(&local.stderr);
+    assert!(matches!(local.status.code(), Some(0 | 1)), "{stderr}");
+
+    let (sock, guard) = serve_as(capped(KIB), "zeros");
+    let connect = ["--connect", sock.to_str().unwrap()];
+    let remote = banger()
+        .args(connect)
+        .args(["check", file])
         .output()
-        .unwrap()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&remote.stderr);
+    assert!(matches!(remote.status.code(), Some(0 | 1)), "{stderr}");
+    assert!(!stderr.contains("running locally"), "{stderr}");
+    assert_eq!(remote.stdout, local.stdout);
+    let ping = banger().args(connect).arg("ping").output().unwrap();
+    assert_eq!(String::from_utf8_lossy(&ping.stdout), "pong\n");
+    stop_daemon(&sock, guard);
+    std::fs::remove_file(&path).ok();
 }
 
 /// `speedup -t` builds each machine in the worker that schedules on it
