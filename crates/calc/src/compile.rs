@@ -150,7 +150,7 @@ pub enum Op {
     /// the compiler's emission for nested scalar expressions like the
     /// affine index `(i - 1) * n + j`, and for a statement's `Tick` plus
     /// the lone `BinNum` after it. Produced only by the peephole fuser
-    /// ([`fuse`]) where each intermediate was a single-use scratch
+    /// (`fuse`) where each intermediate was a single-use scratch
     /// register; the chain replays the original [`Op::Tick`] and
     /// [`Op::BinNum`]s' checks and ticks in their exact order, so
     /// errors, `StepLimit` budgets, and measured weights are unchanged —
@@ -172,7 +172,7 @@ pub enum Op {
     },
     /// The clean chain `((r[x] - k) * n) + r[y]` with the literals `k`
     /// and `n` frozen into the op: `r[dst] = Num(..)`. Written only by
-    /// [`specialise_affine`] in place of such an [`Op::BinChain`]; it
+    /// `specialise_affine` in place of such an [`Op::BinChain`]; it
     /// ticks `stmt_tick + 3` with one budget compare and evaluates the
     /// chain's operations in its order.
     BinAffine {
@@ -387,14 +387,11 @@ impl<'a> Compiler<'a> {
     }
 
     /// Allocates a scratch register above every named variable and every
-    /// currently-live temp. Final slot indices are fixed up knowing
-    /// `n_vars` only at the end — during compilation temps are numbered
-    /// from `TEMP_BASE` and rewritten by [`finish_reg`]. To keep this
-    /// simple we instead reserve temps *after* interning: names are all
-    /// known before `block` runs (declarations interned in `compile`),
-    /// but undeclared names can still appear mid-body. So temps count
-    /// from the end: register `u32::MAX - k` is temp `k`, remapped when
-    /// the op stream is sealed.
+    /// currently-live temp. Declarations are interned before `block`
+    /// runs, but an undeclared name can still appear mid-body, so
+    /// `n_vars` is known only at the end. Temps therefore count from the
+    /// end: register `u32::MAX - k` is temp `k`, remapped when the op
+    /// stream is sealed ([`CompiledProgram::seal`]).
     fn temp(&mut self) -> Reg {
         let t = self.live_temps;
         self.live_temps += 1;

@@ -2,7 +2,7 @@
 //! task nodes (which carry a `program` name) and the executable routines
 //! behind them.
 //!
-//! Every program is compiled to bytecode ([`crate::compile`]) exactly
+//! Every program is compiled to bytecode ([`mod@crate::compile`]) exactly
 //! once, when it enters the library; the `Arc<CompiledProgram>` handed
 //! out by [`ProgramLibrary::get_compiled`] is shared by the exec
 //! runner's worker threads, trial runs, and benchmarks, so no caller

@@ -2,7 +2,7 @@
 //! a dense slot, once.
 //!
 //! Both consumers of a program's names go through it — the bytecode
-//! compiler ([`crate::compile`]), whose frame slots `0..n_vars` are these
+//! compiler ([`mod@crate::compile`]), whose frame slots `0..n_vars` are these
 //! slots, and the abstract interpreter ([`crate::absint`]), whose
 //! environments are vectors indexed by them — so a name means the same
 //! slot in the VM and in the analyzer.

@@ -1,6 +1,6 @@
 //! Register VM for compiled PITS programs.
 //!
-//! Executes the flat op stream produced by [`crate::compile`] over a
+//! Executes the flat op stream produced by [`mod@crate::compile`] over a
 //! reusable frame. Variable references are plain vector indexing (the
 //! compiler resolved every name to a dense slot), builtin calls are
 //! direct function-pointer invocations, and the frame and the print log

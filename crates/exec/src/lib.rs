@@ -28,14 +28,13 @@
 //! ([`runner`] describes both); readiness counters, result buffers,
 //! error handling and the one wait are shared.
 //!
-//! Setting [`ExecOptions::trace`] makes either mode record a
-//! [`Trace`](banger_trace::Trace) of what actually happened — task
-//! spans per worker, queue waits, CoW copy counts — which feeds the
-//! observed Gantt, the predicted-vs-observed drift report, and the
-//! Chrome trace export (see `banger_trace`). Task bodies run under a
-//! panic boundary: a panicking body is reported as
-//! [`ExecError::WorkerPanic`] with the task's name, never silently
-//! swallowed by a thread join.
+//! Setting [`ExecOptions::trace`] makes either mode record a [`Trace`]
+//! of what actually happened — task spans per worker, queue waits, CoW
+//! copy counts — which feeds the observed Gantt, the
+//! predicted-vs-observed drift report, and the Chrome trace export (see
+//! `banger_trace`). Task bodies run under a panic boundary: a panicking
+//! body is reported as [`ExecError::WorkerPanic`] with the task's name,
+//! never silently swallowed by a thread join.
 
 pub mod runner;
 pub mod session;

@@ -3,7 +3,7 @@
 //! ## Zero-copy dataflow
 //!
 //! All dataflow routing is resolved to dense integer indices before any
-//! worker starts: a [`Router`] maps every `(task, input var)` pair to
+//! worker starts: a `Router` maps every `(task, input var)` pair to
 //! either a producer's output port `(task index, output index)` or a
 //! densified external-input slot, and every design output port to a
 //! `(task, output index)` pair. At run time workers move [`Value`]s by
@@ -1104,20 +1104,21 @@ pub(crate) fn ws_fire(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
 }
 
 /// A processor a pinned worker has claimed: its placements not yet run,
-/// head first, and (when tracing) since when that head has waited.
+/// head first.
 struct Claim<'a> {
     proc: usize,
     rest: &'a [TaskId],
-    since: Option<Duration>,
 }
 
 /// The pinned policy: `w` claims processors from the cursor `next` and
 /// runs whichever claimed processor's head is ready, as that processor
 /// (`w.me`). A head is ready when every predecessor task has published
-/// (`indeg` at zero; when tracing, its time as head is its dependency
-/// wait), and only the first copy of a task to publish releases the
-/// successors. `w` claims another processor only when none of its heads
-/// is ready, and parks only when, besides, none is left to claim.
+/// (`indeg` at zero), and only the first copy of a task to publish
+/// releases the successors. `w` claims another processor only when none
+/// of its heads is ready, and parks only when, besides, none is left to
+/// claim. When tracing, the time from finding no ready head until running
+/// one is the worker's wait, recorded against the head it runs: a thread
+/// waits once, however many of its processors are blocked meanwhile.
 ///
 /// Readiness only grows, so a state in which no worker can run a head is
 /// one in which a thread per processor would be blocked too: the firing
@@ -1127,14 +1128,12 @@ fn pinned_run(ctx: &Ctx<'_>, ws: &WsState, queues: &Queues, next: &AtomicUsize, 
     let now = || ctx.options.trace.then(|| ctx.epoch.elapsed());
     let ready = |c: &Claim| ws.indeg[c.rest[0].index()].load(Ordering::SeqCst) == 0;
     let mut claims: Vec<Claim> = Vec::new();
+    let mut idle = None;
     while !ctx.store.poisoned.load(Ordering::SeqCst) {
         let Some(k) = claims.iter().position(ready) else {
+            idle = idle.or_else(now);
             match queues.get(next.fetch_add(1, Ordering::Relaxed)) {
-                Some((proc, rest)) => claims.push(Claim {
-                    proc: *proc,
-                    rest,
-                    since: now(),
-                }),
+                Some((proc, rest)) => claims.push(Claim { proc: *proc, rest }),
                 None if claims.is_empty() => return,
                 None if !ws_park(ctx, ws, w, || claims.iter().any(ready).then_some(true)) => return,
                 None => {}
@@ -1144,7 +1143,7 @@ fn pinned_run(ctx: &Ctx<'_>, ws: &WsState, queues: &Queues, next: &AtomicUsize, 
         let claim = &mut claims[k];
         let t = claim.rest[0];
         w.me = claim.proc;
-        if let Some(since) = claim.since {
+        if let Some(since) = idle.take() {
             let until = ctx.epoch.elapsed();
             if until > since {
                 w.events.push(TraceEvent::QueueWait {
@@ -1165,7 +1164,6 @@ fn pinned_run(ctx: &Ctx<'_>, ws: &WsState, queues: &Queues, next: &AtomicUsize, 
             Err(e) => return ws_fail(ctx, ws, e),
         }
         claim.rest = &claim.rest[1..];
-        claim.since = now();
         if claim.rest.is_empty() {
             claims.swap_remove(k);
         }

@@ -3,10 +3,10 @@
 //! A [`Session`] is the executor's one lifecycle: [`execute`](crate::execute)
 //! is a session opened, fired once and dropped, in either mode, so a
 //! one-shot run and a warm firing cannot differ. It keeps everything
-//! firing-invariant — the [`Router`], the slab [`Store`] (cleared, not
+//! firing-invariant — the `Router`, the slab `Store` (cleared, not
 //! rebuilt), the flat [`TaskGraph`] (shared by `Arc`) and every worker's
-//! deque, Vm frame and buffers ([`WsWorker`]) — and per firing re-binds
-//! only the external inputs ([`Router::bind`]).
+//! deque, Vm frame and buffers (`WsWorker`) — and per firing re-binds
+//! only the external inputs (`Router::bind`).
 //!
 //! A session keeps no thread: a firing borrows helpers from the process's
 //! one pool ([`banger_taskgraph::parallel::lend`]), as every fan-out does.
@@ -520,6 +520,41 @@ pub(crate) mod tests {
         assert!(summary.utilization() > 0.0);
         let line = summary.render();
         assert!(line.contains(" 1 workers at "), "{line}");
+    }
+
+    /// A pinned firing's queue wait is its threads' wait, not its
+    /// processors': one worker playing a chain whose tasks alternate
+    /// between processors 0 and 1 always has a ready head after the first
+    /// task, so it waits for a sliver of its busy time, though each
+    /// processor's head waits out the other processor's whole run (which
+    /// an account per processor sums, to nearly all of the busy time).
+    #[test]
+    fn a_pinned_worker_waits_only_while_it_has_no_ready_head() {
+        use banger_machine::ProcId;
+        use banger_sched::Schedule;
+        let (f, lib) = chains(16, 1);
+        let order = f.graph.topo_order().unwrap();
+        let mut s = Schedule::new("alternating", order.len());
+        for (i, &t) in order.iter().enumerate() {
+            s.place(t, ProcId(i as u32 % 2), i as f64, i as f64 + 1.0, true);
+        }
+        let pinned = ExecOptions {
+            mode: ExecMode::pinned(s),
+            inline_below: f64::INFINITY,
+            trace: true,
+            ..ExecOptions::default()
+        };
+        let report = Session::new(&f, &lib, &pinned)
+            .unwrap()
+            .run(&BTreeMap::new())
+            .unwrap();
+        assert_eq!(report.workers, 1, "nothing is stealable");
+        let summary = report.trace.expect("trace recorded").summary();
+        assert!(
+            summary.queue_wait * 4 < summary.busy,
+            "a quarter of the busy time or more spent waiting: {summary:?}"
+        );
+        assert!(summary.queue_wait <= summary.wall, "{summary:?}");
     }
 
     /// `layers` x `width` independent chains of stealable (weight 5000)

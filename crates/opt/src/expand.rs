@@ -58,7 +58,7 @@ pub struct ExpandStats {
 
 /// Generates the dense LU factorisation template: Doolittle elimination,
 /// row-major 1-based indexing, no pivoting — the same operation order as
-/// [`banger::lu::solve_reference`]'s factor phase.
+/// `banger::lu::solve_reference`'s factor phase.
 ///
 /// This is both a usable program and the *recognition pattern* for
 /// [`expand_dense_lu`]: a task qualifies for expansion exactly when its

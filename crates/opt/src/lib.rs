@@ -26,10 +26,10 @@
 //!   per-element operation sequence is unchanged) but not ops-preserving
 //!   (scatter/gather copies cost extra ops by construction).
 //!
-//! [`rebuild::flat_to_design`] turns an optimised [`Flattened`] graph
-//! back into a flat [`banger_taskgraph::HierGraph`] so the rest of the
-//! toolchain (diagnose, schedule, execute, trace) needs no new code
-//! paths.
+//! [`rebuild::flat_to_design`] turns an optimised
+//! [`Flattened`](banger_taskgraph::hierarchy::Flattened) graph back into
+//! a flat [`banger_taskgraph::HierGraph`] so the rest of the toolchain
+//! (diagnose, schedule, execute, trace) needs no new code paths.
 //!
 //! # Soundness contract
 //!

@@ -24,7 +24,7 @@
 //! message may be `p`'s own input, which the loop then attacks in turn.
 //!
 //! Both steps price a hypothetical copy of a placed predecessor `u` on a
-//! processor by `ready_time(u, p)`, and [`ReadyMemo`] keeps that value
+//! processor by `ready_time(u, p)`, and `ReadyMemo` keeps that value
 //! until it can move (DESIGN.md §14).
 
 use crate::engine::{CommModel, Engine};
@@ -36,7 +36,8 @@ use banger_taskgraph::{TaskGraph, TaskId};
 
 /// Maximum duplication attempts per task placement, a safety valve against
 /// adversarial graphs (each attempt commits at most one extra copy).
-pub(crate) const MAX_DUPES_PER_TASK: usize = 64;
+/// Public so the test oracle's DSH stops where this one does.
+pub const MAX_DUPES_PER_TASK: usize = 64;
 
 /// Runs the Duplication Scheduling Heuristic. See module docs.
 pub fn dsh(g: &TaskGraph, m: &Machine) -> Schedule {

@@ -17,11 +17,12 @@
 //!   fine-grain designs before scheduling;
 //! * [`schedule`] — the validated [`Schedule`] representation shared by
 //!   all of the above;
-//! * [`bounds`] — lower bounds for reporting heuristic quality;
-//! * [`reference`] — a test oracle only: the retained naive
-//!   implementations that `tests/prop_sched_scale.rs` compares the
-//!   optimised selection/caching paths with, bit for bit. Nothing outside
-//!   tests calls it (see DESIGN.md §14 for the complexity contract).
+//! * [`bounds`] — lower bounds for reporting heuristic quality.
+//!
+//! The test oracle that pins the optimised schedulers bit for bit, the
+//! retained naive implementations, lives outside the crate in the root
+//! package's `tests/support/sched_reference.rs` (DESIGN.md §14 has the
+//! complexity contract).
 //!
 //! ## Example
 //!
@@ -44,7 +45,6 @@ pub mod grain;
 pub mod list;
 pub mod mh;
 mod ready;
-pub mod reference;
 pub mod schedule;
 pub mod sweep;
 pub mod textfmt;

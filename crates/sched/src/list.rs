@@ -28,8 +28,8 @@ use std::collections::BinaryHeap;
 /// highest `priority` (greater = earlier; ties toward lower task id) via
 /// the [`ReadyQueue`] heap, then commit it to the processor giving the
 /// earliest start. Selection is `O(log n)` per step; the legacy linear
-/// scan lives on in [`crate::reference`], which only the differential
-/// tests call.
+/// scan lives on in the test oracle `tests/support/sched_reference.rs`,
+/// which only the differential tests call.
 fn task_first(name: &str, arcs: &ArcTable, m: &Machine, priority: &[f64]) -> Schedule {
     let mut eng = Engine::new(name, arcs, m, CommModel::Analytic);
     let mut queue = ReadyQueue::new(arcs, priority);

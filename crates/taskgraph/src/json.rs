@@ -71,14 +71,6 @@ impl Json {
         }
     }
 
-    /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Renders the value as compact JSON text. Non-finite numbers render
     /// as `null` (JSON has no inf/NaN).
     pub fn render(&self) -> String {

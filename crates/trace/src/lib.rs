@@ -74,8 +74,10 @@ pub enum TraceEvent {
         bytes_in: Vec<(String, u64)>,
     },
     /// Time a worker spent waiting before a task could run: queue
-    /// latency in greedy mode (ready-to-dequeue), dependency wait in
-    /// pinned mode (blocked on predecessors publishing).
+    /// latency in greedy mode (ready-to-dequeue); in pinned mode, the
+    /// time the worker thread had no ready head on any processor it
+    /// claimed, ended by this task. A thread's pinned waits never
+    /// overlap, so a firing's sum is at most its threads times its wall.
     QueueWait {
         /// The task that was waited for.
         task: TaskId,

@@ -797,7 +797,9 @@ fn check_weights_json_escapes_control_characters() {
     ]);
     assert!(out.contains("\"rep\\u0001rt\""), "{out}");
     let json = parse_json(out.trim()).expect("valid JSON");
-    let rows = json.get("weights").and_then(Json::as_arr).expect("weights");
+    let Some(Json::Arr(rows)) = json.get("weights") else {
+        panic!("weights missing or not an array");
+    };
     assert!(rows
         .iter()
         .any(|r| r.get("task").and_then(Json::as_str) == Some("rep\u{1}rt")));
@@ -1319,10 +1321,9 @@ fn serve_daemon_round_trip() {
                     if file.ends_with("t.json") {
                         let trace = parse_json(std::str::from_utf8(bytes).unwrap().trim())
                             .expect("trace parses");
-                        let events = trace
-                            .get("traceEvents")
-                            .and_then(Json::as_arr)
-                            .expect("traceEvents");
+                        let Some(Json::Arr(events)) = trace.get("traceEvents") else {
+                            panic!("{args:?} ({mode}) traceEvents missing or not an array");
+                        };
                         assert!(!events.is_empty(), "{args:?} ({mode}) empty trace");
                     } else {
                         assert_eq!(bytes, &files[file], "{args:?} ({mode}) {file} differs");

@@ -5,7 +5,7 @@
 //! engine's timelines were coalesced into runs.
 //!
 //! `prop_sched_scale` cannot see a change to the timeline: the reference
-//! schedulers in `banger_sched::reference` drive the same `Engine`, so
+//! schedulers in `support/sched_reference.rs` drive the same `Engine`, so
 //! both sides of that differential get whatever the slot search returns.
 //! This file is what holds the slot search itself in place.
 //!

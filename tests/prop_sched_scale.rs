@@ -3,31 +3,34 @@
 //! The heap-based ready queues and the ETF/DLS candidate heaps must
 //! produce **bit-identical** schedules — same commit order, same
 //! placements, same start/finish times — to the retained naive
-//! implementations in `banger_sched::reference` (the pre-rework linear
-//! scans and full pair rescans). `Schedule`'s `PartialEq` compares the
-//! heuristic name, the task count and the ordered placement list with
-//! exact float equality, so equality here *is* the bit-identical
-//! contract; per-run probe stats are deliberately excluded from it and
-//! asserted separately (the asymptotic win must show up in the counters,
-//! not just the wall clock).
+//! implementations in `support/sched_reference.rs` (the pre-rework linear
+//! scans and full pair rescans), a test oracle kept out of the product.
+//! `Schedule`'s `PartialEq` compares the heuristic name, the task count
+//! and the ordered placement list with exact float equality, so equality
+//! here *is* the bit-identical contract; per-run probe stats are
+//! deliberately excluded from it and asserted separately (the asymptotic
+//! win must show up in the counters, not just the wall clock).
+//!
+//! The heuristics under test are the product's own list,
+//! `banger_sched::HEURISTIC_NAMES`: one the product gains fails
+//! `assert_identical` until the oracle has it too.
+
+#[path = "support/sched_reference.rs"]
+mod sched_reference;
 
 use banger_machine::{Machine, MachineParams, SwitchingMode, Topology};
-use banger_sched::reference;
 use banger_sched::schedule::TIME_EPS;
+use banger_sched::HEURISTIC_NAMES;
 use banger_taskgraph::{generators, TaskGraph, TaskId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Every heuristic under differential test (serial is shared code, but
-/// keeping it here keeps the dispatchers honest).
-const NAMES: [&str; 8] = ["serial", "naive", "HLFET", "MCP", "ETF", "DLS", "MH", "DSH"];
-
 fn assert_identical(g: &TaskGraph, m: &Machine, names: &[&str]) {
     for name in names {
         let opt = banger_sched::run_heuristic(name, g, m)
             .unwrap_or_else(|| panic!("{name} unknown to production dispatcher"));
-        let naive = reference::run_reference(name, g, m)
+        let naive = sched_reference::run_reference(name, g, m)
             .unwrap_or_else(|| panic!("{name} unknown to reference dispatcher"));
         assert_eq!(
             opt,
@@ -102,7 +105,7 @@ proptest! {
         g in random_graph(),
         m in random_machine(),
     ) {
-        assert_identical(&g, &m, &NAMES);
+        assert_identical(&g, &m, &HEURISTIC_NAMES);
     }
 
     /// Priority ties are where heap order could silently diverge from the
@@ -117,7 +120,7 @@ proptest! {
     ) {
         let g = generators::layered_random(seed, layers, width, 2, (4.0, 4.0), (3.0, 3.0));
         let m = Machine::new(Topology::fully_connected(procs), MachineParams::default());
-        assert_identical(&g, &m, &NAMES);
+        assert_identical(&g, &m, &HEURISTIC_NAMES);
     }
 }
 
@@ -137,14 +140,14 @@ fn scale_generators_match_reference() {
 
     let layered = generators::layered_random(11, 40, 25, 3, (1.0, 20.0), (0.5, 10.0));
     assert_eq!(layered.task_count(), 1000);
-    assert_identical(&layered, &m4, &NAMES);
-    assert_identical(&layered, &m3, &NAMES);
+    assert_identical(&layered, &m4, &HEURISTIC_NAMES);
+    assert_identical(&layered, &m3, &HEURISTIC_NAMES);
 
     let lu = generators::tiled_lu(10, 2.0, 1.0);
-    assert_identical(&lu, &m4, &NAMES);
+    assert_identical(&lu, &m4, &HEURISTIC_NAMES);
 
     let st = generators::stencil(25, 20, 3.0, 1.0);
-    assert_identical(&st, &m4, &NAMES);
+    assert_identical(&st, &m4, &HEURISTIC_NAMES);
 }
 
 /// Duplication-heavy shapes: fork-joins and out-trees with message
@@ -320,7 +323,7 @@ fn probe_counters_prove_the_asymptotic_win() {
 
     for name in ["HLFET", "MCP", "naive", "MH"] {
         let opt = banger_sched::run_heuristic(name, &g, &m).unwrap();
-        let naive = reference::run_reference(name, &g, &m).unwrap();
+        let naive = sched_reference::run_reference(name, &g, &m).unwrap();
         assert_eq!(opt, naive, "{name}");
         assert_eq!(
             opt.stats(),
@@ -331,7 +334,7 @@ fn probe_counters_prove_the_asymptotic_win() {
 
     for name in ["ETF", "DLS"] {
         let opt = banger_sched::run_heuristic(name, &g, &m).unwrap();
-        let naive = reference::run_reference(name, &g, &m).unwrap();
+        let naive = sched_reference::run_reference(name, &g, &m).unwrap();
         assert_eq!(opt, naive, "{name}");
         let (o, r) = (opt.stats(), naive.stats());
         assert!(
@@ -354,7 +357,7 @@ fn probe_counters_prove_the_asymptotic_win() {
     let g = generators::layered_random(13, 20, 150, 3, (1.0, 10.0), (1.0, 5.0));
     let m = Machine::new(Topology::hypercube(3), MachineParams::default());
     let opt = banger_sched::run_heuristic("DSH", &g, &m).unwrap();
-    let naive = reference::run_reference("DSH", &g, &m).unwrap();
+    let naive = sched_reference::run_reference("DSH", &g, &m).unwrap();
     assert_eq!(opt, naive, "DSH");
     let (o, r) = (opt.stats(), naive.stats());
     assert!(

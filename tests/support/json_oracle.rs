@@ -247,7 +247,11 @@ pub fn request_from_json(text: &str) -> Result<Request, String> {
             );
         }
     }
-    for arg in v.get("args").and_then(Json::as_arr).unwrap_or_default() {
+    let args = match v.get("args") {
+        Some(Json::Arr(items)) => &items[..],
+        _ => &[],
+    };
+    for arg in args {
         req.args
             .push(arg.as_str().ok_or("\"args\" must be strings")?.to_string());
     }

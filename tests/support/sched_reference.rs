@@ -1,7 +1,9 @@
 //! Retained naive reference implementations of every heuristic, kept
 //! verbatim from before the scale rework so the differential suites can
 //! pin the optimised schedulers to **bit-identical** output. A test
-//! oracle only: `tests/prop_sched_scale.rs` is the one caller.
+//! oracle, not part of `banger-sched`: `tests/prop_sched_scale.rs`
+//! includes it with `#[path]` and is its one caller, and it reads only
+//! the crate's public API.
 //!
 //! These are the original `O(n^2)`-selection / full-rescan pair-scan
 //! implementations: a `Vec`-backed ready set with a linear `max_by` scan
@@ -10,19 +12,19 @@
 //! the [`Engine`] with the production schedulers, so any divergence in a
 //! differential run points at the selection/caching rework, not at the
 //! probe/commit machinery. Like the production schedulers, each is a
-//! plain `(g, m)` function reading the levels of `g.analysis()`. The ready time of a `(task, processor)` pair is
-//! always probed on its own, through [`Engine::ready_time`] or
-//! [`Engine::earliest_start`], and DSH's duplication steps recompute every
-//! ready time they price, with no memo.
+//! plain `(g, m)` function reading the levels of `g.analysis()`. The
+//! ready time of a `(task, processor)` pair is always probed on its own,
+//! through [`Engine::ready_time`] or [`Engine::earliest_start`], and DSH's
+//! duplication steps recompute every ready time they price, with no memo.
 //!
 //! Do **not** optimise this module. Its only job is to stay slow and
 //! obviously correct. The complexity gap versus the production paths is
 //! itself asserted by `tests/prop_sched_scale.rs` via the per-run
-//! [`crate::SchedStats`] probe counters.
+//! [`banger_sched::SchedStats`] probe counters.
 
-use crate::engine::{CommModel, Engine};
-use crate::schedule::{Schedule, TIME_EPS};
 use banger_machine::{Machine, ProcId};
+use banger_sched::engine::{CommModel, Engine};
+use banger_sched::schedule::{Schedule, TIME_EPS};
 use banger_taskgraph::analysis::ArcTable;
 use banger_taskgraph::{TaskGraph, TaskId};
 
@@ -266,7 +268,7 @@ pub fn mh(g: &TaskGraph, m: &Machine) -> Schedule {
 }
 
 /// Reference DSH: linear static-level selection scan, and the estimate
-/// and duplication loop as they stood before [`crate::dsh`] kept ready
+/// and duplication loop as they stood before [`banger_sched::dsh`] kept ready
 /// times, recomputing every one they price.
 pub fn dsh(g: &TaskGraph, m: &Machine) -> Schedule {
     let a = g.analysis();
@@ -354,7 +356,7 @@ fn estimate_start_with_duplication(g: &TaskGraph, eng: &Engine<'_>, t: TaskId, p
 /// Repeatedly copies the predecessor whose message currently bounds `t`'s
 /// ready time onto `p`, while each copy strictly reduces that ready time.
 fn duplicate_binding_preds(g: &TaskGraph, eng: &mut Engine<'_>, t: TaskId, p: ProcId) {
-    for _ in 0..crate::dsh::MAX_DUPES_PER_TASK {
+    for _ in 0..banger_sched::dsh::MAX_DUPES_PER_TASK {
         let ready = eng.ready_time(t, p);
         if ready <= TIME_EPS {
             return; // already starts at time zero
@@ -402,7 +404,7 @@ pub fn serial(g: &TaskGraph, m: &Machine) -> Schedule {
 }
 
 /// Runs a reference heuristic by name, mirroring
-/// [`crate::run_heuristic`]. Returns `None` for unknown names.
+/// [`banger_sched::run_heuristic`]. Returns `None` for unknown names.
 pub fn run_reference(name: &str, g: &TaskGraph, m: &Machine) -> Option<Schedule> {
     Some(match name {
         "serial" => serial(g, m),
