@@ -25,7 +25,7 @@
 use super::ops;
 use super::protocol::{read_frame, write_frame, Request, Response};
 use super::store::ProjectStore;
-use banger_taskgraph::parallel::STACK_SIZE;
+use banger_taskgraph::parallel::{panic_message, STACK_SIZE};
 use std::io::{self, BufReader};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -227,14 +227,10 @@ pub fn dispatch_guarded(store: &ProjectStore, req: &Request) -> Response {
                 // interrupted must not serve another request.
                 store.evict(path);
             }
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
             Response::failure(format!(
-                "panic while handling {:?} request: {msg} (cache entry rebuilt)",
-                req.cmd
+                "panic while handling {:?} request: {} (cache entry rebuilt)",
+                req.cmd,
+                panic_message(&*payload)
             ))
         }
     }

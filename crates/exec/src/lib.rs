@@ -39,8 +39,6 @@
 pub mod runner;
 pub mod session;
 
-pub use banger_trace::{DriftReport, Trace, TraceEvent, TraceSummary};
-pub use runner::{
-    execute, ExecError, ExecMode, ExecOptions, ExecReport, TaskRun, DEFAULT_INLINE_BELOW,
-};
+pub use banger_trace::{DriftReport, TaskRun, Trace, TraceEvent, TraceSummary};
+pub use runner::{execute, ExecError, ExecMode, ExecOptions, ExecReport, DEFAULT_INLINE_BELOW};
 pub use session::{live_sessions, Session};

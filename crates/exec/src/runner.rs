@@ -39,25 +39,26 @@
 //!
 //! Pinned mode (`pinned_run`) runs each processor's placements in start
 //! order on whichever worker claims the processor, on the same plumbing:
-//! the in-degree counters (the first copy of a task to publish
-//! decrements its successors), `ws_park`, the per-worker buffers, sink
-//! and first-error slot. Every run and trace event names the processor.
-//! DESIGN.md §12 documents the protocol.
+//! the one per-firing state (`WsState`: slab, in-degree counters — the
+//! first copy of a task to publish decrements its successors — sink and
+//! first error), `ws_park` and the per-worker buffers. Every run and
+//! trace event names the processor. DESIGN.md §12 documents the protocol.
 //!
 //! ## Tracing and error paths
 //!
 //! With [`ExecOptions::trace`] set, every mode records
-//! [`TraceEvent`]s — task start/finish with CoW copy counts and
-//! per-input byte volumes, queue/dependency waits, per-worker
-//! steal/inline counters, and error events — into per-worker buffers
-//! merged into [`ExecReport::trace`]. With the flag off the hot path
-//! does no trace work at all. Task bodies run under `catch_unwind` in
-//! every mode, so a panicking body surfaces as
-//! [`ExecError::WorkerPanic`] naming the task instead of killing the
-//! worker silently; a worker lost with work in flight (an injected
-//! death) poisons the run and surfaces as [`ExecError::WorkerLost`]
-//! rather than hanging the barrier. DESIGN.md §11 documents the event
-//! model and the overhead contract.
+//! [`TraceEvent`]s — each task copy's [`TaskRun`] with its CoW copy
+//! counts and per-input byte volumes, queue/dependency waits, and
+//! per-worker steal/inline counters — into per-worker buffers merged
+//! into [`ExecReport::trace`]. With the flag off the hot path does no
+//! trace work at all. Task bodies run under `catch_unwind` in every
+//! mode, so a panicking body surfaces as [`ExecError::WorkerPanic`]
+//! naming the task instead of killing the worker silently; a worker lost
+//! with work in flight (an injected death) poisons the run and surfaces
+//! as [`ExecError::WorkerLost`] rather than hanging the barrier. A failed
+//! firing returns its first error and no report, so no trace records a
+//! failure. DESIGN.md §11 documents the event model and the overhead
+//! contract.
 
 use crate::session::Session;
 use banger_calc::compile::CompiledProgram;
@@ -67,8 +68,9 @@ use banger_calc::{interp, InterpConfig, Program, ProgramLibrary, RunError, Value
 use banger_sched::Schedule;
 use banger_taskgraph::binding::{BindError, Bindings, Source};
 use banger_taskgraph::hierarchy::Flattened;
+use banger_taskgraph::parallel::panic_message;
 use banger_taskgraph::{TaskGraph, TaskId};
-use banger_trace::{Trace, TraceEvent};
+use banger_trace::{TaskRun, Trace, TraceEvent};
 use crossbeam::deque::{self, Steal};
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
@@ -122,11 +124,13 @@ pub struct ExecOptions {
     /// Record a [`Trace`] of the execution into [`ExecReport::trace`].
     /// Off by default; the untraced hot path performs no trace work.
     pub trace: bool,
-    /// Work-stealing greedy mode: ready tasks with static weight
-    /// strictly below this run on the publishing worker's private
-    /// stack — no deque publication, no wakeup, no steal. `0.0`
-    /// disables inlining (every ready task is stealable), which the
-    /// differential suites use to force the cross-thread path.
+    /// The weight a task needs to be worth a helper ([`Session::new`]
+    /// gives a firing, greedy or pinned, helpers only if some task
+    /// reaches it). Greedy mode also runs a ready task strictly below it
+    /// on the publishing worker's private stack — no deque publication,
+    /// no wakeup, no steal. `0.0` disables inlining (every ready task is
+    /// stealable), which the differential suites use to force the
+    /// cross-thread path.
     pub inline_below: f64,
     /// Fault injection for error-path tests: panic inside the body of
     /// the task with this exact name. Not part of the public contract.
@@ -151,21 +155,6 @@ impl Default for ExecOptions {
             inject_worker_death: None,
         }
     }
-}
-
-/// Timing record of one executed task copy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaskRun {
-    /// The task.
-    pub task: TaskId,
-    /// Worker index that ran it.
-    pub worker: usize,
-    /// Start offset from execution begin.
-    pub start: Duration,
-    /// Finish offset from execution begin.
-    pub finish: Duration,
-    /// Interpreter operation count (a measured weight).
-    pub ops: u64,
 }
 
 /// The result of executing a design.
@@ -288,48 +277,6 @@ impl std::error::Error for ExecError {}
 /// `output_slots` (declaration) order, shared between workers by `Arc`.
 type TaskOutputs = Arc<Vec<Value>>;
 
-/// Shared results store: an indexed slab of task outputs plus the
-/// firing's poison flag. No string keys anywhere — consumers address
-/// values as `outputs[task][output index]` via the [`Router`]. Nobody
-/// waits on the store: readiness is [`WsState::indeg`].
-pub(crate) struct Store {
-    /// `outputs[t]` is `Some` once any copy of `t` completed.
-    outputs: Mutex<Vec<Option<TaskOutputs>>>,
-    pub(crate) poisoned: AtomicBool,
-}
-
-impl Store {
-    pub(crate) fn new(n: usize) -> Self {
-        Store {
-            outputs: Mutex::new(vec![None; n]),
-            poisoned: AtomicBool::new(false),
-        }
-    }
-
-    /// Publishes one copy's outputs; true iff it was the first copy of
-    /// `t` to do so (pinned schedules may duplicate a task, and only the
-    /// first publication may release its successors).
-    fn publish(&self, t: TaskId, vals: Vec<Value>) -> bool {
-        let mut lock = self.outputs.lock();
-        let first = lock[t.index()].is_none();
-        if first {
-            lock[t.index()] = Some(Arc::new(vals));
-        }
-        first
-    }
-
-    /// Rearms the slab for another firing of the same graph (session
-    /// reuse): drops every published output, un-poisons. The backing
-    /// `Vec` keeps its allocation.
-    pub(crate) fn reset(&self) {
-        let mut lock = self.outputs.lock();
-        for slot in lock.iter_mut() {
-            *slot = None;
-        }
-        self.poisoned.store(false, Ordering::SeqCst);
-    }
-}
-
 /// Where one task input comes from, resolved once at routing time.
 #[derive(Debug, Clone, Copy)]
 enum Feed {
@@ -369,9 +316,6 @@ pub(crate) struct Router {
     /// of the first task that reads it)` — the task named by an
     /// `UnboundInput` error when a firing omits the variable.
     ext_slots: Vec<(String, String)>,
-    /// Slot indices sorted by variable name — the merge-join order used
-    /// by [`Router::bind`].
-    ext_sorted: Vec<u32>,
     /// Design output ports: `(port var, producing task, output index)`.
     out_ports: Vec<(String, TaskId, usize)>,
 }
@@ -432,65 +376,30 @@ impl Router {
                 (port.var.clone(), t, out)
             })
             .collect();
-
-        let mut ext_sorted: Vec<u32> = (0..ext_slots.len() as u32).collect();
-        ext_sorted.sort_by(|&x, &y| ext_slots[x as usize].0.cmp(&ext_slots[y as usize].0));
-
         Ok(Router {
             routes,
             ext_slots,
-            ext_sorted,
             out_ports,
         })
     }
 
     /// Values for every external-input slot, in slot order, from one
-    /// firing's `external` map. A missing variable is `UnboundInput`
-    /// naming the first task that reads it — the same attribution the
-    /// build-time check used to give.
-    ///
-    /// This runs on every `Session` firing, so instead of one `BTreeMap`
-    /// lookup per slot it merge-joins the slots (pre-sorted by variable
-    /// at build time) against the map's ordered iterator — one linear
-    /// walk over both. Extra keys in `external` are skipped; a missing
-    /// slot bails to a cold path that rescans in slot order so the
-    /// reported `(task, var)` is identical to the per-slot version's.
+    /// firing's `external` map; extra keys are ignored. Slots are looked
+    /// up in first-reference order, so the first miss is `UnboundInput`
+    /// naming the first omitted variable and the first task that reads it.
     pub(crate) fn bind(&self, external: &BTreeMap<String, Value>) -> Result<Vec<Value>, ExecError> {
-        let mut vals = vec![Value::Num(0.0); self.ext_slots.len()];
-        let mut it = external.iter();
-        let mut cur = it.next();
-        for &si in &self.ext_sorted {
-            let var = self.ext_slots[si as usize].0.as_str();
-            loop {
-                match cur {
-                    Some((k, v)) => match k.as_str().cmp(var) {
-                        std::cmp::Ordering::Less => cur = it.next(),
-                        std::cmp::Ordering::Equal => {
-                            vals[si as usize] = v.clone();
-                            break;
-                        }
-                        std::cmp::Ordering::Greater => return Err(self.unbound(external)),
-                    },
-                    None => return Err(self.unbound(external)),
-                }
-            }
-        }
-        Ok(vals)
-    }
-
-    /// Error path of [`Router::bind`]: the first slot (in first-reference
-    /// order) whose variable the firing omitted.
-    #[cold]
-    fn unbound(&self, external: &BTreeMap<String, Value>) -> ExecError {
-        for (var, task) in &self.ext_slots {
-            if !external.contains_key(var) {
-                return ExecError::UnboundInput {
-                    task: task.clone(),
-                    var: var.clone(),
-                };
-            }
-        }
-        unreachable!("bind() only takes the cold path on a missing slot")
+        self.ext_slots
+            .iter()
+            .map(|(var, task)| {
+                external
+                    .get(var)
+                    .cloned()
+                    .ok_or_else(|| ExecError::UnboundInput {
+                        task: task.clone(),
+                        var: var.clone(),
+                    })
+            })
+            .collect()
     }
 }
 
@@ -510,35 +419,23 @@ pub fn execute(
 
 /// Everything a worker needs, bundled so dispatch code stays readable.
 /// One `Ctx` lives for one firing; the session rebuilds it per firing
-/// around its long-lived router/store/graph.
+/// around its long-lived graph, router and state.
 pub(crate) struct Ctx<'a> {
     pub(crate) g: &'a TaskGraph,
     pub(crate) router: &'a Router,
     pub(crate) options: &'a ExecOptions,
-    pub(crate) store: &'a Store,
+    pub(crate) ws: &'a WsState,
     /// This firing's external-input values, in `Router` slot order.
     pub(crate) externals: &'a [Value],
     pub(crate) epoch: Instant,
-}
-
-/// Extracts a human-readable message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Runs one task copy with the panic boundary every mode shares: a
 /// panicking task body (or a broken internal invariant inside
 /// [`run_one`]) becomes [`ExecError::WorkerPanic`] naming the task,
 /// instead of unwinding through the worker thread and taking it out of
-/// the pool. When tracing, failures also record a
-/// [`TraceEvent::TaskError`]. `Ok` carries [`Store::publish`]'s verdict:
-/// whether this copy was the first of `t` to publish. The worker an
+/// the pool. `Ok` carries [`WsState::publish`]'s verdict: whether this
+/// copy was the first of `t` to publish. The worker an
 /// injected death ([`ExecOptions::inject_worker_death`]) picks leaves `t`
 /// unfinished and reports it lost.
 fn run_one_caught(ctx: &Ctx<'_>, w: &mut WsWorker, t: TaskId) -> Result<bool, ExecError> {
@@ -547,23 +444,12 @@ fn run_one_caught(ctx: &Ctx<'_>, w: &mut WsWorker, t: TaskId) -> Result<bool, Ex
         let lost = format!("worker {} died with task {name:?} in flight", w.me);
         return Err(ExecError::WorkerLost(lost));
     }
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| run_one(ctx, w, t))).unwrap_or_else(
-        |payload| {
-            Err(ExecError::WorkerPanic {
-                task: ctx.g.task(t).name.clone(),
-                message: panic_message(payload),
-            })
-        },
-    );
-    if let (Err(e), true) = (&result, ctx.options.trace) {
-        w.events.push(TraceEvent::TaskError {
-            task: ctx.g.task(t).name.clone(),
-            worker: w.me,
-            at: ctx.epoch.elapsed(),
-            message: e.to_string(),
-        });
-    }
-    result
+    std::panic::catch_unwind(AssertUnwindSafe(|| run_one(ctx, w, t))).unwrap_or_else(|payload| {
+        Err(ExecError::WorkerPanic {
+            task: name.clone(),
+            message: panic_message(&*payload),
+        })
+    })
 }
 
 /// One worker executing one task copy; shared by both modes. `w.vm` is
@@ -572,8 +458,8 @@ fn run_one_caught(ctx: &Ctx<'_>, w: &mut WsWorker, t: TaskId) -> Result<bool, Ex
 /// pre-compiled via the router, inputs arrive as `Arc` bumps from the slab
 /// store, so the steady state performs no compilation, no string handling,
 /// and no per-task allocation. The run record and prints land in `w`'s
-/// buffers; only when tracing are input volumes and CoW counter deltas
-/// computed.
+/// buffers, and a clone of the record in its trace; only when tracing
+/// are input volumes and CoW counter deltas computed.
 fn run_one(ctx: &Ctx<'_>, w: &mut WsWorker, t: TaskId) -> Result<bool, ExecError> {
     let route = &ctx.router.routes[t.index()];
     let tracing = ctx.options.trace;
@@ -581,7 +467,7 @@ fn run_one(ctx: &Ctx<'_>, w: &mut WsWorker, t: TaskId) -> Result<bool, ExecError
     // Gather: one lock hold, one Arc bump per input.
     w.frame.clear();
     {
-        let lock = ctx.store.outputs.lock();
+        let lock = ctx.ws.outputs.lock();
         for feed in &route.feeds {
             w.frame.push(match *feed {
                 Feed::Arc { src, out } => {
@@ -614,15 +500,7 @@ fn run_one(ctx: &Ctx<'_>, w: &mut WsWorker, t: TaskId) -> Result<bool, ExecError
         (bytes_in, cow::counters())
     });
 
-    let worker = w.me;
     let start = ctx.epoch.elapsed();
-    if tracing {
-        w.events.push(TraceEvent::TaskStart {
-            task: t,
-            worker,
-            at: start,
-        });
-    }
     let (dense_outputs, prints, ops) = if ctx.options.interp.reference {
         // Reference engine: rebuild the name-keyed view the tree-walker
         // expects. Cold path by construction (`banger trial --reference`).
@@ -659,29 +537,25 @@ fn run_one(ctx: &Ctx<'_>, w: &mut WsWorker, t: TaskId) -> Result<bool, ExecError
                 })?;
         (outcome.outputs, outcome.prints, outcome.ops)
     };
-    let finish = ctx.epoch.elapsed();
-    let first = ctx.store.publish(t, dense_outputs);
+    let run = TaskRun {
+        task: t,
+        worker: w.me,
+        start,
+        finish: ctx.epoch.elapsed(),
+        ops,
+    };
+    let first = ctx.ws.publish(t, dense_outputs);
     if let Some((bytes_in, (copies0, elems0))) = trace_pre {
         let (copies1, elems1) = cow::counters();
-        w.events.push(TraceEvent::TaskFinish {
-            task: t,
-            worker,
-            start,
-            finish,
-            ops,
+        w.sink.events.push(TraceEvent::TaskFinish {
+            run: run.clone(),
             cow_copies: copies1 - copies0,
             cow_bytes: (elems1 - elems0) * 8,
             bytes_in,
         });
     }
-    w.prints.extend(prints.into_iter().map(|s| (t, s)));
-    w.runs.push(TaskRun {
-        task: t,
-        worker,
-        start,
-        finish,
-        ops,
-    });
+    w.sink.prints.extend(prints.into_iter().map(|s| (t, s)));
+    w.sink.runs.push(run);
     Ok(first)
 }
 
@@ -690,12 +564,27 @@ fn run_one(ctx: &Ctx<'_>, w: &mut WsWorker, t: TaskId) -> Result<bool, ExecError
 /// inline tasks never queue, so they carry no stamp).
 pub(crate) type WsItem = (TaskId, Option<Duration>);
 
-/// Per-worker completed-work buffers, merged at flush points.
+/// Completed work: a worker's own buffers, appended at each flush to the
+/// firing's shared sink ([`WsState`]), which [`WsState::finish`] takes.
 #[derive(Default)]
 struct WsSink {
     runs: Vec<TaskRun>,
     prints: Vec<(TaskId, String)>,
     events: Vec<TraceEvent>,
+}
+
+impl WsSink {
+    fn is_empty(&self) -> bool {
+        self.runs.is_empty() && self.prints.is_empty() && self.events.is_empty()
+    }
+
+    /// Moves `other`'s records to the end of this sink's; `other` keeps
+    /// its allocations.
+    fn append(&mut self, other: &mut WsSink) {
+        self.runs.append(&mut other.runs);
+        self.prints.append(&mut other.prints);
+        self.events.append(&mut other.events);
+    }
 }
 
 /// How a firing's workers find their tasks — the one thing the two
@@ -744,11 +633,16 @@ pub(crate) fn pinned_queues(g: &TaskGraph, schedule: &Schedule) -> Result<Queues
 }
 
 /// The executor's shared per-firing state, in both modes: the policy,
-/// readiness counters, the one wait/wake protocol, the result sink and
-/// the first error. A session keeps one for its whole lifetime and
-/// re-arms it per firing.
+/// the slab of task outputs, readiness counters, the one wait/wake
+/// protocol, the poison flag, the result sink and the first error. A
+/// session keeps one for its whole lifetime and re-arms it per firing.
 pub(crate) struct WsState {
     policy: Policy,
+    /// Published task outputs, addressed as `outputs[task][output index]`
+    /// via the [`Router`] — no string keys. `outputs[t]` is `Some` once
+    /// any copy of `t` completed. Nobody waits on it: readiness is
+    /// `indeg`.
+    outputs: Mutex<Vec<Option<TaskOutputs>>>,
     /// Remaining-predecessor count per task; the `fetch_sub` that hits
     /// zero owns publication of that task.
     indeg: Vec<AtomicU32>,
@@ -759,6 +653,8 @@ pub(crate) struct WsState {
     waiting: AtomicUsize,
     coord: Mutex<()>,
     cv: Condvar,
+    /// Set by the first failure: every worker leaves the firing.
+    poisoned: AtomicBool,
     first_error: Mutex<Option<ExecError>>,
     sink: Mutex<WsSink>,
 }
@@ -767,6 +663,7 @@ impl WsState {
     pub(crate) fn new(g: &TaskGraph, policy: Policy) -> Self {
         WsState {
             policy,
+            outputs: Mutex::new(vec![None; g.task_count()]),
             indeg: g
                 .task_ids()
                 .map(|t| AtomicU32::new(g.in_degree(t) as u32))
@@ -775,14 +672,18 @@ impl WsState {
             waiting: AtomicUsize::new(0),
             coord: Mutex::new(()),
             cv: Condvar::new(),
+            poisoned: AtomicBool::new(false),
             first_error: Mutex::new(None),
             sink: Mutex::new(WsSink::default()),
         }
     }
 
-    /// Rearms per-firing state for session reuse. Callers must ensure
-    /// every worker has left the previous firing first.
+    /// Rearms per-firing state for session reuse: drops every published
+    /// output (the slab keeps its allocation), re-counts in-degrees,
+    /// un-poisons. The sink is empty already: [`WsState::finish`] took it.
+    /// Callers must ensure every worker has left the previous firing first.
     pub(crate) fn reset(&self, g: &TaskGraph) {
+        self.outputs.lock().fill(None);
         for t in g.task_ids() {
             self.indeg[t.index()].store(g.in_degree(t) as u32, Ordering::Relaxed);
         }
@@ -790,11 +691,20 @@ impl WsState {
         if let Policy::Pinned { next, .. } = &self.policy {
             next.store(0, Ordering::Relaxed);
         }
+        self.poisoned.store(false, Ordering::SeqCst);
         *self.first_error.lock() = None;
-        let mut sink = self.sink.lock();
-        sink.runs.clear();
-        sink.prints.clear();
-        sink.events.clear();
+    }
+
+    /// Publishes one copy's outputs; true iff it was the first copy of
+    /// `t` to do so (pinned schedules may duplicate a task, and only the
+    /// first publication may release its successors).
+    fn publish(&self, t: TaskId, vals: Vec<Value>) -> bool {
+        let mut slab = self.outputs.lock();
+        let first = slab[t.index()].is_none();
+        if first {
+            slab[t.index()] = Some(Arc::new(vals));
+        }
+        first
     }
 
     /// Ends a firing once every worker has flushed: the first recorded
@@ -805,16 +715,16 @@ impl WsState {
     /// participated, greedy, and processors, pinned, where the summary
     /// counts the `workers` threads instead.
     pub(crate) fn finish(&self, ctx: &Ctx<'_>, workers: usize) -> Result<ExecReport, ExecError> {
+        let mut sink = std::mem::take(&mut *self.sink.lock());
         if let Some(e) = self.first_error.lock().take() {
             return Err(e);
         }
-        let mut sink = std::mem::take(&mut *self.sink.lock());
         sink.runs
             .sort_by(|a, b| a.finish.cmp(&b.finish).then(a.task.cmp(&b.task)));
         sink.prints.sort_by_key(|a| a.0);
         let mut outputs = BTreeMap::new();
         {
-            let slab = ctx.store.outputs.lock();
+            let slab = self.outputs.lock();
             for (var, t, out) in &ctx.router.out_ports {
                 let vals = slab[t.index()].as_ref().expect("all tasks completed");
                 outputs.insert(var.clone(), vals[*out].clone());
@@ -852,9 +762,7 @@ pub(crate) struct WsWorker {
     local: Vec<TaskId>,
     vm: Vm,
     frame: Vec<Value>,
-    runs: Vec<TaskRun>,
-    prints: Vec<(TaskId, String)>,
-    events: Vec<TraceEvent>,
+    sink: WsSink,
     steals: u64,
     inlined: u64,
 }
@@ -867,9 +775,7 @@ impl WsWorker {
             local: Vec::new(),
             vm: Vm::new(),
             frame: Vec::new(),
-            runs: Vec::new(),
-            prints: Vec::new(),
-            events: Vec::new(),
+            sink: WsSink::default(),
             steals: 0,
             inlined: 0,
         }
@@ -925,20 +831,20 @@ fn ws_signal(ws: &WsState) {
 /// — `Some(true)` there is something to do, `Some(false)` the firing is
 /// over. `waiting` is raised under the coord lock and before the first
 /// check; see [`ws_signal`] for the pairing.
-fn ws_park(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker, go: impl Fn() -> Option<bool>) -> bool {
-    ws_flush(ctx, ws, w);
-    let mut coord = ws.coord.lock();
-    ws.waiting.fetch_add(1, Ordering::SeqCst);
+fn ws_park(ctx: &Ctx<'_>, w: &mut WsWorker, go: impl Fn() -> Option<bool>) -> bool {
+    ws_flush(ctx, w);
+    let mut coord = ctx.ws.coord.lock();
+    ctx.ws.waiting.fetch_add(1, Ordering::SeqCst);
     let decided = loop {
-        if ctx.store.poisoned.load(Ordering::SeqCst) {
+        if ctx.ws.poisoned.load(Ordering::SeqCst) {
             break false;
         }
         if let Some(decided) = go() {
             break decided;
         }
-        ws.cv.wait(&mut coord);
+        ctx.ws.cv.wait(&mut coord);
     };
-    ws.waiting.fetch_sub(1, Ordering::SeqCst);
+    ctx.ws.waiting.fetch_sub(1, Ordering::SeqCst);
     decided
 }
 
@@ -965,22 +871,22 @@ fn ws_push(ctx: &Ctx<'_>, w: &mut WsWorker, t: TaskId) -> bool {
     stealable
 }
 
-/// Records the first error, poisons the store, and wakes everyone so
+/// Records the first error, poisons the firing, and wakes everyone so
 /// the firing unwinds instead of hanging.
-fn ws_fail(ctx: &Ctx<'_>, ws: &WsState, e: ExecError) {
-    ws.first_error.lock().get_or_insert(e);
-    ctx.store.poisoned.store(true, Ordering::SeqCst);
-    let _coord = ws.coord.lock();
-    ws.cv.notify_all();
+fn ws_fail(ctx: &Ctx<'_>, e: ExecError) {
+    ctx.ws.first_error.lock().get_or_insert(e);
+    ctx.ws.poisoned.store(true, Ordering::SeqCst);
+    let _coord = ctx.ws.coord.lock();
+    ctx.ws.cv.notify_all();
 }
 
 /// Merges `w`'s buffered results into the shared sink and emits the
 /// per-worker steal/inline counters as a [`TraceEvent::WorkerStats`]
 /// when tracing. Called whenever the worker goes idle or exits, so
 /// partially completed firings still surface their records.
-fn ws_flush(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
+fn ws_flush(ctx: &Ctx<'_>, w: &mut WsWorker) {
     if ctx.options.trace && (w.steals > 0 || w.inlined > 0) {
-        w.events.push(TraceEvent::WorkerStats {
+        w.sink.events.push(TraceEvent::WorkerStats {
             worker: w.me,
             at: ctx.epoch.elapsed(),
             steals: w.steals,
@@ -989,26 +895,22 @@ fn ws_flush(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
     }
     w.steals = 0;
     w.inlined = 0;
-    if w.runs.is_empty() && w.prints.is_empty() && w.events.is_empty() {
-        return;
+    if !w.sink.is_empty() {
+        ctx.ws.sink.lock().append(&mut w.sink);
     }
-    let mut sink = ws.sink.lock();
-    sink.runs.append(&mut w.runs);
-    sink.prints.append(&mut w.prints);
-    sink.events.append(&mut w.events);
 }
 
 /// One greedy worker's firing loop: run, publish, steal, park. Returns
 /// when the firing completes or poisons; [`ws_fire`] cleans up whatever
 /// private state is left behind.
-fn ws_run(ctx: &Ctx<'_>, ws: &WsState, stealers: &[deque::Stealer<WsItem>], w: &mut WsWorker) {
+fn ws_run(ctx: &Ctx<'_>, stealers: &[deque::Stealer<WsItem>], w: &mut WsWorker) {
     loop {
-        if ctx.store.poisoned.load(Ordering::SeqCst) {
+        if ctx.ws.poisoned.load(Ordering::SeqCst) {
             return;
         }
         let Some((t, enqueued)) = ws_next(stealers, w) else {
-            let more = ws_park(ctx, ws, w, || {
-                if ws.remaining.load(Ordering::SeqCst) == 0 {
+            let more = ws_park(ctx, w, || {
+                if ctx.ws.remaining.load(Ordering::SeqCst) == 0 {
                     Some(false)
                 } else {
                     stealers.iter().any(|s| !s.is_empty()).then_some(true)
@@ -1020,7 +922,7 @@ fn ws_run(ctx: &Ctx<'_>, ws: &WsState, stealers: &[deque::Stealer<WsItem>], w: &
             continue;
         };
         if let Some(since) = enqueued {
-            w.events.push(TraceEvent::QueueWait {
+            w.sink.events.push(TraceEvent::QueueWait {
                 task: t,
                 worker: w.me,
                 since,
@@ -1034,22 +936,22 @@ fn ws_run(ctx: &Ctx<'_>, ws: &WsState, stealers: &[deque::Stealer<WsItem>], w: &
                 // round trip.
                 let mut pushed = false;
                 for s in ctx.g.successors(t) {
-                    if ws.indeg[s.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    if ctx.ws.indeg[s.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
                         pushed |= ws_push(ctx, w, s);
                     }
                 }
                 if pushed {
-                    ws_signal(ws);
+                    ws_signal(ctx.ws);
                 }
                 // Completion accounting, after publication so a zero
                 // here means the firing is fully drained.
-                if ws.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    ws_signal(ws);
+                if ctx.ws.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    ws_signal(ctx.ws);
                     return;
                 }
             }
             Err(e) => {
-                ws_fail(ctx, ws, e);
+                ws_fail(ctx, e);
                 return;
             }
         }
@@ -1058,8 +960,8 @@ fn ws_run(ctx: &Ctx<'_>, ws: &WsState, stealers: &[deque::Stealer<WsItem>], w: &
 
 /// Seeds the roots into worker 0's private stack / deque before a greedy
 /// firing starts; a pinned firing starts at its queues' heads.
-pub(crate) fn ws_seed(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
-    if let Policy::Pinned { .. } = ws.policy {
+pub(crate) fn ws_seed(ctx: &Ctx<'_>, w: &mut WsWorker) {
+    if let Policy::Pinned { .. } = ctx.ws.policy {
         return;
     }
     let mut pushed = false;
@@ -1069,7 +971,7 @@ pub(crate) fn ws_seed(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
         }
     }
     if pushed {
-        ws_signal(ws);
+        ws_signal(ctx.ws);
     }
 }
 
@@ -1085,19 +987,18 @@ pub(crate) fn ws_seed(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
 /// else has given up. Every worker therefore empties its own deque on
 /// the way out — nobody else can be relied on to — so all deques are
 /// empty once every worker has left the firing.
-pub(crate) fn ws_fire(ctx: &Ctx<'_>, ws: &WsState, w: &mut WsWorker) {
-    let died = std::panic::catch_unwind(AssertUnwindSafe(|| match &ws.policy {
-        Policy::Greedy(stealers) => ws_run(ctx, ws, stealers, w),
-        Policy::Pinned { queues, next } => pinned_run(ctx, ws, queues, next, w),
+pub(crate) fn ws_fire(ctx: &Ctx<'_>, w: &mut WsWorker) {
+    let died = std::panic::catch_unwind(AssertUnwindSafe(|| match &ctx.ws.policy {
+        Policy::Greedy(stealers) => ws_run(ctx, stealers, w),
+        Policy::Pinned { queues, next } => pinned_run(ctx, queues, next, w),
     }))
     .is_err();
-    ws_flush(ctx, ws, w);
+    ws_flush(ctx, w);
     w.local.clear();
     while w.dq.pop().is_some() {}
     if died {
         ws_fail(
             ctx,
-            ws,
             ExecError::WorkerLost(format!("worker {} thread died mid-run", w.me)),
         );
     }
@@ -1124,18 +1025,18 @@ struct Claim<'a> {
 /// one in which a thread per processor would be blocked too: the firing
 /// ends where a thread-per-processor run would, with any number of
 /// workers, the caller alone included.
-fn pinned_run(ctx: &Ctx<'_>, ws: &WsState, queues: &Queues, next: &AtomicUsize, w: &mut WsWorker) {
+fn pinned_run(ctx: &Ctx<'_>, queues: &Queues, next: &AtomicUsize, w: &mut WsWorker) {
     let now = || ctx.options.trace.then(|| ctx.epoch.elapsed());
-    let ready = |c: &Claim| ws.indeg[c.rest[0].index()].load(Ordering::SeqCst) == 0;
+    let ready = |c: &Claim| ctx.ws.indeg[c.rest[0].index()].load(Ordering::SeqCst) == 0;
     let mut claims: Vec<Claim> = Vec::new();
     let mut idle = None;
-    while !ctx.store.poisoned.load(Ordering::SeqCst) {
+    while !ctx.ws.poisoned.load(Ordering::SeqCst) {
         let Some(k) = claims.iter().position(ready) else {
             idle = idle.or_else(now);
             match queues.get(next.fetch_add(1, Ordering::Relaxed)) {
                 Some((proc, rest)) => claims.push(Claim { proc: *proc, rest }),
                 None if claims.is_empty() => return,
-                None if !ws_park(ctx, ws, w, || claims.iter().any(ready).then_some(true)) => return,
+                None if !ws_park(ctx, w, || claims.iter().any(ready).then_some(true)) => return,
                 None => {}
             }
             continue;
@@ -1146,7 +1047,7 @@ fn pinned_run(ctx: &Ctx<'_>, ws: &WsState, queues: &Queues, next: &AtomicUsize, 
         if let Some(since) = idle.take() {
             let until = ctx.epoch.elapsed();
             if until > since {
-                w.events.push(TraceEvent::QueueWait {
+                w.sink.events.push(TraceEvent::QueueWait {
                     task: t,
                     worker: w.me,
                     since,
@@ -1156,12 +1057,13 @@ fn pinned_run(ctx: &Ctx<'_>, ws: &WsState, queues: &Queues, next: &AtomicUsize, 
         }
         match run_one_caught(ctx, w, t) {
             Ok(first) => {
-                let released = |s: &TaskId| ws.indeg[s.index()].fetch_sub(1, Ordering::AcqRel) == 1;
+                let released =
+                    |s: &TaskId| ctx.ws.indeg[s.index()].fetch_sub(1, Ordering::AcqRel) == 1;
                 if first && ctx.g.successors(t).filter(released).count() > 0 {
-                    ws_signal(ws);
+                    ws_signal(ctx.ws);
                 }
             }
-            Err(e) => return ws_fail(ctx, ws, e),
+            Err(e) => return ws_fail(ctx, e),
         }
         claim.rest = &claim.rest[1..];
         if claim.rest.is_empty() {
@@ -1421,6 +1323,59 @@ mod tests {
             matches!(err, ExecError::UnboundInput { ref var, .. } if var == "a"),
             "{err}"
         );
+    }
+
+    /// Three externals whose first-reference order — `z` (read first by
+    /// `zed`), `m` (by `mid`), `a` (by `last`, which reads `z` too) — is
+    /// not their name order. A firing that omits any subset of them is
+    /// refused naming the first omitted one in reference order, with its
+    /// first reader, whatever extra keys it adds; one that omits none runs.
+    #[test]
+    fn an_unbound_firing_names_the_first_omitted_external_in_reference_order() {
+        let mut h = HierGraph::new("order");
+        let [z, m, a] = ["z", "m", "a"].map(|v| h.add_storage(v, 1.0));
+        let zed = h.add_task_with_program("zed", 1.0, "Zed");
+        let mid = h.add_task_with_program("mid", 1.0, "Mid");
+        let last = h.add_task_with_program("last", 1.0, "Last");
+        let x = h.add_storage("x", 1.0);
+        h.add_flow(z, zed).unwrap();
+        h.add_arc(zed, mid, "p", 1.0).unwrap();
+        h.add_flow(m, mid).unwrap();
+        h.add_arc(mid, last, "q", 1.0).unwrap();
+        h.add_flow(a, last).unwrap();
+        h.add_flow(z, last).unwrap();
+        h.add_flow(last, x).unwrap();
+        let mut lib = ProgramLibrary::new();
+        for src in [
+            "task Zed in z out p begin p := z end",
+            "task Mid in p, m out q begin q := p + m end",
+            "task Last in q, a, z out x begin x := q + a + z end",
+        ] {
+            lib.add_source(src).unwrap();
+        }
+        let f = h.flatten().unwrap();
+        let mut session = Session::new(&f, &lib, &ExecOptions::default()).unwrap();
+        let slots = [("z", "zed", 1.0), ("m", "mid", 2.0), ("a", "last", 3.0)];
+        for omitted in 0..8 {
+            let mut external = ext(&[
+                ("0", Value::Num(9.0)),
+                ("b", Value::Num(9.0)),
+                ("zz", Value::Num(9.0)),
+            ]);
+            let mut want = Ok(Value::Num(7.0)); // q = z + m = 3; x = q + a + z
+            for (i, (var, reader, v)) in slots.into_iter().enumerate().rev() {
+                if omitted & (1 << i) == 0 {
+                    external.insert(var.to_string(), Value::Num(v));
+                } else {
+                    want = Err(ExecError::UnboundInput {
+                        task: reader.to_string(),
+                        var: var.to_string(),
+                    });
+                }
+            }
+            let got = session.run(&external).map(|r| r.outputs["x"].clone());
+            assert_eq!(got, want, "omitting {omitted:03b} of [a, m, z]");
+        }
     }
 
     #[test]
@@ -1804,12 +1759,11 @@ mod tests {
             .iter()
             .find_map(|e| match e {
                 TraceEvent::TaskFinish {
-                    task,
+                    run,
                     cow_copies,
                     cow_bytes,
                     bytes_in,
-                    ..
-                } if f.graph.task(*task).name == "writer" => {
+                } if f.graph.task(run.task).name == "writer" => {
                     Some((*cow_copies, *cow_bytes, bytes_in.clone()))
                 }
                 _ => None,

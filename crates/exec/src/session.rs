@@ -3,10 +3,11 @@
 //! A [`Session`] is the executor's one lifecycle: [`execute`](crate::execute)
 //! is a session opened, fired once and dropped, in either mode, so a
 //! one-shot run and a warm firing cannot differ. It keeps everything
-//! firing-invariant — the `Router`, the slab `Store` (cleared, not
-//! rebuilt), the flat [`TaskGraph`] (shared by `Arc`) and every worker's
-//! deque, Vm frame and buffers (`WsWorker`) — and per firing re-binds
-//! only the external inputs (`Router::bind`).
+//! firing-invariant — the `Router`, the one per-firing state `WsState`
+//! (slab, counters, sink: re-armed, not rebuilt), the flat [`TaskGraph`]
+//! (shared by `Arc`) and every worker's deque, Vm frame and buffers
+//! (`WsWorker`) — and per firing re-binds only the external inputs
+//! (`Router::bind`).
 //!
 //! A session keeps no thread: a firing borrows helpers from the process's
 //! one pool ([`banger_taskgraph::parallel::lend`]), as every fan-out does.
@@ -29,7 +30,7 @@
 
 use crate::runner::{
     pinned_queues, stealable, ws_fire, ws_seed, Ctx, ExecError, ExecMode, ExecOptions, ExecReport,
-    Policy, Router, Store, WsItem, WsState, WsWorker,
+    Policy, Router, WsItem, WsState, WsWorker,
 };
 use banger_calc::{ProgramLibrary, Value};
 use banger_taskgraph::hierarchy::Flattened;
@@ -58,7 +59,6 @@ pub fn live_sessions() -> usize {
 pub struct Session {
     graph: Arc<TaskGraph>,
     router: Router,
-    store: Store,
     ws: WsState,
     options: ExecOptions,
     caller: WsWorker,
@@ -67,8 +67,8 @@ pub struct Session {
 }
 
 impl Session {
-    /// Builds the routing tables, allocates the store, and sets a helper
-    /// seat per worker beyond the caller: pinned, a worker per processor
+    /// Builds the routing tables, allocates the firing state, and sets a
+    /// helper seat per worker beyond the caller: pinned, a worker per processor
     /// the schedule uses, up to the host's cores; greedy, the workers
     /// asked for. In either mode there is none unless some task is
     /// stealable: no task below `inline_below` is worth a helper's
@@ -109,7 +109,6 @@ impl Session {
         Ok(Session {
             graph: Arc::clone(g),
             router,
-            store: Store::new(g.task_count()),
             ws: WsState::new(g, policy),
             options: options.clone(),
             caller,
@@ -132,24 +131,23 @@ impl Session {
 
         // Every worker left the previous firing with its deque empty
         // (that firing's barrier), so the reset races no one.
-        self.store.reset();
         self.ws.reset(&self.graph);
 
         let ctx = Ctx {
             g: &self.graph,
             router: &self.router,
             options: &self.options,
-            store: &self.store,
+            ws: &self.ws,
             externals: &externals,
             epoch: Instant::now(),
         };
-        let (ws, seats, caller) = (&self.ws, &self.seats, &mut self.caller);
-        let help = |me: usize| ws_fire(&ctx, ws, &mut seats[me - 1].lock());
+        let (seats, caller) = (&self.seats, &mut self.caller);
+        let help = |me: usize| ws_fire(&ctx, &mut seats[me - 1].lock());
         let ((), helpers) = lend(seats.len(), &help, || {
-            ws_seed(&ctx, ws, caller);
-            ws_fire(&ctx, ws, caller);
+            ws_seed(&ctx, caller);
+            ws_fire(&ctx, caller);
         });
-        ws.finish(&ctx, 1 + helpers)
+        self.ws.finish(&ctx, 1 + helpers)
     }
 }
 
@@ -425,9 +423,11 @@ pub(crate) mod tests {
             assert_eq!(p.outputs, t.outputs);
             assert!(p.trace.is_none());
             let trace = t.trace.expect("trace recorded");
+            let mut spans = trace.spans();
+            spans.sort_by_key(|r| (r.finish, r.task));
+            assert_eq!(spans, t.runs, "the trace's spans are the report's runs");
             let summary = trace.summary();
             assert_eq!(summary.tasks, f.graph.task_count());
-            assert_eq!(summary.errors, 0);
             // Default threshold inlines everything in this tiny design.
             assert_eq!(summary.inline_tasks, f.graph.task_count() as u64);
         }

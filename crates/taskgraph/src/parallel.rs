@@ -237,6 +237,19 @@ fn help() {
     }
 }
 
+/// The message a caught panic carries: the text `panic!` was given,
+/// or a placeholder for any other payload. The executor names it in a
+/// task's `WorkerPanic`, the daemon in its refusal of a request.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// `m`'s guard, also after a holder panicked: no lock here is held
 /// across a write a panic could leave half done.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -277,6 +290,15 @@ mod tests {
     use std::sync::mpsc;
     use std::thread::ThreadId;
     use std::time::Duration;
+
+    #[test]
+    fn a_panic_message_is_the_text_panic_was_given() {
+        let caught = |f: fn()| catch_unwind(f).expect_err("it panics");
+        assert_eq!(panic_message(&*caught(|| panic!("plain"))), "plain");
+        assert_eq!(panic_message(&*caught(|| panic!("item {}", 7))), "item 7");
+        let other = caught(|| std::panic::panic_any(7u8));
+        assert_eq!(panic_message(&*other), "non-string panic payload");
+    }
 
     /// Taken by every test here that fans out on more than one worker:
     /// the pool is lent to one caller at a time, and a caller that finds

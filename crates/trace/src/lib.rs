@@ -5,10 +5,11 @@
 //! The scheduler predicts a timeline; the simulator refines the
 //! prediction; this crate records reality. When
 //! `ExecOptions::trace` is on, both executor modes (greedy and pinned)
-//! append [`TraceEvent`]s to per-worker buffers — task start/finish with
-//! worker id, measured ops, copy-on-write copy counts, bytes gathered
-//! per input arc, queue/dependency wait intervals, and error events —
-//! and the merged, time-sorted stream becomes a [`Trace`].
+//! append [`TraceEvent`]s to per-worker buffers — one finish per task
+//! copy (its [`TaskRun`] with copy-on-write copy counts and the bytes
+//! gathered per input arc), queue/dependency wait intervals, and each
+//! worker's steal/inline counters — and the merged, time-sorted stream
+//! becomes a [`Trace`]. A failed firing returns its error, not a trace.
 //!
 //! A trace has three consumers:
 //!
@@ -27,8 +28,8 @@
 //!
 //! The overhead contract: with tracing off the executor does no trace
 //! work at all (no timestamps beyond the ones it always took, no
-//! allocation, no atomics); with tracing on the cost is two buffer
-//! pushes and one thread-local counter read per task — negligible
+//! allocation, no atomics); with tracing on the cost is one buffer
+//! push and two thread-local counter reads per task — negligible
 //! against large-grain task bodies. DESIGN.md §11 documents the event
 //! model and the drift semantics.
 
@@ -39,32 +40,34 @@ use banger_taskgraph::TaskId;
 use std::fmt::Write as _;
 use std::time::Duration;
 
+/// Timing record of one executed task copy: an `ExecReport` lists one
+/// per copy, and a traced run's [`TraceEvent::TaskFinish`] carries the
+/// same record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TaskRun {
+    /// The task.
+    pub task: TaskId,
+    /// Worker index that ran it: a greedy run's thread, a pinned run's
+    /// processor.
+    pub worker: usize,
+    /// Start offset from execution begin.
+    pub start: Duration,
+    /// Finish offset from execution begin.
+    pub finish: Duration,
+    /// Interpreter operation count (a measured weight).
+    pub ops: u64,
+}
+
 /// One recorded execution event. Times are offsets from the execution
-/// epoch (the moment `execute` started).
+/// epoch (the moment the firing started).
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
-    /// A task copy began executing (inputs already gathered).
-    TaskStart {
-        /// The task.
-        task: TaskId,
-        /// Worker thread index.
-        worker: usize,
-        /// Offset from the execution epoch.
-        at: Duration,
-    },
-    /// A task copy finished. Repeats the matching start time so every
-    /// finish event is self-contained (consumers need no pairing pass).
+    /// A task copy finished: its run record, self-contained (it carries
+    /// its start, so consumers need no pairing pass), and the data it
+    /// moved.
     TaskFinish {
-        /// The task.
-        task: TaskId,
-        /// Worker thread index.
-        worker: usize,
-        /// When this copy started executing.
-        start: Duration,
-        /// When it finished.
-        finish: Duration,
-        /// Interpreter operation count (the measured weight).
-        ops: u64,
+        /// Which copy ran where, when, and for how many ops.
+        run: TaskRun,
         /// Copy-on-write buffer copies the task body triggered.
         cow_copies: u64,
         /// Bytes those CoW copies moved.
@@ -88,29 +91,12 @@ pub enum TraceEvent {
         /// When the wait ended.
         until: Duration,
     },
-    /// A task failed (interpreter error, or a caught worker panic).
-    TaskError {
-        /// Name of the offending task.
-        task: String,
-        /// Worker thread index.
-        worker: usize,
-        /// When the failure surfaced.
-        at: Duration,
-        /// Human-readable failure description.
-        message: String,
-    },
-    /// The coordinator lost its workers with work still outstanding.
-    WorkerLost {
-        /// When the loss was detected.
-        at: Duration,
-        /// What was outstanding.
-        detail: String,
-    },
-    /// Work-stealing dispatch counters one worker accumulated since its
-    /// previous flush (a worker may emit several per execution; consumers
-    /// sum them). Attributes where the old coordinator queue wait went:
-    /// tasks run straight off the private inline stack never queued at
-    /// all, and steals mark the handoffs that did cross threads.
+    /// Dispatch counters one worker accumulated since its previous flush
+    /// (a worker may emit several per execution; consumers sum them).
+    /// They say how ready tasks reached the worker: tasks run straight off
+    /// its private inline stack never queued at all, and steals are the
+    /// handoffs that crossed threads. A flush with both at zero emits
+    /// none.
     WorkerStats {
         /// Worker thread index.
         worker: usize,
@@ -128,41 +114,21 @@ impl TraceEvent {
     /// The event's primary timestamp, for stream ordering.
     pub fn at(&self) -> Duration {
         match self {
-            TraceEvent::TaskStart { at, .. } => *at,
-            TraceEvent::TaskFinish { finish, .. } => *finish,
+            TraceEvent::TaskFinish { run, .. } => run.finish,
             TraceEvent::QueueWait { until, .. } => *until,
-            TraceEvent::TaskError { at, .. } => *at,
-            TraceEvent::WorkerLost { at, .. } => *at,
             TraceEvent::WorkerStats { at, .. } => *at,
         }
     }
 
-    /// The worker the event belongs to (coordinator events report 0).
+    /// The worker the event belongs to.
     pub fn worker(&self) -> usize {
         match self {
-            TraceEvent::TaskStart { worker, .. }
-            | TraceEvent::TaskFinish { worker, .. }
-            | TraceEvent::QueueWait { worker, .. }
-            | TraceEvent::WorkerStats { worker, .. }
-            | TraceEvent::TaskError { worker, .. } => *worker,
-            TraceEvent::WorkerLost { .. } => 0,
+            TraceEvent::TaskFinish { run, .. } => run.worker,
+            TraceEvent::QueueWait { worker, .. } | TraceEvent::WorkerStats { worker, .. } => {
+                *worker
+            }
         }
     }
-}
-
-/// One executed task copy, flattened from a [`TraceEvent::TaskFinish`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaskSpan {
-    /// The task.
-    pub task: TaskId,
-    /// Worker thread index.
-    pub worker: usize,
-    /// Start offset from the execution epoch.
-    pub start: Duration,
-    /// Finish offset from the execution epoch.
-    pub finish: Duration,
-    /// Measured operation count.
-    pub ops: u64,
 }
 
 /// The merged event stream of one traced execution.
@@ -195,24 +161,11 @@ impl Trace {
     }
 
     /// Every executed task copy, in finish order.
-    pub fn spans(&self) -> Vec<TaskSpan> {
+    pub fn spans(&self) -> Vec<TaskRun> {
         self.events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::TaskFinish {
-                    task,
-                    worker,
-                    start,
-                    finish,
-                    ops,
-                    ..
-                } => Some(TaskSpan {
-                    task: *task,
-                    worker: *worker,
-                    start: *start,
-                    finish: *finish,
-                    ops: *ops,
-                }),
+                TraceEvent::TaskFinish { run, .. } => Some(run.clone()),
                 _ => None,
             })
             .collect()
@@ -253,17 +206,14 @@ impl Trace {
         for e in &self.events {
             match e {
                 TraceEvent::TaskFinish {
-                    start,
-                    finish,
-                    ops,
+                    run,
                     cow_copies,
                     cow_bytes,
                     bytes_in,
-                    ..
                 } => {
                     s.tasks += 1;
-                    s.busy += finish.saturating_sub(*start);
-                    s.ops += ops;
+                    s.busy += run.finish.saturating_sub(run.start);
+                    s.ops += run.ops;
                     s.cow_copies += cow_copies;
                     s.cow_bytes += cow_bytes;
                     s.bytes_in += bytes_in.iter().map(|(_, b)| b).sum::<u64>();
@@ -271,7 +221,6 @@ impl Trace {
                 TraceEvent::QueueWait { since, until, .. } => {
                     s.queue_wait += until.saturating_sub(*since);
                 }
-                TraceEvent::TaskError { .. } | TraceEvent::WorkerLost { .. } => s.errors += 1,
                 TraceEvent::WorkerStats {
                     steals,
                     inline_tasks,
@@ -280,7 +229,6 @@ impl Trace {
                     s.steals += steals;
                     s.inline_tasks += inline_tasks;
                 }
-                TraceEvent::TaskStart { .. } => {}
             }
         }
         s
@@ -309,19 +257,15 @@ impl Trace {
         let mut cow_total = 0u64;
         for e in &self.events {
             match e {
-                TraceEvent::TaskStart { .. } => {} // the finish span covers it
                 TraceEvent::TaskFinish {
-                    task,
-                    worker,
-                    start,
-                    finish,
-                    ops,
+                    run,
                     cow_copies,
                     cow_bytes,
                     bytes_in,
                 } => {
                     let mut args = format!(
-                        "\"ops\":{ops},\"cow_copies\":{cow_copies},\"cow_bytes\":{cow_bytes}"
+                        "\"ops\":{},\"cow_copies\":{cow_copies},\"cow_bytes\":{cow_bytes}",
+                        run.ops
                     );
                     for (var, bytes) in bytes_in {
                         let _ = write!(args, ",{}:{bytes}", quote(&format!("in {var}")));
@@ -329,17 +273,18 @@ impl Trace {
                     let _ = write!(
                         out,
                         ",\n{{\"name\":{},\"cat\":\"task\",\"ph\":\"X\",\"pid\":0,\
-                         \"tid\":{worker},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{{args}}}}}",
-                        quote(&name_of(*task)),
-                        us(start),
-                        us(&finish.saturating_sub(*start)),
+                         \"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{{args}}}}}",
+                        quote(&name_of(run.task)),
+                        run.worker,
+                        us(&run.start),
+                        us(&run.finish.saturating_sub(run.start)),
                     );
                     cow_total += cow_copies;
                     let _ = write!(
                         out,
                         ",\n{{\"name\":\"cow_copies\",\"ph\":\"C\",\"pid\":0,\"ts\":{:.3},\
                          \"args\":{{\"copies\":{cow_total}}}}}",
-                        us(finish),
+                        us(&run.finish),
                     );
                 }
                 TraceEvent::QueueWait {
@@ -355,31 +300,6 @@ impl Trace {
                         quote(&format!("wait {}", name_of(*task))),
                         us(since),
                         us(&until.saturating_sub(*since)),
-                    );
-                }
-                TraceEvent::TaskError {
-                    task,
-                    worker,
-                    at,
-                    message,
-                } => {
-                    let _ = write!(
-                        out,
-                        ",\n{{\"name\":{},\"cat\":\"error\",\"ph\":\"i\",\"s\":\"g\",\
-                         \"pid\":0,\"tid\":{worker},\"ts\":{:.3},\
-                         \"args\":{{\"message\":{}}}}}",
-                        quote(&format!("error {task}")),
-                        us(at),
-                        quote(message),
-                    );
-                }
-                TraceEvent::WorkerLost { at, detail } => {
-                    let _ = write!(
-                        out,
-                        ",\n{{\"name\":\"workers lost\",\"cat\":\"error\",\"ph\":\"i\",\"s\":\"g\",\
-                         \"pid\":0,\"tid\":0,\"ts\":{:.3},\"args\":{{\"detail\":{}}}}}",
-                        us(at),
-                        quote(detail),
                     );
                 }
                 TraceEvent::WorkerStats {
@@ -425,8 +345,6 @@ pub struct TraceSummary {
     pub cow_bytes: u64,
     /// Bytes gathered over all input arcs.
     pub bytes_in: u64,
-    /// Error events (task failures, worker loss).
-    pub errors: u64,
     /// Successful deque steals across all workers (work-stealing mode).
     pub steals: u64,
     /// Tasks executed inline off private stacks, never queued
@@ -535,7 +453,7 @@ impl DriftReport {
     /// unplaced) are skipped.
     pub fn new(predicted: &Schedule, trace: &Trace) -> Self {
         // Earliest observed copy of each task, keyed by task index.
-        let mut observed: Vec<Option<TaskSpan>> = vec![None; predicted.task_count()];
+        let mut observed: Vec<Option<TaskRun>> = vec![None; predicted.task_count()];
         for sp in trace.spans() {
             if sp.task.index() >= observed.len() {
                 continue;
@@ -549,7 +467,7 @@ impl DriftReport {
         // Fit the unit conversion over tasks present on both sides.
         let mut pred_busy = 0.0f64;
         let mut obs_busy = 0.0f64;
-        let mut rows: Vec<(f64, TaskId, TaskSpan, f64, f64)> = Vec::new();
+        let mut rows: Vec<(f64, TaskId, TaskRun, f64, f64)> = Vec::new();
         for (i, sp) in observed.iter().enumerate() {
             let Some(sp) = sp else { continue };
             let Some(p) = predicted.primary(TaskId(i as u32)) else {
@@ -648,11 +566,13 @@ mod tests {
 
     fn finish(task: u32, worker: usize, start: u64, fin: u64, ops: u64, cow: u64) -> TraceEvent {
         TraceEvent::TaskFinish {
-            task: TaskId(task),
-            worker,
-            start: ms(start),
-            finish: ms(fin),
-            ops,
+            run: TaskRun {
+                task: TaskId(task),
+                worker,
+                start: ms(start),
+                finish: ms(fin),
+                ops,
+            },
             cow_copies: cow,
             cow_bytes: cow * 64,
             bytes_in: vec![("a".to_string(), 8)],
@@ -663,11 +583,6 @@ mod tests {
         Trace::from_events(
             vec![
                 finish(1, 1, 10, 30, 200, 1),
-                TraceEvent::TaskStart {
-                    task: TaskId(0),
-                    worker: 0,
-                    at: ms(0),
-                },
                 finish(0, 0, 0, 20, 100, 0),
                 TraceEvent::QueueWait {
                     task: TaskId(1),
@@ -726,21 +641,16 @@ mod tests {
 
     #[test]
     fn chrome_json_is_valid_and_complete() {
-        let mut t = two_task_trace();
-        t.events.push(TraceEvent::TaskError {
-            task: "bad \"task\"".to_string(),
-            worker: 1,
-            at: ms(30),
-            message: "boom\nline2".to_string(),
+        let json = two_task_trace().chrome_json(|t| match t.0 {
+            1 => "bad \"task\"\nline2".to_string(),
+            n => format!("t{n}"),
         });
-        let json = t.chrome_json(|t| format!("t{}", t.0));
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"name\":\"t0\""));
         assert!(json.contains("\"ops\":100"));
-        assert!(json.contains("wait t1"));
-        assert!(json.contains("bad \\\"task\\\""));
-        assert!(json.contains("boom\\nline2"));
+        assert!(json.contains("\"name\":\"bad \\\"task\\\"\\nline2\""));
+        assert!(json.contains("\"name\":\"wait bad \\\"task\\\"\\nline2\""));
         // Structural sanity: balanced braces/brackets outside strings.
         let (mut depth, mut in_str, mut esc) = (0i64, false, false);
         for c in json.chars() {
@@ -765,6 +675,91 @@ mod tests {
         assert_eq!(depth, 0, "unbalanced JSON:\n{json}");
         assert!(!in_str);
     }
+
+    /// A trace as the executor writes it — a finish per task copy, a
+    /// queue wait, two workers' dispatch counters — at fixed offsets, so
+    /// its two renderings can be compared byte for byte.
+    fn fixed_trace() -> Trace {
+        let us = Duration::from_micros;
+        let finish = |task: u32, worker: usize, start: u64, fin: u64, ops, cow: u64, bytes_in| {
+            TraceEvent::TaskFinish {
+                run: TaskRun {
+                    task: TaskId(task),
+                    worker,
+                    start: us(start),
+                    finish: us(fin),
+                    ops,
+                },
+                cow_copies: cow,
+                cow_bytes: cow * 64,
+                bytes_in,
+            }
+        };
+        let in_ = |pairs: &[(&str, u64)]| -> Vec<(String, u64)> {
+            pairs.iter().map(|&(v, b)| (v.to_string(), b)).collect()
+        };
+        let mut t = Trace::from_events(
+            vec![
+                finish(0, 0, 500, 2250, 100, 0, in_(&[("a", 8)])),
+                TraceEvent::QueueWait {
+                    task: TaskId(1),
+                    worker: 1,
+                    since: us(100),
+                    until: us(1000),
+                },
+                finish(1, 1, 1000, 3500, 250, 2, in_(&[("a", 8), ("v \"w\"", 512)])),
+                finish(2, 0, 2500, 4001, 7, 1, in_(&[])),
+                TraceEvent::WorkerStats {
+                    worker: 1,
+                    at: us(3600),
+                    steals: 1,
+                    inline_tasks: 0,
+                },
+                TraceEvent::WorkerStats {
+                    worker: 0,
+                    at: us(4100),
+                    steals: 0,
+                    inline_tasks: 2,
+                },
+            ],
+            2,
+            us(4200),
+        );
+        t.threads = 2;
+        t
+    }
+
+    #[test]
+    fn a_fixed_trace_renders_its_golden_text() {
+        let t = fixed_trace();
+        let json = t.chrome_json(|t| format!("task \"{}\"", t.0));
+        assert_eq!(json, GOLDEN_CHROME, "chrome JSON:\n{json}");
+        let line = t.summary().render();
+        assert_eq!(line, GOLDEN_SUMMARY, "summary:\n{line}");
+    }
+
+    const GOLDEN_CHROME: &str = r#"{
+"displayTimeUnit": "ms",
+"traceEvents": [
+{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"banger exec"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"worker 0"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"worker 1"}},
+{"name":"wait task \"1\"","cat":"wait","ph":"X","pid":0,"tid":1,"ts":100.000,"dur":900.000,"args":{}},
+{"name":"task \"0\"","cat":"task","ph":"X","pid":0,"tid":0,"ts":500.000,"dur":1750.000,"args":{"ops":100,"cow_copies":0,"cow_bytes":0,"in a":8}},
+{"name":"cow_copies","ph":"C","pid":0,"ts":2250.000,"args":{"copies":0}},
+{"name":"task \"1\"","cat":"task","ph":"X","pid":0,"tid":1,"ts":1000.000,"dur":2500.000,"args":{"ops":250,"cow_copies":2,"cow_bytes":128,"in a":8,"in v \"w\"":512}},
+{"name":"cow_copies","ph":"C","pid":0,"ts":3500.000,"args":{"copies":2}},
+{"name":"dispatch","ph":"C","pid":0,"tid":1,"ts":3600.000,"args":{"steals":1,"inline_tasks":0}},
+{"name":"task \"2\"","cat":"task","ph":"X","pid":0,"tid":0,"ts":2500.000,"dur":1501.000,"args":{"ops":7,"cow_copies":1,"cow_bytes":64}},
+{"name":"cow_copies","ph":"C","pid":0,"ts":4001.000,"args":{"copies":3}},
+{"name":"dispatch","ph":"C","pid":0,"tid":0,"ts":4100.000,"args":{"steals":0,"inline_tasks":2}}
+]
+}
+"#;
+
+    const GOLDEN_SUMMARY: &str = "trace: 3 task runs in 4.2ms (714 tasks/s), 2 workers at 68% \
+         utilization, queue wait 900µs, 2 inline / 1 stolen, 3 CoW copies (192 bytes), \
+         528 input bytes moved";
 
     #[test]
     fn drift_exact_when_shape_matches() {
