@@ -11,7 +11,7 @@
 //! |------|---------|----------|
 //! | B040 | read of an uninitialized variable | error when definite, warning when possible |
 //! | B041 | array index out of bounds | error when definite against flowed bounds, warning otherwise |
-//! | B042 | definite division by zero / domain escape | warning (IEEE-complete) |
+//! | B042 | definite division by zero / domain escape of a builtin row | warning (IEEE-complete) |
 //! | B043 | `while` with no decreasing variant | warning |
 //! | B044 | dead assignment / `out` unset on some path | error when the output is definitely unset, warning otherwise |
 //!
@@ -326,11 +326,24 @@ mod tests {
         assert_eq!(hits.len(), 1, "{d:?}");
         assert_eq!(hits[0].severity, Severity::Warning);
 
-        let d = diags_of("task T out x begin x := sqrt(0 - 4) end");
-        let hits = find(&d, Code::B042);
-        assert_eq!(hits.len(), 1, "{d:?}");
-        assert_eq!(hits[0].severity, Severity::Warning);
-        assert!(hits[0].message.contains("sqrt"), "{}", hits[0].message);
+        // One per row whose shape has a domain.
+        for (func, call) in [
+            ("sqrt", "sqrt(0 - 4)"),
+            ("ln", "ln(0)"),
+            ("acos", "acos(2)"),
+            ("asin", "asin(0 - 3)"),
+            ("pow", "pow(0 - 8, 0.5)"),
+        ] {
+            let d = diags_of(&format!("task T out x begin x := {call} end"));
+            let hits = find(&d, Code::B042);
+            assert_eq!(hits.len(), 1, "{call}: {d:?}");
+            assert_eq!(hits[0].severity, Severity::Warning);
+            assert!(
+                hits[0].message.contains(&format!("`{func}`")),
+                "{}",
+                hits[0].message
+            );
+        }
     }
 
     #[test]

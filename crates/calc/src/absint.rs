@@ -41,7 +41,7 @@
 use std::collections::BTreeMap;
 
 use crate::ast::{BinOp, Expr, Program, Stmt, UnOp};
-use crate::builtins;
+use crate::builtins::{self, Shape};
 use crate::error::Pos;
 use crate::symbols::{Slot, SymbolTable};
 use crate::value::Value;
@@ -463,7 +463,8 @@ pub enum FindingKind {
     DivByZero,
     /// A builtin applied wholly outside its real domain.
     Domain {
-        /// The builtin name (`sqrt`, `ln`, `log10`).
+        /// The builtin name: a row whose shape has a domain (`sqrt`,
+        /// `ln`, `log10`, `acos`, `asin`, `pow`).
         func: String,
     },
     /// A `while` loop whose condition variables are never assigned in
@@ -784,9 +785,7 @@ impl<'a> Resolver<'a> {
                 RExpr::Index(var, self.expr(idx))
             }
             Expr::Call(name, args) => {
-                let func = builtins::index_of(name)
-                    .filter(|&i| builtins::BUILTINS[i].arity == args.len())
-                    .map(|i| i as u16);
+                let func = builtins::resolve(name, args.len()).ok().map(|i| i as u16);
                 let ids: Vec<ExprId> = args.iter().map(|a| self.expr(a)).collect();
                 let first = self.args.len() as u32;
                 self.args.extend_from_slice(&ids);
@@ -1808,12 +1807,7 @@ impl<'p> Walker<'p> {
 
         // Definite IEEE domain escapes (still warnings: the calculator
         // completes with NaN/-inf, it does not abort).
-        let outside = match (b.name, self.vals[mark..].first().and_then(|v| v.num)) {
-            ("sqrt", Some(i)) => i.hi < 0.0,
-            ("ln" | "log10", Some(i)) => i.hi <= 0.0,
-            _ => false,
-        };
-        if outside {
+        if outside_domain(b.shape, &self.vals[mark..]) {
             self.finding(RawKind::Domain(func), ctx, true);
         }
 
@@ -1902,10 +1896,27 @@ impl<'p> Walker<'p> {
     }
 }
 
-/// Abstract builtin application. All-point scalar arguments take the
-/// concrete path through the real builtin implementation, so results
-/// are bit-identical to a trial run, but for `zeros` and `fill`, whose
-/// size is checked and never allocated. `points` is scratch for that call.
+/// True when the arguments lie wholly outside the row's domain, so that
+/// every run of the call yields NaN or −∞: B042's definite finding.
+fn outside_domain(shape: Shape, vals: &[AbsVal]) -> bool {
+    let num = |i: usize| vals.get(i).and_then(|v| v.num);
+    match shape {
+        Shape::Monotone(_, lo, hi) => num(0).is_some_and(|i| i.hi < lo || i.lo > hi),
+        // A negative finite base to a non-integer power (`pow(-inf, 0.5)`
+        // is +inf).
+        Shape::Pow => num(0).zip(num(1)).is_some_and(|(base, exp)| {
+            base.hi < 0.0 && base.lo.is_finite() && exp.is_point() && exp.lo.fract() != 0.0
+        }),
+        Shape::Range(..) | Shape::Range2(..) | Shape::Abs | Shape::MinMax(_) => false,
+        Shape::Len | Shape::Fold(_) | Shape::Dot | Shape::Zeros | Shape::Fill => false,
+    }
+}
+
+/// Abstract builtin application: the row's shape, matched exhaustively.
+/// All-point scalar arguments take the concrete path through the row's
+/// own function, so results are bit-identical to a trial run, but for
+/// `zeros` and `fill`, whose size is checked and never allocated.
+/// `points` is scratch for that call.
 fn apply_builtin(
     b: &builtins::Builtin,
     vals: &[AbsVal],
@@ -1919,11 +1930,10 @@ fn apply_builtin(
     }));
     if points.len() == vals.len() {
         // Every argument here is a scalar, so only a size can fail.
-        let out = match b.name {
-            "zeros" | "fill" => {
-                builtins::size_arg(points, b.name).map(|n| AbsVal::array(Interval::point(n as f64)))
-            }
-            _ => (b.func)(points).map(|v| AbsVal::of_value(&v)),
+        let out = if let Shape::Zeros | Shape::Fill = b.shape {
+            builtins::size_arg(points, b.name).map(|n| AbsVal::array(Interval::point(n as f64)))
+        } else {
+            b.call(points).map(|v| AbsVal::of_value(&v))
         };
         return out.unwrap_or_else(|_| {
             // zeros(-1) and friends: a genuine runtime abort.
@@ -1932,68 +1942,39 @@ fn apply_builtin(
         });
     }
     let arg = |i: usize| vals.get(i).map(|v| v.num_or_top()).unwrap_or(Interval::TOP);
-    let mono = |f: fn(f64) -> f64, i: Interval| AbsVal::scalar(Interval::new(f(i.lo), f(i.hi)));
-    match b.name {
-        "abs" => {
+    AbsVal::scalar(match b.shape {
+        Shape::Monotone(f, lo, hi) => {
             let i = arg(0);
-            AbsVal::scalar(if i.lo >= 0.0 {
+            let (a, z) = (f(i.lo), f(i.hi));
+            match (lo <= i.lo && i.hi <= hi, a <= z) {
+                (false, _) => Interval::TOP,
+                (true, true) => Interval::new(a, z),
+                // Falling, as `acos` does; a NaN end is top here too.
+                (true, false) => Interval::new(z, a),
+            }
+        }
+        Shape::Range(_, lo, hi) | Shape::Range2(_, lo, hi) => Interval::new(lo, hi),
+        Shape::Abs => {
+            let i = arg(0);
+            if i.lo >= 0.0 {
                 i
             } else if i.hi <= 0.0 {
                 Interval::new(-i.hi, -i.lo)
             } else {
                 Interval::new(0.0, i.lo.abs().max(i.hi.abs()))
-            })
-        }
-        "floor" => mono(f64::floor, arg(0)),
-        "ceil" => mono(f64::ceil, arg(0)),
-        "round" => mono(f64::round, arg(0)),
-        "exp" => mono(f64::exp, arg(0)),
-        "atan" => mono(f64::atan, arg(0)),
-        "sqrt" => {
-            let i = arg(0);
-            if i.lo >= 0.0 {
-                mono(f64::sqrt, i)
-            } else {
-                AbsVal::scalar(Interval::TOP)
             }
         }
-        "ln" => {
-            let i = arg(0);
-            if i.lo > 0.0 {
-                mono(f64::ln, i)
-            } else {
-                AbsVal::scalar(Interval::TOP)
-            }
-        }
-        "log10" => {
-            let i = arg(0);
-            if i.lo > 0.0 {
-                mono(f64::log10, i)
-            } else {
-                AbsVal::scalar(Interval::TOP)
-            }
-        }
-        "sin" | "cos" => AbsVal::scalar(Interval::new(-1.0, 1.0)),
-        "atan2" => AbsVal::scalar(Interval::new(-std::f64::consts::PI, std::f64::consts::PI)),
-        "min" => {
+        Shape::MinMax(f) => {
             let (a, b) = (arg(0), arg(1));
-            AbsVal::scalar(Interval::new(a.lo.min(b.lo), a.hi.min(b.hi)))
+            Interval::new(f(a.lo, b.lo), f(a.hi, b.hi))
         }
-        "max" => {
-            let (a, b) = (arg(0), arg(1));
-            AbsVal::scalar(Interval::new(a.lo.max(b.lo), a.hi.max(b.hi)))
-        }
-        "len" => {
-            let l = vals
-                .first()
-                .and_then(|v| v.len)
-                .unwrap_or_else(|| Interval::new(0.0, f64::INFINITY));
-            AbsVal::scalar(l)
-        }
-        "zeros" => AbsVal::array(arg(0).round()),
-        "fill" => AbsVal::array(arg(0).round()),
-        _ => AbsVal::scalar(Interval::TOP),
-    }
+        Shape::Len => vals
+            .first()
+            .and_then(|v| v.len)
+            .unwrap_or_else(|| Interval::new(0.0, f64::INFINITY)),
+        Shape::Zeros | Shape::Fill => return AbsVal::array(arg(0).round()),
+        Shape::Pow | Shape::Fold(_) | Shape::Dot => Interval::TOP,
+    })
 }
 
 #[cfg(test)]
@@ -2496,10 +2477,9 @@ end";
         };
         for size in [-1.0, 0.0, 2.4, 2.5, 1e6, f64::NAN] {
             for (name, args) in [("zeros", vec![size]), ("fill", vec![size, 7.0])] {
-                let real = builtins::apply(
-                    name,
-                    &args.iter().map(|&a| Value::Num(a)).collect::<Vec<_>>(),
-                );
+                let real = builtins::lookup(name)
+                    .unwrap()
+                    .call(&args.iter().map(|&a| Value::Num(a)).collect::<Vec<_>>());
                 // A NaN is no point of the domain (`Interval::point` makes
                 // it top), so its size stays the abstract `0..∞`.
                 let want = match real {
@@ -2526,6 +2506,227 @@ end";
             );
             assert_eq!(abstractly(name, &args(1e9 + 1.0)), None, "{name}(1e9 + 1)");
         }
+    }
+
+    /// Scalar ends every row's transfer is sampled between: domain edges,
+    /// large magnitudes and both infinities.
+    const ENDS: [f64; 19] = [
+        f64::NEG_INFINITY,
+        -1e300,
+        -1e6,
+        -8.0,
+        -3.0,
+        -2.0,
+        -1.0,
+        -0.5,
+        0.0,
+        0.3,
+        0.5,
+        1.0,
+        2.0,
+        2.5,
+        3.0,
+        8.0,
+        1e6,
+        1e300,
+        f64::INFINITY,
+    ];
+
+    /// What one argument of a row is: a scalar, an array, or the size of
+    /// the array `zeros`/`fill` build.
+    #[derive(Clone, Copy)]
+    enum Kind {
+        Num,
+        Arr,
+        Size,
+    }
+
+    /// A row's argument kinds; a new shape must say what it takes.
+    fn kinds(shape: Shape) -> &'static [Kind] {
+        match shape {
+            Shape::Monotone(..) | Shape::Range(..) | Shape::Abs => &[Kind::Num],
+            Shape::Range2(..) | Shape::MinMax(_) | Shape::Pow => &[Kind::Num, Kind::Num],
+            Shape::Len | Shape::Fold(_) => &[Kind::Arr],
+            Shape::Dot => &[Kind::Arr, Kind::Arr],
+            Shape::Zeros => &[Kind::Size],
+            Shape::Fill => &[Kind::Size, Kind::Num],
+        }
+    }
+
+    /// A uniform draw from `[0, 1)` (xorshift; the tests stay seeded).
+    fn unit(rng: &mut u64) -> f64 {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        (*rng >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Every interval between two of `ends`, points included.
+    fn intervals(ends: &[f64]) -> Vec<Interval> {
+        let mut out = Vec::new();
+        for (k, &lo) in ends.iter().enumerate() {
+            out.extend(ends[k..].iter().map(|&hi| Interval::new(lo, hi)));
+        }
+        out
+    }
+
+    /// Points of `i`: its ends, its midpoint, `extra` random interior
+    /// points, and every one of `ENDS` inside it.
+    fn points_of(i: Interval, extra: usize, rng: &mut u64) -> Vec<f64> {
+        let (lo, hi) = (i.lo.clamp(-1e300, 1e300), i.hi.clamp(-1e300, 1e300));
+        let mut v = vec![i.lo, i.hi, lo / 2.0 + hi / 2.0];
+        v.extend((0..extra).map(|_| lo + unit(rng) * (hi - lo)));
+        v.extend(ENDS);
+        v.retain(|x| i.lo <= *x && *x <= i.hi);
+        v
+    }
+
+    /// For one argument of `kind`: each abstract value sampled, with the
+    /// concrete values inside it. Two-argument rows get coarser scalars.
+    fn cases(kind: Kind, coarse: bool, rng: &mut u64) -> Vec<(AbsVal, Vec<Value>)> {
+        match kind {
+            Kind::Num => {
+                let ends: Vec<f64> = ENDS.iter().copied().step_by(1 + coarse as usize).collect();
+                let extra = if coarse { 1 } else { 4 };
+                intervals(&ends)
+                    .into_iter()
+                    .map(|i| {
+                        let xs = points_of(i, extra, rng);
+                        (AbsVal::scalar(i), xs.into_iter().map(Value::Num).collect())
+                    })
+                    .collect()
+            }
+            Kind::Arr => intervals(&[0.0, 1.0, 3.0, 6.0, f64::INFINITY])
+                .into_iter()
+                .filter(|len| len.lo.is_finite())
+                .map(|len| {
+                    let mut arrays = Vec::new();
+                    for n in [
+                        len.lo,
+                        len.hi.min(len.lo + 7.0),
+                        (len.lo + len.hi.min(9.0)) / 2.0,
+                    ] {
+                        let elems = (0..n.round() as usize)
+                            .map(|_| ENDS[(unit(rng) * ENDS.len() as f64) as usize] * unit(rng))
+                            .collect();
+                        arrays.push(Value::array(elems));
+                    }
+                    (AbsVal::array(len), arrays)
+                })
+                .collect(),
+            // No size in 1e4..=1e9 is run: the concrete array would be built.
+            Kind::Size => intervals(&[
+                f64::NEG_INFINITY,
+                -1.0,
+                -0.4,
+                0.0,
+                2.5,
+                7.0,
+                2e9,
+                f64::INFINITY,
+            ])
+            .into_iter()
+            .map(|i| {
+                let sizes = points_of(i, 2, rng)
+                    .into_iter()
+                    .filter(|x| !(1e4..=1e9).contains(&x.round()))
+                    .map(Value::Num);
+                (AbsVal::scalar(i), sizes.collect())
+            })
+            .collect(),
+        }
+    }
+
+    /// Every combination of one case per argument kind.
+    fn combinations(b: &builtins::Builtin, rng: &mut u64) -> Vec<(Vec<AbsVal>, Vec<Vec<Value>>)> {
+        let kinds = kinds(b.shape);
+        let mut out = vec![(Vec::new(), vec![Vec::new()])];
+        for &kind in kinds {
+            let cases = cases(kind, kinds.len() > 1, rng);
+            out = out
+                .into_iter()
+                .flat_map(|(abs, concrete): (Vec<AbsVal>, Vec<Vec<Value>>)| {
+                    cases.iter().map(move |(a, xs)| {
+                        let mut abs = abs.clone();
+                        abs.push(*a);
+                        let concrete = concrete
+                            .iter()
+                            .flat_map(|args| {
+                                xs.iter().map(move |x| {
+                                    let mut args = args.clone();
+                                    args.push(x.clone());
+                                    args
+                                })
+                            })
+                            .collect();
+                        (abs, concrete)
+                    })
+                })
+                .collect();
+        }
+        out
+    }
+
+    /// Every row's transfer contains every non-NaN result of its own
+    /// function, on the all-point path and the interval path, and aborts
+    /// only where the function fails.
+    #[test]
+    fn builtin_row_transfer_contains_every_concrete_result() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15;
+        for b in builtins::BUILTINS {
+            for (vals, runs) in combinations(b, &mut rng) {
+                let mut ctx = Ctx {
+                    reached: true,
+                    report: true,
+                    pos: None,
+                };
+                let abs = apply_builtin(b, &vals, &mut Vec::new(), &mut ctx);
+                for args in runs {
+                    let real = b.call(&args);
+                    let inside = match &real {
+                        _ if !ctx.reached => real.is_err(),
+                        Err(_) => true,
+                        Ok(Value::Num(x)) => {
+                            x.is_nan() || abs.num.is_some_and(|i| i.lo <= *x && *x <= i.hi)
+                        }
+                        Ok(Value::Array(a)) => abs
+                            .len
+                            .is_some_and(|l| l.lo <= a.len() as f64 && a.len() as f64 <= l.hi),
+                    };
+                    assert!(
+                        inside,
+                        "{}{args:?} = {real:?}, abstractly {abs:?} from {vals:?}",
+                        b.name
+                    );
+                }
+            }
+        }
+    }
+
+    /// Where a row's domain puts the arguments wholly outside it (B042,
+    /// a definite finding), its function yields NaN or −∞ at every
+    /// sampled point.
+    #[test]
+    fn builtin_row_domain_escape_is_definite() {
+        let mut rng = 0x2545_f491_4f6c_dd1d;
+        let mut escapes = 0;
+        for b in builtins::BUILTINS {
+            for (vals, runs) in combinations(b, &mut rng) {
+                if !outside_domain(b.shape, &vals) {
+                    continue;
+                }
+                escapes += 1;
+                for args in runs {
+                    let real = b.call(&args);
+                    assert!(
+                        matches!(real, Ok(Value::Num(x)) if x.is_nan() || x == f64::NEG_INFINITY),
+                        "{}{args:?} = {real:?} although {vals:?} is outside its domain",
+                        b.name
+                    );
+                }
+            }
+        }
+        assert!(escapes > 0);
     }
 
     #[test]

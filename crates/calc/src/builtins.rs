@@ -2,37 +2,77 @@
 //!
 //! The paper's calculator metaphor promises "scientific and engineering
 //! functions, constants, and formulas"; this module is that button panel.
-//! Every builtin carries an operation-count cost so trial runs can
-//! estimate task weights for the scheduler, and a direct function pointer
-//! so the bytecode VM can dispatch a pre-resolved call without a name
-//! lookup.
+//! Each builtin is one row of [`BUILTINS`], the only place its meaning is
+//! written: its name, its operation-count cost (trial runs turn op counts
+//! into task weights for the scheduler) and its [`Shape`], which holds the
+//! concrete function together with what the abstract interpreter may
+//! assume of it: domain, range, monotonicity, result length. The VM, the
+//! tree-walker and `absint` all apply a row through [`Builtin::call`]; the
+//! VM reaches it by the index [`resolve`] froze into its code.
 
 use crate::error::RunError;
 use crate::value::Value;
-
-/// The implementation of one builtin: takes the (arity-checked) argument
-/// slice, returns the result value.
-pub type BuiltinFn = fn(&[Value]) -> Result<Value, RunError>;
+use std::f64::consts::PI;
 
 /// Description of one builtin function.
 pub struct Builtin {
     /// Surface name (the button label).
     pub name: &'static str,
-    /// Number of arguments (`usize::MAX` marks "any array" single-arg
-    /// functions, but all current builtins use fixed arities).
-    pub arity: usize,
-    /// Cost in abstract operations, charged per call by the interpreter.
+    /// Cost in abstract operations, charged per call.
     pub cost: u64,
-    /// The implementation, called with exactly `arity` arguments.
-    pub func: BuiltinFn,
+    /// What the builtin computes, and what the analysis knows of it.
+    pub shape: Shape,
+}
+
+/// What a builtin computes, and what the abstract interpreter may assume
+/// of it. A scalar shape carries its function; `absint` matches every
+/// variant, so a row cannot reach the analysis without a transfer.
+#[derive(Clone, Copy)]
+pub enum Shape {
+    /// `f` is monotone, rising or falling, on its closed domain
+    /// `[lo, hi]`, and yields NaN or −∞ wholly outside it.
+    Monotone(fn(f64) -> f64, f64, f64),
+    /// Every value of `f` lies in `[lo, hi]`; the whole line is an
+    /// explicit "not tracked".
+    Range(fn(f64) -> f64, f64, f64),
+    /// [`Shape::Range`] of a function of two arguments.
+    Range2(fn(f64, f64) -> f64, f64, f64),
+    /// `abs`: falls to 0, then rises.
+    Abs,
+    /// `min`/`max`: rising in both arguments.
+    MinMax(fn(f64, f64) -> f64),
+    /// `pow`: values not tracked; NaN for a negative finite base and a
+    /// non-integer exponent.
+    Pow,
+    /// The length of an array.
+    Len,
+    /// A reduction of an array whose value is not tracked.
+    Fold(fn(&[f64]) -> f64),
+    /// The dot product of two arrays of one length; value not tracked.
+    Dot,
+    /// `zeros(n)`: an array of `n` zeros.
+    Zeros,
+    /// `fill(n, x)`: an array of `n` copies of `x`.
+    Fill,
+}
+
+impl Shape {
+    /// The number of arguments a call must pass, exactly.
+    pub fn arity(self) -> usize {
+        match self {
+            Shape::Monotone(..) | Shape::Range(..) | Shape::Abs => 1,
+            Shape::Len | Shape::Fold(_) | Shape::Zeros => 1,
+            Shape::Range2(..) | Shape::MinMax(_) | Shape::Pow => 2,
+            Shape::Dot | Shape::Fill => 2,
+        }
+    }
 }
 
 /// Constants preloaded into every PITS environment.
-pub const CONSTANTS: [(&str, f64); 2] = [("pi", std::f64::consts::PI), ("e", std::f64::consts::E)];
+pub const CONSTANTS: [(&str, f64); 2] = [("pi", PI), ("e", std::f64::consts::E)];
 
-/// Scalar argument `i`, or the same `NotAScalar` error `apply` has always
-/// produced; the message is only built on the error path so the success
-/// path stays allocation-free.
+/// Scalar argument `i`, or a `NotAScalar` error naming it; the message is
+/// only built on the error path so the success path stays allocation-free.
 fn num_arg(args: &[Value], i: usize, name: &str) -> Result<f64, RunError> {
     match &args[i] {
         Value::Num(v) => Ok(*v),
@@ -54,84 +94,6 @@ fn arr_arg<'a>(args: &'a [Value], i: usize, name: &str) -> Result<&'a [f64], Run
     }
 }
 
-macro_rules! scalar1 {
-    ($fname:ident, $name:literal, $body:expr) => {
-        fn $fname(args: &[Value]) -> Result<Value, RunError> {
-            let x = num_arg(args, 0, $name)?;
-            #[allow(clippy::redundant_closure_call)]
-            Ok(Value::Num(($body)(x)))
-        }
-    };
-}
-
-macro_rules! scalar2 {
-    ($fname:ident, $name:literal, $body:expr) => {
-        fn $fname(args: &[Value]) -> Result<Value, RunError> {
-            let x = num_arg(args, 0, $name)?;
-            let y = num_arg(args, 1, $name)?;
-            #[allow(clippy::redundant_closure_call)]
-            Ok(Value::Num(($body)(x, y)))
-        }
-    };
-}
-
-scalar1!(b_abs, "abs", |x: f64| x.abs());
-scalar1!(b_acos, "acos", |x: f64| x.acos());
-scalar1!(b_asin, "asin", |x: f64| x.asin());
-scalar1!(b_atan, "atan", |x: f64| x.atan());
-scalar1!(b_ceil, "ceil", |x: f64| x.ceil());
-scalar1!(b_cos, "cos", |x: f64| x.cos());
-scalar1!(b_exp, "exp", |x: f64| x.exp());
-scalar1!(b_floor, "floor", |x: f64| x.floor());
-scalar1!(b_ln, "ln", |x: f64| x.ln());
-scalar1!(b_log10, "log10", |x: f64| x.log10());
-scalar1!(b_round, "round", |x: f64| x.round());
-scalar1!(b_sin, "sin", |x: f64| x.sin());
-scalar1!(b_sqrt, "sqrt", |x: f64| x.sqrt());
-scalar1!(b_tan, "tan", |x: f64| x.tan());
-scalar2!(b_atan2, "atan2", |x: f64, y: f64| x.atan2(y));
-scalar2!(b_max, "max", |x: f64, y: f64| x.max(y));
-scalar2!(b_min, "min", |x: f64, y: f64| x.min(y));
-scalar2!(b_pow, "pow", |x: f64, y: f64| x.powf(y));
-
-fn b_len(args: &[Value]) -> Result<Value, RunError> {
-    Ok(Value::Num(arr_arg(args, 0, "len")?.len() as f64))
-}
-
-fn b_sum(args: &[Value]) -> Result<Value, RunError> {
-    Ok(Value::Num(arr_arg(args, 0, "sum")?.iter().sum()))
-}
-
-fn b_amin(args: &[Value]) -> Result<Value, RunError> {
-    Ok(Value::Num(
-        arr_arg(args, 0, "amin")?
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min),
-    ))
-}
-
-fn b_amax(args: &[Value]) -> Result<Value, RunError> {
-    Ok(Value::Num(
-        arr_arg(args, 0, "amax")?
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max),
-    ))
-}
-
-fn b_dot(args: &[Value]) -> Result<Value, RunError> {
-    let (a, b) = (arr_arg(args, 0, "dot")?, arr_arg(args, 1, "dot")?);
-    if a.len() != b.len() {
-        return Err(RunError::BadArity {
-            name: "dot".into(),
-            expected: a.len(),
-            got: b.len(),
-        });
-    }
-    Ok(Value::Num(a.iter().zip(b).map(|(x, y)| x * y).sum()))
-}
-
 /// The element count `zeros`/`fill` were asked for, rounded like every
 /// index; `BadSize` outside `0..=1e9` (NaN included).
 pub(crate) fn size_arg(args: &[Value], name: &str) -> Result<usize, RunError> {
@@ -145,166 +107,173 @@ pub(crate) fn size_arg(args: &[Value], name: &str) -> Result<usize, RunError> {
     Ok(n as usize)
 }
 
-fn b_zeros(args: &[Value]) -> Result<Value, RunError> {
-    Ok(Value::array(vec![0.0; size_arg(args, "zeros")?]))
+impl Builtin {
+    /// Applies the builtin to exactly `shape.arity()` arguments. A wrong
+    /// kind of argument is named with the row's name (`argument 1 of
+    /// sqrt()`).
+    pub fn call(&self, args: &[Value]) -> Result<Value, RunError> {
+        let num = |i| num_arg(args, i, self.name);
+        let arr = |i| arr_arg(args, i, self.name);
+        Ok(Value::Num(match self.shape {
+            Shape::Monotone(f, ..) | Shape::Range(f, ..) => f(num(0)?),
+            Shape::Range2(f, ..) | Shape::MinMax(f) => f(num(0)?, num(1)?),
+            Shape::Abs => num(0)?.abs(),
+            Shape::Pow => num(0)?.powf(num(1)?),
+            Shape::Len => arr(0)?.len() as f64,
+            Shape::Fold(f) => f(arr(0)?),
+            Shape::Dot => {
+                let (a, b) = (arr(0)?, arr(1)?);
+                if a.len() != b.len() {
+                    return Err(RunError::UnequalLengths {
+                        name: self.name.to_string(),
+                        lens: (a.len(), b.len()),
+                    });
+                }
+                a.iter().zip(b).map(|(x, y)| x * y).sum()
+            }
+            Shape::Zeros => return Ok(Value::array(vec![0.0; size_arg(args, self.name)?])),
+            Shape::Fill => {
+                let n = size_arg(args, self.name)?;
+                return Ok(Value::array(vec![num(1)?; n]));
+            }
+        }))
+    }
 }
 
-fn b_fill(args: &[Value]) -> Result<Value, RunError> {
-    let n = size_arg(args, "fill")?;
-    Ok(Value::array(vec![num_arg(args, 1, "fill")?; n]))
-}
+/// The whole line: a [`Shape::Monotone`] defined everywhere, or a
+/// [`Shape::Range`] that tracks nothing.
+const ALL: f64 = f64::INFINITY;
+
+/// The least positive `f64`: `ln`'s and `log10`'s domain starts here, so
+/// 0 (where they yield −∞) lies outside it.
+const LEAST_POSITIVE: f64 = f64::from_bits(1);
 
 /// The builtin table (kept sorted by name for binary search).
 pub const BUILTINS: &[Builtin] = &[
     Builtin {
         name: "abs",
-        arity: 1,
         cost: 1,
-        func: b_abs,
+        shape: Shape::Abs,
     },
     Builtin {
         name: "acos",
-        arity: 1,
         cost: 8,
-        func: b_acos,
+        shape: Shape::Monotone(f64::acos, -1.0, 1.0),
     },
     Builtin {
         name: "amax",
-        arity: 1,
         cost: 4,
-        func: b_amax,
+        shape: Shape::Fold(|v| v.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
     },
     Builtin {
         name: "amin",
-        arity: 1,
         cost: 4,
-        func: b_amin,
+        shape: Shape::Fold(|v| v.iter().copied().fold(f64::INFINITY, f64::min)),
     },
     Builtin {
         name: "asin",
-        arity: 1,
         cost: 8,
-        func: b_asin,
+        shape: Shape::Monotone(f64::asin, -1.0, 1.0),
     },
     Builtin {
         name: "atan",
-        arity: 1,
         cost: 8,
-        func: b_atan,
+        shape: Shape::Monotone(f64::atan, -ALL, ALL),
     },
     Builtin {
         name: "atan2",
-        arity: 2,
         cost: 10,
-        func: b_atan2,
+        shape: Shape::Range2(f64::atan2, -PI, PI),
     },
     Builtin {
         name: "ceil",
-        arity: 1,
         cost: 1,
-        func: b_ceil,
+        shape: Shape::Monotone(f64::ceil, -ALL, ALL),
     },
     Builtin {
         name: "cos",
-        arity: 1,
         cost: 8,
-        func: b_cos,
+        shape: Shape::Range(f64::cos, -1.0, 1.0),
     },
     Builtin {
         name: "dot",
-        arity: 2,
         cost: 8,
-        func: b_dot,
+        shape: Shape::Dot,
     },
     Builtin {
         name: "exp",
-        arity: 1,
         cost: 8,
-        func: b_exp,
+        shape: Shape::Monotone(f64::exp, -ALL, ALL),
     },
     Builtin {
         name: "fill",
-        arity: 2,
         cost: 4,
-        func: b_fill,
+        shape: Shape::Fill,
     },
     Builtin {
         name: "floor",
-        arity: 1,
         cost: 1,
-        func: b_floor,
+        shape: Shape::Monotone(f64::floor, -ALL, ALL),
     },
     Builtin {
         name: "len",
-        arity: 1,
         cost: 1,
-        func: b_len,
+        shape: Shape::Len,
     },
     Builtin {
         name: "ln",
-        arity: 1,
         cost: 8,
-        func: b_ln,
+        shape: Shape::Monotone(f64::ln, LEAST_POSITIVE, ALL),
     },
     Builtin {
         name: "log10",
-        arity: 1,
         cost: 8,
-        func: b_log10,
+        shape: Shape::Monotone(f64::log10, LEAST_POSITIVE, ALL),
     },
     Builtin {
         name: "max",
-        arity: 2,
         cost: 1,
-        func: b_max,
+        shape: Shape::MinMax(f64::max),
     },
     Builtin {
         name: "min",
-        arity: 2,
         cost: 1,
-        func: b_min,
+        shape: Shape::MinMax(f64::min),
     },
     Builtin {
         name: "pow",
-        arity: 2,
         cost: 10,
-        func: b_pow,
+        shape: Shape::Pow,
     },
     Builtin {
         name: "round",
-        arity: 1,
         cost: 1,
-        func: b_round,
+        shape: Shape::Monotone(f64::round, -ALL, ALL),
     },
     Builtin {
         name: "sin",
-        arity: 1,
         cost: 8,
-        func: b_sin,
+        shape: Shape::Range(f64::sin, -1.0, 1.0),
     },
     Builtin {
         name: "sqrt",
-        arity: 1,
         cost: 6,
-        func: b_sqrt,
+        shape: Shape::Monotone(f64::sqrt, 0.0, ALL),
     },
     Builtin {
         name: "sum",
-        arity: 1,
         cost: 4,
-        func: b_sum,
+        shape: Shape::Fold(|v| v.iter().sum()),
     },
     Builtin {
         name: "tan",
-        arity: 1,
         cost: 8,
-        func: b_tan,
+        shape: Shape::Range(f64::tan, -ALL, ALL),
     },
     Builtin {
         name: "zeros",
-        arity: 1,
         cost: 2,
-        func: b_zeros,
+        shape: Shape::Zeros,
     },
 ];
 
@@ -313,24 +282,34 @@ pub fn lookup(name: &str) -> Option<&'static Builtin> {
     index_of(name).map(|i| &BUILTINS[i])
 }
 
-/// Table index of a builtin — the "direct function index" the bytecode
-/// compiler freezes into `Op::Call` so the VM never re-resolves names.
-pub fn index_of(name: &str) -> Option<usize> {
+fn index_of(name: &str) -> Option<usize> {
     BUILTINS.binary_search_by(|b| b.name.cmp(name)).ok()
 }
 
-/// Applies a builtin by name. `args` length is pre-checked against the
-/// arity by the interpreter.
-pub fn apply(name: &str, args: &[Value]) -> Result<Value, RunError> {
-    match lookup(name) {
-        Some(b) => (b.func)(args),
-        None => Err(RunError::UnknownFunction(name.to_string())),
+/// Resolves a call of `name` with `argc` arguments to its row's index,
+/// the "direct function index" the bytecode compiler freezes into
+/// `Op::Call`: `UnknownFunction` when no row has the name, `BadArity`
+/// when the row takes another number of arguments.
+pub fn resolve(name: &str, argc: usize) -> Result<usize, RunError> {
+    let i = index_of(name).ok_or_else(|| RunError::UnknownFunction(name.to_string()))?;
+    let expected = BUILTINS[i].shape.arity();
+    if argc != expected {
+        return Err(RunError::BadArity {
+            name: name.to_string(),
+            expected,
+            got: argc,
+        });
     }
+    Ok(i)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn apply(name: &str, args: &[Value]) -> Result<Value, RunError> {
+        lookup(name).unwrap().call(args)
+    }
 
     #[test]
     fn table_is_sorted_for_binary_search() {
@@ -344,10 +323,21 @@ mod tests {
         for (i, b) in BUILTINS.iter().enumerate() {
             let found = lookup(b.name).unwrap();
             assert_eq!(found.name, b.name);
-            assert_eq!(index_of(b.name), Some(i));
+            assert_eq!(resolve(b.name, b.shape.arity()), Ok(i));
         }
         assert!(lookup("nope").is_none());
-        assert!(index_of("nope").is_none());
+        assert_eq!(
+            resolve("nope", 1),
+            Err(RunError::UnknownFunction("nope".to_string()))
+        );
+        assert_eq!(
+            resolve("atan2", 1),
+            Err(RunError::BadArity {
+                name: "atan2".to_string(),
+                expected: 2,
+                got: 1
+            })
+        );
     }
 
     #[test]
@@ -408,7 +398,6 @@ mod tests {
         assert!(apply("len", &[Value::Num(1.0)]).is_err());
         assert!(apply("dot", &[a, Value::array(vec![1.0, 2.0])]).is_err());
         assert!(apply("zeros", &[Value::Num(-1.0)]).is_err());
-        assert!(apply("nosuch", &[]).is_err());
     }
 
     #[test]
@@ -423,6 +412,12 @@ mod tests {
         assert_eq!(
             err2,
             RunError::NotAnArray("argument 1 of len()".to_string())
+        );
+        let three = Value::array(vec![0.0; 3]);
+        let err3 = apply("dot", &[three, Value::array(vec![0.0; 2])]).unwrap_err();
+        assert_eq!(
+            err3.to_string(),
+            "dot() needs two arrays of one length, got 3 and 2"
         );
     }
 

@@ -614,20 +614,11 @@ impl<'a> Compiler<'a> {
                 self.release_to(mark);
             }
             Expr::Call(name, args) => {
-                match builtins::index_of(name) {
-                    None => {
-                        // The tree-walker fails before evaluating any
-                        // argument; so do we.
-                        self.fail(RunError::UnknownFunction(name.clone()));
-                    }
-                    Some(i) if builtins::BUILTINS[i].arity != args.len() => {
-                        self.fail(RunError::BadArity {
-                            name: name.clone(),
-                            expected: builtins::BUILTINS[i].arity,
-                            got: args.len(),
-                        });
-                    }
-                    Some(i) => {
+                match builtins::resolve(name, args.len()) {
+                    // The tree-walker fails before evaluating any
+                    // argument; so do we.
+                    Err(e) => self.fail(e),
+                    Ok(i) => {
                         let mark = self.live_temps;
                         // Argument registers must be consecutive:
                         // reserve them first, then fill each (nested

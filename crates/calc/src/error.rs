@@ -78,6 +78,13 @@ pub enum RunError {
         /// The (rounded) size requested.
         size: f64,
     },
+    /// `dot(a, b)` of two arrays of different lengths.
+    UnequalLengths {
+        /// Builtin name.
+        name: String,
+        /// The lengths of the first and the second argument.
+        lens: (usize, usize),
+    },
 }
 
 impl fmt::Display for RunError {
@@ -99,6 +106,12 @@ impl fmt::Display for RunError {
             RunError::NotAScalar(what) => write!(f, "{what} must be a scalar"),
             RunError::BadSize { name, size } => {
                 write!(f, "{name}() size must be in 0..=1e9, got {size}")
+            }
+            RunError::UnequalLengths { name, lens: (a, b) } => {
+                write!(
+                    f,
+                    "{name}() needs two arrays of one length, got {a} and {b}"
+                )
             }
         }
     }

@@ -220,21 +220,13 @@ impl State {
                 Ok(Value::Num(v))
             }
             Expr::Call(name, args) => {
-                let b = builtins::lookup(name)
-                    .ok_or_else(|| RunError::UnknownFunction(name.clone()))?;
-                if args.len() != b.arity {
-                    return Err(RunError::BadArity {
-                        name: name.clone(),
-                        expected: b.arity,
-                        got: args.len(),
-                    });
-                }
+                let b = &builtins::BUILTINS[builtins::resolve(name, args.len())?];
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
                     vals.push(self.eval(a)?);
                 }
                 self.tick(b.cost)?;
-                builtins::apply(name, &vals)
+                b.call(&vals)
             }
             Expr::Bin(op, lhs, rhs) => {
                 // Short-circuit logic first.

@@ -498,7 +498,7 @@ impl Vm {
                     let first = first as usize;
                     let args = &regs[first..first + argc as usize];
                     self.args.extend(args.iter().map(Slot::value));
-                    let v = (b.func)(&self.args);
+                    let v = b.call(&self.args);
                     self.args.clear();
                     put!(dst, Slot::from_value(v?));
                 }

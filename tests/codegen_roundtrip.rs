@@ -3,6 +3,8 @@
 
 use banger::figures;
 use banger::lu::{lu_inputs, solve_reference, test_system};
+use banger_calc::builtins::{Shape, BUILTINS};
+use banger_calc::Value;
 use banger_machine::{Machine, MachineParams, Topology};
 use std::path::PathBuf;
 use std::process::Command;
@@ -31,16 +33,18 @@ fn compile_and_run(source: &str, tag: &str) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-/// Parses `output x = [a, b, c]` lines from generated-program stdout.
-fn parse_array_output(stdout: &str, var: &str) -> Vec<f64> {
+/// Parses an `output x = [a, b, c]` or `output x = a` line from
+/// generated-program stdout.
+fn parse_output(stdout: &str, var: &str) -> Vec<f64> {
     let line = stdout
         .lines()
         .find(|l| l.starts_with(&format!("output {var} =")))
         .unwrap_or_else(|| panic!("no output line for {var} in:\n{stdout}"));
     let inner = line
-        .split_once('[')
-        .expect("array form")
+        .split_once(" = ")
+        .expect("output form")
         .1
+        .trim_start_matches('[')
         .trim_end_matches(']');
     inner
         .split(',')
@@ -58,7 +62,7 @@ fn generated_lu_program_matches_reference() {
     let source = p.generate_rust(&schedule, &lu_inputs(&a, &b)).unwrap();
 
     let stdout = compile_and_run(&source, "lu3_mh");
-    let got = parse_array_output(&stdout, "x");
+    let got = parse_output(&stdout, "x");
     let want = solve_reference(&a, &b);
     assert_eq!(got.len(), want.len());
     for (g, w) in got.iter().zip(&want) {
@@ -82,7 +86,7 @@ fn generated_program_follows_different_schedules() {
         let schedule = p.schedule(heuristic).unwrap();
         let source = p.generate_rust(&schedule, &lu_inputs(&a, &b)).unwrap();
         let stdout = compile_and_run(&source, tag);
-        let got = parse_array_output(&stdout, "x");
+        let got = parse_output(&stdout, "x");
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 1e-9, "{tag}: {got:?} vs {want:?}");
         }
@@ -128,6 +132,68 @@ fn generated_program_with_control_flow_tasks() {
         .expect("y printed");
     let y: f64 = line.rsplit('=').next().unwrap().trim().parse().unwrap();
     assert!((y - 10.0 * 2.0_f64.sqrt()).abs() < 1e-9, "{stdout}");
+}
+
+/// One task calls every row of the builtin table once, with arguments
+/// inside each row's domain, and writes each result to its own output
+/// port: the generated program must print every one bit for bit as the
+/// executor computes it. A row with no spelling in the generated runtime
+/// panics there (`unknown builtin`).
+#[test]
+fn generated_rust_agrees_with_the_executor_on_every_builtin() {
+    let mut design = banger_taskgraph::HierGraph::new("rows");
+    let task = design.add_task_with_program("all", 1.0, "AllRows");
+    for input in ["v", "w"] {
+        let s = design.add_storage(input, 3.0);
+        design.add_flow(s, task).unwrap();
+    }
+    let (mut outs, mut body) = (Vec::new(), String::new());
+    for b in BUILTINS {
+        let args = match b.shape {
+            Shape::Monotone(..) | Shape::Range(..) => "x",
+            Shape::Abs => "z",
+            Shape::Range2(..) | Shape::MinMax(_) | Shape::Pow => "x, z",
+            Shape::Len | Shape::Fold(_) => "v",
+            Shape::Dot => "v, w",
+            Shape::Zeros => "3",
+            Shape::Fill => "3, z",
+        };
+        let out = format!("r_{}", b.name);
+        body += &format!("{out} := {}({args})\n", b.name);
+        let s = design.add_storage(out.as_str(), 1.0);
+        design.add_flow(task, s).unwrap();
+        outs.push(out);
+    }
+    let mut project = banger::project::Project::new("rows", design);
+    project
+        .library_mut()
+        .add_source(&format!(
+            "task AllRows in v, w out {} local x, z begin x := 0.7 z := 0 - 1.9\n{body}end",
+            outs.join(", ")
+        ))
+        .unwrap();
+    project.set_machine(Machine::new(Topology::single(), MachineParams::default()));
+    let inputs = [
+        ("v".to_string(), Value::array(vec![1.5, -2.25, 3.0])),
+        ("w".to_string(), Value::array(vec![0.5, 4.0, -1.0])),
+    ]
+    .into_iter()
+    .collect();
+    let report = project.run(&inputs).unwrap();
+    let schedule = project.schedule("ETF").unwrap();
+    let source = project.generate_rust(&schedule, &inputs).unwrap();
+    let stdout = compile_and_run(&source, "builtin_rows");
+    for out in &outs {
+        let want: Vec<u64> = match &report.outputs[out] {
+            Value::Num(v) => vec![v.to_bits()],
+            Value::Array(vs) => vs.iter().map(|v| v.to_bits()).collect(),
+        };
+        let got: Vec<u64> = parse_output(&stdout, out)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(got, want, "{out}");
+    }
 }
 
 #[test]
